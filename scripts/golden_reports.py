@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Write the golden reports and series dumps to ``tests/data/golden/``.
+
+    PYTHONPATH=src python3 scripts/golden_reports.py
+
+Each file is the output of one command line of ``bfmix``:
+
+* ``bfmix analyze`` JSON reports, without ``timing_seconds``, for the
+  ``scripts/run_case_studies.py`` points at the default order, an index-2
+  point with two transverse modes, and the index-1 and index-2 reference
+  points again at ``--order 12``;
+* ``bfmix series --what wp|qbar|ve1|mu2|mu3`` CSVs for three points.
+
+``tests/test_golden.py`` runs the same command lines and requires the output
+to match these files byte for byte, so a change to the series kernel or the
+variational pipeline that moves any digit shows.  The case-3 report comes from
+floating-point quadrature and depends on the platform's numpy, so the test
+leaves it out.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from bfmix import cli
+
+OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden"
+
+
+def _case2(gbf, omegaj, c0sq="1", order=None):
+    argv = ["analyze", "case2", f"--gbf={gbf}", "--omega0=1",
+            f"--omegaj={omegaj}", f"--c0sq={c0sq}", "--h=0"]
+    return argv + ([f"--order={order}"] if order else [])
+
+
+#: file name -> bfmix command line
+REPORTS = {
+    "case1_nonintegrable.json": ["analyze", "case1", "--omega0=1",
+                                 "--omega=2", "--gbf=1", "--csum=3"],
+    "case1_separable.json": ["analyze", "case1", "--omega0=1", "--omega=2",
+                             "--gbf=0", "--csum=3"],
+    "case2_index1.json": _case2("1", "1"),
+    "case2_index2_b0.json": _case2("3", "2"),
+    "case2_index2_b1.json": _case2("3", "1"),
+    "case2_index_half.json": _case2("3/8", "1/4"),
+    "case2_nonlattice.json": _case2("1/3", "1"),
+    "case2_index_five_half.json": _case2("35/8", "55/28", c0sq="72/343"),
+    "case2_index2_b0_nf2.json": _case2("3", "2,2"),
+    "case2_index1_order12.json": _case2("1", "1", order=12),
+    "case2_index2_b0_order12.json": _case2("3", "2", order=12),
+    "case2_index2_b1_order12.json": _case2("3", "1", order=12),
+    "case3_splitting.json": ["analyze", "case3", "--omega0=1", "--omega1=1",
+                             "--c0sq=1/100", "--c1sq=1", "--action=3.0"],
+}
+
+_SERIES_POINTS = {
+    "index1": ["--gbf=1", "--omegaj=1", "--order=16"],
+    "index2": ["--gbf=3", "--omegaj=1", "--order=24", "--pick-xi0=first",
+               "--pick-xij=first"],
+    "five_half_nf2": ["--gbf=35/8", "--omegaj=55/28,55/28", "--c0sq=72/343",
+                      "--order=14"],
+}
+
+CSVS = {f"series_{what}_{point}.csv": ["series", f"--what={what}", *argv]
+        for point, argv in _SERIES_POINTS.items()
+        for what in ("wp", "qbar", "ve1", "mu2", "mu3")}
+
+#: files whose content comes from exact arithmetic only
+EXACT_FILES = [name for name in (*REPORTS, *CSVS)
+               if not name.startswith("case3")]
+
+
+def render(name: str) -> str:
+    """The golden text of one file, computed by the current program."""
+    argv = REPORTS.get(name) or CSVS[name]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(list(argv))
+    if rc != 0:
+        raise RuntimeError(f"bfmix {' '.join(argv)} exited with {rc}")
+    if name in CSVS:
+        return buf.getvalue()
+    report = json.loads(buf.getvalue())
+    del report["timing_seconds"]
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def main() -> int:
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name in (*REPORTS, *CSVS):
+        (OUT / name).write_text(render(name))
+        print(name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
