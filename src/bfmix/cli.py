@@ -195,7 +195,7 @@ def _run_analyze(args) -> dict:
                     "C0_sq": str(args.c0sq), "C1_sq": str(args.c1sq),
                     "action_I": repr(args.action)}
         details = {
-            "h_star": repr(s.h_star), "a": repr(s.a),
+            "h_star": repr(float(s.h_star)), "a": repr(s.a),
             "fitted_amplitude": [A.real, A.imag],
             "fit_residual": repr(resid),
             "predicted_amplitude_im": repr(melnikov.predicted_amplitude(s).imag),
@@ -288,47 +288,27 @@ def _series_rows(args):
             args.pick_xi0 or choice.pick_xi0,
             args.pick_xij or choice.pick_xij,
             choice.pick_xi0_2, choice.pick_xij_2, choice.residue_row)
-    ve1 = variational.build_ve1(p, e, order=order)
-    tb = variational.frobenius(ve1.tangential)
-    nbs = [variational.frobenius(nj) for nj in ve1.normal]
-    xi0_1 = tb.sol1 if choice.pick_xi0 == "first" else tb.sol2
-    xij_1 = [b.sol1 if choice.pick_xij == "first" else b.sol2 for b in nbs]
-    k0_2, kj_2 = variational.forcing_k2(ve1.qbar0, e.C0_sq, p.g_bf,
-                                        xi0_1, xij_1)
+    result = variational.higher_ve_residues(p, e, choice, order=order)
+    if result.ve1_log:
+        raise ValueError("first order already carries a logarithm; "
+                         "second-order rows undefined")
+    labels = ["tangential"] + [f"normal_{j + 1}"
+                               for j in range(len(result.normal_bases))]
     if args.what == "mu2":
-        v0 = variational.variation_of_constants(tb, k0_2)
-        yield "# tangential row_first"
-        yield from v0.mu_first.to_csv_rows()
-        yield "# tangential row_second"
-        yield from v0.mu_second.to_csv_rows()
-        for j, (b, k) in enumerate(zip(nbs, kj_2)):
-            v = variational.variation_of_constants(b, k)
-            yield f"# normal_{j + 1} row_first"
+        for label, v in zip(labels, result.ve2_voc):
+            yield f"# {label} row_first"
             yield from v.mu_first.to_csv_rows()
-            yield f"# normal_{j + 1} row_second"
+            yield f"# {label} row_second"
             yield from v.mu_second.to_csv_rows()
         return
-    # mu3
-    voc0 = variational.variation_of_constants(tb, k0_2)
-    vocj = [variational.variation_of_constants(b, k)
-            for b, k in zip(nbs, kj_2)]
-    if voc0.has_log or any(v.has_log for v in vocj):
+    if result.ve2_has_log:
         raise VerificationFailure("second order already carries a logarithm; "
                                   "third-order rows undefined")
-    xi0_2 = voc0.particular + (tb.sol1 if choice.pick_xi0_2 == "first"
-                               else tb.sol2)
-    xij_2 = [v.particular + (b.sol1 if choice.pick_xij_2 == "first"
-                             else b.sol2) for v, b in zip(vocj, nbs)]
-    k0_3, kj_3 = variational.forcing_k3(ve1.qbar0, e.C0_sq, p.g_bf,
-                                        xi0_1, xij_1, xi0_2, xij_2)
-    yield "# tangential row_first"
-    yield from (-(tb.sol2 * k0_3)).to_csv_rows()
-    yield "# tangential row_second"
-    yield from (tb.sol1 * k0_3).to_csv_rows()
-    for j, (b, k) in enumerate(zip(nbs, kj_3)):
-        yield f"# normal_{j + 1} row_first"
+    bases = (result.tangential_basis,) + result.normal_bases
+    for label, b, k in zip(labels, bases, result.ve3_forcing):
+        yield f"# {label} row_first"
         yield from (-(b.sol2 * k)).to_csv_rows()
-        yield f"# normal_{j + 1} row_second"
+        yield f"# {label} row_second"
         yield from (b.sol1 * k).to_csv_rows()
 
 

@@ -77,10 +77,6 @@ def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
     return PuiseuxSeries(terms, order, EXACT)
 
 
-def wp_prime_laurent(e: EllipticData, order) -> PuiseuxSeries:
-    return wp_laurent(e, Q(order) + 1).differentiate()
-
-
 def _wp_ode(e: EllipticData):
     g2 = float(e.g2)
 

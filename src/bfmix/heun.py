@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .odeint import integrate
+from .series import rational_sqrt
 
 Q = Fraction
 
@@ -70,19 +71,17 @@ def reduce_case1(omega0, omega, g_bf, c_sum) -> HeunReduction:
 
 def reduce_from_params(p) -> HeunReduction:
     """Reduction for model parameters; frequencies must match exactly."""
-    import math
-
     if p.C0_sq != 0:
         raise ValueError("the reduction applies to C0 = 0 only")
     if len(set(p.omegas)) != 1:
         raise UnequalFrequenciesError(
             "unequal transverse frequencies are out of scope")
     omega_sq = 2 * Q(p.omegas[0])
-    rn, rd = math.isqrt(omega_sq.numerator), math.isqrt(omega_sq.denominator)
-    if rn * rn != omega_sq.numerator or rd * rd != omega_sq.denominator:
+    omega = rational_sqrt(omega_sq)
+    if omega is None:
         raise ValueError(f"2 w_j = {omega_sq} has no rational square root; "
                          "supply omega directly")
-    return reduce_case1(p.omega0, Fraction(rn, rd), p.g_bf, sum(p.Cs))
+    return reduce_case1(p.omega0, omega, p.g_bf, sum(p.Cs))
 
 
 def transform_consistency(red: HeunReduction, t_grid: Sequence[float],

@@ -10,10 +10,11 @@ fractional Baldassarri indices).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
+
+from .series import rational_sqrt
 
 Q = Fraction
 
@@ -28,10 +29,10 @@ def lame_index(g_bf) -> Optional[Fraction]:
     disc = 1 + 8 * g
     if disc < 0:
         return None
-    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+    root = rational_sqrt(disc)
+    if root is None:
         return None
-    n = (Fraction(rn, rd) - 1) / 2
+    n = (root - 1) / 2
     return n if n >= 0 else None
 
 

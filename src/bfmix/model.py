@@ -21,7 +21,7 @@ import numpy as np
 
 from . import elliptic
 from .odeint import Trajectory, integrate
-from .series import FieldExtensionError
+from .series import FieldExtensionError, rational_sqrt
 
 Q = Fraction
 
@@ -43,10 +43,10 @@ def _fr(x) -> Fraction:
 
 
 def _sqrt_exact(x: Fraction) -> Fraction:
-    r_num, r_den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if r_num * r_num != x.numerator or r_den * r_den != x.denominator:
+    root = rational_sqrt(x)
+    if root is None:
         raise FieldExtensionError(f"{x} has no rational square root")
-    return Fraction(r_num, r_den)
+    return root
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 """Truncated Laurent/Puiseux series with exact rational or complex coefficients.
 
 A series is a finite set of terms ``c * t**e`` with exponents on a lattice
-``(1/d) * ZZ`` plus a truncation order: exponents at or above the truncation
-are unknown.  All arithmetic tracks how far the result can be trusted, so a
-residue read off a series is either exact or raises.
+``base + step * ZZ`` plus a truncation order: exponents at or above the
+truncation are unknown.  All arithmetic tracks how far the result can be
+trusted, so a residue read off a series is either exact or raises.
 
-Exact mode keeps every coefficient a :class:`fractions.Fraction`; float mode
-uses ``complex`` and exists for numeric cross-checks of the exact pipeline.
+Terms are stored densely: a base exponent, a lattice step and the list of
+coefficients at ``base + k * step``.  Exact mode keeps integer numerators over
+one common denominator, so a product is an integer convolution followed by a
+single reduction; float mode keeps ``complex`` values and exists for numeric
+cross-checks of the exact pipeline.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from operator import add, mul
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 Q = Fraction
 Exponent = Fraction
@@ -26,6 +30,8 @@ INF = math.inf
 
 #: relative order used when expanding an exact (untruncated) unit, e.g. 1/(1+t)
 DEFAULT_REL_ORDER = Fraction(16)
+
+_ONE = Fraction(1)
 
 
 class SeriesError(Exception):
@@ -66,24 +72,94 @@ def _as_exponent(e) -> Exponent:
     return e if isinstance(e, Fraction) else Fraction(e)
 
 
+def rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """The nonnegative square root of ``x`` in Q, or None when ``x`` is not
+    the square of a rational.  A negative ``x`` raises ValueError."""
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
 def _sqrt_fraction(x: Fraction) -> Fraction:
     if x < 0:
         raise FieldExtensionError(f"sqrt of negative rational {x}")
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
+    root = rational_sqrt(x)
+    if root is None:
         raise FieldExtensionError(f"{x} is not a perfect square in Q")
-    return Fraction(rn, rd)
+    return root
+
+
+# -- dense coefficient lists ---------------------------------------------------
+
+def _lattice_gcd(x: Fraction, y: Fraction) -> Fraction:
+    """Largest step s with x and y both in s * ZZ (x, y >= 0)."""
+    return Fraction(math.gcd(x.numerator * y.denominator,
+                             y.numerator * x.denominator),
+                    x.denominator * y.denominator)
+
+
+def _ceil_div(span: Fraction, step: Fraction) -> int:
+    return -((-span) // step)
+
+
+def _count_below(n: int, base: Fraction, step: Fraction, trunc) -> int:
+    """How many of the first n lattice points base + k*step lie below trunc."""
+    if trunc == INF:
+        return n
+    return max(0, min(n, _ceil_div(trunc - base, step)))
+
+
+def _spread(coeffs: list, r: int) -> list:
+    """Coefficients re-gridded on a step r times finer."""
+    if r == 1:
+        return coeffs
+    out = [0] * ((len(coeffs) - 1) * r + 1)
+    out[::r] = coeffs
+    return out
+
+
+def _convolve(a: list, b: list, n: int) -> list:
+    """First n coefficients of the product of the dense lists a and b."""
+    la, lb = len(a), len(b)
+    rb = b[::-1]
+    out = []
+    for k in range(n):
+        lo = k - lb + 1 if k >= lb else 0
+        hi = k + 1 if k < la else la
+        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
+    return out
+
+
+def _push(nums: List[int], den: int, p: int, q: int) -> int:
+    """Append p/q to the numerators ``nums`` over ``den``, rescaling them to
+    a common denominator; returns the new denominator."""
+    if p == 0:
+        nums.append(0)
+        return den
+    if q < 0:
+        p, q = -p, -q
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    f = q // math.gcd(q, den)
+    if f != 1:
+        nums[:] = [x * f for x in nums]
+        den *= f
+    nums.append(p * (den // q))
+    return den
 
 
 class PuiseuxSeries:
     """Immutable truncated Puiseux series.
 
-    ``terms`` maps exponents to nonzero coefficients; ``trunc`` is the first
-    unknown exponent (may be :data:`INF` for exact polynomials).
+    The known terms are ``coeffs[k] / den * t**(base + k * step)``; ``trunc``
+    is the first unknown exponent (may be :data:`INF` for exact polynomials).
+    The form is canonical -- nonzero end coefficients, the coarsest step, and
+    in exact mode a denominator sharing no factor with all the numerators --
+    so equal series have equal fields.  ``den`` is 1 in float mode.
     """
 
-    __slots__ = ("_terms", "_trunc", "_mode")
+    __slots__ = ("_base", "_step", "_coeffs", "_den", "_trunc", "_mode")
 
     def __init__(self, terms: Dict[Exponent, CoeffValue], trunc=INF, mode: str = EXACT):
         if mode not in (EXACT, FLOAT):
@@ -93,15 +169,65 @@ class PuiseuxSeries:
         clean: Dict[Exponent, CoeffValue] = {}
         for e, c in terms.items():
             e = _as_exponent(e)
-            if mode == EXACT and not isinstance(c, Fraction):
-                c = Fraction(c)
-            if mode == FLOAT:
-                c = complex(c)
+            c = Fraction(c) if mode == EXACT else complex(c)
             if c != 0 and (trunc == INF or e < trunc):
                 clean[e] = clean.get(e, 0) + c
-        self._terms = {e: c for e, c in clean.items() if c != 0}
-        self._trunc = trunc
-        self._mode = mode
+        values = {e: c for e, c in clean.items() if c != 0}
+        base, step, den = Fraction(0), _ONE, 1
+        coeffs: list = []
+        if values:
+            exps = sorted(values)
+            base = exps[0]
+            step = Fraction(0)
+            for e in exps[1:]:
+                step = _lattice_gcd(step, e - base)
+            step = step or _ONE
+            coeffs = [0] * (int((exps[-1] - base) / step) + 1)
+            if mode == EXACT:
+                den = math.lcm(*(c.denominator for c in values.values()))
+            for e, c in values.items():
+                k = int((e - base) / step)
+                coeffs[k] = c.numerator * (den // c.denominator) \
+                    if mode == EXACT else c
+        self._base, self._step, self._coeffs = base, step, coeffs
+        self._den, self._trunc, self._mode = den, trunc, mode
+
+    @classmethod
+    def _make(cls, base: Fraction, step: Fraction, coeffs: list, den: int,
+              trunc, mode: str) -> "PuiseuxSeries":
+        """Series from dense data, cut below ``trunc`` and made canonical."""
+        n = _count_below(len(coeffs), base, step, trunc)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        i = 0
+        while i < n and not coeffs[i]:
+            i += 1
+        if i == n:
+            coeffs, base, step, den = [], Fraction(0), _ONE, 1
+        else:
+            if i or n < len(coeffs):
+                coeffs = coeffs[i:n]
+                base = base + i * step
+            g = 0
+            for k, c in enumerate(coeffs):
+                if c:
+                    g = math.gcd(g, k)
+                    if g == 1:
+                        break
+            if g == 0:
+                step = _ONE
+            elif g > 1:
+                coeffs = coeffs[::g]
+                step = step * g
+            if mode == EXACT and den != 1:
+                g = math.gcd(den, *coeffs)
+                if g != 1:
+                    coeffs = [c // g for c in coeffs]
+                    den //= g
+        s = cls.__new__(cls)
+        s._base, s._step, s._coeffs = base, step, coeffs
+        s._den, s._trunc, s._mode = den, trunc, mode
+        return s
 
     # -- construction helpers -------------------------------------------------
 
@@ -134,26 +260,42 @@ class PuiseuxSeries:
     @property
     def is_zero(self) -> bool:
         """True when no term is known; the series may hide beyond trunc."""
-        return not self._terms
+        return not self._coeffs
 
     @property
     def base_exponent(self):
         """Leading exponent (valuation); trunc when the series shows no term."""
-        return min(self._terms) if self._terms else self._trunc
+        return self._base if self._coeffs else self._trunc
 
     @property
     def ramification(self) -> int:
         """Smallest d with all stored exponents in (1/d)*ZZ."""
         d = 1
-        exps = list(self._terms)
+        for e, _ in self.terms():
+            d = math.lcm(d, e.denominator)
         if self._trunc != INF:
-            exps.append(self._trunc)
-        for e in exps:
-            d = d * e.denominator // math.gcd(d, e.denominator)
+            d = math.lcm(d, self._trunc.denominator)
         return d
 
+    def _zero_value(self) -> CoeffValue:
+        return Q(0) if self._mode == EXACT else 0j
+
+    def _value(self, c) -> CoeffValue:
+        return Fraction(c, self._den) if self._mode == EXACT else c
+
     def terms(self) -> Iterator[Tuple[Exponent, CoeffValue]]:
-        return iter(sorted(self._terms.items()))
+        """(exponent, coefficient) of the nonzero terms, ascending."""
+        base, step = self._base, self._step
+        return ((base + k * step, self._value(c))
+                for k, c in enumerate(self._coeffs) if c)
+
+    def _stored(self, e: Exponent) -> CoeffValue:
+        k = (e - self._base) / self._step
+        if k.denominator == 1 and 0 <= k < len(self._coeffs):
+            c = self._coeffs[int(k)]
+            if c:
+                return self._value(c)
+        return self._zero_value()
 
     def coefficient(self, e) -> CoeffValue:
         """Exact coefficient of t**e; raises if e is not known at this order."""
@@ -161,26 +303,27 @@ class PuiseuxSeries:
         if self._trunc != INF and e >= self._trunc:
             raise InsufficientOrderError(
                 f"coefficient of t^{e} unknown (truncation t^{self._trunc})")
-        zero = Q(0) if self._mode == EXACT else 0j
-        return self._terms.get(e, zero)
+        return self._stored(e)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         return (self._mode == other._mode and self._trunc == other._trunc
-                and self._terms == other._terms)
+                and self._coeffs == other._coeffs and self._den == other._den
+                and (not self._coeffs or (self._base == other._base
+                                          and self._step == other._step)))
 
     def __hash__(self):
-        return hash((self._mode, self._trunc, tuple(sorted(self._terms.items()))))
+        return hash((self._mode, self._trunc, tuple(self.terms())))
 
     def agrees_with(self, other: "PuiseuxSeries") -> bool:
         """Equality of all coefficients below the common truncation order."""
         t = _exp_min(self._trunc, other._trunc)
-        exps = {e for e in self._terms if e < t} | {e for e in other._terms if e < t}
-        return all(self.coefficient(e) == other.coefficient(e) for e in exps)
+        return ({e: c for e, c in self.terms() if e < t}
+                == {e: c for e, c in other.terms() if e < t})
 
     # -- ring operations ------------------------------------------------------
 
@@ -189,54 +332,121 @@ class PuiseuxSeries:
             raise ModeMismatchError(
                 f"cannot combine {self._mode} with {other._mode}")
 
+    def _cut(self, trunc) -> "PuiseuxSeries":
+        if trunc == self._trunc:
+            return self
+        return PuiseuxSeries._make(self._base, self._step, self._coeffs,
+                                   self._den, trunc, self._mode)
+
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         self._check_mode(other)
         t = _exp_min(self._trunc, other._trunc)
-        d = dict(self._terms)
-        for e, c in other._terms.items():
-            d[e] = d.get(e, 0) + c
-        return PuiseuxSeries(d, t, self._mode)
+        if not other._coeffs:
+            return self._cut(t)
+        if not self._coeffs:
+            return other._cut(t)
+        base = min(self._base, other._base)
+        step = _lattice_gcd(_lattice_gcd(self._step, other._step),
+                            abs(self._base - other._base))
+        den = self._den if self._den == other._den \
+            else math.lcm(self._den, other._den)
+        placed = []
+        for s in (self, other):
+            vals = s._coeffs
+            if s._den != den:
+                f = den // s._den
+                vals = [c * f for c in vals]
+            r = int(s._step / step)
+            off = int((s._base - base) / step)
+            placed.append((off, off + (len(vals) - 1) * r + 1, r, vals))
+        zero = 0 if self._mode == EXACT else 0j
+        out = [zero] * max(end for _, end, _, _ in placed)
+        for off, end, r, vals in placed:
+            out[off:end:r] = list(map(add, out[off:end:r], vals))
+        return PuiseuxSeries._make(base, step, out, den, t, self._mode)
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries({e: -c for e, c in self._terms.items()},
-                             self._trunc, self._mode)
+        s = PuiseuxSeries.__new__(PuiseuxSeries)
+        s._base, s._step, s._coeffs = self._base, self._step, [-c for c in self._coeffs]
+        s._den, s._trunc, s._mode = self._den, self._trunc, self._mode
+        return s
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
+
+    def _product_trunc(self, other: "PuiseuxSeries"):
+        # each factor is exact below its trunc; the product is exact below
+        # min(val_a + trunc_b, val_b + trunc_a)
+        return _exp_min(_exp_add(self.base_exponent, other._trunc),
+                        _exp_add(other.base_exponent, self._trunc))
+
+    def _on_common_lattice(self, other: "PuiseuxSeries"):
+        """(step, a, b): both coefficient lists re-gridded on one step."""
+        step = _lattice_gcd(self._step, other._step)
+        return (step, _spread(self._coeffs, int(self._step / step)),
+                _spread(other._coeffs, int(other._step / step)))
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         self._check_mode(other)
-        # each factor is exact below its trunc; the product is exact below
-        # min(val_a + trunc_b, val_b + trunc_a)
-        t = _exp_min(_exp_add(self.base_exponent, other._trunc),
-                     _exp_add(other.base_exponent, self._trunc))
-        d: Dict[Exponent, CoeffValue] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                if t is INF or e < t:
-                    d[e] = d.get(e, 0) + c1 * c2
-        return PuiseuxSeries(d, t, self._mode)
+        t = self._product_trunc(other)
+        if not (self._coeffs and other._coeffs):
+            return PuiseuxSeries.zero(t, self._mode)
+        step, a, b = self._on_common_lattice(other)
+        base = self._base + other._base
+        n = _count_below(len(a) + len(b) - 1, base, step, t)
+        return PuiseuxSeries._make(base, step, _convolve(a, b, n),
+                                   self._den * other._den, t, self._mode)
+
+    def product_residue(self, other: "PuiseuxSeries") -> CoeffValue:
+        """``(self * other).residue()``, from the one convolution sum that
+        gives the 1/t coefficient instead of the whole product."""
+        self._check_mode(other)
+        t = self._product_trunc(other)
+        if t != INF and t <= -1:
+            raise InsufficientOrderError(
+                f"residue unknowable at truncation t^{t}")
+        if not (self._coeffs and other._coeffs):
+            return self._zero_value()
+        step, a, b = self._on_common_lattice(other)
+        k = (-1 - self._base - other._base) / step
+        if k.denominator != 1 or k < 0:
+            return self._zero_value()
+        k = int(k)
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        if lo > hi:
+            return self._zero_value()
+        s = sum(map(mul, a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]))
+        if not s:
+            return self._zero_value()
+        return Fraction(s, self._den * other._den) if self._mode == EXACT else s
 
     def scale(self, k) -> "PuiseuxSeries":
         if self._mode == EXACT:
             k = Fraction(k)
-        return PuiseuxSeries({e: k * c for e, c in self._terms.items()},
-                             self._trunc, self._mode)
+            return PuiseuxSeries._make(self._base, self._step,
+                                       [c * k.numerator for c in self._coeffs],
+                                       self._den * k.denominator, self._trunc,
+                                       EXACT)
+        return PuiseuxSeries._make(self._base, self._step,
+                                   [k * c for c in self._coeffs], 1,
+                                   self._trunc, FLOAT)
 
     def shift(self, m) -> "PuiseuxSeries":
         """Multiply by t**m."""
         m = _as_exponent(m)
-        return PuiseuxSeries({e + m: c for e, c in self._terms.items()},
-                             _exp_add(self._trunc, m), self._mode)
+        s = PuiseuxSeries.__new__(PuiseuxSeries)
+        s._base = self._base + m if self._coeffs else self._base
+        s._step, s._coeffs, s._den = self._step, self._coeffs, self._den
+        s._trunc, s._mode = _exp_add(self._trunc, m), self._mode
+        return s
 
     def truncate(self, t) -> "PuiseuxSeries":
         t = t if t == INF else _as_exponent(t)
-        return PuiseuxSeries(dict(self._terms), _exp_min(t, self._trunc), self._mode)
+        return self._cut(_exp_min(t, self._trunc))
 
     def pow(self, n: int) -> "PuiseuxSeries":
         if n < 0:
@@ -252,28 +462,41 @@ class PuiseuxSeries:
 
     __pow__ = pow
 
-    def invert(self) -> "PuiseuxSeries":
-        """Multiplicative inverse, exact to the same relative order."""
-        if not self._terms:
-            raise ZeroDivisionSeriesError("inverting a series with no known term")
-        v = self.base_exponent
-        c0 = self._terms[v]
-        rel = INF if self._trunc == INF else self._trunc - v
-        # u := self / (c0 t^v) - 1 has positive valuation
-        pure_monomial = len(self._terms) == 1
-        if rel == INF and not pure_monomial:
+    def _unit_length(self) -> Tuple[object, int]:
+        """(rel, n): the relative order kept when expanding self / (c0 t^v)
+        and how many lattice coefficients lie below it."""
+        rel = INF if self._trunc == INF else self._trunc - self._base
+        if rel == INF and len(self._coeffs) > 1:
             rel = DEFAULT_REL_ORDER
-        u = PuiseuxSeries({e - v: c / c0 for e, c in self._terms.items() if e != v},
-                          rel, self._mode)
-        one = PuiseuxSeries.constant(1, self._mode)
-        acc, term = one, one
-        while term and term.base_exponent < rel:
-            term = term * (-u)
-            acc = acc + term
-        if rel != INF:
-            acc = acc.truncate(rel)
-        inv_c0 = 1 / c0 if self._mode == FLOAT else Fraction(1) / c0
-        return acc.scale(inv_c0).shift(-v)
+        return rel, (1 if rel == INF else _ceil_div(rel, self._step))
+
+    def invert(self) -> "PuiseuxSeries":
+        """Multiplicative inverse, exact to the same relative order.
+
+        d_0 = 1/c_0 and d_k = -(sum_{j>=1} c_j d_{k-j}) / c_0 on the lattice.
+        """
+        if not self._coeffs:
+            raise ZeroDivisionSeriesError("inverting a series with no known term")
+        v = self._base
+        rel, n = self._unit_length()
+        a = self._coeffs[:n]
+        a0 = a[0]
+        if self._mode == EXACT:
+            d: list = []
+            den = _push(d, 1, self._den, a0)
+            for k in range(1, n):
+                m = min(k, len(a) - 1)
+                s = sum(map(mul, a[m:0:-1], d[k - m:k]))
+                den = _push(d, den, -s, a0 * den)
+        else:
+            inv_c0 = 1 / a0
+            d = [inv_c0]
+            for k in range(1, n):
+                m = min(k, len(a) - 1)
+                d.append(-sum(map(mul, a[m:0:-1], d[k - m:k])) * inv_c0)
+            den = 1
+        return PuiseuxSeries._make(-v, self._step, d, den, _exp_add(rel, -v),
+                                   self._mode)
 
     def divide(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self * other.invert()
@@ -282,54 +505,60 @@ class PuiseuxSeries:
 
     def sqrt(self) -> "PuiseuxSeries":
         """Square root; exact mode needs an even-lattice leading exponent and a
-        square leading coefficient, float mode takes Re > 0 branch."""
-        if not self._terms:
+        square leading coefficient, float mode takes Re > 0 branch.
+
+        w_0 = sqrt(c_0) and w_k = (c_k - sum_{0<j<k} w_j w_{k-j}) / (2 w_0).
+        """
+        if not self._coeffs:
             raise ZeroDivisionSeriesError("sqrt of a series with no known term")
-        v = self.base_exponent
-        c0 = self._terms[v]
+        v = self._base
+        rel, n = self._unit_length()
+        a = self._coeffs[:n]
         if self._mode == EXACT:
-            root = _sqrt_fraction(c0)
+            c_den = self._den
+            root = _sqrt_fraction(Fraction(a[0], c_den))
+            w = [root.numerator]
+            den = root.denominator
+            for k in range(1, n):
+                s = sum(map(mul, w[1:k], w[k - 1:0:-1]))
+                ak = a[k] if k < len(a) else 0
+                den = _push(w, den, (ak * den * den - c_den * s) * root.denominator,
+                            2 * c_den * den * den * root.numerator)
         else:
-            root = complex(c0) ** 0.5
+            root = complex(a[0]) ** 0.5
             if root.real < 0 or (root.real == 0 and root.imag < 0):
                 root = -root
-        rel = INF if self._trunc == INF else self._trunc - v
-        if rel == INF and len(self._terms) > 1:
-            rel = DEFAULT_REL_ORDER
-        u = PuiseuxSeries({e - v: c / c0 for e, c in self._terms.items() if e != v},
-                          rel, self._mode)
-        # (1+u)^(1/2) by binomial series
-        one = PuiseuxSeries.constant(1, self._mode)
-        acc, term = one, one
-        binom = Fraction(1)
-        k = 0
-        while term and term.base_exponent < rel:
-            binom = binom * (Fraction(1, 2) - k) / (k + 1)
-            term = term * u
-            if not term:
-                break
-            b = binom if self._mode == EXACT else float(binom)
-            acc = acc + term.scale(b)
-            k += 1
-        if rel != INF:
-            acc = acc.truncate(rel)
-        return acc.scale(root).shift(v / 2)
+            w = [root]
+            for k in range(1, n):
+                ak = a[k] if k < len(a) else 0
+                w.append((ak - sum(map(mul, w[1:k], w[k - 1:0:-1]))) / (2 * root))
+            den = 1
+        return PuiseuxSeries._make(v / 2, self._step, w, den,
+                                   _exp_add(rel, v / 2), self._mode)
 
     # -- calculus -------------------------------------------------------------
 
+    def _integer_exponents(self) -> Tuple[int, int, int]:
+        """(b, s, L) with base = b / L and step = s / L."""
+        L = math.lcm(self._base.denominator, self._step.denominator)
+        return int(self._base * L), int(self._step * L), L
+
     def differentiate(self) -> "PuiseuxSeries":
-        d = {}
-        for e, c in self._terms.items():
-            if e != 0:
-                mult = e if self._mode == EXACT else float(e)
-                d[e - 1] = mult * c
-        return PuiseuxSeries(d, _exp_add(self._trunc, -1), self._mode)
+        b, s, L = self._integer_exponents()
+        if self._mode == EXACT:
+            out = [c * (b + k * s) for k, c in enumerate(self._coeffs)]
+            den = self._den * L
+        else:
+            out = [((b + k * s) / L) * c for k, c in enumerate(self._coeffs)]
+            den = 1
+        return PuiseuxSeries._make(self._base - 1, self._step, out, den,
+                                   _exp_add(self._trunc, -1), self._mode)
 
     def antiderivative(self) -> "LogSeries":
         """Termwise primitive with zero constants; the 1/t term feeds log t."""
-        logc = Q(0) if self._mode == EXACT else 0j
+        logc = self._zero_value()
         d = {}
-        for e, c in self._terms.items():
+        for e, c in self.terms():
             if e == -1:
                 logc = c
             else:
@@ -342,27 +571,33 @@ class PuiseuxSeries:
         if self._trunc != INF and self._trunc <= -1:
             raise InsufficientOrderError(
                 f"residue unknowable at truncation t^{self._trunc}")
-        zero = Q(0) if self._mode == EXACT else 0j
-        return self._terms.get(Q(-1), zero)
+        return self._stored(Q(-1))
 
     # -- conversions ----------------------------------------------------------
 
     def to_float(self) -> "PuiseuxSeries":
         if self._mode == FLOAT:
             return self
-        return PuiseuxSeries({e: complex(c) for e, c in self._terms.items()},
-                             self._trunc, FLOAT)
+        den = self._den
+        return PuiseuxSeries._make(self._base, self._step,
+                                   [complex(c / den) for c in self._coeffs], 1,
+                                   self._trunc, FLOAT)
 
     def evaluate(self, t: complex) -> complex:
         """Numeric evaluation (float semantics regardless of mode)."""
+        b, s, L = self._integer_exponents()
+        t = complex(t)
+        den = self._den
+        exact = self._mode == EXACT
         total = 0j
-        for e, c in self._terms.items():
-            total += complex(c) * complex(t) ** float(e)
+        for k, c in enumerate(self._coeffs):
+            if c:
+                total += complex(c / den if exact else c) * t ** ((b + k * s) / L)
         return total
 
     def to_csv_rows(self) -> Iterable[str]:
         """Rows 'exponent,numerator,denominator' (exact) or 'exponent,re,im'."""
-        for e, c in sorted(self._terms.items()):
+        for e, c in self.terms():
             if self._mode == EXACT:
                 yield f"{e},{c.numerator},{c.denominator}"
             else:
@@ -370,7 +605,7 @@ class PuiseuxSeries:
 
     def __repr__(self) -> str:
         bits = []
-        for e, c in sorted(self._terms.items()):
+        for e, c in self.terms():
             bits.append(f"({c})*t^({e})")
         tail = "" if self._trunc == INF else f" + O(t^({self._trunc}))"
         body = " + ".join(bits) if bits else "0"
@@ -394,13 +629,3 @@ class LogSeries:
         if not self.has_log:
             return repr(self.regular)
         return f"{self.regular!r} + ({self.log_coefficient})*log(t)"
-
-
-def series_from_coeffs(coeffs, base_exponent, step=1, trunc=None, mode=EXACT):
-    """Build a series from a dense coefficient list starting at base_exponent."""
-    base = _as_exponent(base_exponent)
-    step = _as_exponent(step)
-    d = {base + k * step: c for k, c in enumerate(coeffs)}
-    if trunc is None:
-        trunc = base + len(coeffs) * step
-    return PuiseuxSeries(d, trunc, mode)

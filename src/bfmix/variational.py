@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from . import elliptic
 from .series import (EXACT, INF, FieldExtensionError, LogSeries,
-                     PuiseuxSeries)
+                     PuiseuxSeries, rational_sqrt)
 
 Q = Fraction
 
@@ -87,11 +87,9 @@ def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
     disc = 1 + 4 * c2
     if disc < 0:
         raise FieldExtensionError(f"complex indicial exponents (1+4c = {disc})")
-    import math
-    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+    root = rational_sqrt(disc)
+    if root is None:
         raise FieldExtensionError(f"irrational indicial exponents (1+4c = {disc})")
-    root = Fraction(rn, rd)
     return (1 + root) / 2, (1 - root) / 2
 
 
@@ -204,25 +202,34 @@ def variation_of_constants(basis: FrobeniusBasis,
 # ---------------------------------------------------------------------------
 
 def forcing_k2(qbar: PuiseuxSeries, C0_sq, g, xi0_1: PuiseuxSeries,
-               xij_1: Sequence[PuiseuxSeries]):
-    """(K0^(2), [K_j^(2)]) for given first-order solution choices."""
+               xij_1: Sequence[PuiseuxSeries],
+               qbar_inv5: Optional[PuiseuxSeries] = None):
+    """(K0^(2), [K_j^(2)]) for given first-order solution choices.
+
+    ``qbar_inv5`` is ``qbar.pow(5).invert()`` when the caller already has it.
+    """
     g = Q(g)
     C0_sq = Q(C0_sq)
     sum_sq = None
     for xj in xij_1:
         s = xj * xj
         sum_sq = s if sum_sq is None else sum_sq + s
-    qb5inv = qbar.pow(5).invert()
+    if qbar_inv5 is None:
+        qbar_inv5 = qbar.pow(5).invert()
     k0 = (qbar * sum_sq).scale(2 * g) + (qbar * (xi0_1 * xi0_1)).scale(6) \
-        + (qb5inv * (xi0_1 * xi0_1)).scale(6 * C0_sq)
+        + (qbar_inv5 * (xi0_1 * xi0_1)).scale(6 * C0_sq)
     kj = [(qbar * xi0_1 * xj).scale(4 * g) for xj in xij_1]
     return k0, kj
 
 
 def forcing_k3(qbar: PuiseuxSeries, C0_sq, g,
                xi0_1: PuiseuxSeries, xij_1: Sequence[PuiseuxSeries],
-               xi0_2: PuiseuxSeries, xij_2: Sequence[PuiseuxSeries]):
-    """(K0^(3), [K_j^(3)]) from first- and second-order solution choices."""
+               xi0_2: PuiseuxSeries, xij_2: Sequence[PuiseuxSeries],
+               qbar_inv6: Optional[PuiseuxSeries] = None):
+    """(K0^(3), [K_j^(3)]) from first- and second-order solution choices.
+
+    ``qbar_inv6`` is ``qbar.pow(6).invert()`` when the caller already has it.
+    """
     g = Q(g)
     C0_sq = Q(C0_sq)
     cross = None
@@ -235,8 +242,9 @@ def forcing_k3(qbar: PuiseuxSeries, C0_sq, g,
     k0 = (qbar * cross).scale(4 * g) + (xi0_1 * sum_sq).scale(2 * g) \
         + (xi0_1 * xi0_1 * xi0_1).scale(2) + (qbar * xi0_1 * xi0_2).scale(12)
     if C0_sq != 0:
-        qb6inv = qbar.pow(6).invert()
-        k0 = k0 - (qb6inv * ((xi0_1 * xi0_1 * xi0_1).scale(10)
+        if qbar_inv6 is None:
+            qbar_inv6 = qbar.pow(6).invert()
+        k0 = k0 - (qbar_inv6 * ((xi0_1 * xi0_1 * xi0_1).scale(10)
                              - (qbar * xi0_1 * xi0_2).scale(12))).scale(C0_sq)
     kj = [((xi0_1 * xi0_1) * xj1).scale(2 * g)
           + (qbar * (xi0_1 * xj2 + xi0_2 * xj1)).scale(4 * g)
@@ -289,7 +297,12 @@ class BlockReport:
 
 @dataclass
 class HigherVEResult:
-    """Everything the order-2/order-3 analysis produced."""
+    """Everything the order-2/order-3 analysis produced.
+
+    ``ve2_voc`` holds the VE2 variation-of-constants data, tangential block
+    first; ``ve3_forcing`` holds (K0^(3), K_1^(3), ...).  Each is empty when
+    the chain stopped before that order.
+    """
 
     choice: HigherVEChoice
     tangential_basis: FrobeniusBasis
@@ -300,6 +313,8 @@ class HigherVEResult:
     normal_blocks: Tuple[BlockReport, ...]
     tangential_block: Optional[BlockReport]
     residues: Tuple                       # per-j residue of the requested row
+    ve2_voc: Tuple[VOCResult, ...] = ()
+    ve3_forcing: Tuple[PuiseuxSeries, ...] = ()
 
     @property
     def any_nonzero_residue(self) -> bool:
@@ -324,62 +339,92 @@ class HigherVEResult:
         return None
 
 
+@dataclass(frozen=True)
+class VE1Context:
+    """First-order data of one parameter point, shared by every pick.
+
+    ``qbar_inv5`` and ``qbar_inv6`` are the powers of the orbit series that
+    the C0^2 terms of K0^(2) and K0^(3) need.
+    """
+
+    ve1: VE1Coefficients
+    tangential_basis: FrobeniusBasis
+    normal_bases: Tuple[FrobeniusBasis, ...]
+    qbar_inv5: PuiseuxSeries
+    qbar_inv6: PuiseuxSeries
+
+
+def ve1_context(p, e, order=30) -> VE1Context:
+    """Build VE1 and its Frobenius bases once for one parameter point."""
+    ve1 = build_ve1(p, e, order=Q(order))
+    qbar = ve1.qbar0
+    return VE1Context(ve1=ve1, tangential_basis=frobenius(ve1.tangential),
+                      normal_bases=tuple(frobenius(nj) for nj in ve1.normal),
+                      qbar_inv5=qbar.pow(5).invert(),
+                      qbar_inv6=qbar.pow(6).invert())
+
+
 def _pick(basis: FrobeniusBasis, which: str) -> PuiseuxSeries:
     return basis.sol1 if which == "first" else basis.sol2
 
 
-def higher_ve_residues(p, e, choice: HigherVEChoice, order=30) -> HigherVEResult:
-    """Run the VE2 -> VE3 chain with the given picks and report residues."""
-    ve1 = build_ve1(p, e, order=Q(order))
-    tb = frobenius(ve1.tangential)
-    nbs = tuple(frobenius(nj) for nj in ve1.normal)
+def _block_report(basis: FrobeniusBasis, k3: PuiseuxSeries,
+                  ve2_logs: Tuple) -> BlockReport:
+    # the 1/t coefficients of mu_first = -sol2 K and mu_second = sol1 K
+    return BlockReport(ve2_log_coefficients=ve2_logs,
+                       ve3_residue_first=-basis.sol2.product_residue(k3),
+                       ve3_residue_second=basis.sol1.product_residue(k3))
+
+
+def higher_ve_residues(p, e, choice: HigherVEChoice, order=30,
+                       context: Optional[VE1Context] = None) -> HigherVEResult:
+    """Run the VE2 -> VE3 chain with the given picks and report residues.
+
+    ``context`` is the point's :func:`ve1_context` at this ``order``; it is
+    built here when not given.
+    """
+    ctx = context or ve1_context(p, e, order)
+    tb, nbs = ctx.tangential_basis, ctx.normal_bases
     ve1_log = tb.log_in_basis or any(b.log_in_basis for b in nbs)
     if ve1_log:
         return HigherVEResult(choice, tb, nbs, True, False, (), (), None, ())
 
-    qbar = ve1.qbar0
+    qbar = ctx.ve1.qbar0
     g = Q(p.g_bf)
     xi0_1 = _pick(tb, choice.pick_xi0)
     xij_1 = [_pick(b, choice.pick_xij) for b in nbs]
 
-    k0_2, kj_2 = forcing_k2(qbar, e.C0_sq, g, xi0_1, xij_1)
+    k0_2, kj_2 = forcing_k2(qbar, e.C0_sq, g, xi0_1, xij_1,
+                            qbar_inv5=ctx.qbar_inv5)
     voc0 = variation_of_constants(tb, k0_2)
     vocj = [variation_of_constants(b, k) for b, k in zip(nbs, kj_2)]
-    ve2_logs = (voc0.log_coefficients,) + tuple(v.log_coefficients for v in vocj)
-    ve2_has_log = voc0.has_log or any(v.has_log for v in vocj)
-    if ve2_has_log:
-        return HigherVEResult(choice, tb, nbs, False, True, ve2_logs, (), None, ())
+    vocs = (voc0, *vocj)
+    ve2_logs = tuple(v.log_coefficients for v in vocs)
+    if any(v.has_log for v in vocs):
+        return HigherVEResult(choice, tb, nbs, False, True, ve2_logs, (), None,
+                              (), ve2_voc=vocs)
 
     xi0_2 = voc0.particular + _pick(tb, choice.pick_xi0_2)
     xij_2 = [v.particular + _pick(b, choice.pick_xij_2)
              for v, b in zip(vocj, nbs)]
 
-    k0_3, kj_3 = forcing_k3(qbar, e.C0_sq, g, xi0_1, xij_1, xi0_2, xij_2)
-    blocks = []
-    residues = []
-    for b, k in zip(nbs, kj_3):
-        mu1 = -(b.sol2 * k)
-        mu2 = b.sol1 * k
-        rep = BlockReport(ve2_log_coefficients=ve2_logs,
-                          ve3_residue_first=mu1.residue(),
-                          ve3_residue_second=mu2.residue())
-        blocks.append(rep)
-        residues.append(rep.ve3_residue_first if choice.residue_row == "first"
-                        else rep.ve3_residue_second)
-    mu01 = -(tb.sol2 * k0_3)
-    mu02 = tb.sol1 * k0_3
-    tblock = BlockReport(ve2_log_coefficients=ve2_logs,
-                         ve3_residue_first=mu01.residue(),
-                         ve3_residue_second=mu02.residue())
-    return HigherVEResult(choice, tb, nbs, False, False, ve2_logs,
-                          tuple(blocks), tblock, tuple(residues))
+    k0_3, kj_3 = forcing_k3(qbar, e.C0_sq, g, xi0_1, xij_1, xi0_2, xij_2,
+                            qbar_inv6=ctx.qbar_inv6)
+    blocks = tuple(_block_report(b, k, ve2_logs) for b, k in zip(nbs, kj_3))
+    residues = tuple(b.ve3_residue_first if choice.residue_row == "first"
+                     else b.ve3_residue_second for b in blocks)
+    tblock = _block_report(tb, k0_3, ve2_logs)
+    return HigherVEResult(choice, tb, nbs, False, False, ve2_logs, blocks,
+                          tblock, residues, ve2_voc=vocs,
+                          ve3_forcing=(k0_3, *kj_3))
 
 
-def scan_choices(p, e, order=30) -> List[Tuple[HigherVEChoice, HigherVEResult]]:
-    """Try the four pure first-order pick combinations, collecting results."""
-    out = []
+def scan_choices(p, e, order=30, context: Optional[VE1Context] = None
+                 ) -> Iterator[Tuple[HigherVEChoice, HigherVEResult]]:
+    """Try the four pure first-order pick combinations, yielding each result
+    as soon as it is computed, so a caller can stop at the first witness."""
+    ctx = context or ve1_context(p, e, order)
     for p0 in ("first", "second"):
         for pj in ("first", "second"):
             ch = HigherVEChoice(p0, pj, "second", "first", "first")
-            out.append((ch, higher_ve_residues(p, e, ch, order=order)))
-    return out
+            yield ch, higher_ve_residues(p, e, ch, order=order, context=ctx)

@@ -187,12 +187,14 @@ def analyze_case2(p: ModelParams, h, order: int = 30,
 
     ch = choice or variational.STANDARD_CHOICES.get(
         n, variational.HigherVEChoice())
-    result = variational.higher_ve_residues(p, e, ch, order=order)
+    ctx = variational.ve1_context(p, e, order)
+    result = variational.higher_ve_residues(p, e, ch, order=order, context=ctx)
     verdict = _ve_verdict(result, ch, snapshot, details, n)
     if verdict is not None:
         return verdict
     if scan:
-        for ch2, res2 in variational.scan_choices(p, e, order=order):
+        for ch2, res2 in variational.scan_choices(p, e, order=order,
+                                                  context=ctx):
             verdict = _ve_verdict(res2, ch2, snapshot, details, n,
                                   scanned=True)
             if verdict is not None:
@@ -265,7 +267,7 @@ def analyze_case3(p: ModelParams, opts: AnalyzeOptions) -> IntegrabilityVerdict:
     zeros = melnikov.find_simple_zeros(s, opts.t0_min, t0_max,
                                        samples=opts.t0_samples)
     details = {
-        "h_star": repr(s.h_star), "a": repr(s.a),
+        "h_star": repr(float(s.h_star)), "a": repr(s.a),
         "fitted_amplitude_im": repr(A.imag),
         "fitted_amplitude_re": repr(A.real),
         "fit_residual": repr(resid),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfmix.series import (FLOAT, INF, FieldExtensionError,
+from bfmix.series import (EXACT, FLOAT, INF, FieldExtensionError,
                           InsufficientOrderError, ModeMismatchError,
                           PuiseuxSeries, ZeroDivisionSeriesError)
 from conftest import random_rational, random_series
@@ -219,3 +220,109 @@ class TestSerialization:
     def test_half_integer_exponent(self):
         rows = list(S({Q(-1, 2): Q(1, 3)}).to_csv_rows())
         assert rows == ["-1/2,1,3"]
+
+
+# -- the dense kernel against a naive dict-of-Fraction reference ---------------
+# A reference series is (terms, trunc) with terms {exponent: nonzero coeff}.
+
+def ref_make(terms, trunc):
+    return {e: c for e, c in terms.items() if c != 0 and e < trunc}, trunc
+
+
+def ref_add(a, b):
+    d = dict(a[0])
+    for e, c in b[0].items():
+        d[e] = d.get(e, 0) + c
+    return ref_make(d, min(a[1], b[1]))
+
+
+def ref_mul(a, b):
+    val_a, val_b = min(a[0], default=a[1]), min(b[0], default=b[1])
+    d = {}
+    for e1, c1 in a[0].items():
+        for e2, c2 in b[0].items():
+            d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return ref_make(d, min(val_a + b[1], val_b + a[1]))
+
+
+def ref_unit_power(a, power_coeff, lead, shift):
+    """lead(c0) t^shift(v) sum_k power_coeff(k) u^k, u = a / (c0 t^v) - 1,
+    kept to the relative order of ``a`` (DEFAULT_REL_ORDER when exact)."""
+    v = min(a[0])
+    c0 = a[0][v]
+    rel = a[1] - v
+    if rel == INF and len(a[0]) > 1:
+        rel = Q(16)
+    u = ref_make({e - v: c / c0 for e, c in a[0].items() if e != v}, rel)
+    acc = power = ({Q(0): Q(1)}, INF)
+    k = 0
+    while power[0] and min(power[0]) < rel:
+        k += 1
+        power = ref_mul(power, u)
+        acc = ref_add(acc, ({e: c * power_coeff(k) for e, c in power[0].items()},
+                            power[1]))
+    return ref_make({e + shift(v): c * lead(c0) for e, c in acc[0].items()},
+                    min(acc[1], rel) + shift(v))
+
+
+def ref_invert(a):
+    return ref_unit_power(a, lambda k: (-1) ** k, lambda c0: 1 / c0, lambda v: -v)
+
+
+def ref_sqrt(a):
+    def binom(k):
+        return math.prod(Q(1, 2) - i for i in range(k)) / math.factorial(k)
+    root = lambda c0: Q(math.isqrt(c0.numerator), math.isqrt(c0.denominator))
+    return ref_unit_power(a, binom, root, lambda v: v / 2)
+
+
+@st.composite
+def series_inputs(draw, square_lead=False):
+    """(terms, trunc) on the step-1 or step-1/2 lattice through an integer
+    or half-integer base, truncated at INF or just around its last term."""
+    step = draw(st.sampled_from((Q(1), Q(1, 2))))
+    base = Q(draw(st.integers(-6, 4)), 2)
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    coeffs = draw(st.lists(small, max_size=6))
+    if square_lead:
+        root = draw(small.filter(bool))
+        coeffs = [root * root] + coeffs
+    trunc = draw(st.one_of(st.just(INF), st.integers(-2, 4).map(
+        lambda k: base + (len(coeffs) + k) * step)))
+    return ref_make({base + k * step: c for k, c in enumerate(coeffs)}, trunc)
+
+
+def assert_matches_reference(got, want, mode):
+    assert got.truncation_order == want[1]
+    if mode == EXACT:
+        assert dict(got.terms()) == want[0]
+        return
+    scale = max((abs(c) for c in want[0].values()), default=1)
+    for e in set(want[0]) | {e for e, _ in got.terms()}:
+        assert abs(got.coefficient(e) - want[0].get(e, 0)) <= 1e-9 * max(1, scale)
+
+
+def as_series(ref, mode):
+    s = PuiseuxSeries(*ref)
+    return s if mode == EXACT else s.to_float()
+
+
+@given(series_inputs(), series_inputs(),
+       st.one_of(st.just(INF), st.integers(-8, 8).map(lambda k: Q(k, 2))),
+       st.sampled_from((EXACT, FLOAT)))
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_match_reference(a, b, cut, mode):
+    x, y = as_series(a, mode), as_series(b, mode)
+    assert_matches_reference(x + y, ref_add(a, b), mode)
+    assert_matches_reference(x * y, ref_mul(a, b), mode)
+    assert_matches_reference(x.truncate(cut), ref_make(a[0], min(a[1], cut)), mode)
+
+
+@given(series_inputs(square_lead=True), st.sampled_from((EXACT, FLOAT)))
+@settings(max_examples=100, deadline=None)
+def test_invert_and_sqrt_match_reference(a, mode):
+    if not a[0]:
+        return
+    x = as_series(a, mode)
+    assert_matches_reference(x.invert(), ref_invert(a), mode)
+    assert_matches_reference(x.sqrt(), ref_sqrt(a), mode)

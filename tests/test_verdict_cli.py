@@ -72,6 +72,22 @@ class TestClassify:
         assert v.witness.data["value"] == "8/5"
         assert v.witness.data.get("found_by_scan")
 
+    @pytest.mark.parametrize("g, wj, c0sq, builds, pipelines", [
+        (Q(3, 8), Q(1, 4), Q(1), 1, 5),        # survivor: standard + 4 picks
+        (Q(3), Q(2), Q(1), 1, 2),              # index 2: first pick is a witness
+    ])
+    def test_case2_pipeline_counts(self, monkeypatch, g, wj, c0sq, builds,
+                                   pipelines):
+        from bfmix import variational as V
+        calls = {"build_ve1": 0, "higher_ve_residues": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(V, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(V, name, counted)
+        verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
+        assert calls == {"build_ve1": builds, "higher_ve_residues": pipelines}
+
     def test_case3_simple_zeros(self):
         p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
         v = verdict.classify(p, verdict.AnalyzeOptions(action_I=3.0))
@@ -209,6 +225,20 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["verdict"]["outcome"] == "NonIntegrable"
         assert report["verdict"]["witness"]["kind"] == "melnikov"
+
+
+    def test_case3_details_parse_as_floats(self, capsys):
+        p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
+        v = verdict.classify(p, verdict.AnalyzeOptions(action_I=3.0))
+        assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1", "1",
+                         "--c0sq", "1/100", "--c1sq", "1",
+                         "--action", "3.0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for details in (v.details, report["details"]):
+            reprs = [x for x in details.values() if isinstance(x, str)]
+            assert "h_star" in details and len(reprs) >= 5
+            for x in reprs:
+                float(x)
 
 
 class TestFloatModeAgreement:
