@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Tuple
 
 import numpy as np
 
 from .odeint import integrate
-from .series import EXACT, PuiseuxSeries
+from .series import EXACT, PuiseuxSeries, append_rational
 
 Q = Fraction
 
@@ -60,21 +61,23 @@ def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
     order = Q(order)
     if order < 2:
         raise ValueError("order must be at least 2")
-    a = {}
+    # numerators of a_1, a_2, ... over one denominator
+    a: list = []
+    den = 1
     m = 1
     while 2 * m < order:
         if m == 1:
-            a[m] = e.g2 / 20
+            p, q = e.g2.numerator, 20 * e.g2.denominator
         elif m == 2:
-            a[m] = e.g3 / 28
+            p, q = e.g3.numerator, 28 * e.g3.denominator
         else:
-            s = sum(a[i] * a[m - 1 - i] for i in range(1, m - 1))
-            a[m] = 6 * s / (4 * m * m - 2 * m - 12)
+            s = sum(map(mul, a[:m - 2], a[m - 3::-1]))
+            p, q = 6 * s, den * den * (4 * m * m - 2 * m - 12)
+        den = append_rational(a, den, p, q)
         m += 1
-    terms = {Q(-2): Q(1)}
-    for k, c in a.items():
-        terms[Q(2 * k)] = c
-    return PuiseuxSeries(terms, order, EXACT)
+    # exponents -2, 0, 2, 4, ...: 1/t^2, no constant, then a_1 t^2, ...
+    return PuiseuxSeries.from_dense(Q(-2), Q(2), [den, 0] + a, den, order,
+                                    EXACT)
 
 
 def _wp_ode(e: EllipticData):
@@ -91,11 +94,10 @@ _POLE_GUARD = 1e8
 _SERIES_ORDER = 60
 
 
-def _tail_ok(series: PuiseuxSeries, t: complex, value: complex) -> bool:
-    """A-posteriori convergence test: the last stored terms must be
-    negligible against the summed value."""
-    terms = sorted(series.terms())
-    tail = sum(abs(complex(c)) * abs(t) ** float(ex) for ex, c in terms[-3:])
+def _tail_ok(tail_terms, t: complex, value: complex) -> bool:
+    """A-posteriori convergence test: the last stored terms of the series
+    must be negligible against the summed value."""
+    tail = sum(abs(c) * abs(t) ** float(ex) for ex, c in tail_terms)
     return tail <= 1e-14 * max(1.0, abs(value))
 
 
@@ -110,8 +112,9 @@ def wp_numeric_with_derivative(e: EllipticData, t: complex,
         raise NearPoleError("wp has a pole at t = 0")
     series = wp_laurent(e, _SERIES_ORDER)
     dseries = series.differentiate()
+    tail = list(series.to_float().terms())[-3:]
     val = series.evaluate(t)
-    if _tail_ok(series, t, val):
+    if _tail_ok(tail, t, val):
         return val, dseries.evaluate(t)
     # walk the seed point inward along the ray until the tail certifies it
     r = abs(t)
@@ -119,7 +122,7 @@ def wp_numeric_with_derivative(e: EllipticData, t: complex,
     while r > seed_radius:
         r *= 0.7
         val = series.evaluate(r * direction)
-        if _tail_ok(series, r * direction, val):
+        if _tail_ok(tail, r * direction, val):
             break
     r = max(r, seed_radius)
     ts = r * direction

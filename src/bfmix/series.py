@@ -131,7 +131,7 @@ def _convolve(a: list, b: list, n: int) -> list:
     return out
 
 
-def _push(nums: List[int], den: int, p: int, q: int) -> int:
+def append_rational(nums: List[int], den: int, p: int, q: int) -> int:
     """Append p/q to the numerators ``nums`` over ``den``, rescaling them to
     a common denominator; returns the new denominator."""
     if p == 0:
@@ -193,9 +193,12 @@ class PuiseuxSeries:
         self._den, self._trunc, self._mode = den, trunc, mode
 
     @classmethod
-    def _make(cls, base: Fraction, step: Fraction, coeffs: list, den: int,
-              trunc, mode: str) -> "PuiseuxSeries":
-        """Series from dense data, cut below ``trunc`` and made canonical."""
+    def from_dense(cls, base: Fraction, step: Fraction, coeffs: list, den: int,
+                   trunc, mode: str = EXACT) -> "PuiseuxSeries":
+        """The series sum_k coeffs[k] / den * t**(base + k * step), cut below
+        ``trunc``.  Exact mode takes integer ``coeffs`` and a positive integer
+        ``den``; float mode takes complex ``coeffs`` and ``den = 1``.  Base,
+        step and a finite trunc are Fractions."""
         n = _count_below(len(coeffs), base, step, trunc)
         while n and not coeffs[n - 1]:
             n -= 1
@@ -335,7 +338,7 @@ class PuiseuxSeries:
     def _cut(self, trunc) -> "PuiseuxSeries":
         if trunc == self._trunc:
             return self
-        return PuiseuxSeries._make(self._base, self._step, self._coeffs,
+        return PuiseuxSeries.from_dense(self._base, self._step, self._coeffs,
                                    self._den, trunc, self._mode)
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
@@ -365,7 +368,7 @@ class PuiseuxSeries:
         out = [zero] * max(end for _, end, _, _ in placed)
         for off, end, r, vals in placed:
             out[off:end:r] = list(map(add, out[off:end:r], vals))
-        return PuiseuxSeries._make(base, step, out, den, t, self._mode)
+        return PuiseuxSeries.from_dense(base, step, out, den, t, self._mode)
 
     def __neg__(self) -> "PuiseuxSeries":
         s = PuiseuxSeries.__new__(PuiseuxSeries)
@@ -398,7 +401,7 @@ class PuiseuxSeries:
         step, a, b = self._on_common_lattice(other)
         base = self._base + other._base
         n = _count_below(len(a) + len(b) - 1, base, step, t)
-        return PuiseuxSeries._make(base, step, _convolve(a, b, n),
+        return PuiseuxSeries.from_dense(base, step, _convolve(a, b, n),
                                    self._den * other._den, t, self._mode)
 
     def product_residue(self, other: "PuiseuxSeries") -> CoeffValue:
@@ -427,11 +430,11 @@ class PuiseuxSeries:
     def scale(self, k) -> "PuiseuxSeries":
         if self._mode == EXACT:
             k = Fraction(k)
-            return PuiseuxSeries._make(self._base, self._step,
+            return PuiseuxSeries.from_dense(self._base, self._step,
                                        [c * k.numerator for c in self._coeffs],
                                        self._den * k.denominator, self._trunc,
                                        EXACT)
-        return PuiseuxSeries._make(self._base, self._step,
+        return PuiseuxSeries.from_dense(self._base, self._step,
                                    [k * c for c in self._coeffs], 1,
                                    self._trunc, FLOAT)
 
@@ -483,11 +486,11 @@ class PuiseuxSeries:
         a0 = a[0]
         if self._mode == EXACT:
             d: list = []
-            den = _push(d, 1, self._den, a0)
+            den = append_rational(d, 1, self._den, a0)
             for k in range(1, n):
                 m = min(k, len(a) - 1)
                 s = sum(map(mul, a[m:0:-1], d[k - m:k]))
-                den = _push(d, den, -s, a0 * den)
+                den = append_rational(d, den, -s, a0 * den)
         else:
             inv_c0 = 1 / a0
             d = [inv_c0]
@@ -495,7 +498,7 @@ class PuiseuxSeries:
                 m = min(k, len(a) - 1)
                 d.append(-sum(map(mul, a[m:0:-1], d[k - m:k])) * inv_c0)
             den = 1
-        return PuiseuxSeries._make(-v, self._step, d, den, _exp_add(rel, -v),
+        return PuiseuxSeries.from_dense(-v, self._step, d, den, _exp_add(rel, -v),
                                    self._mode)
 
     def divide(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
@@ -522,8 +525,9 @@ class PuiseuxSeries:
             for k in range(1, n):
                 s = sum(map(mul, w[1:k], w[k - 1:0:-1]))
                 ak = a[k] if k < len(a) else 0
-                den = _push(w, den, (ak * den * den - c_den * s) * root.denominator,
-                            2 * c_den * den * den * root.numerator)
+                den = append_rational(
+                    w, den, (ak * den * den - c_den * s) * root.denominator,
+                    2 * c_den * den * den * root.numerator)
         else:
             root = complex(a[0]) ** 0.5
             if root.real < 0 or (root.real == 0 and root.imag < 0):
@@ -533,7 +537,7 @@ class PuiseuxSeries:
                 ak = a[k] if k < len(a) else 0
                 w.append((ak - sum(map(mul, w[1:k], w[k - 1:0:-1]))) / (2 * root))
             den = 1
-        return PuiseuxSeries._make(v / 2, self._step, w, den,
+        return PuiseuxSeries.from_dense(v / 2, self._step, w, den,
                                    _exp_add(rel, v / 2), self._mode)
 
     # -- calculus -------------------------------------------------------------
@@ -551,20 +555,30 @@ class PuiseuxSeries:
         else:
             out = [((b + k * s) / L) * c for k, c in enumerate(self._coeffs)]
             den = 1
-        return PuiseuxSeries._make(self._base - 1, self._step, out, den,
+        return PuiseuxSeries.from_dense(self._base - 1, self._step, out, den,
                                    _exp_add(self._trunc, -1), self._mode)
 
     def antiderivative(self) -> "LogSeries":
         """Termwise primitive with zero constants; the 1/t term feeds log t."""
         logc = self._zero_value()
-        d = {}
-        for e, c in self.terms():
-            if e == -1:
-                logc = c
-            else:
-                div = (e + 1) if self._mode == EXACT else float(e + 1)
-                d[e + 1] = c / div
-        return LogSeries(PuiseuxSeries(d, _exp_add(self._trunc, 1), self._mode), logc)
+        b, s, L = self._integer_exponents()
+        coeffs = list(self._coeffs)
+        for k, c in enumerate(coeffs):
+            if c and b + k * s == -L:
+                logc = self._value(c)
+                coeffs[k] = 0
+        # c_k / (e_k + 1) with e_k + 1 = m_k / L
+        ms = [b + L + k * s for k in range(len(coeffs))]
+        if self._mode == EXACT:
+            m_lcm = math.lcm(*(m for m, c in zip(ms, coeffs) if c))
+            out = [c * L * (m_lcm // m) if c else 0 for m, c in zip(ms, coeffs)]
+            den = self._den * m_lcm
+        else:
+            out = [c / (m / L) if c else 0j for m, c in zip(ms, coeffs)]
+            den = 1
+        regular = PuiseuxSeries.from_dense(self._base + 1, self._step, out, den,
+                                      _exp_add(self._trunc, 1), self._mode)
+        return LogSeries(regular, logc)
 
     def residue(self) -> CoeffValue:
         """Coefficient of 1/t (0 when the lattice misses it); needs trunc > -1."""
@@ -579,7 +593,7 @@ class PuiseuxSeries:
         if self._mode == FLOAT:
             return self
         den = self._den
-        return PuiseuxSeries._make(self._base, self._step,
+        return PuiseuxSeries.from_dense(self._base, self._step,
                                    [complex(c / den) for c in self._coeffs], 1,
                                    self._trunc, FLOAT)
 

@@ -12,13 +12,15 @@ the Wronskian sol1*sol2' - sol1'*sol2 exactly one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from . import elliptic
 from .series import (EXACT, INF, FieldExtensionError, LogSeries,
-                     PuiseuxSeries, rational_sqrt)
+                     PuiseuxSeries, append_rational, rational_sqrt)
 
 Q = Fraction
 
@@ -95,37 +97,46 @@ def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
 
 def _frobenius_one(q: PuiseuxSeries, rho: Fraction, other: Fraction,
                    step: Fraction, max_exp) -> Tuple[PuiseuxSeries, bool]:
-    """Monic series solution at exponent rho; flags a forced logarithm."""
+    """Monic series solution at exponent rho; flags a forced logarithm.
+
+    a_k (e(e-1) - c2) = sum_{m<k} a_m q_{k-m} at e = rho + k*step, where q_j
+    is the coefficient of t^(j*step - 2).  In exact mode a_k and q_j are held
+    as integer numerators over one denominator each.
+    """
+    exact = q.coeff_mode == EXACT
     c2 = q.coefficient(Q(-2))
-    a: Dict[int, Fraction] = {0: Q(1) if q.coeff_mode == EXACT else 1.0}
+    exps = dict(q.terms())
+    q_den = math.lcm(*(c.denominator for c in exps.values())) if exact else 1
+    qs = [0]
+    a = [1] if exact else [1 + 0j]
+    a_den = 1
     log_needed = False
     k = 1
-    exps = dict(q.terms())
     if q.truncation_order == INF and max_exp == INF:
         max_exp = rho + 40 * step
     while True:
         e = rho + k * step
         if e - 2 >= q.truncation_order or e > max_exp:
             break
-        rhs = 0
-        for m, am in a.items():
-            c = exps.get((k - m) * step - 2)
-            if c is not None and m < k:
-                rhs += am * c
+        c = exps.get(k * step - 2, 0)
+        qs.append(c.numerator * (q_den // c.denominator) if exact and c else c)
+        rhs = sum(map(mul, a, qs[k:0:-1]))
         if e == other:
             # resonance: coefficient multiplies zero; solvable only if rhs = 0
-            vanishes = (rhs == 0) if q.coeff_mode == EXACT else abs(rhs) < 1e-9
+            vanishes = (rhs == 0) if exact else abs(rhs) < 1e-9
             if not vanishes:
                 log_needed = True
-            a[k] = Q(0) if q.coeff_mode == EXACT else 0.0
+            a.append(0 if exact else 0j)
         else:
             bracket = e * (e - 1) - c2
-            coeff = rhs / bracket if q.coeff_mode == EXACT \
-                else rhs / complex(bracket)
-            a[k] = coeff
+            if exact:
+                a_den = append_rational(a, a_den, rhs * bracket.denominator,
+                                        a_den * q_den * bracket.numerator)
+            else:
+                a.append(rhs / complex(bracket))
         k += 1
-    terms = {rho + kk * step: c for kk, c in a.items()}
-    return PuiseuxSeries(terms, rho + k * step, q.coeff_mode), log_needed
+    return (PuiseuxSeries.from_dense(rho, step, a, a_den, rho + k * step,
+                                     q.coeff_mode), log_needed)
 
 
 def frobenius(q: PuiseuxSeries, order=INF) -> FrobeniusBasis:
