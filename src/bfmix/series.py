@@ -288,8 +288,9 @@ class PuiseuxSeries:
 
     def terms(self) -> Iterator[Tuple[Exponent, CoeffValue]]:
         """(exponent, coefficient) of the nonzero terms, ascending."""
-        base, step = self._base, self._step
-        return ((base + k * step, self._value(c))
+        b, s, L = self._integer_exponents()
+        den = self._den if self._mode == EXACT else None
+        return ((Fraction(b + k * s, L), c if den is None else Fraction(c, den))
                 for k, c in enumerate(self._coeffs) if c)
 
     def _stored(self, e: Exponent) -> CoeffValue:
