@@ -340,7 +340,7 @@ class PuiseuxSeries:
         if trunc == self._trunc:
             return self
         return PuiseuxSeries.from_dense(self._base, self._step, self._coeffs,
-                                   self._den, trunc, self._mode)
+                                        self._den, trunc, self._mode)
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
@@ -373,8 +373,9 @@ class PuiseuxSeries:
 
     def __neg__(self) -> "PuiseuxSeries":
         s = PuiseuxSeries.__new__(PuiseuxSeries)
-        s._base, s._step, s._coeffs = self._base, self._step, [-c for c in self._coeffs]
-        s._den, s._trunc, s._mode = self._den, self._trunc, self._mode
+        s._base, s._step, s._den = self._base, self._step, self._den
+        s._coeffs = [-c for c in self._coeffs]
+        s._trunc, s._mode = self._trunc, self._mode
         return s
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
@@ -403,7 +404,7 @@ class PuiseuxSeries:
         base = self._base + other._base
         n = _count_below(len(a) + len(b) - 1, base, step, t)
         return PuiseuxSeries.from_dense(base, step, _convolve(a, b, n),
-                                   self._den * other._den, t, self._mode)
+                                        self._den * other._den, t, self._mode)
 
     def product_residue(self, other: "PuiseuxSeries") -> CoeffValue:
         """``(self * other).residue()``, from the one convolution sum that
@@ -431,13 +432,12 @@ class PuiseuxSeries:
     def scale(self, k) -> "PuiseuxSeries":
         if self._mode == EXACT:
             k = Fraction(k)
-            return PuiseuxSeries.from_dense(self._base, self._step,
-                                       [c * k.numerator for c in self._coeffs],
-                                       self._den * k.denominator, self._trunc,
-                                       EXACT)
-        return PuiseuxSeries.from_dense(self._base, self._step,
-                                   [k * c for c in self._coeffs], 1,
-                                   self._trunc, FLOAT)
+            coeffs = [c * k.numerator for c in self._coeffs]
+            den = self._den * k.denominator
+        else:
+            coeffs, den = [k * c for c in self._coeffs], 1
+        return PuiseuxSeries.from_dense(self._base, self._step, coeffs, den,
+                                        self._trunc, self._mode)
 
     def shift(self, m) -> "PuiseuxSeries":
         """Multiply by t**m."""
@@ -500,7 +500,7 @@ class PuiseuxSeries:
                 d.append(-sum(map(mul, a[m:0:-1], d[k - m:k])) * inv_c0)
             den = 1
         return PuiseuxSeries.from_dense(-v, self._step, d, den, _exp_add(rel, -v),
-                                   self._mode)
+                                        self._mode)
 
     def divide(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self * other.invert()
@@ -539,7 +539,7 @@ class PuiseuxSeries:
                 w.append((ak - sum(map(mul, w[1:k], w[k - 1:0:-1]))) / (2 * root))
             den = 1
         return PuiseuxSeries.from_dense(v / 2, self._step, w, den,
-                                   _exp_add(rel, v / 2), self._mode)
+                                        _exp_add(rel, v / 2), self._mode)
 
     # -- calculus -------------------------------------------------------------
 
@@ -557,7 +557,7 @@ class PuiseuxSeries:
             out = [((b + k * s) / L) * c for k, c in enumerate(self._coeffs)]
             den = 1
         return PuiseuxSeries.from_dense(self._base - 1, self._step, out, den,
-                                   _exp_add(self._trunc, -1), self._mode)
+                                        _exp_add(self._trunc, -1), self._mode)
 
     def antiderivative(self) -> "LogSeries":
         """Termwise primitive with zero constants; the 1/t term feeds log t."""
@@ -578,7 +578,7 @@ class PuiseuxSeries:
             out = [c / (m / L) if c else 0j for m, c in zip(ms, coeffs)]
             den = 1
         regular = PuiseuxSeries.from_dense(self._base + 1, self._step, out, den,
-                                      _exp_add(self._trunc, 1), self._mode)
+                                           _exp_add(self._trunc, 1), self._mode)
         return LogSeries(regular, logc)
 
     def residue(self) -> CoeffValue:
@@ -595,8 +595,8 @@ class PuiseuxSeries:
             return self
         den = self._den
         return PuiseuxSeries.from_dense(self._base, self._step,
-                                   [complex(c / den) for c in self._coeffs], 1,
-                                   self._trunc, FLOAT)
+                                        [complex(c / den) for c in self._coeffs], 1,
+                                        self._trunc, FLOAT)
 
     def evaluate(self, t: complex) -> complex:
         """Numeric evaluation (float semantics regardless of mode)."""
