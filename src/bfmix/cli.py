@@ -6,6 +6,7 @@ Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -37,7 +38,9 @@ def parse_rational_list(text: str) -> List[Fraction]:
     return [parse_rational(part) for part in text.split(",") if part]
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The bfmix argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="bfmix",
         description="Integrability analysis of the coupled condensate "
@@ -82,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     c3.add_argument("--action", type=float, required=True)
     c3.add_argument("--t0-min", type=float, default=0.01)
     c3.add_argument("--t0-max", type=float, default=None)
-    c3.add_argument("--t0-samples", type=int, default=200)
 
     ve = sub.add_parser("verify", parents=[common],
                         help="closed-form solution residual checks")
@@ -181,40 +183,9 @@ def _run_analyze(args) -> dict:
         v = verdict_mod.analyze_case2(p, args.h, order=args.order,
                                       scan=not args.no_scan)
     else:
-        # C1 enters only through C1^2; run the splitting analysis directly
-        s = melnikov.setup(args.omega0, args.omega1, args.c0sq, args.c1sq,
-                           args.action)
-        A, resid = melnikov.fitted_amplitude(s)
-        import math as _math
-        tmax = args.t0_max
-        if tmax is None:
-            tmax = args.t0_min + 1.05 * _math.pi / _math.sqrt(2 * s.omega1)
-        zeros = melnikov.find_simple_zeros(s, args.t0_min, tmax,
-                                           samples=args.t0_samples)
-        snapshot = {"omega0": str(args.omega0), "omega1": str(args.omega1),
-                    "C0_sq": str(args.c0sq), "C1_sq": str(args.c1sq),
-                    "action_I": repr(args.action)}
-        details = {
-            "h_star": repr(float(s.h_star)), "a": repr(s.a),
-            "fitted_amplitude": [A.real, A.imag],
-            "fit_residual": repr(resid),
-            "predicted_amplitude_im": repr(melnikov.predicted_amplitude(s).imag),
-            "quoted_amplitude_im": repr(12 * _math.pi * s.a
-                                        * _math.sqrt(2 * s.omega1)
-                                        * s.amplitude),
-        }
-        if zeros:
-            v = verdict_mod.IntegrabilityVerdict(
-                case_id="case3", outcome="NonIntegrable",
-                witness=verdict_mod.Witness(
-                    "melnikov", {"fitted_amplitude": [A.real, A.imag],
-                                 "zeros": [[z, d] for z, d in zeros]}),
-                params=snapshot, details=details)
-        else:
-            v = verdict_mod.IntegrabilityVerdict(
-                case_id="case3", outcome="NecessaryConditionsSurvived",
-                witness=verdict_mod.Witness("none"), params=snapshot,
-                details=details)
+        v = verdict_mod.analyze_case3_direct(args.omega0, args.omega1,
+                                             args.c0sq, args.c1sq, args.action,
+                                             args.t0_min, args.t0_max)
     return _verdict_report(v, "analyze", time.time() - t0)
 
 

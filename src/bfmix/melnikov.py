@@ -6,10 +6,10 @@ forced one-degree system whose unperturbed part has the separatrix
     q0^2(t) = (2/3) w0 + a + 3a / sinh^2(sqrt(3a) t).
 
 The splitting function is the loop integral of the Poisson bracket
-{H0, H1} = 2 p0 q0 * q1^2(t - t0) around the pole t = 0; it is evaluated by
-exponentially convergent trapezoid quadrature on a circle and compared against the
-closed sine form.  Simple zeros of the splitting function are the
-non-integrability witness here.
+{H0, H1} = 2 p0 q0 * q1^2(t - t0) around the pole t = 0.  By trig addition
+it is exactly d(t0) = A sin(theta t0), with A read off one exponentially
+convergent trapezoid quadrature on a circle, checked at a second radius; its
+simple zeros k pi / theta are the non-integrability witness here.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,16 +128,57 @@ def _scale(s: MelnikovSetup) -> float:
     return 16 * math.pi * s.omega1 * max(s.amplitude, 1e-30)
 
 
-def _noise_floor(s: MelnikovSetup, t0: float = 0.0) -> float:
-    """Round-off level of the contour quadrature: the total-variation mass of
-    the integrand times machine epsilon."""
-    r = s.contour_radius
-    m = s.contour_points
-    total = 0.0
-    for k in range(m):
-        t = r * cmath.exp(2j * math.pi * k / m)
-        total += abs(_u_dot(s, t)) * abs(q1_squared(s, t - t0)) * r
-    return (2 * math.pi / m) * total * 1e-13
+def _moments(s: MelnikovSetup, radius: float, points: int
+             ) -> Tuple[complex, complex, complex, float]:
+    """(c0, A, cc, floor) of d(t0) = c0 + A sin(theta t0) + cc cos(theta t0)
+    from trapezoid sums of u', u' cos(theta t), u' sin(theta t) on |t| = radius;
+    c0 and cc vanish analytically.  floor is the round-off level: the
+    total-variation mass of the integrand at t0 = 0 times 1e-13."""
+    t = radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, points,
+                                          endpoint=False))
+    root3a = math.sqrt(3 * s.a)
+    udt = (-6 * s.a * root3a * np.cosh(root3a * t) / np.sinh(root3a * t) ** 3
+           * 1j * t * (2 * math.pi / points))
+    sin_t = np.sin(s.theta * t)
+    amp, action_term = s.amplitude, s.action_I / (2 * s.omega1)
+    floor = float(np.abs(udt) @ np.abs(action_term - amp * sin_t)) * 1e-13
+    return (action_term * complex(udt.sum()),
+            amp * complex(udt @ np.cos(s.theta * t)),
+            -amp * complex(udt @ sin_t), floor)
+
+
+@dataclass(frozen=True)
+class Splitting:
+    """d(t0) = amplitude * sin(theta t0).  residual: rms of the non-sine part
+    of d over a period, relative to |amplitude|.  degenerate: at or below 100x
+    the round-off floor at both radii, so identically zero."""
+    amplitude: complex
+    residual: float
+    degenerate: bool
+
+
+def splitting(s: MelnikovSetup) -> Splitting:
+    """The splitting function from one vectorised quadrature per radius.
+
+    Raises ContourUnreliableError when the amplitudes at the two radii differ
+    by more than 1e-6 relative (the tolerance of melnikov_numeric), or when
+    either non-sine term of d exceeds 1e-8 |amplitude|.
+    """
+    c0, A, cc, floor = _moments(s, s.contour_radius, s.contour_points)
+    _, A2, _, floor2 = _moments(s, s.contour_radius / 2, 2 * s.contour_points)
+    rms = math.sqrt(abs(c0) ** 2 + abs(cc) ** 2 / 2)
+    residual = rms / abs(A) if A else math.inf
+    if abs(A) <= 100 * floor and abs(A2) <= 100 * floor2:
+        return Splitting(A, residual, degenerate=True)
+    if abs(A - A2) > 1e-6 * max(abs(A), abs(A2), _scale(s)):
+        raise ContourUnreliableError(
+            f"splitting amplitudes differ between radii: {A} vs {A2}")
+    if max(abs(c0), abs(cc)) > 1e-8 * abs(A):
+        raise ContourUnreliableError(
+            f"non-sine terms {abs(c0)}, {abs(cc)} above 1e-8 of the "
+            f"amplitude {abs(A)}")
+    return Splitting(A, residual, degenerate=False)
+
 
 def melnikov_closed_form(s: MelnikovSetup, t0: float) -> complex:
     """The quoted closed sine form 12 pi i a sqrt(2 w1) * amplitude * sin(theta t0).
@@ -155,73 +196,31 @@ def predicted_amplitude(s: MelnikovSetup) -> complex:
     return 16j * math.pi * s.omega1 * s.amplitude
 
 
-def fitted_amplitude(s: MelnikovSetup, samples: int = 64) -> Tuple[complex, float]:
-    """Least-squares fit of d(t0) = A sin(theta t0) over one period.
-
-    Returns (A, residual) with residual the rms misfit relative to |A|.
-    """
-    period = 2 * math.pi / s.theta
-    t0s = np.linspace(0.0, period, samples, endpoint=False)
-    vals = np.array([melnikov_numeric(s, float(t0),
-                                      check_radius_independence=False)
-                     for t0 in t0s])
-    basis = np.sin(s.theta * t0s)
-    denom = float(np.dot(basis, basis))
-    A = complex(np.dot(basis, vals) / denom)
-    resid = float(np.sqrt(np.mean(np.abs(vals - A * basis) ** 2)))
-    return A, resid / max(abs(A), 1e-300)
+def fitted_amplitude(s: MelnikovSetup) -> Tuple[complex, float]:
+    """(A, residual) of d(t0) = A sin(theta t0); see splitting."""
+    split = splitting(s)
+    return split.amplitude, split.residual
 
 
 def find_simple_zeros(s: MelnikovSetup, t0_min: float, t0_max: float,
-                      samples: int = 200) -> List[Tuple[float, float]]:
-    """Zeros of Im d(t0) located by sign change + Newton polish.
+                      split: Optional[Splitting] = None
+                      ) -> List[Tuple[float, float]]:
+    """Zeros k pi / theta of d(t0) = A sin(theta t0) in [t0_min, t0_max].
 
-    Returns (zero, |d'(zero)|) pairs; an identically-zero splitting reports
-    nothing (degenerate).
+    Returns (zero, |d'(zero)|) pairs, each with |d'| = theta |A|; a degenerate
+    splitting reports nothing.  ``split`` defaults to splitting(s).
     """
     period = math.pi / math.sqrt(2 * s.omega1)
     if t0_max - t0_min < period:
         raise ValueError(f"range must cover a period {period}")
-
-    def f(t0: float) -> float:
-        return melnikov_numeric(s, t0, check_radius_independence=False).imag
-
-    ts = np.linspace(t0_min, t0_max, samples)
-    vals = [f(float(t)) for t in ts]
-    scale = max(abs(v) for v in vals)
-    zeros: List[Tuple[float, float]] = []
-    if scale <= 100 * _noise_floor(s):
-        return zeros            # identically-zero splitting: degenerate
-    for i in range(len(ts) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0 and abs(vb) > 0:
-            root = float(ts[i])
-        elif va * vb < 0:
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            flo = va
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            root = 0.5 * (lo + hi)
-        else:
-            continue
-        h = 1e-6 * max(1.0, abs(root))
-        dprime = (f(root + h) - f(root - h)) / (2 * h)
-        # Newton polish
-        for _ in range(3):
-            fr = f(root)
-            if dprime == 0:
-                break
-            root -= fr / dprime
-            dprime = (f(root + h) - f(root - h)) / (2 * h)
-        if abs(dprime) > 1e-8 * scale:
-            if not zeros or abs(root - zeros[-1][0]) > 1e-8:
-                zeros.append((root, abs(dprime)))
-    return zeros
+    split = split or splitting(s)
+    if split.degenerate:
+        return []
+    spacing = math.pi / s.theta
+    slope = s.theta * abs(split.amplitude)
+    ks = range(math.floor(t0_min / spacing), math.floor(t0_max / spacing) + 2)
+    return [(k * spacing, slope) for k in ks
+            if t0_min <= k * spacing <= t0_max]
 
 
 def delta_closed_form(s: MelnikovSetup, t: float) -> float:

@@ -50,7 +50,6 @@ class AnalyzeOptions:
     action_I: Optional[float] = None
     t0_min: float = 0.01
     t0_max: Optional[float] = None
-    t0_samples: int = 200
     choice: Optional[variational.HigherVEChoice] = None
     scan: bool = True
 
@@ -255,22 +254,38 @@ def _ve_verdict(result: variational.HigherVEResult,
 
 
 def analyze_case3(p: ModelParams, opts: AnalyzeOptions) -> IntegrabilityVerdict:
-    snapshot = params_snapshot(p)
     if opts.action_I is None:
         raise ValueError("case 3 needs the frozen action (options.action_I)")
-    s = melnikov.setup(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
-                       opts.action_I)
-    A, resid = melnikov.fitted_amplitude(s)
-    t0_max = opts.t0_max
+    return _case3_verdict(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
+                          opts.action_I, opts.t0_min, opts.t0_max,
+                          params_snapshot(p))
+
+
+def analyze_case3_direct(omega0, omega1, c0sq, c1sq, action, t0_min: float,
+                         t0_max: Optional[float]) -> IntegrabilityVerdict:
+    """Case-3 verdict from C1^2 itself: C1 enters the splitting only through
+    its square."""
+    snapshot = {"omega0": str(Q(omega0)), "omega1": str(Q(omega1)),
+                "C0_sq": str(Q(c0sq)), "C1_sq": str(Q(c1sq)),
+                "action_I": repr(float(action))}
+    return _case3_verdict(omega0, omega1, c0sq, c1sq, action, t0_min, t0_max,
+                          snapshot)
+
+
+def _case3_verdict(omega0, omega1, c0sq, c1sq, action, t0_min: float,
+                   t0_max: Optional[float], snapshot: dict
+                   ) -> IntegrabilityVerdict:
+    s = melnikov.setup(omega0, omega1, c0sq, c1sq, action)
+    split = melnikov.splitting(s)
+    A = split.amplitude
     if t0_max is None:
-        t0_max = opts.t0_min + 1.05 * math.pi / math.sqrt(2 * s.omega1)
-    zeros = melnikov.find_simple_zeros(s, opts.t0_min, t0_max,
-                                       samples=opts.t0_samples)
+        t0_max = t0_min + 1.05 * math.pi / math.sqrt(2 * s.omega1)
+    zeros = melnikov.find_simple_zeros(s, t0_min, t0_max, split)
     details = {
         "h_star": repr(float(s.h_star)), "a": repr(s.a),
         "fitted_amplitude_im": repr(A.imag),
         "fitted_amplitude_re": repr(A.real),
-        "fit_residual": repr(resid),
+        "fit_residual": repr(split.residual),
         "predicted_amplitude_im": repr(melnikov.predicted_amplitude(s).imag),
         "quoted_amplitude_im": repr(12 * math.pi * s.a
                                     * math.sqrt(2 * s.omega1) * s.amplitude),

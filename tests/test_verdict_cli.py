@@ -96,6 +96,22 @@ class TestClassify:
         assert v.witness.kind == "melnikov"
         assert v.witness.data["zeros"]
 
+    def test_case3_integrates_once_per_radius(self, monkeypatch, capsys):
+        from bfmix import melnikov as M
+        calls = {"_moments": [], "_contour_integral": []}
+        for name in calls:
+            def counted(*args, _fn=getattr(M, name), _name=name):
+                calls[_name].append(args[1:])
+                return _fn(*args)
+            monkeypatch.setattr(M, name, counted)
+        p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
+        verdict.classify(p, verdict.AnalyzeOptions(action_I=3.0))
+        assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1", "1",
+                         "--c0sq", "1/100", "--c1sq", "1",
+                         "--action", "3.0"]) == 0
+        assert calls == {"_moments": [(0.5, 512), (0.25, 1024)] * 2,
+                         "_contour_integral": []}
+
     def test_mixed_case_out_of_scope(self):
         p = make_params(1, [1, 1], 1, [1, 1], 1)
         with pytest.raises(verdict.OutOfScopeError):
@@ -239,6 +255,32 @@ class TestCli:
             assert "h_star" in details and len(reprs) >= 5
             for x in reprs:
                 float(x)
+
+
+class TestParser:
+    ARGVS = (["analyze", "case2", "--gbf", "3", "--omega0", "1", "--omegaj",
+              "2", "--c0sq", "1", "--h", "0", "--order", "12"],
+             ["analyze", "case3", "--omega0", "1", "--omega1", "1",
+              "--c0sq", "1/100", "--c1sq", "1", "--action", "3.0"])
+
+    def test_main_builds_the_parser_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in self.ARGVS:
+            assert cli.main(list(argv)) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_reused_parser_gives_fresh_namespaces(self):
+        fresh = cli.build_parser.__wrapped__()
+        for argv in self.ARGVS:
+            want = vars(fresh.parse_args(argv))
+            for _ in range(2):
+                assert vars(cli.build_parser().parse_args(argv)) == want
+
+    def test_case3_t0_samples_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(self.ARGVS[1]) + ["--t0-samples", "5"])
+        assert exc.value.code == 2
 
 
 class TestFloatModeAgreement:
