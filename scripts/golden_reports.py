@@ -72,7 +72,7 @@ CSVS = {f"series_{what}_{point}.csv": ["series", f"--what={what}", *argv]
 EXACT_FILES = [name for name in (*REPORTS, *CSVS)
                if not name.startswith("case3")]
 #: reports that carry floating-point quadrature results
-FLOAT_FILES = [name for name in REPORTS if name.startswith("case3")]
+QUADRATURE_FILES = [name for name in REPORTS if name.startswith("case3")]
 
 
 def render(name: str) -> str:

@@ -1,7 +1,8 @@
 """Command-line front end: analysis runs, verification checks, series dumps.
 
-Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors,
-3 internal verification failure.
+Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
+(an ``--order`` too low to decide among them), 3 internal verification
+failure.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import __version__, elliptic, heun, lame, melnikov, model, variational
 from . import verdict as verdict_mod
+from .series import InsufficientOrderError
 
 Q = Fraction
 
@@ -316,6 +318,9 @@ def main(argv=None) -> int:
             _write_csv(_run_sweep(args), args.csv)
             return 0
         ap.error(f"unknown command {args.command}")
+        return 2
+    except InsufficientOrderError as exc:
+        print(f"error: order too low to decide: {exc}", file=sys.stderr)
         return 2
     except (melnikov.ContourUnreliableError, VerificationFailure) as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)

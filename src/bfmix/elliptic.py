@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .odeint import integrate
-from .series import EXACT, PuiseuxSeries, append_rational
+from .series import PuiseuxSeries, append_rational
 
 Q = Fraction
 
@@ -76,8 +76,7 @@ def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
         den = append_rational(a, den, p, q)
         m += 1
     # exponents -2, 0, 2, 4, ...: 1/t^2, no constant, then a_1 t^2, ...
-    return PuiseuxSeries.from_dense(Q(-2), Q(2), [den, 0] + a, den, order,
-                                    EXACT)
+    return PuiseuxSeries.from_dense(Q(-2), Q(2), [den, 0] + a, den, order)
 
 
 def _wp_ode(e: EllipticData):
@@ -112,7 +111,7 @@ def wp_numeric_with_derivative(e: EllipticData, t: complex,
         raise NearPoleError("wp has a pole at t = 0")
     series = wp_laurent(e, _SERIES_ORDER)
     dseries = series.differentiate()
-    tail = list(series.to_float().terms())[-3:]
+    tail = [(ex, float(c)) for ex, c in list(series.terms())[-3:]]
     val = series.evaluate(t)
     if _tail_ok(tail, t, val):
         return val, dseries.evaluate(t)

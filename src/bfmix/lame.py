@@ -53,10 +53,6 @@ class PCoefficients:
     d1: Fraction
     d2: Fraction
 
-    def as_strings(self):
-        return {k: str(getattr(self, k))
-                for k in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")}
-
 
 @dataclass(frozen=True)
 class LameData:

@@ -103,10 +103,6 @@ class ModelParams:
             return self.C0_sq_value
         return self.C0 * self.C0
 
-    @property
-    def has_centrifugal_q0(self) -> bool:
-        return self.C0_sq != 0
-
 
 def make_params(omega0, omegas, C0, Cs, g_bf) -> ModelParams:
     return ModelParams(_fr(omega0), tuple(_fr(w) for w in omegas),

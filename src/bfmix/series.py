@@ -1,29 +1,25 @@
-"""Truncated Laurent/Puiseux series with exact rational or complex coefficients.
+"""Truncated Laurent/Puiseux series with exact rational coefficients.
 
 A series is a finite set of terms ``c * t**e`` with exponents on a lattice
 ``base + step * ZZ`` plus a truncation order: exponents at or above the
 truncation are unknown.  All arithmetic tracks how far the result can be
 trusted, so a residue read off a series is either exact or raises.
 
-Terms are stored densely: a base exponent, a lattice step and the list of
-coefficients at ``base + k * step``.  Exact mode keeps integer numerators over
-one common denominator, so a product is an integer convolution followed by a
-single reduction; float mode keeps ``complex`` values and exists for numeric
-cross-checks of the exact pipeline.
+Terms are stored densely: a base exponent, a lattice step and the integer
+numerators of the coefficients at ``base + k * step`` over one common
+denominator, so a product is an integer convolution followed by a single
+reduction.  Only :meth:`PuiseuxSeries.evaluate` leaves the rationals, for
+numeric cross-checks of the exact pipeline.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from operator import add, mul
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 Q = Fraction
 Exponent = Fraction
-CoeffValue = Union[Fraction, complex]
-
-EXACT = "exact-rational"
-FLOAT = "complex-float"
 
 #: truncation sentinel for series known to all orders (polynomials in t, 1/t)
 INF = math.inf
@@ -36,10 +32,6 @@ _ONE = Fraction(1)
 
 class SeriesError(Exception):
     """Base class for series arithmetic failures."""
-
-
-class ModeMismatchError(SeriesError):
-    """Operands carry different coefficient modes."""
 
 
 class ZeroDivisionSeriesError(SeriesError):
@@ -150,26 +142,24 @@ def append_rational(nums: List[int], den: int, p: int, q: int) -> int:
 
 
 class PuiseuxSeries:
-    """Immutable truncated Puiseux series.
+    """Immutable truncated Puiseux series with rational coefficients.
 
-    The known terms are ``coeffs[k] / den * t**(base + k * step)``; ``trunc``
-    is the first unknown exponent (may be :data:`INF` for exact polynomials).
-    The form is canonical -- nonzero end coefficients, the coarsest step, and
-    in exact mode a denominator sharing no factor with all the numerators --
-    so equal series have equal fields.  ``den`` is 1 in float mode.
+    The known terms are ``coeffs[k] / den * t**(base + k * step)`` with
+    integer ``coeffs`` and ``den``; ``trunc`` is the first unknown exponent
+    (may be :data:`INF` for exact polynomials).  The form is canonical --
+    nonzero end coefficients, the coarsest step and a denominator sharing no
+    factor with all the numerators -- so equal series have equal fields.
     """
 
-    __slots__ = ("_base", "_step", "_coeffs", "_den", "_trunc", "_mode")
+    __slots__ = ("_base", "_step", "_coeffs", "_den", "_trunc")
 
-    def __init__(self, terms: Dict[Exponent, CoeffValue], trunc=INF, mode: str = EXACT):
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown coeff mode {mode!r}")
+    def __init__(self, terms: Dict[Exponent, Fraction], trunc=INF):
         if trunc != INF:
             trunc = _as_exponent(trunc)
-        clean: Dict[Exponent, CoeffValue] = {}
+        clean: Dict[Exponent, Fraction] = {}
         for e, c in terms.items():
             e = _as_exponent(e)
-            c = Fraction(c) if mode == EXACT else complex(c)
+            c = Fraction(c)
             if c != 0 and (trunc == INF or e < trunc):
                 clean[e] = clean.get(e, 0) + c
         values = {e: c for e, c in clean.items() if c != 0}
@@ -183,22 +173,19 @@ class PuiseuxSeries:
                 step = _lattice_gcd(step, e - base)
             step = step or _ONE
             coeffs = [0] * (int((exps[-1] - base) / step) + 1)
-            if mode == EXACT:
-                den = math.lcm(*(c.denominator for c in values.values()))
+            den = math.lcm(*(c.denominator for c in values.values()))
             for e, c in values.items():
                 k = int((e - base) / step)
-                coeffs[k] = c.numerator * (den // c.denominator) \
-                    if mode == EXACT else c
+                coeffs[k] = c.numerator * (den // c.denominator)
         self._base, self._step, self._coeffs = base, step, coeffs
-        self._den, self._trunc, self._mode = den, trunc, mode
+        self._den, self._trunc = den, trunc
 
     @classmethod
-    def from_dense(cls, base: Fraction, step: Fraction, coeffs: list, den: int,
-                   trunc, mode: str = EXACT) -> "PuiseuxSeries":
+    def from_dense(cls, base: Fraction, step: Fraction, coeffs: List[int],
+                   den: int, trunc) -> "PuiseuxSeries":
         """The series sum_k coeffs[k] / den * t**(base + k * step), cut below
-        ``trunc``.  Exact mode takes integer ``coeffs`` and a positive integer
-        ``den``; float mode takes complex ``coeffs`` and ``den = 1``.  Base,
-        step and a finite trunc are Fractions."""
+        ``trunc``, from integer ``coeffs`` and a positive integer ``den``.
+        Base, step and a finite trunc are Fractions."""
         n = _count_below(len(coeffs), base, step, trunc)
         while n and not coeffs[n - 1]:
             n -= 1
@@ -222,39 +209,35 @@ class PuiseuxSeries:
             elif g > 1:
                 coeffs = coeffs[::g]
                 step = step * g
-            if mode == EXACT and den != 1:
+            if den != 1:
                 g = math.gcd(den, *coeffs)
                 if g != 1:
                     coeffs = [c // g for c in coeffs]
                     den //= g
         s = cls.__new__(cls)
         s._base, s._step, s._coeffs = base, step, coeffs
-        s._den, s._trunc, s._mode = den, trunc, mode
+        s._den, s._trunc = den, trunc
         return s
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc=INF, mode: str = EXACT) -> "PuiseuxSeries":
-        return cls({}, trunc, mode)
+    def zero(cls, trunc=INF) -> "PuiseuxSeries":
+        return cls({}, trunc)
 
     @classmethod
-    def constant(cls, c, mode: str = EXACT) -> "PuiseuxSeries":
-        return cls({Q(0): c}, INF, mode)
+    def constant(cls, c) -> "PuiseuxSeries":
+        return cls({Q(0): c}, INF)
 
     @classmethod
-    def monomial(cls, c, e, mode: str = EXACT) -> "PuiseuxSeries":
-        return cls({_as_exponent(e): c}, INF, mode)
+    def monomial(cls, c, e) -> "PuiseuxSeries":
+        return cls({_as_exponent(e): c}, INF)
 
     @classmethod
-    def variable(cls, mode: str = EXACT) -> "PuiseuxSeries":
-        return cls.monomial(1, 1, mode)
+    def variable(cls) -> "PuiseuxSeries":
+        return cls.monomial(1, 1)
 
     # -- basic observers ------------------------------------------------------
-
-    @property
-    def coeff_mode(self) -> str:
-        return self._mode
 
     @property
     def truncation_order(self):
@@ -280,28 +263,22 @@ class PuiseuxSeries:
             d = math.lcm(d, self._trunc.denominator)
         return d
 
-    def _zero_value(self) -> CoeffValue:
-        return Q(0) if self._mode == EXACT else 0j
-
-    def _value(self, c) -> CoeffValue:
-        return Fraction(c, self._den) if self._mode == EXACT else c
-
-    def terms(self) -> Iterator[Tuple[Exponent, CoeffValue]]:
+    def terms(self) -> Iterator[Tuple[Exponent, Fraction]]:
         """(exponent, coefficient) of the nonzero terms, ascending."""
         b, s, L = self._integer_exponents()
-        den = self._den if self._mode == EXACT else None
-        return ((Fraction(b + k * s, L), c if den is None else Fraction(c, den))
+        den = self._den
+        return ((Fraction(b + k * s, L), Fraction(c, den))
                 for k, c in enumerate(self._coeffs) if c)
 
-    def _stored(self, e: Exponent) -> CoeffValue:
+    def _stored(self, e: Exponent) -> Fraction:
         k = (e - self._base) / self._step
         if k.denominator == 1 and 0 <= k < len(self._coeffs):
             c = self._coeffs[int(k)]
             if c:
-                return self._value(c)
-        return self._zero_value()
+                return Fraction(c, self._den)
+        return Q(0)
 
-    def coefficient(self, e) -> CoeffValue:
+    def coefficient(self, e) -> Fraction:
         """Exact coefficient of t**e; raises if e is not known at this order."""
         e = _as_exponent(e)
         if self._trunc != INF and e >= self._trunc:
@@ -315,13 +292,13 @@ class PuiseuxSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return (self._mode == other._mode and self._trunc == other._trunc
+        return (self._trunc == other._trunc
                 and self._coeffs == other._coeffs and self._den == other._den
                 and (not self._coeffs or (self._base == other._base
                                           and self._step == other._step)))
 
     def __hash__(self):
-        return hash((self._mode, self._trunc, tuple(self.terms())))
+        return hash((self._trunc, tuple(self.terms())))
 
     def agrees_with(self, other: "PuiseuxSeries") -> bool:
         """Equality of all coefficients below the common truncation order."""
@@ -331,21 +308,15 @@ class PuiseuxSeries:
 
     # -- ring operations ------------------------------------------------------
 
-    def _check_mode(self, other: "PuiseuxSeries"):
-        if self._mode != other._mode:
-            raise ModeMismatchError(
-                f"cannot combine {self._mode} with {other._mode}")
-
     def _cut(self, trunc) -> "PuiseuxSeries":
         if trunc == self._trunc:
             return self
         return PuiseuxSeries.from_dense(self._base, self._step, self._coeffs,
-                                        self._den, trunc, self._mode)
+                                        self._den, trunc)
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        self._check_mode(other)
         t = _exp_min(self._trunc, other._trunc)
         if not other._coeffs:
             return self._cut(t)
@@ -365,17 +336,16 @@ class PuiseuxSeries:
             r = int(s._step / step)
             off = int((s._base - base) / step)
             placed.append((off, off + (len(vals) - 1) * r + 1, r, vals))
-        zero = 0 if self._mode == EXACT else 0j
-        out = [zero] * max(end for _, end, _, _ in placed)
+        out = [0] * max(end for _, end, _, _ in placed)
         for off, end, r, vals in placed:
             out[off:end:r] = list(map(add, out[off:end:r], vals))
-        return PuiseuxSeries.from_dense(base, step, out, den, t, self._mode)
+        return PuiseuxSeries.from_dense(base, step, out, den, t)
 
     def __neg__(self) -> "PuiseuxSeries":
         s = PuiseuxSeries.__new__(PuiseuxSeries)
         s._base, s._step, s._den = self._base, self._step, self._den
         s._coeffs = [-c for c in self._coeffs]
-        s._trunc, s._mode = self._trunc, self._mode
+        s._trunc = self._trunc
         return s
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
@@ -396,48 +366,40 @@ class PuiseuxSeries:
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        self._check_mode(other)
         t = self._product_trunc(other)
         if not (self._coeffs and other._coeffs):
-            return PuiseuxSeries.zero(t, self._mode)
+            return PuiseuxSeries.zero(t)
         step, a, b = self._on_common_lattice(other)
         base = self._base + other._base
         n = _count_below(len(a) + len(b) - 1, base, step, t)
         return PuiseuxSeries.from_dense(base, step, _convolve(a, b, n),
-                                        self._den * other._den, t, self._mode)
+                                        self._den * other._den, t)
 
-    def product_residue(self, other: "PuiseuxSeries") -> CoeffValue:
+    def product_residue(self, other: "PuiseuxSeries") -> Fraction:
         """``(self * other).residue()``, from the one convolution sum that
         gives the 1/t coefficient instead of the whole product."""
-        self._check_mode(other)
         t = self._product_trunc(other)
         if t != INF and t <= -1:
             raise InsufficientOrderError(
                 f"residue unknowable at truncation t^{t}")
         if not (self._coeffs and other._coeffs):
-            return self._zero_value()
+            return Q(0)
         step, a, b = self._on_common_lattice(other)
         k = (-1 - self._base - other._base) / step
         if k.denominator != 1 or k < 0:
-            return self._zero_value()
+            return Q(0)
         k = int(k)
         lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
         if lo > hi:
-            return self._zero_value()
+            return Q(0)
         s = sum(map(mul, a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]))
-        if not s:
-            return self._zero_value()
-        return Fraction(s, self._den * other._den) if self._mode == EXACT else s
+        return Fraction(s, self._den * other._den)
 
     def scale(self, k) -> "PuiseuxSeries":
-        if self._mode == EXACT:
-            k = Fraction(k)
-            coeffs = [c * k.numerator for c in self._coeffs]
-            den = self._den * k.denominator
-        else:
-            coeffs, den = [k * c for c in self._coeffs], 1
-        return PuiseuxSeries.from_dense(self._base, self._step, coeffs, den,
-                                        self._trunc, self._mode)
+        k = Fraction(k)
+        return PuiseuxSeries.from_dense(
+            self._base, self._step, [c * k.numerator for c in self._coeffs],
+            self._den * k.denominator, self._trunc)
 
     def shift(self, m) -> "PuiseuxSeries":
         """Multiply by t**m."""
@@ -445,7 +407,7 @@ class PuiseuxSeries:
         s = PuiseuxSeries.__new__(PuiseuxSeries)
         s._base = self._base + m if self._coeffs else self._base
         s._step, s._coeffs, s._den = self._step, self._coeffs, self._den
-        s._trunc, s._mode = _exp_add(self._trunc, m), self._mode
+        s._trunc = _exp_add(self._trunc, m)
         return s
 
     def truncate(self, t) -> "PuiseuxSeries":
@@ -455,7 +417,7 @@ class PuiseuxSeries:
     def pow(self, n: int) -> "PuiseuxSeries":
         if n < 0:
             return self.invert().pow(-n)
-        result = PuiseuxSeries.constant(1, self._mode)
+        result = PuiseuxSeries.constant(1)
         base = self
         while n:
             if n & 1:
@@ -485,22 +447,13 @@ class PuiseuxSeries:
         rel, n = self._unit_length()
         a = self._coeffs[:n]
         a0 = a[0]
-        if self._mode == EXACT:
-            d: list = []
-            den = append_rational(d, 1, self._den, a0)
-            for k in range(1, n):
-                m = min(k, len(a) - 1)
-                s = sum(map(mul, a[m:0:-1], d[k - m:k]))
-                den = append_rational(d, den, -s, a0 * den)
-        else:
-            inv_c0 = 1 / a0
-            d = [inv_c0]
-            for k in range(1, n):
-                m = min(k, len(a) - 1)
-                d.append(-sum(map(mul, a[m:0:-1], d[k - m:k])) * inv_c0)
-            den = 1
-        return PuiseuxSeries.from_dense(-v, self._step, d, den, _exp_add(rel, -v),
-                                        self._mode)
+        d: List[int] = []
+        den = append_rational(d, 1, self._den, a0)
+        for k in range(1, n):
+            m = min(k, len(a) - 1)
+            s = sum(map(mul, a[m:0:-1], d[k - m:k]))
+            den = append_rational(d, den, -s, a0 * den)
+        return PuiseuxSeries.from_dense(-v, self._step, d, den, _exp_add(rel, -v))
 
     def divide(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self * other.invert()
@@ -508,8 +461,8 @@ class PuiseuxSeries:
     __truediv__ = divide
 
     def sqrt(self) -> "PuiseuxSeries":
-        """Square root; exact mode needs an even-lattice leading exponent and a
-        square leading coefficient, float mode takes Re > 0 branch.
+        """Square root; the leading coefficient must be the square of a
+        rational.  The root of an odd leading exponent is half-integer.
 
         w_0 = sqrt(c_0) and w_k = (c_k - sum_{0<j<k} w_j w_{k-j}) / (2 w_0).
         """
@@ -518,28 +471,18 @@ class PuiseuxSeries:
         v = self._base
         rel, n = self._unit_length()
         a = self._coeffs[:n]
-        if self._mode == EXACT:
-            c_den = self._den
-            root = _sqrt_fraction(Fraction(a[0], c_den))
-            w = [root.numerator]
-            den = root.denominator
-            for k in range(1, n):
-                s = sum(map(mul, w[1:k], w[k - 1:0:-1]))
-                ak = a[k] if k < len(a) else 0
-                den = append_rational(
-                    w, den, (ak * den * den - c_den * s) * root.denominator,
-                    2 * c_den * den * den * root.numerator)
-        else:
-            root = complex(a[0]) ** 0.5
-            if root.real < 0 or (root.real == 0 and root.imag < 0):
-                root = -root
-            w = [root]
-            for k in range(1, n):
-                ak = a[k] if k < len(a) else 0
-                w.append((ak - sum(map(mul, w[1:k], w[k - 1:0:-1]))) / (2 * root))
-            den = 1
+        c_den = self._den
+        root = _sqrt_fraction(Fraction(a[0], c_den))
+        w = [root.numerator]
+        den = root.denominator
+        for k in range(1, n):
+            s = sum(map(mul, w[1:k], w[k - 1:0:-1]))
+            ak = a[k] if k < len(a) else 0
+            den = append_rational(
+                w, den, (ak * den * den - c_den * s) * root.denominator,
+                2 * c_den * den * den * root.numerator)
         return PuiseuxSeries.from_dense(v / 2, self._step, w, den,
-                                        _exp_add(rel, v / 2), self._mode)
+                                        _exp_add(rel, v / 2))
 
     # -- calculus -------------------------------------------------------------
 
@@ -550,38 +493,29 @@ class PuiseuxSeries:
 
     def differentiate(self) -> "PuiseuxSeries":
         b, s, L = self._integer_exponents()
-        if self._mode == EXACT:
-            out = [c * (b + k * s) for k, c in enumerate(self._coeffs)]
-            den = self._den * L
-        else:
-            out = [((b + k * s) / L) * c for k, c in enumerate(self._coeffs)]
-            den = 1
-        return PuiseuxSeries.from_dense(self._base - 1, self._step, out, den,
-                                        _exp_add(self._trunc, -1), self._mode)
+        out = [c * (b + k * s) for k, c in enumerate(self._coeffs)]
+        return PuiseuxSeries.from_dense(self._base - 1, self._step, out,
+                                        self._den * L, _exp_add(self._trunc, -1))
 
     def antiderivative(self) -> "LogSeries":
         """Termwise primitive with zero constants; the 1/t term feeds log t."""
-        logc = self._zero_value()
+        logc = Q(0)
         b, s, L = self._integer_exponents()
         coeffs = list(self._coeffs)
         for k, c in enumerate(coeffs):
             if c and b + k * s == -L:
-                logc = self._value(c)
+                logc = Fraction(c, self._den)
                 coeffs[k] = 0
         # c_k / (e_k + 1) with e_k + 1 = m_k / L
         ms = [b + L + k * s for k in range(len(coeffs))]
-        if self._mode == EXACT:
-            m_lcm = math.lcm(*(m for m, c in zip(ms, coeffs) if c))
-            out = [c * L * (m_lcm // m) if c else 0 for m, c in zip(ms, coeffs)]
-            den = self._den * m_lcm
-        else:
-            out = [c / (m / L) if c else 0j for m, c in zip(ms, coeffs)]
-            den = 1
-        regular = PuiseuxSeries.from_dense(self._base + 1, self._step, out, den,
-                                           _exp_add(self._trunc, 1), self._mode)
+        m_lcm = math.lcm(*(m for m, c in zip(ms, coeffs) if c))
+        out = [c * L * (m_lcm // m) if c else 0 for m, c in zip(ms, coeffs)]
+        regular = PuiseuxSeries.from_dense(self._base + 1, self._step, out,
+                                           self._den * m_lcm,
+                                           _exp_add(self._trunc, 1))
         return LogSeries(regular, logc)
 
-    def residue(self) -> CoeffValue:
+    def residue(self) -> Fraction:
         """Coefficient of 1/t (0 when the lattice misses it); needs trunc > -1."""
         if self._trunc != INF and self._trunc <= -1:
             raise InsufficientOrderError(
@@ -590,33 +524,22 @@ class PuiseuxSeries:
 
     # -- conversions ----------------------------------------------------------
 
-    def to_float(self) -> "PuiseuxSeries":
-        if self._mode == FLOAT:
-            return self
-        den = self._den
-        return PuiseuxSeries.from_dense(self._base, self._step,
-                                        [complex(c / den) for c in self._coeffs], 1,
-                                        self._trunc, FLOAT)
-
     def evaluate(self, t: complex) -> complex:
-        """Numeric evaluation (float semantics regardless of mode)."""
+        """Floating-point value of the known terms at ``t``, fractional powers
+        on the principal branch."""
         b, s, L = self._integer_exponents()
         t = complex(t)
         den = self._den
-        exact = self._mode == EXACT
         total = 0j
         for k, c in enumerate(self._coeffs):
             if c:
-                total += complex(c / den if exact else c) * t ** ((b + k * s) / L)
+                total += complex(c / den) * t ** ((b + k * s) / L)
         return total
 
     def to_csv_rows(self) -> Iterable[str]:
-        """Rows 'exponent,numerator,denominator' (exact) or 'exponent,re,im'."""
+        """Rows 'exponent,numerator,denominator', ascending exponents."""
         for e, c in self.terms():
-            if self._mode == EXACT:
-                yield f"{e},{c.numerator},{c.denominator}"
-            else:
-                yield f"{e},{c.real!r},{c.imag!r}"
+            yield f"{e},{c.numerator},{c.denominator}"
 
     def __repr__(self) -> str:
         bits = []
@@ -632,7 +555,7 @@ class LogSeries:
 
     __slots__ = ("regular", "log_coefficient")
 
-    def __init__(self, regular: PuiseuxSeries, log_coefficient: CoeffValue):
+    def __init__(self, regular: PuiseuxSeries, log_coefficient: Fraction):
         self.regular = regular
         self.log_coefficient = log_coefficient
 

@@ -19,8 +19,8 @@ from operator import mul
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from . import elliptic
-from .series import (EXACT, INF, FieldExtensionError, LogSeries,
-                     PuiseuxSeries, append_rational, rational_sqrt)
+from .series import (INF, FieldExtensionError, LogSeries, PuiseuxSeries,
+                     append_rational, rational_sqrt)
 
 Q = Fraction
 
@@ -100,15 +100,14 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction, other: Fraction,
     """Monic series solution at exponent rho; flags a forced logarithm.
 
     a_k (e(e-1) - c2) = sum_{m<k} a_m q_{k-m} at e = rho + k*step, where q_j
-    is the coefficient of t^(j*step - 2).  In exact mode a_k and q_j are held
-    as integer numerators over one denominator each.
+    is the coefficient of t^(j*step - 2); a_k and q_j are held as integer
+    numerators over one denominator each.
     """
-    exact = q.coeff_mode == EXACT
     c2 = q.coefficient(Q(-2))
     exps = dict(q.terms())
-    q_den = math.lcm(*(c.denominator for c in exps.values())) if exact else 1
+    q_den = math.lcm(*(c.denominator for c in exps.values()))
     qs = [0]
-    a = [1] if exact else [1 + 0j]
+    a = [1]
     a_den = 1
     log_needed = False
     k = 1
@@ -119,24 +118,20 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction, other: Fraction,
         if e - 2 >= q.truncation_order or e > max_exp:
             break
         c = exps.get(k * step - 2, 0)
-        qs.append(c.numerator * (q_den // c.denominator) if exact and c else c)
+        qs.append(c.numerator * (q_den // c.denominator) if c else 0)
         rhs = sum(map(mul, a, qs[k:0:-1]))
         if e == other:
             # resonance: coefficient multiplies zero; solvable only if rhs = 0
-            vanishes = (rhs == 0) if exact else abs(rhs) < 1e-9
-            if not vanishes:
+            if rhs != 0:
                 log_needed = True
-            a.append(0 if exact else 0j)
+            a.append(0)
         else:
             bracket = e * (e - 1) - c2
-            if exact:
-                a_den = append_rational(a, a_den, rhs * bracket.denominator,
-                                        a_den * q_den * bracket.numerator)
-            else:
-                a.append(rhs / complex(bracket))
+            a_den = append_rational(a, a_den, rhs * bracket.denominator,
+                                    a_den * q_den * bracket.numerator)
         k += 1
-    return (PuiseuxSeries.from_dense(rho, step, a, a_den, rho + k * step,
-                                     q.coeff_mode), log_needed)
+    return (PuiseuxSeries.from_dense(rho, step, a, a_den, rho + k * step),
+            log_needed)
 
 
 def frobenius(q: PuiseuxSeries, order=INF) -> FrobeniusBasis:
@@ -144,23 +139,15 @@ def frobenius(q: PuiseuxSeries, order=INF) -> FrobeniusBasis:
     if q.base_exponent < -2:
         raise IrregularSingularityError(
             f"pole of order {-q.base_exponent} > 2 at t = 0")
-    if q.coeff_mode == EXACT:
-        c2 = q.coefficient(Q(-2))
-    else:
-        c2raw = q.coefficient(Q(-2))
-        c2 = Fraction(c2raw.real).limit_denominator(10 ** 9)
-    rho1, rho2 = _indicial_roots(c2)
+    rho1, rho2 = _indicial_roots(q.coefficient(Q(-2)))
     step = Q(1, q.ramification)
     # exponent difference must sit on the step lattice or resonance is moot
     sol1, log1 = _frobenius_one(q, rho2, rho1, step, order)
     sol2_monic, log2 = _frobenius_one(q, rho1, rho2, step, order)
     sol2 = sol2_monic.scale(Q(1) / (rho1 - rho2))
     w = sol1 * sol2.differentiate() - sol1.differentiate() * sol2
-    if q.coeff_mode == EXACT:
-        normalized = (w.coefficient(0) == 1
-                      and all(c == 0 for e, c in w.terms() if e != 0))
-    else:
-        normalized = abs(w.coefficient(0) - 1) < 1e-9
+    normalized = (w.coefficient(0) == 1
+                  and all(c == 0 for e, c in w.terms() if e != 0))
     return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2),
                           log_in_basis=log1 or log2,
                           wronskian_normalized=normalized)
@@ -189,10 +176,6 @@ class VOCResult:
     @property
     def has_log(self) -> bool:
         return any(c != 0 for c in self.log_coefficients)
-
-    def residue(self, row: str = "first"):
-        mu = self.mu_first if row == "first" else self.mu_second
-        return mu.residue()
 
 
 def variation_of_constants(basis: FrobeniusBasis,
@@ -299,9 +282,8 @@ STANDARD_CHOICES: Dict[Fraction, HigherVEChoice] = {
 
 @dataclass
 class BlockReport:
-    """Per-block VE2/VE3 residue data (exact coefficients)."""
+    """Per-block VE3 residue data (exact coefficients)."""
 
-    ve2_log_coefficients: Tuple
     ve3_residue_first: object
     ve3_residue_second: object
 
@@ -379,11 +361,9 @@ def _pick(basis: FrobeniusBasis, which: str) -> PuiseuxSeries:
     return basis.sol1 if which == "first" else basis.sol2
 
 
-def _block_report(basis: FrobeniusBasis, k3: PuiseuxSeries,
-                  ve2_logs: Tuple) -> BlockReport:
+def _block_report(basis: FrobeniusBasis, k3: PuiseuxSeries) -> BlockReport:
     # the 1/t coefficients of mu_first = -sol2 K and mu_second = sol1 K
-    return BlockReport(ve2_log_coefficients=ve2_logs,
-                       ve3_residue_first=-basis.sol2.product_residue(k3),
+    return BlockReport(ve3_residue_first=-basis.sol2.product_residue(k3),
                        ve3_residue_second=basis.sol1.product_residue(k3))
 
 
@@ -421,10 +401,10 @@ def higher_ve_residues(p, e, choice: HigherVEChoice, order=30,
 
     k0_3, kj_3 = forcing_k3(qbar, e.C0_sq, g, xi0_1, xij_1, xi0_2, xij_2,
                             qbar_inv6=ctx.qbar_inv6)
-    blocks = tuple(_block_report(b, k, ve2_logs) for b, k in zip(nbs, kj_3))
+    blocks = tuple(_block_report(b, k) for b, k in zip(nbs, kj_3))
     residues = tuple(b.ve3_residue_first if choice.residue_row == "first"
                      else b.ve3_residue_second for b in blocks)
-    tblock = _block_report(tb, k0_3, ve2_logs)
+    tblock = _block_report(tb, k0_3)
     return HigherVEResult(choice, tb, nbs, False, False, ve2_logs, blocks,
                           tblock, residues, ve2_voc=vocs,
                           ve3_forcing=(k0_3, *kj_3))

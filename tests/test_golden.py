@@ -54,7 +54,7 @@ def _assert_close(got, want, path="report"):
         assert got == want, path
 
 
-@pytest.mark.parametrize("name", golden.FLOAT_FILES)
+@pytest.mark.parametrize("name", golden.QUADRATURE_FILES)
 def test_float_report_matches_golden_file(name):
     _assert_close(json.loads(golden.render(name)),
                   json.loads((golden.OUT / name).read_text()))

@@ -1,0 +1,29 @@
+"""Smoke runs of the scripts in ``scripts/`` at their default arguments."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_case_studies():
+    lines = run_script("run_case_studies.py")
+    i = lines.index("== case2 index 5/2 surviving triple")
+    assert lines[i + 1].split()[:2] == ["outcome:", "NecessaryConditionsSurvived"]
+
+
+def test_residue_survey():
+    lines = run_script("residue_survey.py")
+    # first pick row: pick_xi0, pick_xij, then the normal block's row-1 residue
+    assert lines[2].split()[:3] == ["first", "first", "2/3"]

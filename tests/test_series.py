@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfmix.series import (EXACT, FLOAT, INF, FieldExtensionError,
-                          InsufficientOrderError, ModeMismatchError,
+from bfmix.series import (INF, FieldExtensionError, InsufficientOrderError,
                           PuiseuxSeries, ZeroDivisionSeriesError)
 from conftest import random_rational, random_series
 
@@ -37,10 +36,6 @@ class TestAdd:
     def test_truncation_is_min(self):
         got = S({0: 1}, 5) + S({1: 1}, 3)
         assert got.truncation_order == 3
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
-            one + one.to_float()
 
 
 class TestMul:
@@ -114,10 +109,6 @@ class TestSqrt:
         r = t.sqrt()
         assert r.base_exponent == Q(1, 2)
         assert not (r * r - t)
-
-    def test_float_branch_positive_real(self):
-        r = PuiseuxSeries.constant(4, FLOAT).sqrt()
-        assert abs(r.coefficient(0) - 2) < 1e-15
 
 
 class TestCalculus:
@@ -213,10 +204,6 @@ class TestSerialization:
         rows = list(S({-2: Q(3, 4), 1: Q(-1, 2)}).to_csv_rows())
         assert rows == ["-2,3,4", "1,-1,2"]
 
-    def test_float_rows(self):
-        rows = list(S({0: 1}).to_float().to_csv_rows())
-        assert rows[0].startswith("0,1.0,")
-
     def test_half_integer_exponent(self):
         rows = list(S({Q(-1, 2): Q(1, 3)}).to_csv_rows())
         assert rows == ["-1/2,1,3"]
@@ -292,37 +279,31 @@ def series_inputs(draw, square_lead=False):
     return ref_make({base + k * step: c for k, c in enumerate(coeffs)}, trunc)
 
 
-def assert_matches_reference(got, want, mode):
+def assert_matches_reference(got, want):
     assert got.truncation_order == want[1]
-    if mode == EXACT:
-        assert dict(got.terms()) == want[0]
-        return
-    scale = max((abs(c) for c in want[0].values()), default=1)
-    for e in set(want[0]) | {e for e, _ in got.terms()}:
-        assert abs(got.coefficient(e) - want[0].get(e, 0)) <= 1e-9 * max(1, scale)
-
-
-def as_series(ref, mode):
-    s = PuiseuxSeries(*ref)
-    return s if mode == EXACT else s.to_float()
+    assert dict(got.terms()) == want[0]
 
 
 @given(series_inputs(), series_inputs(),
-       st.one_of(st.just(INF), st.integers(-8, 8).map(lambda k: Q(k, 2))),
-       st.sampled_from((EXACT, FLOAT)))
+       st.one_of(st.just(INF), st.integers(-8, 8).map(lambda k: Q(k, 2))))
 @settings(max_examples=150, deadline=None)
-def test_ring_operations_match_reference(a, b, cut, mode):
-    x, y = as_series(a, mode), as_series(b, mode)
-    assert_matches_reference(x + y, ref_add(a, b), mode)
-    assert_matches_reference(x * y, ref_mul(a, b), mode)
-    assert_matches_reference(x.truncate(cut), ref_make(a[0], min(a[1], cut)), mode)
+def test_ring_operations_match_reference(a, b, cut):
+    x, y = PuiseuxSeries(*a), PuiseuxSeries(*b)
+    assert_matches_reference(x + y, ref_add(a, b))
+    assert_matches_reference(x * y, ref_mul(a, b))
+    assert_matches_reference(x.truncate(cut), ref_make(a[0], min(a[1], cut)))
+    # the float value of the known terms, to 1e-12 of their summed magnitudes
+    t0 = 0.3 + 0.2j
+    want = sum(c * t0 ** e for e, c in a[0].items())
+    size = sum(abs(c * t0 ** e) for e, c in a[0].items())
+    assert abs(x.evaluate(t0) - want) <= 1e-12 * size
 
 
-@given(series_inputs(square_lead=True), st.sampled_from((EXACT, FLOAT)))
+@given(series_inputs(square_lead=True))
 @settings(max_examples=100, deadline=None)
-def test_invert_and_sqrt_match_reference(a, mode):
+def test_invert_and_sqrt_match_reference(a):
     if not a[0]:
         return
-    x = as_series(a, mode)
-    assert_matches_reference(x.invert(), ref_invert(a), mode)
-    assert_matches_reference(x.sqrt(), ref_sqrt(a), mode)
+    x = PuiseuxSeries(*a)
+    assert_matches_reference(x.invert(), ref_invert(a))
+    assert_matches_reference(x.sqrt(), ref_sqrt(a))

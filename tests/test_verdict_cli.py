@@ -243,6 +243,16 @@ class TestCli:
         assert report["verdict"]["witness"]["kind"] == "melnikov"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", "1",
+         "--c0sq", "1", "--h", "0", "--order", str(order)]
+        for order in (1, 2, 3)] + [["series", "--what", "mu3", "--order", "2"]],
+        ids=["case2-order1", "case2-order2", "case2-order3", "series-mu3-order2"])
+    def test_order_too_low_is_usage_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: order too low to decide: ")
+
     def test_case3_details_parse_as_floats(self, capsys):
         p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
         v = verdict.classify(p, verdict.AnalyzeOptions(action_I=3.0))
@@ -282,24 +292,3 @@ class TestParser:
             cli.main(list(self.ARGVS[1]) + ["--t0-samples", "5"])
         assert exc.value.code == 2
 
-
-class TestFloatModeAgreement:
-    def test_witness_sign_agreement_in_float(self):
-        """NonIntegrable witnesses recomputed in float mode keep their sign."""
-        from bfmix import elliptic, variational as V
-        p = make_params(1, [1], 1, [0], 1)
-        e = elliptic.invariants_from_energy(1, 1, 0)
-        ve1 = V.build_ve1(p, e, order=30)
-        tb = V.frobenius(ve1.tangential.to_float())
-        nb = V.frobenius(ve1.normal[0].to_float())
-        qb = ve1.qbar0.to_float()
-        k0, kj = V.forcing_k2(qb, 1, 1, tb.sol2, [nb.sol1])
-        voc0 = V.variation_of_constants(tb, k0)
-        vocj = V.variation_of_constants(nb, kj[0])
-        _, kj3 = V.forcing_k3(qb, 1, 1, tb.sol2, [nb.sol1],
-                              voc0.particular + tb.sol2,
-                              [vocj.particular + nb.sol1])
-        resid = (-(nb.sol2 * kj3[0])).residue()
-        exact = verdict.classify(p).witness.data["value"]
-        assert Q(exact) == Q(2, 3)
-        assert resid.real > 0 and abs(resid - 2 / 3) < 1e-9
