@@ -13,8 +13,9 @@ Each file is the output of one command line of ``bfmix``:
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
 to match these files byte for byte, so a change to the series kernel or the
-variational pipeline that moves any digit shows.  The case-3 report comes from
-floating-point quadrature and depends on the platform's numpy, so the test
+variational pipeline that moves any digit shows.  The case-3 report holds
+floats: h* is a root from ``np.roots`` and depends on the platform's numpy,
+and the amplitudes, zeros and slopes are closed forms in floats, so the test
 compares its numbers to 1e-12 and the rest of it exactly.
 """
 from __future__ import annotations
@@ -71,7 +72,7 @@ CSVS = {f"series_{what}_{point}.csv": ["series", f"--what={what}", *argv]
 #: files whose content comes from exact arithmetic only
 EXACT_FILES = [name for name in (*REPORTS, *CSVS)
                if not name.startswith("case3")]
-#: reports that carry floating-point quadrature results
+#: reports that carry floats (h* from np.roots, closed forms), not exact values
 QUADRATURE_FILES = [name for name in REPORTS if name.startswith("case3")]
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
 (an ``--order`` too low to decide among them), 3 internal verification
-failure.
+failure: a ``verify`` residual above its tolerance, or a ``series --what mu3``
+dump whose second order already carries a logarithm.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     c3.add_argument("--omega1", type=parse_rational, required=True)
     c3.add_argument("--c0sq", type=parse_rational, required=True)
     c3.add_argument("--c1sq", type=parse_rational, required=True)
-    c3.add_argument("--action", type=float, required=True)
+    c3.add_argument("--action", type=parse_rational, required=True)
     c3.add_argument("--t0-min", type=float, default=0.01)
     c3.add_argument("--t0-max", type=float, default=None)
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--omega1", type=parse_rational, required=True)
     sw.add_argument("--c0sq", type=parse_rational, required=True)
     sw.add_argument("--c1sq", type=parse_rational, required=True)
-    sw.add_argument("--action", type=float, required=True)
+    sw.add_argument("--action", type=parse_rational, required=True)
     sw.add_argument("--t0-min", type=float, default=0.0)
     sw.add_argument("--t0-max", type=float, default=3.2)
     sw.add_argument("--t0-samples", type=int, default=65)
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
     except InsufficientOrderError as exc:
         print(f"error: order too low to decide: {exc}", file=sys.stderr)
         return 2
-    except (melnikov.ContourUnreliableError, VerificationFailure) as exc:
+    except VerificationFailure as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
     except (verdict_mod.OutOfScopeError, ValueError,

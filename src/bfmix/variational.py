@@ -19,8 +19,8 @@ from operator import mul
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from . import elliptic
-from .series import (INF, FieldExtensionError, LogSeries, PuiseuxSeries,
-                     append_rational, rational_sqrt)
+from .series import (INF, FieldExtensionError, InsufficientOrderError,
+                     LogSeries, PuiseuxSeries, append_rational, rational_sqrt)
 
 Q = Fraction
 
@@ -351,6 +351,9 @@ def ve1_context(p, e, order=30) -> VE1Context:
     """Build VE1 and its Frobenius bases once for one parameter point."""
     ve1 = build_ve1(p, e, order=Q(order))
     qbar = ve1.qbar0
+    if not qbar:
+        raise InsufficientOrderError(
+            f"q0 = 1/t + ... keeps no term below t^{order}")
     return VE1Context(ve1=ve1, tangential_basis=frobenius(ve1.tangential),
                       normal_bases=tuple(frobenius(nj) for nj in ve1.normal),
                       qbar_inv5=qbar.pow(5).invert(),

@@ -47,7 +47,7 @@ class IntegrabilityVerdict:
 class AnalyzeOptions:
     h: Fraction = Q(0)
     order: int = 30
-    action_I: Optional[float] = None
+    action_I: Optional[Fraction | float] = None
     t0_min: float = 0.01
     t0_max: Optional[float] = None
     choice: Optional[variational.HigherVEChoice] = None
@@ -256,37 +256,37 @@ def _ve_verdict(result: variational.HigherVEResult,
 def analyze_case3(p: ModelParams, opts: AnalyzeOptions) -> IntegrabilityVerdict:
     if opts.action_I is None:
         raise ValueError("case 3 needs the frozen action (options.action_I)")
-    return _case3_verdict(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
-                          opts.action_I, opts.t0_min, opts.t0_max,
-                          params_snapshot(p))
+    s = melnikov.setup(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
+                       opts.action_I)
+    return _case3_verdict(s, opts.t0_min, opts.t0_max, params_snapshot(p))
 
 
 def analyze_case3_direct(omega0, omega1, c0sq, c1sq, action, t0_min: float,
                          t0_max: Optional[float]) -> IntegrabilityVerdict:
     """Case-3 verdict from C1^2 itself: C1 enters the splitting only through
     its square."""
+    s = melnikov.setup(omega0, omega1, c0sq, c1sq, action)
     snapshot = {"omega0": str(Q(omega0)), "omega1": str(Q(omega1)),
                 "C0_sq": str(Q(c0sq)), "C1_sq": str(Q(c1sq)),
-                "action_I": repr(float(action))}
-    return _case3_verdict(omega0, omega1, c0sq, c1sq, action, t0_min, t0_max,
-                          snapshot)
+                "action_I": repr(s.action_I)}
+    return _case3_verdict(s, t0_min, t0_max, snapshot)
 
 
-def _case3_verdict(omega0, omega1, c0sq, c1sq, action, t0_min: float,
+def _case3_verdict(s: melnikov.MelnikovSetup, t0_min: float,
                    t0_max: Optional[float], snapshot: dict
                    ) -> IntegrabilityVerdict:
-    s = melnikov.setup(omega0, omega1, c0sq, c1sq, action)
-    split = melnikov.splitting(s)
-    A = split.amplitude
+    A = melnikov.predicted_amplitude(s)
     if t0_max is None:
         t0_max = t0_min + 1.05 * math.pi / math.sqrt(2 * s.omega1)
-    zeros = melnikov.find_simple_zeros(s, t0_min, t0_max, split)
+    zeros = melnikov.find_simple_zeros(s, t0_min, t0_max)
+    # the fitted_* fields keep their names; the sine form is exact, so the
+    # fit residual is 0, or inf (relative to |A|) when A is exactly 0
     details = {
         "h_star": repr(float(s.h_star)), "a": repr(s.a),
         "fitted_amplitude_im": repr(A.imag),
         "fitted_amplitude_re": repr(A.real),
-        "fit_residual": repr(split.residual),
-        "predicted_amplitude_im": repr(melnikov.predicted_amplitude(s).imag),
+        "fit_residual": repr(0.0 if A else math.inf),
+        "predicted_amplitude_im": repr(A.imag),
         "quoted_amplitude_im": repr(12 * math.pi * s.a
                                     * math.sqrt(2 * s.omega1) * s.amplitude),
         "contour_radius": repr(s.contour_radius),

@@ -2,10 +2,11 @@
 
 The files are written by ``scripts/golden_reports.py``; regenerate them only
 for a change that is meant to move a report or a series dump.  Exact outputs
-must match byte for byte.  The case-3 report comes from float quadrature, so
-its numbers (JSON floats and float strings) must agree to 1e-12 relative,
-with an absolute floor of 1e-12 for values at round-off level; every other
-string, the verdict and the number of zeros must match exactly.
+must match byte for byte.  The case-3 report holds floats (h* from np.roots
+and closed forms), so its numbers (JSON floats and float strings) must agree
+to 1e-12 relative, with an absolute floor of 1e-12 for values at round-off
+level; every other string, the verdict and the number of zeros must match
+exactly.
 """
 import importlib.util
 import json

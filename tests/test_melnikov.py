@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from bfmix import melnikov as M
+from bfmix import melnikov as M, verdict
+from helpers_delta import (delta_closed_form, delta_derived,
+                           delta_quadrature_check, inverse_p0_squared)
 
 
 REF = dict(omega0=1, omega1=1, C0_sq=0.01, C1_sq=1, action_I=3.0)
@@ -14,6 +16,15 @@ REF = dict(omega0=1, omega1=1, C0_sq=0.01, C1_sq=1, action_I=3.0)
 def s():
     return M.setup(REF["omega0"], REF["omega1"], REF["C0_sq"], REF["C1_sq"],
                    REF["action_I"])
+
+
+@pytest.fixture(scope="module")
+def A():
+    """The splitting amplitude the case-3 verdict reports at REF."""
+    v = verdict.analyze_case3_direct(REF["omega0"], REF["omega1"],
+                                     REF["C0_sq"], REF["C1_sq"],
+                                     REF["action_I"], 0.01, None)
+    return complex(*v.witness.data["fitted_amplitude"])
 
 
 class TestSetup:
@@ -74,22 +85,25 @@ class TestNumericIntegral:
                                  2 * s.contour_points)
         assert abs(d1 - d2) <= 1e-6 * abs(d1)
 
-    def test_sine_fit(self, s):
-        A, resid = M.fitted_amplitude(s)
-        assert resid < 1e-8
+    def test_sine_fit(self, s, A):
+        # the reported A sin(theta t0) against the contour at both radii
+        for t0 in np.linspace(0.0, 2 * math.pi / s.theta, 9):
+            d = M.melnikov_numeric(s, t0)
+            assert abs(A * math.sin(s.theta * t0) - d) < 1e-8 * abs(A)
 
-    def test_fitted_amplitude_purely_imaginary(self, s):
-        A, _ = M.fitted_amplitude(s)
-        assert abs(A.real) < 1e-8 * abs(A)
+    def test_fitted_amplitude_purely_imaginary(self, s, A):
+        d = M.melnikov_numeric(s, math.pi / (2 * s.theta))
+        assert abs(d.real) < 1e-8 * abs(A)
+        assert A.real == 0
 
-    def test_fitted_amplitude_matches_residue_calculus(self, s):
-        A, _ = M.fitted_amplitude(s)
-        assert abs(A - M.predicted_amplitude(s)) < 1e-8 * abs(A)
+    def test_fitted_amplitude_matches_residue_calculus(self, s, A):
+        # the residue calculus gives A; the contour measures d at the maximum
+        d = M.melnikov_numeric(s, math.pi / (2 * s.theta))
+        assert abs(A - d) < 1e-8 * abs(A)
 
-    def test_quoted_prefactor_differs(self, s):
+    def test_quoted_prefactor_differs(self, s, A):
         # the verbatim closed form carries 12 pi a sqrt(2 w1); the measured
         # one is 16 pi w1; both share the sine structure and zeros
-        A, _ = M.fitted_amplitude(s)
         quoted = M.melnikov_closed_form(s, math.pi / (2 * s.theta))
         assert quoted.imag == pytest.approx(12 * math.pi * s.a
                                             * math.sqrt(2 * s.omega1)
@@ -133,12 +147,14 @@ class TestZeros:
             assert dmag > 0
 
     def test_derivative_magnitude_from_fit(self, s):
-        A, _ = M.fitted_amplitude(s)
+        # each reported slope against a central difference of the contour
         zeros = M.find_simple_zeros(s, 0.05,
                                     0.05 + 1.05 * math.pi / math.sqrt(2))
-        expected = abs(A) * s.theta
-        for _, dmag in zeros:
-            assert dmag == pytest.approx(expected, rel=1e-4)
+        h = 1e-4
+        for z, dmag in zeros:
+            slope = (M.melnikov_numeric(s, z + h)
+                     - M.melnikov_numeric(s, z - h)) / (2 * h)
+            assert dmag == pytest.approx(abs(slope), rel=1e-6)
 
     def test_numeric_and_closed_zeros_coincide(self, s):
         zeros = M.find_simple_zeros(s, 0.05,
@@ -159,23 +175,23 @@ class TestZeros:
 class TestDeltaQuadrature:
     def test_quoted_form_inconsistent(self, s):
         samples = np.linspace(0.5, 2.0, 7)
-        defect = M.delta_quadrature_check(s, samples)
+        defect = delta_quadrature_check(s, samples)
         assert defect > 1e-4          # the printed expression fails its job
 
     def test_derived_form_consistent(self, s):
         samples = np.linspace(0.5, 2.0, 7)
-        defect = M.delta_quadrature_check(s, samples, form=M.delta_derived)
+        defect = delta_quadrature_check(s, samples, form=delta_derived)
         assert defect < 1e-6
 
     def test_growth_rate_matches(self, s):
         # log-slope of both 1/p0^2 and the quoted form's derivative ~ 4 sqrt(3a)
         r = math.sqrt(3 * s.a)
         t1, t2 = 6.0, 8.0
-        slope_target = (math.log(M.inverse_p0_squared(s, t2))
-                        - math.log(M.inverse_p0_squared(s, t1))) / (t2 - t1)
+        slope_target = (math.log(inverse_p0_squared(s, t2))
+                        - math.log(inverse_p0_squared(s, t1))) / (t2 - t1)
         h = 1e-5
-        d1 = (M.delta_closed_form(s, t1 + h) - M.delta_closed_form(s, t1 - h)) / (2 * h)
-        d2 = (M.delta_closed_form(s, t2 + h) - M.delta_closed_form(s, t2 - h)) / (2 * h)
+        d1 = (delta_closed_form(s, t1 + h) - delta_closed_form(s, t1 - h)) / (2 * h)
+        d2 = (delta_closed_form(s, t2 + h) - delta_closed_form(s, t2 - h)) / (2 * h)
         slope_quoted = (math.log(d2) - math.log(d1)) / (t2 - t1)
         assert slope_target == pytest.approx(4 * r, rel=1e-3)
         assert slope_quoted == pytest.approx(4 * r, rel=1e-3)

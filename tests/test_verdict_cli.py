@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from bfmix import cli, verdict
 from bfmix.model import make_params, make_params_c0sq
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestClassify:
@@ -96,21 +100,13 @@ class TestClassify:
         assert v.witness.kind == "melnikov"
         assert v.witness.data["zeros"]
 
-    def test_case3_integrates_once_per_radius(self, monkeypatch, capsys):
-        from bfmix import melnikov as M
-        calls = {"_moments": [], "_contour_integral": []}
-        for name in calls:
-            def counted(*args, _fn=getattr(M, name), _name=name):
-                calls[_name].append(args[1:])
-                return _fn(*args)
-            monkeypatch.setattr(M, name, counted)
-        p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
-        verdict.classify(p, verdict.AnalyzeOptions(action_I=3.0))
-        assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1", "1",
-                         "--c0sq", "1/100", "--c1sq", "1",
-                         "--action", "3.0"]) == 0
-        assert calls == {"_moments": [(0.5, 512), (0.25, 1024)] * 2,
-                         "_contour_integral": []}
+    def test_case3_oval_threshold_survives(self):
+        # I^2 = 2 w1 C1^2 exactly: the splitting amplitude is exactly zero
+        p = make_params_c0sq(1, [Q(1, 2)], Q(1, 100), [Q(1, 10)], Q(1, 1000))
+        v = verdict.classify(p, verdict.AnalyzeOptions(action_I=Q(1, 10)))
+        assert v.outcome == "NecessaryConditionsSurvived"
+        assert v.witness.kind == "none"
+        assert v.details["fit_residual"] == "inf"
 
     def test_mixed_case_out_of_scope(self):
         p = make_params(1, [1, 1], 1, [1, 1], 1)
@@ -123,8 +119,11 @@ class TestClassify:
 
 
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "bfmix.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc
 
 
@@ -246,12 +245,41 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", "1",
          "--c0sq", "1", "--h", "0", "--order", str(order)]
-        for order in (1, 2, 3)] + [["series", "--what", "mu3", "--order", "2"]],
-        ids=["case2-order1", "case2-order2", "case2-order3", "series-mu3-order2"])
+        for order in (1, 2, 3, -1)]
+        + [["series", "--what", "mu3", "--order", "2"],
+           ["series", "--what", "mu2", "--order=-1"]],
+        ids=["case2-order1", "case2-order2", "case2-order3", "case2-order-1",
+             "series-mu3-order2", "series-mu2-order-1"])
     def test_order_too_low_is_usage_error(self, argv, capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(
             "error: order too low to decide: ")
+
+    def test_case3_oval_threshold_exits_0(self, capsys):
+        assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
+                         "1/2", "--c0sq", "1/100", "--c1sq", "1/100",
+                         "--action", "0.1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]["outcome"] == "NecessaryConditionsSurvived"
+        assert report["params"]["action_I"] == "0.1"
+
+    @pytest.mark.parametrize("extra", [
+        ["--action", "nan"], ["--action", "inf"], ["--action", "1e400"],
+        ["--action", "3.0", "--t0-max", "inf"],
+        ["--action", "3.0", "--t0-max", "1e300"],
+        ["--action", "3.0", "--t0-min", "nan"],
+        ["--action", "3.0", "--t0-min=-inf"]],
+        ids=["action-nan", "action-inf", "action-1e400", "t0max-inf",
+             "t0max-1e300", "t0min-nan", "t0min-minus-inf"])
+    def test_unbounded_case3_input_is_usage_error(self, extra, capsys):
+        # argparse rejects a non-rational --action by SystemExit(2)
+        try:
+            code = cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
+                             "1", "--c0sq", "1/100", "--c1sq", "1", *extra])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_case3_details_parse_as_floats(self, capsys):
         p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
