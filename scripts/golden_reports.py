@@ -6,9 +6,8 @@
 Each file is the output of one command line of ``bfmix``:
 
 * ``bfmix analyze`` JSON reports, without ``timing_seconds``, for the
-  ``scripts/run_case_studies.py`` points at the default order, an index-2
-  point with two transverse modes, and the index-1 and index-2 reference
-  points again at ``--order 12``;
+  ``scripts/run_case_studies.py`` points and an index-2 point with two
+  transverse modes;
 * ``bfmix series --what wp|qbar|ve1|mu2|mu3`` CSVs for three points.
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
@@ -31,10 +30,9 @@ from bfmix import cli
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden"
 
 
-def _case2(gbf, omegaj, c0sq="1", order=None):
-    argv = ["analyze", "case2", f"--gbf={gbf}", "--omega0=1",
+def _case2(gbf, omegaj, c0sq="1"):
+    return ["analyze", "case2", f"--gbf={gbf}", "--omega0=1",
             f"--omegaj={omegaj}", f"--c0sq={c0sq}", "--h=0"]
-    return argv + ([f"--order={order}"] if order else [])
 
 
 #: file name -> bfmix command line
@@ -50,9 +48,6 @@ REPORTS = {
     "case2_nonlattice.json": _case2("1/3", "1"),
     "case2_index_five_half.json": _case2("35/8", "55/28", c0sq="72/343"),
     "case2_index2_b0_nf2.json": _case2("3", "2,2"),
-    "case2_index1_order12.json": _case2("1", "1", order=12),
-    "case2_index2_b0_order12.json": _case2("3", "2", order=12),
-    "case2_index2_b1_order12.json": _case2("3", "1", order=12),
     "case3_splitting.json": ["analyze", "case3", "--omega0=1", "--omega1=1",
                              "--c0sq=1/100", "--c1sq=1", "--action=3.0"],
 }

@@ -31,11 +31,11 @@ def main():
         "case2 non-lattice coupling (g=1/3)": (Q(1), Q(1, 3)),
     }.items():
         p = make_params(1, [wj], 1, [0], g)
-        show(label, verdict.analyze_case2(p, Q(0), order=24))
+        show(label, verdict.analyze_case2(p, Q(0)))
 
     p = make_params_c0sq(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
     show("case2 index 5/2 surviving triple",
-         verdict.analyze_case2(p, Q(0), order=24))
+         verdict.analyze_case2(p, Q(0)))
 
     p3 = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
     show("case3: omega0=omega1=1, C0^2=1/100, C1^2=1, I=3",

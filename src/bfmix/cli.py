@@ -1,15 +1,17 @@
 """Command-line front end: analysis runs, verification checks, series dumps.
 
 Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
-(an ``--order`` too low to decide among them), 3 internal verification
-failure: a ``verify`` residual above its tolerance, or a ``series --what mu3``
-dump whose second order already carries a logarithm.
+(a ``series --order`` too low for the dump among them, and a case-2 point
+that the largest truncation order tried still cannot decide), 3 internal
+verification failure: a ``verify`` residual above its tolerance, or a
+``series --what mu3`` dump whose second order already carries a logarithm.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -24,6 +26,8 @@ from .series import InsufficientOrderError
 Q = Fraction
 
 SCHEMA_VERSION = 1
+
+MAX_SWEEP_SAMPLES = 10 ** 4
 
 
 class VerificationFailure(Exception):
@@ -50,16 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "oscillator chain: obstruction witnesses from exact "
                     "variational-equation residues, Heun-form reduction and "
                     "separatrix-splitting integrals.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH",
-                        help="write the JSON report here")
-    common.add_argument("--csv", metavar="PATH", help="write CSV output here")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", metavar="PATH",
+                          help="write the JSON report here")
+    csv_out = argparse.ArgumentParser(add_help=False)
+    csv_out.add_argument("--csv", metavar="PATH", help="write CSV output here")
     sub = ap.add_subparsers(dest="command", required=True)
 
     an = sub.add_parser("analyze", help="classify a parameter set")
     an_sub = an.add_subparsers(dest="case", required=True)
 
-    c1 = an_sub.add_parser("case1", parents=[common],
+    c1 = an_sub.add_parser("case1", parents=[json_out],
                            help="C0 = 0, all C_j nonzero, equal "
                                 "frequencies w_j = omega^2/2")
     c1.add_argument("--omega0", type=parse_rational, required=True)
@@ -67,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     c1.add_argument("--gbf", type=parse_rational, required=True)
     c1.add_argument("--csum", type=parse_rational, required=True)
 
-    c2 = an_sub.add_parser("case2", parents=[common],
+    c2 = an_sub.add_parser("case2", parents=[json_out],
                            help="C0 != 0, all C_j = 0")
     c2.add_argument("--gbf", type=parse_rational, required=True)
     c2.add_argument("--omega0", type=parse_rational, required=True)
@@ -75,11 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="R[,R...]")
     c2.add_argument("--c0sq", type=parse_rational, required=True)
     c2.add_argument("--h", type=parse_rational, required=True)
-    c2.add_argument("--order", type=int, default=30)
-    c2.add_argument("--no-scan", action="store_true",
-                    help="only use the standard solution choice")
 
-    c3 = an_sub.add_parser("case3", parents=[common],
+    c3 = an_sub.add_parser("case3", parents=[json_out],
                            help="C0 != 0, C1 != 0, one transverse mode")
     c3.add_argument("--omega0", type=parse_rational, required=True)
     c3.add_argument("--omega1", type=parse_rational, required=True)
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     c3.add_argument("--t0-min", type=float, default=0.01)
     c3.add_argument("--t0-max", type=float, default=None)
 
-    ve = sub.add_parser("verify", parents=[common],
+    ve = sub.add_parser("verify", parents=[json_out],
                         help="closed-form solution residual checks")
     ve.add_argument("--which", choices=["prop1", "prop2", "separatrix"],
                     required=True)
@@ -103,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--samples", type=int, default=10)
     ve.add_argument("--tol", type=float, default=1e-9)
 
-    se = sub.add_parser("series", parents=[common],
+    se = sub.add_parser("series", parents=[csv_out],
                         help="dump exact local series as CSV")
     se.add_argument("--what", choices=["wp", "qbar", "ve1", "mu2", "mu3"],
                     required=True)
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--pick-xi0", choices=["first", "second"], default=None)
     se.add_argument("--pick-xij", choices=["first", "second"], default=None)
 
-    sw = sub.add_parser("sweep", parents=[common],
+    sw = sub.add_parser("sweep", parents=[csv_out],
                         help="tabulate the splitting function d(t0)")
     sw.add_argument("--omega0", type=parse_rational, required=True)
     sw.add_argument("--omega1", type=parse_rational, required=True)
@@ -183,8 +185,7 @@ def _run_analyze(args) -> dict:
     elif args.case == "case2":
         p = model.make_params_c0sq(args.omega0, args.omegaj, args.c0sq,
                                    [Q(0)] * len(args.omegaj), args.gbf)
-        v = verdict_mod.analyze_case2(p, args.h, order=args.order,
-                                      scan=not args.no_scan)
+        v = verdict_mod.analyze_case2(p, args.h)
     else:
         v = verdict_mod.analyze_case3_direct(args.omega0, args.omega1,
                                              args.c0sq, args.c1sq, args.action,
@@ -287,6 +288,12 @@ def _series_rows(args):
 
 
 def _run_sweep(args):
+    if not (math.isfinite(args.t0_min) and math.isfinite(args.t0_max)):
+        raise ValueError(f"t0 range [{args.t0_min}, {args.t0_max}] must be "
+                         "finite")
+    if not 1 <= args.t0_samples <= MAX_SWEEP_SAMPLES:
+        raise ValueError(f"--t0-samples {args.t0_samples} outside 1.."
+                         f"{MAX_SWEEP_SAMPLES}")
     s = melnikov.setup(args.omega0, args.omega1, args.c0sq, args.c1sq,
                        args.action)
     t0s = np.linspace(args.t0_min, args.t0_max, args.t0_samples)

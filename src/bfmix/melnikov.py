@@ -78,11 +78,7 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
             f"{math.sqrt(2 * w1 * c1sq)}")
     if amp_sq and not amplitude:
         raise ValueError(f"amplitude^2 = {float(amp_sq)!r} underflows a float")
-    h_star = model.separatrix_energy(w0, c0sq)
-    disc = 4 * w0 ** 2 - 3 * h_star
-    if disc <= 0:
-        raise model.NoSeparatrixError(f"4 w0^2 - 3 h* = {disc} <= 0")
-    a = math.sqrt(disc) / 3
+    a, h_star = model.separatrix_scale(w0, c0sq)
     radius = min(0.5, 0.5 * math.pi / math.sqrt(3 * a))
     return MelnikovSetup(omega0=w0, omega1=w1, C0_sq=c0sq, C1_sq=c1sq,
                          action_I=I, amplitude=amplitude,

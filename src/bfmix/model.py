@@ -274,6 +274,17 @@ def separatrix_energy(omega0, C0_sq) -> float:
     return h_star
 
 
+def separatrix_scale(omega0, C0_sq) -> Tuple[float, float]:
+    """(a, h*) of the separatrix, a = sqrt(4 w0^2 - 3 h*)/3; raises
+    NoSeparatrixError when 4 w0^2 - 3 h* <= 0."""
+    w0 = float(omega0)
+    h_star = separatrix_energy(w0, C0_sq)
+    disc = 4 * w0 ** 2 - 3 * h_star
+    if disc <= 0:
+        raise NoSeparatrixError(f"4 w0^2 - 3 h* = {disc} <= 0")
+    return math.sqrt(disc) / 3, h_star
+
+
 def separatrix_case3(omega0, C0_sq, t: complex):
     """Separatrix of the one-degree q0 subsystem:
 
@@ -282,11 +293,7 @@ def separatrix_case3(omega0, C0_sq, t: complex):
     Returns (q0, p0, a, h_star).
     """
     w0 = float(omega0)
-    h_star = separatrix_energy(omega0, C0_sq)
-    disc = 4 * w0 ** 2 - 3 * h_star
-    if disc <= 0:
-        raise NoSeparatrixError(f"4 w0^2 - 3 h* = {disc} <= 0")
-    a = math.sqrt(disc) / 3
+    a, h_star = separatrix_scale(w0, C0_sq)
     root3a = math.sqrt(3 * a)
     sh = cmath.sinh(root3a * t)
     if sh == 0:

@@ -455,11 +455,6 @@ class PuiseuxSeries:
             den = append_rational(d, den, -s, a0 * den)
         return PuiseuxSeries.from_dense(-v, self._step, d, den, _exp_add(rel, -v))
 
-    def divide(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self * other.invert()
-
-    __truediv__ = divide
-
     def sqrt(self) -> "PuiseuxSeries":
         """Square root; the leading coefficient must be the square of a
         rational.  The root of an odd leading exponent is half-integer.
@@ -498,7 +493,11 @@ class PuiseuxSeries:
                                         self._den * L, _exp_add(self._trunc, -1))
 
     def antiderivative(self) -> "LogSeries":
-        """Termwise primitive with zero constants; the 1/t term feeds log t."""
+        """Termwise primitive with zero constants; the 1/t term feeds log t,
+        so the truncation must lie above t^-1."""
+        if self._trunc != INF and self._trunc <= -1:
+            raise InsufficientOrderError(
+                f"log coefficient unknowable at truncation t^{self._trunc}")
         logc = Q(0)
         b, s, L = self._integer_exponents()
         coeffs = list(self._coeffs)

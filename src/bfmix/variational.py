@@ -96,12 +96,15 @@ def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 def _frobenius_one(q: PuiseuxSeries, rho: Fraction, other: Fraction,
-                   step: Fraction, max_exp) -> Tuple[PuiseuxSeries, bool]:
+                   step: Fraction) -> Tuple[PuiseuxSeries, bool]:
     """Monic series solution at exponent rho; flags a forced logarithm.
 
     a_k (e(e-1) - c2) = sum_{m<k} a_m q_{k-m} at e = rho + k*step, where q_j
     is the coefficient of t^(j*step - 2); a_k and q_j are held as integer
-    numerators over one denominator each.
+    numerators over one denominator each.  The recursion stops at the first
+    q_k at or beyond q's truncation, so every coefficient it returns is
+    exact; stopping short of a resonance on the lattice leaves the log test
+    undecided and raises InsufficientOrderError.
     """
     c2 = q.coefficient(Q(-2))
     exps = dict(q.terms())
@@ -111,12 +114,8 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction, other: Fraction,
     a_den = 1
     log_needed = False
     k = 1
-    if q.truncation_order == INF and max_exp == INF:
-        max_exp = rho + 40 * step
-    while True:
+    while k * step - 2 < q.truncation_order:
         e = rho + k * step
-        if e - 2 >= q.truncation_order or e > max_exp:
-            break
         c = exps.get(k * step - 2, 0)
         qs.append(c.numerator * (q_den // c.denominator) if c else 0)
         rhs = sum(map(mul, a, qs[k:0:-1]))
@@ -130,20 +129,28 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction, other: Fraction,
             a_den = append_rational(a, a_den, rhs * bracket.denominator,
                                     a_den * q_den * bracket.numerator)
         k += 1
-    return (PuiseuxSeries.from_dense(rho, step, a, a_den, rho + k * step),
-            log_needed)
+    trunc = rho + k * step
+    if trunc <= other and ((other - rho) / step).denominator == 1:
+        raise InsufficientOrderError(
+            f"resonance at t^{other} lies beyond the exact terms (below "
+            f"t^{trunc}) of the solution at t^{rho}")
+    return PuiseuxSeries.from_dense(rho, step, a, a_den, trunc), log_needed
 
 
-def frobenius(q: PuiseuxSeries, order=INF) -> FrobeniusBasis:
-    """Solve xi'' = q(t) xi locally at the regular singular point t = 0."""
+def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
+    """Solve xi'' = q(t) xi locally at the regular singular point t = 0.
+
+    ``q`` must be truncated: the bases are exact below the order its
+    truncation certifies."""
+    if q.truncation_order == INF:
+        raise ValueError("frobenius needs a truncated coefficient series")
     if q.base_exponent < -2:
         raise IrregularSingularityError(
             f"pole of order {-q.base_exponent} > 2 at t = 0")
     rho1, rho2 = _indicial_roots(q.coefficient(Q(-2)))
     step = Q(1, q.ramification)
-    # exponent difference must sit on the step lattice or resonance is moot
-    sol1, log1 = _frobenius_one(q, rho2, rho1, step, order)
-    sol2_monic, log2 = _frobenius_one(q, rho1, rho2, step, order)
+    sol1, log1 = _frobenius_one(q, rho2, rho1, step)
+    sol2_monic, log2 = _frobenius_one(q, rho1, rho2, step)
     sol2 = sol2_monic.scale(Q(1) / (rho1 - rho2))
     w = sol1 * sol2.differentiate() - sol1.differentiate() * sol2
     normalized = (w.coefficient(0) == 1

@@ -16,8 +16,13 @@ from typing import Optional
 
 from . import elliptic, heun, lame, melnikov, variational
 from .model import ModelParams
+from .series import InsufficientOrderError
 
 Q = Fraction
+
+#: series truncation orders analyze_case2 tries, in turn, until one decides;
+#: past the last the InsufficientOrderError propagates
+CASE2_ORDERS = (5, 10, 20, 40, 80)
 
 
 class OutOfScopeError(Exception):
@@ -46,12 +51,9 @@ class IntegrabilityVerdict:
 @dataclass
 class AnalyzeOptions:
     h: Fraction = Q(0)
-    order: int = 30
     action_I: Optional[Fraction | float] = None
     t0_min: float = 0.01
     t0_max: Optional[float] = None
-    choice: Optional[variational.HigherVEChoice] = None
-    scan: bool = True
 
 
 def params_snapshot(p: ModelParams) -> dict:
@@ -92,8 +94,7 @@ def classify(p: ModelParams, options: Optional[AnalyzeOptions] = None
     if case == "case1":
         return analyze_case1(p)
     if case == "case2":
-        return analyze_case2(p, opts.h, order=opts.order,
-                             choice=opts.choice, scan=opts.scan)
+        return analyze_case2(p, opts.h)
     return analyze_case3(p, opts)
 
 
@@ -131,9 +132,11 @@ def analyze_case1_direct(omega0, omega, g_bf, c_sum) -> IntegrabilityVerdict:
     return _case1_verdict(red, snapshot)
 
 
-def analyze_case2(p: ModelParams, h, order: int = 30,
-                  choice: Optional[variational.HigherVEChoice] = None,
-                  scan: bool = True) -> IntegrabilityVerdict:
+def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
+    """Case-2 verdict.  Every exact decision of the variational chain is
+    certified by the series truncation or raises InsufficientOrderError, so
+    the first of CASE2_ORDERS that decides gives the verdict of every higher
+    order."""
     snapshot = params_snapshot(p)
     snapshot["h"] = str(Q(h))
     if p.g_bf == 0:
@@ -184,20 +187,30 @@ def analyze_case2(p: ModelParams, h, order: int = 30,
             details=dict(details, reason=f"integer index n = {n} > 2: "
                          "higher-variational residue formulas not implemented"))
 
-    ch = choice or variational.STANDARD_CHOICES.get(
-        n, variational.HigherVEChoice())
+    for order in CASE2_ORDERS:
+        try:
+            return _case2_at_order(p, e, n, order, snapshot, details)
+        except InsufficientOrderError:
+            if order == CASE2_ORDERS[-1]:
+                raise
+
+
+def _case2_at_order(p: ModelParams, e: "elliptic.EllipticData", n: Fraction,
+                    order: int, snapshot: dict, details: dict
+                    ) -> IntegrabilityVerdict:
+    """The variational-chain verdict at one truncation order: the standard
+    solution choice, then the choice scan; raises InsufficientOrderError
+    when the order is too low to decide."""
+    ch = variational.STANDARD_CHOICES.get(n, variational.HigherVEChoice())
     ctx = variational.ve1_context(p, e, order)
     result = variational.higher_ve_residues(p, e, ch, order=order, context=ctx)
-    verdict = _ve_verdict(result, ch, snapshot, details, n)
+    verdict = _ve_verdict(result, ch, snapshot, details)
     if verdict is not None:
         return verdict
-    if scan:
-        for ch2, res2 in variational.scan_choices(p, e, order=order,
-                                                  context=ctx):
-            verdict = _ve_verdict(res2, ch2, snapshot, details, n,
-                                  scanned=True)
-            if verdict is not None:
-                return verdict
+    for ch2, res2 in variational.scan_choices(p, e, order=order, context=ctx):
+        verdict = _ve_verdict(res2, ch2, snapshot, details, scanned=True)
+        if verdict is not None:
+            return verdict
     return IntegrabilityVerdict(
         case_id="case2", outcome="NecessaryConditionsSurvived",
         witness=Witness("none"), params=snapshot,
@@ -214,8 +227,7 @@ def _choice_record(ch: variational.HigherVEChoice) -> dict:
 
 def _ve_verdict(result: variational.HigherVEResult,
                 ch: variational.HigherVEChoice, snapshot: dict, details: dict,
-                n: Fraction, scanned: bool = False
-                ) -> Optional[IntegrabilityVerdict]:
+                scanned: bool = False) -> Optional[IntegrabilityVerdict]:
     if result.ve1_log:
         return IntegrabilityVerdict(
             case_id="case2", outcome="NonIntegrable",

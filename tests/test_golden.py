@@ -59,3 +59,8 @@ def _assert_close(got, want, path="report"):
 def test_float_report_matches_golden_file(name):
     _assert_close(json.loads(golden.render(name)),
                   json.loads((golden.OUT / name).read_text()))
+
+
+def test_no_orphan_golden_file():
+    named = {*golden.REPORTS, *golden.CSVS}
+    assert {p.name for p in golden.OUT.iterdir()} == named

@@ -137,6 +137,11 @@ class TestCalculus:
     def test_antiderivative_power(self):
         assert S({2: 3}).antiderivative().regular == S({3: 1})
 
+    def test_antiderivative_needs_order_above_minus_one(self):
+        with pytest.raises(InsufficientOrderError):
+            S({-3: 1}, -1).antiderivative()
+        assert S({-3: 1}, Q(-1, 2)).antiderivative().log_coefficient == 0
+
     def test_antiderivative_mixed(self):
         ls = S({-2: 2, -1: 5}).antiderivative()
         assert ls.log_coefficient == 5

@@ -7,7 +7,7 @@ import pytest
 
 from bfmix import elliptic, variational as V
 from bfmix.model import make_params, make_params_c0sq
-from bfmix.series import PuiseuxSeries
+from bfmix.series import InsufficientOrderError, PuiseuxSeries
 from conftest import random_rational, random_series
 from helpers_eps import forcing_oracle
 
@@ -88,6 +88,19 @@ class TestFrobenius:
         with pytest.raises(V.IrregularSingularityError):
             V.frobenius(PuiseuxSeries({-3: 1}, 5))
 
+    def test_untruncated_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            V.frobenius(PuiseuxSeries({-2: 2}))
+
+    def test_resonance_beyond_truncation_raises(self):
+        # exponents (2, -1): the resonant a_3 of sol1 needs q up to t^1
+        with pytest.raises(InsufficientOrderError):
+            V.frobenius(PuiseuxSeries({-2: 2}, 1))
+        basis = V.frobenius(PuiseuxSeries({-2: 2}, 2))
+        assert not basis.log_in_basis
+        assert basis.sol1.truncation_order == 3
+        assert basis.sol2.truncation_order == 6
+
     def test_resonant_log_flag(self):
         # half-integer index with nonzero offset forces a logarithm at the
         # resonant exponent of the singular solution
@@ -95,6 +108,33 @@ class TestFrobenius:
         ve1 = V.build_ve1(p, E_REF, order=16)
         b = V.frobenius(ve1.normal[0])
         assert b.log_in_basis
+
+
+#: (g_bf, w_j, C0^2) of the index-1 and index-2 references and the index-1/2
+#: and 5/2 survivors, all at w0 = 1, h = 0
+REFERENCES = {"index1": (Q(1), Q(1), Q(1)), "index2": (Q(3), Q(2), Q(1)),
+              "half": (Q(3, 8), Q(1, 4), Q(1)),
+              "five_half": (Q(35, 8), Q(55, 28), Q(72, 343))}
+
+
+def reference_bases(name, order):
+    g, wj, c0sq = REFERENCES[name]
+    p = make_params_c0sq(1, [wj], c0sq, [0], g)
+    ve1 = V.build_ve1(p, elliptic.invariants_from_energy(1, c0sq, 0),
+                      order=order)
+    return [V.frobenius(q) for q in (ve1.tangential,) + ve1.normal]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_bases_agree_with_order_60(name):
+    """Every coefficient a basis claims is exact: at each order 6-30 the
+    tangential and normal sol1/sol2 agree with the order-60 bases."""
+    deep = reference_bases(name, 60)
+    for order in range(6, 31):
+        for basis, ref in zip(reference_bases(name, order), deep):
+            assert basis.sol1.agrees_with(ref.sol1), (order, "sol1")
+            assert basis.sol2.agrees_with(ref.sol2), (order, "sol2")
+            assert basis.log_in_basis == ref.log_in_basis
 
 
 class TestVE1Structure:

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from bfmix import cli, verdict
+from bfmix import cli, elliptic, lame, verdict
 from bfmix.model import make_params, make_params_c0sq
+from bfmix.series import InsufficientOrderError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -76,6 +77,8 @@ class TestClassify:
         assert v.witness.data["value"] == "8/5"
         assert v.witness.data.get("found_by_scan")
 
+    # builds and pipelines count the work at the deciding order 10; order 5
+    # before it costs one more VE1 build and one pipeline run, which raises
     @pytest.mark.parametrize("g, wj, c0sq, builds, pipelines", [
         (Q(3, 8), Q(1, 4), Q(1), 1, 5),        # survivor: standard + 4 picks
         (Q(3), Q(2), Q(1), 1, 2),              # index 2: first pick is a witness
@@ -90,7 +93,32 @@ class TestClassify:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(V, name, counted)
         verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
-        assert calls == {"build_ve1": builds, "higher_ve_residues": pipelines}
+        assert calls == {"build_ve1": builds + 1,
+                         "higher_ve_residues": pipelines + 1}
+
+    @pytest.mark.parametrize("g, wj, c0sq", [
+        (Q(1), [Q(1)], Q(1)), (Q(3), [Q(2)], Q(1)), (Q(3, 8), [Q(1, 4)], Q(1)),
+        (Q(35, 8), [Q(55, 28)], Q(72, 343)), (Q(3), [Q(2), Q(2)], Q(1))],
+        ids=["index1", "index2", "half", "five-half", "index2-nf2"])
+    def test_case2_verdict_is_order_independent(self, g, wj, c0sq):
+        """At each order 2-30 the per-order chain either raises or returns
+        the verdict and witness of the adaptive analysis."""
+        p = make_params_c0sq(1, wj, c0sq, [0] * len(wj), g)
+        want = verdict.analyze_case2(p, Q(0))
+        e = elliptic.invariants_from_energy(1, c0sq, 0)
+        n = lame.lame_index(p.g_bf)
+        base = {k: v for k, v in want.details.items()
+                if k not in ("ve3_residues", "reason")}
+        decided = []
+        for order in range(2, 31):
+            try:
+                got = verdict._case2_at_order(p, e, n, order, want.params,
+                                              base)
+            except InsufficientOrderError:
+                continue
+            assert got == want, order
+            decided.append(order)
+        assert decided and decided[-1] == 30
 
     def test_case3_simple_zeros(self):
         p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
@@ -132,7 +160,7 @@ class TestCli:
         out = tmp_path / "report.json"
         proc = run_cli("analyze", "case2", "--gbf", "1",
                        "--omega0", "1", "--omegaj", "1", "--c0sq", "1",
-                       "--h", "0", "--order", "16", "--json", str(out))
+                       "--h", "0", "--json", str(out))
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
         assert report["verdict"]["outcome"] == "NonIntegrable"
@@ -243,17 +271,57 @@ class TestCli:
 
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", "1",
-         "--c0sq", "1", "--h", "0", "--order", str(order)]
-        for order in (1, 2, 3, -1)]
-        + [["series", "--what", "mu3", "--order", "2"],
-           ["series", "--what", "mu2", "--order=-1"]],
-        ids=["case2-order1", "case2-order2", "case2-order3", "case2-order-1",
-             "series-mu3-order2", "series-mu2-order-1"])
+        ["series", "--what", "mu3", "--order", "2"],
+        ["series", "--what", "mu2", "--order=-1"]],
+        ids=["series-mu3-order2", "series-mu2-order-1"])
     def test_order_too_low_is_usage_error(self, argv, capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(
             "error: order too low to decide: ")
+
+    def test_case2_past_the_order_cap_is_usage_error(self, monkeypatch,
+                                                      capsys):
+        # index 1 first decides at order 4
+        monkeypatch.setattr(verdict, "CASE2_ORDERS", (2, 3))
+        assert cli.main(["analyze", "case2", "--gbf", "1", "--omega0", "1",
+                         "--omegaj", "1", "--c0sq", "1", "--h", "0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: order too low to decide: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "case1", "--omega0", "1", "--omega", "2", "--gbf", "1",
+         "--csum", "3", "--csv", "out.csv"],
+        ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", "1",
+         "--c0sq", "1", "--h", "0", "--csv", "out.csv"],
+        ["verify", "--which", "separatrix", "--csv", "out.csv"],
+        ["series", "--what", "wp", "--json", "out.json"],
+        ["sweep", "--omega0", "1", "--omega1", "1", "--c0sq", "1/100",
+         "--c1sq", "1", "--action", "3.0", "--json", "out.json"]],
+        ids=["case1-csv", "case2-csv", "verify-csv", "series-json",
+             "sweep-json"])
+    def test_output_flag_the_command_does_not_write(self, argv, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("extra", [
+        ["--t0-min", "nan"], ["--t0-max", "inf"], ["--t0-min=-inf"],
+        ["--t0-samples", str(cli.MAX_SWEEP_SAMPLES + 1)],
+        ["--t0-samples", "0"]],
+        ids=["t0min-nan", "t0max-inf", "t0min-minus-inf", "samples-above-cap",
+             "samples-zero"])
+    def test_sweep_range_is_checked(self, extra, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the range reached np.linspace")
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        assert cli.main(["sweep", "--omega0", "1", "--omega1", "1",
+                         "--c0sq", "1/100", "--c1sq", "1", "--action", "3.0",
+                         *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
 
     def test_case3_oval_threshold_exits_0(self, capsys):
         assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
@@ -297,7 +365,7 @@ class TestCli:
 
 class TestParser:
     ARGVS = (["analyze", "case2", "--gbf", "3", "--omega0", "1", "--omegaj",
-              "2", "--c0sq", "1", "--h", "0", "--order", "12"],
+              "2", "--c0sq", "1", "--h", "0"],
              ["analyze", "case3", "--omega0", "1", "--omega1", "1",
               "--c0sq", "1/100", "--c1sq", "1", "--action", "3.0"])
 
@@ -320,3 +388,9 @@ class TestParser:
             cli.main(list(self.ARGVS[1]) + ["--t0-samples", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--order", "30"], ["--no-scan"]],
+                             ids=["order", "no-scan"])
+    def test_case2_order_and_scan_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(self.ARGVS[0]) + flag)
+        assert exc.value.code == 2
