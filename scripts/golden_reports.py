@@ -14,8 +14,9 @@ Each file is the output of one command line of ``bfmix``:
 to match these files byte for byte, so a change to the series kernel or the
 variational pipeline that moves any digit shows.  The case-3 report holds
 floats: h* is a root from ``np.roots`` and depends on the platform's numpy,
-and the amplitudes, zeros and slopes are closed forms in floats, so the test
-compares its numbers to 1e-12 and the rest of it exactly.
+so the test compares the fields derived from it to 1e-12; the amplitudes,
+zeros and slopes are closed forms in floats, compared to 1e-15, and the rest
+of the report exactly.
 """
 from __future__ import annotations
 

@@ -28,7 +28,7 @@ def main():
           f"C0^2={args.c0sq} h={args.h}")
     print(f"{'pick_xi0':>9} {'pick_xij':>9} {'normal r1':>12} "
           f"{'normal r2':>12} {'tang r1':>9} {'tang r2':>9}  flags")
-    for ch, res in V.scan_choices(p, e, order=args.order):
+    for ch, res in V.scan_choices(V.ve1_context(p, e, args.order)):
         if res.ve1_log:
             print(f"{ch.pick_xi0:>9} {ch.pick_xij:>9}  logarithm already at "
                   f"first order")

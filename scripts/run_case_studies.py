@@ -19,9 +19,9 @@ def show(title, v):
 
 def main():
     show("case1: omega0=1, omega=2, g=1, sum C_j=3",
-         verdict.analyze_case1_direct(1, 2, 1, 3))
+         verdict.analyze_case1(1, 2, 1, 3))
     show("case1 boundary: g=0",
-         verdict.analyze_case1_direct(1, 2, 0, 3))
+         verdict.analyze_case1(1, 2, 0, 3))
 
     for label, (wj, g) in {
         "case2 index 1 (g=1, w_j=w0)": (Q(1), Q(1)),
@@ -39,7 +39,7 @@ def main():
 
     p3 = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
     show("case3: omega0=omega1=1, C0^2=1/100, C1^2=1, I=3",
-         verdict.classify(p3, verdict.AnalyzeOptions(action_I=3.0)))
+         verdict.classify(p3, action_I=3.0))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .series import PuiseuxSeries, append_rational
 Q = Fraction
 
 
-class DegenerateInvariantsError(Exception):
+class DegenerateInvariantsError(ValueError):
     """g2^3 - 27 g3^2 = 0: the elliptic parametrization collapses."""
 
 
@@ -86,8 +86,11 @@ def _wp_ode(e: EllipticData):
         return np.array([y[1], 6.0 * y[0] ** 2 - 0.5 * g2], dtype=complex)
     return f
 
+
 #: floor for the series-summation radius
-DEFAULT_SEED_RADIUS = 0.05
+SEED_RADIUS = 0.05
+#: relative tolerance of the continuation ODE
+ODE_RTOL = 1e-13
 
 _POLE_GUARD = 1e8
 _SERIES_ORDER = 60
@@ -100,9 +103,8 @@ def _tail_ok(tail_terms, t: complex, value: complex) -> bool:
     return tail <= 1e-14 * max(1.0, abs(value))
 
 
-def wp_numeric_with_derivative(e: EllipticData, t: complex,
-                               seed_radius: float = DEFAULT_SEED_RADIUS,
-                               rtol: float = 1e-13) -> Tuple[complex, complex]:
+def wp_numeric_with_derivative(e: EllipticData,
+                               t: complex) -> Tuple[complex, complex]:
     """(wp(t), wp'(t)): Laurent summation while the series tail certifies
     convergence, analytic continuation by the pole-free second-order ODE
     beyond that."""
@@ -118,20 +120,15 @@ def wp_numeric_with_derivative(e: EllipticData, t: complex,
     # walk the seed point inward along the ray until the tail certifies it
     r = abs(t)
     direction = t / r
-    while r > seed_radius:
+    while r > SEED_RADIUS:
         r *= 0.7
         val = series.evaluate(r * direction)
         if _tail_ok(tail, r * direction, val):
             break
-    r = max(r, seed_radius)
+    r = max(r, SEED_RADIUS)
     ts = r * direction
     y0 = np.array([series.evaluate(ts), dseries.evaluate(ts)], dtype=complex)
-    y, _ = integrate(_wp_ode(e), ts, y0, t, rtol=rtol, atol=1e-16)
+    y, _ = integrate(_wp_ode(e), ts, y0, t, rtol=ODE_RTOL, atol=1e-16)
     if abs(y[0]) > _POLE_GUARD:
         raise NearPoleError(f"wp overflow near t = {t}")
     return complex(y[0]), complex(y[1])
-
-
-def wp_numeric(e: EllipticData, t: complex,
-               seed_radius: float = DEFAULT_SEED_RADIUS) -> complex:
-    return wp_numeric_with_derivative(e, t, seed_radius)[0]

@@ -28,11 +28,11 @@ from .series import rational_sqrt
 Q = Fraction
 
 
-class UnequalFrequenciesError(Exception):
+class UnequalFrequenciesError(ValueError):
     """The reduction needs all transverse frequencies equal."""
 
 
-class AssumptionViolatedError(Exception):
+class AssumptionViolatedError(ValueError):
     """sum(C_j) = 0 defeats the reduction (B1 would vanish identically)."""
 
 

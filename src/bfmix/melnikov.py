@@ -31,7 +31,7 @@ RADIUS_TOL = 1e-6       # agreement melnikov_numeric requires of the radii
 MAX_ZEROS = 10 ** 4     # find_simple_zeros refuses a range holding more
 
 
-class InvalidActionError(Exception):
+class InvalidActionError(ValueError):
     """Action below the oval threshold: the oscillation amplitude is not real."""
 
 
@@ -78,7 +78,10 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
             f"{math.sqrt(2 * w1 * c1sq)}")
     if amp_sq and not amplitude:
         raise ValueError(f"amplitude^2 = {float(amp_sq)!r} underflows a float")
-    a, h_star = model.separatrix_scale(w0, c0sq)
+    try:
+        a, h_star = model.separatrix_scale(w0, c0sq)
+    except OverflowError as exc:
+        raise ValueError(f"separatrix out of float range: {exc}") from None
     radius = min(0.5, 0.5 * math.pi / math.sqrt(3 * a))
     return MelnikovSetup(omega0=w0, omega1=w1, C0_sq=c0sq, C1_sq=c1sq,
                          action_I=I, amplitude=amplitude,

@@ -30,7 +30,7 @@ class InvalidParameterError(ValueError):
     pass
 
 
-class NoSeparatrixError(Exception):
+class NoSeparatrixError(ValueError):
     pass
 
 

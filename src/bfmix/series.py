@@ -38,7 +38,7 @@ class ZeroDivisionSeriesError(SeriesError):
     """Inversion of a series that is zero to its truncation order."""
 
 
-class FieldExtensionError(SeriesError):
+class FieldExtensionError(SeriesError, ValueError):
     """Exact sqrt would leave the rationals (non-square leading coefficient)."""
 
 

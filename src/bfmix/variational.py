@@ -50,7 +50,7 @@ def qbar0_series(e: "elliptic.EllipticData", order) -> PuiseuxSeries:
     return qsq.sqrt()
 
 
-def build_ve1(p, e: "elliptic.EllipticData", order=20) -> VE1Coefficients:
+def build_ve1(p, e: "elliptic.EllipticData", order) -> VE1Coefficients:
     """Exact VE1 coefficient series at truncation exponent ``order``."""
     order = Q(order)
     wp = elliptic.wp_laurent(e, order + 4)
@@ -203,20 +203,15 @@ def variation_of_constants(basis: FrobeniusBasis,
 # ---------------------------------------------------------------------------
 
 def forcing_k2(qbar: PuiseuxSeries, C0_sq, g, xi0_1: PuiseuxSeries,
-               xij_1: Sequence[PuiseuxSeries],
-               qbar_inv5: Optional[PuiseuxSeries] = None):
-    """(K0^(2), [K_j^(2)]) for given first-order solution choices.
-
-    ``qbar_inv5`` is ``qbar.pow(5).invert()`` when the caller already has it.
-    """
+               xij_1: Sequence[PuiseuxSeries], qbar_inv5: PuiseuxSeries):
+    """(K0^(2), [K_j^(2)]) for given first-order solution choices;
+    ``qbar_inv5`` is ``qbar.pow(5).invert()``."""
     g = Q(g)
     C0_sq = Q(C0_sq)
     sum_sq = None
     for xj in xij_1:
         s = xj * xj
         sum_sq = s if sum_sq is None else sum_sq + s
-    if qbar_inv5 is None:
-        qbar_inv5 = qbar.pow(5).invert()
     k0 = (qbar * sum_sq).scale(2 * g) + (qbar * (xi0_1 * xi0_1)).scale(6) \
         + (qbar_inv5 * (xi0_1 * xi0_1)).scale(6 * C0_sq)
     kj = [(qbar * xi0_1 * xj).scale(4 * g) for xj in xij_1]
@@ -226,11 +221,9 @@ def forcing_k2(qbar: PuiseuxSeries, C0_sq, g, xi0_1: PuiseuxSeries,
 def forcing_k3(qbar: PuiseuxSeries, C0_sq, g,
                xi0_1: PuiseuxSeries, xij_1: Sequence[PuiseuxSeries],
                xi0_2: PuiseuxSeries, xij_2: Sequence[PuiseuxSeries],
-               qbar_inv6: Optional[PuiseuxSeries] = None):
-    """(K0^(3), [K_j^(3)]) from first- and second-order solution choices.
-
-    ``qbar_inv6`` is ``qbar.pow(6).invert()`` when the caller already has it.
-    """
+               qbar_inv6: PuiseuxSeries):
+    """(K0^(3), [K_j^(3)]) from first- and second-order solution choices;
+    ``qbar_inv6`` is ``qbar.pow(6).invert()``."""
     g = Q(g)
     C0_sq = Q(C0_sq)
     cross = None
@@ -243,8 +236,6 @@ def forcing_k3(qbar: PuiseuxSeries, C0_sq, g,
     k0 = (qbar * cross).scale(4 * g) + (xi0_1 * sum_sq).scale(2 * g) \
         + (xi0_1 * xi0_1 * xi0_1).scale(2) + (qbar * xi0_1 * xi0_2).scale(12)
     if C0_sq != 0:
-        if qbar_inv6 is None:
-            qbar_inv6 = qbar.pow(6).invert()
         k0 = k0 - (qbar_inv6 * ((xi0_1 * xi0_1 * xi0_1).scale(10)
                              - (qbar * xi0_1 * xi0_2).scale(12))).scale(C0_sq)
     kj = [((xi0_1 * xi0_1) * xj1).scale(2 * g)
@@ -316,14 +307,6 @@ class HigherVEResult:
     ve2_voc: Tuple[VOCResult, ...] = ()
     ve3_forcing: Tuple[PuiseuxSeries, ...] = ()
 
-    @property
-    def any_nonzero_residue(self) -> bool:
-        for b in self.normal_blocks + ((self.tangential_block,)
-                                       if self.tangential_block else ()):
-            if b.ve3_residue_first != 0 or b.ve3_residue_second != 0:
-                return True
-        return False
-
     def nonzero_witness(self):
         """(block, row, residue) of the first nonzero VE3 residue, or None."""
         for j, b in enumerate(self.normal_blocks):
@@ -341,12 +324,15 @@ class HigherVEResult:
 
 @dataclass(frozen=True)
 class VE1Context:
-    """First-order data of one parameter point, shared by every pick.
+    """First-order data of one parameter point at one truncation order,
+    shared by every pick: the only way into the VE2 -> VE3 chain.
 
     ``qbar_inv5`` and ``qbar_inv6`` are the powers of the orbit series that
     the C0^2 terms of K0^(2) and K0^(3) need.
     """
 
+    g: Fraction
+    C0_sq: Fraction
     ve1: VE1Coefficients
     tangential_basis: FrobeniusBasis
     normal_bases: Tuple[FrobeniusBasis, ...]
@@ -354,14 +340,15 @@ class VE1Context:
     qbar_inv6: PuiseuxSeries
 
 
-def ve1_context(p, e, order=30) -> VE1Context:
+def ve1_context(p, e, order) -> VE1Context:
     """Build VE1 and its Frobenius bases once for one parameter point."""
-    ve1 = build_ve1(p, e, order=Q(order))
+    ve1 = build_ve1(p, e, Q(order))
     qbar = ve1.qbar0
     if not qbar:
         raise InsufficientOrderError(
             f"q0 = 1/t + ... keeps no term below t^{order}")
-    return VE1Context(ve1=ve1, tangential_basis=frobenius(ve1.tangential),
+    return VE1Context(g=Q(p.g_bf), C0_sq=e.C0_sq, ve1=ve1,
+                      tangential_basis=frobenius(ve1.tangential),
                       normal_bases=tuple(frobenius(nj) for nj in ve1.normal),
                       qbar_inv5=qbar.pow(5).invert(),
                       qbar_inv6=qbar.pow(6).invert())
@@ -377,26 +364,19 @@ def _block_report(basis: FrobeniusBasis, k3: PuiseuxSeries) -> BlockReport:
                        ve3_residue_second=basis.sol1.product_residue(k3))
 
 
-def higher_ve_residues(p, e, choice: HigherVEChoice, order=30,
-                       context: Optional[VE1Context] = None) -> HigherVEResult:
-    """Run the VE2 -> VE3 chain with the given picks and report residues.
-
-    ``context`` is the point's :func:`ve1_context` at this ``order``; it is
-    built here when not given.
-    """
-    ctx = context or ve1_context(p, e, order)
+def higher_ve_residues(ctx: VE1Context,
+                       choice: HigherVEChoice) -> HigherVEResult:
+    """Run the VE2 -> VE3 chain with the given picks and report residues."""
     tb, nbs = ctx.tangential_basis, ctx.normal_bases
     ve1_log = tb.log_in_basis or any(b.log_in_basis for b in nbs)
     if ve1_log:
         return HigherVEResult(choice, tb, nbs, True, False, (), (), None, ())
 
-    qbar = ctx.ve1.qbar0
-    g = Q(p.g_bf)
+    qbar, g = ctx.ve1.qbar0, ctx.g
     xi0_1 = _pick(tb, choice.pick_xi0)
     xij_1 = [_pick(b, choice.pick_xij) for b in nbs]
 
-    k0_2, kj_2 = forcing_k2(qbar, e.C0_sq, g, xi0_1, xij_1,
-                            qbar_inv5=ctx.qbar_inv5)
+    k0_2, kj_2 = forcing_k2(qbar, ctx.C0_sq, g, xi0_1, xij_1, ctx.qbar_inv5)
     voc0 = variation_of_constants(tb, k0_2)
     vocj = [variation_of_constants(b, k) for b, k in zip(nbs, kj_2)]
     vocs = (voc0, *vocj)
@@ -409,8 +389,8 @@ def higher_ve_residues(p, e, choice: HigherVEChoice, order=30,
     xij_2 = [v.particular + _pick(b, choice.pick_xij_2)
              for v, b in zip(vocj, nbs)]
 
-    k0_3, kj_3 = forcing_k3(qbar, e.C0_sq, g, xi0_1, xij_1, xi0_2, xij_2,
-                            qbar_inv6=ctx.qbar_inv6)
+    k0_3, kj_3 = forcing_k3(qbar, ctx.C0_sq, g, xi0_1, xij_1, xi0_2, xij_2,
+                            ctx.qbar_inv6)
     blocks = tuple(_block_report(b, k) for b, k in zip(nbs, kj_3))
     residues = tuple(b.ve3_residue_first if choice.residue_row == "first"
                      else b.ve3_residue_second for b in blocks)
@@ -420,12 +400,11 @@ def higher_ve_residues(p, e, choice: HigherVEChoice, order=30,
                           ve3_forcing=(k0_3, *kj_3))
 
 
-def scan_choices(p, e, order=30, context: Optional[VE1Context] = None
+def scan_choices(ctx: VE1Context
                  ) -> Iterator[Tuple[HigherVEChoice, HigherVEResult]]:
     """Try the four pure first-order pick combinations, yielding each result
     as soon as it is computed, so a caller can stop at the first witness."""
-    ctx = context or ve1_context(p, e, order)
     for p0 in ("first", "second"):
         for pj in ("first", "second"):
             ch = HigherVEChoice(p0, pj, "second", "first", "first")
-            yield ch, higher_ve_residues(p, e, ch, order=order, context=ctx)
+            yield ch, higher_ve_residues(ctx, ch)

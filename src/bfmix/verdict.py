@@ -24,8 +24,11 @@ Q = Fraction
 #: past the last the InsufficientOrderError propagates
 CASE2_ORDERS = (5, 10, 20, 40, 80)
 
+#: left end of the window analyze_case3 reports the zeros on
+CASE3_T0_MIN = 0.01
 
-class OutOfScopeError(Exception):
+
+class OutOfScopeError(ValueError):
     """Parameter pattern the analysis does not cover (mixed centrifugal
     constants with several transverse modes: the variational system does not
     split)."""
@@ -46,14 +49,6 @@ class IntegrabilityVerdict:
     witness: Witness
     params: dict       # exact-string snapshot of the inputs
     details: dict = field(default_factory=dict)
-
-
-@dataclass
-class AnalyzeOptions:
-    h: Fraction = Q(0)
-    action_I: Optional[Fraction | float] = None
-    t0_min: float = 0.01
-    t0_max: Optional[float] = None
 
 
 def params_snapshot(p: ModelParams) -> dict:
@@ -82,9 +77,10 @@ def _case_of(p: ModelParams) -> str:
         "system does not split into closed blocks; not analyzed")
 
 
-def classify(p: ModelParams, options: Optional[AnalyzeOptions] = None
-             ) -> IntegrabilityVerdict:
-    opts = options or AnalyzeOptions()
+def classify(p: ModelParams, h=0, action_I=None) -> IntegrabilityVerdict:
+    """Verdict for model parameters: the arguments of the point's case, then
+    that case's analysis.  ``h`` is the case-2 energy level and ``action_I``
+    the case-3 frozen action."""
     case = _case_of(p)
     if p.g_bf == 0:
         return IntegrabilityVerdict(
@@ -92,44 +88,34 @@ def classify(p: ModelParams, options: Optional[AnalyzeOptions] = None
             params=params_snapshot(p),
             details={"reason": "g_bf = 0 decouples the system"})
     if case == "case1":
-        return analyze_case1(p)
+        red = heun.reduce_from_params(p)
+        return analyze_case1(p.omega0, red.omega, p.g_bf, red.c_sum)
     if case == "case2":
-        return analyze_case2(p, opts.h)
-    return analyze_case3(p, opts)
+        return analyze_case2(p, h)
+    if action_I is None:
+        raise ValueError("case 3 needs the frozen action (action_I)")
+    return analyze_case3(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
+                         action_I)
 
 
-def analyze_case1(p: ModelParams) -> IntegrabilityVerdict:
-    red = heun.reduce_from_params(p)
-    return _case1_verdict(red, params_snapshot(p))
+def analyze_case1(omega0, omega, g_bf, c_sum) -> IntegrabilityVerdict:
+    """Case-1 verdict from the common frequency omega (w_j = omega^2/2).
 
-
-def _case1_verdict(red: heun.HeunReduction, snapshot: dict) -> IntegrabilityVerdict:
-    details = {
-        "A1": str(red.A1), "B1": str(red.B1),
-        "A": str(red.A), "B": str(red.B),
-        "omega": str(red.omega), "c_sum": str(red.c_sum),
-    }
-    if red.B != 0:
-        return IntegrabilityVerdict(
-            case_id="case1", outcome="NonIntegrable",
-            witness=Witness("heun_B", {"B": str(red.B)}),
-            params=snapshot, details=details)
-    return IntegrabilityVerdict(
-        case_id="case1", outcome="Separable",
-        witness=Witness("none"), params=snapshot,
-        details=dict(details, reason="B = 0 forces g_bf = 0: Euler equation"))
-
-
-def analyze_case1_direct(omega0, omega, g_bf, c_sum) -> IntegrabilityVerdict:
-    """Case-1 verdict from the common frequency omega itself (w_j = omega^2/2)."""
+    B = g c_sum / (4 omega^3) is nonzero exactly when g is: omega > 0, and
+    reduce_case1 rejects c_sum = 0."""
     red = heun.reduce_case1(omega0, omega, g_bf, c_sum)
-    snapshot = {"omega0": str(Q(omega0)), "omega": str(Q(omega)),
-                "g_bf": str(Q(g_bf)), "c_sum": str(Q(c_sum))}
-    if Q(g_bf) == 0:
+    snapshot = {"omega0": str(red.omega0), "omega": str(red.omega),
+                "g_bf": str(red.g_bf), "c_sum": str(red.c_sum)}
+    if red.g_bf == 0:
         return IntegrabilityVerdict(
             case_id="case1", outcome="Separable", witness=Witness("none"),
             params=snapshot, details={"B": str(red.B)})
-    return _case1_verdict(red, snapshot)
+    return IntegrabilityVerdict(
+        case_id="case1", outcome="NonIntegrable",
+        witness=Witness("heun_B", {"B": str(red.B)}), params=snapshot,
+        details={"A1": str(red.A1), "B1": str(red.B1),
+                 "A": str(red.A), "B": str(red.B),
+                 "omega": str(red.omega), "c_sum": str(red.c_sum)})
 
 
 def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
@@ -203,11 +189,11 @@ def _case2_at_order(p: ModelParams, e: "elliptic.EllipticData", n: Fraction,
     when the order is too low to decide."""
     ch = variational.STANDARD_CHOICES.get(n, variational.HigherVEChoice())
     ctx = variational.ve1_context(p, e, order)
-    result = variational.higher_ve_residues(p, e, ch, order=order, context=ctx)
-    verdict = _ve_verdict(result, ch, snapshot, details)
+    verdict = _ve_verdict(variational.higher_ve_residues(ctx, ch), ch,
+                          snapshot, details)
     if verdict is not None:
         return verdict
-    for ch2, res2 in variational.scan_choices(p, e, order=order, context=ctx):
+    for ch2, res2 in variational.scan_choices(ctx):
         verdict = _ve_verdict(res2, ch2, snapshot, details, scanned=True)
         if verdict is not None:
             return verdict
@@ -265,32 +251,19 @@ def _ve_verdict(result: variational.HigherVEResult,
     return None
 
 
-def analyze_case3(p: ModelParams, opts: AnalyzeOptions) -> IntegrabilityVerdict:
-    if opts.action_I is None:
-        raise ValueError("case 3 needs the frozen action (options.action_I)")
-    s = melnikov.setup(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
-                       opts.action_I)
-    return _case3_verdict(s, opts.t0_min, opts.t0_max, params_snapshot(p))
-
-
-def analyze_case3_direct(omega0, omega1, c0sq, c1sq, action, t0_min: float,
-                         t0_max: Optional[float]) -> IntegrabilityVerdict:
+def analyze_case3(omega0, omega1, c0sq, c1sq, action) -> IntegrabilityVerdict:
     """Case-3 verdict from C1^2 itself: C1 enters the splitting only through
-    its square."""
+    its square.  The zeros k pi / theta are reported on the window
+    [CASE3_T0_MIN, CASE3_T0_MIN + 1.05 pi / sqrt(2 w1)], 2.1 zero spacings
+    long."""
     s = melnikov.setup(omega0, omega1, c0sq, c1sq, action)
     snapshot = {"omega0": str(Q(omega0)), "omega1": str(Q(omega1)),
                 "C0_sq": str(Q(c0sq)), "C1_sq": str(Q(c1sq)),
                 "action_I": repr(s.action_I)}
-    return _case3_verdict(s, t0_min, t0_max, snapshot)
-
-
-def _case3_verdict(s: melnikov.MelnikovSetup, t0_min: float,
-                   t0_max: Optional[float], snapshot: dict
-                   ) -> IntegrabilityVerdict:
     A = melnikov.predicted_amplitude(s)
-    if t0_max is None:
-        t0_max = t0_min + 1.05 * math.pi / math.sqrt(2 * s.omega1)
-    zeros = melnikov.find_simple_zeros(s, t0_min, t0_max)
+    zeros = melnikov.find_simple_zeros(
+        s, CASE3_T0_MIN,
+        CASE3_T0_MIN + 1.05 * math.pi / math.sqrt(2 * s.omega1))
     # the fitted_* fields keep their names; the sine form is exact, so the
     # fit residual is 0, or inf (relative to |A|) when A is exactly 0
     details = {

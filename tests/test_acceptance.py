@@ -50,7 +50,7 @@ def case2_params(n, w0, wj, c0sq, h, n_f=1):
 def run_case2(n, w0, wj, c0sq, h, n_f=1, order=16, choice=None):
     p, e = case2_params(n, w0, wj, c0sq, h, n_f)
     ch = choice or V.STANDARD_CHOICES[Q(n)]
-    return V.higher_ve_residues(p, e, ch, order=order)
+    return V.higher_ve_residues(V.ve1_context(p, e, order), ch)
 
 
 Point = namedtuple("Point", "p e ve1 tb nbs")
@@ -59,7 +59,7 @@ Point = namedtuple("Point", "p e ve1 tb nbs")
 def case2_point(n, w0, wj, c0sq, h, n_f=1, order=16):
     """VE1 and its Frobenius bases at one elliptic-plane parameter point."""
     p, e = case2_params(n, w0, wj, c0sq, h, n_f)
-    ve1 = V.build_ve1(p, e, order=order)
+    ve1 = V.build_ve1(p, e, order)
     return Point(p, e, ve1, V.frobenius(ve1.tangential),
                  [V.frobenius(q) for q in ve1.normal])
 
@@ -80,13 +80,16 @@ def log_rows(pt, xi0, xij, third=True):
     log-free.
     """
     bases = [pt.tb, *pt.nbs]
-    k0, kj = V.forcing_k2(pt.ve1.qbar0, pt.e.C0_sq, pt.p.g_bf, xi0, xij)
+    qbar = pt.ve1.qbar0
+    k0, kj = V.forcing_k2(qbar, pt.e.C0_sq, pt.p.g_bf, xi0, xij,
+                          qbar.pow(5).invert())
     vocs = [V.variation_of_constants(b, k) for b, k in zip(bases, [k0, *kj])]
     ve2 = [v.log_coefficients for v in vocs]
     if not third:
         return ve2, None
-    k0, kj = V.forcing_k3(pt.ve1.qbar0, pt.e.C0_sq, pt.p.g_bf, xi0, xij,
-                          vocs[0].particular, [v.particular for v in vocs[1:]])
+    k0, kj = V.forcing_k3(qbar, pt.e.C0_sq, pt.p.g_bf, xi0, xij,
+                          vocs[0].particular, [v.particular for v in vocs[1:]],
+                          qbar.pow(6).invert())
     ve3 = [((-(b.sol2 * k)).residue(), (b.sol1 * k).residue())
            for b, k in zip(bases, [k0, *kj])]
     return ve2, ve3
@@ -160,7 +163,8 @@ def test_criterion_02_index_two_mu2_expansion():
     pt = case2_point(2, w0, wj, c0sq, h, order=24)
     e, ve1, tb, nb = pt.e, pt.ve1, pt.tb, pt.nbs[0]
     bj = 4 * w0 - 2 * wj
-    _, kj = V.forcing_k2(ve1.qbar0, e.C0_sq, 3, tb.sol1, [nb.sol1])
+    _, kj = V.forcing_k2(ve1.qbar0, e.C0_sq, 3, tb.sol1, [nb.sol1],
+                         ve1.qbar0.pow(5).invert())
     mu2 = nb.sol1 * kj[0]
     stated = {Q(-7): Q(12), Q(-5): -4 * bj,
               Q(-3): Q(4, 3) * bj ** 2 - Q(12, 5) * e.g2,
@@ -201,7 +205,7 @@ def test_criterion_03_index_two_zero_offset_residue():
         if n_f == 1:
             got[w0] = run_case2(2, w0, 2 * w0, Q(1), Q(0)).residues[0]
         p, e = case2_params(2, w0, 2 * w0, Q(1), Q(0), n_f)
-        for ch, r2 in V.scan_choices(p, e, order=16):
+        for ch, r2 in V.scan_choices(V.ve1_context(p, e, 16)):
             w = r2.nonzero_witness()
             if w:
                 scanned[(w0, n_f)] = (ch.pick_xi0, ch.pick_xij) + w[1:]
@@ -374,7 +378,7 @@ def test_criterion_08_closed_form_residuals():
 
 def test_criterion_09_splitting_function():
     s = melnikov.setup(1, 1, Q(1, 100), 1, 3.0)
-    v = verdict.analyze_case3_direct(1, 1, Q(1, 100), 1, 3.0, 0.01, None)
+    v = verdict.analyze_case3(1, 1, Q(1, 100), 1, 3.0)
     A = complex(*v.witness.data["fitted_amplitude"])
     # residual of the reported sine form against the contour oracle
     resid = max(abs(A * math.sin(s.theta * t0)
@@ -419,8 +423,9 @@ def test_criterion_10_forcing_oracle_and_ring_axioms():
         b2 = [random_series(rng, lo=-2, hi=3, trunc=6)]
         if a.is_zero or b[0].is_zero:
             continue
-        k0_2, kj_2 = V.forcing_k2(qbar, c0sq, g, a, b)
-        k0_3, kj_3 = V.forcing_k3(qbar, c0sq, g, a, b, a2, b2)
+        k0_2, kj_2 = V.forcing_k2(qbar, c0sq, g, a, b, qbar.pow(5).invert())
+        k0_3, kj_3 = V.forcing_k3(qbar, c0sq, g, a, b, a2, b2,
+                                  qbar.pow(6).invert())
         o0_2, oj_2, o0_3, oj_3 = forcing_oracle(qbar, w0, wjs, c0sq, g,
                                                 a, b, a2, b2)
         if not (k0_2.agrees_with(o0_2) and k0_3.agrees_with(o0_3)
@@ -431,7 +436,7 @@ def test_criterion_10_forcing_oracle_and_ring_axioms():
 
     e = elliptic.invariants_from_energy(1, 1, 0)
     p = make_params(1, [1], 1, [0], 1)
-    ve1 = V.build_ve1(p, e, order=20)
+    ve1 = V.build_ve1(p, e, 20)
     for q in (ve1.tangential,) + ve1.normal:
         basis = V.frobenius(q)
         w = (basis.sol1 * basis.sol2.differentiate()

@@ -21,9 +21,8 @@ def s():
 @pytest.fixture(scope="module")
 def A():
     """The splitting amplitude the case-3 verdict reports at REF."""
-    v = verdict.analyze_case3_direct(REF["omega0"], REF["omega1"],
-                                     REF["C0_sq"], REF["C1_sq"],
-                                     REF["action_I"], 0.01, None)
+    v = verdict.analyze_case3(REF["omega0"], REF["omega1"], REF["C0_sq"],
+                              REF["C1_sq"], REF["action_I"])
     return complex(*v.witness.data["fitted_amplitude"])
 
 

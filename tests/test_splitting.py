@@ -26,8 +26,7 @@ case3_points = st.tuples(
 def _case3(omega0, omega1, c0sq, c1sq, action):
     """(setup, verdict) of one case-3 point at the default t0 range."""
     return (M.setup(omega0, omega1, c0sq, c1sq, action),
-            verdict.analyze_case3_direct(omega0, omega1, c0sq, c1sq, action,
-                                         0.01, None))
+            verdict.analyze_case3(omega0, omega1, c0sq, c1sq, action))
 
 
 @given(case3_points)

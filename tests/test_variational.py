@@ -34,7 +34,7 @@ class TestFrobenius:
         assert not basis.log_in_basis
 
     def test_tangential_solutions(self):
-        ve1 = V.build_ve1(P_N1, E_REF, order=16)
+        ve1 = V.build_ve1(P_N1, E_REF, 16)
         b = V.frobenius(ve1.tangential)
         assert b.exponents == (3, -2)
         # singular solution 1/t^2 - w0/3 - (3 g2/40 - w0^2/6) t^2 + ...
@@ -46,7 +46,7 @@ class TestFrobenius:
         assert b.sol2.coefficient(5) == Q(1, 35)
 
     def test_lame_n1_solutions(self):
-        ve1 = V.build_ve1(P_N1, E_REF, order=16)
+        ve1 = V.build_ve1(P_N1, E_REF, 16)
         b = V.frobenius(ve1.normal[0])
         bj = Q(2, 3) * 1 * 2 - 2 * 1          # canonical offset, here -2/3
         assert b.exponents == (2, -1)
@@ -59,7 +59,7 @@ class TestFrobenius:
     def test_lame_half_integer_ramification(self):
         p = make_params(1, [Q(55, 28)], 1, [0], Q(35, 8))
         e = elliptic.invariants_from_energy(1, Q(72, 343), 0)
-        ve1 = V.build_ve1(p, e, order=16)
+        ve1 = V.build_ve1(p, e, 16)
         b = V.frobenius(ve1.normal[0])
         assert b.exponents == (Q(7, 2), Q(-5, 2))
         assert b.sol2.base_exponent == Q(7, 2)
@@ -77,7 +77,7 @@ class TestFrobenius:
             except elliptic.DegenerateInvariantsError:
                 continue
             p = make_params_c0sq(w0, [wj], c0sq, [0], 1)
-            ve1 = V.build_ve1(p, e, order=18)
+            ve1 = V.build_ve1(p, e, 18)
             for q in (ve1.tangential,) + ve1.normal:
                 b = V.frobenius(q)
                 assert b.wronskian_normalized
@@ -105,7 +105,7 @@ class TestFrobenius:
         # half-integer index with nonzero offset forces a logarithm at the
         # resonant exponent of the singular solution
         p = make_params(1, [1], 1, [0], Q(3, 8))
-        ve1 = V.build_ve1(p, E_REF, order=16)
+        ve1 = V.build_ve1(p, E_REF, 16)
         b = V.frobenius(ve1.normal[0])
         assert b.log_in_basis
 
@@ -139,14 +139,14 @@ def test_bases_agree_with_order_60(name):
 
 class TestVE1Structure:
     def test_tangential_leading_terms(self):
-        ve1 = V.build_ve1(P_N1, E_REF, order=12)
+        ve1 = V.build_ve1(P_N1, E_REF, 12)
         assert ve1.tangential.coefficient(-2) == 6
         assert ve1.tangential.coefficient(0) == 2          # 2 w0
         # centrifugal part enters at t^4, poles stop at t^-2
         assert ve1.tangential.base_exponent == -2
 
     def test_normal_is_lame_form(self):
-        ve1 = V.build_ve1(P_N1, E_REF, order=12)
+        ve1 = V.build_ve1(P_N1, E_REF, 12)
         wp = elliptic.wp_laurent(E_REF, 12)
         bj = Q(4, 3) - 2
         target = wp.scale(2) + PuiseuxSeries.constant(bj)
@@ -154,11 +154,11 @@ class TestVE1Structure:
 
     def test_gbf_zero_decouples(self):
         p = make_params(1, [Q(5, 4)], 1, [0], 0)
-        ve1 = V.build_ve1(p, E_REF, order=10)
+        ve1 = V.build_ve1(p, E_REF, 10)
         assert ve1.normal[0] == PuiseuxSeries.constant(Q(-5, 2)).truncate(10)
 
     def test_tangential_singular_solution_is_orbit_derivative(self):
-        ve1 = V.build_ve1(P_N1, E_REF, order=16)
+        ve1 = V.build_ve1(P_N1, E_REF, 16)
         b = V.frobenius(ve1.tangential)
         minus_pbar = -ve1.qbar0.differentiate()
         assert b.sol1.agrees_with(minus_pbar)
@@ -184,9 +184,10 @@ class TestForcingOracle:
             xij_2 = [random_series(rng, lo=-2, hi=3, trunc=6) for _ in wjs]
             if xi0_1.is_zero or any(x.is_zero for x in xij_1):
                 continue
-            k0_2, kj_2 = V.forcing_k2(qbar, c0sq, g, xi0_1, xij_1)
+            k0_2, kj_2 = V.forcing_k2(qbar, c0sq, g, xi0_1, xij_1,
+                                      qbar.pow(5).invert())
             k0_3, kj_3 = V.forcing_k3(qbar, c0sq, g, xi0_1, xij_1,
-                                      xi0_2, xij_2)
+                                      xi0_2, xij_2, qbar.pow(6).invert())
             o0_2, oj_2, o0_3, oj_3 = forcing_oracle(
                 qbar, w0, wjs, c0sq, g, xi0_1, xij_1, xi0_2, xij_2)
             assert k0_2.agrees_with(o0_2)
@@ -200,23 +201,24 @@ class TestForcingOracle:
     def test_gbf_zero_kills_normal_forcing(self):
         qbar = V.qbar0_series(E_REF, 10)
         x = PuiseuxSeries({-1: 1}, 5)
-        _, kj = V.forcing_k2(qbar, 1, 0, x, [x])
+        _, kj = V.forcing_k2(qbar, 1, 0, x, [x], qbar.pow(5).invert())
         assert kj[0].is_zero
 
 
 class TestVariationOfConstants:
     def test_zero_forcing(self):
-        ve1 = V.build_ve1(P_N1, E_REF, order=14)
+        ve1 = V.build_ve1(P_N1, E_REF, 14)
         b = V.frobenius(ve1.tangential)
         voc = V.variation_of_constants(b, PuiseuxSeries.zero(trunc=8))
         assert voc.particular.is_zero
         assert voc.log_coefficients == (0, 0)
 
     def test_particular_solves_equation(self):
-        ve1 = V.build_ve1(P_N1, E_REF, order=24)
+        ve1 = V.build_ve1(P_N1, E_REF, 24)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, kj = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1])
+        k0, kj = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
+                              ve1.qbar0.pow(5).invert())
         voc0 = V.variation_of_constants(tb, k0)
         vocj = V.variation_of_constants(nb, kj[0])
         assert not series_residual(voc0.particular, ve1.tangential, k0)
@@ -224,10 +226,11 @@ class TestVariationOfConstants:
 
     def test_forced_particular_leading_terms(self):
         # second-order tangential particular: -(g Nf)/(2 t) + ...
-        ve1 = V.build_ve1(P_N1, E_REF, order=24)
+        ve1 = V.build_ve1(P_N1, E_REF, 24)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, _ = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1])
+        k0, _ = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
+                             ve1.qbar0.pow(5).invert())
         voc0 = V.variation_of_constants(tb, k0)
         assert voc0.particular.coefficient(-1) == Q(-1, 2)
 
@@ -237,7 +240,7 @@ def run_residues(n, w0, wj, c0sq, h, n_f=1, order=30, choice=None):
     p = make_params_c0sq(w0, [wj] * n_f, c0sq, [0] * n_f, g)
     e = elliptic.invariants_from_energy(w0, c0sq, h)
     ch = choice or V.STANDARD_CHOICES[Q(n)]
-    return V.higher_ve_residues(p, e, ch, order=order)
+    return V.higher_ve_residues(V.ve1_context(p, e, order), ch)
 
 
 class TestHigherVEResidues:
@@ -280,20 +283,20 @@ class TestHigherVEResidues:
     def test_index_two_standard_choice_sees_nothing(self):
         res = run_residues(2, Q(1), Q(2), Q(1), Q(0))
         assert res.residues == (Q(0),)
-        assert not res.any_nonzero_residue
+        assert res.nonzero_witness() is None
 
     def test_half_index_all_choices_silent(self):
         p = make_params(1, [Q(1, 4)], 1, [0], Q(3, 8))
-        for ch, res in V.scan_choices(p, E_REF, order=30):
+        for ch, res in V.scan_choices(V.ve1_context(p, E_REF, 30)):
             assert not res.ve1_log and not res.ve2_has_log
-            assert not res.any_nonzero_residue
+            assert res.nonzero_witness() is None
 
     def test_five_half_index_all_choices_silent(self):
         p = make_params_c0sq(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
         e = elliptic.invariants_from_energy(1, Q(72, 343), 0)
-        for ch, res in V.scan_choices(p, e, order=30):
+        for ch, res in V.scan_choices(V.ve1_context(p, e, 30)):
             assert not res.ve1_log and not res.ve2_has_log
-            assert not res.any_nonzero_residue
+            assert res.nonzero_witness() is None
 
     def test_tangential_rows_always_silent(self):
         res = run_residues(1, Q(1), Q(1), Q(1), Q(0))
@@ -313,16 +316,17 @@ class TestHigherVEResidues:
 class TestFloatCrossChecks:
     def test_contour_integral_matches_exact_residue(self):
         res = run_residues(1, Q(1), Q(1), Q(1), Q(0))
-        ve1 = V.build_ve1(P_N1, E_REF, order=30)
+        ve1 = V.build_ve1(P_N1, E_REF, 30)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, kj = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1])
+        k0, kj = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
+                              ve1.qbar0.pow(5).invert())
         voc0 = V.variation_of_constants(tb, k0)
         vocj = V.variation_of_constants(nb, kj[0])
         xi0_2 = voc0.particular + tb.sol2
         xij_2 = vocj.particular + nb.sol1
         _, kj3 = V.forcing_k3(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
-                              xi0_2, [xij_2])
+                              xi0_2, [xij_2], ve1.qbar0.pow(6).invert())
         mu = -(nb.sol2 * kj3[0])
         exact = mu.residue()
         assert exact == Q(2, 3)
@@ -341,10 +345,11 @@ class TestSecondOrderExpansions:
 
     def test_index_two_regular_normal_particular(self):
         p = make_params(1, [2], 1, [0], 3)
-        ve1 = V.build_ve1(p, E_REF, order=30)
+        ve1 = V.build_ve1(p, E_REF, 30)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, kj = V.forcing_k2(ve1.qbar0, 1, 3, tb.sol1, [nb.sol2])
+        k0, kj = V.forcing_k2(ve1.qbar0, 1, 3, tb.sol1, [nb.sol2],
+                              ve1.qbar0.pow(5).invert())
         vocj = V.variation_of_constants(nb, kj[0])
         xij_2 = vocj.particular + nb.sol2
         # -(3/5) t^2 + t^3/5 + ...
