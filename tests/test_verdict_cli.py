@@ -332,10 +332,16 @@ class TestCli:
         assert report["params"]["action_I"] == "0.1"
 
     @pytest.mark.parametrize("extra", [
-        ["--action", "nan"], ["--action", "inf"], ["--action", "1e400"]],
-        ids=["action-nan", "action-inf", "action-1e400"])
+        ["--action", "nan"], ["--action", "inf"], ["--action", "1e400"],
+        ["--action", "3.0", "--t0-max", "inf"],
+        ["--action", "3.0", "--t0-max", "1e300"],
+        ["--action", "3.0", "--t0-min", "nan"],
+        ["--action", "3.0", "--t0-min=-inf"]],
+        ids=["action-nan", "action-inf", "action-1e400", "t0max-inf",
+             "t0max-1e300", "t0min-nan", "t0min-minus-inf"])
     def test_unbounded_case3_input_is_usage_error(self, extra, capsys):
-        # argparse rejects a non-rational --action by SystemExit(2)
+        # argparse rejects a non-rational --action by SystemExit(2); the
+        # zero window is fixed, so any --t0-min/--t0-max is refused as well
         try:
             code = cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
                              "1", "--c0sq", "1/100", "--c1sq", "1", *extra])
