@@ -6,8 +6,8 @@
 Each file is the output of one command line of ``bfmix``:
 
 * ``bfmix analyze`` JSON reports, without ``timing_seconds``, for the
-  ``scripts/run_case_studies.py`` points and an index-2 point with two
-  transverse modes;
+  ``scripts/run_case_studies.py`` points, an index-2 point with two
+  transverse modes and an index-4 point;
 * ``bfmix series --what wp|qbar|ve1|mu2|mu3`` CSVs for three points.
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
@@ -49,6 +49,8 @@ REPORTS = {
     "case2_nonlattice.json": _case2("1/3", "1"),
     "case2_index_five_half.json": _case2("35/8", "55/28", c0sq="72/343"),
     "case2_index2_b0_nf2.json": _case2("3", "2,2"),
+    "case2_index3.json": _case2("6", "1"),
+    "case2_index4.json": _case2("10", "1"),
     "case3_splitting.json": ["analyze", "case3", "--omega0=1", "--omega1=1",
                              "--c0sq=1/100", "--c1sq=1", "--action=3.0"],
 }

@@ -27,6 +27,7 @@ def main():
         "case2 index 1 (g=1, w_j=w0)": (Q(1), Q(1)),
         "case2 index 2, B_j=0 (g=3, w_j=2 w0)": (Q(2), Q(3)),
         "case2 index 2, B_j!=0 (g=3, w_j=w0)": (Q(1), Q(3)),
+        "case2 index 3 (g=6, w_j=w0)": (Q(1), Q(6)),
         "case2 index 1/2 surviving (g=3/8, w_j=w0/4)": (Q(1, 4), Q(3, 8)),
         "case2 non-lattice coupling (g=1/3)": (Q(1), Q(1, 3)),
     }.items():

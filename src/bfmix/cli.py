@@ -261,10 +261,8 @@ def _series_rows(args):
             yield f"# normal_{j + 1}"
             yield from nj.to_csv_rows()
         return
-    n = lame.lame_index(p.g_bf)
-    choice = variational.STANDARD_CHOICES.get(
-        n, variational.HigherVEChoice()) if n is not None \
-        else variational.HigherVEChoice()
+    choice = variational.STANDARD_CHOICES.get(lame.lame_index(p.g_bf),
+                                              variational.HigherVEChoice())
     if args.pick_xi0 or args.pick_xij:
         choice = variational.HigherVEChoice(
             args.pick_xi0 or choice.pick_xi0,

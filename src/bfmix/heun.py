@@ -56,8 +56,8 @@ class HeunReduction:
 def reduce_case1(omega0, omega, g_bf, c_sum) -> HeunReduction:
     """Reduction constants from the common frequency omega (w_j = omega^2/2)."""
     omega0, omega, g_bf, c_sum = Q(omega0), Q(omega), Q(g_bf), Q(c_sum)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if omega0 <= 0 or omega <= 0:
+        raise ValueError("omega0 and omega must be positive")
     if c_sum == 0:
         raise AssumptionViolatedError("sum of C_j vanishes")
     a1 = 2 * omega0

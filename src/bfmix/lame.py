@@ -110,15 +110,14 @@ def p_coefficients_from_invariants(omega0, omega_j, C0_sq, g_bf) -> PCoefficient
     return PCoefficients(a1, a2, b1, b2, c1, c2, d1, d2)
 
 
-def lame_data(p, j_indices=None) -> LameData:
+def lame_data(p) -> LameData:
     """Per-block Lame index, offsets and P-coefficients for model parameters."""
     n = lame_index(p.g_bf)
     if n is None:
         raise ValueError(f"2 g_bf = {2 * Q(p.g_bf)} is not n(n+1) for rational n")
-    js = range(p.n_f) if j_indices is None else j_indices
-    B = tuple(lame_offset(p.omega0, p.omegas[j], n) for j in js)
-    coeffs = tuple(p_coefficients(p.omega0, p.omegas[j], p.C0_sq, p.g_bf)
-                   for j in js)
+    B = tuple(lame_offset(p.omega0, wj, n) for wj in p.omegas)
+    coeffs = tuple(p_coefficients(p.omega0, wj, p.C0_sq, p.g_bf)
+                   for wj in p.omegas)
     return LameData(n=n, B_j=B, coeffs=coeffs)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import elliptic
-from .odeint import Trajectory, integrate
+from .odeint import integrate
 from .series import FieldExtensionError, rational_sqrt
 
 Q = Fraction
@@ -210,6 +210,9 @@ def solution_case1(p: ModelParams, h_j: Sequence, t0: complex, t: complex) -> Ph
         raise InvalidParameterError("case 1 requires C0 = 0")
     if any(c == 0 for c in p.Cs):
         raise InvalidParameterError("case 1 requires every C_j nonzero")
+    if len(h_j) != p.n_f:
+        raise InvalidParameterError(
+            f"{len(h_j)} energies h_j for {p.n_f} transverse modes")
     qs, ps = [], []
     for j in range(p.n_f):
         wj = float(p.omegas[j])
@@ -360,27 +363,23 @@ def case1_residual(p: ModelParams, h_j: Sequence, t0: complex,
 
 
 def case2_residual(p: ModelParams, e, t: complex) -> float:
-    """Residual of the elliptic invariant-plane solution in the q0 equation."""
-    wp, wp_prime = elliptic.wp_numeric_with_derivative(e, t)
-    w0 = float(p.omega0)
-    c0sq = float(e.C0_sq)
-    q0_sq = 2 * w0 / 3 + wp
-    q0 = cmath.sqrt(q0_sq)
-    if (q0 * t).real < 0:
-        q0 = -q0
-    p0 = wp_prime / (2 * q0)
+    """Residual of the elliptic invariant-plane solution in the q0 equation.
+
+    ``q0^2 = (2/3) w0 + wp`` is differentiated twice through the Weierstrass
+    relations ``wp'' = 6 wp^2 - g2/2`` and ``wp'^2 = 4 wp^3 - g2 wp - g3``.
+    """
+    s = solution_case2(p, e, t)
+    q0_sq = s.q0 * s.q0
+    wp = q0_sq - 2 * float(p.omega0) / 3
     g2, g3 = float(e.g2), float(e.g3)
     wp_second = 6 * wp * wp - g2 / 2
     wp_prime_sq = 4 * wp ** 3 - g2 * wp - g3
-    q0_ddot = wp_second / (2 * q0) - wp_prime_sq / (4 * q0_sq * q0)
-    rhs = -2 * w0 * q0 + 2 * q0 ** 3 + c0sq / q0 ** 3
-    return abs(q0_ddot - rhs)
+    q0_ddot = wp_second / (2 * s.q0) - wp_prime_sq / (4 * q0_sq * s.q0)
+    return abs(q0_ddot - eom(p, s).p0)
 
 
 def separatrix_residual(omega0, C0_sq, t: complex) -> float:
     """Residual of the separatrix formula in the one-degree q0 equation."""
-    w0 = float(omega0)
-    c0sq = float(C0_sq)
     q0, p0, a, h_star = separatrix_case3(omega0, C0_sq, t)
     root3a = math.sqrt(3 * a)
     sh = cmath.sinh(root3a * t)
@@ -390,18 +389,6 @@ def separatrix_residual(omega0, C0_sq, t: complex) -> float:
     u_ddot = 18 * a * a * (3 * ch ** 2 - sh ** 2) / sh ** 4
     q0_dot = u_dot / (2 * q0)
     q0_ddot = u_ddot / (2 * q0) - u_dot ** 2 / (4 * u * q0)
-    rhs = -2 * w0 * q0 + 2 * q0 ** 3 + c0sq / q0 ** 3
-    return max(abs(q0_dot - p0), abs(q0_ddot - rhs))
-
-
-def trajectory_csv_rows(p: ModelParams, traj: Trajectory):
-    """Rows 't_re,t_im,q0_re,q0_im,p0_re,p0_im,...,energy_re,energy_im'."""
-    for t, y in zip(traj.times, traj.states):
-        s = vector_to_state(y, t)
-        energy = hamiltonian(p, s)
-        vals = [t.real, t.imag]
-        for z in [s.q0, s.p0, *s.qs, *s.ps]:
-            z = complex(z)
-            vals.extend([z.real, z.imag])
-        vals.extend([energy.real, energy.imag])
-        yield ",".join(repr(v) for v in vals)
+    rhs = eom(make_params_c0sq(omega0, [], C0_sq, [], 0),
+              PhaseState(q0, p0, (), (), t))
+    return max(abs(q0_dot - rhs.q0), abs(q0_ddot - rhs.p0))

@@ -19,6 +19,9 @@ class SingularityEncounteredError(Exception):
         super().__init__(message or f"step-size underflow near t = {t_estimate}")
 
 
+#: step count after which integrate gives up
+MAX_STEPS = 10 ** 6
+
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     [],
@@ -27,9 +30,9 @@ _A = [
     [44 / 45, -56 / 15, 32 / 9],
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    # the fifth-order weights: the last stage is evaluated at the new point
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 
@@ -49,7 +52,6 @@ class Trajectory:
 def integrate(f: Callable[[complex, np.ndarray], np.ndarray],
               t0: complex, y0, t1: complex,
               rtol: float = 1e-10, atol: float = 1e-12,
-              max_steps: int = 10 ** 6,
               record: bool = False) -> Tuple[np.ndarray, Trajectory]:
     """Integrate dy/dt = f(t, y) from t0 to t1 along the straight segment."""
     y = np.asarray(y0, dtype=complex).copy()
@@ -64,7 +66,7 @@ def integrate(f: Callable[[complex, np.ndarray], np.ndarray],
     s = 0.0                       # arclength progressed along the segment
     hs = min(length, length / 100 + 1e-8)
     fcur = f(t0, y)
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if s >= length:
             return y, traj
         hs = min(hs, length - s)
@@ -74,7 +76,7 @@ def integrate(f: Callable[[complex, np.ndarray], np.ndarray],
         for i in range(1, 7):
             yi = y + h * sum(a * kk for a, kk in zip(_A[i], k))
             k.append(f(t + _C[i] * h, yi))
-        y5 = y + h * sum(b * kk for b, kk in zip(_B5, k))
+        y5 = yi
         y4 = y + h * sum(b * kk for b, kk in zip(_B4, k))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = np.sqrt(np.mean(np.abs((y5 - y4) / scale) ** 2))

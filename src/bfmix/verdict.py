@@ -45,7 +45,6 @@ class Witness:
 class IntegrabilityVerdict:
     case_id: str       # case1 | case2 | case3
     outcome: str       # NonIntegrable | Separable | NecessaryConditionsSurvived
-                       # | Unsupported
     witness: Witness
     params: dict       # exact-string snapshot of the inputs
     details: dict = field(default_factory=dict)
@@ -164,14 +163,6 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
                              "failed_conditions": [[cid, str(r)] for cid, r
                                                    in v.failed_conditions]}),
             params=snapshot, details=details)
-
-    if n.denominator == 1 and n > 2:
-        return IntegrabilityVerdict(
-            case_id="case2", outcome="Unsupported",
-            witness=Witness("none"),
-            params=snapshot,
-            details=dict(details, reason=f"integer index n = {n} > 2: "
-                         "higher-variational residue formulas not implemented"))
 
     for order in CASE2_ORDERS:
         try:

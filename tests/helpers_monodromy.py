@@ -40,8 +40,10 @@ from bfmix.odeint import integrate
 #: perturbation size; the odd/even Richardson readings keep a relative error
 #: of order eps^4 from the nonlinear terms
 EPS = 2e-3
-#: half side of the square loop, inside the orbit's other singularities
-RADIUS = 0.45
+#: half side of the square loop.  The start point sits where the perturbation
+#: ``eps * sol1 ~ eps r^-n`` is still small, which index 4 needs; the corners
+#: (``r sqrt 2 = 0.85``) stay inside the orbit's other singularities
+RADIUS = 0.6
 #: relative tolerance of the Dormand-Prince integration
 RTOL = 1e-11
 

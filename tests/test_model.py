@@ -238,10 +238,3 @@ class TestIntegrator:
         p = make_params(1, [1], 0, [1], 0)
         with pytest.raises(model.InvalidParameterError):
             model.integrate_orbit(p, PhaseState(1, 0, (1,), (0,)), 1.0, tol=0)
-
-    def test_csv_rows(self):
-        p = make_params(1, [1], 0, [1], 0)
-        traj, _ = model.integrate_orbit(p, PhaseState(1, 0, (1,), (0,)), 0.5)
-        rows = list(model.trajectory_csv_rows(p, traj))
-        assert len(rows) == len(traj.times)
-        assert len(rows[0].split(",")) == 2 + 4 + 4 + 2

@@ -21,6 +21,9 @@ def test_run_case_studies():
     lines = run_script("run_case_studies.py")
     i = lines.index("== case2 index 5/2 surviving triple")
     assert lines[i + 1].split()[:2] == ["outcome:", "NecessaryConditionsSurvived"]
+    i = lines.index("== case2 index 3 (g=6, w_j=w0)")
+    assert lines[i + 1].split()[:4] == ["outcome:", "NonIntegrable",
+                                        "witness:", "ve_residue"]
 
 
 def test_residue_survey():

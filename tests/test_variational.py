@@ -10,6 +10,11 @@ from bfmix.model import make_params, make_params_c0sq
 from bfmix.series import InsufficientOrderError, PuiseuxSeries
 from conftest import random_rational, random_series
 from helpers_eps import forcing_oracle
+from helpers_monodromy import monodromy_rows
+
+#: largest distance allowed between a monodromy-oracle reading and the exact
+#: value
+ORACLE_TOL = 1e-3
 
 E_REF = elliptic.invariants_from_energy(1, 1, 0)
 P_N1 = make_params(1, [1], 1, [0], 1)
@@ -239,7 +244,7 @@ def run_residues(n, w0, wj, c0sq, h, n_f=1, order=30, choice=None):
     g = Q(n) * (Q(n) + 1) / 2
     p = make_params_c0sq(w0, [wj] * n_f, c0sq, [0] * n_f, g)
     e = elliptic.invariants_from_energy(w0, c0sq, h)
-    ch = choice or V.STANDARD_CHOICES[Q(n)]
+    ch = choice or V.STANDARD_CHOICES.get(Q(n), V.HigherVEChoice())
     return V.higher_ve_residues(V.ve1_context(p, e, order), ch)
 
 
@@ -303,6 +308,23 @@ class TestHigherVEResidues:
         assert res.tangential_block.ve3_residue_first == 0
         assert res.tangential_block.ve3_residue_second == 0
 
+    @pytest.mark.parametrize("n, wj, c0sq, h, value", [
+        (3, Q(1), Q(1), Q(0), Q(-128, 275)),
+        (3, Q(2), Q(1), Q(0), Q(-17728, 5775)),
+        (3, Q(1, 3), Q(2), Q(1), Q(243328, 51975)),
+        (4, Q(1), Q(1), Q(0), Q(-20641024, 3972969)),
+        (4, Q(2), Q(1), Q(0), Q(-161536, 57915)),
+        (4, Q(1, 3), Q(2), Q(1), Q(-2485584320, 107270163))])
+    def test_integer_index_above_two(self, n, wj, c0sq, h, value):
+        # default choice: row 1 of the normal block is the witness; every
+        # other VE2 and VE3 row is zero
+        res = run_residues(n, Q(1), wj, c0sq, h)
+        assert all(r == (0, 0) for r in res.ve2_log_coefficients)
+        assert res.nonzero_witness() == ("normal_1", "first", value)
+        assert res.normal_blocks[0].ve3_residue_second == 0
+        assert res.tangential_block.ve3_residue_first == 0
+        assert res.tangential_block.ve3_residue_second == 0
+
     def test_residue_invariant_under_second_order_picks(self):
         vals = set()
         for p02 in ("first", "second"):
@@ -337,6 +359,27 @@ class TestFloatCrossChecks:
             total += mu.evaluate(tk) * tk
         numeric = total / m
         assert abs(numeric - complex(exact)) <= 1e-6 * abs(complex(exact))
+
+    @pytest.mark.parametrize("n, wj, c0sq, h", [
+        (3, Q(1, 3), Q(2), Q(1)), (4, Q(1), Q(1), Q(0))],
+        ids=["index3", "index4"])
+    def test_integer_index_witness_matches_monodromy_oracle(self, n, wj,
+                                                             c0sq, h):
+        p = make_params_c0sq(1, [wj], c0sq, [0], Q(n * (n + 1), 2))
+        ctx = V.ve1_context(p, elliptic.invariants_from_energy(1, c0sq, h),
+                            30)
+        res = V.higher_ve_residues(ctx, V.HigherVEChoice())
+        tb, nbs = ctx.tangential_basis, ctx.normal_bases
+        # the default choice picks xi0 = tb.sol2 and xi_j = nb.sol1
+        second, third = monodromy_rows(p, ctx.ve1.qbar0, tb, nbs, tb.sol2,
+                                       [nb.sol1 for nb in nbs])
+        ve3 = [(b.ve3_residue_first, b.ve3_residue_second)
+               for b in (res.tangential_block, *res.normal_blocks)]
+        for read, exact in ((second, res.ve2_log_coefficients), (third, ve3)):
+            assert len(read) == len(exact) == 1 + len(nbs)
+            for read_row, exact_row in zip(read, exact):
+                for x, y in zip(read_row, exact_row):
+                    assert abs(x - complex(y)) <= ORACLE_TOL
 
 
 class TestSecondOrderExpansions:

@@ -64,10 +64,12 @@ class TestClassify:
         v = verdict.classify(p)
         assert v.outcome == "NecessaryConditionsSurvived"
 
-    def test_case2_unsupported_large_integer_index(self):
+    def test_case2_large_integer_index(self):
         p = make_params(1, [1], 1, [0], 6)        # n = 3
         v = verdict.classify(p)
-        assert v.outcome == "Unsupported"
+        assert v.outcome == "NonIntegrable"
+        assert v.witness.kind == "ve_residue"
+        assert v.witness.data["value"] == "-128/275"
 
     def test_case2_index_two_found_by_scan(self):
         p = make_params(1, [2], 1, [0], 3)
@@ -98,8 +100,10 @@ class TestClassify:
 
     @pytest.mark.parametrize("g, wj, c0sq", [
         (Q(1), [Q(1)], Q(1)), (Q(3), [Q(2)], Q(1)), (Q(3, 8), [Q(1, 4)], Q(1)),
-        (Q(35, 8), [Q(55, 28)], Q(72, 343)), (Q(3), [Q(2), Q(2)], Q(1))],
-        ids=["index1", "index2", "half", "five-half", "index2-nf2"])
+        (Q(35, 8), [Q(55, 28)], Q(72, 343)), (Q(3), [Q(2), Q(2)], Q(1)),
+        (Q(6), [Q(1)], Q(1)), (Q(10), [Q(1)], Q(1))],
+        ids=["index1", "index2", "half", "five-half", "index2-nf2", "index3",
+             "index4"])
     def test_case2_verdict_is_order_independent(self, g, wj, c0sq):
         """At each order 2-30 the per-order chain either raises or returns
         the verdict and witness of the adaptive analysis."""
@@ -288,6 +292,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: order too low to decide: ")
 
+    def test_case2_index_past_the_order_cap_is_usage_error(self, capsys):
+        # index 20 decides at order 80, the last of CASE2_ORDERS; index 21
+        # needs more terms
+        assert cli.main(["analyze", "case2", "--gbf", "231", "--omega0", "1",
+                         "--omegaj", "1", "--c0sq", "1", "--h", "0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: order too low to decide: ")
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "case1", "--omega0", "1", "--omega", "2", "--gbf", "1",
          "--csum", "3", "--csv", "out.csv"],
@@ -374,10 +386,20 @@ class TestCli:
          "--c1sq", "1", "--action", "3"],
         ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", ",",
          "--c0sq", "1", "--h", "0"],
-        ["verify", "--which", "prop2", "--omegaj", ",", "--cj", ","]],
+        ["verify", "--which", "prop2", "--omegaj", ",", "--cj", ","],
+        ["verify", "--which", "prop1", "--omegaj", "1,2", "--cj", "1,1",
+         "--hj", "1"],
+        ["verify", "--which", "prop1", "--omegaj", "1", "--cj", "1",
+         "--hj", "1,2"],
+        ["analyze", "case1", "--omega0", "-1", "--omega", "2", "--gbf", "1",
+         "--csum", "3"],
+        ["analyze", "case1", "--omega0", "0", "--omega", "2", "--gbf", "0",
+         "--csum", "3"]],
         ids=["mu2-irrational-exponent", "mu3-irrational-exponent",
              "case3-omega0-overflow", "case3-c0sq-overflow",
-             "sweep-omega0-overflow", "case2-no-mode", "verify-no-mode"])
+             "sweep-omega0-overflow", "case2-no-mode", "verify-no-mode",
+             "verify-hj-short", "verify-hj-long", "case1-omega0-negative",
+             "case1-omega0-zero"])
     def test_domain_error_is_usage_error(self, argv, capsys):
         # an exception escaping main is what prints a traceback
         try:
