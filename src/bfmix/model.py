@@ -149,46 +149,71 @@ def normalize(raw: RawParams) -> ModelParams:
     return ModelParams(omega0, omegas, C0, Cs, g_bf)
 
 
+def _float_params(p: ModelParams):
+    """(w0, g, C0^2, w_j, C_j^2) as floats, converted once.  A C^2 that is
+    exactly zero is None: its centrifugal term is absent, and so is the
+    division by q0 or q_j that it would need."""
+    return (float(p.omega0), float(p.g_bf),
+            float(p.C0_sq) if p.C0_sq != 0 else None,
+            [float(w) for w in p.omegas],
+            [float(c * c) if c != 0 else None for c in p.Cs])
+
+
+def _energy(p: ModelParams):
+    """H as a float function of a state vector (q0, p0, q_1.., p_1..)."""
+    w0, g, c0sq, ws, cj_sq = _float_params(p)
+    n_f = len(ws)
+
+    def energy(y) -> complex:
+        q0, p0, *z = y.tolist()
+        if c0sq is not None and q0 == 0:
+            raise ZeroDivisionError("q0 = 0 with C0 != 0")
+        total = p0 * p0 / 2 + w0 * q0 * q0 - q0 ** 4 / 2
+        if c0sq is not None:
+            total += c0sq / (2 * q0 * q0)
+        sum_qj_sq = 0j
+        for j, (qj, pj, wj, cj) in enumerate(zip(z[:n_f], z[n_f:], ws, cj_sq)):
+            if cj is not None and qj == 0:
+                raise ZeroDivisionError(f"q_{j + 1} = 0 with C_{j + 1} != 0")
+            total += pj * pj / 2 + wj * qj * qj
+            if cj is not None:
+                total += cj / (2 * qj * qj)
+            sum_qj_sq += qj * qj
+        total -= g * q0 * q0 * sum_qj_sq
+        return total
+    return energy
+
+
+def _vector_field(p: ModelParams):
+    """The canonical vector field as a float function f(t, y) of a state
+    vector y = (q0, p0, q_1.., p_1..); returns the derivatives as a list."""
+    w0, g, c0sq, ws, cj_sq = _float_params(p)
+    n_f = len(ws)
+
+    def f(t, y) -> list:
+        q0, p0, *z = y.tolist()
+        qs = z[:n_f]
+        sum_qj_sq = sum(q ** 2 for q in qs)
+        dp0 = -2 * w0 * q0 + 2 * q0 ** 3 + 2 * g * q0 * sum_qj_sq
+        if c0sq is not None:
+            dp0 += c0sq / q0 ** 3
+        dps = []
+        for qj, wj, cj in zip(qs, ws, cj_sq):
+            dpj = -2 * wj * qj + 2 * g * q0 * q0 * qj
+            if cj is not None:
+                dpj += cj / qj ** 3
+            dps.append(dpj)
+        return [p0, dp0, *z[n_f:], *dps]
+    return f
+
+
 def hamiltonian(p: ModelParams, s: PhaseState) -> complex:
-    q0, p0 = complex(s.q0), complex(s.p0)
-    if p.C0_sq != 0 and q0 == 0:
-        raise ZeroDivisionError("q0 = 0 with C0 != 0")
-    total = p0 * p0 / 2 + float(p.omega0) * q0 * q0 - q0 ** 4 / 2
-    if p.C0_sq != 0:
-        total += float(p.C0_sq) / (2 * q0 * q0)
-    sum_qj_sq = 0j
-    for j in range(p.n_f):
-        qj, pj = complex(s.qs[j]), complex(s.ps[j])
-        cj = p.Cs[j]
-        if cj != 0 and qj == 0:
-            raise ZeroDivisionError(f"q_{j + 1} = 0 with C_{j + 1} != 0")
-        total += pj * pj / 2 + float(p.omegas[j]) * qj * qj
-        if cj != 0:
-            total += float(cj * cj) / (2 * qj * qj)
-        sum_qj_sq += qj * qj
-    total -= float(p.g_bf) * q0 * q0 * sum_qj_sq
-    return total
+    return _energy(p)(state_to_vector(s))
 
 
 def eom(p: ModelParams, s: PhaseState) -> PhaseState:
     """Canonical vector field; derivatives are returned in the state slots."""
-    q0 = complex(s.q0)
-    sum_qj_sq = sum(complex(q) ** 2 for q in s.qs)
-    dq0 = complex(s.p0)
-    dp0 = (-2 * float(p.omega0) * q0 + 2 * q0 ** 3
-           + 2 * float(p.g_bf) * q0 * sum_qj_sq)
-    if p.C0_sq != 0:
-        dp0 += float(p.C0_sq) / q0 ** 3
-    dqs, dps = [], []
-    for j in range(p.n_f):
-        qj = complex(s.qs[j])
-        dqs.append(complex(s.ps[j]))
-        dpj = (-2 * float(p.omegas[j]) * qj
-               + 2 * float(p.g_bf) * q0 * q0 * qj)
-        if p.Cs[j] != 0:
-            dpj += float(p.Cs[j] ** 2) / qj ** 3
-        dps.append(dpj)
-    return PhaseState(dq0, dp0, tuple(dqs), tuple(dps), s.t)
+    return vector_to_state(_vector_field(p)(s.t, state_to_vector(s)), s.t)
 
 
 def state_to_vector(s: PhaseState) -> np.ndarray:
@@ -322,17 +347,12 @@ def integrate_orbit(p: ModelParams, s0: PhaseState, t_end: complex,
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
-    def f(t, y):
-        return state_to_vector(eom(p, vector_to_state(y, t)))
-
+    energy = _energy(p)
     y0 = state_to_vector(s0)
-    h0 = hamiltonian(p, s0)
-    _, traj = integrate(f, s0.t, y0, t_end, rtol=tol, atol=tol * 1e-2,
-                        record=True)
-    drift = 0.0
-    for t, y in zip(traj.times, traj.states):
-        ht = hamiltonian(p, vector_to_state(y, t))
-        drift = max(drift, abs(ht - h0))
+    h0 = energy(y0)
+    _, traj = integrate(_vector_field(p), s0.t, y0, t_end, rtol=tol,
+                        atol=tol * 1e-2, record=True)
+    drift = max(abs(energy(y) - h0) for y in traj.states)
     return traj, drift
 
 

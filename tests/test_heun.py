@@ -5,6 +5,7 @@ import pytest
 
 from bfmix import heun, model
 from bfmix.model import PhaseState, make_params
+from bfmix.odeint import integrate
 from conftest import random_rational
 
 
@@ -73,6 +74,17 @@ class TestTransformConsistency:
         tight = heun.transform_consistency(red, np.linspace(0.1, 1.0, 6),
                                            rtol=1e-12)
         assert tight < loose
+
+    def test_one_integrate_call_per_segment(self, monkeypatch):
+        segments = []
+
+        def counted(f, t0, y0, t1, **kw):
+            segments.append((t0, t1))
+            return integrate(f, t0, y0, t1, **kw)
+        monkeypatch.setattr(heun, "integrate", counted)
+        grid = np.linspace(0.1, 1.0, 10)
+        heun.transform_consistency(heun.reduce_case1(1, 2, 1, 3), grid)
+        assert segments == list(zip(grid[:-1], grid[1:]))
 
     def test_euler_exponents_at_b_zero(self):
         red = heun.reduce_case1(1, 2, 0, 3)

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from bfmix import elliptic, model
 from bfmix.model import PhaseState, RawParams, make_params
+from bfmix.odeint import integrate
 from conftest import random_rational
 
 
@@ -233,6 +235,29 @@ class TestIntegrator:
         target = model.solution_case2(p, e, 1.0)
         assert abs(traj.states[-1][0] - target.q0) < 1e-6
         assert abs(traj.states[-1][1] - target.p0) < 1e-6
+
+    def test_orbit_field_is_eom(self, monkeypatch, rng):
+        """integrate_orbit integrates eom's vector field, with a C0 term and
+        with a C_j = 0 mode, which has no centrifugal term (its q_j starts
+        at 0)."""
+        fields = []
+
+        def spy(f, *args, **kw):
+            fields.append(f)
+            return integrate(f, *args, **kw)
+        monkeypatch.setattr(model, "integrate", spy)
+        p = make_params(Q(3, 2), [Q(1), Q(2, 3)], Q(1, 2), [Q(0), Q(3, 4)],
+                        Q(2, 5))
+        s0 = PhaseState(0.8, 0.1, (0.0, 0.9), (0.2, -0.1), 0.0)
+        model.integrate_orbit(p, s0, 0.2)
+        f, = fields
+        for _ in range(20):
+            c = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                 for _ in range(7)]
+            s = PhaseState(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6])
+            got = np.asarray(f(s.t, model.state_to_vector(s)), dtype=complex)
+            want = model.state_to_vector(model.eom(p, s))
+            assert np.array_equal(got, want)
 
     def test_tolerance_validation(self):
         p = make_params(1, [1], 0, [1], 0)
