@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     c1.add_argument("--csum", type=parse_rational, required=True)
 
     c2 = an_sub.add_parser("case2", parents=[json_out],
-                           help="C0 != 0, all C_j = 0")
+                           help="all C_j = 0, any C0")
     c2.add_argument("--gbf", type=parse_rational, required=True)
     c2.add_argument("--omega0", type=parse_rational, required=True)
     c2.add_argument("--omegaj", type=parse_rational_list, required=True,

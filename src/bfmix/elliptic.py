@@ -76,7 +76,9 @@ def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
         den = append_rational(a, den, p, q)
         m += 1
     # exponents -2, 0, 2, 4, ...: 1/t^2, no constant, then a_1 t^2, ...
-    return PuiseuxSeries.from_dense(Q(-2), Q(2), [den, 0] + a, den, order)
+    L = order.denominator
+    return PuiseuxSeries.from_dense(L, -2 * L, 2 * L, [den, 0] + a, den,
+                                    order.numerator)
 
 
 def _wp_ode(e: EllipticData):

@@ -234,8 +234,8 @@ def theorem5_check(c: PCoefficients, n) -> Theorem5Verdict:
                 ok = False
         else:
             # m = 0 mod 6: the stated alternatives leave this unconstrained
-            v.notes.append(f"m={m} is 0 mod 6: no clause applies; treated as fail")
-            ok = False
+            v.notes.append(f"m={m} is 0 mod 6: no clause applies; the "
+                           "variational chain decides")
         if ok:
             v.passed_case = "case2_m"
             if m % 6 == 3:

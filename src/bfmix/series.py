@@ -5,11 +5,15 @@ A series is a finite set of terms ``c * t**e`` with exponents on a lattice
 truncation are unknown.  All arithmetic tracks how far the result can be
 trusted, so a residue read off a series is either exact or raises.
 
-Terms are stored densely: a base exponent, a lattice step and the integer
-numerators of the coefficients at ``base + k * step`` over one common
-denominator, so a product is an integer convolution followed by a single
-reduction.  Only :meth:`PuiseuxSeries.evaluate` leaves the rationals, for
-numeric cross-checks of the exact pipeline.
+Terms are stored densely on one lattice denominator ``L`` per series: an
+integer base ``b``, an integer step ``s`` and an integer truncation ``t``
+(or :data:`INF`), so the k-th stored exponent is ``(b + k*s) / L``, and the
+integer numerators of the coefficients over one common denominator.  Exponent
+bookkeeping is then integer arithmetic, a product is an integer convolution
+followed by a single reduction, and ``Fraction``s are built only where a
+caller asks for an exponent or a coefficient.  Only
+:meth:`PuiseuxSeries.evaluate` leaves the rationals, for numeric cross-checks
+of the exact pipeline.
 """
 from __future__ import annotations
 
@@ -25,9 +29,7 @@ Exponent = Fraction
 INF = math.inf
 
 #: relative order used when expanding an exact (untruncated) unit, e.g. 1/(1+t)
-DEFAULT_REL_ORDER = Fraction(16)
-
-_ONE = Fraction(1)
+DEFAULT_REL_ORDER = 16
 
 
 class SeriesError(Exception):
@@ -46,22 +48,13 @@ class InsufficientOrderError(SeriesError):
     """A requested coefficient lies at or beyond the truncation order."""
 
 
-def _exp_add(a, b):
-    if a == INF or b == INF:
-        return INF
-    return a + b
-
-
-def _exp_min(a, b):
-    if a == INF:
-        return b
-    if b == INF:
-        return a
-    return min(a, b)
-
-
 def _as_exponent(e) -> Exponent:
     return e if isinstance(e, Fraction) else Fraction(e)
+
+
+def _exponent(x, L: int):
+    """The exponent x / L as a Fraction, or INF."""
+    return INF if x == INF else Fraction(x, L)
 
 
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -84,22 +77,11 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
 
 # -- dense coefficient lists ---------------------------------------------------
 
-def _lattice_gcd(x: Fraction, y: Fraction) -> Fraction:
-    """Largest step s with x and y both in s * ZZ (x, y >= 0)."""
-    return Fraction(math.gcd(x.numerator * y.denominator,
-                             y.numerator * x.denominator),
-                    x.denominator * y.denominator)
-
-
-def _ceil_div(span: Fraction, step: Fraction) -> int:
-    return -((-span) // step)
-
-
-def _count_below(n: int, base: Fraction, step: Fraction, trunc) -> int:
+def _count_below(n: int, base: int, step: int, trunc) -> int:
     """How many of the first n lattice points base + k*step lie below trunc."""
     if trunc == INF:
         return n
-    return max(0, min(n, _ceil_div(trunc - base, step)))
+    return max(0, min(n, -((base - trunc) // step)))
 
 
 def _spread(coeffs: list, r: int) -> list:
@@ -144,14 +126,16 @@ def append_rational(nums: List[int], den: int, p: int, q: int) -> int:
 class PuiseuxSeries:
     """Immutable truncated Puiseux series with rational coefficients.
 
-    The known terms are ``coeffs[k] / den * t**(base + k * step)`` with
-    integer ``coeffs`` and ``den``; ``trunc`` is the first unknown exponent
-    (may be :data:`INF` for exact polynomials).  The form is canonical --
-    nonzero end coefficients, the coarsest step and a denominator sharing no
-    factor with all the numerators -- so equal series have equal fields.
+    The known terms are ``coeffs[k] / den * t**((base + k * step) / L)``
+    with integers ``L, base, step, coeffs, den``; ``trunc / L`` is the first
+    unknown exponent (``trunc`` may be :data:`INF` for exact polynomials).
+    The form is canonical -- nonzero end coefficients, the coarsest step (1
+    for a single term; base 0 and step 1 for no term), a denominator sharing
+    no factor with all the numerators, and ``L, base, step, trunc`` sharing
+    no common factor -- so equal series have equal fields.
     """
 
-    __slots__ = ("_base", "_step", "_coeffs", "_den", "_trunc")
+    __slots__ = ("_L", "_base", "_step", "_coeffs", "_den", "_trunc")
 
     def __init__(self, terms: Dict[Exponent, Fraction], trunc=INF):
         if trunc != INF:
@@ -163,29 +147,34 @@ class PuiseuxSeries:
             if c != 0 and (trunc == INF or e < trunc):
                 clean[e] = clean.get(e, 0) + c
         values = {e: c for e, c in clean.items() if c != 0}
-        base, step, den = Fraction(0), _ONE, 1
+        L = math.lcm(*(e.denominator for e in values),
+                     1 if trunc == INF else trunc.denominator)
+        t = INF if trunc == INF else trunc.numerator * (L // trunc.denominator)
+        base, step, den = 0, L, 1
         coeffs: list = []
         if values:
-            exps = sorted(values)
-            base = exps[0]
-            step = Fraction(0)
-            for e in exps[1:]:
-                step = _lattice_gcd(step, e - base)
-            step = step or _ONE
-            coeffs = [0] * (int((exps[-1] - base) / step) + 1)
+            xs = {e.numerator * (L // e.denominator): c
+                  for e, c in values.items()}
+            base = min(xs)
+            step = math.gcd(*(x - base for x in xs)) or L
             den = math.lcm(*(c.denominator for c in values.values()))
-            for e, c in values.items():
-                k = int((e - base) / step)
-                coeffs[k] = c.numerator * (den // c.denominator)
-        self._base, self._step, self._coeffs = base, step, coeffs
-        self._den, self._trunc = den, trunc
+            coeffs = [0] * ((max(xs) - base) // step + 1)
+            for x, c in xs.items():
+                coeffs[(x - base) // step] = c.numerator * (den // c.denominator)
+        self._set(L, base, step, coeffs, den, t)
 
     @classmethod
-    def from_dense(cls, base: Fraction, step: Fraction, coeffs: List[int],
+    def from_dense(cls, L: int, base: int, step: int, coeffs: List[int],
                    den: int, trunc) -> "PuiseuxSeries":
-        """The series sum_k coeffs[k] / den * t**(base + k * step), cut below
-        ``trunc``, from integer ``coeffs`` and a positive integer ``den``.
-        Base, step and a finite trunc are Fractions."""
+        """The series sum_k coeffs[k] / den * t**((base + k * step) / L), cut
+        below t**(trunc / L), from positive integers ``L``, ``step`` and
+        ``den``, integers ``base`` and ``coeffs``, and an integer ``trunc``
+        or INF."""
+        s = cls.__new__(cls)
+        s._set(L, base, step, coeffs, den, trunc)
+        return s
+
+    def _set(self, L, base, step, coeffs, den, trunc) -> None:
         n = _count_below(len(coeffs), base, step, trunc)
         while n and not coeffs[n - 1]:
             n -= 1
@@ -193,11 +182,11 @@ class PuiseuxSeries:
         while i < n and not coeffs[i]:
             i += 1
         if i == n:
-            coeffs, base, step, den = [], Fraction(0), _ONE, 1
+            coeffs, base, step, den = [], 0, L, 1
         else:
             if i or n < len(coeffs):
                 coeffs = coeffs[i:n]
-                base = base + i * step
+                base += i * step
             g = 0
             for k, c in enumerate(coeffs):
                 if c:
@@ -205,19 +194,30 @@ class PuiseuxSeries:
                     if g == 1:
                         break
             if g == 0:
-                step = _ONE
+                step = L
             elif g > 1:
                 coeffs = coeffs[::g]
-                step = step * g
+                step *= g
             if den != 1:
                 g = math.gcd(den, *coeffs)
                 if g != 1:
                     coeffs = [c // g for c in coeffs]
                     den //= g
-        s = cls.__new__(cls)
-        s._base, s._step, s._coeffs = base, step, coeffs
-        s._den, s._trunc = den, trunc
-        return s
+        g = math.gcd(L, base, step)
+        if g != 1 and trunc != INF:
+            g = math.gcd(g, trunc)
+        if g != 1:
+            L, base, step = L // g, base // g, step // g
+            if trunc != INF:
+                trunc //= g
+        self._L, self._base, self._step, self._coeffs = L, base, step, coeffs
+        self._den, self._trunc = den, trunc
+
+    def dense(self) -> Tuple[int, int, int, List[int], int, object]:
+        """(L, base, step, coeffs, den, trunc): the arguments of
+        :meth:`from_dense` that give this series."""
+        return (self._L, self._base, self._step, self._coeffs, self._den,
+                self._trunc)
 
     # -- construction helpers -------------------------------------------------
 
@@ -241,7 +241,7 @@ class PuiseuxSeries:
 
     @property
     def truncation_order(self):
-        return self._trunc
+        return _exponent(self._trunc, self._L)
 
     @property
     def is_zero(self) -> bool:
@@ -251,29 +251,25 @@ class PuiseuxSeries:
     @property
     def base_exponent(self):
         """Leading exponent (valuation); trunc when the series shows no term."""
-        return self._base if self._coeffs else self._trunc
+        return _exponent(self._base if self._coeffs else self._trunc, self._L)
 
     @property
     def ramification(self) -> int:
-        """Smallest d with all stored exponents in (1/d)*ZZ."""
-        d = 1
-        for e, _ in self.terms():
-            d = math.lcm(d, e.denominator)
-        if self._trunc != INF:
-            d = math.lcm(d, self._trunc.denominator)
-        return d
+        """Smallest d with all stored exponents and the truncation in
+        (1/d)*ZZ."""
+        return self._L
 
     def terms(self) -> Iterator[Tuple[Exponent, Fraction]]:
         """(exponent, coefficient) of the nonzero terms, ascending."""
-        b, s, L = self._integer_exponents()
-        den = self._den
+        b, s, L, den = self._base, self._step, self._L, self._den
         return ((Fraction(b + k * s, L), Fraction(c, den))
                 for k, c in enumerate(self._coeffs) if c)
 
-    def _stored(self, e: Exponent) -> Fraction:
-        k = (e - self._base) / self._step
-        if k.denominator == 1 and 0 <= k < len(self._coeffs):
-            c = self._coeffs[int(k)]
+    def _stored(self, x: int) -> Fraction:
+        """The stored coefficient of t**(x / L)."""
+        k, r = divmod(x - self._base, self._step)
+        if r == 0 and 0 <= k < len(self._coeffs):
+            c = self._coeffs[k]
             if c:
                 return Fraction(c, self._den)
         return Q(0)
@@ -281,10 +277,12 @@ class PuiseuxSeries:
     def coefficient(self, e) -> Fraction:
         """Exact coefficient of t**e; raises if e is not known at this order."""
         e = _as_exponent(e)
-        if self._trunc != INF and e >= self._trunc:
+        x, d = e.numerator * self._L, e.denominator
+        if self._trunc != INF and x >= self._trunc * d:
             raise InsufficientOrderError(
-                f"coefficient of t^{e} unknown (truncation t^{self._trunc})")
-        return self._stored(e)
+                f"coefficient of t^{e} unknown (truncation "
+                f"t^{self.truncation_order})")
+        return Q(0) if x % d else self._stored(x // d)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -292,58 +290,69 @@ class PuiseuxSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return (self._trunc == other._trunc
-                and self._coeffs == other._coeffs and self._den == other._den
-                and (not self._coeffs or (self._base == other._base
-                                          and self._step == other._step)))
+        return (self._trunc == other._trunc and self._L == other._L
+                and self._base == other._base and self._step == other._step
+                and self._den == other._den and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        return hash((self._trunc, tuple(self.terms())))
+        return hash((self._L, self._base, self._step, self._trunc, self._den,
+                     tuple(self._coeffs)))
 
     def agrees_with(self, other: "PuiseuxSeries") -> bool:
         """Equality of all coefficients below the common truncation order."""
-        t = _exp_min(self._trunc, other._trunc)
+        t = min(self.truncation_order, other.truncation_order)
         return ({e: c for e, c in self.terms() if e < t}
                 == {e: c for e, c in other.terms() if e < t})
 
     # -- ring operations ------------------------------------------------------
 
-    def _cut(self, trunc) -> "PuiseuxSeries":
-        if trunc == self._trunc:
+    def _on(self, L: int):
+        """(base, step, trunc) on the lattice 1/L, a multiple of self's."""
+        f = L // self._L
+        if f == 1:
+            return self._base, self._step, self._trunc
+        return self._base * f, self._step * f, self._trunc * f
+
+    def _cut(self, L: int, trunc) -> "PuiseuxSeries":
+        """self cut below t**(trunc / L), on a multiple L of self's lattice."""
+        base, step, own = self._on(L)
+        if trunc == own:
             return self
-        return PuiseuxSeries.from_dense(self._base, self._step, self._coeffs,
+        return PuiseuxSeries.from_dense(L, base, step, self._coeffs,
                                         self._den, trunc)
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        t = _exp_min(self._trunc, other._trunc)
+        L = self._L if self._L == other._L else math.lcm(self._L, other._L)
+        b1, s1, t1 = self._on(L)
+        b2, s2, t2 = other._on(L)
+        t = min(t1, t2)
         if not other._coeffs:
-            return self._cut(t)
+            return self._cut(L, t)
         if not self._coeffs:
-            return other._cut(t)
-        base = min(self._base, other._base)
-        step = _lattice_gcd(_lattice_gcd(self._step, other._step),
-                            abs(self._base - other._base))
+            return other._cut(L, t)
+        base = min(b1, b2)
+        step = math.gcd(s1, s2, b1 - b2)
         den = self._den if self._den == other._den \
             else math.lcm(self._den, other._den)
         placed = []
-        for s in (self, other):
-            vals = s._coeffs
-            if s._den != den:
-                f = den // s._den
+        for vals, d, b, s in ((self._coeffs, self._den, b1, s1),
+                              (other._coeffs, other._den, b2, s2)):
+            if d != den:
+                f = den // d
                 vals = [c * f for c in vals]
-            r = int(s._step / step)
-            off = int((s._base - base) / step)
+            r = s // step
+            off = (b - base) // step
             placed.append((off, off + (len(vals) - 1) * r + 1, r, vals))
         out = [0] * max(end for _, end, _, _ in placed)
         for off, end, r, vals in placed:
             out[off:end:r] = list(map(add, out[off:end:r], vals))
-        return PuiseuxSeries.from_dense(base, step, out, den, t)
+        return PuiseuxSeries.from_dense(L, base, step, out, den, t)
 
     def __neg__(self) -> "PuiseuxSeries":
         s = PuiseuxSeries.__new__(PuiseuxSeries)
-        s._base, s._step, s._den = self._base, self._step, self._den
+        s._L, s._base, s._step, s._den = self._L, self._base, self._step, self._den
         s._coeffs = [-c for c in self._coeffs]
         s._trunc = self._trunc
         return s
@@ -351,44 +360,43 @@ class PuiseuxSeries:
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
 
-    def _product_trunc(self, other: "PuiseuxSeries"):
+    def _product_lattice(self, other: "PuiseuxSeries"):
+        """(L, step, a, b, base, trunc) of self * other: both coefficient
+        lists re-gridded on one step of the common lattice 1/L."""
+        L = self._L if self._L == other._L else math.lcm(self._L, other._L)
+        b1, s1, t1 = self._on(L)
+        b2, s2, t2 = other._on(L)
         # each factor is exact below its trunc; the product is exact below
         # min(val_a + trunc_b, val_b + trunc_a)
-        return _exp_min(_exp_add(self.base_exponent, other._trunc),
-                        _exp_add(other.base_exponent, self._trunc))
-
-    def _on_common_lattice(self, other: "PuiseuxSeries"):
-        """(step, a, b): both coefficient lists re-gridded on one step."""
-        step = _lattice_gcd(self._step, other._step)
-        return (step, _spread(self._coeffs, int(self._step / step)),
-                _spread(other._coeffs, int(other._step / step)))
+        v1 = b1 if self._coeffs else t1
+        v2 = b2 if other._coeffs else t2
+        step = s1 if s1 == s2 else math.gcd(s1, s2)
+        return (L, step, _spread(self._coeffs, s1 // step),
+                _spread(other._coeffs, s2 // step), b1 + b2,
+                min(v1 + t2, v2 + t1))
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        t = self._product_trunc(other)
-        if not (self._coeffs and other._coeffs):
-            return PuiseuxSeries.zero(t)
-        step, a, b = self._on_common_lattice(other)
-        base = self._base + other._base
+        L, step, a, b, base, t = self._product_lattice(other)
+        if not (a and b):
+            return PuiseuxSeries.from_dense(L, 0, L, [], 1, t)
         n = _count_below(len(a) + len(b) - 1, base, step, t)
-        return PuiseuxSeries.from_dense(base, step, _convolve(a, b, n),
+        return PuiseuxSeries.from_dense(L, base, step, _convolve(a, b, n),
                                         self._den * other._den, t)
 
     def product_residue(self, other: "PuiseuxSeries") -> Fraction:
         """``(self * other).residue()``, from the one convolution sum that
         gives the 1/t coefficient instead of the whole product."""
-        t = self._product_trunc(other)
-        if t != INF and t <= -1:
+        L, step, a, b, base, t = self._product_lattice(other)
+        if t != INF and t <= -L:
             raise InsufficientOrderError(
-                f"residue unknowable at truncation t^{t}")
-        if not (self._coeffs and other._coeffs):
+                f"residue unknowable at truncation t^{Fraction(t, L)}")
+        if not (a and b):
             return Q(0)
-        step, a, b = self._on_common_lattice(other)
-        k = (-1 - self._base - other._base) / step
-        if k.denominator != 1 or k < 0:
+        k, r = divmod(-L - base, step)
+        if r or k < 0:
             return Q(0)
-        k = int(k)
         lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
         if lo > hi:
             return Q(0)
@@ -398,21 +406,17 @@ class PuiseuxSeries:
     def scale(self, k) -> "PuiseuxSeries":
         k = Fraction(k)
         return PuiseuxSeries.from_dense(
-            self._base, self._step, [c * k.numerator for c in self._coeffs],
+            self._L, self._base, self._step,
+            [c * k.numerator for c in self._coeffs],
             self._den * k.denominator, self._trunc)
 
-    def shift(self, m) -> "PuiseuxSeries":
-        """Multiply by t**m."""
-        m = _as_exponent(m)
-        s = PuiseuxSeries.__new__(PuiseuxSeries)
-        s._base = self._base + m if self._coeffs else self._base
-        s._step, s._coeffs, s._den = self._step, self._coeffs, self._den
-        s._trunc = _exp_add(self._trunc, m)
-        return s
-
     def truncate(self, t) -> "PuiseuxSeries":
-        t = t if t == INF else _as_exponent(t)
-        return self._cut(_exp_min(t, self._trunc))
+        if t == INF:
+            return self
+        t = _as_exponent(t)
+        L = math.lcm(self._L, t.denominator)
+        return self._cut(L, min(t.numerator * (L // t.denominator),
+                                self._on(L)[2]))
 
     def pow(self, n: int) -> "PuiseuxSeries":
         if n < 0:
@@ -429,12 +433,12 @@ class PuiseuxSeries:
     __pow__ = pow
 
     def _unit_length(self) -> Tuple[object, int]:
-        """(rel, n): the relative order kept when expanding self / (c0 t^v)
-        and how many lattice coefficients lie below it."""
+        """(rel, n): the relative order (over L) kept when expanding
+        self / (c0 t^v) and how many lattice coefficients lie below it."""
         rel = INF if self._trunc == INF else self._trunc - self._base
         if rel == INF and len(self._coeffs) > 1:
-            rel = DEFAULT_REL_ORDER
-        return rel, (1 if rel == INF else _ceil_div(rel, self._step))
+            rel = DEFAULT_REL_ORDER * self._L
+        return rel, (1 if rel == INF else -(-rel // self._step))
 
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse, exact to the same relative order.
@@ -453,11 +457,12 @@ class PuiseuxSeries:
             m = min(k, len(a) - 1)
             s = sum(map(mul, a[m:0:-1], d[k - m:k]))
             den = append_rational(d, den, -s, a0 * den)
-        return PuiseuxSeries.from_dense(-v, self._step, d, den, _exp_add(rel, -v))
+        return PuiseuxSeries.from_dense(self._L, -v, self._step, d, den, rel - v)
 
     def sqrt(self) -> "PuiseuxSeries":
         """Square root; the leading coefficient must be the square of a
-        rational.  The root of an odd leading exponent is half-integer.
+        rational.  The root of an odd leading exponent is half-integer, so
+        the root lives on the lattice 1/(2L).
 
         w_0 = sqrt(c_0) and w_k = (c_k - sum_{0<j<k} w_j w_{k-j}) / (2 w_0).
         """
@@ -476,30 +481,26 @@ class PuiseuxSeries:
             den = append_rational(
                 w, den, (ak * den * den - c_den * s) * root.denominator,
                 2 * c_den * den * den * root.numerator)
-        return PuiseuxSeries.from_dense(v / 2, self._step, w, den,
-                                        _exp_add(rel, v / 2))
+        return PuiseuxSeries.from_dense(2 * self._L, v, 2 * self._step, w, den,
+                                        2 * rel + v)
 
     # -- calculus -------------------------------------------------------------
 
-    def _integer_exponents(self) -> Tuple[int, int, int]:
-        """(b, s, L) with base = b / L and step = s / L."""
-        L = math.lcm(self._base.denominator, self._step.denominator)
-        return int(self._base * L), int(self._step * L), L
-
     def differentiate(self) -> "PuiseuxSeries":
-        b, s, L = self._integer_exponents()
+        b, s, L = self._base, self._step, self._L
         out = [c * (b + k * s) for k, c in enumerate(self._coeffs)]
-        return PuiseuxSeries.from_dense(self._base - 1, self._step, out,
-                                        self._den * L, _exp_add(self._trunc, -1))
+        return PuiseuxSeries.from_dense(L, b - L, s, out, self._den * L,
+                                        self._trunc - L)
 
     def antiderivative(self) -> "LogSeries":
         """Termwise primitive with zero constants; the 1/t term feeds log t,
         so the truncation must lie above t^-1."""
-        if self._trunc != INF and self._trunc <= -1:
+        b, s, L = self._base, self._step, self._L
+        if self._trunc != INF and self._trunc <= -L:
             raise InsufficientOrderError(
-                f"log coefficient unknowable at truncation t^{self._trunc}")
+                f"log coefficient unknowable at truncation "
+                f"t^{self.truncation_order}")
         logc = Q(0)
-        b, s, L = self._integer_exponents()
         coeffs = list(self._coeffs)
         for k, c in enumerate(coeffs):
             if c and b + k * s == -L:
@@ -509,24 +510,23 @@ class PuiseuxSeries:
         ms = [b + L + k * s for k in range(len(coeffs))]
         m_lcm = math.lcm(*(m for m, c in zip(ms, coeffs) if c))
         out = [c * L * (m_lcm // m) if c else 0 for m, c in zip(ms, coeffs)]
-        regular = PuiseuxSeries.from_dense(self._base + 1, self._step, out,
-                                           self._den * m_lcm,
-                                           _exp_add(self._trunc, 1))
+        regular = PuiseuxSeries.from_dense(L, b + L, s, out,
+                                           self._den * m_lcm, self._trunc + L)
         return LogSeries(regular, logc)
 
     def residue(self) -> Fraction:
         """Coefficient of 1/t (0 when the lattice misses it); needs trunc > -1."""
-        if self._trunc != INF and self._trunc <= -1:
+        if self._trunc != INF and self._trunc <= -self._L:
             raise InsufficientOrderError(
-                f"residue unknowable at truncation t^{self._trunc}")
-        return self._stored(Q(-1))
+                f"residue unknowable at truncation t^{self.truncation_order}")
+        return self._stored(-self._L)
 
     # -- conversions ----------------------------------------------------------
 
     def evaluate(self, t: complex) -> complex:
         """Floating-point value of the known terms at ``t``, fractional powers
         on the principal branch."""
-        b, s, L = self._integer_exponents()
+        b, s, L = self._base, self._step, self._L
         t = complex(t)
         den = self._den
         total = 0j
@@ -544,7 +544,8 @@ class PuiseuxSeries:
         bits = []
         for e, c in self.terms():
             bits.append(f"({c})*t^({e})")
-        tail = "" if self._trunc == INF else f" + O(t^({self._trunc}))"
+        tail = ("" if self._trunc == INF
+                else f" + O(t^({self.truncation_order}))")
         body = " + ".join(bits) if bits else "0"
         return body + tail
 

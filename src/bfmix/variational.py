@@ -73,16 +73,21 @@ class FrobeniusBasis:
     """Two Frobenius solutions of xi'' = q(t) xi with unit Wronskian.
 
     sol1 is monic at the smaller exponent rho2, sol2 carries leading
-    coefficient 1/(rho1 - rho2) at rho1.  When the recursion for sol1 hits
-    rho1 inconsistently the true solution needs a log t term; sol1 then holds
-    the log-free part (resonant coefficient zero) and log_in_basis is set.
+    coefficient 1/(rho1 - rho2) at rho1.  ``log_coefficient`` is the
+    right-hand side the recursion for sol1 meets at rho1 (0 when it meets
+    none): where it is nonzero the true solution needs a log t term, and sol1
+    holds the log-free part (resonant coefficient zero).
     """
 
     sol1: PuiseuxSeries
     sol2: PuiseuxSeries
     exponents: Tuple[Fraction, Fraction]   # (rho1, rho2), rho1 > rho2
-    log_in_basis: bool
+    log_coefficient: Fraction
     wronskian_normalized: bool
+
+    @property
+    def log_in_basis(self) -> bool:
+        return self.log_coefficient != 0
 
 
 def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
@@ -95,46 +100,54 @@ def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
     return (1 + root) / 2, (1 - root) / 2
 
 
-def _frobenius_one(q: PuiseuxSeries, rho: Fraction, other: Fraction,
-                   step: Fraction) -> Tuple[PuiseuxSeries, bool]:
-    """Monic series solution at exponent rho; flags a forced logarithm.
+def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
+                   other: Fraction) -> Tuple[PuiseuxSeries, Fraction]:
+    """Monic series solution at exponent rho, and the right-hand side its
+    recursion meets at the exponent ``other`` (0 when it meets none).
 
-    a_k (e(e-1) - c2) = sum_{m<k} a_m q_{k-m} at e = rho + k*step, where q_j
-    is the coefficient of t^(j*step - 2); a_k and q_j are held as integer
-    numerators over one denominator each.  The recursion stops at the first
-    q_k at or beyond q's truncation, so every coefficient it returns is
-    exact; stopping short of a resonance on the lattice leaves the log test
-    undecided and raises InsufficientOrderError.
+    a_k (e(e-1) - c2) = sum_{m<k} a_m q_{k-m} at e = rho + k/L, where q_j is
+    the coefficient of t^(j/L - 2) on q's lattice 1/L; a_k and q_j are held
+    as integer numerators over one denominator each.  Exponents are integers
+    E = e*M on the lattice 1/M, M = lcm(L, den rho, den other), so the
+    bracket is (c2.den E(E - M) - c2.num M^2) / (c2.den M^2).  The recursion
+    stops at the first q_k at or beyond q's truncation, so every coefficient
+    it returns is exact; stopping short of a resonance on the lattice leaves
+    the log test undecided and raises InsufficientOrderError.
     """
     c2 = q.coefficient(Q(-2))
-    exps = dict(q.terms())
-    q_den = math.lcm(*(c.denominator for c in exps.values()))
-    qs = [0]
+    L, b, s, coeffs, q_den, t = q.dense()
+    n = t + 2 * L                     # q_j is known for j < n
+    qs = [0] * n
+    lo = b + 2 * L
+    qs[lo:lo + (len(coeffs) - 1) * s + 1:s] = coeffs
+    qs[0] = 0
+    M = math.lcm(L, rho.denominator, other.denominator)
+    step = M // L
+    R = rho.numerator * (M // rho.denominator)
+    OM = other.numerator * (M // other.denominator)
+    c2n, c2d = c2.numerator * M * M, c2.denominator
+    bracket_den = c2d * M * M
     a = [1]
     a_den = 1
-    log_needed = False
-    k = 1
-    while k * step - 2 < q.truncation_order:
-        e = rho + k * step
-        c = exps.get(k * step - 2, 0)
-        qs.append(c.numerator * (q_den // c.denominator) if c else 0)
+    log_coefficient = Q(0)
+    E = R
+    for k in range(1, n):
+        E += step
         rhs = sum(map(mul, a, qs[k:0:-1]))
-        if e == other:
+        if E == OM:
             # resonance: coefficient multiplies zero; solvable only if rhs = 0
-            if rhs != 0:
-                log_needed = True
+            if rhs:
+                log_coefficient = Fraction(rhs, a_den * q_den)
             a.append(0)
         else:
-            bracket = e * (e - 1) - c2
-            a_den = append_rational(a, a_den, rhs * bracket.denominator,
-                                    a_den * q_den * bracket.numerator)
-        k += 1
-    trunc = rho + k * step
-    if trunc <= other and ((other - rho) / step).denominator == 1:
+            a_den = append_rational(a, a_den, rhs * bracket_den,
+                                    a_den * q_den * (c2d * E * (E - M) - c2n))
+    trunc = R + n * step
+    if trunc <= OM and (OM - R) % step == 0:
         raise InsufficientOrderError(
             f"resonance at t^{other} lies beyond the exact terms (below "
-            f"t^{trunc}) of the solution at t^{rho}")
-    return PuiseuxSeries.from_dense(rho, step, a, a_den, trunc), log_needed
+            f"t^{Fraction(trunc, M)}) of the solution at t^{rho}")
+    return PuiseuxSeries.from_dense(M, R, step, a, a_den, trunc), log_coefficient
 
 
 def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
@@ -148,15 +161,15 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
         raise IrregularSingularityError(
             f"pole of order {-q.base_exponent} > 2 at t = 0")
     rho1, rho2 = _indicial_roots(q.coefficient(Q(-2)))
-    step = Q(1, q.ramification)
-    sol1, log1 = _frobenius_one(q, rho2, rho1, step)
-    sol2_monic, log2 = _frobenius_one(q, rho1, rho2, step)
+    sol1, log_coefficient = _frobenius_one(q, rho2, rho1)
+    # the recursion at rho1 climbs away from rho2, so it meets no resonance
+    sol2_monic, _ = _frobenius_one(q, rho1, rho2)
     sol2 = sol2_monic.scale(Q(1) / (rho1 - rho2))
     w = sol1 * sol2.differentiate() - sol1.differentiate() * sol2
     normalized = (w.coefficient(0) == 1
                   and all(c == 0 for e, c in w.terms() if e != 0))
     return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2),
-                          log_in_basis=log1 or log2,
+                          log_coefficient=log_coefficient,
                           wronskian_normalized=normalized)
 
 
@@ -306,6 +319,16 @@ class HigherVEResult:
     residues: Tuple                       # per-j residue of the requested row
     ve2_voc: Tuple[VOCResult, ...] = ()
     ve3_forcing: Tuple[PuiseuxSeries, ...] = ()
+
+    def ve1_log_witness(self):
+        """(block, log coefficient) of the first VE1 basis that needs log t,
+        or None."""
+        for j, b in enumerate(self.normal_bases):
+            if b.log_in_basis:
+                return (f"normal_{j + 1}", b.log_coefficient)
+        if self.tangential_basis.log_in_basis:
+            return ("tangential", self.tangential_basis.log_coefficient)
+        return None
 
     def nonzero_witness(self):
         """(block, row, residue) of the first nonzero VE3 residue, or None."""

@@ -29,9 +29,8 @@ CASE3_T0_MIN = 0.01
 
 
 class OutOfScopeError(ValueError):
-    """Parameter pattern the analysis does not cover (mixed centrifugal
-    constants with several transverse modes: the variational system does not
-    split)."""
+    """Parameter pattern the analysis does not cover: the variational system
+    does not split into closed blocks."""
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,25 @@ def params_snapshot(p: ModelParams) -> dict:
 
 
 def _case_of(p: ModelParams) -> str:
+    """case1: C0 = 0 and every C_j nonzero; case2: every C_j zero (the
+    elliptic-plane orbit needs nothing of C0); case3: C0 nonzero with one
+    transverse mode and C_1 nonzero."""
     c0 = p.C0_sq != 0
     cs = [c != 0 for c in p.Cs]
-    if not c0 and all(cs) and p.n_f >= 1:
-        return "case1"
-    if c0 and not any(cs):
+    if not any(cs):
         return "case2"
-    if c0 and p.n_f == 1 and cs[0]:
+    if not c0:
+        if all(cs):
+            return "case1"
+        raise OutOfScopeError(
+            "C0 = 0 with some C_j zero and others nonzero: the variational "
+            "system does not split into closed blocks; not analyzed")
+    if p.n_f == 1:
         return "case3"
     raise OutOfScopeError(
-        "mixed case (C0 != 0 with several nonzero C_j): the variational "
-        "system does not split into closed blocks; not analyzed")
+        f"C0 != 0 with a nonzero C_j among N_f = {p.n_f} transverse modes: "
+        "the variational system does not split into closed blocks; not "
+        "analyzed")
 
 
 def classify(p: ModelParams, h=0, action_I=None) -> IntegrabilityVerdict:
@@ -206,9 +213,11 @@ def _ve_verdict(result: variational.HigherVEResult,
                 ch: variational.HigherVEChoice, snapshot: dict, details: dict,
                 scanned: bool = False) -> Optional[IntegrabilityVerdict]:
     if result.ve1_log:
+        block, value = result.ve1_log_witness()
         return IntegrabilityVerdict(
             case_id="case2", outcome="NonIntegrable",
-            witness=Witness("ve_log", {"order": 1,
+            witness=Witness("ve_log", {"order": 1, "block": block,
+                                       "value": str(value),
                                        "reason": "logarithm forced in a "
                                                  "first-order basis solution"}),
             params=snapshot, details=details)

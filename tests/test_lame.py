@@ -138,6 +138,17 @@ class TestTheorem5:
             v = lame.theorem5_check(c, n)
             assert v.passed_case == "none", f"m={m}"
 
+    def test_m6_zero_offset_defers_to_variational_chain(self):
+        # m = 6 = 0 mod 6: no clause constrains c1, c2, d1, d2, so b1 = 0
+        # passes the block with a note; the VE1 resonance then decides
+        n = Q(11, 2)
+        c = lame.p_coefficients(1, Q(143, 12), 1, n * (n + 1) / 2)
+        assert c.b1 == 0
+        v = lame.theorem5_check(c, n)
+        assert v.passed_case == "case2_m"
+        assert not v.failed_conditions
+        assert any("0 mod 6" in note for note in v.notes)
+
     def test_baldassarri_always_fails_on_model(self, rng):
         n = Q(7, 6)      # n + 1/2 = 5/3 in the one-third lattice
         for _ in range(10):

@@ -312,3 +312,102 @@ def test_invert_and_sqrt_match_reference(a):
     x = PuiseuxSeries(*a)
     assert_matches_reference(x.invert(), ref_invert(a))
     assert_matches_reference(x.sqrt(), ref_sqrt(a))
+
+
+# -- the canonical integer-lattice form -----------------------------------------
+# Every series is held as coeffs[k] / den * t**((base + k*step) / L) with one
+# lattice denominator L; the reference below is the dict-of-Fraction form.
+
+def ref_ramification(ref):
+    terms, trunc = ref
+    d = math.lcm(*(e.denominator for e in terms))
+    return d if trunc == INF else math.lcm(d, trunc.denominator)
+
+
+@st.composite
+def mixed_lattice_inputs(draw):
+    """(terms, trunc) with exponents on the lattice 1/6, 1/3, 1/2 or 1 and a
+    truncation on another of them, e.g. integer exponents cut at 7/3."""
+    term_den = draw(st.sampled_from((1, 2, 3, 6)))
+    exps = draw(st.lists(st.integers(-12, 12), max_size=5, unique=True))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = {Q(x, term_den): draw(small) for x in exps}
+    trunc = draw(st.one_of(st.just(INF), st.builds(
+        Q, st.integers(-12, 18), st.sampled_from((1, 2, 3)))))
+    return ref_make(terms, trunc)
+
+
+def padded_dense(ref, extra, pad, scale):
+    """The same series through from_dense, on a lattice ``extra`` times finer
+    than needed, with ``pad`` zeros at both ends and every numerator and the
+    denominator multiplied by ``scale``: a non-canonical input."""
+    terms, trunc = ref
+    L = ref_ramification(ref) * extra
+    den = math.lcm(*(c.denominator for c in terms.values())) * scale
+    base = min((int(e * L) for e in terms), default=0) - pad
+    top = max((int(e * L) for e in terms), default=0) + pad
+    coeffs = [0] * (top - base + 1)
+    for e, c in terms.items():
+        coeffs[int(e * L) - base] = int(c * den)
+    t = INF if trunc == INF else int(trunc * L)
+    return PuiseuxSeries.from_dense(L, base, 1, coeffs, den, t)
+
+
+@given(mixed_lattice_inputs(), st.integers(1, 4), st.integers(0, 3),
+       st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_equal_series_have_equal_fields_and_hashes(ref, extra, pad, scale,
+                                                   data):
+    terms, trunc = ref
+    x = PuiseuxSeries(terms, trunc)
+    y = padded_dense(ref, extra, pad, scale)
+    # a split into two summands, the second known at least as far
+    split = {e: c for e, c in terms.items()
+             if data.draw(st.booleans(), label="in first summand")}
+    z = (PuiseuxSeries(split, trunc)
+         + PuiseuxSeries({e: c for e, c in terms.items() if e not in split}))
+    for other in (y, z):
+        assert other.dense() == x.dense()
+        assert other == x and hash(other) == hash(x)
+    assert x.ramification == ref_ramification(ref)
+    assert x.truncation_order == trunc
+    assert x.base_exponent == min(terms, default=trunc)
+    assert dict(x.terms()) == terms
+    for e in [*terms, Q(-1, 5), Q(1, 6), Q(0)]:
+        if trunc == INF or e < trunc:
+            assert x.coefficient(e) == terms.get(e, 0)
+        else:
+            with pytest.raises(InsufficientOrderError):
+                x.coefficient(e)
+
+
+class TestMixedLattices:
+    def test_integer_exponents_with_third_truncation(self):
+        x = S({0: 1, 1: 2}, Q(7, 3))
+        assert x.ramification == 3
+        assert x.truncation_order == Q(7, 3)
+        assert x.dense() == (3, 0, 3, [1, 2], 1, 7)
+        assert x == PuiseuxSeries.from_dense(6, 0, 2, [2, 0, 0, 4, 0], 2, 14)
+        assert x.coefficient(2) == 0
+        with pytest.raises(InsufficientOrderError):
+            x.coefficient(Q(7, 3))
+
+    def test_half_and_third_steps_sum_on_sixths(self):
+        x = S({Q(1, 2): 1, Q(3, 2): 1}) + S({Q(1, 3): 1, Q(4, 3): 1})
+        assert x.ramification == 6
+        assert dict(x.terms()) == {Q(1, 3): 1, Q(1, 2): 1, Q(4, 3): 1,
+                                   Q(3, 2): 1}
+        assert x == S({Q(1, 3): 1, Q(1, 2): 1, Q(4, 3): 1, Q(3, 2): 1})
+
+    def test_sqrt_doubles_the_lattice(self):
+        r = S({-1: 1, 0: 1}, 3).sqrt()
+        assert r.ramification == 2
+        assert r.base_exponent == Q(-1, 2)
+        # relative order 4, as for the argument, above the valuation -1/2
+        assert r.truncation_order == Q(7, 2)
+
+    def test_empty_series_is_canonical(self):
+        a = S({}, Q(-2, 6))
+        b = S({0: 1}, 1) * S({}, Q(-1, 3))
+        assert a.dense() == (3, 0, 3, [], 1, -1)
+        assert b == a and hash(b) == hash(a)

@@ -2,12 +2,16 @@ import cmath
 import math
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfmix import elliptic, variational as V
 from bfmix.model import make_params, make_params_c0sq
-from bfmix.series import InsufficientOrderError, PuiseuxSeries
+from bfmix.series import (InsufficientOrderError, PuiseuxSeries,
+                          append_rational)
 from conftest import random_rational, random_series
 from helpers_eps import forcing_oracle
 from helpers_monodromy import monodromy_rows
@@ -113,6 +117,98 @@ class TestFrobenius:
         ve1 = V.build_ve1(p, E_REF, 16)
         b = V.frobenius(ve1.normal[0])
         assert b.log_in_basis
+        # n = 1/2: the resonant right-hand side at t^(3/2) is a_0 q_2 = B_j
+        assert b.log_coefficient == Q(2, 3) * Q(3, 4) - 2
+
+
+def frobenius_one_oracle(q, rho, other, step):
+    """The Frobenius recursion on Fraction exponents that the integer-lattice
+    one in ``variational`` replaced: (monic solution at rho, whether the
+    resonance at ``other`` forces a logarithm).  The solution is rebuilt
+    through the dict constructor, not through ``from_dense``."""
+    c2 = q.coefficient(Q(-2))
+    exps = dict(q.terms())
+    q_den = math.lcm(*(c.denominator for c in exps.values()))
+    qs = [0]
+    a = [1]
+    a_den = 1
+    log_needed = False
+    k = 1
+    while k * step - 2 < q.truncation_order:
+        e = rho + k * step
+        c = exps.get(k * step - 2, 0)
+        qs.append(c.numerator * (q_den // c.denominator) if c else 0)
+        rhs = sum(map(mul, a, qs[k:0:-1]))
+        if e == other:
+            # resonance: coefficient multiplies zero; solvable only if rhs = 0
+            if rhs != 0:
+                log_needed = True
+            a.append(0)
+        else:
+            bracket = e * (e - 1) - c2
+            a_den = append_rational(a, a_den, rhs * bracket.denominator,
+                                    a_den * q_den * bracket.numerator)
+        k += 1
+    trunc = rho + k * step
+    if trunc <= other and ((other - rho) / step).denominator == 1:
+        raise InsufficientOrderError(
+            f"resonance at t^{other} lies beyond the exact terms (below "
+            f"t^{trunc}) of the solution at t^{rho}")
+    sol = PuiseuxSeries({rho + j * step: Q(x, a_den) for j, x in enumerate(a)},
+                        trunc)
+    return sol, log_needed
+
+
+#: (L, rho2) pairs: q on the lattice 1/L with indicial exponents rho2 and
+#: 1 - rho2; integer, half-integer and third-integer exponents
+FROBENIUS_LATTICES = [(1, Q(-1)), (1, Q(-2)), (2, Q(-1)), (2, Q(-1, 2)),
+                      (1, Q(-3, 2)), (2, Q(-5, 2)), (3, Q(-1, 3)),
+                      (3, Q(-2)), (3, Q(-4, 3))]
+
+
+@st.composite
+def frobenius_inputs(draw):
+    """A truncated q = c2/t^2 + sum_j q_j t^(j/L - 2) with rational
+    exponents rho2 < rho1 = 1 - rho2 and often sparse terms."""
+    L, rho2 = draw(st.sampled_from(FROBENIUS_LATTICES))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    density = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    n = draw(st.integers(0, 14))
+    terms = {Q(-2): rho2 * (rho2 - 1)}
+    for j in range(1, n):
+        if draw(st.floats(0, 1)) < density:
+            terms[Q(j, L) - 2] = draw(small)
+    return PuiseuxSeries(terms, Q(n, L) - 2), rho2
+
+
+def resonance_value(sol, q, other):
+    """sum_{m<K} a_m q_{K-m} at the resonant exponent ``other``: the
+    coefficient of t^(other - 2) in q * sol without the t^-2 term of q."""
+    return sum((c * q.coefficient(other - 2 - e)
+                for e, c in sol.terms() if e < other), Q(0))
+
+
+@given(frobenius_inputs())
+@settings(max_examples=300, deadline=None)
+def test_integer_recursion_matches_fraction_oracle(inputs):
+    q, rho2 = inputs
+    rho1 = 1 - rho2
+    step = Q(1, q.ramification)
+    for rho, other in ((rho2, rho1), (rho1, rho2)):
+        try:
+            want = frobenius_one_oracle(q, rho, other, step)
+        except InsufficientOrderError:
+            with pytest.raises(InsufficientOrderError):
+                V._frobenius_one(q, rho, other)
+            continue
+        sol, log_coefficient = V._frobenius_one(q, rho, other)
+        assert sol == want[0]
+        assert sol.dense() == want[0].dense()
+        assert (log_coefficient != 0) == want[1]
+        if rho == rho2 and ((rho1 - rho2) / step).denominator == 1:
+            assert log_coefficient == resonance_value(sol, q, other)
+        else:
+            assert log_coefficient == 0
 
 
 #: (g_bf, w_j, C0^2) of the index-1 and index-2 references and the index-1/2

@@ -64,6 +64,20 @@ class TestClassify:
         v = verdict.classify(p)
         assert v.outcome == "NecessaryConditionsSurvived"
 
+    def test_case2_m6_zero_offset_gets_exact_log_witness(self):
+        # n = 11/2 (m = 6 = 0 mod 6) with B_j = 0: no clause of the tree
+        # applies, so the VE1 resonance coefficient decides
+        p = make_params(1, [Q(143, 12)], 1, [0], Q(143, 8))
+        v = verdict.classify(p, h=0)
+        assert v.outcome == "NonIntegrable"
+        assert v.witness.kind == "ve_log"
+        assert v.witness.data["order"] == 1
+        assert v.witness.data["block"] == "normal_1"
+        assert v.witness.data["value"] == "-8863855/6718464"
+        (t5,) = v.details["theorem5"]
+        assert t5["passed_case"] == "case2_m"
+        assert t5["failed_conditions"] == []
+
     def test_case2_large_integer_index(self):
         p = make_params(1, [1], 1, [0], 6)        # n = 3
         v = verdict.classify(p)
@@ -144,6 +158,21 @@ class TestClassify:
         p = make_params(1, [1, 1], 1, [1, 1], 1)
         with pytest.raises(verdict.OutOfScopeError):
             verdict.classify(p)
+
+    @pytest.mark.parametrize("C0, Cs, case", [
+        (0, [1, 2], "case1"), (1, [0, 0], "case2"), (0, [0], "case2"),
+        (0, [0, 0], "case2"), (1, [1], "case3")])
+    def test_case_of_each_pattern(self, C0, Cs, case):
+        assert verdict._case_of(make_params(1, [1] * len(Cs), C0, Cs, 1)) \
+            == case
+
+    @pytest.mark.parametrize("C0, Cs, message", [
+        (0, [1, 0], "C0 = 0 with some C_j zero and others nonzero"),
+        (1, [1, 0], "C0 != 0 with a nonzero C_j among N_f = 2"),
+        (1, [1, 1], "C0 != 0 with a nonzero C_j among N_f = 2")])
+    def test_case_of_names_the_rejected_pattern(self, C0, Cs, message):
+        with pytest.raises(verdict.OutOfScopeError, match=message):
+            verdict._case_of(make_params(1, [1] * len(Cs), C0, Cs, 1))
 
     def test_deterministic(self):
         p = make_params(1, [1], 1, [0], 1)
@@ -432,9 +461,12 @@ class TestOnePathPerCase:
         (make_params(1, [2], 0, [3], 1), {},
          ["analyze", "case1", "--omega0", "1", "--omega", "2", "--gbf", "1",
           "--csum", "3"]),
+        (make_params(1, [1], 0, [0], 1), {"h": -1},
+         ["analyze", "case2", "--omega0", "1", "--gbf", "1", "--omegaj", "1",
+          "--c0sq", "0", "--h", "-1"]),
         (make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000)),
          {"action_I": 3.0}, CASE3_ARGV)],
-        ids=["case1", "case3"])
+        ids=["case1", "case2_c0_zero", "case3"])
     def test_classify_equals_cli_report(self, p, kwargs, argv, capsys):
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
