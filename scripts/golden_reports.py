@@ -7,7 +7,8 @@ Each file is the output of one command line of ``bfmix``:
 
 * ``bfmix analyze`` JSON reports, without ``timing_seconds``, for the
   ``scripts/run_case_studies.py`` points, an index-2 point with two
-  transverse modes and an index-4 point;
+  transverse modes, an index-4 point and an index-3/2 point that fails on
+  its VE1 resonance coefficient;
 * ``bfmix series --what wp|qbar|ve1|mu2|mu3`` CSVs for three points.
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
@@ -46,6 +47,7 @@ REPORTS = {
     "case2_index2_b0.json": _case2("3", "2"),
     "case2_index2_b1.json": _case2("3", "1"),
     "case2_index_half.json": _case2("3/8", "1/4"),
+    "case2_index_three_half.json": _case2("15/8", "1"),
     "case2_nonlattice.json": _case2("1/3", "1"),
     "case2_index_five_half.json": _case2("35/8", "55/28", c0sq="72/343"),
     "case2_index2_b0_nf2.json": _case2("3", "2,2"),

@@ -132,14 +132,3 @@ def transform_consistency(red: HeunReduction, t_grid: Sequence[float],
         defect = max(defect, abs(y_from_mathieu - v[2]))
         tprev = float(t)
     return defect
-
-
-def euler_exponent_check(red: HeunReduction) -> float:
-    """For B = 0 the normal form is Euler's equation; x^s solves it with
-    s(s-1) = -(A + 1/4).  Returns the magnitude of that indicial residual
-    for the exponent computed from A."""
-    if red.B != 0:
-        raise ValueError("Euler check applies to B = 0 only")
-    a = complex(float(red.A))
-    s = 0.5 + cmath.sqrt(0.25 - (a + 0.25))
-    return abs(s * (s - 1) + (a + 0.25))

@@ -85,6 +85,9 @@ def integrate(f: Callable[[complex, np.ndarray], np.ndarray],
     for _ in range(MAX_STEPS):
         if s >= length:
             return y.reshape(shape), traj
+        # the controller's step, before it is cut to the segment end
+        if hs <= 1e-14 * length:
+            raise SingularityEncounteredError(t0 + s * direction)
         hs = min(hs, length - s)
         h = hs * direction
         t = t0 + s * direction
@@ -96,16 +99,19 @@ def integrate(f: Callable[[complex, np.ndarray], np.ndarray],
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
         r = h * (_E @ k) / scale
         err = math.sqrt(np.vdot(r, r).real / r.size)
-        if err <= 1.0 or hs <= 1e-14 * length:
-            if hs <= 1e-14 * length and err > 1.0:
-                raise SingularityEncounteredError(t + h)
+        if err <= 1.0:
             s += hs
             y = yi
             k[0] = k[6]  # FSAL
             if record:
                 traj.append(t1 if s >= length else t0 + s * direction,
                             y.reshape(shape))
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+        if err > 0:
+            factor = 0.9 * (1.0 / err) ** 0.2
+        else:
+            # a zero estimate grows the step; a nan one (the stages
+            # overflowed) rejects it like any other failed step
+            factor = 5.0 if err == 0 else 0.2
         hs *= min(5.0, max(0.2, factor))
         if not np.all(np.isfinite(y)):
             raise SingularityEncounteredError(t0 + s * direction,

@@ -43,26 +43,31 @@ class VE1Coefficients:
     qbar0: PuiseuxSeries
 
 
+def _qbar0_squared(e: "elliptic.EllipticData", order) -> PuiseuxSeries:
+    """q0^2 = wp + (2/3) w0, exact below t^order."""
+    return (elliptic.wp_laurent(e, Q(order))
+            + PuiseuxSeries.constant(Q(2, 3) * e.omega0))
+
+
 def qbar0_series(e: "elliptic.EllipticData", order) -> PuiseuxSeries:
     """Local branch q0(t) = 1/t + (w0/3) t + ... of sqrt((2/3) w0 + wp)."""
-    wp = elliptic.wp_laurent(e, Q(order))
-    qsq = wp + PuiseuxSeries.constant(Q(2, 3) * e.omega0)
-    return qsq.sqrt()
+    return _qbar0_squared(e, order).sqrt()
+
+
+def _normal_coefficient(qsq: PuiseuxSeries, g, omega_j) -> PuiseuxSeries:
+    """N_j = -2 w_j + 2 g q0^2 from the series ``qsq`` of q0^2."""
+    return PuiseuxSeries.constant(-2 * Q(omega_j)) + qsq.scale(2 * Q(g))
 
 
 def build_ve1(p, e: "elliptic.EllipticData", order) -> VE1Coefficients:
     """Exact VE1 coefficient series at truncation exponent ``order``."""
     order = Q(order)
-    wp = elliptic.wp_laurent(e, order + 4)
-    qsq = wp + PuiseuxSeries.constant(Q(2, 3) * e.omega0)
+    qsq = _qbar0_squared(e, order + 4)
     qbar = qsq.sqrt()
     tang = (PuiseuxSeries.constant(-2 * Q(p.omega0))
             + qsq.scale(6)
             - (qsq * qsq).invert().scale(3 * Q(e.C0_sq)))
-    g = Q(p.g_bf)
-    normal = tuple(
-        PuiseuxSeries.constant(-2 * Q(wj)) + qsq.scale(2 * g)
-        for wj in p.omegas)
+    normal = tuple(_normal_coefficient(qsq, p.g_bf, wj) for wj in p.omegas)
     return VE1Coefficients(tangential=tang.truncate(order),
                            normal=tuple(nj.truncate(order) for nj in normal),
                            qbar0=qbar.truncate(order))
@@ -148,6 +153,15 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
             f"resonance at t^{other} lies beyond the exact terms (below "
             f"t^{Fraction(trunc, M)}) of the solution at t^{rho}")
     return PuiseuxSeries.from_dense(M, R, step, a, a_den, trunc), log_coefficient
+
+
+def resonance_coefficient(p, e: "elliptic.EllipticData", j: int,
+                          n: Fraction) -> Fraction:
+    """``FrobeniusBasis.log_coefficient`` of normal block j (from 0) for a
+    half-integer Lame index n = m - 1/2, without building VE1: the exponents
+    -n and n + 1 differ by 2m, so N_j exact below t^(2m) decides it."""
+    q = _normal_coefficient(_qbar0_squared(e, 2 * n + 1), p.g_bf, p.omegas[j])
+    return _frobenius_one(q, -n, n + 1)[1]
 
 
 def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
@@ -423,11 +437,13 @@ def higher_ve_residues(ctx: VE1Context,
                           ve3_forcing=(k0_3, *kj_3))
 
 
-def scan_choices(ctx: VE1Context
+def scan_choices(ctx: VE1Context, skip: Optional[HigherVEChoice] = None
                  ) -> Iterator[Tuple[HigherVEChoice, HigherVEResult]]:
     """Try the four pure first-order pick combinations, yielding each result
-    as soon as it is computed, so a caller can stop at the first witness."""
+    as soon as it is computed, so a caller can stop at the first witness.
+    A pick equal to ``skip``, one the caller has already run, is left out."""
     for p0 in ("first", "second"):
         for pj in ("first", "second"):
             ch = HigherVEChoice(p0, pj, "second", "first", "first")
-            yield ch, higher_ve_residues(ctx, ch)
+            if ch != skip:
+                yield ch, higher_ve_residues(ctx, ch)

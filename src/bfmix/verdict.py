@@ -151,9 +151,9 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
             params=snapshot, details=details)
     details["lame_index"] = str(n)
 
-    data = lame.lame_data(p)
-    details["B_j"] = [str(b) for b in data.B_j]
-    checks = [lame.theorem5_check(c, n) for c in data.coeffs]
+    details["B_j"] = [str(lame.lame_offset(p.omega0, wj, n))
+                      for wj in p.omegas]
+    checks = [lame.theorem5_check(p, j, h) for j in range(p.n_f)]
     details["theorem5"] = [
         {"passed_case": v.passed_case,
          "failed_conditions": [[cid, str(r)] for cid, r in v.failed_conditions],
@@ -191,7 +191,7 @@ def _case2_at_order(p: ModelParams, e: "elliptic.EllipticData", n: Fraction,
                           snapshot, details)
     if verdict is not None:
         return verdict
-    for ch2, res2 in variational.scan_choices(ctx):
+    for ch2, res2 in variational.scan_choices(ctx, skip=ch):
         verdict = _ve_verdict(res2, ch2, snapshot, details, scanned=True)
         if verdict is not None:
             return verdict

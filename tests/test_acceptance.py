@@ -26,6 +26,7 @@ import pytest
 
 from bfmix import elliptic, heun, lame, melnikov, model, verdict, variational as V
 from bfmix.model import PhaseState, make_params, make_params_c0sq
+import helpers_theorem5 as t5
 from conftest import random_rational, random_series
 from helpers_eps import forcing_oracle
 from helpers_monodromy import monodromy_rows
@@ -288,7 +289,7 @@ def test_criterion_05_p_coefficient_oracle():
         n = rng.choice([Q(1), Q(2), Q(1, 2), Q(3, 2), Q(5, 2), Q(7, 6)])
         g = n * (n + 1) / 2
         a = lame.p_coefficients(w0, wj, c0sq, g)
-        b = lame.p_coefficients_from_invariants(w0, wj, c0sq, g)
+        b = t5.p_coefficients_from_invariants(w0, wj, c0sq, g)
         if a != b:
             gate("5", False, f"coefficient routes disagree at {(w0, wj, c0sq, n)}")
         if a.c2 * a.b1 - 3 * a.a1 * a.d2 != -32 * w0 * n * (n + 1):
@@ -300,38 +301,48 @@ def test_criterion_05_p_coefficient_oracle():
 
 
 def test_criterion_06_condition_tree():
-    v_half = lame.theorem5_check(lame.p_coefficients(1, Q(1, 4), 1, Q(3, 8)),
-                                 Q(1, 2))
+    agree = []
+
+    def tree(w0, wj, c0sq, g, n):
+        """The hand-listed tree's verdict for one block; bfmix's own check at
+        h = 0 must pass or fail the same block alike."""
+        v = t5.theorem5_check(lame.p_coefficients(w0, wj, c0sq, g), n)
+        p = make_params_c0sq(w0, [wj], c0sq, [0], g)
+        agree.append(lame.theorem5_check(p, 0, 0).passed == v.passed)
+        return v
+
+    v_half = tree(1, Q(1, 4), 1, Q(3, 8), Q(1, 2))
     ok = (v_half.passed_case == "case2_1"
           and v_half.derived_constraints["omega_j/omega0"] == Q(1, 4))
-    bad_half = lame.theorem5_check(lame.p_coefficients(1, 1, 1, Q(3, 8)),
-                                   Q(1, 2))
+    bad_half = tree(1, 1, 1, Q(3, 8), Q(1, 2))
     ok = ok and bad_half.passed_case == "none"
 
     w0, wj, c0sq = Q(28), Q(55), Q(72, 343) * Q(28) ** 3
-    v_53 = lame.theorem5_check(lame.p_coefficients(w0, wj, c0sq, Q(35, 8)),
-                               Q(5, 2))
+    v_53 = tree(w0, wj, c0sq, Q(35, 8), Q(5, 2))
     ok = ok and v_53.passed_case == "case2_3"
     ok = ok and lame.lame_offset(w0, wj, Q(5, 2)) == Q(32, 33) * wj
     ok = ok and 55 * w0 == 28 * wj and 343 * c0sq == 72 * w0 ** 3
-    for bad in (lame.p_coefficients(w0, wj + 1, c0sq, Q(35, 8)),
-                lame.p_coefficients(w0, wj, c0sq + 1, Q(35, 8))):
-        ok = ok and lame.theorem5_check(bad, Q(5, 2)).passed_case == "none"
+    for bad_wj, bad_c0sq in ((wj + 1, c0sq), (wj, c0sq + 1)):
+        ok = ok and tree(w0, bad_wj, bad_c0sq, Q(35, 8),
+                         Q(5, 2)).passed_case == "none"
 
     # branches that can never pass on these coefficient families
     rng = random.Random(6)
     for _ in range(10):
         w0r = abs(random_rational(rng, nonzero=True))
         wjr = abs(random_rational(rng, nonzero=True))
-        c = lame.p_coefficients(w0r, wjr, abs(random_rational(rng)), Q(15, 8))
-        ok = ok and lame.theorem5_check(c, Q(3, 2)).passed_case == "none"
+        c0r = abs(random_rational(rng))
+        ok = ok and tree(w0r, wjr, c0r, Q(15, 8),
+                         Q(3, 2)).passed_case == "none"
         for n in (Q(7, 2), Q(9, 2), Q(13, 2)):
-            cm = lame.p_coefficients(w0r, wjr, Q(1), n * (n + 1) / 2)
-            ok = ok and lame.theorem5_check(cm, n).passed_case == "none"
-        cb = lame.p_coefficients(w0r, wjr, Q(1), Q(7, 6) * Q(13, 6) / 2)
-        ok = ok and lame.theorem5_check(cb, Q(7, 6)).passed_case == "none"
-    gate("6", ok, "m=1 survives only at w_j = w0/4; m=3 forces the stated "
-                  "triple; m=2, m>3 and the fractional branch always fail")
+            ok = ok and tree(w0r, wjr, Q(1), n * (n + 1) / 2,
+                             n).passed_case == "none"
+        ok = ok and tree(w0r, wjr, Q(1), Q(7, 6) * Q(13, 6) / 2,
+                         Q(7, 6)).passed_case == "none"
+    gate("6", ok and all(agree),
+         "m=1 survives only at w_j = w0/4; m=3 forces the stated triple; "
+         "m=2, m>3 and the fractional branch always fail; the resonance "
+         f"check of bfmix.lame agrees on all {len(agree)} blocks")
 
 
 def test_criterion_07_oscillator_plane_reduction():

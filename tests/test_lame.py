@@ -1,8 +1,12 @@
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bfmix import lame
+import helpers_theorem5 as oracle
+from bfmix import elliptic, lame, variational
 from bfmix.model import make_params, make_params_c0sq
 from conftest import random_rational
 
@@ -57,7 +61,7 @@ class TestPCoefficients:
             n = rng.choice([Q(1), Q(2), Q(3), Q(1, 2), Q(3, 2), Q(5, 2), Q(7, 6)])
             g = n * (n + 1) / 2
             a = lame.p_coefficients(w0, wj, c0sq, g)
-            b = lame.p_coefficients_from_invariants(w0, wj, c0sq, g)
+            b = oracle.p_coefficients_from_invariants(w0, wj, c0sq, g)
             assert a == b
             draws += 1
 
@@ -77,36 +81,36 @@ class TestPCoefficients:
             w0 = abs(random_rational(rng, nonzero=True))
             wj = abs(random_rational(rng, nonzero=True))
             n = Q(2)
-            c = lame.p_coefficients_from_invariants(w0, wj, Q(1), Q(3))
+            c = oracle.p_coefficients_from_invariants(w0, wj, Q(1), Q(3))
             assert c.d2 == 8 * n * (n + 1) * wj
 
 
 class TestTheorem5:
     def test_integer_index_passes_case1(self):
         c = lame.p_coefficients(1, 1, 1, 1)
-        v = lame.theorem5_check(c, 1)
+        v = oracle.theorem5_check(c, 1)
         assert v.passed_case == "case1"
         assert not v.conjecture_conditional
 
     def test_case1_independent_of_h(self):
         # the integer-index test involves a1 only, which carries no h
         c = lame.p_coefficients(1, 7, 99, 3)
-        assert lame.theorem5_check(c, 2).passed_case == "case1"
+        assert oracle.theorem5_check(c, 2).passed_case == "case1"
 
     def test_m1_passes_iff_quarter_frequency(self):
         good = lame.p_coefficients(1, Q(1, 4), 1, Q(3, 8))
-        v = lame.theorem5_check(good, Q(1, 2))
+        v = oracle.theorem5_check(good, Q(1, 2))
         assert v.passed_case == "case2_1"
         assert v.conjecture_conditional
         assert v.derived_constraints["omega_j/omega0"] == Q(1, 4)
         bad = lame.p_coefficients(1, 1, 1, Q(3, 8))
-        v = lame.theorem5_check(bad, Q(1, 2))
+        v = oracle.theorem5_check(bad, Q(1, 2))
         assert v.passed_case == "none"
         assert any("b1" in cid for cid, _ in v.failed_conditions)
 
     def test_m2_never_occurs(self):
         c = lame.p_coefficients(1, 2, 1, Q(15, 8))    # n = 3/2, m = 2
-        v = lame.theorem5_check(c, Q(3, 2))
+        v = oracle.theorem5_check(c, Q(3, 2))
         assert v.passed_case == "none"
         assert any("c2" in cid for cid, _ in v.failed_conditions)
 
@@ -115,12 +119,12 @@ class TestTheorem5:
         wj = Q(55, 28) * w0
         c0sq = Q(72, 343) * w0 ** 3
         good = lame.p_coefficients(w0, wj, c0sq, Q(35, 8))
-        v = lame.theorem5_check(good, Q(5, 2))
+        v = oracle.theorem5_check(good, Q(5, 2))
         assert v.passed_case == "case2_3"
         # violating any one relation fails the branch
         for bad_wj, bad_c0 in ((wj + 1, c0sq), (wj, c0sq + 1)):
             c = lame.p_coefficients(w0, bad_wj, bad_c0, Q(35, 8))
-            v = lame.theorem5_check(c, Q(5, 2))
+            v = oracle.theorem5_check(c, Q(5, 2))
             assert v.passed_case == "none"
 
     def test_m3_offset_relation(self):
@@ -135,7 +139,7 @@ class TestTheorem5:
     def test_m_above_three_never_occurs(self):
         for n, m in ((Q(7, 2), 4), (Q(9, 2), 5), (Q(13, 2), 7), (Q(11, 2), 6)):
             c = lame.p_coefficients(1, 1, 1, n * (n + 1) / 2)
-            v = lame.theorem5_check(c, n)
+            v = oracle.theorem5_check(c, n)
             assert v.passed_case == "none", f"m={m}"
 
     def test_m6_zero_offset_defers_to_variational_chain(self):
@@ -144,7 +148,7 @@ class TestTheorem5:
         n = Q(11, 2)
         c = lame.p_coefficients(1, Q(143, 12), 1, n * (n + 1) / 2)
         assert c.b1 == 0
-        v = lame.theorem5_check(c, n)
+        v = oracle.theorem5_check(c, n)
         assert v.passed_case == "case2_m"
         assert not v.failed_conditions
         assert any("0 mod 6" in note for note in v.notes)
@@ -156,7 +160,7 @@ class TestTheorem5:
             wj = abs(random_rational(rng, nonzero=True))
             c = lame.p_coefficients(w0, wj, abs(random_rational(rng)),
                                     n * (n + 1) / 2)
-            v = lame.theorem5_check(c, n)
+            v = oracle.theorem5_check(c, n)
             assert v.passed_case == "none"
             branch_b = [r for cid, r in v.failed_conditions
                         if cid.startswith("case3 branch b: c2 b1")]
@@ -164,14 +168,14 @@ class TestTheorem5:
 
     def test_a2_precondition(self):
         c = lame.PCoefficients(Q(1), Q(1), 0, 0, 0, 0, 0, 0)
-        v = lame.theorem5_check(c, 1)
+        v = oracle.theorem5_check(c, 1)
         assert v.passed_case == "none"
         assert v.failed_conditions[0][0] == "a2 = 0"
 
     def test_unclassifiable_index(self):
         n = Q(1, 3)       # n + 1/2 = 5/6: in none of the families
         c = lame.p_coefficients(1, 1, 1, n * (n + 1) / 2)
-        v = lame.theorem5_check(c, n)
+        v = oracle.theorem5_check(c, n)
         assert v.passed_case == "none"
         assert v.notes
 
@@ -179,7 +183,7 @@ class TestTheorem5:
 class TestLameData:
     def test_per_block_offsets(self):
         p = make_params_c0sq(1, [1, 2], 1, [0, 0], 1)
-        data = lame.lame_data(p)
+        data = oracle.lame_data(p)
         assert data.n == 1
         assert data.B_j == (Q(-2, 3), Q(-8, 3))
         assert len(data.coeffs) == 2
@@ -187,4 +191,94 @@ class TestLameData:
     def test_rejects_non_lame_coupling(self):
         p = make_params(1, [1], 1, [0], Q(1, 3))
         with pytest.raises(ValueError):
-            lame.lame_data(p)
+            oracle.lame_data(p)
+
+
+class TestResonanceRule:
+    def test_m6_zero_offset_fails_at_users_energy(self):
+        # the block the tree passes with no clause has a nonzero exact VE1
+        # log coefficient at h = 0
+        n = Q(11, 2)
+        p = make_params_c0sq(1, [Q(143, 12)], 1, [0], n * (n + 1) / 2)
+        v = lame.theorem5_check(p, 0, 0)
+        assert v.passed_case == "none"
+        assert v.failed_conditions == [
+            ("m=6, normal_1, h = 0: resonance coefficient = 0",
+             Q(-8863855, 6718464))]
+        assert not v.notes
+
+    def test_degenerate_energies_are_skipped(self):
+        # w0 = 1, C0^2 = 0: the curve degenerates at h = 0 and h = 1
+        for h in (0, 1):
+            with pytest.raises(elliptic.DegenerateInvariantsError):
+                elliptic.invariants_from_energy(1, 0, h)
+        p = make_params_c0sq(1, [1], 0, [0], Q(15, 8))      # n = 3/2
+        v = lame.theorem5_check(p, 0, 0)
+        ((cid, value),) = v.failed_conditions
+        assert cid == "m=2, normal_1, h = 2: resonance coefficient = 0"
+        assert value != 0
+
+    def test_integer_index_passes_without_coefficients(self):
+        v = lame.theorem5_check(make_params(1, [7], 99, [0], 3), 0, 0)
+        assert v.passed_case == "case1" and not v.conjecture_conditional
+
+
+#: half-integer indices m = n + 1/2 in 1..9 that the tree has clauses for
+TREE_MS = (1, 2, 3, 4, 5, 7, 8, 9)
+
+
+@st.composite
+def half_integer_points(draw):
+    """(p, n, h) with two blocks; block 2 (j = 1) is random, has B_j = 0
+    (for m = 1 the surviving family), or is the m = 3 surviving triple."""
+    m = draw(st.sampled_from(TREE_MS))
+    n = Q(2 * m - 1, 2)
+    pos = st.fractions(min_value=Q(1, 8), max_value=4, max_denominator=8)
+    nonneg = st.fractions(min_value=0, max_value=4, max_denominator=8)
+    w0 = draw(pos)
+    kind = draw(st.sampled_from(("random", "zero_offset", "triple")
+                                if m == 3 else ("random", "zero_offset")))
+    if kind == "random":
+        wj, c0sq = draw(pos), draw(nonneg)
+    elif kind == "zero_offset":
+        wj, c0sq = w0 * n * (n + 1) / 3, draw(nonneg)
+    else:
+        wj, c0sq = Q(55, 28) * w0, Q(72, 343) * w0 ** 3
+    h = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    p = make_params_c0sq(w0, [draw(pos), wj], c0sq, [0, 0], n * (n + 1) / 2)
+    return p, n, h
+
+
+@given(half_integer_points())
+@settings(max_examples=200, deadline=None)
+def test_resonance_rule_agrees_with_tree(point):
+    p, n, h = point
+    m = int(n + Q(1, 2))
+    want = oracle.theorem5_check(
+        lame.p_coefficients(p.omega0, p.omegas[1], p.C0_sq, p.g_bf), n)
+    got = lame.theorem5_check(p, 1, h)
+    assert got.passed_case == want.passed_case
+    assert got.conjecture_conditional and not got.notes
+    if not got.passed:
+        ((cid, value),) = got.failed_conditions
+        assert cid.startswith(f"m={m}, normal_2, h = ")
+        assert value != 0
+
+
+@given(half_integer_points(),
+       st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       st.fractions(min_value=Q(1, 6), max_value=2, max_denominator=6))
+@settings(max_examples=100, deadline=None)
+def test_resonance_coefficient_degree_bound(point, h0, dh):
+    """The coefficient is a polynomial of degree at most floor(m/2) in h:
+    its (floor(m/2) + 1)-th finite difference vanishes."""
+    p, n, _ = point
+    k = int(n + Q(1, 2)) // 2 + 1
+    values = []
+    for i in range(k + 1):
+        try:
+            e = elliptic.invariants_from_energy(p.omega0, p.C0_sq, h0 + i * dh)
+        except elliptic.DegenerateInvariantsError:
+            assume(False)
+        values.append(variational.resonance_coefficient(p, e, 1, n))
+    assert sum((-1) ** i * comb(k, i) * v for i, v in enumerate(values)) == 0

@@ -5,22 +5,23 @@ import numpy as np
 import pytest
 
 from bfmix import elliptic, model
-from bfmix.model import PhaseState, RawParams, make_params
+from bfmix.model import PhaseState, make_params
 from bfmix.odeint import integrate
 from conftest import random_rational
+from helpers_model import RawParams, normalize
 
 
 class TestNormalize:
     def test_identity_scaling(self):
         raw = RawParams(Q(1), Q(1), Q(1), Q(7), Q(2), (Q(3),), Q(5), (Q(11),))
-        p = model.normalize(raw)
+        p = normalize(raw)
         assert (p.omega0, p.omegas, p.g_bf) == (Q(2), (Q(3),), Q(7))
         assert (p.C0, p.Cs) == (Q(5), (Q(11),))
 
     def test_reference_scaling(self):
         # m_B=1, m_F=2, g_BB=4 gives gamma = 1/2
         raw = RawParams(Q(1), Q(2), Q(4), Q(1), Q(1), (Q(1),), Q(1), (Q(1),))
-        p = model.normalize(raw)
+        p = normalize(raw)
         assert p.omega0 == Q(1, 4)
         assert p.omegas[0] == Q(1, 2)
         assert p.g_bf == Q(1, 2)
@@ -29,19 +30,19 @@ class TestNormalize:
 
     def test_gbf_zero_stays_zero(self):
         raw = RawParams(Q(3), Q(5), Q(9), Q(0), Q(1), (Q(1),), Q(0), (Q(1),))
-        assert model.normalize(raw).g_bf == 0
+        assert normalize(raw).g_bf == 0
 
     def test_idempotent_on_normalized(self):
         raw = RawParams(Q(1), Q(1), Q(1), Q(3), Q(2), (Q(5),), Q(7), (Q(2),))
-        p = model.normalize(raw)
-        again = model.normalize(RawParams(Q(1), Q(1), Q(1), p.g_bf, p.omega0,
+        p = normalize(raw)
+        again = normalize(RawParams(Q(1), Q(1), Q(1), p.g_bf, p.omega0,
                                           p.omegas, p.C0, p.Cs))
         assert again == p
 
     def test_gbb_positive_required(self):
         raw = RawParams(Q(1), Q(1), Q(-1), Q(1), Q(1), (Q(1),), Q(0), (Q(0),))
         with pytest.raises(model.InvalidParameterError):
-            model.normalize(raw)
+            normalize(raw)
 
 
 class TestHamiltonian:

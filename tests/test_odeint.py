@@ -69,13 +69,23 @@ class TestShapes:
 
 
 class TestFailures:
-    def test_blow_up_raises_singularity(self):
-        # y' = y^2, y(0) = 1 has y = 1/(1 - t)
+    @pytest.mark.parametrize("tols", [
+        pytest.param({}, id="default"),
+        pytest.param({"rtol": 1e-6, "atol": 1e-8}, id="rtol1e-6")])
+    def test_blow_up_raises_singularity(self, tols):
+        # y' = y^2, y(0) = 1 has y = 1/(1 - t); the step underflows near the
+        # pole before the state overflows (an overflow RuntimeWarning would
+        # fail the test under the suite's warning filter)
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return y * y
         with pytest.raises(SingularityEncounteredError,
                            match="step-size underflow") as info:
-            integrate(lambda t, y: y * y, 0.0, [1.0], 1.5,
-                      rtol=1e-6, atol=1e-8)
+            integrate(f, 0.0, [1.0], 1.5, **tols)
         assert abs(info.value.t_estimate - 1.0) < 1e-5
+        assert len(calls) < 10 ** 4
 
 
 class TestStepCount:

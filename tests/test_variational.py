@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfmix import elliptic, variational as V
+from bfmix import elliptic, lame, variational as V
 from bfmix.model import make_params, make_params_c0sq
 from bfmix.series import (InsufficientOrderError, PuiseuxSeries,
                           append_rational)
@@ -236,6 +236,26 @@ def test_bases_agree_with_order_60(name):
             assert basis.sol1.agrees_with(ref.sol1), (order, "sol1")
             assert basis.sol2.agrees_with(ref.sol2), (order, "sol2")
             assert basis.log_in_basis == ref.log_in_basis
+
+
+@pytest.mark.parametrize("g, wjs, c0sq, h", [
+    (Q(3, 8), [Q(1, 4)], Q(1), Q(0)),                 # m = 1 survivor
+    (Q(3, 8), [Q(1), Q(1, 4)], Q(1), Q(2, 3)),        # m = 1, two blocks
+    (Q(15, 8), [Q(1)], Q(1), Q(-1, 2)),               # m = 2
+    (Q(35, 8), [Q(55, 28)], Q(72, 343), Q(3)),        # m = 3 triple
+    (Q(63, 8), [Q(5, 3)], Q(2), Q(1, 5)),             # m = 4
+    (Q(143, 8), [Q(143, 12)], Q(1), Q(0))],           # m = 6, B_j = 0
+    ids=["half", "half-nf2", "three-half", "five-half", "seven-half",
+         "eleven-half"])
+def test_resonance_coefficient_is_the_basis_log_coefficient(g, wjs, c0sq, h):
+    """The short route reads the same number as the full VE1 basis."""
+    n = lame.lame_index(g)
+    p = make_params_c0sq(1, wjs, c0sq, [0] * len(wjs), g)
+    e = elliptic.invariants_from_energy(1, c0sq, h)
+    ve1 = V.build_ve1(p, e, 2 * n + 3)
+    for j, q in enumerate(ve1.normal):
+        assert (V.resonance_coefficient(p, e, j, n)
+                == V.frobenius(q).log_coefficient)
 
 
 class TestVE1Structure:

@@ -65,18 +65,20 @@ class TestClassify:
         assert v.outcome == "NecessaryConditionsSurvived"
 
     def test_case2_m6_zero_offset_gets_exact_log_witness(self):
-        # n = 11/2 (m = 6 = 0 mod 6) with B_j = 0: no clause of the tree
-        # applies, so the VE1 resonance coefficient decides
+        # n = 11/2 (m = 6 = 0 mod 6) with B_j = 0: no clause of the
+        # hand-listed tree applies; the VE1 resonance coefficient of the
+        # block is nonzero at the user's h
         p = make_params(1, [Q(143, 12)], 1, [0], Q(143, 8))
         v = verdict.classify(p, h=0)
         assert v.outcome == "NonIntegrable"
-        assert v.witness.kind == "ve_log"
-        assert v.witness.data["order"] == 1
-        assert v.witness.data["block"] == "normal_1"
-        assert v.witness.data["value"] == "-8863855/6718464"
+        assert v.witness.kind == "theorem5_failure"
+        assert v.witness.data["block"] == 1
+        ((cid, value),) = v.witness.data["failed_conditions"]
+        assert cid == "m=6, normal_1, h = 0: resonance coefficient = 0"
+        assert value == "-8863855/6718464"
         (t5,) = v.details["theorem5"]
-        assert t5["passed_case"] == "case2_m"
-        assert t5["failed_conditions"] == []
+        assert t5["passed_case"] == "none"
+        assert t5["failed_conditions"] == [[cid, value]]
 
     def test_case2_large_integer_index(self):
         p = make_params(1, [1], 1, [0], 6)        # n = 3
@@ -96,7 +98,8 @@ class TestClassify:
     # builds and pipelines count the work at the deciding order 10; order 5
     # before it costs one more VE1 build and one pipeline run, which raises
     @pytest.mark.parametrize("g, wj, c0sq, builds, pipelines", [
-        (Q(3, 8), Q(1, 4), Q(1), 1, 5),        # survivor: standard + 4 picks
+        # survivor: the standard pick, then the 3 scan picks that differ
+        (Q(3, 8), Q(1, 4), Q(1), 1, 4),
         (Q(3), Q(2), Q(1), 1, 2),              # index 2: first pick is a witness
     ])
     def test_case2_pipeline_counts(self, monkeypatch, g, wj, c0sq, builds,
