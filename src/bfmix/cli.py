@@ -261,8 +261,7 @@ def _series_rows(args):
             yield f"# normal_{j + 1}"
             yield from nj.to_csv_rows()
         return
-    choice = variational.STANDARD_CHOICES.get(lame.lame_index(p.g_bf),
-                                              variational.HigherVEChoice())
+    choice = variational.standard_choice(lame.lame_index(p.g_bf))
     if args.pick_xi0 or args.pick_xij:
         choice = variational.HigherVEChoice(
             args.pick_xi0 or choice.pick_xi0,

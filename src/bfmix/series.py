@@ -421,14 +421,14 @@ class PuiseuxSeries:
     def pow(self, n: int) -> "PuiseuxSeries":
         if n < 0:
             return self.invert().pow(-n)
-        result = PuiseuxSeries.constant(1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return PuiseuxSeries.constant(1) if result is None else result
 
     __pow__ = pow
 

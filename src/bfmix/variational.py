@@ -239,9 +239,11 @@ def forcing_k2(qbar: PuiseuxSeries, C0_sq, g, xi0_1: PuiseuxSeries,
     for xj in xij_1:
         s = xj * xj
         sum_sq = s if sum_sq is None else sum_sq + s
-    k0 = (qbar * sum_sq).scale(2 * g) + (qbar * (xi0_1 * xi0_1)).scale(6) \
-        + (qbar_inv5 * (xi0_1 * xi0_1)).scale(6 * C0_sq)
-    kj = [(qbar * xi0_1 * xj).scale(4 * g) for xj in xij_1]
+    xi0_sq = xi0_1 * xi0_1
+    k0 = (qbar * sum_sq).scale(2 * g) + (qbar * xi0_sq).scale(6) \
+        + (qbar_inv5 * xi0_sq).scale(6 * C0_sq)
+    qbar_xi0 = qbar * xi0_1
+    kj = [(qbar_xi0 * xj).scale(4 * g) for xj in xij_1]
     return k0, kj
 
 
@@ -260,12 +262,15 @@ def forcing_k3(qbar: PuiseuxSeries, C0_sq, g,
         s = xj1 * xj1
         cross = c if cross is None else cross + c
         sum_sq = s if sum_sq is None else sum_sq + s
+    xi0_sq = xi0_1 * xi0_1
+    xi0_cube = xi0_sq * xi0_1
+    qbar_xi0_xi0_2 = qbar * xi0_1 * xi0_2
     k0 = (qbar * cross).scale(4 * g) + (xi0_1 * sum_sq).scale(2 * g) \
-        + (xi0_1 * xi0_1 * xi0_1).scale(2) + (qbar * xi0_1 * xi0_2).scale(12)
+        + xi0_cube.scale(2) + qbar_xi0_xi0_2.scale(12)
     if C0_sq != 0:
-        k0 = k0 - (qbar_inv6 * ((xi0_1 * xi0_1 * xi0_1).scale(10)
-                             - (qbar * xi0_1 * xi0_2).scale(12))).scale(C0_sq)
-    kj = [((xi0_1 * xi0_1) * xj1).scale(2 * g)
+        k0 = k0 - (qbar_inv6 * (xi0_cube.scale(10)
+                                - qbar_xi0_xi0_2.scale(12))).scale(C0_sq)
+    kj = [(xi0_sq * xj1).scale(2 * g)
           + (qbar * (xi0_1 * xj2 + xi0_2 * xj1)).scale(4 * g)
           for xj1, xj2 in zip(xij_1, xij_2)]
     return k0, kj
@@ -303,6 +308,11 @@ STANDARD_CHOICES: Dict[Fraction, HigherVEChoice] = {
     Q(1, 2): HigherVEChoice("first", "second", "second", "first", "first"),
     Q(5, 2): HigherVEChoice("first", "first", "second", "second", "first"),
 }
+
+
+def standard_choice(n: Fraction) -> HigherVEChoice:
+    """The pick the case-2 chain runs first for Lame index n."""
+    return STANDARD_CHOICES.get(n, HigherVEChoice())
 
 
 @dataclass
@@ -384,11 +394,13 @@ def ve1_context(p, e, order) -> VE1Context:
     if not qbar:
         raise InsufficientOrderError(
             f"q0 = 1/t + ... keeps no term below t^{order}")
+    qbar_inv = qbar.invert()
+    qbar_inv5 = qbar_inv.pow(5)
     return VE1Context(g=Q(p.g_bf), C0_sq=e.C0_sq, ve1=ve1,
                       tangential_basis=frobenius(ve1.tangential),
                       normal_bases=tuple(frobenius(nj) for nj in ve1.normal),
-                      qbar_inv5=qbar.pow(5).invert(),
-                      qbar_inv6=qbar.pow(6).invert())
+                      qbar_inv5=qbar_inv5,
+                      qbar_inv6=qbar_inv5 * qbar_inv)
 
 
 def _pick(basis: FrobeniusBasis, which: str) -> PuiseuxSeries:
@@ -447,3 +459,66 @@ def scan_choices(ctx: VE1Context, skip: Optional[HigherVEChoice] = None
             ch = HigherVEChoice(p0, pj, "second", "first", "first")
             if ch != skip:
                 yield ch, higher_ve_residues(ctx, ch)
+
+
+# ---------------------------------------------------------------------------
+# truncation order from the Frobenius exponents
+# ---------------------------------------------------------------------------
+
+class _Valuation:
+    """Leading exponent of a chain series, standing in for the series when
+    the forcings run on exponents alone: a product adds valuations, a sum
+    takes the smaller (a cancellation of leading terms only raises it)."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: Fraction):
+        self.v = v
+
+    def __mul__(self, other: "_Valuation") -> "_Valuation":
+        return _Valuation(self.v + other.v)
+
+    def __add__(self, other: "_Valuation") -> "_Valuation":
+        return _Valuation(min(self.v, other.v))
+
+    __sub__ = __add__
+
+    def scale(self, k) -> "_Valuation":
+        return self
+
+
+def chain_order(n: Fraction, choice: HigherVEChoice) -> int:
+    """Least truncation order at which ``higher_ve_residues`` with
+    ``choice`` reads every exact value it needs, for Lame index n, from the
+    Frobenius exponents (rho1, rho2): (3, -2) for the tangential block
+    (c2 = 6) and (n + 1, -n) for every normal block.
+
+    At order P, VE1's coefficients and bases are exact below v + P + 2 and
+    q0 and its powers below v + P + 1, v the leading exponent; products,
+    sums and primitives keep the smaller margin.  So every series of the
+    chain is exact below v + P + 1, where v is its valuation counted without
+    cancellations, a lower bound.  The chain reads: sol1 of each block
+    through its resonance (rho2 + P + 2 > rho1), and the 1/t coefficients of
+    sol1*K and sol2*K for the VE2 and VE3 forcings K of each block, exact
+    once rho2 + v(K) + P + 1 > -1 (sol1 binds).  K3 is cubic in the
+    first-order picks, so for n >= 2 a VE3 residue sets the order.
+    """
+    tang, norm = (Q(3), Q(-2)), (n + 1, -n)
+
+    def pick(block, which):
+        return _Valuation(block[1] if which == "first" else block[0])
+
+    qbar = _Valuation(Q(-1))
+    xi0, xj = pick(tang, choice.pick_xi0), pick(norm, choice.pick_xij)
+    k0_2, (kj_2,) = forcing_k2(qbar, 1, 1, xi0, [xj], _Valuation(Q(5)))
+    # a particular solution has valuation v(K) + rho1 + rho2 + 1 = v(K) + 2
+    xi0_2 = _Valuation(k0_2.v + 2) + pick(tang, choice.pick_xi0_2)
+    xj_2 = _Valuation(kj_2.v + 2) + pick(norm, choice.pick_xij_2)
+    k0_3, (kj_3,) = forcing_k3(qbar, 1, 1, xi0, [xj], xi0_2, [xj_2],
+                               _Valuation(Q(6)))
+    bound = Q(-1)                  # q0 = 1/t + ... keeps a term once P > -1
+    for (rho1, rho2), forcings in ((tang, (k0_2, k0_3)),
+                                   (norm, (kj_2, kj_3))):
+        bound = max(bound, rho1 - rho2 - 2,
+                    *(-2 - rho2 - k.v for k in forcings))
+    return math.floor(bound) + 1

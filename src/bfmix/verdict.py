@@ -20,10 +20,6 @@ from .series import InsufficientOrderError
 
 Q = Fraction
 
-#: series truncation orders analyze_case2 tries, in turn, until one decides;
-#: past the last the InsufficientOrderError propagates
-CASE2_ORDERS = (5, 10, 20, 40, 80)
-
 #: left end of the window analyze_case3 reports the zeros on
 CASE3_T0_MIN = 0.01
 
@@ -127,8 +123,10 @@ def analyze_case1(omega0, omega, g_bf, c_sum) -> IntegrabilityVerdict:
 def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
     """Case-2 verdict.  Every exact decision of the variational chain is
     certified by the series truncation or raises InsufficientOrderError, so
-    the first of CASE2_ORDERS that decides gives the verdict of every higher
-    order."""
+    the first order that decides gives the verdict of every higher order.
+    The chain runs once, at the order that the Frobenius exponents certify
+    for the standard pick (variational.chain_order); should a scan pick need
+    more terms, the order doubles until the chain decides."""
     snapshot = params_snapshot(p)
     snapshot["h"] = str(Q(h))
     if p.g_bf == 0:
@@ -171,12 +169,12 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
                                                    in v.failed_conditions]}),
             params=snapshot, details=details)
 
-    for order in CASE2_ORDERS:
+    order = variational.chain_order(n, variational.standard_choice(n))
+    while True:
         try:
             return _case2_at_order(p, e, n, order, snapshot, details)
         except InsufficientOrderError:
-            if order == CASE2_ORDERS[-1]:
-                raise
+            order *= 2
 
 
 def _case2_at_order(p: ModelParams, e: "elliptic.EllipticData", n: Fraction,
@@ -185,7 +183,7 @@ def _case2_at_order(p: ModelParams, e: "elliptic.EllipticData", n: Fraction,
     """The variational-chain verdict at one truncation order: the standard
     solution choice, then the choice scan; raises InsufficientOrderError
     when the order is too low to decide."""
-    ch = variational.STANDARD_CHOICES.get(n, variational.HigherVEChoice())
+    ch = variational.standard_choice(n)
     ctx = variational.ve1_context(p, e, order)
     verdict = _ve_verdict(variational.higher_ve_residues(ctx, ch), ch,
                           snapshot, details)

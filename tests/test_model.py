@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as Q
 
 import numpy as np

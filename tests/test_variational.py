@@ -1,11 +1,10 @@
 import cmath
 import math
-import random
 from fractions import Fraction as Q
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfmix import elliptic, lame, variational as V
@@ -518,3 +517,35 @@ class TestSecondOrderExpansions:
         p0 = voc0.particular
         assert p0.coefficient(-3) == 1
         assert p0.coefficient(-1) == 0
+
+
+@st.composite
+def chain_points(draw):
+    """(p, e, n, choice): a case-2 point of index 1-4, 1/2, 3/2 or 5/2 with
+    one or two transverse modes, C0^2 possibly 0, and any pick."""
+    n = draw(st.sampled_from((Q(1), Q(2), Q(3), Q(4), Q(1, 2), Q(3, 2),
+                              Q(5, 2))))
+    rat = st.fractions(min_value=Q(1, 4), max_value=3, max_denominator=4)
+    w0 = draw(rat)
+    wj = draw(st.lists(rat, min_size=1, max_size=2))
+    c0sq = draw(st.one_of(st.just(Q(0)), rat))
+    h = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+    side = st.sampled_from(("first", "second"))
+    choice = V.HigherVEChoice(*(draw(side) for _ in range(5)))
+    p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+    try:
+        e = elliptic.invariants_from_energy(w0, c0sq, h)
+    except elliptic.DegenerateInvariantsError:
+        e = None
+    return p, e, n, choice
+
+
+@given(chain_points())
+@settings(max_examples=20, deadline=None)
+def test_chain_order_certifies_every_reading(point):
+    """At chain_order the chain with that pick reads every value exactly:
+    no InsufficientOrderError, whatever the point and the pick."""
+    p, e, n, choice = point
+    assume(e is not None)
+    order = V.chain_order(n, choice)
+    V.higher_ve_residues(V.ve1_context(p, e, order), choice)

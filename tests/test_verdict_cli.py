@@ -14,6 +14,35 @@ from bfmix.series import InsufficientOrderError
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+#: (g, w0, w_j, C0^2, h, first deciding order): integer indices at
+#: w0 = w_j = C0^2 = 1, h = 0, then the survivor families at three (w0, h)
+#: each, an N_f = 2 point and a C0^2 = 0 point
+_W0_H = ((Q(1), Q(0)), (Q(2), Q(1)), (Q(1, 2), Q(-1)))
+ORDER_GRID = [
+    *(pytest.param(Q(n * (n + 1), 2), Q(1), [Q(1)], Q(1), Q(0),
+                   4 * n - 1 if n > 1 else 4, id=f"index{n}")
+      for n in (*range(1, 13), 15, 20, 21, 25, 30)),
+    *(pytest.param(Q(3, 8), w0, [w0 / 4], Q(1), h, 7,
+                   id=f"half-w0={w0}-h={h}") for w0, h in _W0_H),
+    *(pytest.param(Q(35, 8), w0, [Q(55, 28) * w0], Q(72, 343) * w0 ** 3, h,
+                   9, id=f"five-half-w0={w0}-h={h}") for w0, h in _W0_H),
+    pytest.param(Q(3), Q(1), [Q(2), Q(1)], Q(1), Q(0), 7, id="index2-nf2"),
+    pytest.param(Q(3), Q(1), [Q(2)], Q(0), Q(-1), 7, id="index2-c0sq0")]
+
+
+def _record_orders(monkeypatch):
+    """(the unpatched verdict._case2_at_order, the list of orders the
+    patched one is called at)."""
+    at_order = verdict._case2_at_order
+    orders = []
+
+    def recorded(p, e, n, order, snapshot, details):
+        orders.append(order)
+        return at_order(p, e, n, order, snapshot, details)
+    monkeypatch.setattr(verdict, "_case2_at_order", recorded)
+    return at_order, orders
+
+
 class TestClassify:
     def test_case1_nonintegrable(self):
         v = verdict.analyze_case1(1, 2, 1, 3)
@@ -95,8 +124,8 @@ class TestClassify:
         assert v.witness.data["value"] == "8/5"
         assert v.witness.data.get("found_by_scan")
 
-    # builds and pipelines count the work at the deciding order 10; order 5
-    # before it costs one more VE1 build and one pipeline run, which raises
+    # builds and pipelines count the work of the one chain, at the order
+    # the standard pick's exponents certify
     @pytest.mark.parametrize("g, wj, c0sq, builds, pipelines", [
         # survivor: the standard pick, then the 3 scan picks that differ
         (Q(3, 8), Q(1, 4), Q(1), 1, 4),
@@ -112,8 +141,8 @@ class TestClassify:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(V, name, counted)
         verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
-        assert calls == {"build_ve1": builds + 1,
-                         "higher_ve_residues": pipelines + 1}
+        assert calls == {"build_ve1": builds,
+                         "higher_ve_residues": pipelines}
 
     @pytest.mark.parametrize("g, wj, c0sq", [
         (Q(1), [Q(1)], Q(1)), (Q(3), [Q(2)], Q(1)), (Q(3, 8), [Q(1, 4)], Q(1)),
@@ -140,6 +169,39 @@ class TestClassify:
             assert got == want, order
             decided.append(order)
         assert decided and decided[-1] == 30
+
+    @pytest.mark.parametrize("g, w0, wj, c0sq, h, order", ORDER_GRID)
+    def test_case2_derived_order_is_the_first_deciding_one(
+            self, monkeypatch, g, w0, wj, c0sq, h, order):
+        """The first chain, at the order the exponents certify, decides;
+        one order less raises; twice the order gives the same verdict."""
+        p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), g)
+        at_order, orders = _record_orders(monkeypatch)
+        want = verdict.analyze_case2(p, h)
+        assert orders == [order]
+        e = elliptic.invariants_from_energy(w0, c0sq, h)
+        n = lame.lame_index(g)
+        with pytest.raises(InsufficientOrderError):
+            at_order(p, e, n, order - 1, want.params, {})
+        base = {k: v for k, v in want.details.items()
+                if k not in ("ve3_residues", "reason")}
+        assert at_order(p, e, n, 2 * order, want.params, base) == want
+
+    @pytest.mark.parametrize("g, wj, low", [(Q(1), [Q(1)], 2),
+                                            (Q(3), [Q(2)], 4)],
+                             ids=["index1", "index2"])
+    def test_case2_order_too_low_doubles_once(self, monkeypatch, g, wj, low):
+        """InsufficientOrderError is a safety net: from an order too low to
+        decide, one doubling gives the verdict of the derived order."""
+        p = make_params_c0sq(1, wj, 1, [0], g)
+        want = verdict.analyze_case2(p, Q(0))
+        at_order, orders = _record_orders(monkeypatch)
+        monkeypatch.setattr(verdict.variational, "chain_order",
+                            lambda n, choice: low)
+        got = verdict.analyze_case2(p, Q(0))
+        assert orders == [low, 2 * low]
+        assert (got.outcome, got.witness) == (want.outcome, want.witness)
+        assert got == want
 
     def test_case3_simple_zeros(self):
         p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
@@ -315,22 +377,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: order too low to decide: ")
 
-    def test_case2_past_the_order_cap_is_usage_error(self, monkeypatch,
-                                                      capsys):
-        # index 1 first decides at order 4
-        monkeypatch.setattr(verdict, "CASE2_ORDERS", (2, 3))
-        assert cli.main(["analyze", "case2", "--gbf", "1", "--omega0", "1",
-                         "--omegaj", "1", "--c0sq", "1", "--h", "0"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: order too low to decide: ")
-
-    def test_case2_index_past_the_order_cap_is_usage_error(self, capsys):
-        # index 20 decides at order 80, the last of CASE2_ORDERS; index 21
-        # needs more terms
+    def test_case2_index_21_exits_0_with_exact_residue(self, capsys):
+        # order 83, past the old fixed list of orders, which ended at 80
         assert cli.main(["analyze", "case2", "--gbf", "231", "--omega0", "1",
-                         "--omegaj", "1", "--c0sq", "1", "--h", "0"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: order too low to decide: ")
+                         "--omegaj", "1", "--c0sq", "1", "--h", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["details"]["lame_index"] == "21"
+        witness = report["verdict"]["witness"]
+        assert witness["kind"] == "ve_residue"
+        assert witness["data"]["order"] == 3
+        assert Q(witness["data"]["value"]) != 0
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "case1", "--omega0", "1", "--omega", "2", "--gbf", "1",
