@@ -53,6 +53,7 @@ REPORTS = {
     "case2_index2_b0_nf2.json": _case2("3", "2,2"),
     "case2_index3.json": _case2("6", "1"),
     "case2_index4.json": _case2("10", "1"),
+    "case2_index_seven_sixths.json": _case2("91/72", "1"),
     "case3_splitting.json": ["analyze", "case3", "--omega0=1", "--omega1=1",
                              "--c0sq=1/100", "--c1sq=1", "--action=3.0"],
 }

@@ -3,7 +3,10 @@
 
 For a given Lame index and parameter draw, prints the residue of every
 X^{-1} f_3 row for each pure first-order pick, making the choice dependence
-of the logarithm witness explicit.
+of the logarithm witness explicit.  A point whose first-order basis already
+needs a logarithm gets one line instead, with its coefficient.
+
+    PYTHONPATH=src python3 scripts/residue_survey.py --gbf 3/8 --omegaj 1
 """
 import argparse
 from fractions import Fraction as Q
@@ -28,11 +31,12 @@ def main():
           f"C0^2={args.c0sq} h={args.h}")
     print(f"{'pick_xi0':>9} {'pick_xij':>9} {'normal r1':>12} "
           f"{'normal r2':>12} {'tang r1':>9} {'tang r2':>9}  flags")
-    for ch, res in V.scan_choices(V.ve1_context(p, e, args.order)):
-        if res.ve1_log:
-            print(f"{ch.pick_xi0:>9} {ch.pick_xij:>9}  logarithm already at "
-                  f"first order")
-            continue
+    try:
+        ctx = V.ve1_context(p, e, args.order)
+    except V.FirstOrderLogError as exc:
+        print(exc)
+        return
+    for ch, res in V.scan_choices(ctx):
         if res.ve2_has_log:
             print(f"{ch.pick_xi0:>9} {ch.pick_xij:>9}  logarithm at second "
                   f"order: {res.ve2_log_coefficients}")

@@ -1,10 +1,10 @@
 """Command-line front end: analysis runs, verification checks, series dumps.
 
 Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
-(a ``series --order`` too low for the dump among them, and a case-2 point
-that the largest truncation order tried still cannot decide), 3 internal
-verification failure: a ``verify`` residual above its tolerance, or a
-``series --what mu3`` dump whose second order already carries a logarithm.
+(a ``series --order`` too low for the dump among them, and a ``series
+--what mu2|mu3`` point whose first order already carries a logarithm), 3
+internal verification failure: a ``verify`` residual above its tolerance, or
+a ``series --what mu3`` dump whose second order already carries a logarithm.
 """
 from __future__ import annotations
 
@@ -269,9 +269,6 @@ def _series_rows(args):
             choice.pick_xi0_2, choice.pick_xij_2, choice.residue_row)
     result = variational.higher_ve_residues(
         variational.ve1_context(p, e, order), choice)
-    if result.ve1_log:
-        raise ValueError("first order already carries a logarithm; "
-                         "second-order rows undefined")
     labels = ["tangential"] + [f"normal_{j + 1}"
                                for j in range(len(result.normal_bases))]
     if args.what == "mu2":

@@ -28,9 +28,6 @@ Exponent = Fraction
 #: truncation sentinel for series known to all orders (polynomials in t, 1/t)
 INF = math.inf
 
-#: relative order used when expanding an exact (untruncated) unit, e.g. 1/(1+t)
-DEFAULT_REL_ORDER = 16
-
 
 class SeriesError(Exception):
     """Base class for series arithmetic failures."""
@@ -229,14 +226,6 @@ class PuiseuxSeries:
     def constant(cls, c) -> "PuiseuxSeries":
         return cls({Q(0): c}, INF)
 
-    @classmethod
-    def monomial(cls, c, e) -> "PuiseuxSeries":
-        return cls({_as_exponent(e): c}, INF)
-
-    @classmethod
-    def variable(cls) -> "PuiseuxSeries":
-        return cls.monomial(1, 1)
-
     # -- basic observers ------------------------------------------------------
 
     @property
@@ -297,12 +286,6 @@ class PuiseuxSeries:
     def __hash__(self):
         return hash((self._L, self._base, self._step, self._trunc, self._den,
                      tuple(self._coeffs)))
-
-    def agrees_with(self, other: "PuiseuxSeries") -> bool:
-        """Equality of all coefficients below the common truncation order."""
-        t = min(self.truncation_order, other.truncation_order)
-        return ({e: c for e, c in self.terms() if e < t}
-                == {e: c for e, c in other.terms() if e < t})
 
     # -- ring operations ------------------------------------------------------
 
@@ -435,10 +418,12 @@ class PuiseuxSeries:
     def _unit_length(self) -> Tuple[object, int]:
         """(rel, n): the relative order (over L) kept when expanding
         self / (c0 t^v) and how many lattice coefficients lie below it."""
-        rel = INF if self._trunc == INF else self._trunc - self._base
-        if rel == INF and len(self._coeffs) > 1:
-            rel = DEFAULT_REL_ORDER * self._L
-        return rel, (1 if rel == INF else -(-rel // self._step))
+        if self._trunc != INF:
+            rel = self._trunc - self._base
+            return rel, -(-rel // self._step)
+        if len(self._coeffs) > 1:
+            raise ValueError("exact series of several terms: truncate first")
+        return INF, 1
 
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse, exact to the same relative order.

@@ -29,6 +29,16 @@ class IrregularSingularityError(Exception):
     """Coefficient series has a pole of order > 2 at t = 0."""
 
 
+class FirstOrderLogError(ValueError):
+    """A VE1 basis needs log t: the recursion at the smaller exponent meets a
+    nonzero right-hand side ``coefficient`` at the larger one."""
+
+    def __init__(self, coefficient: Fraction, exponent: Fraction):
+        super().__init__(f"logarithm already at first order: right-hand "
+                         f"side {coefficient} at the resonance t^{exponent}")
+        self.coefficient = coefficient
+
+
 @dataclass(frozen=True)
 class VE1Coefficients:
     """Coefficient functions of the first variational equation.
@@ -75,24 +85,14 @@ def build_ve1(p, e: "elliptic.EllipticData", order) -> VE1Coefficients:
 
 @dataclass(frozen=True)
 class FrobeniusBasis:
-    """Two Frobenius solutions of xi'' = q(t) xi with unit Wronskian.
-
-    sol1 is monic at the smaller exponent rho2, sol2 carries leading
-    coefficient 1/(rho1 - rho2) at rho1.  ``log_coefficient`` is the
-    right-hand side the recursion for sol1 meets at rho1 (0 when it meets
-    none): where it is nonzero the true solution needs a log t term, and sol1
-    holds the log-free part (resonant coefficient zero).
-    """
+    """Two Frobenius solutions of xi'' = q(t) xi with unit Wronskian: sol1
+    monic at the smaller exponent rho2, sol2 with leading coefficient
+    1/(rho1 - rho2) at rho1."""
 
     sol1: PuiseuxSeries
     sol2: PuiseuxSeries
     exponents: Tuple[Fraction, Fraction]   # (rho1, rho2), rho1 > rho2
-    log_coefficient: Fraction
     wronskian_normalized: bool
-
-    @property
-    def log_in_basis(self) -> bool:
-        return self.log_coefficient != 0
 
 
 def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
@@ -134,7 +134,7 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
     bracket_den = c2d * M * M
     a = [1]
     a_den = 1
-    log_coefficient = Q(0)
+    resonance_rhs = Q(0)
     E = R
     for k in range(1, n):
         E += step
@@ -142,7 +142,7 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
         if E == OM:
             # resonance: coefficient multiplies zero; solvable only if rhs = 0
             if rhs:
-                log_coefficient = Fraction(rhs, a_den * q_den)
+                resonance_rhs = Fraction(rhs, a_den * q_den)
             a.append(0)
         else:
             a_den = append_rational(a, a_den, rhs * bracket_den,
@@ -152,14 +152,15 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
         raise InsufficientOrderError(
             f"resonance at t^{other} lies beyond the exact terms (below "
             f"t^{Fraction(trunc, M)}) of the solution at t^{rho}")
-    return PuiseuxSeries.from_dense(M, R, step, a, a_den, trunc), log_coefficient
+    return PuiseuxSeries.from_dense(M, R, step, a, a_den, trunc), resonance_rhs
 
 
 def resonance_coefficient(p, e: "elliptic.EllipticData", j: int,
                           n: Fraction) -> Fraction:
-    """``FrobeniusBasis.log_coefficient`` of normal block j (from 0) for a
-    half-integer Lame index n = m - 1/2, without building VE1: the exponents
-    -n and n + 1 differ by 2m, so N_j exact below t^(2m) decides it."""
+    """The coefficient ``frobenius`` raises FirstOrderLogError with (0 for
+    none) in normal block j (from 0) of a half-integer Lame index n = m - 1/2,
+    without VE1: the exponents -n and n + 1 differ by 2m, so N_j exact below
+    t^(2m) decides it."""
     q = _normal_coefficient(_qbar0_squared(e, 2 * n + 1), p.g_bf, p.omegas[j])
     return _frobenius_one(q, -n, n + 1)[1]
 
@@ -168,14 +169,17 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
     """Solve xi'' = q(t) xi locally at the regular singular point t = 0.
 
     ``q`` must be truncated: the bases are exact below the order its
-    truncation certifies."""
+    truncation certifies.  A resonance with a nonzero right-hand side raises
+    FirstOrderLogError."""
     if q.truncation_order == INF:
         raise ValueError("frobenius needs a truncated coefficient series")
     if q.base_exponent < -2:
         raise IrregularSingularityError(
             f"pole of order {-q.base_exponent} > 2 at t = 0")
     rho1, rho2 = _indicial_roots(q.coefficient(Q(-2)))
-    sol1, log_coefficient = _frobenius_one(q, rho2, rho1)
+    sol1, resonance_rhs = _frobenius_one(q, rho2, rho1)
+    if resonance_rhs:
+        raise FirstOrderLogError(resonance_rhs, rho1)
     # the recursion at rho1 climbs away from rho2, so it meets no resonance
     sol2_monic, _ = _frobenius_one(q, rho1, rho2)
     sol2 = sol2_monic.scale(Q(1) / (rho1 - rho2))
@@ -183,7 +187,6 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
     normalized = (w.coefficient(0) == 1
                   and all(c == 0 for e, c in w.terms() if e != 0))
     return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2),
-                          log_coefficient=log_coefficient,
                           wronskian_normalized=normalized)
 
 
@@ -335,7 +338,6 @@ class HigherVEResult:
     choice: HigherVEChoice
     tangential_basis: FrobeniusBasis
     normal_bases: Tuple[FrobeniusBasis, ...]
-    ve1_log: bool
     ve2_has_log: bool
     ve2_log_coefficients: Tuple
     normal_blocks: Tuple[BlockReport, ...]
@@ -343,16 +345,6 @@ class HigherVEResult:
     residues: Tuple                       # per-j residue of the requested row
     ve2_voc: Tuple[VOCResult, ...] = ()
     ve3_forcing: Tuple[PuiseuxSeries, ...] = ()
-
-    def ve1_log_witness(self):
-        """(block, log coefficient) of the first VE1 basis that needs log t,
-        or None."""
-        for j, b in enumerate(self.normal_bases):
-            if b.log_in_basis:
-                return (f"normal_{j + 1}", b.log_coefficient)
-        if self.tangential_basis.log_in_basis:
-            return ("tangential", self.tangential_basis.log_coefficient)
-        return None
 
     def nonzero_witness(self):
         """(block, row, residue) of the first nonzero VE3 residue, or None."""
@@ -388,7 +380,8 @@ class VE1Context:
 
 
 def ve1_context(p, e, order) -> VE1Context:
-    """Build VE1 and its Frobenius bases once for one parameter point."""
+    """Build VE1 and its Frobenius bases once for one parameter point;
+    raises FirstOrderLogError where a basis needs log t."""
     ve1 = build_ve1(p, e, Q(order))
     qbar = ve1.qbar0
     if not qbar:
@@ -417,10 +410,6 @@ def higher_ve_residues(ctx: VE1Context,
                        choice: HigherVEChoice) -> HigherVEResult:
     """Run the VE2 -> VE3 chain with the given picks and report residues."""
     tb, nbs = ctx.tangential_basis, ctx.normal_bases
-    ve1_log = tb.log_in_basis or any(b.log_in_basis for b in nbs)
-    if ve1_log:
-        return HigherVEResult(choice, tb, nbs, True, False, (), (), None, ())
-
     qbar, g = ctx.ve1.qbar0, ctx.g
     xi0_1 = _pick(tb, choice.pick_xi0)
     xij_1 = [_pick(b, choice.pick_xij) for b in nbs]
@@ -431,8 +420,8 @@ def higher_ve_residues(ctx: VE1Context,
     vocs = (voc0, *vocj)
     ve2_logs = tuple(v.log_coefficients for v in vocs)
     if any(v.has_log for v in vocs):
-        return HigherVEResult(choice, tb, nbs, False, True, ve2_logs, (), None,
-                              (), ve2_voc=vocs)
+        return HigherVEResult(choice, tb, nbs, True, ve2_logs, (), None, (),
+                              ve2_voc=vocs)
 
     xi0_2 = voc0.particular + _pick(tb, choice.pick_xi0_2)
     xij_2 = [v.particular + _pick(b, choice.pick_xij_2)
@@ -444,9 +433,8 @@ def higher_ve_residues(ctx: VE1Context,
     residues = tuple(b.ve3_residue_first if choice.residue_row == "first"
                      else b.ve3_residue_second for b in blocks)
     tblock = _block_report(tb, k0_3)
-    return HigherVEResult(choice, tb, nbs, False, False, ve2_logs, blocks,
-                          tblock, residues, ve2_voc=vocs,
-                          ve3_forcing=(k0_3, *kj_3))
+    return HigherVEResult(choice, tb, nbs, False, ve2_logs, blocks, tblock,
+                          residues, ve2_voc=vocs, ve3_forcing=(k0_3, *kj_3))
 
 
 def scan_choices(ctx: VE1Context, skip: Optional[HigherVEChoice] = None

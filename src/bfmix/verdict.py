@@ -32,7 +32,7 @@ class OutOfScopeError(ValueError):
 @dataclass(frozen=True)
 class Witness:
     kind: str          # heun_B | lame_monodromy | theorem5_failure |
-                       # ve_log | ve_residue | melnikov | none
+                       # ve_log (VE2) | ve_residue (VE3) | melnikov | none
     data: dict = field(default_factory=dict)
 
 
@@ -82,8 +82,11 @@ def _case_of(p: ModelParams) -> str:
 def classify(p: ModelParams, h=0, action_I=None) -> IntegrabilityVerdict:
     """Verdict for model parameters: the arguments of the point's case, then
     that case's analysis.  ``h`` is the case-2 energy level and ``action_I``
-    the case-3 frozen action."""
+    the case-3 frozen action.  At g_bf = 0, analyze_case2 says Separable in
+    case 2; case 1 checks g_bf first, as unequal w_j have no Heun reduction."""
     case = _case_of(p)
+    if case == "case2":
+        return analyze_case2(p, h)
     if p.g_bf == 0:
         return IntegrabilityVerdict(
             case_id=case, outcome="Separable", witness=Witness("none"),
@@ -92,8 +95,6 @@ def classify(p: ModelParams, h=0, action_I=None) -> IntegrabilityVerdict:
     if case == "case1":
         red = heun.reduce_from_params(p)
         return analyze_case1(p.omega0, red.omega, p.g_bf, red.c_sum)
-    if case == "case2":
-        return analyze_case2(p, h)
     if action_I is None:
         raise ValueError("case 3 needs the frozen action (action_I)")
     return analyze_case3(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
@@ -210,15 +211,6 @@ def _choice_record(ch: variational.HigherVEChoice) -> dict:
 def _ve_verdict(result: variational.HigherVEResult,
                 ch: variational.HigherVEChoice, snapshot: dict, details: dict,
                 scanned: bool = False) -> Optional[IntegrabilityVerdict]:
-    if result.ve1_log:
-        block, value = result.ve1_log_witness()
-        return IntegrabilityVerdict(
-            case_id="case2", outcome="NonIntegrable",
-            witness=Witness("ve_log", {"order": 1, "block": block,
-                                       "value": str(value),
-                                       "reason": "logarithm forced in a "
-                                                 "first-order basis solution"}),
-            params=snapshot, details=details)
     if result.ve2_has_log:
         logs = [[str(a), str(b)] for a, b in result.ve2_log_coefficients]
         return IntegrabilityVerdict(

@@ -9,17 +9,51 @@ energy, which is how ``bfmix.lame.theorem5_check`` decides them; the tree
 stays here as the independent route it is checked against.  It has no clause
 for m = 0 mod 6 with B_j = 0 and passes such a block with a note.
 
-``p_coefficients_from_invariants`` derives ``P`` from the Weierstrass
-invariants, independently of the closed-form ``bfmix.lame.p_coefficients``.
+``p_coefficients`` writes ``P`` in closed form, and
+``p_coefficients_from_invariants`` derives it from the Weierstrass invariants
+independently.  ``bfmix.lame.theorem5_check`` writes the fractional-index
+rows of the tree in closed form; the tests check them against this tree.
 """
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
-from bfmix.lame import (PCoefficients, _is_baldassarri_index, lame_index,
-                        lame_offset, p_coefficients)
+from bfmix.lame import _is_baldassarri_index, lame_index, lame_offset
 
 Q = Fraction
+
+
+@dataclass(frozen=True)
+class PCoefficients:
+    a1: Fraction
+    a2: Fraction
+    b1: Fraction
+    b2: Fraction
+    c1: Fraction
+    c2: Fraction
+    d1: Fraction
+    d2: Fraction
+
+
+def p_coefficients(omega0, omega_j, C0_sq, g_bf) -> PCoefficients:
+    """Closed-form coefficient list of P(alpha, h) for one block."""
+    n = lame_index(g_bf)
+    if n is None or n == 0:
+        raise ValueError("coefficients need a nonzero rational Lame index")
+    nn = n * (n + 1)
+    w0, wj, c0sq = Q(omega0), Q(omega_j), Q(C0_sq)
+    B = lame_offset(w0, wj, n)
+    return PCoefficients(
+        a1=4 / nn,
+        a2=Q(0),
+        b1=-12 * B / nn,
+        b2=Q(0),
+        c1=12 * B ** 2 / nn - Q(16, 3) * w0 ** 2 * nn,
+        c2=4 * nn,
+        d1=(Q(16, 3) * B * w0 ** 2 * nn - 4 * B ** 3 / nn
+            - nn ** 2 * (4 * c0sq + Q(64, 27) * w0 ** 3)),
+        d2=8 * nn * wj,
+    )
 
 
 @dataclass(frozen=True)
@@ -34,7 +68,7 @@ def p_coefficients_from_invariants(omega0, omega_j, C0_sq, g_bf) -> PCoefficient
     n(n+1)^2 n (4 wp^3 - g2 wp - g3) and expand exactly in alpha and h.
 
     This is the oracle route; it never touches the closed-form
-    ``bfmix.lame.p_coefficients``.
+    ``p_coefficients``.
     """
     n = lame_index(g_bf)
     if n is None or n == 0:

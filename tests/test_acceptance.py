@@ -28,6 +28,7 @@ from bfmix import elliptic, heun, lame, melnikov, model, verdict, variational as
 from bfmix.model import PhaseState, make_params, make_params_c0sq
 import helpers_theorem5 as t5
 from conftest import random_rational, random_series
+from helpers_series import agrees_with
 from helpers_eps import forcing_oracle
 from helpers_monodromy import monodromy_rows
 
@@ -175,7 +176,7 @@ def test_criterion_02_index_two_mu2_expansion():
     ok = ok and got[Q(-1)] == 0
     ok = ok and abs(stated[Q(-1)]) >= SEPARATION
 
-    time_shift = tb.sol1.agrees_with(-ve1.qbar0.differentiate())
+    time_shift = agrees_with(tb.sol1, -ve1.qbar0.differentiate())
     y = -nb.sol1.differentiate()
     resid = (y.differentiate().differentiate() - ve1.normal[0] * y
              - kj[0])
@@ -288,7 +289,7 @@ def test_criterion_05_p_coefficient_oracle():
         c0sq = abs(random_rational(rng))
         n = rng.choice([Q(1), Q(2), Q(1, 2), Q(3, 2), Q(5, 2), Q(7, 6)])
         g = n * (n + 1) / 2
-        a = lame.p_coefficients(w0, wj, c0sq, g)
+        a = t5.p_coefficients(w0, wj, c0sq, g)
         b = t5.p_coefficients_from_invariants(w0, wj, c0sq, g)
         if a != b:
             gate("5", False, f"coefficient routes disagree at {(w0, wj, c0sq, n)}")
@@ -306,7 +307,7 @@ def test_criterion_06_condition_tree():
     def tree(w0, wj, c0sq, g, n):
         """The hand-listed tree's verdict for one block; bfmix's own check at
         h = 0 must pass or fail the same block alike."""
-        v = t5.theorem5_check(lame.p_coefficients(w0, wj, c0sq, g), n)
+        v = t5.theorem5_check(t5.p_coefficients(w0, wj, c0sq, g), n)
         p = make_params_c0sq(w0, [wj], c0sq, [0], g)
         agree.append(lame.theorem5_check(p, 0, 0).passed == v.passed)
         return v
@@ -439,9 +440,9 @@ def test_criterion_10_forcing_oracle_and_ring_axioms():
                                   qbar.pow(6).invert())
         o0_2, oj_2, o0_3, oj_3 = forcing_oracle(qbar, w0, wjs, c0sq, g,
                                                 a, b, a2, b2)
-        if not (k0_2.agrees_with(o0_2) and k0_3.agrees_with(o0_3)
-                and kj_2[0].agrees_with(oj_2[0])
-                and kj_3[0].agrees_with(oj_3[0])):
+        if not (agrees_with(k0_2, o0_2) and agrees_with(k0_3, o0_3)
+                and agrees_with(kj_2[0], oj_2[0])
+                and agrees_with(kj_3[0], oj_3[0])):
             gate("10", False, f"oracle mismatch at draw {draws}")
         draws += 1
 
@@ -461,9 +462,9 @@ def test_criterion_10_forcing_oracle_and_ring_axioms():
         x = random_series(rng2, trunc=7)
         y = random_series(rng2, trunc=6)
         z = random_series(rng2, trunc=8)
-        if not ((x + y) + z).agrees_with(x + (y + z)):
+        if not agrees_with((x + y) + z, x + (y + z)):
             gate("10", False, "associativity failed")
-        if not (x * (y + z)).agrees_with(x * y + x * z):
+        if not agrees_with(x * (y + z), x * y + x * z):
             gate("10", False, "distributivity failed")
     gate("10", True, "20 oracle draws agree exactly; Wronskians identically "
                      "one; 1000 randomized ring-axiom cases pass")

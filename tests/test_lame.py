@@ -33,7 +33,7 @@ class TestIndex:
 
 class TestPCoefficients:
     def test_reference_block(self):
-        c = lame.p_coefficients(1, 1, 1, 1)      # n = 1, B_j = -2/3
+        c = oracle.p_coefficients(1, 1, 1, 1)      # n = 1, B_j = -2/3
         assert (c.a1, c.b1, c.c1, c.c2, c.d1, c.d2) == \
             (Q(2), Q(4), Q(-8), Q(8), Q(-32), Q(16))
         assert c.a2 == 0 and c.b2 == 0
@@ -42,13 +42,13 @@ class TestPCoefficients:
         for _ in range(10):
             w0 = abs(random_rational(rng, nonzero=True))
             wj = abs(random_rational(rng, nonzero=True))
-            c = lame.p_coefficients(w0, wj, abs(random_rational(rng)), Q(3))
+            c = oracle.p_coefficients(w0, wj, abs(random_rational(rng)), Q(3))
             assert c.a2 == 0 and c.b2 == 0
 
     def test_zero_offset_reduction(self):
         # B_j = 0: b1 = 0 and d1 collapses to -n^2(n+1)^2 (4 C0^2 + 64 w0^3/27)
         w0, c0sq = Q(1), Q(5)
-        c = lame.p_coefficients(w0, 2 * w0, c0sq, Q(3))   # n = 2, B_j = 0
+        c = oracle.p_coefficients(w0, 2 * w0, c0sq, Q(3))   # n = 2, B_j = 0
         assert c.b1 == 0
         assert c.d1 == -36 * (4 * c0sq + Q(64, 27))
 
@@ -60,7 +60,7 @@ class TestPCoefficients:
             c0sq = abs(random_rational(rng))
             n = rng.choice([Q(1), Q(2), Q(3), Q(1, 2), Q(3, 2), Q(5, 2), Q(7, 6)])
             g = n * (n + 1) / 2
-            a = lame.p_coefficients(w0, wj, c0sq, g)
+            a = oracle.p_coefficients(w0, wj, c0sq, g)
             b = oracle.p_coefficients_from_invariants(w0, wj, c0sq, g)
             assert a == b
             draws += 1
@@ -71,9 +71,9 @@ class TestPCoefficients:
             w0 = abs(random_rational(rng, nonzero=True))
             wj = abs(random_rational(rng, nonzero=True))
             n = rng.choice([Q(1), Q(2), Q(1, 2), Q(5, 2), Q(7, 6)])
-            c = lame.p_coefficients(w0, wj, Q(1), n * (n + 1) / 2)
+            c = oracle.p_coefficients(w0, wj, Q(1), n * (n + 1) / 2)
             assert c.c2 * c.b1 - 3 * c.a1 * c.d2 == -32 * w0 * n * (n + 1)
-        c = lame.p_coefficients(1, 1, 1, 1)
+        c = oracle.p_coefficients(1, 1, 1, 1)
         assert c.c2 * c.b1 - 3 * c.a1 * c.d2 == -64
 
     def test_derivation_recovers_d2(self, rng):
@@ -87,29 +87,29 @@ class TestPCoefficients:
 
 class TestTheorem5:
     def test_integer_index_passes_case1(self):
-        c = lame.p_coefficients(1, 1, 1, 1)
+        c = oracle.p_coefficients(1, 1, 1, 1)
         v = oracle.theorem5_check(c, 1)
         assert v.passed_case == "case1"
         assert not v.conjecture_conditional
 
     def test_case1_independent_of_h(self):
         # the integer-index test involves a1 only, which carries no h
-        c = lame.p_coefficients(1, 7, 99, 3)
+        c = oracle.p_coefficients(1, 7, 99, 3)
         assert oracle.theorem5_check(c, 2).passed_case == "case1"
 
     def test_m1_passes_iff_quarter_frequency(self):
-        good = lame.p_coefficients(1, Q(1, 4), 1, Q(3, 8))
+        good = oracle.p_coefficients(1, Q(1, 4), 1, Q(3, 8))
         v = oracle.theorem5_check(good, Q(1, 2))
         assert v.passed_case == "case2_1"
         assert v.conjecture_conditional
         assert v.derived_constraints["omega_j/omega0"] == Q(1, 4)
-        bad = lame.p_coefficients(1, 1, 1, Q(3, 8))
+        bad = oracle.p_coefficients(1, 1, 1, Q(3, 8))
         v = oracle.theorem5_check(bad, Q(1, 2))
         assert v.passed_case == "none"
         assert any("b1" in cid for cid, _ in v.failed_conditions)
 
     def test_m2_never_occurs(self):
-        c = lame.p_coefficients(1, 2, 1, Q(15, 8))    # n = 3/2, m = 2
+        c = oracle.p_coefficients(1, 2, 1, Q(15, 8))    # n = 3/2, m = 2
         v = oracle.theorem5_check(c, Q(3, 2))
         assert v.passed_case == "none"
         assert any("c2" in cid for cid, _ in v.failed_conditions)
@@ -118,12 +118,12 @@ class TestTheorem5:
         w0 = Q(1)
         wj = Q(55, 28) * w0
         c0sq = Q(72, 343) * w0 ** 3
-        good = lame.p_coefficients(w0, wj, c0sq, Q(35, 8))
+        good = oracle.p_coefficients(w0, wj, c0sq, Q(35, 8))
         v = oracle.theorem5_check(good, Q(5, 2))
         assert v.passed_case == "case2_3"
         # violating any one relation fails the branch
         for bad_wj, bad_c0 in ((wj + 1, c0sq), (wj, c0sq + 1)):
-            c = lame.p_coefficients(w0, bad_wj, bad_c0, Q(35, 8))
+            c = oracle.p_coefficients(w0, bad_wj, bad_c0, Q(35, 8))
             v = oracle.theorem5_check(c, Q(5, 2))
             assert v.passed_case == "none"
 
@@ -131,14 +131,14 @@ class TestTheorem5:
         # 16 a1 d2 + 11 b1 c2 = 0 is exactly B_j = (32/33) omega_j
         w0 = Q(28)
         wj = Q(55)
-        c = lame.p_coefficients(w0, wj, 1, Q(35, 8))
+        c = oracle.p_coefficients(w0, wj, 1, Q(35, 8))
         bj = lame.lame_offset(w0, wj, Q(5, 2))
         assert bj == Q(32, 33) * wj
         assert 16 * c.a1 * c.d2 + 11 * c.b1 * c.c2 == 0
 
     def test_m_above_three_never_occurs(self):
         for n, m in ((Q(7, 2), 4), (Q(9, 2), 5), (Q(13, 2), 7), (Q(11, 2), 6)):
-            c = lame.p_coefficients(1, 1, 1, n * (n + 1) / 2)
+            c = oracle.p_coefficients(1, 1, 1, n * (n + 1) / 2)
             v = oracle.theorem5_check(c, n)
             assert v.passed_case == "none", f"m={m}"
 
@@ -146,7 +146,7 @@ class TestTheorem5:
         # m = 6 = 0 mod 6: no clause constrains c1, c2, d1, d2, so b1 = 0
         # passes the block with a note; the VE1 resonance then decides
         n = Q(11, 2)
-        c = lame.p_coefficients(1, Q(143, 12), 1, n * (n + 1) / 2)
+        c = oracle.p_coefficients(1, Q(143, 12), 1, n * (n + 1) / 2)
         assert c.b1 == 0
         v = oracle.theorem5_check(c, n)
         assert v.passed_case == "case2_m"
@@ -158,7 +158,7 @@ class TestTheorem5:
         for _ in range(10):
             w0 = abs(random_rational(rng, nonzero=True))
             wj = abs(random_rational(rng, nonzero=True))
-            c = lame.p_coefficients(w0, wj, abs(random_rational(rng)),
+            c = oracle.p_coefficients(w0, wj, abs(random_rational(rng)),
                                     n * (n + 1) / 2)
             v = oracle.theorem5_check(c, n)
             assert v.passed_case == "none"
@@ -167,14 +167,14 @@ class TestTheorem5:
             assert branch_b and branch_b[0] == -32 * w0 * n * (n + 1)
 
     def test_a2_precondition(self):
-        c = lame.PCoefficients(Q(1), Q(1), 0, 0, 0, 0, 0, 0)
+        c = oracle.PCoefficients(Q(1), Q(1), 0, 0, 0, 0, 0, 0)
         v = oracle.theorem5_check(c, 1)
         assert v.passed_case == "none"
         assert v.failed_conditions[0][0] == "a2 = 0"
 
     def test_unclassifiable_index(self):
         n = Q(1, 3)       # n + 1/2 = 5/6: in none of the families
-        c = lame.p_coefficients(1, 1, 1, n * (n + 1) / 2)
+        c = oracle.p_coefficients(1, 1, 1, n * (n + 1) / 2)
         v = oracle.theorem5_check(c, n)
         assert v.passed_case == "none"
         assert v.notes
@@ -255,7 +255,7 @@ def test_resonance_rule_agrees_with_tree(point):
     p, n, h = point
     m = int(n + Q(1, 2))
     want = oracle.theorem5_check(
-        lame.p_coefficients(p.omega0, p.omegas[1], p.C0_sq, p.g_bf), n)
+        oracle.p_coefficients(p.omega0, p.omegas[1], p.C0_sq, p.g_bf), n)
     got = lame.theorem5_check(p, 1, h)
     assert got.passed_case == want.passed_case
     assert got.conjecture_conditional and not got.notes
@@ -282,3 +282,28 @@ def test_resonance_coefficient_degree_bound(point, h0, dh):
             assume(False)
         values.append(variational.resonance_coefficient(p, e, 1, n))
     assert sum((-1) ** i * comb(k, i) * v for i, v in enumerate(values)) == 0
+
+
+#: Baldassarri-type indices: n + 1/2 in the lattice 1/3, 1/4 or 1/5, not an
+#: integer
+FRACTIONAL_INDICES = (Q(1, 6), Q(5, 6), Q(7, 6), Q(13, 6), Q(1, 4), Q(3, 4),
+                      Q(5, 4), Q(1, 10), Q(3, 10), Q(7, 10))
+
+
+@given(st.sampled_from(FRACTIONAL_INDICES),
+       st.fractions(min_value=Q(1, 8), max_value=4, max_denominator=8),
+       st.fractions(min_value=Q(1, 8), max_value=4, max_denominator=8),
+       st.fractions(min_value=0, max_value=4, max_denominator=8),
+       st.fractions(min_value=-4, max_value=4, max_denominator=6))
+@settings(max_examples=100, deadline=None)
+def test_fractional_rows_equal_tree_rows(n, w0, wj, c0sq, h):
+    """The closed-form fractional rows are the tree's rows on P derived from
+    the invariants, at any energy."""
+    g = n * (n + 1) / 2
+    got = lame.theorem5_check(make_params_c0sq(w0, [wj], c0sq, [0], g), 0, h)
+    want = oracle.theorem5_check(
+        oracle.p_coefficients_from_invariants(w0, wj, c0sq, g), n)
+    assert got.passed_case == want.passed_case == "none"
+    assert got.failed_conditions == want.failed_conditions
+    assert len(got.failed_conditions) == 4
+    assert not got.notes and not got.conjecture_conditional

@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts in ``scripts/`` at their default arguments."""
+"""Smoke runs of the scripts in ``scripts/``, at their default arguments
+unless a test names others."""
 import os
 import subprocess
 import sys
@@ -7,12 +8,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -30,3 +31,10 @@ def test_residue_survey():
     lines = run_script("residue_survey.py")
     # first pick row: pick_xi0, pick_xij, then the normal block's row-1 residue
     assert lines[2].split()[:3] == ["first", "first", "2/3"]
+
+
+def test_residue_survey_first_order_log():
+    # n = 1/2 with B_j != 0: the VE1 basis itself needs log t
+    lines = run_script("residue_survey.py", "--gbf", "3/8", "--omegaj", "1")
+    assert lines[2] == ("logarithm already at first order: right-hand side "
+                        "-3/2 at the resonance t^3/2")

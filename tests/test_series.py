@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from bfmix.series import (INF, FieldExtensionError, InsufficientOrderError,
                           PuiseuxSeries, ZeroDivisionSeriesError)
 from conftest import random_rational, random_series
+from helpers_series import agrees_with, variable
 
-t = PuiseuxSeries.variable()
+t = variable()
 one = PuiseuxSeries.constant(1)
 
 
@@ -65,9 +66,14 @@ class TestInvert:
         assert (t * t).invert() == S({-2: 1})
 
     def test_geometric(self):
-        inv = (one + t).invert()
+        inv = (one + t).truncate(6).invert()
         for k in range(6):
             assert inv.coefficient(k) == (-1) ** k
+
+    def test_exact_multi_term_raises(self):
+        for expand in (PuiseuxSeries.invert, PuiseuxSeries.sqrt):
+            with pytest.raises(ValueError, match="truncate first"):
+                expand(one + t)
 
     def test_pole_plus_constant(self):
         a = S({-2: 1, 0: Q(2, 3)}, 16)
@@ -155,9 +161,9 @@ class TestRingAxioms:
             a = random_series(rng, trunc=7)
             b = random_series(rng, trunc=6)
             c = random_series(rng, trunc=8)
-            assert ((a + b) + c).agrees_with(a + (b + c))
-            assert (a * (b + c)).agrees_with(a * b + a * c)
-            assert (a * b).agrees_with(b * a)
+            assert agrees_with((a + b) + c, a + (b + c))
+            assert agrees_with(a * (b + c), a * b + a * c)
+            assert agrees_with(a * b, b * a)
 
     def test_derivative_kills_residue(self, rng):
         for _ in range(50):
@@ -177,7 +183,7 @@ class TestRingAxioms:
             ls = a.antiderivative()
             rebuilt = ls.regular.differentiate() + \
                 PuiseuxSeries({-1: ls.log_coefficient}, INF)
-            assert rebuilt.agrees_with(a)
+            assert agrees_with(rebuilt, a)
 
 
 @given(st.lists(st.fractions(max_denominator=6), min_size=1, max_size=5),
@@ -239,12 +245,10 @@ def ref_mul(a, b):
 
 def ref_unit_power(a, power_coeff, lead, shift):
     """lead(c0) t^shift(v) sum_k power_coeff(k) u^k, u = a / (c0 t^v) - 1,
-    kept to the relative order of ``a`` (DEFAULT_REL_ORDER when exact)."""
+    kept to the relative order of ``a``."""
     v = min(a[0])
     c0 = a[0][v]
     rel = a[1] - v
-    if rel == INF and len(a[0]) > 1:
-        rel = Q(16)
     u = ref_make({e - v: c / c0 for e, c in a[0].items() if e != v}, rel)
     acc = power = ({Q(0): Q(1)}, INF)
     k = 0
@@ -309,6 +313,9 @@ def test_ring_operations_match_reference(a, b, cut):
 def test_invert_and_sqrt_match_reference(a):
     if not a[0]:
         return
+    if a[1] == INF and len(a[0]) > 1:
+        # an exact series of several terms expands only once truncated
+        a = ref_make(a[0], min(a[0]) + 16)
     x = PuiseuxSeries(*a)
     assert_matches_reference(x.invert(), ref_invert(a))
     assert_matches_reference(x.sqrt(), ref_sqrt(a))

@@ -13,6 +13,7 @@ from bfmix.series import (InsufficientOrderError, PuiseuxSeries,
                           append_rational)
 from conftest import random_rational, random_series
 from helpers_eps import forcing_oracle
+from helpers_series import agrees_with
 from helpers_monodromy import monodromy_rows
 
 #: largest distance allowed between a monodromy-oracle reading and the exact
@@ -39,7 +40,6 @@ class TestFrobenius:
         assert basis.sol1.coefficient(-1) == 1
         assert basis.sol2.coefficient(2) == Q(1, 3)
         assert basis.wronskian_normalized
-        assert not basis.log_in_basis
 
     def test_tangential_solutions(self):
         ve1 = V.build_ve1(P_N1, E_REF, 16)
@@ -72,7 +72,6 @@ class TestFrobenius:
         assert b.exponents == (Q(7, 2), Q(-5, 2))
         assert b.sol2.base_exponent == Q(7, 2)
         assert b.sol2.coefficient(Q(7, 2)) == Q(1, 6)
-        assert not b.log_in_basis
 
     def test_bases_satisfy_equation(self, rng):
         for _ in range(5):
@@ -105,7 +104,6 @@ class TestFrobenius:
         with pytest.raises(InsufficientOrderError):
             V.frobenius(PuiseuxSeries({-2: 2}, 1))
         basis = V.frobenius(PuiseuxSeries({-2: 2}, 2))
-        assert not basis.log_in_basis
         assert basis.sol1.truncation_order == 3
         assert basis.sol2.truncation_order == 6
 
@@ -114,10 +112,11 @@ class TestFrobenius:
         # resonant exponent of the singular solution
         p = make_params(1, [1], 1, [0], Q(3, 8))
         ve1 = V.build_ve1(p, E_REF, 16)
-        b = V.frobenius(ve1.normal[0])
-        assert b.log_in_basis
+        with pytest.raises(V.FirstOrderLogError,
+                           match="logarithm already at first order") as exc:
+            V.frobenius(ve1.normal[0])
         # n = 1/2: the resonant right-hand side at t^(3/2) is a_0 q_2 = B_j
-        assert b.log_coefficient == Q(2, 3) * Q(3, 4) - 2
+        assert exc.value.coefficient == Q(2, 3) * Q(3, 4) - 2
 
 
 def frobenius_one_oracle(q, rho, other, step):
@@ -232,9 +231,8 @@ def test_bases_agree_with_order_60(name):
     deep = reference_bases(name, 60)
     for order in range(6, 31):
         for basis, ref in zip(reference_bases(name, order), deep):
-            assert basis.sol1.agrees_with(ref.sol1), (order, "sol1")
-            assert basis.sol2.agrees_with(ref.sol2), (order, "sol2")
-            assert basis.log_in_basis == ref.log_in_basis
+            assert agrees_with(basis.sol1, ref.sol1), (order, "sol1")
+            assert agrees_with(basis.sol2, ref.sol2), (order, "sol2")
 
 
 @pytest.mark.parametrize("g, wjs, c0sq, h", [
@@ -247,14 +245,20 @@ def test_bases_agree_with_order_60(name):
     ids=["half", "half-nf2", "three-half", "five-half", "seven-half",
          "eleven-half"])
 def test_resonance_coefficient_is_the_basis_log_coefficient(g, wjs, c0sq, h):
-    """The short route reads the same number as the full VE1 basis."""
+    """The short route reads the same number as the full VE1 basis: the
+    coefficient ``frobenius`` raises with, or 0 where it builds a basis."""
     n = lame.lame_index(g)
     p = make_params_c0sq(1, wjs, c0sq, [0] * len(wjs), g)
     e = elliptic.invariants_from_energy(1, c0sq, h)
     ve1 = V.build_ve1(p, e, 2 * n + 3)
     for j, q in enumerate(ve1.normal):
-        assert (V.resonance_coefficient(p, e, j, n)
-                == V.frobenius(q).log_coefficient)
+        r = V.resonance_coefficient(p, e, j, n)
+        try:
+            V.frobenius(q)
+        except V.FirstOrderLogError as exc:
+            assert exc.coefficient == r != 0
+        else:
+            assert r == 0
 
 
 class TestVE1Structure:
@@ -270,7 +274,7 @@ class TestVE1Structure:
         wp = elliptic.wp_laurent(E_REF, 12)
         bj = Q(4, 3) - 2
         target = wp.scale(2) + PuiseuxSeries.constant(bj)
-        assert ve1.normal[0].agrees_with(target)
+        assert agrees_with(ve1.normal[0], target)
 
     def test_gbf_zero_decouples(self):
         p = make_params(1, [Q(5, 4)], 1, [0], 0)
@@ -281,7 +285,7 @@ class TestVE1Structure:
         ve1 = V.build_ve1(P_N1, E_REF, 16)
         b = V.frobenius(ve1.tangential)
         minus_pbar = -ve1.qbar0.differentiate()
-        assert b.sol1.agrees_with(minus_pbar)
+        assert agrees_with(b.sol1, minus_pbar)
 
 
 class TestForcingOracle:
@@ -310,12 +314,12 @@ class TestForcingOracle:
                                       xi0_2, xij_2, qbar.pow(6).invert())
             o0_2, oj_2, o0_3, oj_3 = forcing_oracle(
                 qbar, w0, wjs, c0sq, g, xi0_1, xij_1, xi0_2, xij_2)
-            assert k0_2.agrees_with(o0_2)
-            assert k0_3.agrees_with(o0_3)
+            assert agrees_with(k0_2, o0_2)
+            assert agrees_with(k0_3, o0_3)
             for a, b in zip(kj_2, oj_2):
-                assert a.agrees_with(b)
+                assert agrees_with(a, b)
             for a, b in zip(kj_3, oj_3):
-                assert a.agrees_with(b)
+                assert agrees_with(a, b)
             draws += 1
 
     def test_gbf_zero_kills_normal_forcing(self):
@@ -369,7 +373,7 @@ class TestHigherVEResidues:
 
     def test_index_one_reference(self):
         res = run_residues(1, Q(1), Q(1), Q(1), Q(0))
-        assert not res.ve1_log and not res.ve2_has_log
+        assert not res.ve2_has_log
         assert res.residues == (Q(2, 3),)
 
     def test_index_one_two_blocks(self):
@@ -408,14 +412,14 @@ class TestHigherVEResidues:
     def test_half_index_all_choices_silent(self):
         p = make_params(1, [Q(1, 4)], 1, [0], Q(3, 8))
         for ch, res in V.scan_choices(V.ve1_context(p, E_REF, 30)):
-            assert not res.ve1_log and not res.ve2_has_log
+            assert not res.ve2_has_log
             assert res.nonzero_witness() is None
 
     def test_five_half_index_all_choices_silent(self):
         p = make_params_c0sq(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
         e = elliptic.invariants_from_energy(1, Q(72, 343), 0)
         for ch, res in V.scan_choices(V.ve1_context(p, e, 30)):
-            assert not res.ve1_log and not res.ve2_has_log
+            assert not res.ve2_has_log
             assert res.nonzero_witness() is None
 
     def test_tangential_rows_always_silent(self):
@@ -548,4 +552,54 @@ def test_chain_order_certifies_every_reading(point):
     p, e, n, choice = point
     assume(e is not None)
     order = V.chain_order(n, choice)
-    V.higher_ve_residues(V.ve1_context(p, e, order), choice)
+    try:
+        ctx = V.ve1_context(p, e, order)
+    except V.FirstOrderLogError:
+        # no chain runs: lame.theorem5_check fails such a block first
+        assume(False)
+    V.higher_ve_residues(ctx, choice)
+
+
+@st.composite
+def ve1_points(draw):
+    """(p, e, n): index 1-3, 1/2-7/2, 7/6 or 1/4, one or two transverse
+    modes, each block random or on a surviving family (B_j = 0; the m = 3
+    triple), C0^2 possibly 0."""
+    n = draw(st.sampled_from((Q(1), Q(2), Q(3), Q(1, 2), Q(3, 2), Q(5, 2),
+                              Q(7, 2), Q(7, 6), Q(1, 4))))
+    rat = st.fractions(min_value=Q(1, 4), max_value=3, max_denominator=4)
+    w0 = draw(rat)
+    c0sq = draw(st.one_of(st.just(Q(0)), rat, st.just(Q(72, 343) * w0 ** 3)))
+    block = st.one_of(rat, st.just(w0 * n * (n + 1) / 3),
+                      st.just(Q(55, 28) * w0))
+    wj = draw(st.lists(block, min_size=1, max_size=2))
+    h = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+    try:
+        e = elliptic.invariants_from_energy(w0, c0sq, h)
+    except elliptic.DegenerateInvariantsError:
+        e = None
+    return p, e, n
+
+
+@given(ve1_points())
+@settings(max_examples=60, deadline=None)
+def test_ve1_context_raises_iff_a_resonance_coefficient_is_nonzero(point):
+    """VE1's coefficients are even in t, so only a half-integer index meets
+    a resonance; ve1_context raises exactly where one of its blocks has a
+    nonzero resonance coefficient at the user's h, with the first such
+    value."""
+    p, e, n = point
+    assume(e is not None)
+    order = V.chain_order(n, V.standard_choice(n))
+    if (n + Q(1, 2)).denominator != 1:
+        V.ve1_context(p, e, order)
+        return
+    nonzero = [r for r in (V.resonance_coefficient(p, e, j, n)
+                           for j in range(p.n_f)) if r]
+    try:
+        V.ve1_context(p, e, order)
+    except V.FirstOrderLogError as exc:
+        assert nonzero and exc.coefficient == nonzero[0]
+    else:
+        assert not nonzero

@@ -346,6 +346,14 @@ class TestCli:
         assert block[Q(-3)] == Q(-112, 15)
         assert Q(-1) not in block            # exact zero: no stored term
 
+    def test_series_mu2_first_order_log_is_usage_error(self, capsys):
+        # n = 1/2 with B_j != 0: VE1 already needs log t, so VE2 is undefined
+        assert cli.main(["series", "--what", "mu2", "--gbf", "3/8",
+                         "--omegaj", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: logarithm already at first order: right-hand side -3/2 "
+            "at the resonance t^3/2\n")
+
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         proc = run_cli("sweep", "--omega0", "1",
@@ -523,9 +531,12 @@ class TestOnePathPerCase:
         (make_params(1, [1], 0, [0], 1), {"h": -1},
          ["analyze", "case2", "--omega0", "1", "--gbf", "1", "--omegaj", "1",
           "--c0sq", "0", "--h", "-1"]),
+        (make_params(1, [1], 1, [0], 0), {"h": 0},
+         ["analyze", "case2", "--omega0", "1", "--gbf", "0", "--omegaj", "1",
+          "--c0sq", "1", "--h", "0"]),
         (make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000)),
          {"action_I": 3.0}, CASE3_ARGV)],
-        ids=["case1", "case2_c0_zero", "case3"])
+        ids=["case1", "case2_c0_zero", "case2_g0", "case3"])
     def test_classify_equals_cli_report(self, p, kwargs, argv, capsys):
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
