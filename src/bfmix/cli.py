@@ -267,22 +267,15 @@ def _series_rows(args):
             args.pick_xi0 or choice.pick_xi0,
             args.pick_xij or choice.pick_xij,
             choice.pick_xi0_2, choice.pick_xij_2, choice.residue_row)
-    result = variational.higher_ve_residues(
-        variational.ve1_context(p, e, order), choice)
-    labels = ["tangential"] + [f"normal_{j + 1}"
-                               for j in range(len(result.normal_bases))]
-    if args.what == "mu2":
-        for label, v in zip(labels, result.ve2_voc):
-            yield f"# {label} row_first"
-            yield from v.mu_first.to_csv_rows()
-            yield f"# {label} row_second"
-            yield from v.mu_second.to_csv_rows()
-        return
-    if result.ve2_has_log:
+    ctx = variational.ve1_context(p, e, order)
+    result = variational.higher_ve_residues(ctx, choice)
+    if args.what == "mu3" and result.ve2_has_log:
         raise VerificationFailure("second order already carries a logarithm; "
                                   "third-order rows undefined")
-    bases = (result.tangential_basis,) + result.normal_bases
-    for label, b, k in zip(labels, bases, result.ve3_forcing):
+    bases = (ctx.tangential_basis, *ctx.normal_bases)
+    forcings = result.forcings[0 if args.what == "mu2" else 1]
+    for label, b, k in zip(variational.block_labels(len(bases)), bases,
+                           forcings):
         yield f"# {label} row_first"
         yield from (-(b.sol2 * k)).to_csv_rows()
         yield f"# {label} row_second"

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import elliptic
 from .odeint import integrate
-from .series import FieldExtensionError, rational_sqrt
+from .series import rational_sqrt
 
 Q = Fraction
 
@@ -40,13 +40,6 @@ class DegenerateAmplitudeWarning(UserWarning):
 
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _sqrt_exact(x: Fraction) -> Fraction:
-    root = rational_sqrt(x)
-    if root is None:
-        raise FieldExtensionError(f"{x} has no rational square root")
-    return root
 
 
 @dataclass(frozen=True)
@@ -89,12 +82,10 @@ def make_params(omega0, omegas, C0, Cs, g_bf) -> ModelParams:
 
 
 def make_params_c0sq(omega0, omegas, C0_sq, Cs, g_bf) -> ModelParams:
-    """Parameters given C0^2 exactly; C0 takes the rational root if one exists."""
+    """Parameters given C0^2 exactly; C0 takes the rational root if one
+    exists, and 0 otherwise.  A negative C0^2 is left to ModelParams."""
     c0sq = _fr(C0_sq)
-    try:
-        c0 = _sqrt_exact(c0sq)
-    except FieldExtensionError:
-        c0 = Q(0)
+    c0 = (rational_sqrt(c0sq) if c0sq > 0 else None) or Q(0)
     return ModelParams(_fr(omega0), tuple(_fr(w) for w in omegas),
                        c0, tuple(_fr(c) for c in Cs), _fr(g_bf),
                        C0_sq_value=c0sq)

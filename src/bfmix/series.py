@@ -477,9 +477,10 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_dense(L, b - L, s, out, self._den * L,
                                         self._trunc - L)
 
-    def antiderivative(self) -> "LogSeries":
-        """Termwise primitive with zero constants; the 1/t term feeds log t,
-        so the truncation must lie above t^-1."""
+    def antiderivative(self) -> Tuple["PuiseuxSeries", Fraction]:
+        """``(primitive, log_coefficient)``: the termwise primitive with zero
+        constants, and the 1/t coefficient, which integrates to a multiple of
+        log t instead; so the truncation must lie above t^-1."""
         b, s, L = self._base, self._step, self._L
         if self._trunc != INF and self._trunc <= -L:
             raise InsufficientOrderError(
@@ -495,9 +496,9 @@ class PuiseuxSeries:
         ms = [b + L + k * s for k in range(len(coeffs))]
         m_lcm = math.lcm(*(m for m, c in zip(ms, coeffs) if c))
         out = [c * L * (m_lcm // m) if c else 0 for m, c in zip(ms, coeffs)]
-        regular = PuiseuxSeries.from_dense(L, b + L, s, out,
-                                           self._den * m_lcm, self._trunc + L)
-        return LogSeries(regular, logc)
+        primitive = PuiseuxSeries.from_dense(L, b + L, s, out,
+                                             self._den * m_lcm, self._trunc + L)
+        return primitive, logc
 
     def residue(self) -> Fraction:
         """Coefficient of 1/t (0 when the lattice misses it); needs trunc > -1."""
@@ -534,21 +535,3 @@ class PuiseuxSeries:
         body = " + ".join(bits) if bits else "0"
         return body + tail
 
-
-class LogSeries:
-    """A Puiseux series plus a multiple of log t (from integrating 1/t)."""
-
-    __slots__ = ("regular", "log_coefficient")
-
-    def __init__(self, regular: PuiseuxSeries, log_coefficient: Fraction):
-        self.regular = regular
-        self.log_coefficient = log_coefficient
-
-    @property
-    def has_log(self) -> bool:
-        return self.log_coefficient != 0
-
-    def __repr__(self) -> str:
-        if not self.has_log:
-            return repr(self.regular)
-        return f"{self.regular!r} + ({self.log_coefficient})*log(t)"

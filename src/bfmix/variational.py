@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import elliptic
 from .series import (INF, FieldExtensionError, InsufficientOrderError,
-                     LogSeries, PuiseuxSeries, append_rational, rational_sqrt)
+                     PuiseuxSeries, append_rational, rational_sqrt)
 
 Q = Fraction
 
@@ -190,42 +190,26 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
                           wronskian_normalized=normalized)
 
 
-@dataclass(frozen=True)
-class VOCResult:
-    """Variation-of-constants data for one second-order block.
+class VOCResult(NamedTuple):
+    """Variation-of-constants data for one block forced by K.
 
-    mu_first = -sol2 * K and mu_second = sol1 * K are the rows of
-    X^{-1} (0, K)^T; their 1/t coefficients decide whether the block solution
-    acquires log t.  ``particular`` is sol1*int(mu_first) + sol2*int(mu_second)
-    with zero integration constants (log-free part).
+    ``log_coefficients`` are the 1/t coefficients of the rows -sol2*K and
+    sol1*K of X^{-1} (0, K)^T; a nonzero one puts log t into the block
+    solution.  ``particular`` is sol1*int(-sol2*K) + sol2*int(sol1*K) with
+    zero integration constants (log-free part).
     """
 
-    mu_first: PuiseuxSeries
-    mu_second: PuiseuxSeries
-    c_first: LogSeries
-    c_second: LogSeries
+    log_coefficients: Tuple[Fraction, Fraction]
     particular: PuiseuxSeries
-
-    @property
-    def log_coefficients(self):
-        return (self.c_first.log_coefficient, self.c_second.log_coefficient)
-
-    @property
-    def has_log(self) -> bool:
-        return any(c != 0 for c in self.log_coefficients)
 
 
 def variation_of_constants(basis: FrobeniusBasis,
                            forcing: PuiseuxSeries) -> VOCResult:
     if not basis.wronskian_normalized:
         raise ValueError("basis must be Wronskian-normalized")
-    mu1 = -(basis.sol2 * forcing)
-    mu2 = basis.sol1 * forcing
-    c1 = mu1.antiderivative()
-    c2 = mu2.antiderivative()
-    particular = basis.sol1 * c1.regular + basis.sol2 * c2.regular
-    return VOCResult(mu_first=mu1, mu_second=mu2, c_first=c1, c_second=c2,
-                     particular=particular)
+    c1, log1 = (-(basis.sol2 * forcing)).antiderivative()
+    c2, log2 = (basis.sol1 * forcing).antiderivative()
+    return VOCResult((log1, log2), basis.sol1 * c1 + basis.sol2 * c2)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +288,9 @@ class HigherVEChoice:
                 raise ValueError(f"pick must be 'first' or 'second', got {v!r}")
 
 
-#: choices that the residue computations for each Lame index are quoted under
+#: choices that the residue computations for a Lame index are quoted under,
+#: where they differ from the default ``HigherVEChoice()``
 STANDARD_CHOICES: Dict[Fraction, HigherVEChoice] = {
-    Q(1): HigherVEChoice("second", "first", "second", "first", "first"),
     Q(2): HigherVEChoice("first", "second", "second", "second", "second"),
     Q(1, 2): HigherVEChoice("first", "second", "second", "first", "first"),
     Q(5, 2): HigherVEChoice("first", "first", "second", "second", "first"),
@@ -318,46 +302,51 @@ def standard_choice(n: Fraction) -> HigherVEChoice:
     return STANDARD_CHOICES.get(n, HigherVEChoice())
 
 
-@dataclass
-class BlockReport:
-    """Per-block VE3 residue data (exact coefficients)."""
-
-    ve3_residue_first: object
-    ve3_residue_second: object
+#: the four pure first-order pick combinations that ``scan_choices`` tries
+SCAN_CHOICES = tuple(HigherVEChoice(p0, pj) for p0 in ("first", "second")
+                     for pj in ("first", "second"))
 
 
-@dataclass
+def block_labels(count: int) -> Tuple[str, ...]:
+    """Names of the first ``count`` blocks: tangential, normal_1, ..."""
+    return ("tangential", *(f"normal_{j}" for j in range(1, count)))
+
+
+@dataclass(frozen=True)
 class HigherVEResult:
-    """Everything the order-2/order-3 analysis produced.
+    """The chain's reading at each variational order k = 2, 3.
 
-    ``ve2_voc`` holds the VE2 variation-of-constants data, tangential block
-    first; ``ve3_forcing`` holds (K0^(3), K_1^(3), ...).  Each is empty when
-    the chain stopped before that order.
+    ``rows[k - 2]`` holds, per block with the tangential block first, the
+    1/t coefficients of the rows -sol2*K and sol1*K of X^{-1} (0, K)^T, and
+    ``forcings[k - 2]`` those K.  A nonzero row at order k puts log t into
+    that order's solution, so the chain stops at the first such order.
     """
 
     choice: HigherVEChoice
-    tangential_basis: FrobeniusBasis
-    normal_bases: Tuple[FrobeniusBasis, ...]
-    ve2_has_log: bool
-    ve2_log_coefficients: Tuple
-    normal_blocks: Tuple[BlockReport, ...]
-    tangential_block: Optional[BlockReport]
-    residues: Tuple                       # per-j residue of the requested row
-    ve2_voc: Tuple[VOCResult, ...] = ()
-    ve3_forcing: Tuple[PuiseuxSeries, ...] = ()
+    rows: Tuple[Tuple[Tuple[Fraction, Fraction], ...], ...]
+    forcings: Tuple[Tuple[PuiseuxSeries, ...], ...]
+
+    @property
+    def ve2_has_log(self) -> bool:
+        return any(map(any, self.rows[0]))
+
+    @property
+    def residues(self) -> Tuple[Fraction, ...]:
+        """Per normal block, the VE3 residue of ``choice.residue_row``;
+        empty when the chain stopped at VE2."""
+        i = 0 if self.choice.residue_row == "first" else 1
+        return tuple(r[i] for r in self.rows[1][1:]) if self.rows[1:] else ()
 
     def nonzero_witness(self):
-        """(block, row, residue) of the first nonzero VE3 residue, or None."""
-        for j, b in enumerate(self.normal_blocks):
-            for row, r in (("first", b.ve3_residue_first),
-                           ("second", b.ve3_residue_second)):
+        """(block, row, residue) of the first nonzero VE3 residue, normal
+        blocks before the tangential one, or None."""
+        if not self.rows[1:]:
+            return None
+        blocks = list(zip(block_labels(len(self.rows[1])), self.rows[1]))
+        for block, pair in blocks[1:] + blocks[:1]:
+            for row, r in zip(("first", "second"), pair):
                 if r != 0:
-                    return (f"normal_{j + 1}", row, r)
-        if self.tangential_block:
-            for row, r in (("first", self.tangential_block.ve3_residue_first),
-                           ("second", self.tangential_block.ve3_residue_second)):
-                if r != 0:
-                    return ("tangential", row, r)
+                    return (block, row, r)
         return None
 
 
@@ -400,53 +389,42 @@ def _pick(basis: FrobeniusBasis, which: str) -> PuiseuxSeries:
     return basis.sol1 if which == "first" else basis.sol2
 
 
-def _block_report(basis: FrobeniusBasis, k3: PuiseuxSeries) -> BlockReport:
-    # the 1/t coefficients of mu_first = -sol2 K and mu_second = sol1 K
-    return BlockReport(ve3_residue_first=-basis.sol2.product_residue(k3),
-                       ve3_residue_second=basis.sol1.product_residue(k3))
-
-
 def higher_ve_residues(ctx: VE1Context,
                        choice: HigherVEChoice) -> HigherVEResult:
-    """Run the VE2 -> VE3 chain with the given picks and report residues."""
+    """Run the VE2 -> VE3 chain with the given picks, stopping at VE2 when
+    a VE2 row is nonzero."""
     tb, nbs = ctx.tangential_basis, ctx.normal_bases
+    bases = (tb, *nbs)
     qbar, g = ctx.ve1.qbar0, ctx.g
     xi0_1 = _pick(tb, choice.pick_xi0)
     xij_1 = [_pick(b, choice.pick_xij) for b in nbs]
 
     k0_2, kj_2 = forcing_k2(qbar, ctx.C0_sq, g, xi0_1, xij_1, ctx.qbar_inv5)
-    voc0 = variation_of_constants(tb, k0_2)
-    vocj = [variation_of_constants(b, k) for b, k in zip(nbs, kj_2)]
-    vocs = (voc0, *vocj)
-    ve2_logs = tuple(v.log_coefficients for v in vocs)
-    if any(v.has_log for v in vocs):
-        return HigherVEResult(choice, tb, nbs, True, ve2_logs, (), None, (),
-                              ve2_voc=vocs)
+    k2 = (k0_2, *kj_2)
+    vocs = [variation_of_constants(b, k) for b, k in zip(bases, k2)]
+    rows2 = tuple(v.log_coefficients for v in vocs)
+    if any(map(any, rows2)):
+        return HigherVEResult(choice, (rows2,), (k2,))
 
-    xi0_2 = voc0.particular + _pick(tb, choice.pick_xi0_2)
+    xi0_2 = vocs[0].particular + _pick(tb, choice.pick_xi0_2)
     xij_2 = [v.particular + _pick(b, choice.pick_xij_2)
-             for v, b in zip(vocj, nbs)]
-
+             for v, b in zip(vocs[1:], nbs)]
     k0_3, kj_3 = forcing_k3(qbar, ctx.C0_sq, g, xi0_1, xij_1, xi0_2, xij_2,
                             ctx.qbar_inv6)
-    blocks = tuple(_block_report(b, k) for b, k in zip(nbs, kj_3))
-    residues = tuple(b.ve3_residue_first if choice.residue_row == "first"
-                     else b.ve3_residue_second for b in blocks)
-    tblock = _block_report(tb, k0_3)
-    return HigherVEResult(choice, tb, nbs, False, ve2_logs, blocks, tblock,
-                          residues, ve2_voc=vocs, ve3_forcing=(k0_3, *kj_3))
+    k3 = (k0_3, *kj_3)
+    rows3 = tuple((-b.sol2.product_residue(k), b.sol1.product_residue(k))
+                  for b, k in zip(bases, k3))
+    return HigherVEResult(choice, (rows2, rows3), (k2, k3))
 
 
 def scan_choices(ctx: VE1Context, skip: Optional[HigherVEChoice] = None
                  ) -> Iterator[Tuple[HigherVEChoice, HigherVEResult]]:
-    """Try the four pure first-order pick combinations, yielding each result
-    as soon as it is computed, so a caller can stop at the first witness.
-    A pick equal to ``skip``, one the caller has already run, is left out."""
-    for p0 in ("first", "second"):
-        for pj in ("first", "second"):
-            ch = HigherVEChoice(p0, pj, "second", "first", "first")
-            if ch != skip:
-                yield ch, higher_ve_residues(ctx, ch)
+    """Try the SCAN_CHOICES picks, yielding each result as soon as it is
+    computed, so a caller can stop at the first witness.  A pick equal to
+    ``skip``, one the caller has already run, is left out."""
+    for ch in SCAN_CHOICES:
+        if ch != skip:
+            yield ch, higher_ve_residues(ctx, ch)
 
 
 # ---------------------------------------------------------------------------

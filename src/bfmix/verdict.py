@@ -212,7 +212,7 @@ def _ve_verdict(result: variational.HigherVEResult,
                 ch: variational.HigherVEChoice, snapshot: dict, details: dict,
                 scanned: bool = False) -> Optional[IntegrabilityVerdict]:
     if result.ve2_has_log:
-        logs = [[str(a), str(b)] for a, b in result.ve2_log_coefficients]
+        logs = [[str(a), str(b)] for a, b in result.rows[0]]
         return IntegrabilityVerdict(
             case_id="case2", outcome="NonIntegrable",
             witness=Witness("ve_log", {"order": 2, "log_coefficients": logs,
@@ -225,15 +225,10 @@ def _ve_verdict(result: variational.HigherVEResult,
                 "choice": _choice_record(ch)}
         if scanned:
             data["found_by_scan"] = True
-        det = dict(details)
-        det["ve3_residues"] = {
-            f"normal_{j + 1}": [str(b.ve3_residue_first),
-                                str(b.ve3_residue_second)]
-            for j, b in enumerate(result.normal_blocks)}
-        if result.tangential_block:
-            det["ve3_residues"]["tangential"] = [
-                str(result.tangential_block.ve3_residue_first),
-                str(result.tangential_block.ve3_residue_second)]
+        rows = result.rows[1]
+        labels = variational.block_labels(len(rows))
+        det = dict(details, ve3_residues={
+            label: [str(a), str(b)] for label, (a, b) in zip(labels, rows)})
         return IntegrabilityVerdict(
             case_id="case2", outcome="NonIntegrable",
             witness=Witness("ve_residue", data),

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from bfmix.model import InvalidParameterError, ModelParams, _sqrt_exact
+from bfmix.model import InvalidParameterError, ModelParams
+from bfmix.series import _sqrt_fraction
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ def normalize(raw: RawParams) -> ModelParams:
     omegas = tuple(w * gamma_sq * raw.m_F for w in raw.omegas)
     # C scalings act on squares; keeping signed C's exact requires the
     # combined factor to be a rational square
-    c0_fac = _sqrt_exact(gamma_sq / beta_sq ** 2)
-    cj_fac = _sqrt_exact(gamma_sq / alpha_sq ** 2)
+    c0_fac = _sqrt_fraction(gamma_sq / beta_sq ** 2)
+    cj_fac = _sqrt_fraction(gamma_sq / alpha_sq ** 2)
     C0 = raw.C0 * c0_fac
     Cs = tuple(c * cj_fac for c in raw.Cs)
     return ModelParams(omega0, omegas, C0, Cs, g_bf)

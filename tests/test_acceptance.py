@@ -22,7 +22,6 @@ from collections import namedtuple
 from fractions import Fraction as Q
 
 import numpy as np
-import pytest
 
 from bfmix import elliptic, heun, lame, melnikov, model, verdict, variational as V
 from bfmix.model import PhaseState, make_params, make_params_c0sq
@@ -51,7 +50,7 @@ def case2_params(n, w0, wj, c0sq, h, n_f=1):
 
 def run_case2(n, w0, wj, c0sq, h, n_f=1, order=16, choice=None):
     p, e = case2_params(n, w0, wj, c0sq, h, n_f)
-    ch = choice or V.STANDARD_CHOICES[Q(n)]
+    ch = choice or V.standard_choice(Q(n))
     return V.higher_ve_residues(V.ve1_context(p, e, order), ch)
 
 
@@ -112,7 +111,7 @@ def fmt(x):
 def test_criterion_01_index_one_residue():
     """Index 1 at w0 = w_j = C0^2 = 1, h = 0: row-1 VE3 residue, N_f = 1, 2.
 
-    The picks are those of ``STANDARD_CHOICES[1]``: ``xi0 = +tb.sol2`` and
+    The picks are those of ``standard_choice(1)``: ``xi0 = +tb.sol2`` and
     ``xi_j = +nb.sol1``.  Row 1 is ``(2/3) c^3`` per unit of ``N_f``, free of
     ``a`` and ``b``.  Under these picks it is ``+2 g^2 N_f / 3``, that is
     ``(2/3, 4/3)``.  The residue is odd in ``xi_j``, so the stated

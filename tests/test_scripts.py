@@ -38,3 +38,16 @@ def test_residue_survey_first_order_log():
     lines = run_script("residue_survey.py", "--gbf", "3/8", "--omegaj", "1")
     assert lines[2] == ("logarithm already at first order: right-hand side "
                         "-3/2 at the resonance t^3/2")
+
+
+def test_residue_survey_order_from_the_exponents():
+    # index 7 needs order 27, above any fixed default a survey could pick
+    lines = run_script("residue_survey.py", "--gbf", "28")
+    assert lines[2].split()[:3] == ["first", "first",
+                                    "975979660090476416/9037274526905625"]
+
+
+def test_residue_survey_no_lame_index():
+    lines = run_script("residue_survey.py", "--gbf", "1/3")
+    assert lines[2:] == ["2 g_bf = 2/3 is n(n+1) for no rational n: "
+                         "no Lame index"]

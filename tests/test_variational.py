@@ -387,7 +387,7 @@ class TestHigherVEResidues:
     def test_index_one_no_ve2_log(self):
         res = run_residues(1, Q(1, 2), Q(1, 3), Q(2), Q(1, 5))
         assert not res.ve2_has_log
-        assert all(a == 0 and b == 0 for a, b in res.ve2_log_coefficients)
+        assert all(a == 0 and b == 0 for a, b in res.rows[0])
 
     def test_index_two_nonzero_offset(self):
         # singular-solution pick carries the obstruction: N_f (8 w0/5 - 34 B_j/35)
@@ -424,8 +424,8 @@ class TestHigherVEResidues:
 
     def test_tangential_rows_always_silent(self):
         res = run_residues(1, Q(1), Q(1), Q(1), Q(0))
-        assert res.tangential_block.ve3_residue_first == 0
-        assert res.tangential_block.ve3_residue_second == 0
+        assert res.rows[1][0][0] == 0
+        assert res.rows[1][0][1] == 0
 
     @pytest.mark.parametrize("n, wj, c0sq, h, value", [
         (3, Q(1), Q(1), Q(0), Q(-128, 275)),
@@ -438,11 +438,11 @@ class TestHigherVEResidues:
         # default choice: row 1 of the normal block is the witness; every
         # other VE2 and VE3 row is zero
         res = run_residues(n, Q(1), wj, c0sq, h)
-        assert all(r == (0, 0) for r in res.ve2_log_coefficients)
+        assert all(r == (0, 0) for r in res.rows[0])
         assert res.nonzero_witness() == ("normal_1", "first", value)
-        assert res.normal_blocks[0].ve3_residue_second == 0
-        assert res.tangential_block.ve3_residue_first == 0
-        assert res.tangential_block.ve3_residue_second == 0
+        assert res.rows[1][1][1] == 0
+        assert res.rows[1][0][0] == 0
+        assert res.rows[1][0][1] == 0
 
     def test_residue_invariant_under_second_order_picks(self):
         vals = set()
@@ -492,9 +492,7 @@ class TestFloatCrossChecks:
         # the default choice picks xi0 = tb.sol2 and xi_j = nb.sol1
         second, third = monodromy_rows(p, ctx.ve1.qbar0, tb, nbs, tb.sol2,
                                        [nb.sol1 for nb in nbs])
-        ve3 = [(b.ve3_residue_first, b.ve3_residue_second)
-               for b in (res.tangential_block, *res.normal_blocks)]
-        for read, exact in ((second, res.ve2_log_coefficients), (third, ve3)):
+        for read, exact in ((second, res.rows[0]), (third, res.rows[1])):
             assert len(read) == len(exact) == 1 + len(nbs)
             for read_row, exact_row in zip(read, exact):
                 for x, y in zip(read_row, exact_row):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bfmix import cli, elliptic, lame, verdict
+from bfmix import cli, elliptic, lame, variational, verdict
 from bfmix.model import make_params, make_params_c0sq
 from bfmix.series import InsufficientOrderError
 
@@ -353,6 +353,48 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: logarithm already at first order: right-hand side -3/2 "
             "at the resonance t^3/2\n")
+
+    def test_series_mu3_second_order_log_is_internal_failure(self, capsys,
+                                                             monkeypatch):
+        # no known point puts log t into VE2, so a wrapped chain stops there
+        # with a nonzero row 1 in the tangential block; mu2 still dumps
+        argv = ["series", "--gbf", "1", "--omegaj", "1"]
+        assert cli.main([*argv, "--what", "mu2"]) == 0
+        mu2 = capsys.readouterr().out
+        chain = variational.higher_ve_residues
+
+        def stopped_at_ve2(ctx, choice):
+            res = chain(ctx, choice)
+            rows2 = ((Q(1), Q(0)),) + res.rows[0][1:]
+            return variational.HigherVEResult(choice, (rows2,),
+                                              res.forcings[:1])
+
+        monkeypatch.setattr(variational, "higher_ve_residues", stopped_at_ve2)
+        assert cli.main([*argv, "--what", "mu3"]) == 3
+        captured = capsys.readouterr()
+        assert "second order already carries a logarithm" in captured.err
+        assert not captured.out
+        assert cli.main([*argv, "--what", "mu2"]) == 0
+        assert capsys.readouterr().out == mu2
+
+    def test_series_mu3_at_a_second_order_log_point(self, capsys):
+        # n = 3/2, w_j = w0/4: VE1 is log-free at h = 0 (analyze rejects the
+        # point at h = 1), and the standard pick's VE2 tangential row 1 is -3/4
+        argv = ["series", "--gbf", "15/8", "--omegaj", "1/4"]
+        assert cli.main([*argv, "--what", "mu3"]) == 3
+        assert "second order already carries a logarithm" in \
+            capsys.readouterr().err
+        assert cli.main([*argv, "--what", "mu2"]) == 0
+        assert capsys.readouterr().out.startswith("# tangential row_first\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", "1",
+         "--c0sq=-1", "--h", "0"],
+        ["verify", "--which", "prop2", "--c0sq=-1"]],
+        ids=["analyze-case2", "verify-prop2"])
+    def test_negative_c0sq_is_usage_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: C0^2 must be nonnegative\n"
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
