@@ -245,14 +245,14 @@ def _run_verify(args) -> dict:
 def _series_rows(args):
     e = elliptic.invariants_from_energy(args.omega0, args.c0sq, args.h)
     order = Q(args.order)
+    p = model.make_params_c0sq(args.omega0, args.omegaj, args.c0sq,
+                               [Q(0)] * len(args.omegaj), args.gbf)
     if args.what == "wp":
         yield from elliptic.wp_laurent(e, order).to_csv_rows()
         return
     if args.what == "qbar":
         yield from variational.qbar0_series(e, order).to_csv_rows()
         return
-    p = model.make_params_c0sq(args.omega0, args.omegaj, args.c0sq,
-                               [Q(0)] * len(args.omegaj), args.gbf)
     if args.what == "ve1":
         ve1 = variational.build_ve1(p, e, order)
         yield "# tangential"

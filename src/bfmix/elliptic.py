@@ -7,14 +7,12 @@ rejected at construction time.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Tuple
 
-import numpy as np
-
-from .odeint import integrate
 from .series import PuiseuxSeries, append_rational
 
 Q = Fraction
@@ -81,19 +79,6 @@ def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
                                     order.numerator)
 
 
-def _wp_ode(e: EllipticData):
-    g2 = float(e.g2)
-
-    def f(t, y):
-        return np.array([y[1], 6.0 * y[0] ** 2 - 0.5 * g2], dtype=complex)
-    return f
-
-
-#: floor for the series-summation radius
-SEED_RADIUS = 0.05
-#: relative tolerance of the continuation ODE
-ODE_RTOL = 1e-13
-
 _POLE_GUARD = 1e8
 _SERIES_ORDER = 60
 
@@ -107,30 +92,36 @@ def _tail_ok(tail_terms, t: complex, value: complex) -> bool:
 
 def wp_numeric_with_derivative(e: EllipticData,
                                t: complex) -> Tuple[complex, complex]:
-    """(wp(t), wp'(t)): Laurent summation while the series tail certifies
-    convergence, analytic continuation by the pole-free second-order ODE
-    beyond that."""
+    """(wp(t), wp'(t)): Laurent summation at z = t / 2^k, k the fewest
+    halvings after which the series tail certifies convergence, then k steps
+    of the duplication formulas (DLMF 23.10)
+
+        wp(2z)  = r^2 / 4 - 2 wp,  with r = wp'' / wp',
+        wp'(2z) = r (wp^(3) wp' - wp''^2) / (4 wp'^2) - wp',
+
+    where wp'' = 6 wp^2 - g2/2 and wp^(3) = 12 wp wp'."""
     t = complex(t)
     if t == 0:
         raise NearPoleError("wp has a pole at t = 0")
+    if not cmath.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     series = wp_laurent(e, _SERIES_ORDER)
-    dseries = series.differentiate()
     tail = [(ex, float(c)) for ex, c in list(series.terms())[-3:]]
-    val = series.evaluate(t)
-    if _tail_ok(tail, t, val):
-        return val, dseries.evaluate(t)
-    # walk the seed point inward along the ray until the tail certifies it
-    r = abs(t)
-    direction = t / r
-    while r > SEED_RADIUS:
-        r *= 0.7
-        val = series.evaluate(r * direction)
-        if _tail_ok(tail, r * direction, val):
-            break
-    r = max(r, SEED_RADIUS)
-    ts = r * direction
-    y0 = np.array([series.evaluate(ts), dseries.evaluate(ts)], dtype=complex)
-    y, _ = integrate(_wp_ode(e), ts, y0, t, rtol=ODE_RTOL, atol=1e-16)
-    if abs(y[0]) > _POLE_GUARD:
+    z, k = t, 0
+    while not _tail_ok(tail, z, series.evaluate(z)):
+        z, k = z / 2, k + 1
+    wp, dwp = series.evaluate(z), series.differentiate().evaluate(z)
+    if k == 0:
+        return wp, dwp
+    half_g2 = float(e.g2) / 2
+    for _ in range(k):
+        if dwp == 0:
+            # wp' vanishes only at half-periods, so 2z is a lattice point
+            raise NearPoleError(f"wp has a pole at t = {t}")
+        d2 = 6 * wp * wp - half_g2
+        r = d2 / dwp
+        wp, dwp = (r * r / 4 - 2 * wp,
+                   r * (12 * wp * dwp * dwp - d2 * d2) / (4 * dwp * dwp) - dwp)
+    if abs(wp) > _POLE_GUARD:
         raise NearPoleError(f"wp overflow near t = {t}")
-    return complex(y[0]), complex(y[1])
+    return wp, dwp

@@ -1,8 +1,10 @@
+import cmath
+import warnings
 from fractions import Fraction as Q
 
 import pytest
 
-from bfmix import elliptic
+from bfmix import elliptic, odeint
 from bfmix.series import PuiseuxSeries
 from conftest import random_rational
 
@@ -108,3 +110,123 @@ class TestNumeric:
     def test_pole_at_origin(self):
         with pytest.raises(elliptic.NearPoleError):
             elliptic.wp_numeric_with_derivative(self.e, 0)
+
+
+def _laurent_radius(series) -> float:
+    """Root-test estimate of the convergence radius from the exponents 160
+    and up, whose coefficients grow like (2m+1) R^-(2m+2)."""
+    return min((abs(float(c)) / (ex + 1)) ** (-1 / float(ex + 2))
+               for ex, c in series.terms() if ex >= 160 and c)
+
+
+def _halvings(e, t) -> int:
+    """Halvings the evaluation needs before its order-60 tail certifies."""
+    series = elliptic.wp_laurent(e, 60)
+    tail = [(ex, float(c)) for ex, c in list(series.terms())[-3:]]
+    k = 0
+    while not elliptic._tail_ok(tail, t / 2 ** k, series.evaluate(t / 2 ** k)):
+        k += 1
+    return k
+
+
+def _cubic_residual(e, wp, wpp) -> float:
+    """|wp'^2 - (4 wp^3 - g2 wp - g3)|, relative to the cubic above 1."""
+    cubic = 4 * wp ** 3 - float(e.g2) * wp - float(e.g3)
+    return abs(wpp ** 2 - cubic) / max(1.0, abs(cubic))
+
+
+CURVES = [(1, 1, 0), (2, Q(3, 10), -1), (3, 2, 1)]
+
+
+class TestContinuation:
+    """Points beyond the disc where the order-60 Laurent sum certifies
+    itself, reached by halving into it and doubling back."""
+
+    @pytest.mark.parametrize("curve", CURVES,
+                             ids=lambda c: ",".join(map(str, c)))
+    @pytest.mark.parametrize("frac", [0.6, 0.7, 0.8])
+    @pytest.mark.parametrize("direction", [1, 0.8 + 0.6j], ids=["real", "complex"])
+    def test_matches_order_200_laurent_sum(self, curve, frac, direction):
+        e = elliptic.invariants_from_energy(*curve)
+        exact = elliptic.wp_laurent(e, 200)
+        t = frac * _laurent_radius(exact) * direction
+        assert _halvings(e, t) >= 1
+        wp, wpp = elliptic.wp_numeric_with_derivative(e, t)
+        want, want_d = exact.evaluate(t), exact.differentiate().evaluate(t)
+        assert abs(wp - want) <= 1e-12 * abs(want)
+        assert abs(wpp - want_d) <= 1e-12 * abs(want_d)
+
+    @pytest.mark.parametrize("curve, t", [
+        ((1, 1, 0), 3.1 + 0.5j), ((2, Q(3, 10), -1), 1.9), ((3, 2, 1), 2.2 - 0.7j)])
+    def test_cubic_residual_beyond_first_period(self, curve, t):
+        e = elliptic.invariants_from_energy(*curve)
+        assert abs(t) > _laurent_radius(elliptic.wp_laurent(e, 200))
+        wp, wpp = elliptic.wp_numeric_with_derivative(e, t)
+        assert _cubic_residual(e, wp, wpp) < 1e-12
+
+
+class TestLatticePoint:
+    """The real lattice point 2w of (w0, C0^2, h) = (2, 3/10, -1), near 1.5."""
+
+    def setup_method(self):
+        self.e = elliptic.invariants_from_energy(2, Q(3, 10), -1)
+        # Newton on wp^(-1/2), which has a simple zero at 2w; at t = 1.5,
+        # wp is about 2e6, so one step leaves an error of order 1e-15
+        wp, wpp = elliptic.wp_numeric_with_derivative(self.e, 1.5)
+        self.lattice = 1.5 + 2 * wp / wpp
+
+    def test_located(self):
+        assert abs(self.lattice - 1.5007054) < 1e-7
+        wp, _ = elliptic.wp_numeric_with_derivative(self.e, self.lattice + 1e-3)
+        assert abs(wp - 1e6) < 1e-9 * 1e6
+
+    @pytest.mark.parametrize("offset", [0, 1e-7, -1e-6, 3e-6j,
+                                        9e-6 * (0.6 + 0.8j), -1e-5])
+    def test_near_pole_error_within_1e_5(self, offset):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(elliptic.NearPoleError):
+                elliptic.wp_numeric_with_derivative(self.e,
+                                                    self.lattice + offset)
+
+    def test_zero_derivative_while_doubling_is_a_pole(self, monkeypatch):
+        # wp' vanishes only at a half-period, which no float t hits exactly;
+        # a zero derivative series stands in for one
+        monkeypatch.setattr(PuiseuxSeries, "differentiate",
+                            lambda self: PuiseuxSeries.constant(0))
+        with pytest.raises(elliptic.NearPoleError):
+            elliptic.wp_numeric_with_derivative(self.e, 1.4)
+
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3, 1e-3j])
+    def test_finite_at_1e_3(self, offset):
+        wp, wpp = elliptic.wp_numeric_with_derivative(self.e,
+                                                      self.lattice + offset)
+        assert cmath.isfinite(wp) and cmath.isfinite(wpp)
+        assert _cubic_residual(self.e, wp, wpp) < 1e-8
+
+    @pytest.mark.parametrize("z", [0.3, 0.4 + 0.2j])
+    def test_periodic_across_the_lattice_point(self, z):
+        near = elliptic.wp_numeric_with_derivative(self.e, z)
+        far = elliptic.wp_numeric_with_derivative(self.e, z + self.lattice)
+        for a, b in zip(near, far):
+            assert abs(a - b) < 1e-12 * abs(a)
+
+
+class TestStructure:
+    def test_no_ode_in_elliptic(self, monkeypatch):
+        for name in ("integrate", "_wp_ode", "SEED_RADIUS", "ODE_RTOL"):
+            assert not hasattr(elliptic, name)
+        calls = []
+        monkeypatch.setattr(odeint, "integrate",
+                            lambda *a, **k: calls.append(a))
+        e = elliptic.invariants_from_energy(1, 1, 0)
+        for t in (0.3, 1.4, 3.1 + 0.5j):
+            elliptic.wp_numeric_with_derivative(e, t)
+        assert calls == []
+
+    @pytest.mark.parametrize("t", [float("nan"), complex("inf"),
+                                   complex(1, float("nan"))], ids=str)
+    def test_non_finite_t_rejected(self, t):
+        e = elliptic.invariants_from_energy(1, 1, 0)
+        with pytest.raises(ValueError, match="finite"):
+            elliptic.wp_numeric_with_derivative(e, t)

@@ -390,11 +390,15 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", "1",
          "--c0sq=-1", "--h", "0"],
-        ["verify", "--which", "prop2", "--c0sq=-1"]],
-        ids=["analyze-case2", "verify-prop2"])
+        ["verify", "--which", "prop2", "--c0sq=-1"],
+        ["series", "--what", "wp", "--c0sq=-1"],
+        ["series", "--what", "qbar", "--c0sq=-1"]],
+        ids=["analyze-case2", "verify-prop2", "series-wp", "series-qbar"])
     def test_negative_c0sq_is_usage_error(self, argv, capsys):
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: C0^2 must be nonnegative\n"
+        captured = capsys.readouterr()
+        assert captured.err == "error: C0^2 must be nonnegative\n"
+        assert captured.out == ""
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
