@@ -30,6 +30,10 @@ SCHEMA_VERSION = 1
 #: largest sample count ``verify --samples`` and ``sweep --t0-samples`` take
 MAX_SAMPLES = 10 ** 4
 
+#: ``verify --which separatrix``'s default C0^2.  At w0 = 1 the q0 plane has
+#: a separatrix here; at prop2's default C0^2 = 1 it has none
+SEPARATRIX_C0SQ = Q(1, 100)
+
 
 class VerificationFailure(Exception):
     """An internal cross-check (dual-route or tolerance gate) failed."""
@@ -106,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--omegaj", type=parse_rational_list, default=[Q(2)])
     ve.add_argument("--cj", type=parse_rational_list, default=[Q(1)])
     ve.add_argument("--hj", type=parse_rational_list, default=[Q(0)])
-    ve.add_argument("--c0sq", type=parse_rational, default=Q(1))
+    ve.add_argument("--c0sq", type=parse_rational, default=None,
+                    help=f"default 1, and {SEPARATRIX_C0SQ} for separatrix")
     ve.add_argument("--h", type=parse_rational, default=Q(0))
     ve.add_argument("--gbf", type=parse_rational, default=Q(1))
     ve.add_argument("--samples", type=int, default=10)
@@ -204,6 +209,9 @@ def _run_verify(args) -> dict:
     rng = np.random.default_rng(20240811)
     worst = 0.0
     pts = []
+    c0sq = args.c0sq
+    if c0sq is None:
+        c0sq = SEPARATRIX_C0SQ if args.which == "separatrix" else Q(1)
     if args.which == "prop1":
         p = model.make_params(args.omega0, args.omegaj,
                               0, args.cj, args.gbf)
@@ -212,9 +220,9 @@ def _run_verify(args) -> dict:
             worst = max(worst, model.case1_residual(p, args.hj, 0.0, t))
             pts.append([t.real, t.imag])
     elif args.which == "prop2":
-        p = model.make_params_c0sq(args.omega0, args.omegaj, args.c0sq,
+        p = model.make_params_c0sq(args.omega0, args.omegaj, c0sq,
                                    [Q(0)] * len(args.omegaj), args.gbf)
-        e = elliptic.invariants_from_energy(args.omega0, args.c0sq, args.h)
+        e = elliptic.invariants_from_energy(args.omega0, c0sq, args.h)
         for _ in range(args.samples):
             t = complex(0.25 + 0.7 * rng.random(), 0.3 * rng.random())
             worst = max(worst, model.case2_residual(p, e, t))
@@ -222,8 +230,8 @@ def _run_verify(args) -> dict:
     else:
         for _ in range(args.samples):
             t = complex(0.3 + 1.2 * rng.random(), 0.3 * rng.random())
-            worst = max(worst, model.separatrix_residual(args.omega0,
-                                                         args.c0sq, t))
+            worst = max(worst, model.separatrix_residual(args.omega0, c0sq,
+                                                         t))
             pts.append([t.real, t.imag])
     ok = worst < args.tol
     report = {

@@ -109,7 +109,7 @@ def transform_consistency(red: HeunReduction, t_grid: Sequence[float],
     a1, b1 = float(red.A1), float(red.B1)
 
     def f(t, v):
-        xi, dxi, y, dy = v.tolist()
+        xi, dxi, y, dy = v
         x = cmath.exp(2j * w * t)
         return [dxi, -(a1 + b1 * cmath.sinh(2j * w * t)) * xi,
                 dy, 2j * w * dy + (2j * w * x) ** 2 * red.r_of_x(x) * y]

@@ -137,12 +137,13 @@ def _energy(p: ModelParams):
 
 def _vector_field(p: ModelParams):
     """The canonical vector field as a float function f(t, y) of a state
-    vector y = (q0, p0, q_1.., p_1..); returns the derivatives as a list."""
+    vector y = (q0, p0, q_1.., p_1..), a list of complex; returns the
+    derivatives as a list."""
     w0, g, c0sq, ws, cj_sq = _float_params(p)
     n_f = len(ws)
 
     def f(t, y) -> list:
-        q0, p0, *z = y.tolist()
+        q0, p0, *z = y
         qs = z[:n_f]
         sum_qj_sq = sum(q ** 2 for q in qs)
         dp0 = -2 * w0 * q0 + 2 * q0 ** 3 + 2 * g * q0 * sum_qj_sq
@@ -164,7 +165,8 @@ def hamiltonian(p: ModelParams, s: PhaseState) -> complex:
 
 def eom(p: ModelParams, s: PhaseState) -> PhaseState:
     """Canonical vector field; derivatives are returned in the state slots."""
-    return vector_to_state(_vector_field(p)(s.t, state_to_vector(s)), s.t)
+    return vector_to_state(
+        _vector_field(p)(s.t, state_to_vector(s).tolist()), s.t)
 
 
 def state_to_vector(s: PhaseState) -> np.ndarray:

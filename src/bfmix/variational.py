@@ -92,7 +92,6 @@ class FrobeniusBasis:
     sol1: PuiseuxSeries
     sol2: PuiseuxSeries
     exponents: Tuple[Fraction, Fraction]   # (rho1, rho2), rho1 > rho2
-    wronskian_normalized: bool
 
 
 def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
@@ -170,7 +169,12 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
 
     ``q`` must be truncated: the bases are exact below the order its
     truncation certifies.  A resonance with a nonzero right-hand side raises
-    FirstOrderLogError."""
+    FirstOrderLogError.
+
+    The Wronskian sol1*sol2' - sol1'*sol2 is one by construction: the
+    equation has no xi' term, so it is constant (Abel), and its leading term
+    is t^(rho1 + rho2 - 1) (rho1 - rho2)/(rho1 - rho2) = 1, because the
+    indicial roots sum to 1."""
     if q.truncation_order == INF:
         raise ValueError("frobenius needs a truncated coefficient series")
     if q.base_exponent < -2:
@@ -183,11 +187,7 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
     # the recursion at rho1 climbs away from rho2, so it meets no resonance
     sol2_monic, _ = _frobenius_one(q, rho1, rho2)
     sol2 = sol2_monic.scale(Q(1) / (rho1 - rho2))
-    w = sol1 * sol2.differentiate() - sol1.differentiate() * sol2
-    normalized = (w.coefficient(0) == 1
-                  and all(c == 0 for e, c in w.terms() if e != 0))
-    return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2),
-                          wronskian_normalized=normalized)
+    return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2))
 
 
 class VOCResult(NamedTuple):
@@ -205,8 +205,6 @@ class VOCResult(NamedTuple):
 
 def variation_of_constants(basis: FrobeniusBasis,
                            forcing: PuiseuxSeries) -> VOCResult:
-    if not basis.wronskian_normalized:
-        raise ValueError("basis must be Wronskian-normalized")
     c1, log1 = (-(basis.sol2 * forcing)).antiderivative()
     c2, log2 = (basis.sol1 * forcing).antiderivative()
     return VOCResult((log1, log2), basis.sol1 * c1 + basis.sol2 * c2)

@@ -49,7 +49,8 @@ RTOL = 1e-11
 
 
 def _vector_field(p):
-    """Right-hand side for one orbit row and any number of displacement rows.
+    """Right-hand side for one orbit row and any number of displacement rows,
+    the rows laid end to end in one flat list.
 
     Row 0 is the orbit ``(q0, p0, 0, ...)`` in the plane ``q_j = p_j = 0``.
     Each further row is the exact displacement ``(a, b, u_j, v_j)`` of a
@@ -59,24 +60,26 @@ def _vector_field(p):
         q_j'' = -2 w_j q_j + 2 g q0^2 q_j.
     """
     w0, g, c0sq = float(p.omega0), float(p.g_bf), float(p.C0_sq)
-    ws = np.array([float(w) for w in p.omegas])
+    ws = [float(w) for w in p.omegas]
     n_f = len(ws)
+    row = 2 + 2 * n_f
 
     def f(t, y):
-        q, a = complex(y[0, 0]), y[1:, 0]
-        u = y[1:, 2:2 + n_f]
-        qa = q + a
-        q3, qa2 = q * q * q, qa * qa
-        cube_diff = a * (3 * q * q + 3 * q * a + a * a)      # qa^3 - q^3
-        out = np.zeros_like(y)
-        out[0, 0] = y[0, 1]
-        out[0, 1] = -2 * w0 * q + 2 * q3 + c0sq / q3
-        out[1:, 0] = y[1:, 1]
-        out[1:, 1] = (-2 * w0 * a + 2 * cube_diff
-                      + 2 * g * qa * (u * u).sum(axis=1)
-                      - c0sq * cube_diff / (q3 * qa2 * qa))
-        out[1:, 2:2 + n_f] = y[1:, 2 + n_f:]
-        out[1:, 2 + n_f:] = (2 * g * qa2[:, None] - 2 * ws) * u
+        q = y[0]
+        q3 = q * q * q
+        out = [y[1], -2 * w0 * q + 2 * q3 + c0sq / q3] + [0j] * (2 * n_f)
+        for i in range(row, len(y), row):
+            a, b = y[i], y[i + 1]
+            u = y[i + 2:i + 2 + n_f]
+            qa = q + a
+            qa2 = qa * qa
+            cube_diff = a * (3 * q * q + 3 * q * a + a * a)      # qa^3 - q^3
+            out.append(b)
+            out.append(-2 * w0 * a + 2 * cube_diff
+                       + 2 * g * qa * sum(x * x for x in u)
+                       - c0sq * cube_diff / (q3 * qa2 * qa))
+            out += y[i + 2 + n_f:i + row]
+            out += [(2 * g * qa2 - 2 * w) * x for x, w in zip(u, ws)]
         return out
 
     return f
@@ -113,7 +116,8 @@ def monodromy_rows(p, qbar, tb, nbs, xi0, xij):
     corners = [r, r + 1j * r, -r + 1j * r, -r - 1j * r, r - 1j * r, r]
     y = start
     for t0, t1 in zip(corners, corners[1:]):
-        y, _ = integrate(f, t0, y, t1, rtol=RTOL, atol=RTOL * eps ** 3)
+        y = integrate(f, t0, y.ravel(), t1, rtol=RTOL,
+                      atol=RTOL * eps ** 3)[0].reshape(y.shape)
     for j, nb in enumerate(nbs):
         if nb.exponents[1].denominator == 2:      # sol1, sol2 ~ t^(1/2) Z
             y[:, [2 + j, 2 + n_f + j]] *= -1

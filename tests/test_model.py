@@ -255,7 +255,8 @@ class TestIntegrator:
             c = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(7)]
             s = PhaseState(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6])
-            got = np.asarray(f(s.t, model.state_to_vector(s)), dtype=complex)
+            got = np.asarray(f(s.t, model.state_to_vector(s).tolist()),
+                             dtype=complex)
             want = model.state_to_vector(model.eom(p, s))
             assert np.array_equal(got, want)
 

@@ -1,8 +1,12 @@
 """Direct tests of the Dormand-Prince 5(4) integrator in ``bfmix.odeint``."""
+from fractions import Fraction as Q
+
 import numpy as np
 import pytest
 
+from bfmix import heun, model
 from bfmix.odeint import SingularityEncounteredError, integrate
+from helpers_odeint import integrate_reference
 
 #: stage abscissae of the Dormand-Prince pair after the first stage
 STAGE_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -14,7 +18,7 @@ class TestAccuracy:
     def test_linear_against_exp(self, t0, t1):
         lam = -0.3 + 1.1j
         y0 = np.array([1 + 0.5j, -2j])
-        y, _ = integrate(lambda t, y: lam * y, t0, y0, t1,
+        y, _ = integrate(lambda t, y: lam * np.asarray(y), t0, y0, t1,
                          rtol=1e-11, atol=1e-13)
         exact = y0 * np.exp(lam * (t1 - t0))
         assert np.max(np.abs(y - exact)) < 1e-9 * np.max(np.abs(exact))
@@ -22,7 +26,7 @@ class TestAccuracy:
     def test_time_dependent_rhs_sees_segment_times(self):
         # y' = 2 t y, y = exp(t^2 - t0^2) along a complex segment
         t0, t1 = 0.1 - 0.2j, 0.9 + 0.6j
-        y, _ = integrate(lambda t, y: 2 * t * y, t0, [1.0], t1,
+        y, _ = integrate(lambda t, y: 2 * t * np.asarray(y), t0, [1.0], t1,
                          rtol=1e-11, atol=1e-13)
         assert abs(y[0] - np.exp(t1 ** 2 - t0 ** 2)) < 1e-9
 
@@ -31,14 +35,17 @@ class TestShapes:
     def test_two_dimensional_state_matches_rows(self):
         lams = np.array([[-0.5 + 1j], [0.25 - 2j], [1.5j]])
 
-        def f(t, y):
-            return lams * y * (1 + 0.1 * y)
+        def f(t, flat):
+            y = np.array(flat).reshape(len(lams), -1)
+            return (lams * y * (1 + 0.1 * y)).ravel().tolist()
 
         y0 = np.array([[1.0, 0.5j], [-0.3, 0.2 + 0.1j], [0.7j, 1.0]])
-        y, _ = integrate(f, 0.0, y0, 1.0 + 0.5j, rtol=1e-12, atol=1e-14)
+        y = integrate(f, 0.0, y0.ravel(), 1.0 + 0.5j, rtol=1e-12,
+                      atol=1e-14)[0].reshape(y0.shape)
         assert y.shape == y0.shape
         for i in range(len(y0)):
             def row(t, v, lam=lams[i]):
+                v = np.asarray(v)
                 return lam * v * (1 + 0.1 * v)
             yi, _ = integrate(row, 0.0, y0[i], 1.0 + 0.5j,
                               rtol=1e-12, atol=1e-14)
@@ -46,8 +53,8 @@ class TestShapes:
 
     def test_record_runs_from_t0_to_exactly_t1(self):
         for t0, t1 in [(0.2, 1.2), (0.2 + 0.1j, 1.5 - 0.7j), (0.3j, 2 - 1j)]:
-            y, traj = integrate(lambda t, y: -y, t0, [1.0, 2.0], t1,
-                                record=True)
+            y, traj = integrate(lambda t, y: -np.asarray(y), t0, [1.0, 2.0],
+                                t1, record=True)
             assert traj.times[0] == t0
             assert traj.times[-1] == t1
             assert len(traj.times) == len(traj.states) > 2
@@ -55,7 +62,7 @@ class TestShapes:
             assert traj.states[-1] is not y
 
     def test_no_record_leaves_trajectory_empty(self):
-        _, traj = integrate(lambda t, y: -y, 0.0, [1.0], 1.0)
+        _, traj = integrate(lambda t, y: -np.asarray(y), 0.0, [1.0], 1.0)
         assert traj.times == [] and traj.states == []
 
     def test_zero_length_segment_returns_copy(self):
@@ -80,12 +87,45 @@ class TestFailures:
 
         def f(t, y):
             calls.append(t)
+            y = np.asarray(y)
             return y * y
         with pytest.raises(SingularityEncounteredError,
                            match="step-size underflow") as info:
             integrate(f, 0.0, [1.0], 1.5, **tols)
         assert abs(info.value.t_estimate - 1.0) < 1e-5
         assert len(calls) < 10 ** 4
+
+    @pytest.mark.parametrize("f, y0, t1, message", [
+        # the state passes the float range in an accepted step
+        pytest.param(lambda t, y: [1e308 + 0j for _ in y], [0j], 3.0,
+                     "state overflow", id="constant"),
+        # |y5| overflows while both of its parts are finite
+        pytest.param(lambda t, y: [1e308 + 1e308j for _ in y],
+                     [1e308 + 1e308j], 1.0, "step-size underflow",
+                     id="modulus"),
+        # the stages reach inf and nan through complex products
+        pytest.param(lambda t, y: [1e300 * v * v * v for v in y], [1.0, 1j],
+                     1.0, "step-size underflow", id="cube")])
+    def test_overflowing_field_raises_singularity(self, f, y0, t1, message):
+        with pytest.raises(SingularityEncounteredError, match=message):
+            integrate(f, 0.0, y0, t1)
+
+    def test_zero_scale_rejects_the_step(self):
+        # atol = 0 at a component that stays 0: the estimate cannot be
+        # scaled, so every step is rejected until the step size underflows
+        with pytest.raises(SingularityEncounteredError,
+                           match="step-size underflow"):
+            integrate(lambda t, y: [0j, y[1]], 0.0, [0j, 1.0], 1.0, atol=0.0)
+
+    def test_non_finite_start_raises_singularity(self):
+        with pytest.raises(SingularityEncounteredError,
+                           match="state overflow") as info:
+            integrate(lambda t, y: y, 0.5, [1.0, complex("nan")], 1.0)
+        assert info.value.t_estimate == 0.5
+
+    def test_two_dimensional_state_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            integrate(lambda t, y: y, 0.0, np.ones((2, 2)), 1.0)
 
 
 class TestStepCount:
@@ -101,8 +141,8 @@ class TestStepCount:
     def test_fsal_calls_per_attempted_step(self):
         # the first step, length/100, is far too long for this oscillation,
         # so steps are rejected as well as accepted
-        times, traj = self._counted(lambda t, y: 60j * y, 0.0, [1.0], 1.0,
-                                    rtol=1e-10, atol=1e-12)
+        times, traj = self._counted(lambda t, y: 60j * np.asarray(y), 0.0,
+                                    [1.0], 1.0, rtol=1e-10, atol=1e-12)
         assert times[0] == 0.0
         assert (len(times) - 1) % 6 == 0
         attempts = (len(times) - 1) // 6
@@ -126,3 +166,75 @@ class TestStepCount:
         assert len(traj.times) == 5
         assert len(times) == 1 + 6 * 4
         assert abs(traj.states[-1][0] - 1.0) < 1e-14
+
+
+#: ode-crosscheck-like case-1 points (w0, omega, g, sum C_j, h1), with
+#: 0 < h1 < omega |sum C_j|
+CASE1_POINTS = [(Q(1), Q(2), Q(1), Q(3), Q(3)),
+                (Q(2), Q(3, 2), Q(-1), Q(2), Q(3, 2)),
+                (Q(1, 2), Q(5, 4), Q(3, 2), Q(-1), Q(5, 16))]
+#: relative agreement of the node times with the reference.  Both steppers
+#: make the same number of steps, but the error estimate of a short step is
+#: a difference of stage values that cancels to round-off, so the order of
+#: summation moves its leading digits, and each step length moves by a
+#: fifth of that; 1.2e-5 is the largest seen over the 620 segments of the
+#: 62 seed-11 ode-crosscheck points
+NODE_RTOL = 1e-4
+
+
+def _captured_segments(monkeypatch):
+    """(f, t0, y0, t1, tolerances) of every integrate call that the Heun
+    transform check and the orbit integration make at CASE1_POINTS."""
+    segments = []
+
+    def spy(f, t0, y0, t1, **kw):
+        segments.append((f, t0, np.array(y0), t1, kw))
+        return integrate(f, t0, y0, t1, **kw)
+    monkeypatch.setattr(heun, "integrate", spy)
+    monkeypatch.setattr(model, "integrate", spy)
+    for w0, omega, g, csum, h1 in CASE1_POINTS:
+        heun.transform_consistency(heun.reduce_case1(w0, omega, g, csum),
+                                   np.linspace(0.1, 1.0, 10))
+        p = model.make_params(w0, [omega ** 2 / 2], 0, [csum], g)
+        model.integrate_orbit(p, model.solution_case1(p, [h1], 0, 0.2), 1.2)
+    return segments
+
+
+class TestAgainstReference:
+    """``integrate`` against the numpy stepper of ``helpers_odeint``."""
+
+    def _compare(self, f, t0, y0, t1, **kw):
+        calls, ref_calls = [], []
+
+        def counted(t, y):
+            calls.append(t)
+            return f(t, y)
+
+        def ref_counted(t, y):
+            ref_calls.append(t)
+            return np.asarray(f(t, y.tolist()), dtype=complex)
+        kw["record"] = True
+        y, traj = integrate(counted, t0, y0, t1, **kw)
+        y_ref, traj_ref = integrate_reference(ref_counted, t0, y0, t1, **kw)
+        assert len(calls) == len(ref_calls)
+        assert len(traj.times) == len(traj_ref.times)
+        for t, t_ref in zip(traj.times, traj_ref.times):
+            assert abs(t - t_ref) <= NODE_RTOL * abs(t_ref)
+        assert traj.times[-1] == traj_ref.times[-1] == t1
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+
+    def test_heun_and_orbit_fields(self, monkeypatch):
+        segments = _captured_segments(monkeypatch)
+        # nine Heun segments and one orbit per point
+        assert len(segments) == 10 * len(CASE1_POINTS)
+        for f, t0, y0, t1, kw in segments:
+            self._compare(f, t0, y0, t1, **kw)
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
+    def test_linear_complex_system(self, rtol):
+        lam = [-0.3 + 1.1j, 0.5 - 2j, 1j, -1 + 0.2j]
+
+        def f(t, y):
+            return [a * v for a, v in zip(lam, y)]
+        self._compare(f, 0.2 + 0.1j, [1, 0.5j, -2, 1 + 1j], 1.5 - 0.7j,
+                      rtol=rtol, atol=rtol * 1e-2)

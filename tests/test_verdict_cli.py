@@ -303,6 +303,16 @@ class TestCli:
         assert report["pass"] is True
         assert float(report["max_residual"]) < 1e-9
 
+    def test_verify_separatrix_at_its_defaults(self, capsys):
+        # the default C0^2 of separatrix is 1/100, not prop2's 1, at which
+        # the q0 plane has no separatrix
+        assert cli.main(["verify", "--which", "separatrix"]) == 0
+        default = capsys.readouterr()
+        assert cli.main(["verify", "--which", "separatrix",
+                         "--c0sq", "1/100"]) == 0
+        assert default.out == capsys.readouterr().out
+        assert json.loads(default.out)["pass"] is True
+
     def test_verify_prop1_and_prop2(self):
         for which, extra in (("prop1", ["--omegaj", "2", "--cj", "1"]),
                              ("prop2", ["--c0sq", "1", "--h", "0"])):
