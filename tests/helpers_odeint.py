@@ -1,11 +1,12 @@
-"""Reference Dormand-Prince 5(4) stepper for the tests of ``bfmix.odeint``.
+"""Reference DOP853 stepper for the tests of ``bfmix.odeint``.
 
 This is the numpy form of the integrator: the stages are the rows of the
 tableau as a matrix, applied to the stack of stage values with ``@``, on a
 state array of any shape.  ``bfmix.odeint.integrate`` forms the same stages
-component by component on a list.  The two share the tableau, the step law
-and the rejection rules, but none of the arithmetic, so the tests can
-require equal right-hand-side calls and node times and states that agree to
+component by component on a list, each written out by hand.  The two share
+the tableau constants (read here by name into matrices), the step law and
+the rejection rules, but none of the arithmetic, so the tests can require
+equal right-hand-side calls and node times and states that agree to
 rounding.
 
 Here ``f`` receives the state as an array in its own shape and returns an
@@ -16,29 +17,34 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from bfmix import odeint
 from bfmix.odeint import MAX_STEPS, SingularityEncounteredError, Trajectory
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    # the fifth-order weights: the last stage is evaluated at the new point
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
+#: stages per step: twelve, then the right-hand side at the new point
+STAGES = 13
 
-#: ``_A`` as a strictly lower-triangular matrix: stage i's input is
-#: y + h * (row i against the i stages before it).  Complex, so that its
-#: products with the complex stages need no cast, whatever the type of h.
-_A_MATRIX = np.array([row + [0.0] * (7 - len(row)) for row in _A],
-                     dtype=complex)
-#: fifth-order minus fourth-order weights: y5 - y4 = h (_E @ stages)
-_E = _A_MATRIX[6] - _B4
+
+def _named(name):
+    """A tableau constant of ``bfmix.odeint``; an entry it omits is zero."""
+    return getattr(odeint, name, 0.0)
+
+
+#: abscissae of the 13 stages; the last is the FSAL stage at the new point
+C = np.array([0.0] + [_named(f"C{i}") for i in range(2, 12)] + [1.0, 1.0])
+#: strictly lower-triangular stage matrix: stage i's input (from 0) is
+#: y + h * (row i against the i stages before it).  Row 12 holds the
+#: eighth-order weights, so the last stage input is the new solution.
+A = np.array([[_named(f"A{i + 1}{j + 1}") if j < i else 0.0
+               for j in range(STAGES)] for i in range(STAGES - 1)]
+             + [[_named(f"B{j + 1}") for j in range(12)] + [0.0]])
+#: eighth-order weights of the 12 stages
+B = A[12, :12]
+#: eighth- minus third-order weights: the third-order solution weighs
+#: stages 1, 9 and 12 only
+E3 = B - np.array([odeint.BHH1] + [0.0] * 7 + [odeint.BHH2, 0.0, 0.0,
+                                                odeint.BHH3])
+#: fifth-order error weights
+E5 = np.array([_named(f"ER{j + 1}") for j in range(12)])
 
 
 def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
@@ -57,8 +63,8 @@ def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
     shape = y.shape
     y = y.reshape(-1)
     # one row per stage; ``k_out`` views the rows in the state's shape
-    k = np.empty((7, y.size), dtype=complex)
-    k_out = k.reshape((7,) + shape)
+    k = np.empty((STAGES, y.size), dtype=complex)
+    k_out = k.reshape((STAGES,) + shape)
     direction = total / length
     s = 0.0                       # arclength progressed along the segment
     hs = min(length, length / 100 + 1e-8)
@@ -72,23 +78,31 @@ def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
         hs = min(hs, length - s)
         h = hs * direction
         t = t0 + s * direction
-        h_a = h * _A_MATRIX
-        for i in range(1, 7):
+        h_a = h * A
+        for i in range(1, STAGES):
             yi = y + h_a[i, :i] @ k[:i]
-            k_out[i] = f(t + _C[i] * h, yi.reshape(shape))
-        # the last stage input is the fifth-order solution
+            k_out[i] = f(t + C[i] * h, yi.reshape(shape))
+        # the last stage input is the eighth-order solution
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
-        r = h * (_E @ k) / scale
-        err = math.sqrt(np.vdot(r, r).real / r.size)
+        r5 = ((h * E5) @ k[:12]) / scale
+        r3 = ((h * E3) @ k[:12]) / scale
+        sq5 = np.vdot(r5, r5).real
+        den = sq5 + 0.01 * np.vdot(r3, r3).real
+        if den == 0:
+            err = 0.0
+        elif den < math.inf:
+            err = sq5 / math.sqrt(y.size * den)
+        else:
+            err = math.nan
         if err <= 1.0:
             s += hs
             y = yi
-            k[0] = k[6]  # FSAL
+            k[0] = k[12]  # FSAL
             if record:
                 traj.append(t1 if s >= length else t0 + s * direction,
                             y.reshape(shape))
         if err > 0:
-            factor = 0.9 * (1.0 / err) ** 0.2
+            factor = 0.9 * err ** -0.125
         else:
             # a zero estimate grows the step; a nan one (the stages
             # overflowed) rejects it like any other failed step

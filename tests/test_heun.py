@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -76,16 +79,45 @@ class TestTransformConsistency:
                                            rtol=1e-12)
         assert tight < loose
 
-    def test_one_integrate_call_per_segment(self, monkeypatch):
-        segments = []
+    def test_one_recorded_integration_over_the_grid(self, monkeypatch):
+        calls = []
 
-        def counted(f, t0, y0, t1, **kw):
-            segments.append((t0, t1))
-            return integrate(f, t0, y0, t1, **kw)
-        monkeypatch.setattr(heun, "integrate", counted)
+        def spy(f, t0, y0, t1, **kw):
+            out = integrate(f, t0, y0, t1, **kw)
+            calls.append((t0, t1, kw, out[1]))
+            return out
+        monkeypatch.setattr(heun, "integrate", spy)
+        red = heun.reduce_case1(1, 2, 1, 3)
         grid = np.linspace(0.1, 1.0, 10)
-        heun.transform_consistency(heun.reduce_case1(1, 2, 1, 3), grid)
-        assert segments == list(zip(grid[:-1], grid[1:]))
+        defect = heun.transform_consistency(red, grid)
+        [(t0, t1, kw, traj)] = calls
+        assert (t0, t1) == (grid[0], grid[-1])
+        assert kw == {"rtol": 1e-12 / math.sqrt(2),
+                      "atol": 1e-14 / math.sqrt(2), "record": True}
+        # the defect is read at every accepted node, not at the grid
+        w = float(red.omega)
+        at_nodes = [abs(cmath.exp(1j * w * t) * v[0] - v[2])
+                    for t, v in zip(traj.times, traj.states)]
+        assert len(at_nodes) > 2
+        assert defect == max(at_nodes)
+        assert heun.transform_consistency(red, [0.1, 1.0]) == defect
+
+    def test_defect_sees_an_interior_node(self, monkeypatch):
+        def corrupting(f, t0, y0, t1, **kw):
+            y, traj = integrate(f, t0, y0, t1, **kw)
+            traj.states[len(traj.states) // 2][2] += 1e-3
+            return y, traj
+        monkeypatch.setattr(heun, "integrate", corrupting)
+        defect = heun.transform_consistency(heun.reduce_case1(1, 2, 1, 3),
+                                            np.linspace(0.1, 1.0, 10))
+        assert abs(defect - 1e-3) < 1e-9
+
+    def test_wrong_transform_is_caught(self):
+        red = heun.reduce_case1(1, 2, 1, 3)
+        # B off by 1/100 in r_of_x only: the Mathieu route keeps B1
+        wrong = dataclasses.replace(red, B=red.B + Q(1, 100))
+        assert heun.transform_consistency(wrong,
+                                          np.linspace(0.1, 1.0, 10)) > 1e-6
 
     def test_euler_exponents_at_b_zero(self):
         red = heun.reduce_case1(1, 2, 0, 3)

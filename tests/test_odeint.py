@@ -1,4 +1,7 @@
-"""Direct tests of the Dormand-Prince 5(4) integrator in ``bfmix.odeint``."""
+"""Direct tests of the DOP853 integrator in ``bfmix.odeint``: its accuracy,
+its contract on state shapes and failures, its 12 right-hand-side calls per
+attempted step, its tableau's order conditions, and step-for-step agreement
+with the numpy form of the same stepper in ``helpers_odeint``."""
 from fractions import Fraction as Q
 
 import numpy as np
@@ -6,10 +9,11 @@ import pytest
 
 from bfmix import heun, model
 from bfmix.odeint import SingularityEncounteredError, integrate
+import helpers_odeint
 from helpers_odeint import integrate_reference
 
-#: stage abscissae of the Dormand-Prince pair after the first stage
-STAGE_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+#: abscissae of the 12 stages of a step after its first, the reused one
+STAGE_C = tuple(helpers_odeint.C[1:])
 
 
 class TestAccuracy:
@@ -110,6 +114,17 @@ class TestFailures:
         with pytest.raises(SingularityEncounteredError, match=message):
             integrate(f, 0.0, y0, t1)
 
+    def test_infinite_estimate_rejects_the_step(self):
+        # at atol = 1, rtol = 0 the squared third-order estimates of
+        # y' = 1e166 t^3 pass the float range while the fifth-order ones,
+        # round-off of a cubic, stay finite; read as err = 0 every step
+        # would pass, where y' = 1e162 t^3 underflows with finite sums
+        for big in (1e162, 1e166):
+            with pytest.raises(SingularityEncounteredError,
+                               match="step-size underflow"):
+                integrate(lambda t, y: [big * t ** 3], 0.0, [0j], 1.0,
+                          rtol=0.0, atol=1.0)
+
     def test_zero_scale_rejects_the_step(self):
         # atol = 0 at a component that stays 0: the estimate cannot be
         # scaled, so every step is rejected until the step size underflows
@@ -144,14 +159,14 @@ class TestStepCount:
         times, traj = self._counted(lambda t, y: 60j * np.asarray(y), 0.0,
                                     [1.0], 1.0, rtol=1e-10, atol=1e-12)
         assert times[0] == 0.0
-        assert (len(times) - 1) % 6 == 0
-        attempts = (len(times) - 1) // 6
+        assert (len(times) - 1) % 12 == 0
+        attempts = (len(times) - 1) // 12
         accepted = len(traj.times) - 1
         assert attempts > accepted
         starts = set()
         for k in range(attempts):
-            stage = times[1 + 6 * k:7 + 6 * k]
-            h = (stage[5] - stage[0]) / (1 - STAGE_C[0])
+            stage = times[1 + 12 * k:13 + 12 * k]
+            h = (stage[11] - stage[0]) / (1 - STAGE_C[0])
             t = stage[0] - STAGE_C[0] * h
             for c, ti in zip(STAGE_C, stage):
                 assert abs(ti - (t + c * h)) < 1e-12
@@ -164,8 +179,29 @@ class TestStepCount:
         times, traj = self._counted(lambda t, y: np.ones_like(y), 0.0,
                                     [0.0], 1.0)
         assert len(traj.times) == 5
-        assert len(times) == 1 + 6 * 4
+        assert len(times) == 1 + 12 * 4
         assert abs(traj.states[-1][0] - 1.0) < 1e-14
+
+
+class TestTableau:
+    """Order conditions of the DOP853 tableau, on the constants the stepper
+    reads, gathered into matrices by ``helpers_odeint``."""
+
+    def test_row_sums_are_abscissae(self):
+        # the last row holds the eighth-order weights, for the new point
+        assert np.max(np.abs(helpers_odeint.A.sum(axis=1)
+                             - helpers_odeint.C)) < 1e-14
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_weights_integrate_powers_exactly(self, k):
+        # sum_i b_i c_i^(k-1) = 1/k through k = 8: eighth-order quadrature
+        c = helpers_odeint.C[:12]
+        assert abs(helpers_odeint.B @ c ** (k - 1) - 1 / k) < 1e-14
+
+    def test_error_weights_sum_to_zero(self):
+        # each estimate is a difference of two consistent solutions
+        assert abs(helpers_odeint.E5.sum()) < 1e-14
+        assert abs(helpers_odeint.E3.sum()) < 1e-14
 
 
 #: ode-crosscheck-like case-1 points (w0, omega, g, sum C_j, h1), with
@@ -176,9 +212,9 @@ CASE1_POINTS = [(Q(1), Q(2), Q(1), Q(3), Q(3)),
 #: relative agreement of the node times with the reference.  Both steppers
 #: make the same number of steps, but the error estimate of a short step is
 #: a difference of stage values that cancels to round-off, so the order of
-#: summation moves its leading digits, and each step length moves by a
-#: fifth of that; 1.2e-5 is the largest seen over the 620 segments of the
-#: 62 seed-11 ode-crosscheck points
+#: summation moves its leading digits, and each step length moves by an
+#: eighth of that; 2.9e-5 is the largest seen over the 404 integrations of
+#: the 202 seed-11 ode-crosscheck points (the references and 200 cycles)
 NODE_RTOL = 1e-4
 
 
@@ -225,8 +261,8 @@ class TestAgainstReference:
 
     def test_heun_and_orbit_fields(self, monkeypatch):
         segments = _captured_segments(monkeypatch)
-        # nine Heun segments and one orbit per point
-        assert len(segments) == 10 * len(CASE1_POINTS)
+        # one Heun integration and one orbit per point
+        assert len(segments) == 2 * len(CASE1_POINTS)
         for f, t0, y0, t1, kw in segments:
             self._compare(f, t0, y0, t1, **kw)
 
