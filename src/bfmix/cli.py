@@ -1,8 +1,9 @@
 """Command-line front end: analysis runs, verification checks, series dumps.
 
 Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
-(a ``series --order`` too low for the dump among them, and a ``series
---what mu2|mu3`` point whose first order already carries a logarithm), 3
+(a ``series --order`` too low for the dump among them, a ``series --what
+mu2|mu3`` point whose first order already carries a logarithm, and a
+``--json`` or ``--csv`` path that cannot be written), 3
 internal verification failure: a ``verify`` residual above its tolerance, or
 a ``series --what mu3`` dump whose second order already carries a logarithm.
 """
@@ -190,7 +191,7 @@ def _write_csv(rows, csv_path: Optional[str]):
 
 
 def _run_analyze(args) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.case == "case1":
         v = verdict_mod.analyze_case1(args.omega0, args.omega, args.gbf,
                                       args.csum)
@@ -201,7 +202,7 @@ def _run_analyze(args) -> dict:
     else:
         v = verdict_mod.analyze_case3(args.omega0, args.omega1, args.c0sq,
                                       args.c1sq, args.action)
-    return _verdict_report(v, "analyze", time.time() - t0)
+    return _verdict_report(v, "analyze", time.perf_counter() - t0)
 
 
 def _run_verify(args) -> dict:
@@ -270,11 +271,8 @@ def _series_rows(args):
             yield from nj.to_csv_rows()
         return
     choice = variational.standard_choice(lame.lame_index(p.g_bf))
-    if args.pick_xi0 or args.pick_xij:
-        choice = variational.HigherVEChoice(
-            args.pick_xi0 or choice.pick_xi0,
-            args.pick_xij or choice.pick_xij,
-            choice.pick_xi0_2, choice.pick_xij_2, choice.residue_row)
+    choice = variational.HigherVEChoice(args.pick_xi0 or choice.pick_xi0,
+                                        args.pick_xij or choice.pick_xij)
     ctx = variational.ve1_context(p, e, order)
     result = variational.higher_ve_residues(ctx, choice)
     if args.what == "mu3" and result.ve2_has_log:
@@ -334,7 +332,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

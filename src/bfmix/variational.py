@@ -267,21 +267,19 @@ def forcing_k3(qbar: PuiseuxSeries, C0_sq, g,
 
 @dataclass(frozen=True)
 class HigherVEChoice:
-    """Solution picks feeding the order-2 and order-3 forcings.
+    """First-order solution picks feeding the order-2 and order-3 forcings.
 
     'first' selects the singular basis solution, 'second' the regular one.
-    Order-2 particulars are the zero-constant variation-of-constants solution
-    plus the homogeneous solution of the same index.
+    The order-3 forcing takes the zero-constant order-2 particulars: a
+    homogeneous order-2 addition changes the VE3 rows only through the VE2
+    ones, so it drops out wherever the chain reaches VE3.
     """
 
     pick_xi0: str = "second"
     pick_xij: str = "first"
-    pick_xi0_2: str = "second"
-    pick_xij_2: str = "first"
-    residue_row: str = "first"
 
     def __post_init__(self):
-        for v in (self.pick_xi0, self.pick_xij, self.pick_xi0_2, self.pick_xij_2):
+        for v in (self.pick_xi0, self.pick_xij):
             if v not in ("first", "second"):
                 raise ValueError(f"pick must be 'first' or 'second', got {v!r}")
 
@@ -289,9 +287,9 @@ class HigherVEChoice:
 #: choices that the residue computations for a Lame index are quoted under,
 #: where they differ from the default ``HigherVEChoice()``
 STANDARD_CHOICES: Dict[Fraction, HigherVEChoice] = {
-    Q(2): HigherVEChoice("first", "second", "second", "second", "second"),
-    Q(1, 2): HigherVEChoice("first", "second", "second", "first", "first"),
-    Q(5, 2): HigherVEChoice("first", "first", "second", "second", "first"),
+    Q(2): HigherVEChoice("first", "second"),
+    Q(1, 2): HigherVEChoice("first", "second"),
+    Q(5, 2): HigherVEChoice("first", "first"),
 }
 
 
@@ -327,13 +325,6 @@ class HigherVEResult:
     @property
     def ve2_has_log(self) -> bool:
         return any(map(any, self.rows[0]))
-
-    @property
-    def residues(self) -> Tuple[Fraction, ...]:
-        """Per normal block, the VE3 residue of ``choice.residue_row``;
-        empty when the chain stopped at VE2."""
-        i = 0 if self.choice.residue_row == "first" else 1
-        return tuple(r[i] for r in self.rows[1][1:]) if self.rows[1:] else ()
 
     def nonzero_witness(self):
         """(block, row, residue) of the first nonzero VE3 residue, normal
@@ -404,11 +395,9 @@ def higher_ve_residues(ctx: VE1Context,
     if any(map(any, rows2)):
         return HigherVEResult(choice, (rows2,), (k2,))
 
-    xi0_2 = vocs[0].particular + _pick(tb, choice.pick_xi0_2)
-    xij_2 = [v.particular + _pick(b, choice.pick_xij_2)
-             for v, b in zip(vocs[1:], nbs)]
-    k0_3, kj_3 = forcing_k3(qbar, ctx.C0_sq, g, xi0_1, xij_1, xi0_2, xij_2,
-                            ctx.qbar_inv6)
+    k0_3, kj_3 = forcing_k3(qbar, ctx.C0_sq, g, xi0_1, xij_1,
+                            vocs[0].particular,
+                            [v.particular for v in vocs[1:]], ctx.qbar_inv6)
     k3 = (k0_3, *kj_3)
     rows3 = tuple((-b.sol2.product_residue(k), b.sol1.product_residue(k))
                   for b, k in zip(bases, k3))
@@ -476,8 +465,7 @@ def chain_order(n: Fraction, choice: HigherVEChoice) -> int:
     xi0, xj = pick(tang, choice.pick_xi0), pick(norm, choice.pick_xij)
     k0_2, (kj_2,) = forcing_k2(qbar, 1, 1, xi0, [xj], _Valuation(Q(5)))
     # a particular solution has valuation v(K) + rho1 + rho2 + 1 = v(K) + 2
-    xi0_2 = _Valuation(k0_2.v + 2) + pick(tang, choice.pick_xi0_2)
-    xj_2 = _Valuation(kj_2.v + 2) + pick(norm, choice.pick_xij_2)
+    xi0_2, xj_2 = _Valuation(k0_2.v + 2), _Valuation(kj_2.v + 2)
     k0_3, (kj_3,) = forcing_k3(qbar, 1, 1, xi0, [xj], xi0_2, [xj_2],
                                _Valuation(Q(6)))
     bound = Q(-1)                  # q0 = 1/t + ... keeps a term once P > -1

@@ -203,9 +203,7 @@ def _case2_at_order(p: ModelParams, e: "elliptic.EllipticData", n: Fraction,
 
 
 def _choice_record(ch: variational.HigherVEChoice) -> dict:
-    return {"pick_xi0": ch.pick_xi0, "pick_xij": ch.pick_xij,
-            "pick_xi0_2": ch.pick_xi0_2, "pick_xij_2": ch.pick_xij_2,
-            "residue_row": ch.residue_row}
+    return {"pick_xi0": ch.pick_xi0, "pick_xij": ch.pick_xij}
 
 
 def _ve_verdict(result: variational.HigherVEResult,

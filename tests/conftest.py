@@ -24,6 +24,11 @@ def random_series(rng: random.Random, lo=-3, hi=4, trunc=8, half=False) -> Puise
     return PuiseuxSeries(terms, Q(trunc))
 
 
+def ve3_row1(res):
+    """Per normal block, the row-1 VE3 residue of a chain result."""
+    return tuple(r[0] for r in res.rows[1][1:])
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

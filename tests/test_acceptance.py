@@ -26,7 +26,7 @@ import numpy as np
 from bfmix import elliptic, heun, lame, melnikov, model, verdict, variational as V
 from bfmix.model import PhaseState, make_params, make_params_c0sq
 import helpers_theorem5 as t5
-from conftest import random_rational, random_series
+from conftest import random_rational, random_series, ve3_row1
 from helpers_series import agrees_with
 from helpers_eps import forcing_oracle
 from helpers_monodromy import monodromy_rows
@@ -122,10 +122,10 @@ def test_criterion_01_index_one_residue():
     res1 = run_case2(1, Q(1), Q(1), Q(1), Q(0), n_f=1, order=16)
     res2 = run_case2(1, Q(1), Q(1), Q(1), Q(0), n_f=2, order=16)
     elapsed = time.time() - t0
-    got = (res1.residues[0], res2.residues[0])
+    got = (ve3_row1(res1)[0], ve3_row1(res2)[0])
     exact = (Q(2, 3), Q(4, 3))
     stated = (Q(-2, 3), Q(-4, 3))
-    ok = got == exact and res2.residues == (Q(4, 3),) * 2 and elapsed < 10.0
+    ok = got == exact and ve3_row1(res2) == (Q(4, 3),) * 2 and elapsed < 10.0
 
     flipped, read = [], []
     for n_f in (1, 2):
@@ -204,7 +204,7 @@ def test_criterion_03_index_two_zero_offset_residue():
     got, scanned = {}, {}
     for w0, n_f in ((Q(1), 1), (Q(2), 1), (Q(1), 2)):
         if n_f == 1:
-            got[w0] = run_case2(2, w0, 2 * w0, Q(1), Q(0)).residues[0]
+            got[w0] = ve3_row1(run_case2(2, w0, 2 * w0, Q(1), Q(0)))[0]
         p, e = case2_params(2, w0, 2 * w0, Q(1), Q(0), n_f)
         for ch, r2 in V.scan_choices(V.ve1_context(p, e, 16)):
             w = r2.nonzero_witness()
@@ -257,7 +257,7 @@ def test_criterion_04_half_integer_indices():
     ok, got, worst, nonzero = True, {}, {}, {}
     for name, args in survivors.items():
         res = run_case2(*args)
-        got[name] = res.residues[0]
+        got[name] = ve3_row1(res)[0]
         ok = ok and not res.ve2_has_log and got[name] == 0
         pt = case2_point(*args)
         rows = [log_rows(pt, *first_order(pt, *abcd), third=False)[0]

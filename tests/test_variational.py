@@ -11,7 +11,7 @@ from bfmix import elliptic, lame, variational as V
 from bfmix.model import make_params, make_params_c0sq
 from bfmix.series import (InsufficientOrderError, PuiseuxSeries,
                           append_rational)
-from conftest import random_rational, random_series
+from conftest import random_rational, random_series, ve3_row1
 from helpers_eps import forcing_oracle
 from helpers_series import agrees_with
 from helpers_monodromy import monodromy_rows
@@ -383,15 +383,15 @@ class TestHigherVEResidues:
     def test_index_one_reference(self):
         res = run_residues(1, Q(1), Q(1), Q(1), Q(0))
         assert not res.ve2_has_log
-        assert res.residues == (Q(2, 3),)
+        assert ve3_row1(res) == (Q(2, 3),)
 
     def test_index_one_two_blocks(self):
         res = run_residues(1, Q(1), Q(1), Q(1), Q(0), n_f=2)
-        assert res.residues == (Q(4, 3), Q(4, 3))
+        assert ve3_row1(res) == (Q(4, 3), Q(4, 3))
 
     def test_index_one_parameter_independence(self):
         res = run_residues(1, Q(2), Q(3), Q(5), Q(7))
-        assert res.residues == (Q(2, 3),)
+        assert ve3_row1(res) == (Q(2, 3),)
 
     def test_index_one_no_ve2_log(self):
         res = run_residues(1, Q(1, 2), Q(1, 3), Q(2), Q(1, 5))
@@ -400,22 +400,22 @@ class TestHigherVEResidues:
 
     def test_index_two_nonzero_offset(self):
         # singular-solution pick carries the obstruction: N_f (8 w0/5 - 34 B_j/35)
-        ch = V.HigherVEChoice("first", "first", "second", "second", "first")
+        ch = V.HigherVEChoice("first", "first")
         for w0, wj in ((Q(1), Q(1)), (Q(1), Q(3)), (Q(2), Q(1))):
             res = run_residues(2, w0, wj, Q(1), Q(0), choice=ch)
             bj = Q(4) * w0 - 2 * wj
-            assert res.residues == (Q(8, 5) * w0 - Q(34, 35) * bj,)
+            assert ve3_row1(res) == (Q(8, 5) * w0 - Q(34, 35) * bj,)
 
     def test_index_two_zero_offset(self):
-        ch = V.HigherVEChoice("first", "first", "second", "second", "first")
+        ch = V.HigherVEChoice("first", "first")
         res = run_residues(2, Q(1), Q(2), Q(1), Q(0), choice=ch)
-        assert res.residues == (Q(8, 5),)
+        assert ve3_row1(res) == (Q(8, 5),)
         res = run_residues(2, Q(3), Q(6), Q(5), Q(7), choice=ch)
-        assert res.residues == (Q(24, 5),)
+        assert ve3_row1(res) == (Q(24, 5),)
 
     def test_index_two_standard_choice_sees_nothing(self):
         res = run_residues(2, Q(1), Q(2), Q(1), Q(0))
-        assert res.residues == (Q(0),)
+        assert ve3_row1(res) == (Q(0),)
         assert res.nonzero_witness() is None
 
     def test_half_index_all_choices_silent(self):
@@ -453,14 +453,55 @@ class TestHigherVEResidues:
         assert res.rows[1][0][0] == 0
         assert res.rows[1][0][1] == 0
 
-    def test_residue_invariant_under_second_order_picks(self):
-        vals = set()
-        for p02 in ("first", "second"):
-            for pj2 in ("first", "second"):
-                ch = V.HigherVEChoice("second", "first", p02, pj2, "first")
-                vals.add(run_residues(1, Q(1), Q(1), Q(1), Q(0),
-                                      choice=ch).residues)
-        assert vals == {(Q(2, 3),)}
+    @pytest.mark.parametrize("n, w0, wj, c0sq", [
+        (Q(1), Q(1), [Q(1)], Q(1)),
+        (Q(2), Q(1), [Q(2), Q(1)], Q(1)),
+        (Q(3), Q(1), [Q(1, 3)], Q(2)),
+        (Q(1, 2), Q(1), [Q(1, 4)], Q(1)),
+        (Q(5, 2), Q(1), [Q(55, 28)], Q(72, 343))],
+        ids=["index1", "index2-nf2", "index3", "half", "five-half"])
+    def test_homogeneous_second_order_additions_drop_out(self, n, w0, wj,
+                                                          c0sq):
+        """Wherever VE2 is log-free, adding sol1 or sol2 of each block to
+        the zero-constant second-order particulars leaves every VE3 row as
+        the chain reads it.  The context is at twice the largest scan-pick
+        order, so the additions' own terms are exact too."""
+        p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+        e = elliptic.invariants_from_energy(w0, c0sq, 0)
+        order = 2 * max(V.chain_order(n, ch) for ch in V.SCAN_CHOICES)
+        ctx = V.ve1_context(p, e, order)
+        tb, nbs = ctx.tangential_basis, ctx.normal_bases
+        bases = (tb, *nbs)
+        qbar = ctx.ve1.qbar0
+
+        def pick(basis, which):
+            return basis.sol1 if which == "first" else basis.sol2
+
+        checked = 0
+        for ch in V.SCAN_CHOICES:
+            res = V.higher_ve_residues(ctx, ch)
+            if res.ve2_has_log:
+                continue
+            xi0 = pick(tb, ch.pick_xi0)
+            xij = [pick(b, ch.pick_xij) for b in nbs]
+            k0, kj = V.forcing_k2(qbar, e.C0_sq, p.g_bf, xi0, xij,
+                                  ctx.qbar_inv5)
+            vocs = [V.variation_of_constants(b, k)
+                    for b, k in zip(bases, (k0, *kj))]
+            for a0 in ("first", "second"):
+                for aj in ("first", "second"):
+                    xi0_2 = vocs[0].particular + pick(tb, a0)
+                    xij_2 = [v.particular + pick(b, aj)
+                             for v, b in zip(vocs[1:], nbs)]
+                    k0_3, kj_3 = V.forcing_k3(qbar, e.C0_sq, p.g_bf, xi0,
+                                              xij, xi0_2, xij_2,
+                                              ctx.qbar_inv6)
+                    rows = tuple(((-(b.sol2 * k)).residue(),
+                                  (b.sol1 * k).residue())
+                                 for b, k in zip(bases, (k0_3, *kj_3)))
+                    assert rows == res.rows[1], (ch, a0, aj)
+                    checked += 1
+        assert checked == 16
 
 
 class TestFloatCrossChecks:
@@ -542,7 +583,7 @@ def chain_points(draw):
     c0sq = draw(st.one_of(st.just(Q(0)), rat))
     h = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
     side = st.sampled_from(("first", "second"))
-    choice = V.HigherVEChoice(*(draw(side) for _ in range(5)))
+    choice = V.HigherVEChoice(draw(side), draw(side))
     p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
     try:
         e = elliptic.invariants_from_energy(w0, c0sq, h)

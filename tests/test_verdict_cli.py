@@ -127,9 +127,11 @@ class TestClassify:
     # builds and pipelines count the work of the one chain, at the order
     # the standard pick's exponents certify
     @pytest.mark.parametrize("g, wj, c0sq, builds, pipelines", [
-        # survivor: the standard pick, then the 3 scan picks that differ
+        # survivors: the standard pick, then the 3 scan picks that differ
         (Q(3, 8), Q(1, 4), Q(1), 1, 4),
         (Q(3), Q(2), Q(1), 1, 2),              # index 2: first pick is a witness
+        (Q(1), Q(1), Q(1), 1, 1),              # index 1: the standard pick decides
+        (Q(35, 8), Q(55, 28), Q(72, 343), 1, 4),
     ])
     def test_case2_pipeline_counts(self, monkeypatch, g, wj, c0sq, builds,
                                    pipelines):
@@ -470,6 +472,23 @@ class TestCli:
             cli.main(argv)
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", "1",
+         "--c0sq", "1", "--h", "0", "--json"],
+        ["verify", "--which", "prop1", "--json"],
+        ["series", "--what", "wp", "--csv"],
+        ["sweep", "--omega0", "1", "--omega1", "1", "--c0sq", "1/100",
+         "--c1sq", "1", "--action", "3.0", "--t0-samples", "5", "--csv"]],
+        ids=["analyze-json", "verify-json", "series-csv", "sweep-csv"])
+    def test_unwritable_output_path_is_usage_error(self, argv, tmp_path,
+                                                   capsys):
+        path = tmp_path / "missing" / "out"
+        assert cli.main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: [Errno 2] No such file or "
+                                f"directory: '{path}'\n")
+        assert not captured.out
 
     @pytest.mark.parametrize("extra", [
         ["--t0-min", "nan"], ["--t0-max", "inf"], ["--t0-min=-inf"],
