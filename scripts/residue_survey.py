@@ -43,7 +43,8 @@ def main():
     except V.FirstOrderLogError as exc:
         print(exc)
         return
-    for ch, res in V.scan_choices(ctx):
+    for ch in V.SCAN_CHOICES:
+        res = V.higher_ve_residues(ctx, ch)
         if res.ve2_has_log:
             print(f"{ch.pick_xi0:>9} {ch.pick_xij:>9}  logarithm at second "
                   f"order: {res.rows[0]}")

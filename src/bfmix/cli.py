@@ -2,10 +2,11 @@
 
 Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
 (a ``series --order`` too low for the dump among them, a ``series --what
-mu2|mu3`` point whose first order already carries a logarithm, and a
-``--json`` or ``--csv`` path that cannot be written), 3
-internal verification failure: a ``verify`` residual above its tolerance, or
-a ``series --what mu3`` dump whose second order already carries a logarithm.
+mu2|mu3`` point whose first order already carries a logarithm, a ``verify
+--tol`` that is not positive and finite, and a ``--json`` or ``--csv`` path
+that cannot be written), 3 internal verification failure: a ``verify``
+residual above its tolerance, or a ``series --what mu3`` dump whose second
+order already carries a logarithm.
 """
 from __future__ import annotations
 
@@ -181,13 +182,14 @@ def _emit(report: dict, json_path: Optional[str]):
 
 
 def _write_csv(rows, csv_path: Optional[str]):
+    """Compute every row, then write them: a dump that fails leaves no
+    file, and an existing one as it was."""
+    text = "".join(row + "\n" for row in rows)
     if csv_path:
         with open(csv_path, "w") as fh:
-            for row in rows:
-                fh.write(row + "\n")
+            fh.write(text)
     else:
-        for row in rows:
-            print(row)
+        print(text, end="")
 
 
 def _run_analyze(args) -> dict:
@@ -207,6 +209,8 @@ def _run_analyze(args) -> dict:
 
 def _run_verify(args) -> dict:
     _check_samples("--samples", args.samples)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol {args.tol} must be positive and finite")
     rng = np.random.default_rng(20240811)
     worst = 0.0
     pts = []

@@ -11,8 +11,9 @@ by component in Python.
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., II.10): twelve stages give an
-eighth-order step, and the right-hand side at the new point is the next
-step's first stage, so each attempted step costs 12 calls.  Step control
+eighth-order step, and the right-hand side at the new point of an accepted
+step is the next step's first stage, so an accepted step costs 12 calls and
+a rejected one 11.  Step control
 uses Hairer's combined error estimate.  With each component's fifth- and
 third-order error estimates divided by ``atol + rtol * max(|y|, |y_new|)``
 and their squared moduli summed over the ``n`` components into ``e5^2`` and
@@ -240,7 +241,6 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
                    + g10 * v10 + g11 * v11 + g12 * v12)
               for a, v1, v6, v7, v8, v9, v10, v11, v12
               in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
-        k13 = f(t + h, y8)
         # the error weights are scaled by h before they meet the stages, as
         # the stage weights are, so that stages near the float range give a
         # finite estimate for a short step
@@ -278,12 +278,12 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
         if err <= 1.0:
             s += hs
             y = y8
-            k1 = k13  # FSAL
             if record:
                 traj.append(t1 if s >= length else t0 + s * direction, y)
             if not all(map(cmath.isfinite, y)):
                 raise SingularityEncounteredError(t0 + s * direction,
                                                   _OVERFLOW)
+            k1 = f(t + h, y)  # FSAL
         if err > 0:
             factor = 0.9 * err ** -0.125
         else:

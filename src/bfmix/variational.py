@@ -12,11 +12,12 @@ the Wronskian sol1*sol2' - sol1'*sol2 exactly one.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from . import elliptic
 from .series import (INF, FieldExtensionError, InsufficientOrderError,
@@ -298,7 +299,7 @@ def standard_choice(n: Fraction) -> HigherVEChoice:
     return STANDARD_CHOICES.get(n, HigherVEChoice())
 
 
-#: the four pure first-order pick combinations that ``scan_choices`` tries
+#: the four pure first-order pick combinations the case-2 chain tries
 SCAN_CHOICES = tuple(HigherVEChoice(p0, pj) for p0 in ("first", "second")
                      for pj in ("first", "second"))
 
@@ -404,16 +405,6 @@ def higher_ve_residues(ctx: VE1Context,
     return HigherVEResult(choice, (rows2, rows3), (k2, k3))
 
 
-def scan_choices(ctx: VE1Context, skip: Optional[HigherVEChoice] = None
-                 ) -> Iterator[Tuple[HigherVEChoice, HigherVEResult]]:
-    """Try the SCAN_CHOICES picks, yielding each result as soon as it is
-    computed, so a caller can stop at the first witness.  A pick equal to
-    ``skip``, one the caller has already run, is left out."""
-    for ch in SCAN_CHOICES:
-        if ch != skip:
-            yield ch, higher_ve_residues(ctx, ch)
-
-
 # ---------------------------------------------------------------------------
 # truncation order from the Frobenius exponents
 # ---------------------------------------------------------------------------
@@ -440,6 +431,7 @@ class _Valuation:
         return self
 
 
+@functools.lru_cache
 def chain_order(n: Fraction, choice: HigherVEChoice) -> int:
     """Least truncation order at which ``higher_ve_residues`` with
     ``choice`` reads every exact value it needs, for Lame index n, from the

@@ -16,7 +16,6 @@ from typing import Optional
 
 from . import elliptic, heun, lame, melnikov, variational
 from .model import ModelParams
-from .series import InsufficientOrderError
 
 Q = Fraction
 
@@ -124,10 +123,11 @@ def analyze_case1(omega0, omega, g_bf, c_sum) -> IntegrabilityVerdict:
 def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
     """Case-2 verdict.  Every exact decision of the variational chain is
     certified by the series truncation or raises InsufficientOrderError, so
-    the first order that decides gives the verdict of every higher order.
-    The chain runs once, at the order that the Frobenius exponents certify
-    for the standard pick (variational.chain_order); should a scan pick need
-    more terms, the order doubles until the chain decides."""
+    a chain that decides gives the verdict of every higher order.  The
+    standard pick runs first, then the other SCAN_CHOICES picks, each at the
+    order that the Frobenius exponents certify for it
+    (variational.chain_order): the VE1 context is rebuilt only for a pick
+    that needs more terms than it holds."""
     snapshot = params_snapshot(p)
     snapshot["h"] = str(Q(h))
     if p.g_bf == 0:
@@ -170,28 +170,15 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
                                                    in v.failed_conditions]}),
             params=snapshot, details=details)
 
-    order = variational.chain_order(n, variational.standard_choice(n))
-    while True:
-        try:
-            return _case2_at_order(p, e, n, order, snapshot, details)
-        except InsufficientOrderError:
-            order *= 2
-
-
-def _case2_at_order(p: ModelParams, e: "elliptic.EllipticData", n: Fraction,
-                    order: int, snapshot: dict, details: dict
-                    ) -> IntegrabilityVerdict:
-    """The variational-chain verdict at one truncation order: the standard
-    solution choice, then the choice scan; raises InsufficientOrderError
-    when the order is too low to decide."""
-    ch = variational.standard_choice(n)
-    ctx = variational.ve1_context(p, e, order)
-    verdict = _ve_verdict(variational.higher_ve_residues(ctx, ch), ch,
-                          snapshot, details)
-    if verdict is not None:
-        return verdict
-    for ch2, res2 in variational.scan_choices(ctx, skip=ch):
-        verdict = _ve_verdict(res2, ch2, snapshot, details, scanned=True)
+    first = variational.standard_choice(n)
+    picks = [first, *(ch for ch in variational.SCAN_CHOICES if ch != first)]
+    depth = 0
+    for i, ch in enumerate(picks):
+        order = variational.chain_order(n, ch)
+        if order > depth:
+            ctx, depth = variational.ve1_context(p, e, order), order
+        verdict = _ve_verdict(variational.higher_ve_residues(ctx, ch), ch,
+                              snapshot, details, scanned=i > 0)
         if verdict is not None:
             return verdict
     return IntegrabilityVerdict(

@@ -62,9 +62,10 @@ def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
         return y, traj
     shape = y.shape
     y = y.reshape(-1)
-    # one row per stage; ``k_out`` views the rows in the state's shape
-    k = np.empty((STAGES, y.size), dtype=complex)
-    k_out = k.reshape((STAGES,) + shape)
+    # one row per stage but the last; ``k_out`` views the rows in the
+    # state's shape
+    k = np.empty((STAGES - 1, y.size), dtype=complex)
+    k_out = k.reshape((STAGES - 1,) + shape)
     direction = total / length
     s = 0.0                       # arclength progressed along the segment
     hs = min(length, length / 100 + 1e-8)
@@ -81,11 +82,13 @@ def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
         h_a = h * A
         for i in range(1, STAGES):
             yi = y + h_a[i, :i] @ k[:i]
-            k_out[i] = f(t + C[i] * h, yi.reshape(shape))
-        # the last stage input is the eighth-order solution
+            # the last stage input is the eighth-order solution, whose
+            # right-hand side waits for the step to be accepted
+            if i < STAGES - 1:
+                k_out[i] = f(t + C[i] * h, yi.reshape(shape))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
-        r5 = ((h * E5) @ k[:12]) / scale
-        r3 = ((h * E3) @ k[:12]) / scale
+        r5 = ((h * E5) @ k) / scale
+        r3 = ((h * E3) @ k) / scale
         sq5 = np.vdot(r5, r5).real
         den = sq5 + 0.01 * np.vdot(r3, r3).real
         if den == 0:
@@ -97,10 +100,13 @@ def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
         if err <= 1.0:
             s += hs
             y = yi
-            k[0] = k[12]  # FSAL
             if record:
                 traj.append(t1 if s >= length else t0 + s * direction,
                             y.reshape(shape))
+            if not np.all(np.isfinite(y)):
+                raise SingularityEncounteredError(
+                    t0 + s * direction, "state overflow during integration")
+            k_out[0] = f(t + h, y.reshape(shape))  # FSAL
         if err > 0:
             factor = 0.9 * err ** -0.125
         else:
@@ -108,8 +114,5 @@ def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
             # overflowed) rejects it like any other failed step
             factor = 5.0 if err == 0 else 0.2
         hs *= min(5.0, max(0.2, factor))
-        if not np.all(np.isfinite(y)):
-            raise SingularityEncounteredError(t0 + s * direction,
-                                              "state overflow during integration")
     raise SingularityEncounteredError(t0 + s * direction,
                                       "max step count exceeded")

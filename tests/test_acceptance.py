@@ -206,8 +206,9 @@ def test_criterion_03_index_two_zero_offset_residue():
         if n_f == 1:
             got[w0] = ve3_row1(run_case2(2, w0, 2 * w0, Q(1), Q(0)))[0]
         p, e = case2_params(2, w0, 2 * w0, Q(1), Q(0), n_f)
-        for ch, r2 in V.scan_choices(V.ve1_context(p, e, 16)):
-            w = r2.nonzero_witness()
+        ctx = V.ve1_context(p, e, 16)
+        for ch in V.SCAN_CHOICES:
+            w = V.higher_ve_residues(ctx, ch).nonzero_witness()
             if w:
                 scanned[(w0, n_f)] = (ch.pick_xi0, ch.pick_xij) + w[1:]
                 break

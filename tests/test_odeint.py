@@ -1,7 +1,8 @@
 """Direct tests of the DOP853 integrator in ``bfmix.odeint``: its accuracy,
 its contract on state shapes and failures, its 12 right-hand-side calls per
-attempted step, its tableau's order conditions, and step-for-step agreement
-with the numpy form of the same stepper in ``helpers_odeint``."""
+accepted step and 11 per rejected one, its tableau's order conditions, and
+step-for-step agreement with the numpy form of the same stepper in
+``helpers_odeint``."""
 from fractions import Fraction as Q
 
 import numpy as np
@@ -12,8 +13,9 @@ from bfmix.odeint import SingularityEncounteredError, integrate
 import helpers_odeint
 from helpers_odeint import integrate_reference
 
-#: abscissae of the 12 stages of a step after its first, the reused one
-STAGE_C = tuple(helpers_odeint.C[1:])
+#: abscissae of the 11 stages of a step after its first, the reused one;
+#: an accepted step then calls the right-hand side at its new point
+STAGE_C = tuple(helpers_odeint.C[1:12])
 
 
 class TestAccuracy:
@@ -159,18 +161,27 @@ class TestStepCount:
         times, traj = self._counted(lambda t, y: 60j * np.asarray(y), 0.0,
                                     [1.0], 1.0, rtol=1e-10, atol=1e-12)
         assert times[0] == 0.0
-        assert (len(times) - 1) % 12 == 0
-        attempts = (len(times) - 1) // 12
-        accepted = len(traj.times) - 1
-        assert attempts > accepted
-        starts = set()
-        for k in range(attempts):
-            stage = times[1 + 12 * k:13 + 12 * k]
-            h = (stage[11] - stage[0]) / (1 - STAGE_C[0])
+        starts, accepted, rejected = set(), 0, 0
+        i = 1
+        while i < len(times):
+            stage = times[i:i + 11]
+            assert len(stage) == 11
+            h = (stage[10] - stage[0]) / (1 - STAGE_C[0])
             t = stage[0] - STAGE_C[0] * h
             for c, ti in zip(STAGE_C, stage):
                 assert abs(ti - (t + c * h)) < 1e-12
             starts.add(round(t.real, 9))
+            i += 11
+            # an accepted step calls the right-hand side once more, at the
+            # new point t + h, where its last stage was evaluated
+            if i < len(times) and times[i] == stage[10]:
+                accepted += 1
+                i += 1
+            else:
+                rejected += 1
+        assert accepted == len(traj.times) - 1
+        assert rejected > 0
+        assert len(times) == 1 + 12 * accepted + 11 * rejected
         # every attempt starts at an accepted node: its first stage is reused
         assert starts <= {round(complex(t).real, 9) for t in traj.times}
 

@@ -420,14 +420,18 @@ class TestHigherVEResidues:
 
     def test_half_index_all_choices_silent(self):
         p = make_params(1, [Q(1, 4)], 1, [0], Q(3, 8))
-        for ch, res in V.scan_choices(V.ve1_context(p, E_REF, 30)):
+        ctx = V.ve1_context(p, E_REF, 30)
+        for ch in V.SCAN_CHOICES:
+            res = V.higher_ve_residues(ctx, ch)
             assert not res.ve2_has_log
             assert res.nonzero_witness() is None
 
     def test_five_half_index_all_choices_silent(self):
         p = make_params_c0sq(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
         e = elliptic.invariants_from_energy(1, Q(72, 343), 0)
-        for ch, res in V.scan_choices(V.ve1_context(p, e, 30)):
+        ctx = V.ve1_context(p, e, 30)
+        for ch in V.SCAN_CHOICES:
+            res = V.higher_ve_residues(ctx, ch)
             assert not res.ve2_has_log
             assert res.nonzero_witness() is None
 

@@ -30,17 +30,17 @@ ORDER_GRID = [
     pytest.param(Q(3), Q(1), [Q(2)], Q(0), Q(-1), 7, id="index2-c0sq0")]
 
 
-def _record_orders(monkeypatch):
-    """(the unpatched verdict._case2_at_order, the list of orders the
-    patched one is called at)."""
-    at_order = verdict._case2_at_order
+def _record_contexts(monkeypatch):
+    """The list of orders that the patched variational.ve1_context is
+    called at."""
+    ve1_context = variational.ve1_context
     orders = []
 
-    def recorded(p, e, n, order, snapshot, details):
+    def recorded(p, e, order):
         orders.append(order)
-        return at_order(p, e, n, order, snapshot, details)
-    monkeypatch.setattr(verdict, "_case2_at_order", recorded)
-    return at_order, orders
+        return ve1_context(p, e, order)
+    monkeypatch.setattr(variational, "ve1_context", recorded)
+    return orders
 
 
 class TestClassify:
@@ -153,57 +153,83 @@ class TestClassify:
         ids=["index1", "index2", "half", "five-half", "index2-nf2", "index3",
              "index4"])
     def test_case2_verdict_is_order_independent(self, g, wj, c0sq):
-        """At each order 2-30 the per-order chain either raises or returns
-        the verdict and witness of the adaptive analysis."""
+        """At each order 2-30 the chain of every pick either raises or reads
+        the rows it reads at the pick's chain_order, and it raises one order
+        below that."""
         p = make_params_c0sq(1, wj, c0sq, [0] * len(wj), g)
-        want = verdict.analyze_case2(p, Q(0))
         e = elliptic.invariants_from_energy(1, c0sq, 0)
         n = lame.lame_index(p.g_bf)
-        base = {k: v for k, v in want.details.items()
-                if k not in ("ve3_residues", "reason")}
-        decided = []
+        orders = {ch: variational.chain_order(n, ch)
+                  for ch in variational.SCAN_CHOICES}
+        want = {ch: variational.higher_ve_residues(
+                    variational.ve1_context(p, e, order), ch).rows
+                for ch, order in orders.items()}
         for order in range(2, 31):
             try:
-                got = verdict._case2_at_order(p, e, n, order, want.params,
-                                              base)
+                ctx = variational.ve1_context(p, e, order)
             except InsufficientOrderError:
+                assert order < min(orders.values())
                 continue
-            assert got == want, order
-            decided.append(order)
-        assert decided and decided[-1] == 30
+            for ch in variational.SCAN_CHOICES:
+                try:
+                    rows = variational.higher_ve_residues(ctx, ch).rows
+                except InsufficientOrderError:
+                    assert order < orders[ch], (ch, order)
+                    continue
+                assert order >= orders[ch], (ch, order)
+                assert rows == want[ch], (ch, order)
 
     @pytest.mark.parametrize("g, w0, wj, c0sq, h, order", ORDER_GRID)
     def test_case2_derived_order_is_the_first_deciding_one(
             self, monkeypatch, g, w0, wj, c0sq, h, order):
-        """The first chain, at the order the exponents certify, decides;
-        one order less raises; twice the order gives the same verdict."""
+        """analyze_case2 builds its one VE1 context at the order the
+        standard pick's exponents certify; one order less raises, and twice
+        the order reads the same rows."""
         p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), g)
-        at_order, orders = _record_orders(monkeypatch)
-        want = verdict.analyze_case2(p, h)
+        orders = _record_contexts(monkeypatch)
+        verdict.analyze_case2(p, h)
         assert orders == [order]
         e = elliptic.invariants_from_energy(w0, c0sq, h)
-        n = lame.lame_index(g)
+        ch = variational.standard_choice(lame.lame_index(g))
         with pytest.raises(InsufficientOrderError):
-            at_order(p, e, n, order - 1, want.params, {})
-        base = {k: v for k, v in want.details.items()
-                if k not in ("ve3_residues", "reason")}
-        assert at_order(p, e, n, 2 * order, want.params, base) == want
+            variational.higher_ve_residues(
+                variational.ve1_context(p, e, order - 1), ch)
+        assert variational.higher_ve_residues(
+            variational.ve1_context(p, e, 2 * order), ch).rows == \
+            variational.higher_ve_residues(
+                variational.ve1_context(p, e, order), ch).rows
+
+    def test_case2_scan_pick_deepens_the_context(self, monkeypatch):
+        """A scan pick that needs more terms than the context holds gets a
+        deeper one: with ("second", "second") standard at index 1 (order 4,
+        no witness), ("first", "first") runs at its order 7 and finds 2/3."""
+        monkeypatch.setitem(variational.STANDARD_CHOICES, Q(1),
+                            variational.HigherVEChoice("second", "second"))
+        orders = _record_contexts(monkeypatch)
+        v = verdict.analyze_case2(make_params(1, [1], 1, [0], 1), Q(0))
+        assert orders == [4, 7]
+        assert v.witness == verdict.Witness("ve_residue", {
+            "order": 3, "value": "2/3", "block": "normal_1", "row": "first",
+            "choice": {"pick_xi0": "first", "pick_xij": "first"},
+            "found_by_scan": True})
 
     @pytest.mark.parametrize("g, wj, low", [(Q(1), [Q(1)], 2),
                                             (Q(3), [Q(2)], 4)],
                              ids=["index1", "index2"])
-    def test_case2_order_too_low_doubles_once(self, monkeypatch, g, wj, low):
-        """InsufficientOrderError is a safety net: from an order too low to
-        decide, one doubling gives the verdict of the derived order."""
-        p = make_params_c0sq(1, wj, 1, [0], g)
-        want = verdict.analyze_case2(p, Q(0))
-        at_order, orders = _record_orders(monkeypatch)
-        monkeypatch.setattr(verdict.variational, "chain_order",
+    def test_case2_order_too_low_raises(self, monkeypatch, capsys, g, wj,
+                                        low):
+        """An order below the one the chain needs is not retried: the
+        analysis raises, and the CLI exits 2."""
+        monkeypatch.setattr(variational, "chain_order",
                             lambda n, choice: low)
-        got = verdict.analyze_case2(p, Q(0))
-        assert orders == [low, 2 * low]
-        assert (got.outcome, got.witness) == (want.outcome, want.witness)
-        assert got == want
+        with pytest.raises(InsufficientOrderError):
+            verdict.analyze_case2(make_params_c0sq(1, wj, 1, [0], g), Q(0))
+        assert cli.main(["analyze", "case2", "--gbf", str(g), "--omega0", "1",
+                         "--omegaj", str(wj[0]), "--c0sq", "1",
+                         "--h", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: order too low to decide: ")
+        assert not captured.out
 
     def test_case3_simple_zeros(self):
         p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
@@ -325,6 +351,32 @@ class TestCli:
     def test_verify_failure_exit_code(self):
         proc = run_cli("verify", "--which", "separatrix", "--tol", "1e-30")
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_verify_tol_must_be_positive_and_finite(self, tol, capsys):
+        # nan, 0 and -1 failed every residual (exit 3); inf passed every one
+        assert cli.main(["verify", "--which", "separatrix",
+                         f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --tol {float(tol)} must be positive "
+                                "and finite\n")
+        assert not captured.out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["series", "--what", "mu3", "--gbf", "15/8", "--omegaj", "1/4"], 3),
+        (["series", "--what", "mu2", "--gbf", "3/8", "--omegaj", "1"], 2)],
+        ids=["mu3-second-order-log", "mu2-first-order-log"])
+    def test_failing_series_dump_leaves_the_csv_path_alone(
+            self, argv, code, tmp_path, capsys):
+        """The rows are computed before the file is opened: a dump that
+        fails creates no file and keeps an existing one's bytes."""
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--csv", str(out)]) == code
+        assert not out.exists()
+        out.write_bytes(b"kept\n")
+        assert cli.main([*argv, "--csv", str(out)]) == code
+        assert out.read_bytes() == b"kept\n"
+        assert not capsys.readouterr().out
 
     def test_series_wp_csv(self, tmp_path):
         out = tmp_path / "wp.csv"
