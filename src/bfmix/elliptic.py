@@ -90,6 +90,19 @@ def _tail_ok(tail_terms, t: complex, value: complex) -> bool:
     return tail <= 1e-14 * max(1.0, abs(value))
 
 
+def _laurent_sum(cs, ds, base: int, step: int,
+                 z: complex) -> Tuple[complex, complex]:
+    """(wp(z), wp'(z)) from wp = z^base sum_k cs[k] w^k and
+    wp' = z^(base - 1) sum_k ds[k] w^k, w = z^step, by Horner's rule."""
+    w = z ** step
+    p = dp = 0j
+    for c, d in zip(reversed(cs), reversed(ds)):
+        p = p * w + c
+        dp = dp * w + d
+    zb = z ** -base
+    return p / zb, dp / (zb * z)
+
+
 def wp_numeric_with_derivative(e: EllipticData,
                                t: complex) -> Tuple[complex, complex]:
     """(wp(t), wp'(t)): Laurent summation at z = t / 2^k, k the fewest
@@ -99,18 +112,25 @@ def wp_numeric_with_derivative(e: EllipticData,
         wp(2z)  = r^2 / 4 - 2 wp,  with r = wp'' / wp',
         wp'(2z) = r (wp^(3) wp' - wp''^2) / (4 wp'^2) - wp',
 
-    where wp'' = 6 wp^2 - g2/2 and wp^(3) = 12 wp wp'."""
+    where wp'' = 6 wp^2 - g2/2 and wp^(3) = 12 wp wp'.  The exact series is
+    read once: each coefficient, and each times its exponent, is rounded
+    once to a float."""
     t = complex(t)
     if t == 0:
         raise NearPoleError("wp has a pole at t = 0")
     if not cmath.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    series = wp_laurent(e, _SERIES_ORDER)
-    tail = [(ex, float(c)) for ex, c in list(series.terms())[-3:]]
+    # an integer order keeps the lattice ZZ (L = 1): exponents base + k step
+    _, base, step, coeffs, den, _ = wp_laurent(e, _SERIES_ORDER).dense()
+    exps = range(base, base + len(coeffs) * step, step)
+    cs = [c / den for c in coeffs]
+    ds = [ex * c / den for ex, c in zip(exps, coeffs)]
+    tail = [(ex, c) for ex, c in zip(exps, cs) if c][-3:]
     z, k = t, 0
-    while not _tail_ok(tail, z, series.evaluate(z)):
+    wp, dwp = _laurent_sum(cs, ds, base, step, z)
+    while not _tail_ok(tail, z, wp):
         z, k = z / 2, k + 1
-    wp, dwp = series.evaluate(z), series.differentiate().evaluate(z)
+        wp, dwp = _laurent_sum(cs, ds, base, step, z)
     if k == 0:
         return wp, dwp
     half_g2 = float(e.g2) / 2

@@ -49,6 +49,12 @@ def _as_exponent(e) -> Exponent:
     return e if isinstance(e, Fraction) else Fraction(e)
 
 
+def _rational(x):
+    """x itself when it is an int or a Fraction (both carry numerator and
+    denominator), else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _exponent(x, L: int):
     """The exponent x / L as a Fraction, or INF."""
     return INF if x == INF else Fraction(x, L)
@@ -224,7 +230,8 @@ class PuiseuxSeries:
 
     @classmethod
     def constant(cls, c) -> "PuiseuxSeries":
-        return cls({Q(0): c}, INF)
+        c = _rational(c)
+        return cls.from_dense(1, 0, 1, [c.numerator], c.denominator, INF)
 
     # -- basic observers ------------------------------------------------------
 
@@ -387,7 +394,7 @@ class PuiseuxSeries:
         return Fraction(s, self._den * other._den)
 
     def scale(self, k) -> "PuiseuxSeries":
-        k = Fraction(k)
+        k = _rational(k)
         return PuiseuxSeries.from_dense(
             self._L, self._base, self._step,
             [c * k.numerator for c in self._coeffs],

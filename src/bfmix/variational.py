@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import elliptic
 from .series import (INF, FieldExtensionError, InsufficientOrderError,
@@ -215,49 +215,114 @@ def variation_of_constants(basis: FrobeniusBasis,
 # forcing terms of the second and third variational equations
 # ---------------------------------------------------------------------------
 
-def forcing_k2(qbar: PuiseuxSeries, C0_sq, g, xi0_1: PuiseuxSeries,
-               xij_1: Sequence[PuiseuxSeries], qbar_inv5: PuiseuxSeries):
-    """(K0^(2), [K_j^(2)]) for given first-order solution choices;
-    ``qbar_inv5`` is ``qbar.pow(5).invert()``."""
-    g = Q(g)
-    C0_sq = Q(C0_sq)
-    sum_sq = None
-    for xj in xij_1:
-        s = xj * xj
-        sum_sq = s if sum_sq is None else sum_sq + s
-    xi0_sq = xi0_1 * xi0_1
-    k0 = (qbar * sum_sq).scale(2 * g) + (qbar * xi0_sq).scale(6) \
-        + (qbar_inv5 * xi0_sq).scale(6 * C0_sq)
-    qbar_xi0 = qbar * xi0_1
-    kj = [(qbar_xi0 * xj).scale(4 * g) for xj in xij_1]
-    return k0, kj
+@dataclass(frozen=True)
+class OrbitFactors:
+    """The orbit factors of the order-2 and order-3 forcings, with their
+    constants folded in: q0, 4g q0, q0^-5 and C0^2 q0^-6 (None where
+    C0^2 = 0).  The coefficients need only ``*``, ``+``, ``-`` and
+    ``scale``, so chain_order runs the forcings on valuations through the
+    same code.
+
+    ``pick_terms`` caches, per first-order pick, the forcing terms that
+    depend on that pick alone (``_tangential_terms``, ``_normal_terms``), so
+    the picks of one context share them.  It lives and dies with this
+    object.
+    """
+
+    g: Fraction
+    C0_sq: Fraction
+    qbar: PuiseuxSeries
+    four_g_qbar: PuiseuxSeries
+    qbar_inv5: PuiseuxSeries
+    C0_sq_qbar_inv6: Optional[PuiseuxSeries]
+    pick_terms: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @classmethod
+    def of(cls, qbar: PuiseuxSeries, g, C0_sq) -> "OrbitFactors":
+        """The factors along the orbit series ``qbar``, with a fresh cache."""
+        g, C0_sq = Q(g), Q(C0_sq)
+        qbar_inv = qbar.invert()
+        qbar_inv5 = qbar_inv.pow(5)
+        return cls(g, C0_sq, qbar, qbar.scale(4 * g), qbar_inv5,
+                   (qbar_inv5 * qbar_inv).scale(C0_sq) if C0_sq else None)
 
 
-def forcing_k3(qbar: PuiseuxSeries, C0_sq, g,
-               xi0_1: PuiseuxSeries, xij_1: Sequence[PuiseuxSeries],
-               xi0_2: PuiseuxSeries, xij_2: Sequence[PuiseuxSeries],
-               qbar_inv6: PuiseuxSeries):
-    """(K0^(3), [K_j^(3)]) from first- and second-order solution choices;
-    ``qbar_inv6`` is ``qbar.pow(6).invert()``."""
-    g = Q(g)
-    C0_sq = Q(C0_sq)
+class _TangentialTerms(NamedTuple):
+    """The forcing terms of one tangential pick x."""
+
+    k0_2: PuiseuxSeries     # 6 q0 x^2 + 6 C0^2 q0^-5 x^2, the x part of K0^(2)
+    qx_4g: PuiseuxSeries    # 4g q0 x
+    qx_12: PuiseuxSeries    # 12 q0 x
+    sq_2g: PuiseuxSeries    # 2g x^2
+    cube_2: PuiseuxSeries   # 2 x^3
+    cube_10: Optional[PuiseuxSeries]   # 10 x^3, None where C0^2 = 0
+
+
+class _NormalTerms(NamedTuple):
+    """The forcing terms of one normal pick (x_j)."""
+
+    k0_2: PuiseuxSeries        # 2g q0 sum x_j^2, the x_j part of K0^(2)
+    sum_sq_2g: PuiseuxSeries   # 2g sum x_j^2
+
+
+def _tangential_terms(orbit: OrbitFactors, x) -> _TangentialTerms:
+    key = ("xi0", x)
+    terms = orbit.pick_terms.get(key)
+    if terms is None:
+        sq = x * x
+        cube = sq * x
+        qx = orbit.qbar * x
+        # the C0^2 term stays in K0^(2) where C0^2 = 0: it bounds the
+        # truncation
+        k0_2 = (orbit.qbar * sq).scale(6) \
+            + (orbit.qbar_inv5 * sq).scale(6 * orbit.C0_sq)
+        terms = orbit.pick_terms[key] = _TangentialTerms(
+            k0_2, qx.scale(4 * orbit.g), qx.scale(12), sq.scale(2 * orbit.g),
+            cube.scale(2), cube.scale(10) if orbit.C0_sq else None)
+    return terms
+
+
+def _normal_terms(orbit: OrbitFactors, xs: Sequence) -> _NormalTerms:
+    key = ("xij", tuple(xs))
+    terms = orbit.pick_terms.get(key)
+    if terms is None:
+        sum_sq = None
+        for xj in xs:
+            s = xj * xj
+            sum_sq = s if sum_sq is None else sum_sq + s
+        sum_sq_2g = sum_sq.scale(2 * orbit.g)
+        terms = orbit.pick_terms[key] = _NormalTerms(orbit.qbar * sum_sq_2g,
+                                                     sum_sq_2g)
+    return terms
+
+
+def forcing_k2(orbit: OrbitFactors, xi0_1, xij_1: Sequence):
+    """(K0^(2), [K_j^(2)]) for given first-order solution choices:
+
+        K0^(2) = 2g q0 sum x_j^2 + 6 q0 x0^2 + 6 C0^2 q0^-5 x0^2,
+        K_j^(2) = 4g q0 x0 x_j."""
+    t, n = _tangential_terms(orbit, xi0_1), _normal_terms(orbit, xij_1)
+    return n.k0_2 + t.k0_2, [t.qx_4g * xj for xj in xij_1]
+
+
+def forcing_k3(orbit: OrbitFactors, xi0_1, xij_1: Sequence, xi0_2,
+               xij_2: Sequence):
+    """(K0^(3), [K_j^(3)]) from first- and second-order solution choices
+    (x0, x_j) and (y0, y_j):
+
+        K0^(3) = 4g q0 sum x_j y_j + 2g x0 sum x_j^2 + 2 x0^3 + 12 q0 x0 y0
+                 - C0^2 q0^-6 (10 x0^3 - 12 q0 x0 y0),
+        K_j^(3) = 2g x0^2 x_j + 4g q0 (x0 y_j + y0 x_j)."""
+    t, n = _tangential_terms(orbit, xi0_1), _normal_terms(orbit, xij_1)
     cross = None
-    sum_sq = None
     for xj1, xj2 in zip(xij_1, xij_2):
         c = xj1 * xj2
-        s = xj1 * xj1
         cross = c if cross is None else cross + c
-        sum_sq = s if sum_sq is None else sum_sq + s
-    xi0_sq = xi0_1 * xi0_1
-    xi0_cube = xi0_sq * xi0_1
-    qbar_xi0_xi0_2 = qbar * xi0_1 * xi0_2
-    k0 = (qbar * cross).scale(4 * g) + (xi0_1 * sum_sq).scale(2 * g) \
-        + xi0_cube.scale(2) + qbar_xi0_xi0_2.scale(12)
-    if C0_sq != 0:
-        k0 = k0 - (qbar_inv6 * (xi0_cube.scale(10)
-                                - qbar_xi0_xi0_2.scale(12))).scale(C0_sq)
-    kj = [(xi0_sq * xj1).scale(2 * g)
-          + (qbar * (xi0_1 * xj2 + xi0_2 * xj1)).scale(4 * g)
+    qx_y0 = t.qx_12 * xi0_2
+    k0 = orbit.four_g_qbar * cross + xi0_1 * n.sum_sq_2g + t.cube_2 + qx_y0
+    if orbit.C0_sq:
+        k0 = k0 - orbit.C0_sq_qbar_inv6 * (t.cube_10 - qx_y0)
+    kj = [t.sq_2g * xj1 + orbit.four_g_qbar * (xi0_1 * xj2 + xi0_2 * xj1)
           for xj1, xj2 in zip(xij_1, xij_2)]
     return k0, kj
 
@@ -345,17 +410,15 @@ class VE1Context:
     """First-order data of one parameter point at one truncation order,
     shared by every pick: the only way into the VE2 -> VE3 chain.
 
-    ``qbar_inv5`` and ``qbar_inv6`` are the powers of the orbit series that
-    the C0^2 terms of K0^(2) and K0^(3) need.
+    ``orbit`` holds the orbit factors of the forcings and caches the forcing
+    terms of each first-order pick, so a pick's terms are built once per
+    context, however many chains use them.
     """
 
-    g: Fraction
-    C0_sq: Fraction
     ve1: VE1Coefficients
     tangential_basis: FrobeniusBasis
     normal_bases: Tuple[FrobeniusBasis, ...]
-    qbar_inv5: PuiseuxSeries
-    qbar_inv6: PuiseuxSeries
+    orbit: OrbitFactors
 
 
 def ve1_context(p, e, order) -> VE1Context:
@@ -366,13 +429,9 @@ def ve1_context(p, e, order) -> VE1Context:
     if not qbar:
         raise InsufficientOrderError(
             f"q0 = 1/t + ... keeps no term below t^{order}")
-    qbar_inv = qbar.invert()
-    qbar_inv5 = qbar_inv.pow(5)
-    return VE1Context(g=Q(p.g_bf), C0_sq=e.C0_sq, ve1=ve1,
-                      tangential_basis=frobenius(ve1.tangential),
+    return VE1Context(ve1=ve1, tangential_basis=frobenius(ve1.tangential),
                       normal_bases=tuple(frobenius(nj) for nj in ve1.normal),
-                      qbar_inv5=qbar_inv5,
-                      qbar_inv6=qbar_inv5 * qbar_inv)
+                      orbit=OrbitFactors.of(qbar, p.g_bf, e.C0_sq))
 
 
 def _pick(basis: FrobeniusBasis, which: str) -> PuiseuxSeries:
@@ -382,23 +441,23 @@ def _pick(basis: FrobeniusBasis, which: str) -> PuiseuxSeries:
 def higher_ve_residues(ctx: VE1Context,
                        choice: HigherVEChoice) -> HigherVEResult:
     """Run the VE2 -> VE3 chain with the given picks, stopping at VE2 when
-    a VE2 row is nonzero."""
+    a VE2 row is nonzero.  The forcing terms that depend on one pick alone
+    come from the context's cache, so the picks of one context build each
+    of them once."""
     tb, nbs = ctx.tangential_basis, ctx.normal_bases
     bases = (tb, *nbs)
-    qbar, g = ctx.ve1.qbar0, ctx.g
     xi0_1 = _pick(tb, choice.pick_xi0)
     xij_1 = [_pick(b, choice.pick_xij) for b in nbs]
 
-    k0_2, kj_2 = forcing_k2(qbar, ctx.C0_sq, g, xi0_1, xij_1, ctx.qbar_inv5)
+    k0_2, kj_2 = forcing_k2(ctx.orbit, xi0_1, xij_1)
     k2 = (k0_2, *kj_2)
     vocs = [variation_of_constants(b, k) for b, k in zip(bases, k2)]
     rows2 = tuple(v.log_coefficients for v in vocs)
     if any(map(any, rows2)):
         return HigherVEResult(choice, (rows2,), (k2,))
 
-    k0_3, kj_3 = forcing_k3(qbar, ctx.C0_sq, g, xi0_1, xij_1,
-                            vocs[0].particular,
-                            [v.particular for v in vocs[1:]], ctx.qbar_inv6)
+    k0_3, kj_3 = forcing_k3(ctx.orbit, xi0_1, xij_1, vocs[0].particular,
+                            [v.particular for v in vocs[1:]])
     k3 = (k0_3, *kj_3)
     rows3 = tuple((-b.sol2.product_residue(k), b.sol1.product_residue(k))
                   for b, k in zip(bases, k3))
@@ -427,6 +486,12 @@ class _Valuation:
 
     __sub__ = __add__
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Valuation) and self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
     def scale(self, k) -> "_Valuation":
         return self
 
@@ -454,12 +519,13 @@ def chain_order(n: Fraction, choice: HigherVEChoice) -> int:
         return _Valuation(block[1] if which == "first" else block[0])
 
     qbar = _Valuation(Q(-1))
+    orbit = OrbitFactors(Q(1), Q(1), qbar, qbar, _Valuation(Q(5)),
+                         _Valuation(Q(6)))
     xi0, xj = pick(tang, choice.pick_xi0), pick(norm, choice.pick_xij)
-    k0_2, (kj_2,) = forcing_k2(qbar, 1, 1, xi0, [xj], _Valuation(Q(5)))
+    k0_2, (kj_2,) = forcing_k2(orbit, xi0, [xj])
     # a particular solution has valuation v(K) + rho1 + rho2 + 1 = v(K) + 2
     xi0_2, xj_2 = _Valuation(k0_2.v + 2), _Valuation(kj_2.v + 2)
-    k0_3, (kj_3,) = forcing_k3(qbar, 1, 1, xi0, [xj], xi0_2, [xj_2],
-                               _Valuation(Q(6)))
+    k0_3, (kj_3,) = forcing_k3(orbit, xi0, [xj], xi0_2, [xj_2])
     bound = Q(-1)                  # q0 = 1/t + ... keeps a term once P > -1
     for (rho1, rho2), forcings in ((tang, (k0_2, k0_3)),
                                    (norm, (kj_2, kj_3))):

@@ -127,7 +127,9 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
     standard pick runs first, then the other SCAN_CHOICES picks, each at the
     order that the Frobenius exponents certify for it
     (variational.chain_order): the VE1 context is rebuilt only for a pick
-    that needs more terms than it holds."""
+    that needs more terms than it holds.  The picks that share a context
+    share its cache of the forcing terms that depend on one first-order pick
+    alone, so a survivor's four chains build each such term once."""
     snapshot = params_snapshot(p)
     snapshot["h"] = str(Q(h))
     if p.g_bf == 0:

@@ -81,16 +81,14 @@ def log_rows(pt, xi0, xij, third=True):
     log-free.
     """
     bases = [pt.tb, *pt.nbs]
-    qbar = pt.ve1.qbar0
-    k0, kj = V.forcing_k2(qbar, pt.e.C0_sq, pt.p.g_bf, xi0, xij,
-                          qbar.pow(5).invert())
+    orbit = V.OrbitFactors.of(pt.ve1.qbar0, pt.p.g_bf, pt.e.C0_sq)
+    k0, kj = V.forcing_k2(orbit, xi0, xij)
     vocs = [V.variation_of_constants(b, k) for b, k in zip(bases, [k0, *kj])]
     ve2 = [v.log_coefficients for v in vocs]
     if not third:
         return ve2, None
-    k0, kj = V.forcing_k3(qbar, pt.e.C0_sq, pt.p.g_bf, xi0, xij,
-                          vocs[0].particular, [v.particular for v in vocs[1:]],
-                          qbar.pow(6).invert())
+    k0, kj = V.forcing_k3(orbit, xi0, xij, vocs[0].particular,
+                          [v.particular for v in vocs[1:]])
     ve3 = [((-(b.sol2 * k)).residue(), (b.sol1 * k).residue())
            for b, k in zip(bases, [k0, *kj])]
     return ve2, ve3
@@ -164,8 +162,8 @@ def test_criterion_02_index_two_mu2_expansion():
     pt = case2_point(2, w0, wj, c0sq, h, order=24)
     e, ve1, tb, nb = pt.e, pt.ve1, pt.tb, pt.nbs[0]
     bj = 4 * w0 - 2 * wj
-    _, kj = V.forcing_k2(ve1.qbar0, e.C0_sq, 3, tb.sol1, [nb.sol1],
-                         ve1.qbar0.pow(5).invert())
+    _, kj = V.forcing_k2(V.OrbitFactors.of(ve1.qbar0, 3, e.C0_sq), tb.sol1,
+                         [nb.sol1])
     mu2 = nb.sol1 * kj[0]
     stated = {Q(-7): Q(12), Q(-5): -4 * bj,
               Q(-3): Q(4, 3) * bj ** 2 - Q(12, 5) * e.g2,
@@ -435,9 +433,9 @@ def test_criterion_10_forcing_oracle_and_ring_axioms():
         b2 = [random_series(rng, lo=-2, hi=3, trunc=6)]
         if a.is_zero or b[0].is_zero:
             continue
-        k0_2, kj_2 = V.forcing_k2(qbar, c0sq, g, a, b, qbar.pow(5).invert())
-        k0_3, kj_3 = V.forcing_k3(qbar, c0sq, g, a, b, a2, b2,
-                                  qbar.pow(6).invert())
+        orbit = V.OrbitFactors.of(qbar, g, c0sq)
+        k0_2, kj_2 = V.forcing_k2(orbit, a, b)
+        k0_3, kj_3 = V.forcing_k3(orbit, a, b, a2, b2)
         o0_2, oj_2, o0_3, oj_3 = forcing_oracle(qbar, w0, wjs, c0sq, g,
                                                 a, b, a2, b2)
         if not (agrees_with(k0_2, o0_2) and agrees_with(k0_3, o0_3)

@@ -418,3 +418,10 @@ class TestMixedLattices:
         b = S({0: 1}, 1) * S({}, Q(-1, 3))
         assert a.dense() == (3, 0, 3, [], 1, -1)
         assert b == a and hash(b) == hash(a)
+
+    @pytest.mark.parametrize("c", [0, 7, Q(-3, 4)], ids=["zero", "int", "neg"])
+    def test_constant_and_scale_match_the_dict_constructor(self, c):
+        assert PuiseuxSeries.constant(c).dense() == S({0: c}).dense()
+        x = S({Q(-1, 2): 2, Q(1, 2): Q(-5, 3), 3: 1}, 4)
+        want = S({e: k * c for e, k in x.terms()}, x.truncation_order)
+        assert x.scale(c).dense() == want.dense()

@@ -317,10 +317,9 @@ class TestForcingOracle:
             xij_2 = [random_series(rng, lo=-2, hi=3, trunc=6) for _ in wjs]
             if xi0_1.is_zero or any(x.is_zero for x in xij_1):
                 continue
-            k0_2, kj_2 = V.forcing_k2(qbar, c0sq, g, xi0_1, xij_1,
-                                      qbar.pow(5).invert())
-            k0_3, kj_3 = V.forcing_k3(qbar, c0sq, g, xi0_1, xij_1,
-                                      xi0_2, xij_2, qbar.pow(6).invert())
+            orbit = V.OrbitFactors.of(qbar, g, c0sq)
+            k0_2, kj_2 = V.forcing_k2(orbit, xi0_1, xij_1)
+            k0_3, kj_3 = V.forcing_k3(orbit, xi0_1, xij_1, xi0_2, xij_2)
             o0_2, oj_2, o0_3, oj_3 = forcing_oracle(
                 qbar, w0, wjs, c0sq, g, xi0_1, xij_1, xi0_2, xij_2)
             assert agrees_with(k0_2, o0_2)
@@ -334,7 +333,7 @@ class TestForcingOracle:
     def test_gbf_zero_kills_normal_forcing(self):
         qbar = V.qbar0_series(E_REF, 10)
         x = PuiseuxSeries({-1: 1}, 5)
-        _, kj = V.forcing_k2(qbar, 1, 0, x, [x], qbar.pow(5).invert())
+        _, kj = V.forcing_k2(V.OrbitFactors.of(qbar, 0, 1), x, [x])
         assert kj[0].is_zero
 
 
@@ -350,8 +349,8 @@ class TestVariationOfConstants:
         ve1 = V.build_ve1(P_N1, E_REF, 24)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, kj = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
-                              ve1.qbar0.pow(5).invert())
+        k0, kj = V.forcing_k2(V.OrbitFactors.of(ve1.qbar0, 1, 1), tb.sol2,
+                              [nb.sol1])
         voc0 = V.variation_of_constants(tb, k0)
         vocj = V.variation_of_constants(nb, kj[0])
         assert not series_residual(voc0.particular, ve1.tangential, k0)
@@ -362,8 +361,8 @@ class TestVariationOfConstants:
         ve1 = V.build_ve1(P_N1, E_REF, 24)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, _ = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
-                             ve1.qbar0.pow(5).invert())
+        k0, _ = V.forcing_k2(V.OrbitFactors.of(ve1.qbar0, 1, 1), tb.sol2,
+                             [nb.sol1])
         voc0 = V.variation_of_constants(tb, k0)
         assert voc0.particular.coefficient(-1) == Q(-1, 2)
 
@@ -476,7 +475,6 @@ class TestHigherVEResidues:
         ctx = V.ve1_context(p, e, order)
         tb, nbs = ctx.tangential_basis, ctx.normal_bases
         bases = (tb, *nbs)
-        qbar = ctx.ve1.qbar0
 
         def pick(basis, which):
             return basis.sol1 if which == "first" else basis.sol2
@@ -488,8 +486,7 @@ class TestHigherVEResidues:
                 continue
             xi0 = pick(tb, ch.pick_xi0)
             xij = [pick(b, ch.pick_xij) for b in nbs]
-            k0, kj = V.forcing_k2(qbar, e.C0_sq, p.g_bf, xi0, xij,
-                                  ctx.qbar_inv5)
+            k0, kj = V.forcing_k2(ctx.orbit, xi0, xij)
             vocs = [V.variation_of_constants(b, k)
                     for b, k in zip(bases, (k0, *kj))]
             for a0 in ("first", "second"):
@@ -497,9 +494,8 @@ class TestHigherVEResidues:
                     xi0_2 = vocs[0].particular + pick(tb, a0)
                     xij_2 = [v.particular + pick(b, aj)
                              for v, b in zip(vocs[1:], nbs)]
-                    k0_3, kj_3 = V.forcing_k3(qbar, e.C0_sq, p.g_bf, xi0,
-                                              xij, xi0_2, xij_2,
-                                              ctx.qbar_inv6)
+                    k0_3, kj_3 = V.forcing_k3(ctx.orbit, xi0, xij, xi0_2,
+                                              xij_2)
                     rows = tuple(((-(b.sol2 * k)).residue(),
                                   (b.sol1 * k).residue())
                                  for b, k in zip(bases, (k0_3, *kj_3)))
@@ -508,20 +504,103 @@ class TestHigherVEResidues:
         assert checked == 16
 
 
+#: (n, w0, w_j, C0^2, h) of the shared-term checks: index 1, index 2 with
+#: N_f = 1 and 2, both survivors, and a C0^2 = 0 point
+SHARING_POINTS = [
+    pytest.param(Q(1), Q(1), [Q(1)], Q(1), Q(0), id="index1"),
+    pytest.param(Q(2), Q(1), [Q(2)], Q(1), Q(0), id="index2"),
+    pytest.param(Q(2), Q(1), [Q(2), Q(1)], Q(1), Q(0), id="index2-nf2"),
+    pytest.param(Q(1, 2), Q(1), [Q(1, 4)], Q(1), Q(0), id="half"),
+    pytest.param(Q(5, 2), Q(1), [Q(55, 28)], Q(72, 343), Q(0), id="five-half"),
+    pytest.param(Q(2), Q(1), [Q(2)], Q(0), Q(-1), id="index2-c0sq0")]
+
+
+def sharing_context(n, w0, wj, c0sq, h):
+    """(p, e, order): the point, at the largest chain order of its picks."""
+    p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+    e = elliptic.invariants_from_energy(w0, c0sq, h)
+    return p, e, max(V.chain_order(n, ch) for ch in V.SCAN_CHOICES)
+
+
+def first_order_picks(ctx, ch):
+    def pick(basis, which):
+        return basis.sol1 if which == "first" else basis.sol2
+    return (pick(ctx.tangential_basis, ch.pick_xi0),
+            [pick(b, ch.pick_xij) for b in ctx.normal_bases])
+
+
+class TestSharedPickTerms:
+    """The picks of one context share the forcing terms of each first-order
+    pick; what they read must not depend on which picks ran before."""
+
+    @pytest.mark.parametrize("n, w0, wj, c0sq, h", SHARING_POINTS)
+    def test_chain_forcings_equal_fresh_forcings(self, n, w0, wj, c0sq, h):
+        p, e, order = sharing_context(n, w0, wj, c0sq, h)
+        shared = V.ve1_context(p, e, order)
+        for ch in V.SCAN_CHOICES:
+            res = V.higher_ve_residues(shared, ch)
+            fresh = V.ve1_context(p, e, order)
+            bases = (fresh.tangential_basis, *fresh.normal_bases)
+            xi0, xij = first_order_picks(fresh, ch)
+            k0, kj = V.forcing_k2(fresh.orbit, xi0, xij)
+            vocs = [V.variation_of_constants(b, k)
+                    for b, k in zip(bases, (k0, *kj))]
+            forcings = [(k0, *kj)]
+            rows = [tuple(v.log_coefficients for v in vocs)]
+            if res.rows[1:]:
+                k0, kj = V.forcing_k3(fresh.orbit, xi0, xij,
+                                      vocs[0].particular,
+                                      [v.particular for v in vocs[1:]])
+                forcings.append((k0, *kj))
+                rows.append(tuple(((-(b.sol2 * k)).residue(),
+                                   (b.sol1 * k).residue())
+                                  for b, k in zip(bases, (k0, *kj))))
+            assert [[k.dense() for k in f] for f in res.forcings] == \
+                [[k.dense() for k in f] for f in forcings], ch
+            assert list(res.rows) == rows, ch
+
+    @pytest.mark.parametrize("n, w0, wj, c0sq, h", SHARING_POINTS)
+    def test_reversed_picks_on_one_context(self, n, w0, wj, c0sq, h):
+        p, e, order = sharing_context(n, w0, wj, c0sq, h)
+        ctx = V.ve1_context(p, e, order)
+        for ch in reversed(V.SCAN_CHOICES):
+            assert V.higher_ve_residues(ctx, ch) == V.higher_ve_residues(
+                V.ve1_context(p, e, order), ch), ch
+
+    def test_zero_c0sq_term_bounds_k0_truncation(self):
+        """At C0^2 = 0 the term 6 C0^2 q0^-5 x0^2 is zero but still caps
+        the truncation of K0^(2), as every term of a sum does; a q0^-5 cut
+        short makes it the binding one."""
+        p, e, order = sharing_context(Q(2), Q(1), [Q(2)], Q(0), Q(-1))
+        ctx = V.ve1_context(p, e, order)
+        orbit = ctx.orbit
+        short = V.OrbitFactors(orbit.g, orbit.C0_sq, orbit.qbar,
+                               orbit.four_g_qbar, orbit.qbar_inv5.truncate(6),
+                               orbit.C0_sq_qbar_inv6)
+        binding = 0
+        for ch in V.SCAN_CHOICES:
+            xi0, xij = first_order_picks(ctx, ch)
+            bound = (short.qbar_inv5 * (xi0 * xi0)).truncation_order
+            full = V.forcing_k2(orbit, xi0, xij)[0].truncation_order
+            k0, _ = V.forcing_k2(short, xi0, xij)
+            assert k0.truncation_order == min(bound, full), ch
+            binding += bound < full
+        assert binding == 3         # all but (second, first)
+
+
 class TestFloatCrossChecks:
     def test_contour_integral_matches_exact_residue(self):
         res = run_residues(1, Q(1), Q(1), Q(1), Q(0))
         ve1 = V.build_ve1(P_N1, E_REF, 30)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, kj = V.forcing_k2(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
-                              ve1.qbar0.pow(5).invert())
+        orbit = V.OrbitFactors.of(ve1.qbar0, 1, 1)
+        k0, kj = V.forcing_k2(orbit, tb.sol2, [nb.sol1])
         voc0 = V.variation_of_constants(tb, k0)
         vocj = V.variation_of_constants(nb, kj[0])
         xi0_2 = voc0.particular + tb.sol2
         xij_2 = vocj.particular + nb.sol1
-        _, kj3 = V.forcing_k3(ve1.qbar0, 1, 1, tb.sol2, [nb.sol1],
-                              xi0_2, [xij_2], ve1.qbar0.pow(6).invert())
+        _, kj3 = V.forcing_k3(orbit, tb.sol2, [nb.sol1], xi0_2, [xij_2])
         mu = -(nb.sol2 * kj3[0])
         exact = mu.residue()
         assert exact == Q(2, 3)
@@ -562,8 +641,8 @@ class TestSecondOrderExpansions:
         ve1 = V.build_ve1(p, E_REF, 30)
         tb = V.frobenius(ve1.tangential)
         nb = V.frobenius(ve1.normal[0])
-        k0, kj = V.forcing_k2(ve1.qbar0, 1, 3, tb.sol1, [nb.sol2],
-                              ve1.qbar0.pow(5).invert())
+        k0, kj = V.forcing_k2(V.OrbitFactors.of(ve1.qbar0, 3, 1), tb.sol1,
+                              [nb.sol2])
         vocj = V.variation_of_constants(nb, kj[0])
         xij_2 = vocj.particular + nb.sol2
         # -(3/5) t^2 + t^3/5 + ...

@@ -9,7 +9,7 @@ import pytest
 
 from bfmix import cli, elliptic, lame, variational, verdict
 from bfmix.model import make_params, make_params_c0sq
-from bfmix.series import InsufficientOrderError
+from bfmix.series import InsufficientOrderError, PuiseuxSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -145,6 +145,27 @@ class TestClassify:
         verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
         assert calls == {"build_ve1": builds,
                          "higher_ve_residues": pipelines}
+
+    # series products and scale calls per call: the terms of each
+    # first-order pick are built once per context, so a survivor's 4 chains
+    # build 2 tangential and 2 normal picks' terms, and the forcings that
+    # combine them scale nothing
+    @pytest.mark.parametrize("g, wj, c0sq, products, scales", [
+        (Q(1), Q(1), Q(1), 30, 15),
+        (Q(3), Q(2), Q(1), 50, 16),
+        (Q(3, 8), Q(1, 4), Q(1), 91, 24),
+        (Q(35, 8), Q(55, 28), Q(72, 343), 91, 25)],
+        ids=["index1", "index2", "half", "five-half"])
+    def test_case2_series_work(self, monkeypatch, g, wj, c0sq, products,
+                               scales):
+        calls = {"__mul__": 0, "scale": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(PuiseuxSeries, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(PuiseuxSeries, name, counted)
+        verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
+        assert calls == {"__mul__": products, "scale": scales}
 
     @pytest.mark.parametrize("g, wj, c0sq", [
         (Q(1), [Q(1)], Q(1)), (Q(3), [Q(2)], Q(1)), (Q(3, 8), [Q(1, 4)], Q(1)),
