@@ -112,15 +112,29 @@ def transform_consistency(red: HeunReduction, t_grid: Sequence[float],
     joint test bounds one route only by err_M^2 <= err^2 (1 + c_H / c_M): an
     accepted step need not pass each route's own test.  The measured
     defect, not the step test, is the check's guarantee.
+
+    The right-hand side makes one exponential per call.  The time stays
+    real, so x = exp(2 i omega t) stays on |x| = 1, where 1/x = conj(x).
+    The Mathieu route takes sinh(2 i omega t) as (x - 1/x)/2, with B1/2
+    folded once.  The Heun route folds (2 i omega x)^2 = -4 omega^2 x^2 into
+    r's coefficients -B, -(A + 1/4) and B at 1/x, 1/x^2 and 1/x^3, which
+    leaves -4 omega^2 (-B x - (A + 1/4) + B/x).  The routes read their
+    constants apart, A1 and B1 against A and B, so a wrong B still shows
+    as a defect.
     """
     w = float(red.omega)
-    a1, b1 = float(red.A1), float(red.B1)
+    two_iw = 2j * w
+    a1, half_b1 = float(red.A1), float(red.B1) / 2
+    a_quarter, b = red._r_floats
+    m4w_sq = -4 * w * w
+    k1, k0, k_1 = m4w_sq * -b, m4w_sq * -a_quarter, m4w_sq * b
 
     def f(t, v):
         xi, dxi, y, dy = v
-        x = cmath.exp(2j * w * t)
-        return [dxi, -(a1 + b1 * cmath.sinh(2j * w * t)) * xi,
-                dy, 2j * w * dy + (2j * w * x) ** 2 * red.r_of_x(x) * y]
+        x = cmath.exp(two_iw * t)
+        x_inv = x.conjugate()
+        return [dxi, -(a1 + half_b1 * (x - x_inv)) * xi,
+                dy, two_iw * dy + (k1 * x + k0 + k_1 * x_inv) * y]
 
     t0 = float(t_grid[0])
     xi0, dxi0 = 1.0 + 0j, 0.0 + 0j

@@ -111,26 +111,38 @@ def _float_params(p: ModelParams):
 
 
 def _energy(p: ModelParams):
-    """H as a float function of a state vector (q0, p0, q_1.., p_1..)."""
+    """H as a float function of a state vector (q0, p0, q_1.., p_1..).
+
+    The halved centrifugal constants C0^2/2 and C_j^2/2 are folded once,
+    outside the closure (None where C^2 is zero, so that the term is
+    absent); inside, each square q^2 is formed once and reused, and the
+    quartic is the product q0^2 q0^2, not a complex power."""
     w0, g, c0sq, ws, cj_sq = _float_params(p)
     n_f = len(ws)
+    half_c0sq = c0sq / 2 if c0sq is not None else None
+    modes = [(wj, cj / 2 if cj is not None else None)
+             for wj, cj in zip(ws, cj_sq)]
 
     def energy(y) -> complex:
-        q0, p0, *z = y.tolist()
-        if c0sq is not None and q0 == 0:
+        y = y.tolist()
+        q0, p0 = y[0], y[1]
+        if half_c0sq is not None and q0 == 0:
             raise ZeroDivisionError("q0 = 0 with C0 != 0")
-        total = p0 * p0 / 2 + w0 * q0 * q0 - q0 ** 4 / 2
-        if c0sq is not None:
-            total += c0sq / (2 * q0 * q0)
+        q0_sq = q0 * q0
+        total = p0 * p0 / 2 + w0 * q0_sq - q0_sq * q0_sq / 2
+        if half_c0sq is not None:
+            total += half_c0sq / q0_sq
         sum_qj_sq = 0j
-        for j, (qj, pj, wj, cj) in enumerate(zip(z[:n_f], z[n_f:], ws, cj_sq)):
-            if cj is not None and qj == 0:
+        for j, (wj, half_cj) in enumerate(modes):
+            qj, pj = y[2 + j], y[2 + n_f + j]
+            if half_cj is not None and qj == 0:
                 raise ZeroDivisionError(f"q_{j + 1} = 0 with C_{j + 1} != 0")
-            total += pj * pj / 2 + wj * qj * qj
-            if cj is not None:
-                total += cj / (2 * qj * qj)
-            sum_qj_sq += qj * qj
-        total -= g * q0 * q0 * sum_qj_sq
+            qj_sq = qj * qj
+            total += pj * pj / 2 + wj * qj_sq
+            if half_cj is not None:
+                total += half_cj / qj_sq
+            sum_qj_sq += qj_sq
+        total -= g * q0_sq * sum_qj_sq
         return total
     return energy
 
@@ -138,24 +150,42 @@ def _energy(p: ModelParams):
 def _vector_field(p: ModelParams):
     """The canonical vector field as a float function f(t, y) of a state
     vector y = (q0, p0, q_1.., p_1..), a list of complex; returns the
-    derivatives as a list."""
+    derivatives as a list.
+
+    The constants -2 w0, 2g and -2 w_j are folded once, outside the
+    closure, beside the floats C0^2 and C_j^2 (None where zero: an absent
+    term is never divided).  Inside, the state is indexed, each square is
+    formed once, the polynomial part of each force is one factor times q0
+    or q_j, and the cubes under C^2 are products, not complex powers, so a
+    state beyond the float range overflows to inf or nan instead of
+    raising."""
     w0, g, c0sq, ws, cj_sq = _float_params(p)
     n_f = len(ws)
+    m2w0, two_g = -2 * w0, 2 * g
+    modes = [(2 + j, -2 * wj, cj) for j, (wj, cj) in enumerate(zip(ws, cj_sq))]
 
     def f(t, y) -> list:
-        q0, p0, *z = y
-        qs = z[:n_f]
-        sum_qj_sq = sum(q ** 2 for q in qs)
-        dp0 = -2 * w0 * q0 + 2 * q0 ** 3 + 2 * g * q0 * sum_qj_sq
+        q0 = y[0]
+        q0_sq = q0 * q0
+        # dp_j = (-2 w_j + 2g q0^2) q_j [+ C_j^2 / q_j^3]
+        gq0_sq = two_g * q0_sq
+        sum_qj_sq = 0j
+        out = [y[1], None]
+        out += y[2 + n_f:]
+        for i, m2wj, cj in modes:
+            qj = y[i]
+            qj_sq = qj * qj
+            sum_qj_sq += qj_sq
+            if cj is None:
+                out.append((m2wj + gq0_sq) * qj)
+            else:
+                out.append((m2wj + gq0_sq) * qj + cj / (qj * qj_sq))
+        # dp0 = (-2 w0 + 2 q0^2 + 2g sum q_j^2) q0 [+ C0^2 / q0^3]
+        dp0 = (m2w0 + 2 * q0_sq + two_g * sum_qj_sq) * q0
         if c0sq is not None:
-            dp0 += c0sq / q0 ** 3
-        dps = []
-        for qj, wj, cj in zip(qs, ws, cj_sq):
-            dpj = -2 * wj * qj + 2 * g * q0 * q0 * qj
-            if cj is not None:
-                dpj += cj / qj ** 3
-            dps.append(dpj)
-        return [p0, dp0, *z[n_f:], *dps]
+            dp0 += c0sq / (q0 * q0_sq)
+        out[1] = dp0
+        return out
     return f
 
 

@@ -154,7 +154,11 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
               t0: complex, y0, t1: complex,
               rtol: float = 1e-10, atol: float = 1e-12,
               record: bool = False) -> Tuple[np.ndarray, Trajectory]:
-    """Integrate dy/dt = f(t, y) from t0 to t1 along the straight segment."""
+    """Integrate dy/dt = f(t, y) from t0 to t1 along the straight segment.
+
+    A right-hand side should overflow to inf or nan, not raise: a stage
+    beyond the float range then rejects the step instead of ending the
+    integration."""
     y0 = np.array(y0, dtype=complex)
     if y0.ndim != 1:
         raise ValueError(f"the state must be one-dimensional, not {y0.shape}")

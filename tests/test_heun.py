@@ -112,9 +112,33 @@ class TestTransformConsistency:
                                             np.linspace(0.1, 1.0, 10))
         assert abs(defect - 1e-3) < 1e-9
 
+    @pytest.mark.parametrize("g", [1, 0], ids=["B-nonzero", "B-zero"])
+    def test_rhs_matches_the_unfolded_equations(self, monkeypatch, rng, g):
+        fields = []
+
+        def spy(f, t0, y0, t1, **kw):
+            fields.append(f)
+            return integrate(f, t0, y0, t1, **kw)
+        monkeypatch.setattr(heun, "integrate", spy)
+        red = heun.reduce_case1(Q(3, 2), Q(5, 4), g, Q(-2))
+        assert (red.B == 0) == (g == 0)
+        heun.transform_consistency(red, np.linspace(0.1, 1.0, 10))
+        f, = fields
+        w, a1, b1 = float(red.omega), float(red.A1), float(red.B1)
+        for t in np.linspace(0.1, 1.0, 20):
+            v = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                 for _ in range(4)]
+            xi, dxi, y, dy = v
+            x = cmath.exp(2j * w * t)
+            want = [dxi, -(a1 + b1 * cmath.sinh(2j * w * t)) * xi,
+                    dy, 2j * w * dy + (2j * w * x) ** 2 * red.r_of_x(x) * y]
+            got = f(t, v)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-14 * abs(b)
+
     def test_wrong_transform_is_caught(self):
         red = heun.reduce_case1(1, 2, 1, 3)
-        # B off by 1/100 in r_of_x only: the Mathieu route keeps B1
+        # B off by 1/100 in r only: the Mathieu route keeps B1
         wrong = dataclasses.replace(red, B=red.B + Q(1, 100))
         assert heun.transform_consistency(wrong,
                                           np.linspace(0.1, 1.0, 10)) > 1e-6

@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction as Q
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from bfmix import elliptic, model
 from bfmix.model import PhaseState, make_params
-from bfmix.odeint import integrate
+from bfmix.odeint import SingularityEncounteredError, integrate
 from conftest import random_rational
 from helpers_model import RawParams, normalize
 
@@ -63,6 +64,20 @@ class TestHamiltonian:
         s2 = PhaseState(-0.8, 0.3, (0.5,), (0.1,))
         assert model.hamiltonian(p, s1) == model.hamiltonian(p, s2)
 
+    def test_written_out_at_two_modes(self):
+        w0, ws, c0, cs, g = 1.5, (2.0, 1 / 3), 0.5, (0.75, -2.0), 0.4
+        p = make_params(Q(3, 2), [Q(2), Q(1, 3)], Q(1, 2), [Q(3, 4), Q(-2)],
+                        Q(2, 5))
+        q0, p0 = 0.8 + 0.1j, 0.3 - 0.2j
+        qs, ps = (1.2 - 0.3j, 0.7 + 0.4j), (0.1 + 0.5j, -0.6 + 0.2j)
+        want = (p0 ** 2 / 2 + ps[0] ** 2 / 2 + ps[1] ** 2 / 2
+                + w0 * q0 ** 2 + ws[0] * qs[0] ** 2 + ws[1] * qs[1] ** 2
+                - g * q0 ** 2 * (qs[0] ** 2 + qs[1] ** 2) - q0 ** 4 / 2
+                + c0 ** 2 / (2 * q0 ** 2) + cs[0] ** 2 / (2 * qs[0] ** 2)
+                + cs[1] ** 2 / (2 * qs[1] ** 2))
+        got = model.hamiltonian(p, PhaseState(q0, p0, qs, ps))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_centrifugal_pole_guard(self):
         p = make_params(1, [1], 1, [0], 0)
         with pytest.raises(ZeroDivisionError):
@@ -92,20 +107,51 @@ def _fd_gradient(p, s, h=1e-6):
 
 class TestEquationsOfMotion:
     def test_matches_hamiltonian_gradient(self, rng):
-        for _ in range(5):
-            p = make_params(abs(random_rational(rng, nonzero=True)),
-                            [abs(random_rational(rng, nonzero=True))],
-                            random_rational(rng),
-                            [random_rational(rng)],
-                            random_rational(rng))
-            s = PhaseState(0.9 + 0.1 * rng.random(), rng.random(),
-                           (1.1 + rng.random(),), (rng.random(),))
-            rhs = model.eom(p, s)
-            fd = _fd_gradient(p, s)
-            got = [rhs.q0, rhs.p0, *rhs.qs, *rhs.ps]
-            scale = max(1.0, max(abs(x) for x in fd))
-            for a, b in zip(got, fd):
-                assert abs(a - b) < 1e-6 * scale
+        # N_f = 1, 2 and 3, with C0 = 0 and C0 != 0; from N_f = 2 on, the
+        # first mode has C_1 = 0, so its centrifugal term is absent
+        for n_f in (1, 2, 3):
+            for c0_zero in (True, False):
+                for _ in range(5):
+                    cs = [random_rational(rng, nonzero=True)
+                          for _ in range(n_f)]
+                    if n_f > 1:
+                        cs[0] = Q(0)
+                    p = make_params(
+                        abs(random_rational(rng, nonzero=True)),
+                        [abs(random_rational(rng, nonzero=True))
+                         for _ in range(n_f)],
+                        Q(0) if c0_zero else random_rational(rng,
+                                                             nonzero=True),
+                        cs, random_rational(rng))
+                    s = PhaseState(
+                        complex(0.9 + 0.1 * rng.random(), rng.random() - 0.5),
+                        complex(rng.random(), rng.random()),
+                        tuple(complex(1.1 + rng.random(), rng.random() - 0.5)
+                              for _ in range(n_f)),
+                        tuple(complex(rng.random(), rng.random())
+                              for _ in range(n_f)))
+                    rhs = model.eom(p, s)
+                    fd = _fd_gradient(p, s)
+                    got = [rhs.q0, rhs.p0, *rhs.qs, *rhs.ps]
+                    scale = max(1.0, max(abs(x) for x in fd))
+                    for a, b in zip(got, fd):
+                        assert abs(a - b) < 1e-6 * scale
+
+    def test_overflow_gives_non_finite_values(self):
+        """A state beyond the float range overflows to inf or nan, so the
+        stepper rejects the step; no OverflowError escapes the field."""
+        p = make_params(1, [2], 0, [3], 1)
+        f = model._vector_field(p)
+        out = f(0.0, [1e103 + 0j, 0j, 1 + 0j, 0j])
+        assert not all(map(cmath.isfinite, out))
+        # q_1^3 overflows: C_1^2 / q_1^3 underflows to 0, as it should
+        out = f(0.0, [0.5 + 0j, 0j, 1e103 + 0j, 0j])
+        assert out[3] == (-2 * 2 + 2 * 0.25) * 1e103
+        # q0 near a pole at t = 1e-100: each step overflows and is rejected
+        # until the step size underflows
+        with pytest.raises(SingularityEncounteredError,
+                           match="step-size underflow"):
+            integrate(f, 0.0, [1e100, 0, 1, 0], 1.0)
 
     def test_pj_formula_at_gbf_zero(self):
         p = make_params(1, [Q(3, 2)], 0, [Q(2)], 0)

@@ -224,8 +224,10 @@ CASE1_POINTS = [(Q(1), Q(2), Q(1), Q(3), Q(3)),
 #: make the same number of steps, but the error estimate of a short step is
 #: a difference of stage values that cancels to round-off, so the order of
 #: summation moves its leading digits, and each step length moves by an
-#: eighth of that; 2.9e-5 is the largest seen over the 404 integrations of
-#: the 202 seed-11 ode-crosscheck points (the references and 200 cycles)
+#: eighth of that; 2.85e-5 is the largest seen over the 404 integrations of
+#: the 202 seed-11 ode-crosscheck points (the references and 200 cycles).
+#: It moves with the fields' rounding: 2.88e-5 before the orbit and Heun
+#: fields folded their constants, 5.4e-5 with the Heun field's 1/x divided
 NODE_RTOL = 1e-4
 
 
