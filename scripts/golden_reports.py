@@ -9,7 +9,11 @@ Each file is the output of one command line of ``bfmix``:
   ``scripts/run_case_studies.py`` points, an index-2 point with two
   transverse modes, an index-4 point and an index-3/2 point that fails on
   its VE1 resonance coefficient;
-* ``bfmix series --what wp|qbar|ve1|mu2|mu3`` CSVs for three points.
+* ``bfmix series --what wp|qbar|ve1|mu2|mu3`` CSVs for three points;
+* ``case2_sweep.json``: 60 seeded random ``analyze case2`` points, ten at
+  each Lame index 1, 2, 3, 4, 1/2 and 5/2 (five of each half-integer index
+  on its survivor family), half with one transverse mode and half with two,
+  each with its exit code, error text and report.
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
 to match these files byte for byte, so a change to the series kernel or the
@@ -24,7 +28,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from bfmix import cli
@@ -70,15 +76,62 @@ CSVS = {f"series_{what}_{point}.csv": ["series", f"--what={what}", *argv]
         for point, argv in _SERIES_POINTS.items()
         for what in ("wp", "qbar", "ve1", "mu2", "mu3")}
 
+
+def _case2_sweep(seed: int = 2015, per_index: int = 10) -> list:
+    """``analyze case2`` command lines at random rational w0, w_j, C0^2
+    and h, ``per_index`` per Lame index n (g_bf = n(n+1)/2), N_f
+    alternating between 1 and 2."""
+    rng = random.Random(seed)
+
+    def rat(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 2)))
+
+    points = []
+    for n in (Fraction(1), Fraction(2), Fraction(3), Fraction(4),
+              Fraction(1, 2), Fraction(5, 2)):
+        for k in range(per_index):
+            omega0, c0sq = rat(1, 4), rat(1, 4)
+            omegaj = [rat(1, 4) for _ in range(1 + k % 2)]
+            if k >= per_index // 2 and n == Fraction(1, 2):
+                omegaj = [omega0 / 4] * len(omegaj)
+            elif k >= per_index // 2 and n == Fraction(5, 2):
+                omegaj = [Fraction(55, 28) * omega0] * len(omegaj)
+                c0sq = Fraction(72, 343) * omega0 ** 3
+            points.append(["analyze", "case2", f"--gbf={n * (n + 1) / 2}",
+                           f"--omega0={omega0}",
+                           f"--omegaj={','.join(map(str, omegaj))}",
+                           f"--c0sq={c0sq}", f"--h={rat(-2, 2)}"])
+    return points
+
+
+#: file name -> bfmix command lines whose outcomes the file lists together
+SWEEPS = {"case2_sweep.json": _case2_sweep()}
+
 #: files whose content comes from exact arithmetic only
-EXACT_FILES = [name for name in (*REPORTS, *CSVS)
+EXACT_FILES = [name for name in (*REPORTS, *CSVS, *SWEEPS)
                if not name.startswith("case3")]
 #: reports that carry floats (h* from np.roots, closed forms), not exact values
 QUADRATURE_FILES = [name for name in REPORTS if name.startswith("case3")]
 
 
+def _run(argv) -> dict:
+    """The exit code, error text and report (without ``timing_seconds``)
+    of one analysis command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    outcome = {"argv": list(argv), "exit": rc, "stderr": err.getvalue()}
+    if rc == 0:
+        outcome["report"] = json.loads(out.getvalue())
+        del outcome["report"]["timing_seconds"]
+    return outcome
+
+
 def render(name: str) -> str:
     """The golden text of one file, computed by the current program."""
+    if name in SWEEPS:
+        outcomes = [_run(argv) for argv in SWEEPS[name]]
+        return json.dumps(outcomes, sort_keys=True, indent=1) + "\n"
     argv = REPORTS.get(name) or CSVS[name]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -94,7 +147,7 @@ def render(name: str) -> str:
 
 def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
-    for name in (*REPORTS, *CSVS):
+    for name in (*REPORTS, *CSVS, *SWEEPS):
         (OUT / name).write_text(render(name))
         print(name)
     return 0

@@ -69,5 +69,5 @@ def test_float_report_matches_golden_file(name):
 
 
 def test_no_orphan_golden_file():
-    named = {*golden.REPORTS, *golden.CSVS}
+    named = {*golden.REPORTS, *golden.CSVS, *golden.SWEEPS}
     assert {p.name for p in golden.OUT.iterdir()} == named
