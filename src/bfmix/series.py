@@ -14,6 +14,18 @@ followed by a single reduction, and ``Fraction``s are built only where a
 caller asks for an exponent or a coefficient.  Only
 :meth:`PuiseuxSeries.evaluate` leaves the rationals, for numeric cross-checks
 of the exact pipeline.
+
+The chain's operands hold a handful of terms each, so an operation costs its
+bookkeeping more than its arithmetic, and each one does only what its
+operands need.  The canonical form is made in one pass over the dense list:
+the cut at the truncation, the zero ends, the coarsest step (scanned only
+when the second coefficient is zero), the common factor of the numerators,
+and a division of the lattice only where ``L``, the base and the step share
+a factor.  ``+`` and ``*`` align operands on one lattice without any
+re-gridding, and a product convolves the two lists in a nested loop with
+each factor's step as its stride.  :meth:`PuiseuxSeries.product_sum` forms
+``a*b + c*d`` on any lattices: its four operands are aligned once, both
+convolutions add into one list, and the sum takes its canonical form once.
 """
 from __future__ import annotations
 
@@ -87,25 +99,20 @@ def _count_below(n: int, base: int, step: int, trunc) -> int:
     return max(0, min(n, -((base - trunc) // step)))
 
 
-def _spread(coeffs: list, r: int) -> list:
-    """Coefficients re-gridded on a step r times finer."""
-    if r == 1:
-        return coeffs
-    out = [0] * ((len(coeffs) - 1) * r + 1)
-    out[::r] = coeffs
-    return out
-
-
-def _convolve(a: list, b: list, n: int) -> list:
-    """First n coefficients of the product of the dense lists a and b."""
-    la, lb = len(a), len(b)
-    rb = b[::-1]
-    out = []
-    for k in range(n):
-        lo = k - lb + 1 if k >= lb else 0
-        hi = k + 1 if k < la else la
-        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
-    return out
+def _convolve(out: list, a: list, b: list, k: int, ra: int, rb: int) -> None:
+    """Add a[i] * b[j] to out[k + i*ra + j*rb] wherever that index lies
+    below len(out): the product of two dense lists whose steps are ra and rb
+    times the step of ``out``, placed at offset k."""
+    n = len(out)
+    for x in a:
+        if k >= n:
+            break
+        if x:
+            j = k
+            for y in b[:-((k - n) // rb)]:
+                out[j] += x * y
+                j += rb
+        k += ra
 
 
 def append_rational(nums: List[int], den: int, p: int, q: int) -> int:
@@ -124,6 +131,21 @@ def append_rational(nums: List[int], den: int, p: int, q: int) -> int:
         den *= f
     nums.append(p * (den // q))
     return den
+
+
+def _product_on(L: int, x: "PuiseuxSeries", y: "PuiseuxSeries"):
+    """(base, sx, sy, trunc) of the product x * y on the lattice 1/L, a
+    multiple of both factors' lattices: the exponent of x's first term times
+    y's, the steps of x and y, and the truncation below which the product is
+    exact."""
+    fx, fy = L // x._L, L // y._L
+    bx, tx, by, ty = x._base * fx, x._trunc * fx, y._base * fy, y._trunc * fy
+    # each factor is exact below its trunc; the product is exact below
+    # min(val_x + trunc_y, val_y + trunc_x)
+    vx = bx if x._coeffs else tx
+    vy = by if y._coeffs else ty
+    t = vx + ty
+    return bx + by, x._step * fx, y._step * fy, t if t <= vy + tx else vy + tx
 
 
 class PuiseuxSeries:
@@ -178,7 +200,12 @@ class PuiseuxSeries:
         return s
 
     def _set(self, L, base, step, coeffs, den, trunc) -> None:
-        n = _count_below(len(coeffs), base, step, trunc)
+        """Store the canonical form of the given dense data in one pass."""
+        n = len(coeffs)
+        if trunc != INF:
+            below = -((base - trunc) // step)
+            if below < n:
+                n = below if below > 0 else 0
         while n and not coeffs[n - 1]:
             n -= 1
         i = 0
@@ -190,29 +217,32 @@ class PuiseuxSeries:
             if i or n < len(coeffs):
                 coeffs = coeffs[i:n]
                 base += i * step
-            g = 0
-            for k, c in enumerate(coeffs):
-                if c:
-                    g = math.gcd(g, k)
-                    if g == 1:
-                        break
-            if g == 0:
+                n -= i
+            if n == 1:
                 step = L
-            elif g > 1:
-                coeffs = coeffs[::g]
-                step *= g
+            elif not coeffs[1]:
+                # the coarsest step divides the index of every nonzero term;
+                # a nonzero second term leaves the step as it is
+                g = 0
+                for k in range(2, n):
+                    if coeffs[k]:
+                        g = math.gcd(g, k)
+                        if g == 1:
+                            break
+                if g > 1:
+                    coeffs = coeffs[::g]
+                    step *= g
             if den != 1:
                 g = math.gcd(den, *coeffs)
                 if g != 1:
                     coeffs = [c // g for c in coeffs]
                     den //= g
         g = math.gcd(L, base, step)
-        if g != 1 and trunc != INF:
-            g = math.gcd(g, trunc)
         if g != 1:
-            L, base, step = L // g, base // g, step // g
             if trunc != INF:
+                g = math.gcd(g, trunc)
                 trunc //= g
+            L, base, step = L // g, base // g, step // g
         self._L, self._base, self._step, self._coeffs = L, base, step, coeffs
         self._den, self._trunc = den, trunc
 
@@ -314,30 +344,35 @@ class PuiseuxSeries:
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        L = self._L if self._L == other._L else math.lcm(self._L, other._L)
-        b1, s1, t1 = self._on(L)
-        b2, s2, t2 = other._on(L)
-        t = min(t1, t2)
-        if not other._coeffs:
+        L = self._L
+        if other._L == L:
+            b1, s1, t1 = self._base, self._step, self._trunc
+            b2, s2, t2 = other._base, other._step, other._trunc
+        else:
+            L = math.lcm(L, other._L)
+            b1, s1, t1 = self._on(L)
+            b2, s2, t2 = other._on(L)
+        t = t1 if t1 <= t2 else t2
+        a, c = self._coeffs, other._coeffs
+        if not c:
             return self._cut(L, t)
-        if not self._coeffs:
+        if not a:
             return other._cut(L, t)
-        base = min(b1, b2)
+        den = self._den
+        if other._den != den:
+            den = math.lcm(den, other._den)
+            if den != self._den:
+                a = [v * (den // self._den) for v in a]
+            if den != other._den:
+                c = [v * (den // other._den) for v in c]
+        base = b1 if b1 <= b2 else b2
         step = math.gcd(s1, s2, b1 - b2)
-        den = self._den if self._den == other._den \
-            else math.lcm(self._den, other._den)
-        placed = []
-        for vals, d, b, s in ((self._coeffs, self._den, b1, s1),
-                              (other._coeffs, other._den, b2, s2)):
-            if d != den:
-                f = den // d
-                vals = [c * f for c in vals]
-            r = s // step
-            off = (b - base) // step
-            placed.append((off, off + (len(vals) - 1) * r + 1, r, vals))
-        out = [0] * max(end for _, end, _, _ in placed)
-        for off, end, r, vals in placed:
-            out[off:end:r] = list(map(add, out[off:end:r], vals))
+        r1, r2 = s1 // step, s2 // step
+        o1, o2 = (b1 - base) // step, (b2 - base) // step
+        e1, e2 = o1 + (len(a) - 1) * r1 + 1, o2 + (len(c) - 1) * r2 + 1
+        out = [0] * (e1 if e1 >= e2 else e2)
+        out[o1:e1:r1] = a
+        out[o2:e2:r2] = map(add, out[o2:e2:r2], c)
         return PuiseuxSeries.from_dense(L, base, step, out, den, t)
 
     def __neg__(self) -> "PuiseuxSeries":
@@ -350,47 +385,83 @@ class PuiseuxSeries:
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
 
-    def _product_lattice(self, other: "PuiseuxSeries"):
-        """(L, step, a, b, base, trunc) of self * other: both coefficient
-        lists re-gridded on one step of the common lattice 1/L."""
-        L = self._L if self._L == other._L else math.lcm(self._L, other._L)
-        b1, s1, t1 = self._on(L)
-        b2, s2, t2 = other._on(L)
-        # each factor is exact below its trunc; the product is exact below
-        # min(val_a + trunc_b, val_b + trunc_a)
-        v1 = b1 if self._coeffs else t1
-        v2 = b2 if other._coeffs else t2
-        step = s1 if s1 == s2 else math.gcd(s1, s2)
-        return (L, step, _spread(self._coeffs, s1 // step),
-                _spread(other._coeffs, s2 // step), b1 + b2,
-                min(v1 + t2, v2 + t1))
-
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        L, step, a, b, base, t = self._product_lattice(other)
+        L = self._L
+        if other._L != L:
+            L = math.lcm(L, other._L)
+        base, sa, sb, t = _product_on(L, self, other)
+        a, b = self._coeffs, other._coeffs
         if not (a and b):
             return PuiseuxSeries.from_dense(L, 0, L, [], 1, t)
-        n = _count_below(len(a) + len(b) - 1, base, step, t)
-        return PuiseuxSeries.from_dense(L, base, step, _convolve(a, b, n),
+        step = sa if sa == sb else math.gcd(sa, sb)
+        ra, rb = sa // step, sb // step
+        out = [0] * _count_below((len(a) - 1) * ra + (len(b) - 1) * rb + 1,
+                                 base, step, t)
+        _convolve(out, a, b, 0, ra, rb)
+        return PuiseuxSeries.from_dense(L, base, step, out,
                                         self._den * other._den, t)
+
+    def product_sum(self, b: "PuiseuxSeries", c: "PuiseuxSeries",
+                    d: "PuiseuxSeries") -> "PuiseuxSeries":
+        """``self * b + c * d``, neither product formed on its own: the four
+        factors are aligned once on their common lattice, both convolutions
+        add into one list on the common step, cut at the common truncation,
+        and the sum takes its canonical form once."""
+        pairs = ((self, b), (c, d))
+        L = self._L
+        for x, y in pairs:
+            if x._L != L or y._L != L:
+                L = math.lcm(L, x._L, y._L)
+        t = INF
+        parts = []
+        for x, y in pairs:
+            pb, sx, sy, tp = _product_on(L, x, y)
+            if tp < t:
+                t = tp
+            xs, ys = x._coeffs, y._coeffs
+            if not (xs and ys):
+                continue
+            pd = x._den * y._den
+            end = pb + (len(xs) - 1) * sx + (len(ys) - 1) * sy
+            if parts:
+                step = math.gcd(step, sx, sy, pb - base)
+                base, top = min(base, pb), max(top, end)
+                if pd != den:
+                    den = math.lcm(den, pd)
+            else:
+                base, step, top, den = pb, math.gcd(sx, sy), end, pd
+            parts.append((pb, sx, sy, xs, ys, pd))
+        if not parts:
+            return PuiseuxSeries.from_dense(L, 0, L, [], 1, t)
+        out = [0] * _count_below((top - base) // step + 1, base, step, t)
+        for pb, sx, sy, xs, ys, pd in parts:
+            if pd != den:
+                xs = [v * (den // pd) for v in xs]
+            _convolve(out, xs, ys, (pb - base) // step, sx // step,
+                      sy // step)
+        return PuiseuxSeries.from_dense(L, base, step, out, den, t)
 
     def product_residue(self, other: "PuiseuxSeries") -> Fraction:
         """``(self * other).residue()``, from the one convolution sum that
         gives the 1/t coefficient instead of the whole product."""
-        L, step, a, b, base, t = self._product_lattice(other)
+        L = self._L if self._L == other._L else math.lcm(self._L, other._L)
+        base, sa, sb, t = _product_on(L, self, other)
         if t != INF and t <= -L:
             raise InsufficientOrderError(
                 f"residue unknowable at truncation t^{Fraction(t, L)}")
-        if not (a and b):
-            return Q(0)
-        k, r = divmod(-L - base, step)
-        if r or k < 0:
-            return Q(0)
-        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-        if lo > hi:
-            return Q(0)
-        s = sum(map(mul, a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]))
+        a, b = self._coeffs, other._coeffs
+        # the terms a[i] b[j] with base + i*sa + j*sb = -L
+        s = 0
+        rest = -L - base
+        for x in a:
+            if rest < 0:
+                break
+            j, r = divmod(rest, sb)
+            if not r and j < len(b):
+                s += x * b[j]
+            rest -= sa
         return Fraction(s, self._den * other._den)
 
     def scale(self, k) -> "PuiseuxSeries":

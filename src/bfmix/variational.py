@@ -71,9 +71,21 @@ def _normal_coefficient(qsq: PuiseuxSeries, g, omega_j) -> PuiseuxSeries:
 
 
 def build_ve1(p, e: "elliptic.EllipticData", order) -> VE1Coefficients:
-    """Exact VE1 coefficient series at truncation exponent ``order``."""
+    """Exact VE1 coefficient series at truncation exponent ``order`` P.
+
+    q0^2 is built exact below t^max(P, 2) (``wp_laurent`` takes no order
+    below 2), and below t^P it suffices: its leading term is 1/t^2, so its
+    relative precision is P + 2, which ``sqrt`` and ``invert`` keep.  So q0
+    is exact below t^(P+1) and q0^-4 below t^(P+6), and every VE1
+    coefficient is exact below t^P, where it is cut.  An order below -2,
+    the leading exponent of every VE1 coefficient, raises
+    InsufficientOrderError.
+    """
     order = Q(order)
-    qsq = _qbar0_squared(e, order + 4)
+    if order < -2:
+        raise InsufficientOrderError(
+            f"VE1 starts at t^-2, above the truncation t^{order}")
+    qsq = _qbar0_squared(e, max(order, 2))
     qbar = qsq.sqrt()
     tang = (PuiseuxSeries.constant(-2 * Q(p.omega0))
             + qsq.scale(6)
@@ -208,7 +220,7 @@ def variation_of_constants(basis: FrobeniusBasis,
                            forcing: PuiseuxSeries) -> VOCResult:
     c1, log1 = (-(basis.sol2 * forcing)).antiderivative()
     c2, log2 = (basis.sol1 * forcing).antiderivative()
-    return VOCResult((log1, log2), basis.sol1 * c1 + basis.sol2 * c2)
+    return VOCResult((log1, log2), basis.sol1.product_sum(c1, basis.sol2, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +516,10 @@ def chain_order(n: Fraction, choice: HigherVEChoice) -> int:
     (c2 = 6) and (n + 1, -n) for every normal block.
 
     At order P, VE1's coefficients and bases are exact below v + P + 2 and
-    q0 and its powers below v + P + 1, v the leading exponent; products,
+    q0 and its powers below v + P + 1, v the leading exponent.  That needs
+    q0^2 = 1/t^2 + ... exact below t^P only, and ``build_ve1`` builds it no
+    further (below 2 it builds it to t^2): ``sqrt`` keeps its relative
+    precision P + 2, so q0 = 1/t + ... is exact below t^(P+1).  Products,
     sums and primitives keep the smaller margin.  So every series of the
     chain is exact below v + P + 1, where v is its valuation counted without
     cancellations, a lower bound.  The chain reads: sol1 of each block

@@ -308,6 +308,78 @@ def test_ring_operations_match_reference(a, b, cut):
     assert abs(x.evaluate(t0) - want) <= 1e-12 * size
 
 
+def assert_canonical(x):
+    """The invariants of the canonical form, read off the fields alone."""
+    L, base, step, coeffs, den, trunc = x.dense()
+    if not coeffs:
+        assert (base, step, den) == (0, L, 1)
+    else:
+        assert coeffs[0] and coeffs[-1]
+        if len(coeffs) == 1:
+            assert step == L
+        else:
+            assert math.gcd(*(k for k, c in enumerate(coeffs) if c)) == 1
+        assert math.gcd(den, *coeffs) == 1
+    assert math.gcd(L, base, step, 0 if trunc == INF else trunc) == 1
+
+
+def ref_product_sum(a, b, c, d):
+    return ref_add(ref_mul(a, b), ref_mul(c, d))
+
+
+def assert_is_reference(got, want):
+    """got matches the reference and has the fields and hash of the series
+    the dict constructor builds from it."""
+    assert_matches_reference(got, want)
+    assert_canonical(got)
+    built = PuiseuxSeries(*want)
+    assert got.dense() == built.dense() and hash(got) == hash(built)
+
+
+@st.composite
+def shared_lattice_pairs(draw):
+    """Two references on one step and one coefficient denominator, so that
+    + and * take their cheap case.  The second is the first negated (a sum
+    cancelling to zero), the first negated at odd positions (a sum on twice
+    the step), a single term, or free; truncations at INF or around the last
+    terms cut the products."""
+    step = draw(st.sampled_from((Q(1), Q(1, 2), Q(1, 3))))
+    den = draw(st.sampled_from((1, 2, 6)))
+    base = step * draw(st.integers(-6, 3))
+    nums = st.integers(-5, 5)
+
+    def trunc(top):
+        return draw(st.one_of(st.just(INF), st.integers(-3, 2).map(
+            lambda k: base + (top + k) * step)))
+
+    xs = draw(st.lists(nums, min_size=1, max_size=6))
+    kind = draw(st.sampled_from(("negated", "odd-negated", "single", "free")))
+    if kind == "negated":
+        ys = [-x for x in xs]
+    elif kind == "odd-negated":
+        ys = [-x if k % 2 else x for k, x in enumerate(xs)]
+    elif kind == "single":
+        ys = [0] * draw(st.integers(0, 3)) + [draw(nums.filter(bool))]
+    else:
+        ys = draw(st.lists(nums, min_size=1, max_size=6))
+    return tuple(
+        ref_make({base + k * step: Q(v, den) for k, v in enumerate(vs)},
+                 trunc(len(vs)))
+        for vs in (xs, ys))
+
+
+@given(shared_lattice_pairs(), shared_lattice_pairs())
+@settings(max_examples=150, deadline=None)
+def test_cheap_cases_match_reference(ab, cd):
+    (a, b), (c, d) = ab, cd
+    x, y = PuiseuxSeries(*a), PuiseuxSeries(*b)
+    assert_is_reference(x + y, ref_add(a, b))
+    assert_is_reference(x * y, ref_mul(a, b))
+    assert_is_reference(x * x, ref_mul(a, a))
+    got = x.product_sum(y, PuiseuxSeries(*c), PuiseuxSeries(*d))
+    assert_is_reference(got, ref_product_sum(a, b, c, d))
+
+
 @given(series_inputs(square_lead=True))
 @settings(max_examples=100, deadline=None)
 def test_invert_and_sqrt_match_reference(a):
@@ -386,6 +458,16 @@ def test_equal_series_have_equal_fields_and_hashes(ref, extra, pad, scale,
         else:
             with pytest.raises(InsufficientOrderError):
                 x.coefficient(e)
+
+
+@given(mixed_lattice_inputs(), mixed_lattice_inputs(), mixed_lattice_inputs(),
+       mixed_lattice_inputs())
+@settings(max_examples=100, deadline=None)
+def test_product_sum_on_mixed_lattices_matches_reference(a, b, c, d):
+    x, y, z, w = (PuiseuxSeries(*r) for r in (a, b, c, d))
+    got = x.product_sum(y, z, w)
+    assert_is_reference(got, ref_product_sum(a, b, c, d))
+    assert got == x * y + z * w and hash(got) == hash(x * y + z * w)
 
 
 class TestMixedLattices:

@@ -149,7 +149,7 @@ class TestClassify:
     # series products and scale calls per call: the terms of each
     # first-order pick are built once per context, so a survivor's 4 chains
     # build 2 tangential and 2 normal picks' terms, and the forcings that
-    # combine them scale nothing
+    # combine them scale nothing.  A product_sum forms two products
     @pytest.mark.parametrize("g, wj, c0sq, products, scales", [
         (Q(1), Q(1), Q(1), 30, 15),
         (Q(3), Q(2), Q(1), 50, 16),
@@ -158,14 +158,17 @@ class TestClassify:
         ids=["index1", "index2", "half", "five-half"])
     def test_case2_series_work(self, monkeypatch, g, wj, c0sq, products,
                                scales):
-        calls = {"__mul__": 0, "scale": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(PuiseuxSeries, name), _name=name):
-                calls[_name] += 1
+        calls = {"products": 0, "scale": 0}
+        for name, key, count in (("__mul__", "products", 1),
+                                 ("product_sum", "products", 2),
+                                 ("scale", "scale", 1)):
+            def counted(*args, _fn=getattr(PuiseuxSeries, name), _key=key,
+                        _count=count):
+                calls[_key] += _count
                 return _fn(*args)
             monkeypatch.setattr(PuiseuxSeries, name, counted)
         verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
-        assert calls == {"__mul__": products, "scale": scales}
+        assert calls == {"products": products, "scale": scales}
 
     @pytest.mark.parametrize("g, wj, c0sq", [
         (Q(1), [Q(1)], Q(1)), (Q(3), [Q(2)], Q(1)), (Q(3, 8), [Q(1, 4)], Q(1)),
@@ -515,6 +518,24 @@ class TestCli:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(
             "error: order too low to decide: ")
+
+    def test_ve1_dump_below_order_2_cuts_the_order_16_dump(self, capsys):
+        """VE1 at order P is exact below t^P for every P >= -2, though q0^2
+        is built only at max(P, 2); below -2 the dump exits 2."""
+        def dump(order):
+            rc = cli.main(["series", "--what", "ve1", f"--order={order}"])
+            return rc, capsys.readouterr()
+
+        _, high = dump(16)
+        for order in (-2, -1, 0, 1, 2):
+            rc, low = dump(order)
+            assert rc == 0
+            want = [row for row in high.out.splitlines()
+                    if row.startswith("#") or Q(row.split(",")[0]) < order]
+            assert low.out.splitlines() == want
+        rc, low = dump(-3)
+        assert rc == 2 and not low.out
+        assert low.err.startswith("error: order too low to decide: ")
 
     def test_case2_index_21_exits_0_with_exact_residue(self, capsys):
         # order 83, past the old fixed list of orders, which ended at 80
