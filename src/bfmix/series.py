@@ -135,9 +135,9 @@ def append_rational(nums: List[int], den: int, p: int, q: int) -> int:
 
 def _product_on(L: int, x: "PuiseuxSeries", y: "PuiseuxSeries"):
     """(base, sx, sy, trunc) of the product x * y on the lattice 1/L, a
-    multiple of both factors' lattices: the exponent of x's first term times
-    y's, the steps of x and y, and the truncation below which the product is
-    exact."""
+    multiple of both factors' lattices: the exponent of the product of the
+    two first terms, the steps of x and y, and the truncation below which
+    the product is exact."""
     fx, fy = L // x._L, L // y._L
     bx, tx, by, ty = x._base * fx, x._trunc * fx, y._base * fy, y._trunc * fy
     # each factor is exact below its trunc; the product is exact below
