@@ -23,9 +23,7 @@ when the second coefficient is zero), the common factor of the numerators,
 and a division of the lattice only where ``L``, the base and the step share
 a factor.  ``+`` and ``*`` align operands on one lattice without any
 re-gridding, and a product convolves the two lists in a nested loop with
-each factor's step as its stride.  :meth:`PuiseuxSeries.product_sum` forms
-``a*b + c*d`` on any lattices: its four operands are aligned once, both
-convolutions add into one list, and the sum takes its canonical form once.
+each factor's step as its stride.
 """
 from __future__ import annotations
 
@@ -99,11 +97,12 @@ def _count_below(n: int, base: int, step: int, trunc) -> int:
     return max(0, min(n, -((base - trunc) // step)))
 
 
-def _convolve(out: list, a: list, b: list, k: int, ra: int, rb: int) -> None:
-    """Add a[i] * b[j] to out[k + i*ra + j*rb] wherever that index lies
-    below len(out): the product of two dense lists whose steps are ra and rb
-    times the step of ``out``, placed at offset k."""
+def _convolve(out: list, a: list, b: list, ra: int, rb: int) -> None:
+    """Add a[i] * b[j] to out[i*ra + j*rb] wherever that index lies below
+    len(out): the product of two dense lists whose steps are ra and rb times
+    the step of ``out``."""
     n = len(out)
+    k = 0
     for x in a:
         if k >= n:
             break
@@ -399,49 +398,9 @@ class PuiseuxSeries:
         ra, rb = sa // step, sb // step
         out = [0] * _count_below((len(a) - 1) * ra + (len(b) - 1) * rb + 1,
                                  base, step, t)
-        _convolve(out, a, b, 0, ra, rb)
+        _convolve(out, a, b, ra, rb)
         return PuiseuxSeries.from_dense(L, base, step, out,
                                         self._den * other._den, t)
-
-    def product_sum(self, b: "PuiseuxSeries", c: "PuiseuxSeries",
-                    d: "PuiseuxSeries") -> "PuiseuxSeries":
-        """``self * b + c * d``, neither product formed on its own: the four
-        factors are aligned once on their common lattice, both convolutions
-        add into one list on the common step, cut at the common truncation,
-        and the sum takes its canonical form once."""
-        pairs = ((self, b), (c, d))
-        L = self._L
-        for x, y in pairs:
-            if x._L != L or y._L != L:
-                L = math.lcm(L, x._L, y._L)
-        t = INF
-        parts = []
-        for x, y in pairs:
-            pb, sx, sy, tp = _product_on(L, x, y)
-            if tp < t:
-                t = tp
-            xs, ys = x._coeffs, y._coeffs
-            if not (xs and ys):
-                continue
-            pd = x._den * y._den
-            end = pb + (len(xs) - 1) * sx + (len(ys) - 1) * sy
-            if parts:
-                step = math.gcd(step, sx, sy, pb - base)
-                base, top = min(base, pb), max(top, end)
-                if pd != den:
-                    den = math.lcm(den, pd)
-            else:
-                base, step, top, den = pb, math.gcd(sx, sy), end, pd
-            parts.append((pb, sx, sy, xs, ys, pd))
-        if not parts:
-            return PuiseuxSeries.from_dense(L, 0, L, [], 1, t)
-        out = [0] * _count_below((top - base) // step + 1, base, step, t)
-        for pb, sx, sy, xs, ys, pd in parts:
-            if pd != den:
-                xs = [v * (den // pd) for v in xs]
-            _convolve(out, xs, ys, (pb - base) // step, sx // step,
-                      sy // step)
-        return PuiseuxSeries.from_dense(L, base, step, out, den, t)
 
     def product_residue(self, other: "PuiseuxSeries") -> Fraction:
         """``(self * other).residue()``, from the one convolution sum that

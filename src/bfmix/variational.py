@@ -220,7 +220,7 @@ def variation_of_constants(basis: FrobeniusBasis,
                            forcing: PuiseuxSeries) -> VOCResult:
     c1, log1 = (-(basis.sol2 * forcing)).antiderivative()
     c2, log2 = (basis.sol1 * forcing).antiderivative()
-    return VOCResult((log1, log2), basis.sol1.product_sum(c1, basis.sol2, c2))
+    return VOCResult((log1, log2), basis.sol1 * c1 + basis.sol2 * c2)
 
 
 # ---------------------------------------------------------------------------
