@@ -13,7 +13,11 @@ Each file is the output of one command line of ``bfmix``:
 * ``case2_sweep.json``: 60 seeded random ``analyze case2`` points, ten at
   each Lame index 1, 2, 3, 4, 1/2 and 5/2 (five of each half-integer index
   on its survivor family), half with one transverse mode and half with two,
-  each with its exit code, error text and report.
+  each with its exit code, error text and report;
+* ``verify_*.json``: ``bfmix verify`` at each ``--which``'s defaults, at one
+  off-default point each and with a ``--tol`` no residual meets, each with
+  its exit code, error text and report;
+* ``splitting_sweep_*.csv``: two ``bfmix sweep`` tables.
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
 to match these files byte for byte, so a change to the series kernel or the
@@ -21,7 +25,11 @@ variational pipeline that moves any digit shows.  The case-3 report holds
 floats: h* is a root from ``np.roots`` and depends on the platform's numpy,
 so the test compares the fields derived from it to 1e-12; the amplitudes,
 zeros and slopes are closed forms in floats, compared to 1e-15, and the rest
-of the report exactly.
+of the report exactly.  The ``verify`` residuals and the ``sweep`` values
+are float sums and contour quadratures, some of them on h*, so the test
+compares them to ``FLOAT_REL_TOL`` relative plus ``FLOAT_ABS_TOL`` absolute,
+and the rest of each file (sample points, verdicts, tolerances, exit codes,
+the sweep's t0 column) exactly.
 """
 from __future__ import annotations
 
@@ -107,6 +115,41 @@ def _case2_sweep(seed: int = 2015, per_index: int = 10) -> list:
 #: file name -> bfmix command lines whose outcomes the file lists together
 SWEEPS = {"case2_sweep.json": _case2_sweep()}
 
+#: file name -> ``bfmix verify`` command line, run to its exit code
+VERIFY_RUNS = {
+    "verify_prop1.json": ["verify", "--which=prop1"],
+    "verify_prop2.json": ["verify", "--which=prop2"],
+    "verify_separatrix.json": ["verify", "--which=separatrix"],
+    "verify_prop1_two_modes.json": ["verify", "--which=prop1",
+                                    "--omegaj=2,1/2", "--cj=1,3/4",
+                                    "--hj=1/2,0"],
+    "verify_prop2_two_modes.json": ["verify", "--which=prop2",
+                                    "--omega0=3/2", "--omegaj=1,2",
+                                    "--c0sq=1/2", "--h=1/3", "--gbf=3",
+                                    "--samples=20"],
+    "verify_separatrix_off_default.json": ["verify", "--which=separatrix",
+                                           "--omega0=2", "--c0sq=1/5",
+                                           "--samples=15"],
+    "verify_prop2_fails.json": ["verify", "--which=prop2", "--tol=1e-30"],
+}
+
+#: file name -> ``bfmix sweep`` command line
+SPLITTING_SWEEPS = {
+    "splitting_sweep_default.csv": ["sweep", "--omega0=1", "--omega1=1",
+                                    "--c0sq=1/100", "--c1sq=1",
+                                    "--action=3"],
+    "splitting_sweep_wide.csv": ["sweep", "--omega0=2", "--omega1=1/2",
+                                 "--c0sq=1/5", "--c1sq=2", "--action=5",
+                                 "--t0-min=-1", "--t0-max=2",
+                                 "--t0-samples=17"],
+}
+
+#: tolerance on the floats of VERIFY_RUNS and SPLITTING_SWEEPS: residuals
+#: near 1e-14 and sweep values up to about 1e2, whose last bits move with the
+#: platform's libm and np.roots
+FLOAT_REL_TOL = 1e-9
+FLOAT_ABS_TOL = 1e-11
+
 #: files whose content comes from exact arithmetic only
 EXACT_FILES = [name for name in (*REPORTS, *CSVS, *SWEEPS)
                if not name.startswith("case3")]
@@ -127,18 +170,31 @@ def _run(argv) -> dict:
     return outcome
 
 
+def _run_verify(argv) -> dict:
+    """The exit code, error text and report of one ``verify`` command line;
+    a failing check writes its report too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return {"argv": list(argv), "exit": rc, "stderr": err.getvalue(),
+            "report": json.loads(out.getvalue())}
+
+
 def render(name: str) -> str:
     """The golden text of one file, computed by the current program."""
     if name in SWEEPS:
         outcomes = [_run(argv) for argv in SWEEPS[name]]
         return json.dumps(outcomes, sort_keys=True, indent=1) + "\n"
-    argv = REPORTS.get(name) or CSVS[name]
+    if name in VERIFY_RUNS:
+        return json.dumps(_run_verify(VERIFY_RUNS[name]), sort_keys=True,
+                          indent=2) + "\n"
+    argv = REPORTS.get(name) or CSVS.get(name) or SPLITTING_SWEEPS[name]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = cli.main(list(argv))
     if rc != 0:
         raise RuntimeError(f"bfmix {' '.join(argv)} exited with {rc}")
-    if name in CSVS:
+    if name in CSVS or name in SPLITTING_SWEEPS:
         return buf.getvalue()
     report = json.loads(buf.getvalue())
     del report["timing_seconds"]
@@ -147,7 +203,7 @@ def render(name: str) -> str:
 
 def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
-    for name in (*REPORTS, *CSVS, *SWEEPS):
+    for name in (*REPORTS, *CSVS, *SWEEPS, *VERIFY_RUNS, *SPLITTING_SWEEPS):
         (OUT / name).write_text(render(name))
         print(name)
     return 0

@@ -8,7 +8,10 @@ from h* (a root from ``np.roots``, which depends on the platform's numpy) are
 agree to 1e-12 relative.  Every other number is a few float operations on
 exact inputs and must agree to 1e-15 relative, so a zero must stay exactly
 zero; every other string, the verdict and the number of zeros must match
-exactly.
+exactly.  The ``verify`` residuals and the ``sweep`` values must agree to
+``golden.FLOAT_REL_TOL`` relative plus ``golden.FLOAT_ABS_TOL`` absolute;
+the sample points, verdicts, tolerances, exit codes and the rest of the
+error text and tables must match exactly.
 """
 import importlib.util
 import json
@@ -68,6 +71,41 @@ def test_float_report_matches_golden_file(name):
                   json.loads((golden.OUT / name).read_text()))
 
 
+def _assert_float_close(got: str, want: str, where):
+    assert math.isclose(float(got), float(want), rel_tol=golden.FLOAT_REL_TOL,
+                        abs_tol=golden.FLOAT_ABS_TOL), (where, got, want)
+
+
+@pytest.mark.parametrize("name", golden.VERIFY_RUNS)
+def test_verify_run_matches_golden_file(name):
+    got = json.loads(golden.render(name))
+    want = json.loads((golden.OUT / name).read_text())
+    _assert_float_close(got["report"].pop("max_residual"),
+                        want["report"].pop("max_residual"), "max_residual")
+    # "verification failed: <which>: residual <float> above <tol>"
+    got_err, want_err = got.pop("stderr").split(), want.pop("stderr").split()
+    assert len(got_err) == len(want_err)
+    for g, w in zip(got_err, want_err):
+        if _is_float_text(w):
+            _assert_float_close(g, w, "stderr")
+        else:
+            assert g == w
+    assert got == want
+
+
+@pytest.mark.parametrize("name", golden.SPLITTING_SWEEPS)
+def test_splitting_sweep_matches_golden_file(name):
+    got = golden.render(name).splitlines()
+    want = (golden.OUT / name).read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for g, w in zip(got[1:], want[1:]):
+        (g_t0, *g_d), (w_t0, *w_d) = g.split(","), w.split(",")
+        assert g_t0 == w_t0 and len(g_d) == len(w_d)
+        for gd, wd in zip(g_d, w_d):
+            _assert_float_close(gd, wd, f"d at t0 = {w_t0}")
+
+
 def test_no_orphan_golden_file():
-    named = {*golden.REPORTS, *golden.CSVS, *golden.SWEEPS}
+    named = {*golden.REPORTS, *golden.CSVS, *golden.SWEEPS,
+             *golden.VERIFY_RUNS, *golden.SPLITTING_SWEEPS}
     assert {p.name for p in golden.OUT.iterdir()} == named
