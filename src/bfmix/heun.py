@@ -144,8 +144,7 @@ def transform_consistency(red: HeunReduction, t_grid: Sequence[float],
     dy0 = 1j * w * y0 + cmath.sqrt(x0) * dxi0
 
     _, traj = integrate(f, t0, [xi0, dxi0, y0, dy0], float(t_grid[-1]),
-                        rtol=rtol / math.sqrt(2), atol=1e-14 / math.sqrt(2),
-                        record=True)
+                        rtol=rtol / math.sqrt(2), atol=1e-14 / math.sqrt(2))
     # sqrt branch continued along the path: sqrt(x) = exp(i w t)
     return max(abs(cmath.exp(1j * w * t) * v[0] - v[2])
                for t, v in zip(traj.times, traj.states))

@@ -89,13 +89,6 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
                          contour_points=CONTOUR_POINTS)
 
 
-def _u_dot(s: MelnikovSetup, t: complex) -> complex:
-    """d/dt of q0^2 on the separatrix: -6 a sqrt(3a) cosh / sinh^3."""
-    root3a = math.sqrt(3 * s.a)
-    sh = cmath.sinh(root3a * t)
-    return -6 * s.a * root3a * cmath.cosh(root3a * t) / sh ** 3
-
-
 def q1_squared(s: MelnikovSetup, tau: complex) -> complex:
     """Transverse factor I/(2 w1) - amplitude * sin(theta tau)."""
     return s.action_I / (2 * s.omega1) - s.amplitude * cmath.sin(s.theta * tau)
@@ -103,7 +96,7 @@ def q1_squared(s: MelnikovSetup, tau: complex) -> complex:
 
 def poisson_bracket_H0H1(s: MelnikovSetup, t: complex, t0: float) -> complex:
     """{H0, H1} restricted to the separatrix: 2 p0 q0 q1^2(t - t0) = u'(t) q1^2."""
-    return _u_dot(s, t) * q1_squared(s, t - t0)
+    return model.separatrix_slope(s.a, t) * q1_squared(s, t - t0)
 
 
 def _contour_integral(s: MelnikovSetup, t0: float, radius: float,

@@ -2,12 +2,12 @@
 
 Time runs along a straight segment in the complex plane.  The state is a
 flat vector of complex numbers: ``integrate`` takes it as any 1-D sequence
-and returns it, and each recorded state, as a 1-D complex numpy array.  The
-right-hand side ``f(t, y)`` receives ``y`` as a ``list`` of Python
-``complex`` and may return any sequence of the same length.  The states this
-package integrates have four to a few dozen components, where a numpy call
-costs more than the arithmetic it does, so the stages are formed component
-by component in Python.
+and returns it, and each state of the trajectory it always records, as a
+1-D complex numpy array.  The right-hand side ``f(t, y)`` receives ``y`` as
+a ``list`` of Python ``complex`` and may return any sequence of the same
+length.  The states this package integrates have four to a few dozen
+components, where a numpy call costs more than the arithmetic it does, so
+the stages are formed component by component in Python.
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., II.10): twelve stages give an
@@ -152,9 +152,12 @@ class Trajectory:
 
 def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
               t0: complex, y0, t1: complex,
-              rtol: float = 1e-10, atol: float = 1e-12,
-              record: bool = False) -> Tuple[np.ndarray, Trajectory]:
+              rtol: float = 1e-10, atol: float = 1e-12
+              ) -> Tuple[np.ndarray, Trajectory]:
     """Integrate dy/dt = f(t, y) from t0 to t1 along the straight segment.
+
+    Returns the state at t1 and the trajectory of accepted nodes, which
+    always runs from (t0, y0) to exactly t1.
 
     A right-hand side should overflow to inf or nan, not raise: a stage
     beyond the float range then rejects the step instead of ending the
@@ -163,8 +166,7 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
     if y0.ndim != 1:
         raise ValueError(f"the state must be one-dimensional, not {y0.shape}")
     traj = Trajectory()
-    if record:
-        traj.append(t0, y0)
+    traj.append(t0, y0)
     total = t1 - t0
     length = abs(total)
     if length == 0:
@@ -282,8 +284,7 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
         if err <= 1.0:
             s += hs
             y = y8
-            if record:
-                traj.append(t1 if s >= length else t0 + s * direction, y)
+            traj.append(t1 if s >= length else t0 + s * direction, y)
             if not all(map(cmath.isfinite, y)):
                 raise SingularityEncounteredError(t0 + s * direction,
                                                   _OVERFLOW)

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from bfmix.melnikov import MelnikovSetup, _u_dot
+from bfmix.melnikov import MelnikovSetup
+from bfmix.model import separatrix_slope
 
 
 def delta_closed_form(s: MelnikovSetup, t: float) -> float:
@@ -45,7 +46,7 @@ def delta_derived(s: MelnikovSetup, t: float) -> float:
 def inverse_p0_squared(s: MelnikovSetup, t: float) -> float:
     """1/p0^2 on the separatrix, from the closed forms of q0^2 and its slope."""
     u = 2 * s.omega0 / 3 + s.a + 3 * s.a / math.sinh(math.sqrt(3 * s.a) * t) ** 2
-    udot = _u_dot(s, t).real
+    udot = separatrix_slope(s.a, t).real
     p0_sq = udot * udot / (4 * u)
     return 1.0 / p0_sq
 

@@ -49,13 +49,12 @@ E5 = np.array([_named(f"ER{j + 1}") for j in range(12)])
 
 def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
                         t0: complex, y0, t1: complex,
-                        rtol: float = 1e-10, atol: float = 1e-12,
-                        record: bool = False) -> Tuple[np.ndarray, Trajectory]:
+                        rtol: float = 1e-10, atol: float = 1e-12
+                        ) -> Tuple[np.ndarray, Trajectory]:
     """Integrate dy/dt = f(t, y) from t0 to t1 along the straight segment."""
     y = np.array(y0, dtype=complex)
     traj = Trajectory()
-    if record:
-        traj.append(t0, y)
+    traj.append(t0, y)
     total = t1 - t0
     length = abs(total)
     if length == 0:
@@ -100,9 +99,8 @@ def integrate_reference(f: Callable[[complex, np.ndarray], np.ndarray],
         if err <= 1.0:
             s += hs
             y = yi
-            if record:
-                traj.append(t1 if s >= length else t0 + s * direction,
-                            y.reshape(shape))
+            traj.append(t1 if s >= length else t0 + s * direction,
+                        y.reshape(shape))
             if not np.all(np.isfinite(y)):
                 raise SingularityEncounteredError(
                     t0 + s * direction, "state overflow during integration")

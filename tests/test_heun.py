@@ -93,7 +93,7 @@ class TestTransformConsistency:
         [(t0, t1, kw, traj)] = calls
         assert (t0, t1) == (grid[0], grid[-1])
         assert kw == {"rtol": 1e-12 / math.sqrt(2),
-                      "atol": 1e-14 / math.sqrt(2), "record": True}
+                      "atol": 1e-14 / math.sqrt(2)}
         # the defect is read at every accepted node, not at the grid
         w = float(red.omega)
         at_nodes = [abs(cmath.exp(1j * w * t) * v[0] - v[2])

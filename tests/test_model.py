@@ -226,6 +226,15 @@ class TestCase2Solution:
         for tval in (0.4, 0.9 + 0.3j):
             assert model.case2_residual(self.p, self.e, tval) < 1e-9
 
+    def test_momentum_is_coordinate_derivative(self):
+        h = 1e-6
+        tval = 0.6 + 0.2j
+        sm = model.solution_case2(self.p, self.e, tval - h)
+        sp = model.solution_case2(self.p, self.e, tval + h)
+        s = model.solution_case2(self.p, self.e, tval)
+        fd = (sp.q0 - sm.q0) / (2 * h)
+        assert abs(fd - s.p0) < 1e-7
+
     def test_rejects_case1_parameters(self):
         p = make_params(1, [1], 0, [1], 1)
         with pytest.raises(model.InvalidParameterError):
@@ -245,6 +254,14 @@ class TestSeparatrix:
     def test_eom_residual(self):
         for tval in (0.7, 0.45 + 0.2j, 1.6):
             assert model.separatrix_residual(1, Q(1, 100), tval) < 1e-9
+
+    def test_momentum_is_coordinate_derivative(self):
+        h = 1e-6
+        for tval in (0.7, 0.45 + 0.2j):
+            qm = model.separatrix_case3(1, Q(1, 100), tval - h)[0]
+            qp = model.separatrix_case3(1, Q(1, 100), tval + h)[0]
+            p0 = model.separatrix_case3(1, Q(1, 100), tval)[1]
+            assert abs((qp - qm) / (2 * h) - p0) < 1e-7
 
     def test_cubic_root_certificate(self):
         w0, c0sq = 1.0, 0.01

@@ -60,20 +60,16 @@ class TestShapes:
     def test_record_runs_from_t0_to_exactly_t1(self):
         for t0, t1 in [(0.2, 1.2), (0.2 + 0.1j, 1.5 - 0.7j), (0.3j, 2 - 1j)]:
             y, traj = integrate(lambda t, y: -np.asarray(y), t0, [1.0, 2.0],
-                                t1, record=True)
+                                t1)
             assert traj.times[0] == t0
             assert traj.times[-1] == t1
             assert len(traj.times) == len(traj.states) > 2
             assert np.array_equal(traj.states[-1], y)
             assert traj.states[-1] is not y
 
-    def test_no_record_leaves_trajectory_empty(self):
-        _, traj = integrate(lambda t, y: -np.asarray(y), 0.0, [1.0], 1.0)
-        assert traj.times == [] and traj.states == []
-
     def test_zero_length_segment_returns_copy(self):
         y0 = np.array([1.0 + 2j, 3.0])
-        y, traj = integrate(lambda t, y: y, 0.5j, y0, 0.5j, record=True)
+        y, traj = integrate(lambda t, y: y, 0.5j, y0, 0.5j)
         assert np.array_equal(y, y0)
         assert y is not y0
         y[0] = 0
@@ -152,7 +148,7 @@ class TestStepCount:
         def f(t, y):
             times.append(t)
             return rhs(t, y)
-        _, traj = integrate(f, t0, y0, t1, record=True, **kw)
+        _, traj = integrate(f, t0, y0, t1, **kw)
         return times, traj
 
     def test_fsal_calls_per_attempted_step(self):
@@ -262,7 +258,6 @@ class TestAgainstReference:
         def ref_counted(t, y):
             ref_calls.append(t)
             return np.asarray(f(t, y.tolist()), dtype=complex)
-        kw["record"] = True
         y, traj = integrate(counted, t0, y0, t1, **kw)
         y_ref, traj_ref = integrate_reference(ref_counted, t0, y0, t1, **kw)
         assert len(calls) == len(ref_calls)
