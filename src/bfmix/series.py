@@ -438,20 +438,6 @@ class PuiseuxSeries:
         return self._cut(L, min(t.numerator * (L // t.denominator),
                                 self._on(L)[2]))
 
-    def pow(self, n: int) -> "PuiseuxSeries":
-        if n < 0:
-            return self.invert().pow(-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return PuiseuxSeries.constant(1) if result is None else result
-
-    __pow__ = pow
-
     def _unit_length(self) -> Tuple[object, int]:
         """(rel, n): the relative order (over L) kept when expanding
         self / (c0 t^v) and how many lattice coefficients lie below it."""

@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import elliptic
@@ -231,9 +231,9 @@ def variation_of_constants(basis: FrobeniusBasis,
 class OrbitFactors:
     """The orbit factors of the order-2 and order-3 forcings, with their
     constants folded in: q0, 4g q0, q0^-5 and C0^2 q0^-6 (None where
-    C0^2 = 0).  The coefficients need only ``*``, ``+``, ``-`` and
-    ``scale``, so chain_order runs the forcings on valuations through the
-    same code.
+    C0^2 = 0).  The factors and the forcings need only ``*``, ``+``,
+    ``-``, ``scale`` and ``invert``, so chain_order builds the factors and
+    runs the forcings on valuations through the same code.
 
     ``pick_terms`` caches, per first-order pick, the forcing terms that
     depend on that pick alone (``_tangential_terms``, ``_normal_terms``), so
@@ -254,7 +254,8 @@ class OrbitFactors:
         """The factors along the orbit series ``qbar``, with a fresh cache."""
         g, C0_sq = Q(g), Q(C0_sq)
         qbar_inv = qbar.invert()
-        qbar_inv5 = qbar_inv.pow(5)
+        qbar_inv2 = qbar_inv * qbar_inv
+        qbar_inv5 = qbar_inv * (qbar_inv2 * qbar_inv2)
         return cls(g, C0_sq, qbar, qbar.scale(4 * g), qbar_inv5,
                    (qbar_inv5 * qbar_inv).scale(C0_sq) if C0_sq else None)
 
@@ -298,10 +299,7 @@ def _normal_terms(orbit: OrbitFactors, xs: Sequence) -> _NormalTerms:
     key = ("xij", tuple(xs))
     terms = orbit.pick_terms.get(key)
     if terms is None:
-        sum_sq = None
-        for xj in xs:
-            s = xj * xj
-            sum_sq = s if sum_sq is None else sum_sq + s
+        sum_sq = functools.reduce(add, (xj * xj for xj in xs))
         sum_sq_2g = sum_sq.scale(2 * orbit.g)
         terms = orbit.pick_terms[key] = _NormalTerms(orbit.qbar * sum_sq_2g,
                                                      sum_sq_2g)
@@ -326,10 +324,7 @@ def forcing_k3(orbit: OrbitFactors, xi0_1, xij_1: Sequence, xi0_2,
                  - C0^2 q0^-6 (10 x0^3 - 12 q0 x0 y0),
         K_j^(3) = 2g x0^2 x_j + 4g q0 (x0 y_j + y0 x_j)."""
     t, n = _tangential_terms(orbit, xi0_1), _normal_terms(orbit, xij_1)
-    cross = None
-    for xj1, xj2 in zip(xij_1, xij_2):
-        c = xj1 * xj2
-        cross = c if cross is None else cross + c
+    cross = functools.reduce(add, map(mul, xij_1, xij_2))
     qx_y0 = t.qx_12 * xi0_2
     k0 = orbit.four_g_qbar * cross + xi0_1 * n.sum_sq_2g + t.cube_2 + qx_y0
     if orbit.C0_sq:
@@ -482,8 +477,9 @@ def higher_ve_residues(ctx: VE1Context,
 
 class _Valuation:
     """Leading exponent of a chain series, standing in for the series when
-    the forcings run on exponents alone: a product adds valuations, a sum
-    takes the smaller (a cancellation of leading terms only raises it)."""
+    the forcings run on exponents alone: a product adds valuations, an
+    inverse negates one, a sum takes the smaller (a cancellation of leading
+    terms only raises it)."""
 
     __slots__ = ("v",)
 
@@ -506,6 +502,9 @@ class _Valuation:
 
     def scale(self, k) -> "_Valuation":
         return self
+
+    def invert(self) -> "_Valuation":
+        return _Valuation(-self.v)
 
 
 @functools.lru_cache
@@ -533,9 +532,7 @@ def chain_order(n: Fraction, choice: HigherVEChoice) -> int:
     def pick(block, which):
         return _Valuation(block[1] if which == "first" else block[0])
 
-    qbar = _Valuation(Q(-1))
-    orbit = OrbitFactors(Q(1), Q(1), qbar, qbar, _Valuation(Q(5)),
-                         _Valuation(Q(6)))
+    orbit = OrbitFactors.of(_Valuation(Q(-1)), 1, 1)
     xi0, xj = pick(tang, choice.pick_xi0), pick(norm, choice.pick_xij)
     k0_2, (kj_2,) = forcing_k2(orbit, xi0, [xj])
     # a particular solution has valuation v(K) + rho1 + rho2 + 1 = v(K) + 2
