@@ -212,29 +212,26 @@ def _run_analyze(args) -> dict:
     return _verdict_report(v, "analyze", time.perf_counter() - t0)
 
 
-def _verify_residual(args):
-    """The residual of ``verify --which``, as a function of t."""
+def _run_verify(args):
+    """(report, passed) of one ``verify`` run."""
+    _check_samples("--samples", args.samples)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol {args.tol} must be positive and finite")
     c0sq = args.c0sq
     if c0sq is None:
         c0sq = SEPARATRIX_C0SQ if args.which == "separatrix" else Q(1)
     if args.which == "prop1":
         p = model.make_params(args.omega0, args.omegaj,
                               0, args.cj, args.gbf)
-        return lambda t: model.case1_residual(p, args.hj, 0.0, t)
-    if args.which == "prop2":
+        residual = functools.partial(model.case1_residual, p, args.hj, 0.0)
+    elif args.which == "prop2":
         p = model.make_params_c0sq(args.omega0, args.omegaj, c0sq,
                                    [Q(0)] * len(args.omegaj), args.gbf)
         e = elliptic.invariants_from_energy(args.omega0, c0sq, args.h)
-        return lambda t: model.case2_residual(p, e, t)
-    return lambda t: model.separatrix_residual(args.omega0, c0sq, t)
-
-
-def _run_verify(args):
-    """(report, passed) of one ``verify`` run."""
-    _check_samples("--samples", args.samples)
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"--tol {args.tol} must be positive and finite")
-    residual = _verify_residual(args)
+        residual = functools.partial(model.case2_residual, p, e)
+    else:
+        residual = functools.partial(model.separatrix_residual, args.omega0,
+                                     c0sq)
     re0, re_span, im0, im_span = VERIFY_BOXES[args.which]
     rng = np.random.default_rng(20240811)
     worst = 0.0

@@ -6,12 +6,8 @@ Everything derives from the single normalized Hamiltonian
         - g q0^2 sum q_j^2 - q0^4/2 + C0^2/(2 q0^2) + sum C_j^2/(2 q_j^2),
 
 so the three particular-solution families and all variational machinery
-share one vector field.
-
-Each closed form is checked in floats by its ``*_residual``: the second
-derivative q'' of the closed form against dp/dt of the vector field at the
-closed form's state.  q' = p is left out, since each closed form builds p as
-the derivative of its q; finite-difference tests check it.
+share one vector field.  Each closed form's ``*_residual`` compares its
+q'' with dp/dt of the field; q' = p holds by construction of p.
 """
 from __future__ import annotations
 
@@ -358,14 +354,12 @@ def _root_second_derivative(q: complex, w_dot_sq: complex,
 
 def case1_residual(p: ModelParams, h_j: Sequence, t0: complex,
                    t: complex) -> float:
-    """Residual of the oscillator-plane solution in the full vector field:
-    the largest |q_j'' - dp_j/dt| over the modes.
+    """Residual max_j |q_j'' - dp_j/dt| of the oscillator-plane solution.
 
-    q_j^2 is differentiated twice analytically, so the residual measures
-    only whether the formula solves the equations.  q_j' = p_j holds by
-    construction, since ``solution_case1`` builds p_j as (q_j^2)'/(2 q_j);
-    ``TestCase1Solution::test_momentum_is_coordinate_derivative`` checks it
-    by finite differences.
+    Derivatives of the closed form are taken analytically, so the residual
+    measures only whether the formula solves the equations.  q_j' = p_j
+    holds by construction, which ``TestCase1Solution`` checks by finite
+    differences.
     """
     s = solution_case1(p, h_j, t0, t)
     rhs = eom(p, s)
@@ -384,14 +378,12 @@ def case1_residual(p: ModelParams, h_j: Sequence, t0: complex,
 
 
 def case2_residual(p: ModelParams, e, t: complex) -> float:
-    """Residual of the elliptic invariant-plane solution in the q0 equation:
-    |q0'' - dp0/dt|.
+    """Residual |q0'' - dp0/dt| of the elliptic invariant-plane solution.
 
     ``q0^2 = (2/3) w0 + wp`` is differentiated twice through the Weierstrass
     relations ``wp'' = 6 wp^2 - g2/2`` and ``wp'^2 = 4 wp^3 - g2 wp - g3``.
-    q0' = p0 holds by construction, since ``solution_case2`` builds p0 as
-    wp'/(2 q0); ``TestCase2Solution::test_momentum_is_coordinate_derivative``
-    checks it by finite differences.
+    q0' = p0 holds by construction, which ``TestCase2Solution`` checks by
+    finite differences.
     """
     s = solution_case2(p, e, t)
     wp = s.q0 * s.q0 - 2 * float(p.omega0) / 3
@@ -403,14 +395,9 @@ def case2_residual(p: ModelParams, e, t: complex) -> float:
 
 
 def separatrix_residual(omega0, C0_sq, t: complex) -> float:
-    """Residual of the separatrix formula in the one-degree q0 equation:
-    |q0'' - dp0/dt|.
-
-    q0' = p0 holds by construction, since ``separatrix_case3`` builds p0
-    from ``separatrix_slope``; ``TestSeparatrix::
-    test_momentum_is_coordinate_derivative`` checks it by finite
-    differences.
-    """
+    """Residual |q0'' - dp0/dt| of the separatrix in the one-degree q0
+    equation.  q0' = p0 holds by construction, which ``TestSeparatrix``
+    checks by finite differences."""
     q0, p0, a, h_star = separatrix_case3(omega0, C0_sq, t)
     root3a = math.sqrt(3 * a)
     sh = cmath.sinh(root3a * t)

@@ -155,9 +155,7 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
               rtol: float = 1e-10, atol: float = 1e-12
               ) -> Tuple[np.ndarray, Trajectory]:
     """Integrate dy/dt = f(t, y) from t0 to t1 along the straight segment.
-
-    Returns the state at t1 and the trajectory of accepted nodes, which
-    always runs from (t0, y0) to exactly t1.
+    Returns y(t1) and the trajectory of accepted nodes, t0 to exactly t1.
 
     A right-hand side should overflow to inf or nan, not raise: a stage
     beyond the float range then rejects the step instead of ending the
