@@ -159,25 +159,16 @@ QUADRATURE_FILES = [name for name in REPORTS if name.startswith("case3")]
 
 def _run(argv) -> dict:
     """The exit code, error text and report (without ``timing_seconds``)
-    of one analysis command line."""
+    of one command line.  A failed analysis writes no report; a failed
+    ``verify`` writes one."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
     outcome = {"argv": list(argv), "exit": rc, "stderr": err.getvalue()}
-    if rc == 0:
+    if out.getvalue():
         outcome["report"] = json.loads(out.getvalue())
-        del outcome["report"]["timing_seconds"]
+        outcome["report"].pop("timing_seconds", None)
     return outcome
-
-
-def _run_verify(argv) -> dict:
-    """The exit code, error text and report of one ``verify`` command line;
-    a failing check writes its report too."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(list(argv))
-    return {"argv": list(argv), "exit": rc, "stderr": err.getvalue(),
-            "report": json.loads(out.getvalue())}
 
 
 def render(name: str) -> str:
@@ -186,7 +177,7 @@ def render(name: str) -> str:
         outcomes = [_run(argv) for argv in SWEEPS[name]]
         return json.dumps(outcomes, sort_keys=True, indent=1) + "\n"
     if name in VERIFY_RUNS:
-        return json.dumps(_run_verify(VERIFY_RUNS[name]), sort_keys=True,
+        return json.dumps(_run(VERIFY_RUNS[name]), sort_keys=True,
                           indent=2) + "\n"
     argv = REPORTS.get(name) or CSVS.get(name) or SPLITTING_SWEEPS[name]
     buf = io.StringIO()
