@@ -36,8 +36,8 @@ MAX_SAMPLES = 10 ** 4
 #: a separatrix here; at prop2's default C0^2 = 1 it has none
 SEPARATRIX_C0SQ = Q(1, 100)
 
-#: ``verify --which`` -> the box (re0, re_span, im0, im_span) its sample
-#: times t are drawn from, clear of the poles and lattice points of its orbit
+#: ``verify --which`` -> the box (re0, re_span, im0, im_span) of its sample
+#: times t = re0 + re_span u + i (im0 + im_span v), u and v drawn from [0, 1)
 VERIFY_BOXES = {"prop1": (0.2, 0.8, -0.2, 0.4),
                 "prop2": (0.25, 0.7, 0.0, 0.3),
                 "separatrix": (0.3, 1.2, 0.0, 0.3)}
@@ -212,7 +212,7 @@ def _run_analyze(args) -> dict:
     return _verdict_report(v, "analyze", time.perf_counter() - t0)
 
 
-def _run_verify(args):
+def _run_verify(args) -> tuple[dict, bool]:
     """(report, passed) of one ``verify`` run."""
     _check_samples("--samples", args.samples)
     if not 0 < args.tol < math.inf:
