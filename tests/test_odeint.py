@@ -3,12 +3,13 @@ its contract on state shapes and failures, its 12 right-hand-side calls per
 accepted step and 11 per rejected one, its tableau's order conditions, and
 step-for-step agreement with the numpy form of the same stepper in
 ``helpers_odeint``."""
-from fractions import Fraction as Q
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bfmix import heun, model
 from bfmix.odeint import SingularityEncounteredError, integrate
 import helpers_odeint
 from helpers_odeint import integrate_reference
@@ -16,6 +17,12 @@ from helpers_odeint import integrate_reference
 #: abscissae of the 11 stages of a step after its first, the reused one;
 #: an accepted step then calls the right-hand side at its new point
 STAGE_C = tuple(helpers_odeint.C[1:12])
+
+_spec = importlib.util.spec_from_file_location(
+    "odeint_golden",
+    Path(__file__).resolve().parent.parent / "scripts" / "odeint_golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 class TestAccuracy:
@@ -211,11 +218,6 @@ class TestTableau:
         assert abs(helpers_odeint.E3.sum()) < 1e-14
 
 
-#: ode-crosscheck-like case-1 points (w0, omega, g, sum C_j, h1), with
-#: 0 < h1 < omega |sum C_j|
-CASE1_POINTS = [(Q(1), Q(2), Q(1), Q(3), Q(3)),
-                (Q(2), Q(3, 2), Q(-1), Q(2), Q(3, 2)),
-                (Q(1, 2), Q(5, 4), Q(3, 2), Q(-1), Q(5, 16))]
 #: relative agreement of the node times with the reference.  Both steppers
 #: make the same number of steps, but the error estimate of a short step is
 #: a difference of stage values that cancels to round-off, so the order of
@@ -225,24 +227,6 @@ CASE1_POINTS = [(Q(1), Q(2), Q(1), Q(3), Q(3)),
 #: It moves with the fields' rounding: 2.88e-5 before the orbit and Heun
 #: fields folded their constants, 5.4e-5 with the Heun field's 1/x divided
 NODE_RTOL = 1e-4
-
-
-def _captured_segments(monkeypatch):
-    """(f, t0, y0, t1, tolerances) of every integrate call that the Heun
-    transform check and the orbit integration make at CASE1_POINTS."""
-    segments = []
-
-    def spy(f, t0, y0, t1, **kw):
-        segments.append((f, t0, np.array(y0), t1, kw))
-        return integrate(f, t0, y0, t1, **kw)
-    monkeypatch.setattr(heun, "integrate", spy)
-    monkeypatch.setattr(model, "integrate", spy)
-    for w0, omega, g, csum, h1 in CASE1_POINTS:
-        heun.transform_consistency(heun.reduce_case1(w0, omega, g, csum),
-                                   np.linspace(0.1, 1.0, 10))
-        p = model.make_params(w0, [omega ** 2 / 2], 0, [csum], g)
-        model.integrate_orbit(p, model.solution_case1(p, [h1], 0, 0.2), 1.2)
-    return segments
 
 
 class TestAgainstReference:
@@ -267,10 +251,10 @@ class TestAgainstReference:
         assert traj.times[-1] == traj_ref.times[-1] == t1
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
-    def test_heun_and_orbit_fields(self, monkeypatch):
-        segments = _captured_segments(monkeypatch)
+    def test_heun_and_orbit_fields(self):
+        segments = golden.case1_segments()
         # one Heun integration and one orbit per point
-        assert len(segments) == 2 * len(CASE1_POINTS)
+        assert len(segments) == 2 * len(golden.CASE1_POINTS)
         for f, t0, y0, t1, kw in segments:
             self._compare(f, t0, y0, t1, **kw)
 
@@ -282,3 +266,13 @@ class TestAgainstReference:
             return [a * v for a, v in zip(lam, y)]
         self._compare(f, 0.2 + 0.1j, [1, 0.5j, -2, 1 + 1j], 1.5 - 0.7j,
                       rtol=rtol, atol=rtol * 1e-2)
+
+
+def test_bits_match_golden():
+    """Calls, nodes and the repr of every node time and end-state component
+    equal those of ``tests/data/odeint_bits.json`` exactly."""
+    want = json.loads(golden.OUT.read_text())
+    got = json.loads(golden.render())
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
