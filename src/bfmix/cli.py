@@ -3,9 +3,10 @@
 Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
 (a ``series --order`` too low for the dump among them, a ``series --what
 mu2|mu3`` point whose first order already carries a logarithm, a ``verify
---tol`` that is not positive and finite, and a ``--json`` or ``--csv`` path
-that cannot be written), 3 internal verification failure: a ``verify``
-residual above its tolerance, or a ``series --what mu3`` dump whose second
+--tol`` that is not positive and finite, a ``verify`` point whose closed
+form leaves the float range, and a ``--json`` or ``--csv`` path that cannot
+be written), 3 internal verification failure: a ``verify`` residual above
+its tolerance or not a number, or a ``series --what mu3`` dump whose second
 order already carries a logarithm.
 """
 from __future__ import annotations
@@ -212,35 +213,40 @@ def _run_analyze(args) -> dict:
     return _verdict_report(v, "analyze", time.perf_counter() - t0)
 
 
-def _run_verify(args) -> tuple[dict, bool]:
-    """(report, passed) of one ``verify`` run."""
-    _check_samples("--samples", args.samples)
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"--tol {args.tol} must be positive and finite")
+def _verify_residual(args):
+    """The residual that ``verify --which`` samples, a function of t."""
     c0sq = args.c0sq
     if c0sq is None:
         c0sq = SEPARATRIX_C0SQ if args.which == "separatrix" else Q(1)
     if args.which == "prop1":
         p = model.make_params(args.omega0, args.omegaj,
                               0, args.cj, args.gbf)
-        residual = functools.partial(model.case1_residual, p, args.hj, 0.0)
-    elif args.which == "prop2":
+        return functools.partial(model.case1_residual, p, args.hj, 0.0)
+    if args.which == "prop2":
         p = model.make_params_c0sq(args.omega0, args.omegaj, c0sq,
                                    [Q(0)] * len(args.omegaj), args.gbf)
         e = elliptic.invariants_from_energy(args.omega0, c0sq, args.h)
-        residual = functools.partial(model.case2_residual, p, e)
-    else:
-        residual = functools.partial(model.separatrix_residual, args.omega0,
-                                     c0sq)
+        return functools.partial(model.case2_residual, p, e)
+    p = model.make_params_c0sq(args.omega0, [], c0sq, [], 0)
+    a, _ = model.separatrix_scale(args.omega0, c0sq)
+    return functools.partial(model.separatrix_residual, p, a)
+
+
+def _run_verify(args) -> tuple[dict, bool]:
+    """(report, passed) of one ``verify`` run."""
+    _check_samples("--samples", args.samples)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol {args.tol} must be positive and finite")
     re0, re_span, im0, im_span = VERIFY_BOXES[args.which]
     rng = np.random.default_rng(20240811)
-    worst = 0.0
-    pts = []
-    for _ in range(args.samples):
-        t = complex(re0 + re_span * rng.random(),
-                    im_span * rng.random() + im0)
-        worst = max(worst, residual(t))
-        pts.append([t.real, t.imag])
+    ts = [complex(re0 + re_span * rng.random(), im_span * rng.random() + im0)
+          for _ in range(args.samples)]
+    try:
+        worst = model.max_residual(map(_verify_residual(args), ts))
+    except OverflowError as exc:
+        raise ValueError(f"verify --which {args.which}: the closed form "
+                         f"leaves the float range: {exc}") from None
+    pts = [[t.real, t.imag] for t in ts]
     ok = worst < args.tol
     report = {
         "schema_version": SCHEMA_VERSION,

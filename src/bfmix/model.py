@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -314,6 +314,12 @@ def separatrix_case3(omega0, C0_sq, t: complex):
     """
     w0 = float(omega0)
     a, h_star = separatrix_scale(w0, C0_sq)
+    return (*separatrix_state(w0, a, t), a, h_star)
+
+
+def separatrix_state(w0: float, a: float, t: complex
+                     ) -> Tuple[complex, complex]:
+    """(q0, p0) of ``separatrix_case3`` at time t, given its scale a."""
     sh = cmath.sinh(math.sqrt(3 * a) * t)
     if sh == 0:
         raise NoSeparatrixError("separatrix pole at t = 0")
@@ -321,8 +327,7 @@ def separatrix_case3(omega0, C0_sq, t: complex):
     q0 = cmath.sqrt(q0_sq)
     if (q0 * t).real < 0:   # branch with q0 ~ +1/t near the pole
         q0 = -q0
-    p0 = separatrix_slope(a, t) / (2 * q0)
-    return q0, p0, a, h_star
+    return q0, separatrix_slope(a, t) / (2 * q0)
 
 
 DEFAULT_TOL = 1e-10
@@ -346,6 +351,17 @@ def integrate_orbit(p: ModelParams, s0: PhaseState, t_end: complex,
     return traj, drift
 
 
+def max_residual(residuals: Iterable[float]) -> float:
+    """The largest of the residuals, 0.0 if there are none, and nan if one
+    is nan: a residual that is not a number meets no tolerance."""
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return r
+        worst = max(worst, r)
+    return worst
+
+
 def _root_second_derivative(q: complex, w_dot_sq: complex,
                             w_ddot: complex) -> complex:
     """q'' for q = sqrt(w), from w'^2 and w'': w''/(2q) - w'^2/(4 q^3)."""
@@ -363,7 +379,7 @@ def case1_residual(p: ModelParams, h_j: Sequence, t0: complex,
     """
     s = solution_case1(p, h_j, t0, t)
     rhs = eom(p, s)
-    worst = 0.0
+    residuals = []
     for j in range(p.n_f):
         wj = float(p.omegas[j])
         cj = float(p.Cs[j])
@@ -373,8 +389,8 @@ def case1_residual(p: ModelParams, h_j: Sequence, t0: complex,
         w_dot = amp * mu * cmath.cosh(mu * (t - t0))
         w_ddot = amp * mu * mu * cmath.sinh(mu * (t - t0))
         qj_ddot = _root_second_derivative(s.qs[j], w_dot ** 2, w_ddot)
-        worst = max(worst, abs(qj_ddot - rhs.ps[j]))
-    return worst
+        residuals.append(abs(qj_ddot - rhs.ps[j]))
+    return max_residual(residuals)
 
 
 def case2_residual(p: ModelParams, e, t: complex) -> float:
@@ -394,16 +410,15 @@ def case2_residual(p: ModelParams, e, t: complex) -> float:
     return abs(q0_ddot - eom(p, s).p0)
 
 
-def separatrix_residual(omega0, C0_sq, t: complex) -> float:
+def separatrix_residual(p: ModelParams, a: float, t: complex) -> float:
     """Residual |q0'' - dp0/dt| of the separatrix in the one-degree q0
-    equation.  q0' = p0 holds by construction, which ``TestSeparatrix``
-    checks by finite differences."""
-    q0, p0, a, h_star = separatrix_case3(omega0, C0_sq, t)
+    equation of ``p`` (no transverse modes), whose scale ``a`` is
+    ``separatrix_scale(p.omega0, p.C0_sq)[0]``.  q0' = p0 holds by
+    construction, which ``TestSeparatrix`` checks by finite differences."""
+    q0, p0 = separatrix_state(float(p.omega0), a, t)
     root3a = math.sqrt(3 * a)
     sh = cmath.sinh(root3a * t)
     ch = cmath.cosh(root3a * t)
     u_ddot = 18 * a * a * (3 * ch ** 2 - sh ** 2) / sh ** 4
     q0_ddot = _root_second_derivative(q0, separatrix_slope(a, t) ** 2, u_ddot)
-    rhs = eom(make_params_c0sq(omega0, [], C0_sq, [], 0),
-              PhaseState(q0, p0, (), (), t))
-    return abs(q0_ddot - rhs.p0)
+    return abs(q0_ddot - eom(p, PhaseState(q0, p0, (), (), t)).p0)

@@ -5,9 +5,18 @@ flat vector of complex numbers: ``integrate`` takes it as any 1-D sequence
 and returns it, and each state of the trajectory it always records, as a
 1-D complex numpy array.  The right-hand side ``f(t, y)`` receives ``y`` as
 a ``list`` of Python ``complex`` and may return any sequence of the same
-length.  The states this package integrates have four to a few dozen
-components, where a numpy call costs more than the arithmetic it does, so
-the stages are formed component by component in Python.
+length.
+
+The states this package integrates have four to a few dozen components.
+At that size a ``zip`` comprehension over the components costs more than
+the arithmetic it does, and a numpy call more still: on a four-component
+orbit, forming the stages that way took most of each step.  So each state
+size ``n`` gets its own step kernel, generated on first use from the tableau
+constants below and compiled once.  Every stage input is a list of ``n``
+scalar expressions, every right-hand side value is unpacked into ``n``
+locals, and the new solution and the error sums are written out the same
+way.  Each sum adds its terms in stage order, so every ``n`` does the same
+arithmetic per component.
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., II.10): twelve stages give an
@@ -28,6 +37,7 @@ falls below it as the third-order estimate grows.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
@@ -51,8 +61,9 @@ _OVERFLOW = "state overflow during integration"
 # Dormand & Prince's 8(5,3) pair as in Hairer's dop853.f (Hairer, Norsett &
 # Wanner, Solving ODEs I, 2nd ed., II.10): stage abscissae C, stage weights A
 # (Aij weighs k_j in stage i's input y + h * sum_j Aij k_j), eighth-order
-# weights B, third-order weights BHH at stages 1, 9 and 12, and ER, the
-# fifth-order error weights.  Only the nonzero entries are written.
+# weights B, third-order weights BHH and ER, the fifth-order error weights.
+# The last index of each name is the stage it weighs, and only the nonzero
+# entries are written: ``_stages`` reads the pattern from the names.
 C2 = 0.526001519587677318785587544488e-01
 C3 = 0.789002279381515978178381316732e-01
 C4 = 0.118350341907227396726757197510
@@ -125,8 +136,8 @@ B11 = 2.01365400804030348374776537501e-1
 B12 = 4.47106157277725905176885569043e-2
 
 BHH1 = 0.244094488188976377952755905512
-BHH2 = 0.733846688281611857341361741547
-BHH3 = 0.220588235294117647058823529412e-1
+BHH9 = 0.733846688281611857341361741547
+BHH12 = 0.220588235294117647058823529412e-1
 
 ER1 = 0.1312004499419488073250102996e-1
 ER6 = -0.1225156446376204440720569753e+1
@@ -148,6 +159,77 @@ class Trajectory:
     def append(self, t: complex, y: Sequence[complex]):
         self.times.append(t)
         self.states.append(np.array(y, dtype=complex))
+
+
+#: stages of a step; the last one is at the new point t + h
+STAGES = 12
+
+
+def _row(prefix: str, stop: int = STAGES + 1) -> List[int]:
+    """The stages j < stop that have a constant ``{prefix}{j}``: the nonzero
+    pattern of one row of the tableau."""
+    return [j for j in range(1, stop) if f"{prefix}{j}" in globals()]
+
+
+@functools.lru_cache(maxsize=None)
+def _stages(n: int):
+    """The step kernel for states of ``n`` components,
+
+        stages(f, t, h, y, k1, atol, rtol) -> (y8, sq5, sq3):
+
+    the eleven stages after ``k1``, the eighth-order solution ``y8`` and the
+    scaled squared sums ``sq5`` and ``sq3`` of the fifth- and third-order
+    error estimates, nan when they cannot be formed.  Its source is written
+    out component by component from the tableau constants, and compiled
+    once per ``n``; it holds only integers and the constants' names."""
+    comps = range(n)
+
+    def vector(fmt: str) -> str:
+        return "[" + ", ".join(fmt.format(c=c) for c in comps) + "]"
+
+    def combo(weights: List[str], js: List[int], c: int) -> str:
+        return " + ".join(f"{w} * k{j}_{c}" for w, j in zip(weights, js))
+
+    lines = ["def stages(f, t, h, y, k1, atol, rtol):",
+             f"    {vector('y_{c}')} = y",
+             f"    {vector('k1_{c}')} = k1"]
+    for i in range(2, STAGES + 1):
+        js = _row(f"A{i}", i)
+        weights = [f"a{i}_{j}" for j in js]
+        lines += [f"    {w} = h * A{i}{j}" for w, j in zip(weights, js)]
+        at = "t + h" if i == STAGES else f"t + C{i} * h"
+        inputs = ", ".join(f"y_{c} + ({combo(weights, js, c)})" for c in comps)
+        lines.append(f"    {vector(f'k{i}_{{c}}')} = f({at}, [{inputs}])")
+    b_js, e_js, bhh = _row("B"), _row("ER"), set(_row("BHH"))
+    lines += [f"    b{j} = h * B{j}" for j in b_js]
+    lines += [f"    y8_{c} = y_{c} + ({combo([f'b{j}' for j in b_js], b_js, c)})"
+              for c in comps]
+    # the error weights are scaled by h before they meet the stages, as the
+    # stage weights are, so that stages near the float range give a finite
+    # estimate for a short step
+    lines += [f"    e{j} = h * ER{j}" for j in e_js]
+    # the third-order solution differs from y8 where BHH is nonzero
+    lines += [f"    d{j} = b{j} - h * BHH{j}" for j in b_js if j in bhh]
+    d_weights = [f"d{j}" if j in bhh else f"b{j}" for j in b_js]
+    lines += ["    sq5 = sq3 = 0.0", "    try:"]
+    for c in comps:
+        lines += [
+            f"        ya, yb = abs(y_{c}), abs(y8_{c})",
+            "        sk = atol + rtol * (ya if ya > yb else yb)",
+            f"        r = ({combo([f'e{j}' for j in e_js], e_js, c)}) / sk",
+            "        sq5 += r.real * r.real + r.imag * r.imag",
+            f"        r = ({combo(d_weights, b_js, c)}) / sk",
+            "        sq3 += r.real * r.real + r.imag * r.imag"]
+    lines += [
+        "    except (OverflowError, ZeroDivisionError):",
+        # |y8| beyond the float range, or a zero scale (atol = 0 at a zero
+        # component): the estimate cannot be formed
+        "        sq5 = sq3 = math.nan",
+        f"    return {vector('y8_{c}')}, sq5, sq3"]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<dop853 stages, n = {n}>", "exec"),
+         globals(), namespace)
+    return namespace["stages"]
 
 
 def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
@@ -173,6 +255,7 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
         raise SingularityEncounteredError(t0, _OVERFLOW)
     y = y0.tolist()
     n = len(y)
+    stages = _stages(n)
     direction = total / length
     s = 0.0                       # arclength progressed along the segment
     hs = min(length, length / 100 + 1e-8)
@@ -186,98 +269,15 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
         hs = min(hs, length - s)
         h = hs * direction
         t = t0 + s * direction
-        # vi is a component of stage ki, a of y
-        b21 = h * A21
-        k2 = f(t + C2 * h, [a + b21 * v1 for a, v1 in zip(y, k1)])
-        b31, b32 = h * A31, h * A32
-        k3 = f(t + C3 * h, [a + (b31 * v1 + b32 * v2)
-                            for a, v1, v2 in zip(y, k1, k2)])
-        b41, b43 = h * A41, h * A43
-        k4 = f(t + C4 * h, [a + (b41 * v1 + b43 * v3)
-                            for a, v1, v3 in zip(y, k1, k3)])
-        b51, b53, b54 = h * A51, h * A53, h * A54
-        k5 = f(t + C5 * h, [a + (b51 * v1 + b53 * v3 + b54 * v4)
-                            for a, v1, v3, v4 in zip(y, k1, k3, k4)])
-        b61, b64, b65 = h * A61, h * A64, h * A65
-        k6 = f(t + C6 * h, [a + (b61 * v1 + b64 * v4 + b65 * v5)
-                            for a, v1, v4, v5 in zip(y, k1, k4, k5)])
-        b71, b74, b75, b76 = h * A71, h * A74, h * A75, h * A76
-        k7 = f(t + C7 * h, [a + (b71 * v1 + b74 * v4 + b75 * v5 + b76 * v6)
-                            for a, v1, v4, v5, v6 in zip(y, k1, k4, k5, k6)])
-        b81, b84, b85, b86, b87 = h * A81, h * A84, h * A85, h * A86, h * A87
-        k8 = f(t + C8 * h, [a + (b81 * v1 + b84 * v4 + b85 * v5 + b86 * v6
-                                 + b87 * v7)
-                            for a, v1, v4, v5, v6, v7
-                            in zip(y, k1, k4, k5, k6, k7)])
-        b91, b94, b95, b96, b97, b98 = (h * A91, h * A94, h * A95, h * A96,
-                                        h * A97, h * A98)
-        k9 = f(t + C9 * h, [a + (b91 * v1 + b94 * v4 + b95 * v5 + b96 * v6
-                                 + b97 * v7 + b98 * v8)
-                            for a, v1, v4, v5, v6, v7, v8
-                            in zip(y, k1, k4, k5, k6, k7, k8)])
-        b101, b104, b105, b106, b107, b108, b109 = (
-            h * A101, h * A104, h * A105, h * A106, h * A107, h * A108,
-            h * A109)
-        k10 = f(t + C10 * h, [a + (b101 * v1 + b104 * v4 + b105 * v5
-                                   + b106 * v6 + b107 * v7 + b108 * v8
-                                   + b109 * v9)
-                              for a, v1, v4, v5, v6, v7, v8, v9
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-        b111, b114, b115, b116, b117, b118, b119, b1110 = (
-            h * A111, h * A114, h * A115, h * A116, h * A117, h * A118,
-            h * A119, h * A1110)
-        k11 = f(t + C11 * h, [a + (b111 * v1 + b114 * v4 + b115 * v5
-                                   + b116 * v6 + b117 * v7 + b118 * v8
-                                   + b119 * v9 + b1110 * v10)
-                              for a, v1, v4, v5, v6, v7, v8, v9, v10
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-        b121, b124, b125, b126, b127, b128, b129, b1210, b1211 = (
-            h * A121, h * A124, h * A125, h * A126, h * A127, h * A128,
-            h * A129, h * A1210, h * A1211)
-        k12 = f(t + h, [a + (b121 * v1 + b124 * v4 + b125 * v5 + b126 * v6
-                             + b127 * v7 + b128 * v8 + b129 * v9
-                             + b1210 * v10 + b1211 * v11)
-                        for a, v1, v4, v5, v6, v7, v8, v9, v10, v11
-                        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-        g1, g6, g7, g8, g9, g10, g11, g12 = (
-            h * B1, h * B6, h * B7, h * B8, h * B9, h * B10, h * B11, h * B12)
-        y8 = [a + (g1 * v1 + g6 * v6 + g7 * v7 + g8 * v8 + g9 * v9
-                   + g10 * v10 + g11 * v11 + g12 * v12)
-              for a, v1, v6, v7, v8, v9, v10, v11, v12
-              in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
-        # the error weights are scaled by h before they meet the stages, as
-        # the stage weights are, so that stages near the float range give a
-        # finite estimate for a short step
-        e1, e6, e7, e8, e9, e10, e11, e12 = (
-            h * ER1, h * ER6, h * ER7, h * ER8, h * ER9, h * ER10, h * ER11,
-            h * ER12)
-        d1, d9, d12 = g1 - h * BHH1, g9 - h * BHH2, g12 - h * BHH3
-        sq5 = sq3 = 0.0
-        try:
-            for a, b, v1, v6, v7, v8, v9, v10, v11, v12 in zip(
-                    y, y8, k1, k6, k7, k8, k9, k10, k11, k12, strict=True):
-                ya, yb = abs(a), abs(b)
-                sk = atol + rtol * (ya if ya > yb else yb)
-                d = (e1 * v1 + e6 * v6 + e7 * v7 + e8 * v8 + e9 * v9
-                     + e10 * v10 + e11 * v11 + e12 * v12) / sk
-                sq5 += d.real * d.real + d.imag * d.imag
-                # the third-order solution differs from y8 at stages 1, 9, 12
-                d = (d1 * v1 + g6 * v6 + g7 * v7 + g8 * v8 + d9 * v9
-                     + g10 * v10 + g11 * v11 + d12 * v12) / sk
-                sq3 += d.real * d.real + d.imag * d.imag
-            den = sq5 + 0.01 * sq3
-            if den == 0:
-                err = 0.0
-            elif den < math.inf:
-                err = sq5 / math.sqrt(n * den)
-            else:
-                # an infinite sq3 would give err = 0: an estimate beyond the
-                # float range rejects the step, as a nan one does
-                err = math.nan
-        except (OverflowError, ZeroDivisionError):
-            # |y8| beyond the float range, or a zero scale (atol = 0 at a
-            # zero component): an estimate that cannot be formed rejects
-            # the step, as a nan one does below
+        y8, sq5, sq3 = stages(f, t, h, y, k1, atol, rtol)
+        den = sq5 + 0.01 * sq3
+        if den == 0:
+            err = 0.0
+        elif den < math.inf:
+            err = sq5 / math.sqrt(n * den)
+        else:
+            # an infinite sq3 would give err = 0, and an estimate that could
+            # not be formed is nan: either rejects the step
             err = math.nan
         if err <= 1.0:
             s += hs

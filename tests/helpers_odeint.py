@@ -41,8 +41,7 @@ A = np.array([[_named(f"A{i + 1}{j + 1}") if j < i else 0.0
 B = A[12, :12]
 #: eighth- minus third-order weights: the third-order solution weighs
 #: stages 1, 9 and 12 only
-E3 = B - np.array([odeint.BHH1] + [0.0] * 7 + [odeint.BHH2, 0.0, 0.0,
-                                                odeint.BHH3])
+E3 = B - np.array([_named(f"BHH{j + 1}") for j in range(12)])
 #: fifth-order error weights
 E5 = np.array([_named(f"ER{j + 1}") for j in range(12)])
 

@@ -374,8 +374,10 @@ def test_criterion_08_closed_form_residuals():
     worst2 = max(model.case2_residual(
         p2, e, complex(0.25 + 0.6 * rng.random(), 0.3 * rng.random()))
         for _ in range(10))
+    p3 = make_params_c0sq(1, [], Q(1, 100), [], 0)
+    a3, _ = model.separatrix_scale(1, Q(1, 100))
     worst3 = max(model.separatrix_residual(
-        1, Q(1, 100), complex(0.3 + 1.0 * rng.random(), 0.3 * rng.random()))
+        p3, a3, complex(0.3 + 1.0 * rng.random(), 0.3 * rng.random()))
         for _ in range(10))
     s0 = PhaseState(0.4, 0.1, (0.5,), (-0.2,), 0.0)
     _, drift = model.integrate_orbit(make_params(1, [1], 0, [1], Q(1, 2)),

@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -241,6 +242,18 @@ class TestCase2Solution:
             model.solution_case2(p, self.e, 0.3)
 
 
+class TestMaxResidual:
+    @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan],
+                                           [0.5, math.nan, 2.0]])
+    def test_nan_wins_wherever_it_falls(self, residuals):
+        assert math.isnan(model.max_residual(residuals))
+
+    def test_largest_of_finite_residuals(self):
+        assert model.max_residual([0.5, 2.0, math.inf, 1.0]) == math.inf
+        assert model.max_residual([0.5, 2.0, 1.0]) == 2.0
+        assert model.max_residual([]) == 0.0
+
+
 class TestSeparatrix:
     def test_zero_c0_factorization(self):
         q0, p0, a, h_star = model.separatrix_case3(1, 0, 0.7)
@@ -252,8 +265,10 @@ class TestSeparatrix:
         assert abs(q0 ** 2 - (2 / 3 + a)) < 1e-9
 
     def test_eom_residual(self):
+        p = model.make_params_c0sq(1, [], Q(1, 100), [], 0)
+        a, _ = model.separatrix_scale(1, Q(1, 100))
         for tval in (0.7, 0.45 + 0.2j, 1.6):
-            assert model.separatrix_residual(1, Q(1, 100), tval) < 1e-9
+            assert model.separatrix_residual(p, a, tval) < 1e-9
 
     def test_momentum_is_coordinate_derivative(self):
         h = 1e-6

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bfmix import odeint
 from bfmix.odeint import SingularityEncounteredError, integrate
 import helpers_odeint
 from helpers_odeint import integrate_reference
@@ -212,6 +213,18 @@ class TestTableau:
         c = helpers_odeint.C[:12]
         assert abs(helpers_odeint.B @ c ** (k - 1) - 1 / k) < 1e-14
 
+    def test_generated_stages_read_the_nonzero_pattern(self):
+        # the rows of the step kernel that odeint generates, against the
+        # nonzero entries of the reference's matrices
+        def stages(row):
+            return (np.flatnonzero(row) + 1).tolist()
+        for i in range(2, odeint.STAGES + 1):
+            assert odeint._row(f"A{i}", i) == stages(helpers_odeint.A[i - 1])
+        assert odeint._row("B") == stages(helpers_odeint.B)
+        assert odeint._row("ER") == stages(helpers_odeint.E5)
+        assert odeint._row("BHH") == stages(helpers_odeint.B
+                                            - helpers_odeint.E3)
+
     def test_error_weights_sum_to_zero(self):
         # each estimate is a difference of two consistent solutions
         assert abs(helpers_odeint.E5.sum()) < 1e-14
@@ -258,13 +271,17 @@ class TestAgainstReference:
         for f, t0, y0, t1, kw in segments:
             self._compare(f, t0, y0, t1, **kw)
 
+    # the step kernel is generated per state size: 4 is an N_f = 1 orbit
+    # and the Heun system, 6 an N_f = 2 orbit
     @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
-    def test_linear_complex_system(self, rtol):
-        lam = [-0.3 + 1.1j, 0.5 - 2j, 1j, -1 + 0.2j]
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_linear_complex_system(self, n, rtol):
+        lam = [-0.3 + 1.1j, 0.5 - 2j, 1j, -1 + 0.2j, 0.7 + 0.4j, -0.2 - 1.5j]
+        y0 = [1, 0.5j, -2, 1 + 1j, -0.5 + 0.3j, 2j]
 
         def f(t, y):
             return [a * v for a, v in zip(lam, y)]
-        self._compare(f, 0.2 + 0.1j, [1, 0.5j, -2, 1 + 1j], 1.5 - 0.7j,
+        self._compare(f, 0.2 + 0.1j, y0[:n], 1.5 - 0.7j,
                       rtol=rtol, atol=rtol * 1e-2)
 
 

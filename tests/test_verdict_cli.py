@@ -373,6 +373,15 @@ class TestCli:
         proc = run_cli("verify", "--which", "separatrix", "--tol", "1e-30")
         assert proc.returncode == 3
 
+    def test_verify_residual_that_is_not_a_number_fails(self, capsys):
+        # at h_1 = 1e200 the closed form's q_1 is inf and every residual nan
+        assert cli.main(["verify", "--which", "prop1", "--hj", "1e200"]) == 3
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["max_residual"] == "nan"
+        assert report["pass"] is False
+        assert "residual nan" in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_verify_tol_must_be_positive_and_finite(self, tol, capsys):
         # nan, 0 and -1 failed every residual (exit 3); inf passed every one
@@ -656,12 +665,15 @@ class TestCli:
         ["analyze", "case1", "--omega0", "-1", "--omega", "2", "--gbf", "1",
          "--csum", "3"],
         ["analyze", "case1", "--omega0", "0", "--omega", "2", "--gbf", "0",
-         "--csum", "3"]],
+         "--csum", "3"],
+        ["verify", "--which", "prop1", "--omegaj", "1e300"],
+        ["verify", "--which", "separatrix", "--omega0", "1e200"]],
         ids=["mu2-irrational-exponent", "mu3-irrational-exponent",
              "case3-omega0-overflow", "case3-c0sq-overflow",
              "sweep-omega0-overflow", "case2-no-mode", "verify-no-mode",
              "verify-hj-short", "verify-hj-long", "case1-omega0-negative",
-             "case1-omega0-zero"])
+             "case1-omega0-zero", "verify-prop1-omegaj-overflow",
+             "verify-separatrix-omega0-overflow"])
     def test_domain_error_is_usage_error(self, argv, capsys):
         # an exception escaping main is what prints a traceback
         try:
