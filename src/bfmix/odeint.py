@@ -40,7 +40,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -187,38 +187,39 @@ def _stages(n: int):
     def vector(fmt: str) -> str:
         return "[" + ", ".join(fmt.format(c=c) for c in comps) + "]"
 
-    def combo(weights: List[str], js: List[int], c: int) -> str:
-        return " + ".join(f"{w} * k{j}_{c}" for w, j in zip(weights, js))
+    def combo(weights: Dict[int, str], c: int) -> str:
+        """sum_j weights[j] * k_j at component c, in stage order."""
+        return " + ".join(f"{w} * k{j}_{c}" for j, w in weights.items())
 
     lines = ["def stages(f, t, h, y, k1, atol, rtol):",
              f"    {vector('y_{c}')} = y",
              f"    {vector('k1_{c}')} = k1"]
     for i in range(2, STAGES + 1):
-        js = _row(f"A{i}", i)
-        weights = [f"a{i}_{j}" for j in js]
-        lines += [f"    {w} = h * A{i}{j}" for w, j in zip(weights, js)]
+        a = {j: f"a{i}_{j}" for j in _row(f"A{i}", i)}
+        lines += [f"    {w} = h * A{i}{j}" for j, w in a.items()]
         at = "t + h" if i == STAGES else f"t + C{i} * h"
-        inputs = ", ".join(f"y_{c} + ({combo(weights, js, c)})" for c in comps)
+        inputs = ", ".join(f"y_{c} + ({combo(a, c)})" for c in comps)
         lines.append(f"    {vector(f'k{i}_{{c}}')} = f({at}, [{inputs}])")
-    b_js, e_js, bhh = _row("B"), _row("ER"), set(_row("BHH"))
-    lines += [f"    b{j} = h * B{j}" for j in b_js]
-    lines += [f"    y8_{c} = y_{c} + ({combo([f'b{j}' for j in b_js], b_js, c)})"
-              for c in comps]
+    b = {j: f"b{j}" for j in _row("B")}
+    e = {j: f"e{j}" for j in _row("ER")}
+    # the third-order solution differs from y8 where BHH is nonzero
+    bhh = _row("BHH")
+    d = {j: f"d{j}" if j in bhh else w for j, w in b.items()}
+    lines += [f"    {w} = h * B{j}" for j, w in b.items()]
+    lines += [f"    y8_{c} = y_{c} + ({combo(b, c)})" for c in comps]
     # the error weights are scaled by h before they meet the stages, as the
     # stage weights are, so that stages near the float range give a finite
     # estimate for a short step
-    lines += [f"    e{j} = h * ER{j}" for j in e_js]
-    # the third-order solution differs from y8 where BHH is nonzero
-    lines += [f"    d{j} = b{j} - h * BHH{j}" for j in b_js if j in bhh]
-    d_weights = [f"d{j}" if j in bhh else f"b{j}" for j in b_js]
-    lines += ["    sq5 = sq3 = 0.0", "    try:"]
+    lines += [f"    {w} = h * ER{j}" for j, w in e.items()]
+    lines += [f"    {w} = b{j} - h * BHH{j}" for j, w in d.items() if w != b[j]]
+    lines += ["    try:", "        sq5 = sq3 = 0.0"]
     for c in comps:
         lines += [
             f"        ya, yb = abs(y_{c}), abs(y8_{c})",
             "        sk = atol + rtol * (ya if ya > yb else yb)",
-            f"        r = ({combo([f'e{j}' for j in e_js], e_js, c)}) / sk",
+            f"        r = ({combo(e, c)}) / sk",
             "        sq5 += r.real * r.real + r.imag * r.imag",
-            f"        r = ({combo(d_weights, b_js, c)}) / sk",
+            f"        r = ({combo(d, c)}) / sk",
             "        sq3 += r.real * r.real + r.imag * r.imag"]
     lines += [
         "    except (OverflowError, ZeroDivisionError):",

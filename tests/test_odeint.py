@@ -85,6 +85,17 @@ class TestShapes:
         assert traj.times == [0.5j]
 
 
+    def test_empty_state(self):
+        # no components: the error estimate is zero, so every step is
+        # accepted and grows fivefold from length/100
+        calls = []
+        y, traj = integrate(lambda t, y: calls.append(t) or [], 0.0, [],
+                            1.0 + 1j)
+        assert y.shape == (0,)
+        assert traj.times[-1] == 1.0 + 1j and len(traj.times) == 5
+        assert len(calls) == 1 + 12 * 4
+
+
 class TestFailures:
     @pytest.mark.parametrize("tols", [
         pytest.param({}, id="default"),
