@@ -322,9 +322,11 @@ def main(argv=None) -> int:
             report, ok = _run_verify(args)
             _emit(report, args.json)
             if not ok:
+                residual = report["max_residual"]
+                why = ("is not a number" if residual == "nan"
+                       else f"above {args.tol}")
                 print(f"verification failed: {args.which}: residual "
-                      f"{report['max_residual']} above {args.tol}",
-                      file=sys.stderr)
+                      f"{residual} {why}", file=sys.stderr)
                 return 3
             return 0
         if args.command == "series":

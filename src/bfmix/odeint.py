@@ -211,7 +211,7 @@ def _stages(n: int):
     # stage weights are, so that stages near the float range give a finite
     # estimate for a short step
     lines += [f"    {w} = h * ER{j}" for j, w in e.items()]
-    lines += [f"    {w} = b{j} - h * BHH{j}" for j, w in d.items() if w != b[j]]
+    lines += [f"    d{j} = b{j} - h * BHH{j}" for j in b if j in bhh]
     lines += ["    try:", "        sq5 = sq3 = 0.0"]
     for c in comps:
         lines += [

@@ -380,7 +380,8 @@ class TestCli:
         report = json.loads(captured.out)
         assert report["max_residual"] == "nan"
         assert report["pass"] is False
-        assert "residual nan" in captured.err
+        assert captured.err == ("verification failed: prop1: residual nan "
+                                "is not a number\n")
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_verify_tol_must_be_positive_and_finite(self, tol, capsys):
