@@ -3,11 +3,11 @@
 This is the numpy form of the integrator: the stages are the rows of the
 tableau as a matrix, applied to the stack of stage values with ``@``, on a
 state array of any shape.  ``bfmix.odeint.integrate`` forms the same stages
-component by component on a list, each written out by hand.  The two share
-the tableau constants (read here by name into matrices), the step law and
-the rejection rules, but none of the arithmetic, so the tests can require
-equal right-hand-side calls and node times and states that agree to
-rounding.
+component by component, in straight-line code it generates per state size.
+The two share the tableau constants (both read them by name), the step
+law and the rejection rules, but none of the arithmetic, so the tests can
+require equal right-hand-side calls and node times and states that agree
+to rounding.
 
 Here ``f`` receives the state as an array in its own shape and returns an
 array of that shape.

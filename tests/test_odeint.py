@@ -84,7 +84,6 @@ class TestShapes:
         assert y0[0] == 1.0 + 2j
         assert traj.times == [0.5j]
 
-
     def test_empty_state(self):
         # no components: the error estimate is zero, so every step is
         # accepted and grows fivefold from length/100
