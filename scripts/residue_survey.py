@@ -14,7 +14,7 @@ import argparse
 from fractions import Fraction as Q
 
 from bfmix import elliptic, lame, variational as V
-from bfmix.model import make_params_c0sq
+from bfmix.model import make_params
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
     ap.add_argument("--h", type=Q, default=Q(0))
     args = ap.parse_args()
 
-    p = make_params_c0sq(args.omega0, [args.omegaj], args.c0sq, [0], args.gbf)
+    p = make_params(args.omega0, [args.omegaj], args.c0sq, [0], args.gbf)
     e = elliptic.invariants_from_energy(args.omega0, args.c0sq, args.h)
     print(f"g_bf={args.gbf} omega0={args.omega0} omega_j={args.omegaj} "
           f"C0^2={args.c0sq} h={args.h}")

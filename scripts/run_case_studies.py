@@ -8,7 +8,7 @@ import json
 from fractions import Fraction as Q
 
 from bfmix import verdict
-from bfmix.model import make_params, make_params_c0sq
+from bfmix.model import make_params
 
 
 def show(title, v):
@@ -34,11 +34,11 @@ def main():
         p = make_params(1, [wj], 1, [0], g)
         show(label, verdict.analyze_case2(p, Q(0)))
 
-    p = make_params_c0sq(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
+    p = make_params(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
     show("case2 index 5/2 surviving triple",
          verdict.analyze_case2(p, Q(0)))
 
-    p3 = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
+    p3 = make_params(1, [1], Q(1, 100), [1], Q(1, 1000))
     show("case3: omega0=omega1=1, C0^2=1/100, C1^2=1, I=3",
          verdict.classify(p3, action_I=3.0))
 

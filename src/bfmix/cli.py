@@ -204,8 +204,8 @@ def _run_analyze(args) -> dict:
         v = verdict_mod.analyze_case1(args.omega0, args.omega, args.gbf,
                                       args.csum)
     elif args.case == "case2":
-        p = model.make_params_c0sq(args.omega0, args.omegaj, args.c0sq,
-                                   [Q(0)] * len(args.omegaj), args.gbf)
+        p = model.make_params(args.omega0, args.omegaj, args.c0sq,
+                              [Q(0)] * len(args.omegaj), args.gbf)
         v = verdict_mod.analyze_case2(p, args.h)
     else:
         v = verdict_mod.analyze_case3(args.omega0, args.omega1, args.c0sq,
@@ -223,11 +223,11 @@ def _verify_residual(args):
                               0, args.cj, args.gbf)
         return functools.partial(model.case1_residual, p, args.hj, 0.0)
     if args.which == "prop2":
-        p = model.make_params_c0sq(args.omega0, args.omegaj, c0sq,
-                                   [Q(0)] * len(args.omegaj), args.gbf)
+        p = model.make_params(args.omega0, args.omegaj, c0sq,
+                              [Q(0)] * len(args.omegaj), args.gbf)
         e = elliptic.invariants_from_energy(args.omega0, c0sq, args.h)
         return functools.partial(model.case2_residual, p, e)
-    p = model.make_params_c0sq(args.omega0, [], c0sq, [], 0)
+    p = model.make_params(args.omega0, [], c0sq, [], 0)
     a, _ = model.separatrix_scale(args.omega0, c0sq)
     return functools.partial(model.separatrix_residual, p, a)
 
@@ -264,8 +264,8 @@ def _run_verify(args) -> tuple[dict, bool]:
 def _series_rows(args):
     e = elliptic.invariants_from_energy(args.omega0, args.c0sq, args.h)
     order = Q(args.order)
-    p = model.make_params_c0sq(args.omega0, args.omegaj, args.c0sq,
-                               [Q(0)] * len(args.omegaj), args.gbf)
+    p = model.make_params(args.omega0, args.omegaj, args.c0sq,
+                          [Q(0)] * len(args.omegaj), args.gbf)
     if args.what == "wp":
         yield from elliptic.wp_laurent(e, order).to_csv_rows()
         return

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import elliptic
 from .odeint import integrate
-from .series import rational_sqrt
 
 Q = Fraction
 
@@ -47,49 +46,33 @@ def _fr(x) -> Fraction:
 class ModelParams:
     """Normalized parameters of the Hamiltonian.
 
-    C0 enters the dynamics only through its square; an explicit
-    ``C0_sq_value`` supports exact squares whose root is irrational.
+    The condensate's angular constant is held as C0^2, the form in which it
+    enters H (through C0^2/(2 q0^2)); it need not have a rational root.  The
+    transverse C_j stay signed: case 1 reads their sum.
     """
 
     omega0: Fraction
     omegas: Tuple[Fraction, ...]
-    C0: Fraction
+    C0_sq: Fraction
     Cs: Tuple[Fraction, ...]
     g_bf: Fraction
-    C0_sq_value: Fraction = None
 
     def __post_init__(self):
         if self.omega0 <= 0 or any(w <= 0 for w in self.omegas):
             raise InvalidParameterError("frequencies must be positive")
         if len(self.omegas) != len(self.Cs):
             raise InvalidParameterError("omegas and Cs must have equal length")
-        if self.C0_sq_value is not None and self.C0_sq_value < 0:
+        if self.C0_sq < 0:
             raise InvalidParameterError("C0^2 must be nonnegative")
 
     @property
     def n_f(self) -> int:
         return len(self.omegas)
 
-    @property
-    def C0_sq(self) -> Fraction:
-        if self.C0_sq_value is not None:
-            return self.C0_sq_value
-        return self.C0 * self.C0
 
-
-def make_params(omega0, omegas, C0, Cs, g_bf) -> ModelParams:
+def make_params(omega0, omegas, C0_sq, Cs, g_bf) -> ModelParams:
     return ModelParams(_fr(omega0), tuple(_fr(w) for w in omegas),
-                       _fr(C0), tuple(_fr(c) for c in Cs), _fr(g_bf))
-
-
-def make_params_c0sq(omega0, omegas, C0_sq, Cs, g_bf) -> ModelParams:
-    """Parameters given C0^2 exactly; C0 takes the rational root if one
-    exists, and 0 otherwise.  A negative C0^2 is left to ModelParams."""
-    c0sq = _fr(C0_sq)
-    c0 = (rational_sqrt(c0sq) if c0sq > 0 else None) or Q(0)
-    return ModelParams(_fr(omega0), tuple(_fr(w) for w in omegas),
-                       c0, tuple(_fr(c) for c in Cs), _fr(g_bf),
-                       C0_sq_value=c0sq)
+                       _fr(C0_sq), tuple(_fr(c) for c in Cs), _fr(g_bf))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import elliptic, heun, lame, melnikov, variational
 from .model import ModelParams
+from .series import rational_sqrt
 
 Q = Fraction
 
@@ -45,15 +46,20 @@ class IntegrabilityVerdict:
 
 
 def params_snapshot(p: ModelParams) -> dict:
-    return {
+    """Exact strings of the inputs.  "C0" is the rational root of C0^2 and
+    is present only where C0^2 has one."""
+    snapshot = {
         "omega0": str(p.omega0),
         "omegas": [str(w) for w in p.omegas],
-        "C0": str(p.C0),
         "C0_sq": str(p.C0_sq),
         "Cs": [str(c) for c in p.Cs],
         "g_bf": str(p.g_bf),
         "n_f": p.n_f,
     }
+    c0 = rational_sqrt(p.C0_sq)
+    if c0 is not None:
+        snapshot["C0"] = str(c0)
+    return snapshot
 
 
 def _case_of(p: ModelParams) -> str:

@@ -21,7 +21,7 @@ class RawParams:
     g_BF: Fraction
     omega0: Fraction
     omegas: Tuple[Fraction, ...]
-    C0: Fraction
+    C0_sq: Fraction
     Cs: Tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -42,10 +42,9 @@ def normalize(raw: RawParams) -> ModelParams:
     g_bf = raw.g_BF * alpha_sq * gamma_sq * raw.m_B
     omega0 = raw.omega0 * gamma_sq * raw.m_B
     omegas = tuple(w * gamma_sq * raw.m_F for w in raw.omegas)
-    # C scalings act on squares; keeping signed C's exact requires the
-    # combined factor to be a rational square
-    c0_fac = _sqrt_fraction(gamma_sq / beta_sq ** 2)
+    # C scalings act on squares: C0^2 scales as it is, while keeping the
+    # signed C_j exact requires their factor to be a rational square
+    C0_sq = raw.C0_sq * gamma_sq / beta_sq ** 2
     cj_fac = _sqrt_fraction(gamma_sq / alpha_sq ** 2)
-    C0 = raw.C0 * c0_fac
     Cs = tuple(c * cj_fac for c in raw.Cs)
-    return ModelParams(omega0, omegas, C0, Cs, g_bf)
+    return ModelParams(omega0, omegas, C0_sq, Cs, g_bf)

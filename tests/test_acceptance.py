@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 import numpy as np
 
 from bfmix import elliptic, heun, lame, melnikov, model, verdict, variational as V
-from bfmix.model import PhaseState, make_params, make_params_c0sq
+from bfmix.model import PhaseState, make_params
 import helpers_theorem5 as t5
 from conftest import random_rational, random_series, ve3_row1
 from helpers_series import agrees_with
@@ -44,7 +44,7 @@ def gate(label, ok, detail):
 
 def case2_params(n, w0, wj, c0sq, h, n_f=1):
     g = Q(n) * (Q(n) + 1) / 2
-    return (make_params_c0sq(w0, [wj] * n_f, c0sq, [0] * n_f, g),
+    return (make_params(w0, [wj] * n_f, c0sq, [0] * n_f, g),
             elliptic.invariants_from_energy(w0, c0sq, h))
 
 
@@ -306,7 +306,7 @@ def test_criterion_06_condition_tree():
         """The hand-listed tree's verdict for one block; bfmix's own check at
         h = 0 must pass or fail the same block alike."""
         v = t5.theorem5_check(t5.p_coefficients(w0, wj, c0sq, g), n)
-        p = make_params_c0sq(w0, [wj], c0sq, [0], g)
+        p = make_params(w0, [wj], c0sq, [0], g)
         agree.append(lame.theorem5_check(p, 0, 0).passed == v.passed)
         return v
 
@@ -374,7 +374,7 @@ def test_criterion_08_closed_form_residuals():
     worst2 = max(model.case2_residual(
         p2, e, complex(0.25 + 0.6 * rng.random(), 0.3 * rng.random()))
         for _ in range(10))
-    p3 = make_params_c0sq(1, [], Q(1, 100), [], 0)
+    p3 = make_params(1, [], Q(1, 100), [], 0)
     a3, _ = model.separatrix_scale(1, Q(1, 100))
     worst3 = max(model.separatrix_residual(
         p3, a3, complex(0.3 + 1.0 * rng.random(), 0.3 * rng.random()))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers_theorem5 as oracle
 from bfmix import elliptic, lame, variational
-from bfmix.model import make_params, make_params_c0sq
+from bfmix.model import make_params
 from conftest import random_rational
 
 
@@ -182,7 +182,7 @@ class TestTheorem5:
 
 class TestLameData:
     def test_per_block_offsets(self):
-        p = make_params_c0sq(1, [1, 2], 1, [0, 0], 1)
+        p = make_params(1, [1, 2], 1, [0, 0], 1)
         data = oracle.lame_data(p)
         assert data.n == 1
         assert data.B_j == (Q(-2, 3), Q(-8, 3))
@@ -199,7 +199,7 @@ class TestResonanceRule:
         # the block the tree passes with no clause has a nonzero exact VE1
         # log coefficient at h = 0
         n = Q(11, 2)
-        p = make_params_c0sq(1, [Q(143, 12)], 1, [0], n * (n + 1) / 2)
+        p = make_params(1, [Q(143, 12)], 1, [0], n * (n + 1) / 2)
         v = lame.theorem5_check(p, 0, 0)
         assert v.passed_case == "none"
         assert v.failed_conditions == [
@@ -212,14 +212,14 @@ class TestResonanceRule:
         for h in (0, 1):
             with pytest.raises(elliptic.DegenerateInvariantsError):
                 elliptic.invariants_from_energy(1, 0, h)
-        p = make_params_c0sq(1, [1], 0, [0], Q(15, 8))      # n = 3/2
+        p = make_params(1, [1], 0, [0], Q(15, 8))      # n = 3/2
         v = lame.theorem5_check(p, 0, 0)
         ((cid, value),) = v.failed_conditions
         assert cid == "m=2, normal_1, h = 2: resonance coefficient = 0"
         assert value != 0
 
     def test_integer_index_passes_without_coefficients(self):
-        v = lame.theorem5_check(make_params(1, [7], 99, [0], 3), 0, 0)
+        v = lame.theorem5_check(make_params(1, [7], 9801, [0], 3), 0, 0)
         assert v.passed_case == "case1" and not v.conjecture_conditional
 
 
@@ -245,7 +245,7 @@ def half_integer_points(draw):
     else:
         wj, c0sq = Q(55, 28) * w0, Q(72, 343) * w0 ** 3
     h = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
-    p = make_params_c0sq(w0, [draw(pos), wj], c0sq, [0, 0], n * (n + 1) / 2)
+    p = make_params(w0, [draw(pos), wj], c0sq, [0, 0], n * (n + 1) / 2)
     return p, n, h
 
 
@@ -300,7 +300,7 @@ def test_fractional_rows_equal_tree_rows(n, w0, wj, c0sq, h):
     """The closed-form fractional rows are the tree's rows on P derived from
     the invariants, at any energy."""
     g = n * (n + 1) / 2
-    got = lame.theorem5_check(make_params_c0sq(w0, [wj], c0sq, [0], g), 0, h)
+    got = lame.theorem5_check(make_params(w0, [wj], c0sq, [0], g), 0, h)
     want = oracle.theorem5_check(
         oracle.p_coefficients_from_invariants(w0, wj, c0sq, g), n)
     assert got.passed_case == want.passed_case == "none"

@@ -14,10 +14,10 @@ from helpers_model import RawParams, normalize
 
 class TestNormalize:
     def test_identity_scaling(self):
-        raw = RawParams(Q(1), Q(1), Q(1), Q(7), Q(2), (Q(3),), Q(5), (Q(11),))
+        raw = RawParams(Q(1), Q(1), Q(1), Q(7), Q(2), (Q(3),), Q(25), (Q(11),))
         p = normalize(raw)
         assert (p.omega0, p.omegas, p.g_bf) == (Q(2), (Q(3),), Q(7))
-        assert (p.C0, p.Cs) == (Q(5), (Q(11),))
+        assert (p.C0_sq, p.Cs) == (Q(25), (Q(11),))
 
     def test_reference_scaling(self):
         # m_B=1, m_F=2, g_BB=4 gives gamma = 1/2
@@ -34,10 +34,10 @@ class TestNormalize:
         assert normalize(raw).g_bf == 0
 
     def test_idempotent_on_normalized(self):
-        raw = RawParams(Q(1), Q(1), Q(1), Q(3), Q(2), (Q(5),), Q(7), (Q(2),))
+        raw = RawParams(Q(1), Q(1), Q(1), Q(3), Q(2), (Q(5),), Q(49), (Q(2),))
         p = normalize(raw)
         again = normalize(RawParams(Q(1), Q(1), Q(1), p.g_bf, p.omega0,
-                                          p.omegas, p.C0, p.Cs))
+                                          p.omegas, p.C0_sq, p.Cs))
         assert again == p
 
     def test_gbb_positive_required(self):
@@ -67,7 +67,7 @@ class TestHamiltonian:
 
     def test_written_out_at_two_modes(self):
         w0, ws, c0, cs, g = 1.5, (2.0, 1 / 3), 0.5, (0.75, -2.0), 0.4
-        p = make_params(Q(3, 2), [Q(2), Q(1, 3)], Q(1, 2), [Q(3, 4), Q(-2)],
+        p = make_params(Q(3, 2), [Q(2), Q(1, 3)], Q(1, 4), [Q(3, 4), Q(-2)],
                         Q(2, 5))
         q0, p0 = 0.8 + 0.1j, 0.3 - 0.2j
         qs, ps = (1.2 - 0.3j, 0.7 + 0.4j), (0.1 + 0.5j, -0.6 + 0.2j)
@@ -121,8 +121,8 @@ class TestEquationsOfMotion:
                         abs(random_rational(rng, nonzero=True)),
                         [abs(random_rational(rng, nonzero=True))
                          for _ in range(n_f)],
-                        Q(0) if c0_zero else random_rational(rng,
-                                                             nonzero=True),
+                        Q(0) if c0_zero
+                        else random_rational(rng, nonzero=True) ** 2,
                         cs, random_rational(rng))
                     s = PhaseState(
                         complex(0.9 + 0.1 * rng.random(), rng.random() - 0.5),
@@ -265,7 +265,7 @@ class TestSeparatrix:
         assert abs(q0 ** 2 - (2 / 3 + a)) < 1e-9
 
     def test_eom_residual(self):
-        p = model.make_params_c0sq(1, [], Q(1, 100), [], 0)
+        p = model.make_params(1, [], Q(1, 100), [], 0)
         a, _ = model.separatrix_scale(1, Q(1, 100))
         for tval in (0.7, 0.45 + 0.2j, 1.6):
             assert model.separatrix_residual(p, a, tval) < 1e-9
@@ -324,7 +324,7 @@ class TestIntegrator:
             fields.append(f)
             return integrate(f, *args, **kw)
         monkeypatch.setattr(model, "integrate", spy)
-        p = make_params(Q(3, 2), [Q(1), Q(2, 3)], Q(1, 2), [Q(0), Q(3, 4)],
+        p = make_params(Q(3, 2), [Q(1), Q(2, 3)], Q(1, 4), [Q(0), Q(3, 4)],
                         Q(2, 5))
         s0 = PhaseState(0.8, 0.1, (0.0, 0.9), (0.2, -0.1), 0.0)
         model.integrate_orbit(p, s0, 0.2)

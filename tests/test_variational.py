@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfmix import elliptic, lame, variational as V
-from bfmix.model import make_params, make_params_c0sq
+from bfmix.model import make_params
 from bfmix.series import (InsufficientOrderError, PuiseuxSeries,
                           append_rational)
 from conftest import random_rational, random_series, ve3_row1
@@ -92,7 +92,7 @@ class TestFrobenius:
                 e = elliptic.invariants_from_energy(w0, c0sq, h)
             except elliptic.DegenerateInvariantsError:
                 continue
-            p = make_params_c0sq(w0, [wj], c0sq, [0], 1)
+            p = make_params(w0, [wj], c0sq, [0], 1)
             ve1 = V.build_ve1(p, e, 18)
             for q in (ve1.tangential,) + ve1.normal:
                 b = V.frobenius(q)
@@ -227,7 +227,7 @@ REFERENCES = {"index1": (Q(1), Q(1), Q(1)), "index2": (Q(3), Q(2), Q(1)),
 
 def reference_bases(name, order):
     g, wj, c0sq = REFERENCES[name]
-    p = make_params_c0sq(1, [wj], c0sq, [0], g)
+    p = make_params(1, [wj], c0sq, [0], g)
     ve1 = V.build_ve1(p, elliptic.invariants_from_energy(1, c0sq, 0),
                       order=order)
     return [V.frobenius(q) for q in (ve1.tangential,) + ve1.normal]
@@ -257,7 +257,7 @@ def test_resonance_coefficient_is_the_basis_log_coefficient(g, wjs, c0sq, h):
     """The short route reads the same number as the full VE1 basis: the
     coefficient ``frobenius`` raises with, or 0 where it builds a basis."""
     n = lame.lame_index(g)
-    p = make_params_c0sq(1, wjs, c0sq, [0] * len(wjs), g)
+    p = make_params(1, wjs, c0sq, [0] * len(wjs), g)
     e = elliptic.invariants_from_energy(1, c0sq, h)
     ve1 = V.build_ve1(p, e, 2 * n + 3)
     for j, q in enumerate(ve1.normal):
@@ -369,7 +369,7 @@ class TestVariationOfConstants:
 
 def run_residues(n, w0, wj, c0sq, h, n_f=1, order=30, choice=None):
     g = Q(n) * (Q(n) + 1) / 2
-    p = make_params_c0sq(w0, [wj] * n_f, c0sq, [0] * n_f, g)
+    p = make_params(w0, [wj] * n_f, c0sq, [0] * n_f, g)
     e = elliptic.invariants_from_energy(w0, c0sq, h)
     ch = choice or V.STANDARD_CHOICES.get(Q(n), V.HigherVEChoice())
     return V.higher_ve_residues(V.ve1_context(p, e, order), ch)
@@ -426,7 +426,7 @@ class TestHigherVEResidues:
             assert res.nonzero_witness() is None
 
     def test_five_half_index_all_choices_silent(self):
-        p = make_params_c0sq(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
+        p = make_params(1, [Q(55, 28)], Q(72, 343), [0], Q(35, 8))
         e = elliptic.invariants_from_energy(1, Q(72, 343), 0)
         ctx = V.ve1_context(p, e, 30)
         for ch in V.SCAN_CHOICES:
@@ -469,7 +469,7 @@ class TestHigherVEResidues:
         the zero-constant second-order particulars leaves every VE3 row as
         the chain reads it.  The context is at twice the largest scan-pick
         order, so the additions' own terms are exact too."""
-        p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+        p = make_params(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
         e = elliptic.invariants_from_energy(w0, c0sq, 0)
         order = 2 * max(V.chain_order(n, ch) for ch in V.SCAN_CHOICES)
         ctx = V.ve1_context(p, e, order)
@@ -517,7 +517,7 @@ SHARING_POINTS = [
 
 def sharing_context(n, w0, wj, c0sq, h):
     """(p, e, order): the point, at the largest chain order of its picks."""
-    p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+    p = make_params(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
     e = elliptic.invariants_from_energy(w0, c0sq, h)
     return p, e, max(V.chain_order(n, ch) for ch in V.SCAN_CHOICES)
 
@@ -617,7 +617,7 @@ class TestFloatCrossChecks:
         ids=["index3", "index4"])
     def test_integer_index_witness_matches_monodromy_oracle(self, n, wj,
                                                              c0sq, h):
-        p = make_params_c0sq(1, [wj], c0sq, [0], Q(n * (n + 1), 2))
+        p = make_params(1, [wj], c0sq, [0], Q(n * (n + 1), 2))
         ctx = V.ve1_context(p, elliptic.invariants_from_energy(1, c0sq, h),
                             30)
         res = V.higher_ve_residues(ctx, V.HigherVEChoice())
@@ -667,7 +667,7 @@ def chain_points(draw):
     h = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
     side = st.sampled_from(("first", "second"))
     choice = V.HigherVEChoice(draw(side), draw(side))
-    p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+    p = make_params(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
     try:
         e = elliptic.invariants_from_energy(w0, c0sq, h)
     except elliptic.DegenerateInvariantsError:
@@ -705,7 +705,7 @@ def ve1_points(draw):
                       st.just(Q(55, 28) * w0))
     wj = draw(st.lists(block, min_size=1, max_size=2))
     h = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
-    p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
+    p = make_params(w0, wj, c0sq, [0] * len(wj), n * (n + 1) / 2)
     try:
         e = elliptic.invariants_from_energy(w0, c0sq, h)
     except elliptic.DegenerateInvariantsError:

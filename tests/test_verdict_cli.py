@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bfmix import cli, elliptic, lame, variational, verdict
-from bfmix.model import make_params, make_params_c0sq
+from bfmix.model import make_params
 from bfmix.series import InsufficientOrderError, PuiseuxSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -142,7 +142,7 @@ class TestClassify:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(V, name, counted)
-        verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
+        verdict.analyze_case2(make_params(1, [wj], c0sq, [0], g), Q(0))
         assert calls == {"build_ve1": builds,
                          "higher_ve_residues": pipelines}
 
@@ -164,7 +164,7 @@ class TestClassify:
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(PuiseuxSeries, name, counted)
-        verdict.analyze_case2(make_params_c0sq(1, [wj], c0sq, [0], g), Q(0))
+        verdict.analyze_case2(make_params(1, [wj], c0sq, [0], g), Q(0))
         assert calls == {"__mul__": products, "scale": scales}
 
     @pytest.mark.parametrize("g, wj, c0sq", [
@@ -177,7 +177,7 @@ class TestClassify:
         """At each order 2-30 the chain of every pick either raises or reads
         the rows it reads at the pick's chain_order, and it raises one order
         below that."""
-        p = make_params_c0sq(1, wj, c0sq, [0] * len(wj), g)
+        p = make_params(1, wj, c0sq, [0] * len(wj), g)
         e = elliptic.invariants_from_energy(1, c0sq, 0)
         n = lame.lame_index(p.g_bf)
         orders = {ch: variational.chain_order(n, ch)
@@ -206,7 +206,7 @@ class TestClassify:
         """analyze_case2 builds its one VE1 context at the order the
         standard pick's exponents certify; one order less raises, and twice
         the order reads the same rows."""
-        p = make_params_c0sq(w0, wj, c0sq, [0] * len(wj), g)
+        p = make_params(w0, wj, c0sq, [0] * len(wj), g)
         orders = _record_contexts(monkeypatch)
         verdict.analyze_case2(p, h)
         assert orders == [order]
@@ -244,7 +244,7 @@ class TestClassify:
         monkeypatch.setattr(variational, "chain_order",
                             lambda n, choice: low)
         with pytest.raises(InsufficientOrderError):
-            verdict.analyze_case2(make_params_c0sq(1, wj, 1, [0], g), Q(0))
+            verdict.analyze_case2(make_params(1, wj, 1, [0], g), Q(0))
         assert cli.main(["analyze", "case2", "--gbf", str(g), "--omega0", "1",
                          "--omegaj", str(wj[0]), "--c0sq", "1",
                          "--h", "0"]) == 2
@@ -253,7 +253,7 @@ class TestClassify:
         assert not captured.out
 
     def test_case3_simple_zeros(self):
-        p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
+        p = make_params(1, [1], Q(1, 100), [1], Q(1, 1000))
         v = verdict.classify(p, action_I=3.0)
         assert v.case_id == "case3"
         assert v.outcome == "NonIntegrable"
@@ -262,7 +262,7 @@ class TestClassify:
 
     def test_case3_oval_threshold_survives(self):
         # I^2 = 2 w1 C1^2 exactly: the splitting amplitude is exactly zero
-        p = make_params_c0sq(1, [Q(1, 2)], Q(1, 100), [Q(1, 10)], Q(1, 1000))
+        p = make_params(1, [Q(1, 2)], Q(1, 100), [Q(1, 10)], Q(1, 1000))
         v = verdict.classify(p, action_I=Q(1, 10))
         assert v.outcome == "NecessaryConditionsSurvived"
         assert v.witness.kind == "none"
@@ -273,20 +273,20 @@ class TestClassify:
         with pytest.raises(verdict.OutOfScopeError):
             verdict.classify(p)
 
-    @pytest.mark.parametrize("C0, Cs, case", [
+    @pytest.mark.parametrize("c0sq, Cs, case", [
         (0, [1, 2], "case1"), (1, [0, 0], "case2"), (0, [0], "case2"),
         (0, [0, 0], "case2"), (1, [1], "case3")])
-    def test_case_of_each_pattern(self, C0, Cs, case):
-        assert verdict._case_of(make_params(1, [1] * len(Cs), C0, Cs, 1)) \
+    def test_case_of_each_pattern(self, c0sq, Cs, case):
+        assert verdict._case_of(make_params(1, [1] * len(Cs), c0sq, Cs, 1)) \
             == case
 
-    @pytest.mark.parametrize("C0, Cs, message", [
+    @pytest.mark.parametrize("c0sq, Cs, message", [
         (0, [1, 0], "C0 = 0 with some C_j zero and others nonzero"),
         (1, [1, 0], "C0 != 0 with a nonzero C_j among N_f = 2"),
         (1, [1, 1], "C0 != 0 with a nonzero C_j among N_f = 2")])
-    def test_case_of_names_the_rejected_pattern(self, C0, Cs, message):
+    def test_case_of_names_the_rejected_pattern(self, c0sq, Cs, message):
         with pytest.raises(verdict.OutOfScopeError, match=message):
-            verdict._case_of(make_params(1, [1] * len(Cs), C0, Cs, 1))
+            verdict._case_of(make_params(1, [1] * len(Cs), c0sq, Cs, 1))
 
     def test_deterministic(self):
         p = make_params(1, [1], 1, [0], 1)
@@ -635,7 +635,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_case3_details_parse_as_floats(self, capsys):
-        p = make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000))
+        p = make_params(1, [1], Q(1, 100), [1], Q(1, 1000))
         v = verdict.classify(p, action_I=3.0)
         assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1", "1",
                          "--c0sq", "1/100", "--c1sq", "1",
@@ -713,7 +713,7 @@ class TestOnePathPerCase:
         (make_params(1, [1], 1, [0], 0), {"h": 0},
          ["analyze", "case2", "--omega0", "1", "--gbf", "0", "--omegaj", "1",
           "--c0sq", "1", "--h", "0"]),
-        (make_params_c0sq(1, [1], Q(1, 100), [1], Q(1, 1000)),
+        (make_params(1, [1], Q(1, 100), [1], Q(1, 1000)),
          {"action_I": 3.0}, CASE3_ARGV)],
         ids=["case1", "case2_c0_zero", "case2_g0", "case3"])
     def test_classify_equals_cli_report(self, p, kwargs, argv, capsys):
