@@ -40,7 +40,7 @@ def main():
     order = max(V.chain_order(n, ch) for ch in V.SCAN_CHOICES)
     try:
         ctx = V.ve1_context(p, e, order)
-    except V.FirstOrderLogError as exc:
+    except ValueError as exc:     # a VE1 logarithm or a double exponent
         print(exc)
         return
     for ch in V.SCAN_CHOICES:

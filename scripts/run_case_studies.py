@@ -8,6 +8,7 @@ import json
 from fractions import Fraction as Q
 
 from bfmix import verdict
+from bfmix.heun import reduce_case1
 from bfmix.model import make_params
 
 
@@ -19,9 +20,9 @@ def show(title, v):
 
 def main():
     show("case1: omega0=1, omega=2, g=1, sum C_j=3",
-         verdict.analyze_case1(1, 2, 1, 3))
+         verdict.analyze_case1(reduce_case1(1, 2, 1, 3)))
     show("case1 boundary: g=0",
-         verdict.analyze_case1(1, 2, 0, 3))
+         verdict.analyze_case1(reduce_case1(1, 2, 0, 3)))
 
     for label, (wj, g) in {
         "case2 index 1 (g=1, w_j=w0)": (Q(1), Q(1)),

@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import __version__, elliptic, lame, melnikov, model, variational
+from . import __version__, elliptic, heun, lame, melnikov, model, variational
 from . import verdict as verdict_mod
 from .series import InsufficientOrderError
 
@@ -201,8 +201,8 @@ def _write_csv(rows, csv_path: Optional[str]):
 def _run_analyze(args) -> dict:
     t0 = time.perf_counter()
     if args.case == "case1":
-        v = verdict_mod.analyze_case1(args.omega0, args.omega, args.gbf,
-                                      args.csum)
+        v = verdict_mod.analyze_case1(heun.reduce_case1(
+            args.omega0, args.omega, args.gbf, args.csum))
     elif args.case == "case2":
         p = model.make_params(args.omega0, args.omegaj, args.c0sq,
                               [Q(0)] * len(args.omegaj), args.gbf)

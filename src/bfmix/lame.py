@@ -11,7 +11,9 @@ its index n:
   in ``alpha`` has weight k in B_j, g2 (weight 2) and g3 (weight 3), and
   only g2 and g3 carry h, linearly; so the log coefficient is a polynomial of
   degree at most floor(m/2) in h, and floor(m/2) + 1 energies decide whether
-  it vanishes for every h.  A nonzero value is an exact witness;
+  it vanishes for every h.  A nonzero value is an exact witness.  At
+  n = -1/2 (g_bf = -1/8) the two exponents coincide, and the check raises:
+  the double exponent is not decided;
 * fractional Baldassarri indices: on this model the four branch residuals of
   ``alpha_dot^2 = P(alpha, h)`` reduce to 4 n(n+1), 64 w0^2, -32 w0 n(n+1)
   and -(1728 C0^2 + 1024 w0^3), none zero for w0 > 0: the block always fails
@@ -31,20 +33,19 @@ Q = Fraction
 
 
 def lame_index(g_bf) -> Optional[Fraction]:
-    """Nonnegative rational n with n(n+1) = 2 g_bf, or None.
+    """Rational n >= -1/2 with n(n+1) = 2 g_bf, or None.
 
-    Only indices with rational 1 + 8 g_bf square root qualify; those are the
-    ones the classification families speak about.
+    n and -1 - n give the same n(n+1); the root (sqrt(1 + 8 g_bf) - 1)/2 is
+    the one of the pair that is at least -1/2, so an attractive coupling
+    -1/8 <= g_bf < 0 has an index in [-1/2, 0).  Only indices with rational
+    1 + 8 g_bf square root qualify; those are the ones the classification
+    families speak about.
     """
-    g = Q(g_bf)
-    disc = 1 + 8 * g
+    disc = 1 + 8 * Q(g_bf)
     if disc < 0:
         return None
     root = rational_sqrt(disc)
-    if root is None:
-        return None
-    n = (root - 1) / 2
-    return n if n >= 0 else None
+    return None if root is None else (root - 1) / 2
 
 
 def lame_offset(omega0, omega_j, n) -> Fraction:
@@ -96,6 +97,10 @@ def theorem5_check(p, j: int, h) -> Theorem5Verdict:
     n = lame_index(p.g_bf)
     if n is None:
         raise ValueError(f"2 g_bf = {2 * Q(p.g_bf)} is not n(n+1) for rational n")
+    if n == Q(-1, 2):
+        raise ValueError("n = -1/2 (g_bf = -1/8): the exponents -n and n + 1 "
+                         "at the pole coincide in the double exponent 1/2; "
+                         "not decided")
     v = Theorem5Verdict(passed_case="none")
 
     # condition 1: integer index

@@ -194,6 +194,9 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
         raise IrregularSingularityError(
             f"pole of order {-q.base_exponent} > 2 at t = 0")
     rho1, rho2 = _indicial_roots(q.coefficient(Q(-2)))
+    if rho1 == rho2:
+        raise ValueError(f"double indicial exponent {rho1}: the second "
+                         "solution carries a logarithm")
     sol1, resonance_rhs = _frobenius_one(q, rho2, rho1)
     if resonance_rhs:
         raise FirstOrderLogError(resonance_rhs, rho1)

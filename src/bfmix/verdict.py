@@ -98,20 +98,19 @@ def classify(p: ModelParams, h=0, action_I=None) -> IntegrabilityVerdict:
             params=params_snapshot(p),
             details={"reason": "g_bf = 0 decouples the system"})
     if case == "case1":
-        red = heun.reduce_from_params(p)
-        return analyze_case1(p.omega0, red.omega, p.g_bf, red.c_sum)
+        return analyze_case1(heun.reduce_from_params(p))
     if action_I is None:
         raise ValueError("case 3 needs the frozen action (action_I)")
     return analyze_case3(p.omega0, p.omegas[0], p.C0_sq, p.Cs[0] ** 2,
                          action_I)
 
 
-def analyze_case1(omega0, omega, g_bf, c_sum) -> IntegrabilityVerdict:
-    """Case-1 verdict from the common frequency omega (w_j = omega^2/2).
+def analyze_case1(red: heun.HeunReduction) -> IntegrabilityVerdict:
+    """Case-1 verdict from the Heun reduction at the common frequency omega
+    (w_j = omega^2/2).
 
     B = g c_sum / (4 omega^3) is nonzero exactly when g is: omega > 0, and
     reduce_case1 rejects c_sum = 0."""
-    red = heun.reduce_case1(omega0, omega, g_bf, c_sum)
     snapshot = {"omega0": str(red.omega0), "omega": str(red.omega),
                 "g_bf": str(red.g_bf), "c_sum": str(red.c_sum)}
     if red.g_bf == 0:

@@ -16,6 +16,7 @@ error text and tables must match exactly.
 import importlib.util
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,28 @@ def test_splitting_sweep_matches_golden_file(name):
         assert g_t0 == w_t0 and len(g_d) == len(w_d)
         for gd, wd in zip(g_d, w_d):
             _assert_float_close(gd, wd, f"d at t0 = {w_t0}")
+
+
+def _params_blocks(node):
+    if isinstance(node, dict):
+        if isinstance(node.get("params"), dict):
+            yield node["params"]
+        for value in node.values():
+            yield from _params_blocks(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _params_blocks(value)
+
+
+def test_golden_c0_squares_to_c0_sq():
+    """Where a golden report names "C0", its square is the "C0_sq" beside
+    it."""
+    blocks = [params for path in sorted(golden.OUT.glob("*.json"))
+              for params in _params_blocks(json.loads(path.read_text()))
+              if "C0" in params]
+    assert len(blocks) > 20
+    for params in blocks:
+        assert Fraction(params["C0"]) ** 2 == Fraction(params["C0_sq"])
 
 
 def test_no_orphan_golden_file():

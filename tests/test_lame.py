@@ -19,6 +19,8 @@ class TestIndex:
         (Q(35, 8), Q(5, 2)),
         (Q(0), Q(0)),
         (Q(1, 3), None),
+        (Q(-1, 9), Q(-1, 3)),
+        (Q(-1, 8), Q(-1, 2)),
         (Q(-1), None),
     ])
     def test_values(self, g, expected):

@@ -79,6 +79,11 @@ class TestHamiltonian:
         got = model.hamiltonian(p, PhaseState(q0, p0, qs, ps))
         assert abs(got - want) <= 1e-14 * abs(want)
 
+    def test_negative_c0sq_is_rejected(self):
+        with pytest.raises(model.InvalidParameterError,
+                           match="C0\\^2 must be nonnegative"):
+            make_params(1, [1], -1, [0], 1)
+
     def test_centrifugal_pole_guard(self):
         p = make_params(1, [1], 1, [0], 0)
         with pytest.raises(ZeroDivisionError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bfmix import cli, elliptic, lame, variational, verdict
+from bfmix import cli, elliptic, heun, lame, variational, verdict
 from bfmix.model import make_params
 from bfmix.series import InsufficientOrderError, PuiseuxSeries
 
@@ -45,7 +45,7 @@ def _record_contexts(monkeypatch):
 
 class TestClassify:
     def test_case1_nonintegrable(self):
-        v = verdict.analyze_case1(1, 2, 1, 3)
+        v = verdict.analyze_case1(heun.reduce_case1(1, 2, 1, 3))
         assert v.case_id == "case1"
         assert v.outcome == "NonIntegrable"
         assert v.witness.kind == "heun_B"
@@ -58,7 +58,7 @@ class TestClassify:
         assert v.witness.kind == "heun_B"
 
     def test_case1_tiny_exact_coupling(self):
-        v = verdict.analyze_case1(1, 2, Q(1, 10 ** 9), 3)
+        v = verdict.analyze_case1(heun.reduce_case1(1, 2, Q(1, 10 ** 9), 3))
         assert v.outcome == "NonIntegrable"
 
     def test_separable_boundary(self):
@@ -291,6 +291,12 @@ class TestClassify:
     def test_deterministic(self):
         p = make_params(1, [1], 1, [0], 1)
         assert verdict.classify(p) == verdict.classify(p)
+
+    def test_snapshot_names_c0_only_where_c0sq_has_a_root(self):
+        params = verdict.classify(make_params(1, [1], 2, [0], 1)).params
+        assert params["C0_sq"] == "2" and "C0" not in params
+        params = verdict.classify(make_params(1, [1], Q(9, 4), [0], 1)).params
+        assert (params["C0"], params["C0_sq"]) == ("3/2", "9/4")
 
 
 def run_cli(*args):
@@ -544,6 +550,41 @@ class TestCli:
         assert rc == 2 and not low.out
         assert low.err.startswith("error: order too low to decide: ")
 
+    @pytest.mark.parametrize("c0sq, c0", [("2", None), ("9/4", "3/2")])
+    def test_case2_report_names_c0_only_where_c0sq_has_a_root(
+            self, c0sq, c0, capsys):
+        assert cli.main(["analyze", "case2", "--gbf", "1", "--omega0", "1",
+                         "--omegaj", "1", "--c0sq", c0sq, "--h", "0"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params["C0_sq"] == c0sq
+        assert params.get("C0") == c0
+
+    @pytest.mark.parametrize("gbf, n, failed", [
+        ("-1/9", "-1/3", [["index in a solvable family", "-1/3"]]),
+        ("-3/32", "-1/4",
+         [["case3 branch a: c2 = 0", "-3/4"],
+          ["case3 branch a: b1^2 - 3 a1 c1 = 0", "64"],
+          ["case3 branch b: c2 b1 - 3 a1 d2 = 0", "6"],
+          ["case3 branch b: 2 b1^3 - 9 a1 b1 c1 + 27 a1^2 d1 = 0",
+           "-2752"]])])
+    def test_attractive_coupling_has_its_lame_index(self, gbf, n, failed,
+                                                    capsys):
+        assert cli.main(["analyze", "case2", f"--gbf={gbf}", "--omega0", "1",
+                         "--omegaj", "1", "--c0sq", "1", "--h", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["details"]["lame_index"] == n
+        witness = report["verdict"]["witness"]
+        assert witness["kind"] == "theorem5_failure"
+        assert witness["data"]["failed_conditions"] == failed
+
+    def test_double_exponent_index_is_not_decided(self, capsys):
+        assert cli.main(["analyze", "case2", "--gbf=-1/8", "--omega0", "1",
+                         "--omegaj", "1", "--c0sq", "1", "--h", "0"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: n = -1/2 (g_bf = -1/8): ")
+        assert "double exponent" in captured.err
+
     def test_case2_index_21_exits_0_with_exact_residue(self, capsys):
         # order 83, past the old fixed list of orders, which ended at 80
         assert cli.main(["analyze", "case2", "--gbf", "231", "--omega0", "1",
@@ -668,13 +709,14 @@ class TestCli:
         ["analyze", "case1", "--omega0", "0", "--omega", "2", "--gbf", "0",
          "--csum", "3"],
         ["verify", "--which", "prop1", "--omegaj", "1e300"],
-        ["verify", "--which", "separatrix", "--omega0", "1e200"]],
+        ["verify", "--which", "separatrix", "--omega0", "1e200"],
+        ["series", "--what", "mu2", "--gbf=-1/8", "--omegaj", "1"]],
         ids=["mu2-irrational-exponent", "mu3-irrational-exponent",
              "case3-omega0-overflow", "case3-c0sq-overflow",
              "sweep-omega0-overflow", "case2-no-mode", "verify-no-mode",
              "verify-hj-short", "verify-hj-long", "case1-omega0-negative",
              "case1-omega0-zero", "verify-prop1-omegaj-overflow",
-             "verify-separatrix-omega0-overflow"])
+             "verify-separatrix-omega0-overflow", "mu2-double-exponent"])
     def test_domain_error_is_usage_error(self, argv, capsys):
         # an exception escaping main is what prints a traceback
         try:
@@ -720,6 +762,18 @@ class TestOnePathPerCase:
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert verdict.classify(p, **kwargs) == cli.verdict_from_report(report)
+
+    def test_case1_builds_one_reduction(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, _fn=heun.reduce_case1):
+            calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(heun, "reduce_case1", counted)
+        verdict.classify(make_params(1, [2], 0, [3], 1))
+        assert cli.main(["analyze", "case1", "--omega0", "1", "--omega", "2",
+                         "--gbf", "1", "--csum", "3"]) == 0
+        assert len(calls) == 2
 
     def test_cli_case3_makes_one_analysis_call(self, monkeypatch, capsys):
         calls = []
