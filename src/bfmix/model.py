@@ -23,8 +23,6 @@ import numpy as np
 from . import elliptic
 from .odeint import integrate
 
-Q = Fraction
-
 
 class InvalidParameterError(ValueError):
     pass

@@ -33,7 +33,8 @@ class RawParams:
 
 
 def normalize(raw: RawParams) -> ModelParams:
-    """Scale away m_B, m_F, g_BB; needs g_BB > 0 and rational square scalings."""
+    """Scale away m_B, m_F, g_BB; needs g_BB > 0 and a rational square
+    scaling for the signed C_j."""
     if raw.g_BB <= 0:
         raise InvalidParameterError("g_BB must be positive")
     alpha_sq = raw.m_F

@@ -19,9 +19,9 @@ class TestIndex:
         (Q(35, 8), Q(5, 2)),
         (Q(0), Q(0)),
         (Q(1, 3), None),
+        (Q(-1), None),
         (Q(-1, 9), Q(-1, 3)),
         (Q(-1, 8), Q(-1, 2)),
-        (Q(-1), None),
     ])
     def test_values(self, g, expected):
         assert lame.lame_index(g) == expected
@@ -287,9 +287,10 @@ def test_resonance_coefficient_degree_bound(point, h0, dh):
 
 
 #: Baldassarri-type indices: n + 1/2 in the lattice 1/3, 1/4 or 1/5, not an
-#: integer
+#: integer; the negative ones are attractive couplings, with n(n+1) < 0
 FRACTIONAL_INDICES = (Q(1, 6), Q(5, 6), Q(7, 6), Q(13, 6), Q(1, 4), Q(3, 4),
-                      Q(5, 4), Q(1, 10), Q(3, 10), Q(7, 10))
+                      Q(5, 4), Q(1, 10), Q(3, 10), Q(7, 10), Q(-1, 6),
+                      Q(-1, 4), Q(-1, 10), Q(-3, 10))
 
 
 @given(st.sampled_from(FRACTIONAL_INDICES),
