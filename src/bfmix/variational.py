@@ -182,7 +182,7 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
 
     ``q`` must be truncated: the bases are exact below the order its
     truncation certifies.  A resonance with a nonzero right-hand side raises
-    FirstOrderLogError.
+    FirstOrderLogError, and a double exponent raises ValueError.
 
     The Wronskian sol1*sol2' - sol1'*sol2 is one by construction: the
     equation has no xi' term, so it is constant (Abel), and its leading term
