@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from . import model
 
 Q = Fraction
@@ -62,13 +60,14 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
     """The frozen-action problem at one point.  I^2 is compared with
     2 w1 C1^2 exactly, as Fractions of the arguments (a float counts as its
     binary value): below raises InvalidActionError, equal gives amplitude 0."""
-    w1q, c1q, action = Q(omega1), Q(C1_sq), Q(action_I)
-    if min(omega0, w1q, C0_sq, c1q) <= 0:
+    w0q, w1q, c0q, c1q, action = map(Q, (omega0, omega1, C0_sq, C1_sq,
+                                         action_I))
+    if min(w0q, w1q, c0q, c1q) <= 0:
         raise ValueError("frequencies and both centrifugal constants must be "
                          "positive in this case")
     amp_sq = action ** 2 / (4 * w1q ** 2) - c1q / (2 * w1q)
     try:
-        w0, w1, c0sq, c1sq, I = map(float, (omega0, w1q, C0_sq, c1q, action))
+        w0, w1, c0sq, c1sq, I = map(float, (w0q, w1q, c0q, c1q, action))
         amplitude = math.sqrt(max(amp_sq, 0))
     except OverflowError as exc:
         raise ValueError(f"parameter out of float range: {exc}") from None
@@ -79,7 +78,7 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
     if amp_sq and not amplitude:
         raise ValueError(f"amplitude^2 = {float(amp_sq)!r} underflows a float")
     try:
-        a, h_star = model.separatrix_scale(w0, c0sq)
+        a, h_star = model.separatrix_scale(w0q, c0q)
     except OverflowError as exc:
         raise ValueError(f"separatrix out of float range: {exc}") from None
     radius = min(0.5, 0.5 * math.pi / math.sqrt(3 * a))
@@ -101,12 +100,12 @@ def poisson_bracket_H0H1(s: MelnikovSetup, t: complex, t0: float) -> complex:
 
 def _contour_integral(s: MelnikovSetup, t0: float, radius: float,
                       points: int) -> complex:
-    thetas = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
+    step = 2 * math.pi / points
     total = 0j
-    for th in thetas:
-        t = radius * cmath.exp(1j * th)
+    for k in range(points):
+        t = radius * cmath.exp(1j * (k * step))
         total += poisson_bracket_H0H1(s, t, t0) * 1j * t
-    return total * (2 * math.pi / points)
+    return total * step
 
 
 def melnikov_numeric(s: MelnikovSetup, t0: float,

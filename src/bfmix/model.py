@@ -16,9 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Sequence, Tuple
 
 from . import elliptic
 from .odeint import integrate
@@ -106,7 +104,6 @@ def _energy(p: ModelParams):
              for wj, cj in zip(ws, cj_sq)]
 
     def energy(y) -> complex:
-        y = y.tolist()
         q0, p0 = y[0], y[1]
         if half_c0sq is not None and q0 == 0:
             raise ZeroDivisionError("q0 = 0 with C0 != 0")
@@ -177,15 +174,14 @@ def hamiltonian(p: ModelParams, s: PhaseState) -> complex:
 
 def eom(p: ModelParams, s: PhaseState) -> PhaseState:
     """Canonical vector field; derivatives are returned in the state slots."""
-    return vector_to_state(
-        _vector_field(p)(s.t, state_to_vector(s).tolist()), s.t)
+    return vector_to_state(_vector_field(p)(s.t, state_to_vector(s)), s.t)
 
 
-def state_to_vector(s: PhaseState) -> np.ndarray:
-    return np.array([s.q0, s.p0, *s.qs, *s.ps], dtype=complex)
+def state_to_vector(s: PhaseState) -> List[complex]:
+    return [complex(v) for v in (s.q0, s.p0, *s.qs, *s.ps)]
 
 
-def vector_to_state(v: np.ndarray, t: complex = 0.0) -> PhaseState:
+def vector_to_state(v: Sequence[complex], t: complex = 0.0) -> PhaseState:
     n_f = (len(v) - 2) // 2
     return PhaseState(complex(v[0]), complex(v[1]),
                       tuple(v[2:2 + n_f]), tuple(v[2 + n_f:]), t)
@@ -248,30 +244,77 @@ def solution_case2(p: ModelParams, e: "elliptic.EllipticData", t: complex) -> Ph
 def separatrix_energy(omega0, C0_sq) -> float:
     """Largest real root h* of the discriminant cubic
 
-    h^3 - w0^2 h^2 - 9 C0^2 w0 h + 8 C0^2 w0^3 + (27/4) C0^4 = 0.
+    f(h) = h^3 - w0^2 h^2 - 9 C0^2 w0 h + 8 C0^2 w0^3 + (27/4) C0^4,
+
+    whose discriminant is C0^2 (8 w0^3 - 27 C0^2)^3 / 16.  The sign of
+    8 w0^3 - 27 C0^2, taken over the rationals, picks the form of the root:
+    where it is positive the cubic has three real roots and the cosine form
+    gives the largest, where it is negative Cardano's form gives the one
+    real root, and where it is zero the largest is the double root
+    4 w0^2/3, returned as it is.  The other two are polished by one Newton
+    step in real arithmetic.
+
+    f is homogeneous when w0, C0^2 and h weigh 1, 3 and 2, so its root at
+    (w0, C0^2) is l^2 times the root at (w0/l, C0^2/l^3).  The root is
+    formed at l = w0 on the three-root side and at l = C0^(2/3) on the
+    other, where the scaled coefficients are of order 1, and polished on f
+    itself.  Where f leaves the float range, OverflowError is raised.
     """
-    w0 = float(omega0)
-    c0sq = float(C0_sq)
-    coeffs = [1.0, -w0 ** 2, -9 * c0sq * w0, 8 * c0sq * w0 ** 3 + 6.75 * c0sq ** 2]
-    roots = np.roots(coeffs)
-    scale = max(1.0, max(abs(r) for r in roots))
-    real_roots = [r.real for r in roots if abs(r.imag) < 1e-10 * scale]
-    if not real_roots:
-        raise NoSeparatrixError("discriminant cubic has no real root")
-    h_star = max(real_roots)
+    w0q, c0q = _fr(omega0), _fr(C0_sq)
+    curve = 8 * w0q ** 3 - 27 * c0q
+    if curve == 0:
+        return float(4 * w0q ** 2 / 3)
+    if curve > 0:
+        w, c, l_sq = 1.0, float(c0q / w0q ** 3), float(w0q ** 2)
+    else:
+        w, c = float(w0q ** 3 / c0q) ** (1 / 3), 1.0
+        l_sq = float(c0q) ** (2 / 3)
+    # h = l^2 (x + w^2/3) reduces the scaled cubic to x^3 + p x + q
+    p = -9 * c * w - w ** 4 / 3
+    q = 5 * c * w ** 3 + 6.75 * c ** 2 - 2 * w ** 6 / 27
+    if curve > 0:
+        m = 2 * math.sqrt(-p / 3)
+        cos3 = max(-1.0, min(1.0, 3 * q / (p * m)))
+        x = m * math.cos(math.acos(cos3) / 3)
+    else:
+        # the cube root of the larger argument, u, then v = -p / (3 u)
+        root = math.sqrt(max(q * q / 4 + p ** 3 / 27, 0.0))
+        arg = -q / 2 - math.copysign(root, q)
+        u = math.copysign(abs(arg) ** (1 / 3), arg)
+        x = u - p / (3 * u)
+    h_star = l_sq * (x + w ** 2 / 3)
     # one Newton polish in real arithmetic
-    f = lambda x: ((x - w0 ** 2) * x - 9 * c0sq * w0) * x + coeffs[3]
+    w0, c0sq = float(w0q), float(c0q)
+    const = 8 * c0sq * w0 ** 3 + 6.75 * c0sq ** 2
+    f = lambda x: ((x - w0 ** 2) * x - 9 * c0sq * w0) * x + const
     df = lambda x: (3 * x - 2 * w0 ** 2) * x - 9 * c0sq * w0
     if df(h_star) != 0:
         h_star -= f(h_star) / df(h_star)
+    if not math.isfinite(h_star):
+        raise OverflowError(f"h* = {h_star}: the discriminant cubic leaves "
+                            "the float range")
     return h_star
 
 
 def separatrix_scale(omega0, C0_sq) -> Tuple[float, float]:
     """(a, h*) of the separatrix, a = sqrt(4 w0^2 - 3 h*)/3; raises
-    NoSeparatrixError when 4 w0^2 - 3 h* <= 0."""
-    w0 = float(omega0)
-    h_star = separatrix_energy(w0, C0_sq)
+    NoSeparatrixError when 4 w0^2 - 3 h* <= 0.
+
+    With f the cubic of ``separatrix_energy``, f(4 w0^2/3) =
+    (27/4) (C0^2 - 8 w0^3/27)^2 >= 0, and f'(4 w0^2/3) =
+    (w0/3) (8 w0^3 - 27 C0^2) is positive wherever f has three real roots.
+    So 4 w0^2/3 lies above h* except on the curve 27 C0^2 = 8 w0^3, where
+    it is the double root h*, and the test is decided over the rationals.
+    The float test stays for points so close to the curve that the rounded
+    h* meets 4 w0^2/3."""
+    w0q, c0q = _fr(omega0), _fr(C0_sq)
+    if 27 * c0q == 8 * w0q ** 3:
+        raise NoSeparatrixError(
+            f"no separatrix on 27 C0^2 = 8 w0^3: h* = 4 w0^2/3 = "
+            f"{4 * w0q ** 2 / 3} is a double root of the discriminant cubic, "
+            "so a = 0")
+    w0 = float(w0q)
+    h_star = separatrix_energy(w0q, c0q)
     disc = 4 * w0 ** 2 - 3 * h_star
     if disc <= 0:
         raise NoSeparatrixError(f"4 w0^2 - 3 h* = {disc} <= 0")
@@ -293,9 +336,8 @@ def separatrix_case3(omega0, C0_sq, t: complex):
 
     Returns (q0, p0, a, h_star).
     """
-    w0 = float(omega0)
-    a, h_star = separatrix_scale(w0, C0_sq)
-    return (*separatrix_state(w0, a, t), a, h_star)
+    a, h_star = separatrix_scale(omega0, C0_sq)
+    return (*separatrix_state(float(omega0), a, t), a, h_star)
 
 
 def separatrix_state(w0: float, a: float, t: complex

@@ -3,9 +3,8 @@
 Time runs along a straight segment in the complex plane.  The state is a
 flat vector of complex numbers: ``integrate`` takes it as any 1-D sequence
 and returns it, and each state of the trajectory it always records, as a
-1-D complex numpy array.  The right-hand side ``f(t, y)`` receives ``y`` as
-a ``list`` of Python ``complex`` and may return any sequence of the same
-length.
+``list`` of Python ``complex``.  The right-hand side ``f(t, y)`` receives
+``y`` in the same form and may return any sequence of the same length.
 
 The states this package integrates have four to a few dozen components.
 At that size a ``zip`` comprehension over the components costs more than
@@ -41,8 +40,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
-
-import numpy as np
 
 
 class SingularityEncounteredError(Exception):
@@ -154,11 +151,11 @@ class Trajectory:
     """Accepted integration nodes (complex times and states)."""
 
     times: List[complex] = field(default_factory=list)
-    states: List[np.ndarray] = field(default_factory=list)
+    states: List[List[complex]] = field(default_factory=list)
 
-    def append(self, t: complex, y: Sequence[complex]):
+    def append(self, t: complex, y: List[complex]):
         self.times.append(t)
-        self.states.append(np.array(y, dtype=complex))
+        self.states.append(list(y))
 
 
 #: stages of a step; the last one is at the new point t + h
@@ -236,25 +233,26 @@ def _stages(n: int):
 def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
               t0: complex, y0, t1: complex,
               rtol: float = 1e-10, atol: float = 1e-12
-              ) -> Tuple[np.ndarray, Trajectory]:
+              ) -> Tuple[List[complex], Trajectory]:
     """Integrate dy/dt = f(t, y) from t0 to t1 along the straight segment.
     Returns y(t1) and the trajectory of accepted nodes, t0 to exactly t1.
 
     A right-hand side should overflow to inf or nan, not raise: a stage
     beyond the float range then rejects the step instead of ending the
     integration."""
-    y0 = np.array(y0, dtype=complex)
-    if y0.ndim != 1:
-        raise ValueError(f"the state must be one-dimensional, not {y0.shape}")
+    try:
+        y = [complex(v) for v in y0]
+    except TypeError:
+        raise ValueError("the state must be a one-dimensional sequence of "
+                         "numbers") from None
     traj = Trajectory()
-    traj.append(t0, y0)
+    traj.append(t0, y)
     total = t1 - t0
     length = abs(total)
     if length == 0:
-        return y0, traj
-    if not np.all(np.isfinite(y0)):
+        return y, traj
+    if not all(map(cmath.isfinite, y)):
         raise SingularityEncounteredError(t0, _OVERFLOW)
-    y = y0.tolist()
     n = len(y)
     stages = _stages(n)
     direction = total / length
@@ -263,7 +261,7 @@ def integrate(f: Callable[[complex, List[complex]], Sequence[complex]],
     k1 = f(t0, y)
     for _ in range(MAX_STEPS):
         if s >= length:
-            return np.array(y, dtype=complex), traj
+            return y, traj
         # the controller's step, before it is cut to the segment end
         if hs <= 1e-14 * length:
             raise SingularityEncounteredError(t0 + s * direction)

@@ -244,7 +244,7 @@ def analyze_case3(omega0, omega1, c0sq, c1sq, action) -> IntegrabilityVerdict:
     # the fitted_* fields keep their names; the sine form is exact, so the
     # fit residual is 0, or inf (relative to |A|) when A is exactly 0
     details = {
-        "h_star": repr(float(s.h_star)), "a": repr(s.a),
+        "h_star": repr(s.h_star), "a": repr(s.a),
         "fitted_amplitude_im": repr(A.imag),
         "fitted_amplitude_re": repr(A.real),
         "fit_residual": repr(0.0 if A else math.inf),

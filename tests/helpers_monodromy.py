@@ -116,8 +116,8 @@ def monodromy_rows(p, qbar, tb, nbs, xi0, xij):
     corners = [r, r + 1j * r, -r + 1j * r, -r - 1j * r, r - 1j * r, r]
     y = start
     for t0, t1 in zip(corners, corners[1:]):
-        y = integrate(f, t0, y.ravel(), t1, rtol=RTOL,
-                      atol=RTOL * eps ** 3)[0].reshape(y.shape)
+        y = np.array(integrate(f, t0, y.ravel(), t1, rtol=RTOL,
+                               atol=RTOL * eps ** 3)[0]).reshape(y.shape)
     for j, nb in enumerate(nbs):
         if nb.exponents[1].denominator == 2:      # sol1, sol2 ~ t^(1/2) Z
             y[:, [2 + j, 2 + n_f + j]] *= -1

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -290,6 +291,43 @@ class TestSeparatrix:
                + 8 * c0sq * w0 ** 3 + 6.75 * c0sq ** 2)
         assert abs(val) < 1e-12
 
+    def test_largest_real_root_against_numpy(self):
+        rng = random.Random(27)
+        for _ in range(400):
+            w0 = Q(rng.randint(1, 400), rng.randint(1, 100))
+            c0sq = (Q(rng.randint(1, 400), rng.randint(1, 400))
+                    * Q(10) ** rng.randint(-4, 2))
+            if 27 * c0sq == 8 * w0 ** 3:
+                continue
+            w, c = float(w0), float(c0sq)
+            roots = np.roots([1.0, -w * w, -9 * c * w,
+                              8 * c * w ** 3 + 6.75 * c * c])
+            if 27 * c0sq < 8 * w0 ** 3:     # three real roots
+                want = max(roots.real)
+            else:                           # one real root
+                want = roots[np.argmin(abs(roots.imag))].real
+            assert model.separatrix_energy(w0, c0sq) == pytest.approx(
+                want, rel=1e-10), (w0, c0sq)
+
+    @pytest.mark.parametrize("w0", [Q(1), Q(3), Q(1, 3), Q(7, 5), Q(10, 7)])
+    def test_exact_roots_at_zero_c0_and_on_the_curve(self, w0):
+        # at C0^2 = 0 the cubic is h^2 (h - w0^2), and w0^2 its float
+        # coefficient; on 27 C0^2 = 8 w0^3 its largest root is the double
+        # root 4 w0^2/3
+        assert model.separatrix_energy(w0, 0) == float(w0) ** 2
+        assert (model.separatrix_energy(w0, Q(8, 27) * w0 ** 3)
+                == float(Q(4, 3) * w0 ** 2))
+
+    @pytest.mark.parametrize("w0, c0sq", [
+        (Q(1), Q(1, 100)), (Q(2), Q(3, 10)), (Q(1, 2), Q(1, 20)), (Q(1), Q(1))])
+    def test_root_scales_across_the_float_range(self, w0, c0sq):
+        # the cubic is homogeneous when w0, C0^2 and h weigh 1, 3 and 2
+        h = model.separatrix_energy(w0, c0sq)
+        for e in (-100, -30, 30, 100):
+            scale = Q(2) ** e
+            assert model.separatrix_energy(scale * w0, scale ** 3 * c0sq) \
+                == pytest.approx(h * 2.0 ** (2 * e), rel=1e-14)
+
 
 class TestIntegrator:
     def test_energy_drift(self):
@@ -338,7 +376,7 @@ class TestIntegrator:
             c = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(7)]
             s = PhaseState(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6])
-            got = np.asarray(f(s.t, model.state_to_vector(s).tolist()),
+            got = np.asarray(f(s.t, model.state_to_vector(s)),
                              dtype=complex)
             want = model.state_to_vector(model.eom(p, s))
             assert np.array_equal(got, want)

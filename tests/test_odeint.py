@@ -54,8 +54,8 @@ class TestShapes:
             return (lams * y * (1 + 0.1 * y)).ravel().tolist()
 
         y0 = np.array([[1.0, 0.5j], [-0.3, 0.2 + 0.1j], [0.7j, 1.0]])
-        y = integrate(f, 0.0, y0.ravel(), 1.0 + 0.5j, rtol=1e-12,
-                      atol=1e-14)[0].reshape(y0.shape)
+        y = np.array(integrate(f, 0.0, y0.ravel(), 1.0 + 0.5j, rtol=1e-12,
+                               atol=1e-14)[0]).reshape(y0.shape)
         assert y.shape == y0.shape
         for i in range(len(y0)):
             def row(t, v, lam=lams[i]):
@@ -84,13 +84,21 @@ class TestShapes:
         assert y0[0] == 1.0 + 2j
         assert traj.times == [0.5j]
 
+    def test_states_are_lists_of_complex(self):
+        y, traj = integrate(lambda t, y: [-v for v in y], 0.0, [1, 2.0],
+                            1.0)
+        for state in (y, *traj.states):
+            assert type(state) is list
+            assert [type(v) for v in state] == [complex, complex]
+        assert traj.states[0] == [1, 2]
+
     def test_empty_state(self):
         # no components: the error estimate is zero, so every step is
         # accepted and grows fivefold from length/100
         calls = []
         y, traj = integrate(lambda t, y: calls.append(t) or [], 0.0, [],
                             1.0 + 1j)
-        assert y.shape == (0,)
+        assert y == []
         assert traj.times[-1] == 1.0 + 1j and len(traj.times) == 5
         assert len(calls) == 1 + 12 * 4
 
@@ -157,6 +165,10 @@ class TestFailures:
     def test_two_dimensional_state_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             integrate(lambda t, y: y, 0.0, np.ones((2, 2)), 1.0)
+
+    def test_nested_list_state_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            integrate(lambda t, y: y, 0.0, [[1.0, 2.0], [3.0, 4.0]], 1.0)
 
 
 class TestStepCount:

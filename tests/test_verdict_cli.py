@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bfmix import cli, elliptic, heun, lame, variational, verdict
@@ -640,13 +641,69 @@ class TestCli:
              "samples-zero"])
     def test_sweep_range_is_checked(self, extra, capsys, monkeypatch):
         def no_grid(*args, **kwargs):
-            raise AssertionError("the range reached np.linspace")
-        monkeypatch.setattr(cli.np, "linspace", no_grid)
+            raise AssertionError("the range reached melnikov.setup")
+        monkeypatch.setattr(cli.melnikov, "setup", no_grid)
         assert cli.main(["sweep", "--omega0", "1", "--omega1", "1",
                          "--c0sq", "1/100", "--c1sq", "1", "--action", "3.0",
                          *extra]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+
+    @pytest.mark.parametrize("a, b, n", [
+        (0.0, 3.2, 65), (-1.0, 2.0, 17), (0.1, 0.7, 3), (0.3, 0.3, 4),
+        (2.5, 2.5, 1), (-0.0, 1.0, 1), (-0.0, -0.0, 2), (5.0, -3.0, 7)])
+    def test_sweep_grid_is_linspace(self, a, b, n):
+        assert ([repr(t) for t in cli._linspace(a, b, n)]
+                == [repr(float(t)) for t in np.linspace(a, b, n)])
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "case3", "--omega1", "1", "--c1sq", "1", "--action", "3"],
+        ["verify", "--which", "separatrix"],
+        ["sweep", "--omega1", "1", "--c1sq", "1", "--action", "3"]],
+        ids=["analyze", "verify", "sweep"])
+    @pytest.mark.parametrize("omega0, c0sq, h_star", [
+        ("3", "8", "12"), ("1/3", "8/729", "4/27")])
+    def test_double_root_has_no_separatrix(self, argv, omega0, c0sq, h_star,
+                                           capsys):
+        # on 27 C0^2 = 8 w0^3 the largest root of the discriminant cubic is
+        # the double root 4 w0^2/3, where a = 0; the floats of 1/3 and 8/729
+        # miss the curve
+        assert cli.main([*argv, "--omega0", omega0, "--c0sq", c0sq]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: no separatrix on 27 C0^2 = 8 w0^3: h* = 4 w0^2/3 = "
+            f"{h_star} is a double root of the discriminant cubic, so a = 0\n")
+        assert not captured.out
+
+    def test_only_verify_imports_numpy(self):
+        argvs = [
+            ["analyze", "case1", "--omega0", "1", "--omega", "2", "--gbf", "1",
+             "--csum", "3"],
+            ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj",
+             "1", "--c0sq", "1", "--h", "0"],
+            ["analyze", "case3", "--omega0", "1", "--omega1", "1", "--c0sq",
+             "1/100", "--c1sq", "1", "--action", "3"],
+            ["series", "--what", "mu3"],
+            ["sweep", "--omega0", "1", "--omega1", "1", "--c0sq", "1/100",
+             "--c1sq", "1", "--action", "3", "--t0-samples", "5"],
+            ["verify", "--which", "separatrix"]]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from bfmix import cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            f"for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        # after the import and each command but the last, verify
+        assert json.loads(proc.stdout) == [False] * len(argvs) + [True]
 
     def test_case3_oval_threshold_exits_0(self, capsys):
         assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
@@ -731,7 +788,7 @@ class TestCli:
                                             monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("verify started sampling")
-        monkeypatch.setattr(cli.np.random, "default_rng", no_sampling)
+        monkeypatch.setattr("numpy.random.default_rng", no_sampling)
         assert cli.main(["verify", "--which", "prop1",
                          "--samples", samples]) == 2
         captured = capsys.readouterr()
