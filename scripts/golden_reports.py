@@ -22,10 +22,10 @@ Each file is the output of one command line of ``bfmix``:
 ``tests/test_golden.py`` runs the same command lines and requires the output
 to match these files byte for byte, so a change to the series kernel or the
 variational pipeline that moves any digit shows.  The case-3 report holds
-floats: h* is a root from ``np.roots`` and depends on the platform's numpy,
-so the test compares the fields derived from it to 1e-12; the amplitudes,
-zeros and slopes are closed forms in floats, compared to 1e-15, and the rest
-of the report exactly.  The ``verify`` residuals and the ``sweep`` values
+floats: h* is a cubic's root formed with libm's ``acos``, ``cos`` and
+powers, which vary by platform, so the test compares the fields derived
+from it to 1e-12; the amplitudes, zeros and slopes are closed forms in
+floats, compared to 1e-15, and the rest of the report exactly.  The ``verify`` residuals and the ``sweep`` values
 are float sums and contour quadratures, some of them on h*, so the test
 compares them to ``FLOAT_REL_TOL`` relative plus ``FLOAT_ABS_TOL`` absolute,
 and the rest of each file (sample points, verdicts, tolerances, exit codes,
@@ -146,14 +146,14 @@ SPLITTING_SWEEPS = {
 
 #: tolerance on the floats of VERIFY_RUNS and SPLITTING_SWEEPS: residuals
 #: near 1e-14 and sweep values up to about 1e2, whose last bits move with the
-#: platform's libm and np.roots
+#: platform's libm
 FLOAT_REL_TOL = 1e-9
 FLOAT_ABS_TOL = 1e-11
 
 #: files whose content comes from exact arithmetic only
 EXACT_FILES = [name for name in (*REPORTS, *CSVS, *SWEEPS)
                if not name.startswith("case3")]
-#: reports that carry floats (h* from np.roots, closed forms), not exact values
+#: reports that carry floats (h*, closed forms), not exact values
 QUADRATURE_FILES = [name for name in REPORTS if name.startswith("case3")]
 
 

@@ -246,19 +246,14 @@ def separatrix_energy(omega0, C0_sq) -> float:
 
     f(h) = h^3 - w0^2 h^2 - 9 C0^2 w0 h + 8 C0^2 w0^3 + (27/4) C0^4,
 
-    whose discriminant is C0^2 (8 w0^3 - 27 C0^2)^3 / 16.  The sign of
-    8 w0^3 - 27 C0^2, taken over the rationals, picks the form of the root:
-    where it is positive the cubic has three real roots and the cosine form
-    gives the largest, where it is negative Cardano's form gives the one
-    real root, and where it is zero the largest is the double root
-    4 w0^2/3, returned as it is.  The other two are polished by one Newton
-    step in real arithmetic.
-
-    f is homogeneous when w0, C0^2 and h weigh 1, 3 and 2, so its root at
-    (w0, C0^2) is l^2 times the root at (w0/l, C0^2/l^3).  The root is
-    formed at l = w0 on the three-root side and at l = C0^(2/3) on the
-    other, where the scaled coefficients are of order 1, and polished on f
-    itself.  Where f leaves the float range, OverflowError is raised.
+    whose discriminant is C0^2 (8 w0^3 - 27 C0^2)^3 / 16.  The rational sign
+    of 8 w0^3 - 27 C0^2 picks the form: the cosine form of the largest of
+    three real roots where it is positive, Cardano's form of the one real
+    root where it is negative, and the double root 4 w0^2/3 where it is
+    zero.  f is homogeneous when w0, C0^2 and h weigh 1, 3 and 2, so the
+    first two are formed on f scaled to w0 = 1 or C0^2 = 1, and polished by
+    one Newton step on f itself; OverflowError is raised where f leaves the
+    float range.
     """
     w0q, c0q = _fr(omega0), _fr(C0_sq)
     curve = 8 * w0q ** 3 - 27 * c0q
@@ -298,15 +293,12 @@ def separatrix_energy(omega0, C0_sq) -> float:
 
 def separatrix_scale(omega0, C0_sq) -> Tuple[float, float]:
     """(a, h*) of the separatrix, a = sqrt(4 w0^2 - 3 h*)/3; raises
-    NoSeparatrixError when 4 w0^2 - 3 h* <= 0.
-
-    With f the cubic of ``separatrix_energy``, f(4 w0^2/3) =
-    (27/4) (C0^2 - 8 w0^3/27)^2 >= 0, and f'(4 w0^2/3) =
-    (w0/3) (8 w0^3 - 27 C0^2) is positive wherever f has three real roots.
-    So 4 w0^2/3 lies above h* except on the curve 27 C0^2 = 8 w0^3, where
-    it is the double root h*, and the test is decided over the rationals.
-    The float test stays for points so close to the curve that the rounded
-    h* meets 4 w0^2/3."""
+    NoSeparatrixError when 4 w0^2 - 3 h* <= 0.  That holds only on the curve
+    27 C0^2 = 8 w0^3, decided over the rationals: for the cubic f of
+    ``separatrix_energy``, f(4 w0^2/3) = (27/4) (C0^2 - 8 w0^3/27)^2 >= 0
+    and f'(4 w0^2/3) = (w0/3) (8 w0^3 - 27 C0^2) is positive wherever f has
+    three real roots, so elsewhere 4 w0^2/3 lies above h*.  The float test
+    stays for points so close to the curve that the rounded h* meets it."""
     w0q, c0q = _fr(omega0), _fr(C0_sq)
     if 27 * c0q == 8 * w0q ** 3:
         raise NoSeparatrixError(

@@ -3,9 +3,9 @@
 The files are written by ``scripts/golden_reports.py``; regenerate them only
 for a change that is meant to move a report or a series dump.  Exact outputs
 must match byte for byte.  The case-3 report holds floats.  Those derived
-from h* (a root from ``np.roots``, which depends on the platform's numpy) are
-``h_star``, ``a``, ``contour_radius`` and ``quoted_amplitude_im``; they must
-agree to 1e-12 relative.  Every other number is a few float operations on
+from h* (a cubic's root formed with libm's ``acos``, ``cos`` and powers,
+which vary by platform) are ``h_star``, ``a``, ``contour_radius`` and
+``quoted_amplitude_im``; they must agree to 1e-12 relative.  Every other number is a few float operations on
 exact inputs and must agree to 1e-15 relative, so a zero must stay exactly
 zero; every other string, the verdict and the number of zeros must match
 exactly.  The ``verify`` residuals and the ``sweep`` values must agree to

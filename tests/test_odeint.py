@@ -165,8 +165,6 @@ class TestFailures:
     def test_two_dimensional_state_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             integrate(lambda t, y: y, 0.0, np.ones((2, 2)), 1.0)
-
-    def test_nested_list_state_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             integrate(lambda t, y: y, 0.0, [[1.0, 2.0], [3.0, 4.0]], 1.0)
 

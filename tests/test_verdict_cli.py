@@ -300,13 +300,18 @@ class TestClassify:
         assert (params["C0"], params["C0_sq"]) == ("3/2", "9/4")
 
 
-def run_cli(*args):
+def run_python(*args):
+    """``python *args`` in a fresh interpreter that imports bfmix from
+    ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "bfmix.cli", *args],
-                          capture_output=True, text=True, env=env)
-    return proc
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "bfmix.cli", *args)
 
 
 class TestCli:
@@ -691,16 +696,12 @@ class TestCli:
             "import contextlib, io, json, sys\n"
             "from bfmix import cli\n"
             "loaded = ['numpy' in sys.modules]\n"
-            f"for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
+            "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "    loaded.append('numpy' in sys.modules)\n"
             "print(json.dumps(loaded))\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
+        proc = run_python("-c", script, json.dumps(argvs))
         assert proc.returncode == 0, proc.stderr
         # after the import and each command but the last, verify
         assert json.loads(proc.stdout) == [False] * len(argvs) + [True]
