@@ -187,6 +187,18 @@ def vector_to_state(v: Sequence[complex], t: complex = 0.0) -> PhaseState:
                       tuple(v[2:2 + n_f]), tuple(v[2 + n_f:]), t)
 
 
+def _case1_mode(p: ModelParams, h_j: Sequence, j: int
+                ) -> Tuple[float, complex, complex]:
+    """(h_j/(2 w_j), amplitude, mu) of mode j of ``solution_case1``, where
+    q_j^2 = h_j/(2 w_j) + amplitude sinh(mu (t - t0)) and mu = 2i sqrt(2 w_j);
+    the amplitude is 0 exactly where its square is."""
+    wj = float(p.omegas[j])
+    cj = float(p.Cs[j])
+    hj = float(_fr(h_j[j]))
+    amp = cmath.sqrt(cj * cj / (2 * wj) - hj * hj / (4 * wj * wj))
+    return hj / (2 * wj), amp, 2j * math.sqrt(2 * wj)
+
+
 def solution_case1(p: ModelParams, h_j: Sequence, t0: complex, t: complex) -> PhaseState:
     """Invariant-plane solution for C0 = 0: q0 = p0 = 0 and
 
@@ -201,16 +213,11 @@ def solution_case1(p: ModelParams, h_j: Sequence, t0: complex, t: complex) -> Ph
             f"{len(h_j)} energies h_j for {p.n_f} transverse modes")
     qs, ps = [], []
     for j in range(p.n_f):
-        wj = float(p.omegas[j])
-        cj = float(p.Cs[j])
-        hj = float(_fr(h_j[j]))
-        amp_sq = cj * cj / (2 * wj) - hj * hj / (4 * wj * wj)
-        if amp_sq == 0:
+        centre, amp, mu = _case1_mode(p, h_j, j)
+        if amp == 0:
             warnings.warn(f"degenerate oscillation amplitude for j={j + 1}",
                           DegenerateAmplitudeWarning)
-        amp = cmath.sqrt(amp_sq)
-        mu = 2j * math.sqrt(2 * wj)
-        qj_sq = hj / (2 * wj) + amp * cmath.sinh(mu * (t - t0))
+        qj_sq = centre + amp * cmath.sinh(mu * (t - t0))
         if qj_sq == 0:
             raise InvalidParameterError(
                 f"q_{j + 1} vanishes at t = {t}; centrifugal term undefined")
@@ -396,11 +403,7 @@ def case1_residual(p: ModelParams, h_j: Sequence, t0: complex,
     rhs = eom(p, s)
     residuals = []
     for j in range(p.n_f):
-        wj = float(p.omegas[j])
-        cj = float(p.Cs[j])
-        hj = float(_fr(h_j[j]))
-        amp = cmath.sqrt(cj * cj / (2 * wj) - hj * hj / (4 * wj * wj))
-        mu = 2j * math.sqrt(2 * wj)
+        _, amp, mu = _case1_mode(p, h_j, j)
         w_dot = amp * mu * cmath.cosh(mu * (t - t0))
         w_ddot = amp * mu * mu * cmath.sinh(mu * (t - t0))
         qj_ddot = _root_second_derivative(s.qs[j], w_dot ** 2, w_ddot)
