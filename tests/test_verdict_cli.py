@@ -680,7 +680,7 @@ class TestCli:
             f"{h_star} is a double root of the discriminant cubic, so a = 0\n")
         assert not captured.out
 
-    def test_only_verify_imports_numpy(self):
+    def test_no_command_imports_numpy(self):
         argvs = [
             ["analyze", "case1", "--omega0", "1", "--omega", "2", "--gbf", "1",
              "--csum", "3"],
@@ -691,6 +691,8 @@ class TestCli:
             ["series", "--what", "mu3"],
             ["sweep", "--omega0", "1", "--omega1", "1", "--c0sq", "1/100",
              "--c1sq", "1", "--action", "3", "--t0-samples", "5"],
+            ["verify", "--which", "prop1"],
+            ["verify", "--which", "prop2"],
             ["verify", "--which", "separatrix"]]
         script = (
             "import contextlib, io, json, sys\n"
@@ -703,8 +705,30 @@ class TestCli:
             "print(json.dumps(loaded))\n")
         proc = run_python("-c", script, json.dumps(argvs))
         assert proc.returncode == 0, proc.stderr
-        # after the import and each command but the last, verify
-        assert json.loads(proc.stdout) == [False] * len(argvs) + [True]
+        # after the import and after each command
+        assert json.loads(proc.stdout) == [False] * (len(argvs) + 1)
+
+    def test_commands_run_without_numpy(self):
+        # an environment that lacks numpy: importing it raises ImportError
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from bfmix import cli\n"
+            "reports = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    reports.append(json.loads(out.getvalue()))\n"
+            "print(json.dumps(reports))\n")
+        argvs = [["analyze", "case2", "--gbf", "1", "--omega0", "1",
+                  "--omegaj", "1", "--c0sq", "1", "--h", "0"],
+                 ["verify", "--which", "prop1"]]
+        proc = run_python("-c", script, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        case2, prop1 = json.loads(proc.stdout)
+        assert case2["verdict"]["outcome"] == "NonIntegrable"
+        assert prop1["pass"] is True
 
     def test_case3_oval_threshold_exits_0(self, capsys):
         assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
@@ -789,7 +813,7 @@ class TestCli:
                                             monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("verify started sampling")
-        monkeypatch.setattr("numpy.random.default_rng", no_sampling)
+        monkeypatch.setattr("random.Random", no_sampling)
         assert cli.main(["verify", "--which", "prop1",
                          "--samples", samples]) == 2
         captured = capsys.readouterr()
