@@ -10,7 +10,8 @@ The splitting function is the loop integral of the Poisson bracket
 and one residue it is exactly d(t0) = A sin(theta t0) with
 A = 16 pi i w1 * amplitude, zero exactly when I^2 = 2 w1 C1^2 (decided over
 the rationals); its simple zeros k pi / theta are the non-integrability
-witness.  melnikov_numeric, a trapezoid quadrature, is the independent check.
+witness.  melnikov_numeric, a trapezoid quadrature on one circle, tabulates
+d(t0) for ``bfmix sweep`` beside the quoted closed form.
 """
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ from . import model
 
 Q = Fraction
 
-CONTOUR_POINTS = 512    # trapezoid nodes on |t| = r, twice as many on r/2
-RADIUS_TOL = 1e-6       # agreement melnikov_numeric requires of the radii
+CONTOUR_POINTS = 512    # trapezoid nodes on |t| = contour_radius
 MAX_ZEROS = 10 ** 4     # find_simple_zeros refuses a range holding more
 
 
@@ -33,16 +33,10 @@ class InvalidActionError(ValueError):
     """Action below the oval threshold: the oscillation amplitude is not real."""
 
 
-class ContourUnreliableError(Exception):
-    """Quadratures at two radii disagree beyond tolerance."""
-
-
 @dataclass(frozen=True)
 class MelnikovSetup:
     omega0: float
     omega1: float
-    C0_sq: float
-    C1_sq: float
     action_I: float
     amplitude: float    # of q1^2; 0.0 exactly when I^2 = 2 w1 C1^2
     h_star: float
@@ -67,7 +61,7 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
                          "positive in this case")
     amp_sq = action ** 2 / (4 * w1q ** 2) - c1q / (2 * w1q)
     try:
-        w0, w1, c0sq, c1sq, I = map(float, (w0q, w1q, c0q, c1q, action))
+        w0, w1, _, c1sq, I = map(float, (w0q, w1q, c0q, c1q, action))
         amplitude = math.sqrt(max(amp_sq, 0))
     except OverflowError as exc:
         raise ValueError(f"parameter out of float range: {exc}") from None
@@ -82,10 +76,9 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
     except OverflowError as exc:
         raise ValueError(f"separatrix out of float range: {exc}") from None
     radius = min(0.5, 0.5 * math.pi / math.sqrt(3 * a))
-    return MelnikovSetup(omega0=w0, omega1=w1, C0_sq=c0sq, C1_sq=c1sq,
-                         action_I=I, amplitude=amplitude,
-                         h_star=h_star, a=a, contour_radius=radius,
-                         contour_points=CONTOUR_POINTS)
+    return MelnikovSetup(omega0=w0, omega1=w1, action_I=I,
+                         amplitude=amplitude, h_star=h_star, a=a,
+                         contour_radius=radius, contour_points=CONTOUR_POINTS)
 
 
 def q1_squared(s: MelnikovSetup, tau: complex) -> complex:
@@ -108,22 +101,10 @@ def _contour_integral(s: MelnikovSetup, t0: float, radius: float,
     return total * step
 
 
-def melnikov_numeric(s: MelnikovSetup, t0: float,
-                     check_radius_independence: bool = True) -> complex:
-    """Loop integral of {H0, H1} around t = 0 (counterclockwise)."""
-    d1 = _contour_integral(s, t0, s.contour_radius, s.contour_points)
-    if check_radius_independence:
-        d2 = _contour_integral(s, t0, s.contour_radius / 2,
-                               2 * s.contour_points)
-        scale = max(abs(d1), abs(d2), _scale(s))
-        if abs(d1 - d2) > RADIUS_TOL * scale:
-            raise ContourUnreliableError(
-                f"contour values differ: {d1} vs {d2}")
-    return d1
-
-
-def _scale(s: MelnikovSetup) -> float:
-    return 16 * math.pi * s.omega1 * max(s.amplitude, 1e-30)
+def melnikov_numeric(s: MelnikovSetup, t0: float) -> complex:
+    """Loop integral of {H0, H1} around t = 0 (counterclockwise), by the
+    trapezoid rule on |t| = s.contour_radius."""
+    return _contour_integral(s, t0, s.contour_radius, s.contour_points)
 
 
 def melnikov_closed_form(s: MelnikovSetup, t0: float) -> complex:
@@ -171,6 +152,6 @@ def find_simple_zeros(s: MelnikovSetup, t0_min: float, t0_max: float
 def sweep_csv_rows(s: MelnikovSetup, t0_values: Sequence[float]):
     """Rows 't0,d_num_re,d_num_im,d_closed_re,d_closed_im'."""
     for t0 in t0_values:
-        dn = melnikov_numeric(s, float(t0), check_radius_independence=False)
+        dn = melnikov_numeric(s, float(t0))
         dc = melnikov_closed_form(s, float(t0))
         yield f"{float(t0)!r},{dn.real!r},{dn.imag!r},{dc.real!r},{dc.imag!r}"

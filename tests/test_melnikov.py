@@ -6,6 +6,7 @@ import pytest
 
 from bfmix import melnikov as M, verdict
 from bfmix.model import separatrix_slope
+from helpers_contour import contour_oracle, splitting_scale
 from helpers_delta import (delta_closed_form, delta_derived,
                            delta_quadrature_check, inverse_p0_squared)
 
@@ -73,13 +74,13 @@ class TestBracket:
         # loop integral collapses to round-off
         s0 = M.setup(1, 1, 0.01, 2, 2.0)
         assert s0.amplitude == 0
-        val = M.melnikov_numeric(s0, 0.77, check_radius_independence=False)
+        val = M.melnikov_numeric(s0, 0.77)
         assert abs(val) < 1e-8
 
 
 class TestNumericIntegral:
     def test_zero_at_origin(self, s):
-        assert abs(M.melnikov_numeric(s, 0.0)) < 1e-10 * M._scale(s)
+        assert abs(contour_oracle(s, 0.0)) < 1e-10 * splitting_scale(s)
 
     def test_radius_independence(self, s):
         d1 = M._contour_integral(s, 0.3, s.contour_radius, s.contour_points)
@@ -90,17 +91,17 @@ class TestNumericIntegral:
     def test_sine_fit(self, s, A):
         # the reported A sin(theta t0) against the contour at both radii
         for t0 in np.linspace(0.0, 2 * math.pi / s.theta, 9):
-            d = M.melnikov_numeric(s, t0)
+            d = contour_oracle(s, t0)
             assert abs(A * math.sin(s.theta * t0) - d) < 1e-8 * abs(A)
 
     def test_fitted_amplitude_purely_imaginary(self, s, A):
-        d = M.melnikov_numeric(s, math.pi / (2 * s.theta))
+        d = contour_oracle(s, math.pi / (2 * s.theta))
         assert abs(d.real) < 1e-8 * abs(A)
         assert A.real == 0
 
     def test_fitted_amplitude_matches_residue_calculus(self, s, A):
         # the residue calculus gives A; the contour measures d at the maximum
-        d = M.melnikov_numeric(s, math.pi / (2 * s.theta))
+        d = contour_oracle(s, math.pi / (2 * s.theta))
         assert abs(A - d) < 1e-8 * abs(A)
 
     def test_quoted_prefactor_differs(self, s, A):
@@ -115,10 +116,9 @@ class TestNumericIntegral:
     def test_antiperiodicity(self, s):
         half = math.pi / (2 * math.sqrt(2 * s.omega1))
         for t0 in (0.2, 0.45):
-            d1 = M.melnikov_numeric(s, t0, check_radius_independence=False)
-            d2 = M.melnikov_numeric(s, t0 + half,
-                                    check_radius_independence=False)
-            assert abs(d1 + d2) < 1e-8 * M._scale(s)
+            d1 = M.melnikov_numeric(s, t0)
+            d2 = M.melnikov_numeric(s, t0 + half)
+            assert abs(d1 + d2) < 1e-8 * splitting_scale(s)
 
 
 class TestClosedForm:
@@ -154,8 +154,8 @@ class TestZeros:
                                     0.05 + 1.05 * math.pi / math.sqrt(2))
         h = 1e-4
         for z, dmag in zeros:
-            slope = (M.melnikov_numeric(s, z + h)
-                     - M.melnikov_numeric(s, z - h)) / (2 * h)
+            slope = (contour_oracle(s, z + h)
+                     - contour_oracle(s, z - h)) / (2 * h)
             assert dmag == pytest.approx(abs(slope), rel=1e-6)
 
     def test_numeric_and_closed_zeros_coincide(self, s):

@@ -1,8 +1,8 @@
 """The case-3 verdict's closed sine form against the per-t0 contour oracle.
 
 The verdict takes d(t0) = A sin(theta t0) with A from the residue calculus;
-``melnikov.melnikov_numeric`` integrates the bracket at each t0 separately,
-checked at two radii, and stays the independent check.
+``helpers_contour.contour_oracle`` integrates the bracket at each t0
+separately, checked at two radii, and stays the independent check.
 """
 import math
 from fractions import Fraction as Q
@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfmix import melnikov as M, model, verdict
+from helpers_contour import contour_oracle
 
 # the ranges of the case-3 benchmark points: w0, w1 in {1..4}/{1, 2},
 # C0^2 in {1..5}/100, C1^2 in {1..3}/{1, 2, 4}, and the action a factor
@@ -44,7 +45,7 @@ def test_sine_form_matches_contour_oracle(point):
     theta = 2 * math.sqrt(2 * float(omega1))
     for frac in (0.05, 0.2, 0.35, 0.6, 0.9):
         t0 = frac * 2 * math.pi / theta
-        oracle = M.melnikov_numeric(s, t0)
+        oracle = contour_oracle(s, t0)
         assert abs(A * math.sin(theta * t0) - oracle) <= 1e-9 * abs(A)
     t0_max = 0.01 + 1.05 * 2 * math.pi / theta
     zeros = v.witness.data["zeros"]
@@ -54,7 +55,7 @@ def test_sine_form_matches_contour_oracle(point):
     for (z, slope), zk in zip(zeros, want):
         assert abs(z - zk) <= 1e-12 * zk
         assert slope == pytest.approx(theta * abs(A), rel=1e-12)
-        assert abs(M.melnikov_numeric(s, z)) <= 1e-9 * abs(A)
+        assert abs(contour_oracle(s, z)) <= 1e-9 * abs(A)
 
 
 def test_degenerate_splitting_certifies_nothing():
@@ -62,8 +63,7 @@ def test_degenerate_splitting_certifies_nothing():
     assert s0.amplitude == 0
     assert v.outcome == "NecessaryConditionsSurvived"
     assert v.details["fit_residual"] == "inf"
-    assert abs(M.melnikov_numeric(s0, 0.77,
-                                  check_radius_independence=False)) < 1e-8
+    assert abs(M.melnikov_numeric(s0, 0.77)) < 1e-8
 
 
 def test_oval_threshold_decided_exactly():
