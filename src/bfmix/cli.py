@@ -167,16 +167,6 @@ def _verdict_report(v: verdict_mod.IntegrabilityVerdict, command: str,
     }
 
 
-def verdict_from_report(report: dict) -> verdict_mod.IntegrabilityVerdict:
-    """Rebuild the verdict record from a parsed JSON report."""
-    v = report["verdict"]
-    return verdict_mod.IntegrabilityVerdict(
-        case_id=v["case_id"], outcome=v["outcome"],
-        witness=verdict_mod.Witness(v["witness"]["kind"],
-                                    v["witness"]["data"]),
-        params=report["params"], details=report["details"])
-
-
 def _emit(report: dict, json_path: Optional[str]):
     text = json.dumps(report, sort_keys=True, indent=2)
     if json_path:
