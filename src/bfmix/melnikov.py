@@ -61,6 +61,7 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
                          "positive in this case")
     amp_sq = action ** 2 / (4 * w1q ** 2) - c1q / (2 * w1q)
     try:
+        # C0^2 is converted only to refuse one beyond the float range here
         w0, w1, _, c1sq, I = map(float, (w0q, w1q, c0q, c1q, action))
         amplitude = math.sqrt(max(amp_sq, 0))
     except OverflowError as exc:
