@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,15 +45,6 @@ class HeunReduction:
     c_sum: Fraction
     g_bf: Fraction
     omega0: Fraction
-
-    @cached_property
-    def _r_floats(self):
-        """(A + 1/4, B) as floats, converted once."""
-        return float(self.A) + 0.25, float(self.B)
-
-    def r_of_x(self, x: complex) -> complex:
-        a_quarter, b = self._r_floats
-        return -b / x - a_quarter / x ** 2 + b / x ** 3
 
 
 def reduce_case1(omega0, omega, g_bf, c_sum) -> HeunReduction:
@@ -125,7 +115,7 @@ def transform_consistency(red: HeunReduction, t_grid: Sequence[float],
     w = float(red.omega)
     two_iw = 2j * w
     a1, half_b1 = float(red.A1), float(red.B1) / 2
-    a_quarter, b = red._r_floats
+    a_quarter, b = float(red.A) + 0.25, float(red.B)
     m4w_sq = -4 * w * w
     k1, k0, k_1 = m4w_sq * -b, m4w_sq * -a_quarter, m4w_sq * b
 

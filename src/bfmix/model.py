@@ -328,20 +328,13 @@ def separatrix_slope(a: float, t: complex) -> complex:
     return -6 * a * root3a * cmath.cosh(root3a * t) / sh ** 3
 
 
-def separatrix_case3(omega0, C0_sq, t: complex):
-    """Separatrix of the one-degree q0 subsystem:
-
-    q0^2 = (2/3) w0 + a + 3a / sinh^2(sqrt(3a) t),  a = sqrt(4 w0^2 - 3 h*)/3.
-
-    Returns (q0, p0, a, h_star).
-    """
-    a, h_star = separatrix_scale(omega0, C0_sq)
-    return (*separatrix_state(float(omega0), a, t), a, h_star)
-
-
 def separatrix_state(w0: float, a: float, t: complex
                      ) -> Tuple[complex, complex]:
-    """(q0, p0) of ``separatrix_case3`` at time t, given its scale a."""
+    """(q0, p0) at time t of the separatrix of the one-degree q0 subsystem,
+
+    q0^2 = (2/3) w0 + a + 3a / sinh^2(sqrt(3a) t),
+
+    given its scale a = sqrt(4 w0^2 - 3 h*)/3 from ``separatrix_scale``."""
     sh = cmath.sinh(math.sqrt(3 * a) * t)
     if sh == 0:
         raise NoSeparatrixError("separatrix pole at t = 0")

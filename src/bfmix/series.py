@@ -162,30 +162,23 @@ class PuiseuxSeries:
     __slots__ = ("_L", "_base", "_step", "_coeffs", "_den", "_trunc")
 
     def __init__(self, terms: Dict[Exponent, Fraction], trunc=INF):
+        """sum c * t**e over ``terms``, cut below t**trunc: each term is
+        placed on the lattice of step 1/L, and ``_set`` makes the canonical
+        form."""
         if trunc != INF:
             trunc = _as_exponent(trunc)
-        clean: Dict[Exponent, Fraction] = {}
-        for e, c in terms.items():
-            e = _as_exponent(e)
-            c = Fraction(c)
-            if c != 0 and (trunc == INF or e < trunc):
-                clean[e] = clean.get(e, 0) + c
-        values = {e: c for e, c in clean.items() if c != 0}
-        L = math.lcm(*(e.denominator for e in values),
+        exps = [_as_exponent(e) for e in terms]
+        cs = [Fraction(c) for c in terms.values()]
+        L = math.lcm(*(e.denominator for e in exps),
                      1 if trunc == INF else trunc.denominator)
         t = INF if trunc == INF else trunc.numerator * (L // trunc.denominator)
-        base, step, den = 0, L, 1
-        coeffs: list = []
-        if values:
-            xs = {e.numerator * (L // e.denominator): c
-                  for e, c in values.items()}
-            base = min(xs)
-            step = math.gcd(*(x - base for x in xs)) or L
-            den = math.lcm(*(c.denominator for c in values.values()))
-            coeffs = [0] * ((max(xs) - base) // step + 1)
-            for x, c in xs.items():
-                coeffs[(x - base) // step] = c.numerator * (den // c.denominator)
-        self._set(L, base, step, coeffs, den, t)
+        xs = [e.numerator * (L // e.denominator) for e in exps]
+        base = min(xs, default=0)
+        den = math.lcm(*(c.denominator for c in cs))
+        coeffs = [0] * (max(xs, default=base - 1) - base + 1)
+        for x, c in zip(xs, cs):
+            coeffs[x - base] = c.numerator * (den // c.denominator)
+        self._set(L, base, 1, coeffs, den, t)
 
     @classmethod
     def from_dense(cls, L: int, base: int, step: int, coeffs: List[int],
@@ -254,10 +247,6 @@ class PuiseuxSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc=INF) -> "PuiseuxSeries":
-        return cls({}, trunc)
-
-    @classmethod
     def constant(cls, c) -> "PuiseuxSeries":
         c = _rational(c)
         return cls.from_dense(1, 0, 1, [c.numerator], c.denominator, INF)
@@ -269,20 +258,9 @@ class PuiseuxSeries:
         return _exponent(self._trunc, self._L)
 
     @property
-    def is_zero(self) -> bool:
-        """True when no term is known; the series may hide beyond trunc."""
-        return not self._coeffs
-
-    @property
     def base_exponent(self):
         """Leading exponent (valuation); trunc when the series shows no term."""
         return _exponent(self._base if self._coeffs else self._trunc, self._L)
-
-    @property
-    def ramification(self) -> int:
-        """Smallest d with all stored exponents and the truncation in
-        (1/d)*ZZ."""
-        return self._L
 
     def terms(self) -> Iterator[Tuple[Exponent, Fraction]]:
         """(exponent, coefficient) of the nonzero terms, ascending."""

@@ -21,7 +21,7 @@ def eps_mul(a: List[PuiseuxSeries], b: List[PuiseuxSeries]) -> List[PuiseuxSerie
             if i < len(a) and (k - i) < len(b):
                 prod = a[i] * b[k - i]
                 term = prod if term is None else term + prod
-        out.append(term if term is not None else PuiseuxSeries.zero())
+        out.append(term if term is not None else PuiseuxSeries({}))
     return out
 
 
@@ -56,7 +56,7 @@ def forcing_oracle(qbar: PuiseuxSeries, omega0, omegas, C0_sq, g,
     order-2 coefficient is forcing plus the linear term, which is subtracted.
     """
     omega0, C0_sq, g = Q(omega0), Q(C0_sq), Q(g)
-    zero = PuiseuxSeries.zero(trunc=qbar.truncation_order)
+    zero = PuiseuxSeries({}, qbar.truncation_order)
     Q0 = [qbar, xi0_1, xi0_2, zero]
     Qjs = [[zero, x1, x2, zero] for x1, x2 in zip(xij_1, xij_2)]
 

@@ -178,7 +178,7 @@ def test_criterion_02_index_two_mu2_expansion():
     y = -nb.sol1.differentiate()
     resid = (y.differentiate().differentiate() - ve1.normal[0] * y
              - kj[0])
-    solves = resid.is_zero and resid.truncation_order > 0
+    solves = not resid and resid.truncation_order > 0
     ok = ok and time_shift and solves
 
     second, _ = oracle(pt, tb.sol1, [nb.sol1])
@@ -434,7 +434,7 @@ def test_criterion_10_forcing_oracle_and_ring_axioms():
         b = [random_series(rng, lo=-2, hi=3, trunc=6)]
         a2 = random_series(rng, lo=-2, hi=3, trunc=6)
         b2 = [random_series(rng, lo=-2, hi=3, trunc=6)]
-        if a.is_zero or b[0].is_zero:
+        if not a or not b[0]:
             continue
         orbit = V.OrbitFactors.of(qbar, g, c0sq)
         k0_2, kj_2 = V.forcing_k2(orbit, a, b)

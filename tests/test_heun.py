@@ -39,15 +39,6 @@ class TestReduction:
                                     random_rational(rng, nonzero=True))
             assert (red.B == 0) == (g == 0)
 
-    def test_r_of_x_pole_antisymmetry(self):
-        red = heun.reduce_case1(1, 2, 1, 3)
-        # coefficients at 1/x and 1/x^3 are opposite
-        b = float(red.B)
-        x = 0.37 + 0.21j
-        val = red.r_of_x(x)
-        rebuilt = -b / x - (float(red.A) + 0.25) / x ** 2 + b / x ** 3
-        assert val == rebuilt
-
     def test_zero_csum_rejected(self):
         with pytest.raises(heun.AssumptionViolatedError):
             heun.reduce_case1(1, 2, 1, 0)
@@ -125,13 +116,16 @@ class TestTransformConsistency:
         heun.transform_consistency(red, np.linspace(0.1, 1.0, 10))
         f, = fields
         w, a1, b1 = float(red.omega), float(red.A1), float(red.B1)
+        # r(x) = -B/x - (A + 1/4)/x^2 + B/x^3, from A and B alone
+        a_quarter, b_r = float(red.A) + 0.25, float(red.B)
         for t in np.linspace(0.1, 1.0, 20):
             v = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(4)]
             xi, dxi, y, dy = v
             x = cmath.exp(2j * w * t)
+            r = -b_r / x - a_quarter / x ** 2 + b_r / x ** 3
             want = [dxi, -(a1 + b1 * cmath.sinh(2j * w * t)) * xi,
-                    dy, 2j * w * dy + (2j * w * x) ** 2 * red.r_of_x(x) * y]
+                    dy, 2j * w * dy + (2j * w * x) ** 2 * r * y]
             got = f(t, v)
             for a, b in zip(got, want):
                 assert abs(a - b) <= 1e-14 * abs(b)

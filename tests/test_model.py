@@ -262,12 +262,13 @@ class TestMaxResidual:
 
 class TestSeparatrix:
     def test_zero_c0_factorization(self):
-        q0, p0, a, h_star = model.separatrix_case3(1, 0, 0.7)
+        a, h_star = model.separatrix_scale(1, 0)
         assert h_star == pytest.approx(1.0, abs=1e-12)
         assert a == pytest.approx(1 / 3, abs=1e-12)
 
     def test_asymptotic_plateau(self):
-        q0, p0, a, h_star = model.separatrix_case3(1, Q(1, 100), 14.0)
+        a, _ = model.separatrix_scale(1, Q(1, 100))
+        q0, _ = model.separatrix_state(1.0, a, 14.0)
         assert abs(q0 ** 2 - (2 / 3 + a)) < 1e-9
 
     def test_eom_residual(self):
@@ -278,10 +279,11 @@ class TestSeparatrix:
 
     def test_momentum_is_coordinate_derivative(self):
         h = 1e-6
+        a, _ = model.separatrix_scale(1, Q(1, 100))
         for tval in (0.7, 0.45 + 0.2j):
-            qm = model.separatrix_case3(1, Q(1, 100), tval - h)[0]
-            qp = model.separatrix_case3(1, Q(1, 100), tval + h)[0]
-            p0 = model.separatrix_case3(1, Q(1, 100), tval)[1]
+            qm = model.separatrix_state(1.0, a, tval - h)[0]
+            qp = model.separatrix_state(1.0, a, tval + h)[0]
+            p0 = model.separatrix_state(1.0, a, tval)[1]
             assert abs((qp - qm) / (2 * h) - p0) < 1e-7
 
     def test_cubic_root_certificate(self):

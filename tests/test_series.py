@@ -22,7 +22,7 @@ def S(d, trunc=INF):
 class TestAdd:
     def test_additive_inverse(self):
         a = S({-2: 1})
-        assert (a + a.scale(-1)).is_zero
+        assert not a + a.scale(-1)
 
     def test_plain_sum(self):
         got = S({-1: 1, 1: 1}) + S({-1: 2})
@@ -30,7 +30,7 @@ class TestAdd:
 
     def test_lattice_merge(self):
         got = S({Q(-1, 2): 1}) + S({Q(3, 2): 1})
-        assert got.ramification == 2
+        assert got.dense()[0] == 2
         assert got.coefficient(Q(-1, 2)) == 1
         assert got.coefficient(Q(3, 2)) == 1
 
@@ -87,7 +87,7 @@ class TestInvert:
 
     def test_zero_series_raises(self):
         with pytest.raises(ZeroDivisionSeriesError):
-            PuiseuxSeries.zero(trunc=4).invert()
+            PuiseuxSeries({}, 4).invert()
 
 
 class TestSqrt:
@@ -121,7 +121,7 @@ class TestCalculus:
     def test_differentiate(self):
         assert S({3: Q(1, 5)}).differentiate() == S({2: Q(3, 5)})
         assert S({-2: 1}).differentiate() == S({-3: -2})
-        assert one.differentiate().is_zero
+        assert not one.differentiate()
 
     def test_residue_read_off(self):
         bj, g2 = Q(2), Q(16, 3)
@@ -138,7 +138,7 @@ class TestCalculus:
     def test_antiderivative_log(self):
         primitive, log_coefficient = t.invert().antiderivative()
         assert log_coefficient == 1
-        assert primitive.is_zero
+        assert not primitive
 
     def test_antiderivative_power(self):
         assert S({2: 3}).antiderivative()[0] == S({3: 1})
@@ -192,7 +192,7 @@ class TestRingAxioms:
 def test_mul_invert_roundtrip(coeffs, base):
     terms = {Q(base + i): c for i, c in enumerate(coeffs)}
     a = PuiseuxSeries(terms, Q(base + 8))
-    if a.is_zero:
+    if not a:
         return
     prod = a * a.invert()
     assert prod.coefficient(0) == 1
@@ -448,7 +448,7 @@ def test_equal_series_have_equal_fields_and_hashes(ref, extra, pad, scale,
     for other in (y, z):
         assert other.dense() == x.dense()
         assert other == x and hash(other) == hash(x)
-    assert x.ramification == ref_ramification(ref)
+    assert x.dense()[0] == ref_ramification(ref)
     assert x.truncation_order == trunc
     assert x.base_exponent == min(terms, default=trunc)
     assert dict(x.terms()) == terms
@@ -471,7 +471,7 @@ def test_sum_of_products_on_mixed_lattices_matches_reference(a, b, c, d):
 class TestMixedLattices:
     def test_integer_exponents_with_third_truncation(self):
         x = S({0: 1, 1: 2}, Q(7, 3))
-        assert x.ramification == 3
+        assert x.dense()[0] == 3
         assert x.truncation_order == Q(7, 3)
         assert x.dense() == (3, 0, 3, [1, 2], 1, 7)
         assert x == PuiseuxSeries.from_dense(6, 0, 2, [2, 0, 0, 4, 0], 2, 14)
@@ -481,14 +481,14 @@ class TestMixedLattices:
 
     def test_half_and_third_steps_sum_on_sixths(self):
         x = S({Q(1, 2): 1, Q(3, 2): 1}) + S({Q(1, 3): 1, Q(4, 3): 1})
-        assert x.ramification == 6
+        assert x.dense()[0] == 6
         assert dict(x.terms()) == {Q(1, 3): 1, Q(1, 2): 1, Q(4, 3): 1,
                                    Q(3, 2): 1}
         assert x == S({Q(1, 3): 1, Q(1, 2): 1, Q(4, 3): 1, Q(3, 2): 1})
 
     def test_sqrt_doubles_the_lattice(self):
         r = S({-1: 1, 0: 1}, 3).sqrt()
-        assert r.ramification == 2
+        assert r.dense()[0] == 2
         assert r.base_exponent == Q(-1, 2)
         # relative order 4, as for the argument, above the valuation -1/2
         assert r.truncation_order == Q(7, 2)
