@@ -4,7 +4,8 @@ Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
 (a ``series --order`` too low for the dump among them, a ``series --what
 mu2|mu3`` point whose first order already carries a logarithm, a ``verify
 --tol`` that is not positive and finite, a ``verify`` point whose closed
-form leaves the float range, and a ``--json`` or ``--csv`` path that cannot
+form leaves the float range or meets a pole of wp, a ``sweep`` contour sum
+that leaves the float range, and a ``--json`` or ``--csv`` path that cannot
 be written), 3 internal verification failure: a ``verify`` residual above
 its tolerance or not a number, or a ``series --what mu3`` dump whose second
 order already carries a logarithm.
@@ -80,6 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the JSON report here")
     csv_out = argparse.ArgumentParser(add_help=False)
     csv_out.add_argument("--csv", metavar="PATH", help="write CSV output here")
+    case3_point = argparse.ArgumentParser(add_help=False)
+    for flag in ("--omega0", "--omega1", "--c0sq", "--c1sq", "--action"):
+        case3_point.add_argument(flag, type=parse_rational, required=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
     an = sub.add_parser("analyze", help="classify a parameter set")
@@ -102,13 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     c2.add_argument("--c0sq", type=parse_rational, required=True)
     c2.add_argument("--h", type=parse_rational, required=True)
 
-    c3 = an_sub.add_parser("case3", parents=[json_out],
-                           help="C0 != 0, C1 != 0, one transverse mode")
-    c3.add_argument("--omega0", type=parse_rational, required=True)
-    c3.add_argument("--omega1", type=parse_rational, required=True)
-    c3.add_argument("--c0sq", type=parse_rational, required=True)
-    c3.add_argument("--c1sq", type=parse_rational, required=True)
-    c3.add_argument("--action", type=parse_rational, required=True)
+    an_sub.add_parser("case3", parents=[json_out, case3_point],
+                      help="C0 != 0, C1 != 0, one transverse mode")
 
     ve = sub.add_parser("verify", parents=[json_out],
                         help="closed-form solution residual checks")
@@ -137,25 +136,24 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--pick-xi0", choices=["first", "second"], default=None)
     se.add_argument("--pick-xij", choices=["first", "second"], default=None)
 
-    sw = sub.add_parser("sweep", parents=[csv_out],
+    sw = sub.add_parser("sweep", parents=[csv_out, case3_point],
                         help="tabulate the splitting function d(t0)")
-    sw.add_argument("--omega0", type=parse_rational, required=True)
-    sw.add_argument("--omega1", type=parse_rational, required=True)
-    sw.add_argument("--c0sq", type=parse_rational, required=True)
-    sw.add_argument("--c1sq", type=parse_rational, required=True)
-    sw.add_argument("--action", type=parse_rational, required=True)
     sw.add_argument("--t0-min", type=float, default=0.0)
     sw.add_argument("--t0-max", type=float, default=3.2)
     sw.add_argument("--t0-samples", type=int, default=65)
     return ap
 
 
+def _report(command: str, fields: dict) -> dict:
+    """A JSON report: its header, then ``fields``."""
+    return {"schema_version": SCHEMA_VERSION,
+            "tool": {"name": "bfmix", "version": __version__},
+            "command": command, **fields}
+
+
 def _verdict_report(v: verdict_mod.IntegrabilityVerdict, command: str,
                     elapsed: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "bfmix", "version": __version__},
-        "command": command,
+    return _report(command, {
         "verdict": {
             "case_id": v.case_id,
             "outcome": v.outcome,
@@ -164,27 +162,23 @@ def _verdict_report(v: verdict_mod.IntegrabilityVerdict, command: str,
         "params": v.params,
         "details": v.details,
         "timing_seconds": round(elapsed, 6),
-    }
+    })
 
 
-def _emit(report: dict, json_path: Optional[str]):
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _write_csv(rows, csv_path: Optional[str]):
-    """Compute every row, then write them: a dump that fails leaves no
-    file, and an existing one as it was."""
-    text = "".join(row + "\n" for row in rows)
-    if csv_path:
-        with open(csv_path, "w") as fh:
+def _write(text: str, path: Optional[str]):
+    """Print the text, or write it to ``path``: as it is built first, a run
+    that fails leaves no file, and an existing one as it was."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         print(text, end="")
+
+
+def _case2_params(args, c0sq) -> model.ModelParams:
+    """The case-2 point of the flags: every C_j = 0."""
+    return model.make_params(args.omega0, args.omegaj, c0sq,
+                             [Q(0)] * len(args.omegaj), args.gbf)
 
 
 def _run_analyze(args) -> dict:
@@ -193,9 +187,7 @@ def _run_analyze(args) -> dict:
         v = verdict_mod.analyze_case1(heun.reduce_case1(
             args.omega0, args.omega, args.gbf, args.csum))
     elif args.case == "case2":
-        p = model.make_params(args.omega0, args.omegaj, args.c0sq,
-                              [Q(0)] * len(args.omegaj), args.gbf)
-        v = verdict_mod.analyze_case2(p, args.h)
+        v = verdict_mod.analyze_case2(_case2_params(args, args.c0sq), args.h)
     else:
         v = verdict_mod.analyze_case3(args.omega0, args.omega1, args.c0sq,
                                       args.c1sq, args.action)
@@ -208,12 +200,10 @@ def _verify_residual(args):
     if c0sq is None:
         c0sq = SEPARATRIX_C0SQ if args.which == "separatrix" else Q(1)
     if args.which == "prop1":
-        p = model.make_params(args.omega0, args.omegaj,
-                              0, args.cj, args.gbf)
+        p = model.make_params(args.omega0, args.omegaj, 0, args.cj, args.gbf)
         return functools.partial(model.case1_residual, p, args.hj, 0.0)
     if args.which == "prop2":
-        p = model.make_params(args.omega0, args.omegaj, c0sq,
-                              [Q(0)] * len(args.omegaj), args.gbf)
+        p = _case2_params(args, c0sq)
         e = elliptic.invariants_from_energy(args.omega0, c0sq, args.h)
         return functools.partial(model.case2_residual, p, e)
     p = model.make_params(args.omega0, [], c0sq, [], 0)
@@ -232,29 +222,23 @@ def _run_verify(args) -> tuple[dict, bool]:
           for _ in range(args.samples)]
     try:
         worst = model.max_residual(map(_verify_residual(args), ts))
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"verify --which {args.which}: the closed form "
                          f"leaves the float range: {exc}") from None
-    pts = [[t.real, t.imag] for t in ts]
     ok = worst < args.tol
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "bfmix", "version": __version__},
-        "command": "verify",
+    return _report("verify", {
         "which": args.which,
         "max_residual": repr(worst),
         "tolerance": repr(args.tol),
-        "sample_points": pts,
+        "sample_points": [[t.real, t.imag] for t in ts],
         "pass": ok,
-    }
-    return report, ok
+    }), ok
 
 
 def _series_rows(args):
     e = elliptic.invariants_from_energy(args.omega0, args.c0sq, args.h)
     order = Q(args.order)
-    p = model.make_params(args.omega0, args.omegaj, args.c0sq,
-                          [Q(0)] * len(args.omegaj), args.gbf)
+    p = _case2_params(args, args.c0sq)
     if args.what == "wp":
         yield from elliptic.wp_laurent(e, order).to_csv_rows()
         return
@@ -297,16 +281,20 @@ def _linspace(a: float, b: float, n: int) -> List[float]:
     return grid
 
 
-def _run_sweep(args):
+def _sweep_rows(args):
     if not (math.isfinite(args.t0_min) and math.isfinite(args.t0_max)):
         raise ValueError(f"t0 range [{args.t0_min}, {args.t0_max}] must be "
                          "finite")
     _check_samples("--t0-samples", args.t0_samples)
     s = melnikov.setup(args.omega0, args.omega1, args.c0sq, args.c1sq,
                        args.action)
-    t0s = _linspace(args.t0_min, args.t0_max, args.t0_samples)
-    header = ["t0,d_num_re,d_num_im,d_closed_re,d_closed_im"]
-    return header + list(melnikov.sweep_csv_rows(s, t0s))
+    yield "t0,d_num_re,d_num_im,d_closed_re,d_closed_im"
+    yield from melnikov.sweep_csv_rows(
+        s, _linspace(args.t0_min, args.t0_max, args.t0_samples))
+
+
+def _json_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def main(argv=None) -> int:
@@ -314,12 +302,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "analyze":
-            report = _run_analyze(args)
-            _emit(report, args.json)
+            _write(_json_text(_run_analyze(args)), args.json)
             return 0
         if args.command == "verify":
             report, ok = _run_verify(args)
-            _emit(report, args.json)
+            _write(_json_text(report), args.json)
             if not ok:
                 residual = report["max_residual"]
                 why = ("is not a number" if residual == "nan"
@@ -328,14 +315,9 @@ def main(argv=None) -> int:
                       f"{residual} {why}", file=sys.stderr)
                 return 3
             return 0
-        if args.command == "series":
-            _write_csv(_series_rows(args), args.csv)
-            return 0
-        if args.command == "sweep":
-            _write_csv(_run_sweep(args), args.csv)
-            return 0
-        ap.error(f"unknown command {args.command}")
-        return 2
+        rows = (_series_rows if args.command == "series" else _sweep_rows)
+        _write("".join(row + "\n" for row in rows(args)), args.csv)
+        return 0
     except InsufficientOrderError as exc:
         print(f"error: order too low to decide: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Tuple
 
@@ -22,7 +23,7 @@ class DegenerateInvariantsError(ValueError):
     """g2^3 - 27 g3^2 = 0: the elliptic parametrization collapses."""
 
 
-class NearPoleError(Exception):
+class NearPoleError(ValueError):
     """Numeric evaluation requested too close to a lattice point."""
 
 
@@ -34,6 +35,19 @@ class EllipticData:
     h: Fraction
     omega0: Fraction
     C0_sq: Fraction
+
+    @cached_property
+    def _wp_floats(self):
+        """(base, step, cs, ds, tail) of ``wp_numeric_with_derivative``, read
+        once per curve from the order-60 series (an integer order keeps the
+        lattice ZZ): wp = sum_k cs[k] t^(base + k step), ds[k] = cs[k] times
+        that exponent, and tail its last three (exponent, cs[k]) pairs."""
+        _, base, step, coeffs, den, _ = wp_laurent(self, _SERIES_ORDER).dense()
+        exps = range(base, base + len(coeffs) * step, step)
+        cs = [c / den for c in coeffs]
+        ds = [ex * c / den for ex, c in zip(exps, coeffs)]
+        tail = [(ex, c) for ex, c in zip(exps, cs) if c][-3:]
+        return base, step, cs, ds, tail
 
 
 def invariants_from_energy(omega0, C0_sq, h) -> EllipticData:
@@ -113,19 +127,14 @@ def wp_numeric_with_derivative(e: EllipticData,
         wp'(2z) = r (wp^(3) wp' - wp''^2) / (4 wp'^2) - wp',
 
     where wp'' = 6 wp^2 - g2/2 and wp^(3) = 12 wp wp'.  The exact series is
-    read once: each coefficient, and each times its exponent, is rounded
-    once to a float."""
+    read once per curve: each coefficient, and each times its exponent, is
+    rounded once to a float."""
     t = complex(t)
     if t == 0:
         raise NearPoleError("wp has a pole at t = 0")
     if not cmath.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    # an integer order keeps the lattice ZZ (L = 1): exponents base + k step
-    _, base, step, coeffs, den, _ = wp_laurent(e, _SERIES_ORDER).dense()
-    exps = range(base, base + len(coeffs) * step, step)
-    cs = [c / den for c in coeffs]
-    ds = [ex * c / den for ex, c in zip(exps, coeffs)]
-    tail = [(ex, c) for ex, c in zip(exps, cs) if c][-3:]
+    base, step, cs, ds, tail = e._wp_floats
     z, k = t, 0
     wp, dwp = _laurent_sum(cs, ds, base, step, z)
     while not _tail_ok(tail, z, wp):

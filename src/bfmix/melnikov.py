@@ -76,7 +76,9 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
         a, h_star = model.separatrix_scale(w0q, c0q)
     except OverflowError as exc:
         raise ValueError(f"separatrix out of float range: {exc}") from None
-    radius = min(0.5, 0.5 * math.pi / math.sqrt(3 * a))
+    # inside the next poles of u', at |t| = pi / sqrt(3a), and at most
+    # 2 / theta = 1 / sqrt(2 w1): q1^2 grows like e^(theta |Im t|)
+    radius = min(0.5, 0.5 * math.pi / math.sqrt(3 * a), 1 / math.sqrt(2 * w1))
     return MelnikovSetup(omega0=w0, omega1=w1, action_I=I,
                          amplitude=amplitude, h_star=h_star, a=a,
                          contour_radius=radius, contour_points=CONTOUR_POINTS)
@@ -104,8 +106,16 @@ def _contour_integral(s: MelnikovSetup, t0: float, radius: float,
 
 def melnikov_numeric(s: MelnikovSetup, t0: float) -> complex:
     """Loop integral of {H0, H1} around t = 0 (counterclockwise), by the
-    trapezoid rule on |t| = s.contour_radius."""
-    return _contour_integral(s, t0, s.contour_radius, s.contour_points)
+    trapezoid rule on |t| = s.contour_radius; a sum that leaves the float
+    range raises ValueError."""
+    try:
+        d = _contour_integral(s, t0, s.contour_radius, s.contour_points)
+        if cmath.isfinite(d):
+            return d
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"d({t0}) on |t| = {s.contour_radius} leaves the float "
+                     "range")
 
 
 def melnikov_closed_form(s: MelnikovSetup, t0: float) -> complex:

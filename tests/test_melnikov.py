@@ -52,6 +52,15 @@ class TestSetup:
     def test_radius_below_first_pole(self, s):
         assert s.contour_radius < math.pi / math.sqrt(3 * s.a)
 
+    @pytest.mark.parametrize("omega1, radius", [
+        (Q(1, 8), 0.5), (2, 0.5), (Q(9, 2), 1 / 3),
+        (1000, 1 / math.sqrt(2000))])
+    def test_radius_bounds_theta_r(self, omega1, radius):
+        # theta = 2 sqrt(2 w1): r = 1/2 up to theta = 4, then 2/theta
+        s = M.setup(1, omega1, Q(1, 100), 1, 4 * float(omega1) + 4)
+        assert s.contour_radius == pytest.approx(radius, rel=1e-15)
+        assert s.theta * s.contour_radius <= 2 + 1e-15
+
 
 class TestBracket:
     def test_sin_zero_leaves_action_term(self, s):

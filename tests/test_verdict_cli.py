@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfmix import cli, elliptic, heun, lame, variational, verdict
+from bfmix import cli, elliptic, heun, lame, melnikov, variational, verdict
 from bfmix.model import make_params
 from bfmix.series import InsufficientOrderError, PuiseuxSeries
 
@@ -806,6 +807,58 @@ class TestCli:
             code = exc.code
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--which", "prop1", "--omegaj", "1e-300", "--cj", "1",
+          "--hj", "0"], 2),
+        (["verify", "--which", "prop2", "--c0sq", "1e30"], 2),
+        (["sweep", "--omega0", "1", "--omega1", "3e5", "--c0sq", "1/100",
+          "--c1sq", "1", "--action", "1e6"], 0),
+        (["sweep", "--omega0", "1", "--omega1", "1e300", "--c0sq", "1/100",
+          "--c1sq", "1", "--action", "1e300"], 2)],
+        ids=["verify-prop1-omegaj-underflow", "verify-prop2-near-pole",
+             "sweep-large-omega1", "sweep-slope-underflow"])
+    def test_float_failure_is_usage_error(self, argv, code, capsys):
+        # each line once raised out of main: ZeroDivisionError,
+        # NearPoleError and OverflowError in the contour (twice)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: ") and not captured.out
+        else:
+            rows = captured.out.splitlines()[1:]
+            assert len(rows) == 65
+            assert all(math.isfinite(float(x))
+                       for row in rows for x in row.split(","))
+
+    def test_sweep_at_large_omega1_is_the_sine_form(self, capsys):
+        # theta r <= 2 keeps the rounding near eps e^2 |A|; with the radius
+        # at 1/2 the sum at w1 = 1000 was off by 2.4 |A|
+        point = ("1", "1000", "1/100", "1", "2000")
+        argv = ["sweep", *(x for flag, value in zip(
+            ("--omega0", "--omega1", "--c0sq", "--c1sq", "--action"), point)
+            for x in (flag, value))]
+        assert cli.main(argv) == 0
+        s = melnikov.setup(*map(Q, point))
+        A = melnikov.predicted_amplitude(s)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 65
+        for row in rows:
+            t0, re, im = map(float, row.split(",")[:3])
+            assert abs(complex(re, im) - A * math.sin(s.theta * t0)) \
+                <= 1e-12 * abs(A)
+
+    def test_verify_prop2_reads_wp_series_once(self, monkeypatch, capsys):
+        calls = []
+        laurent = elliptic.wp_laurent
+
+        def counted(e, order):
+            calls.append(order)
+            return laurent(e, order)
+        monkeypatch.setattr(elliptic, "wp_laurent", counted)
+        assert cli.main(["verify", "--which", "prop2", "--samples", "20"]) == 0
+        assert calls == [60]
+        assert json.loads(capsys.readouterr().out)["pass"]
 
     @pytest.mark.parametrize("samples", ["0", "-5", str(cli.MAX_SAMPLES + 1)])
     def test_verify_sample_count_is_checked(self, samples, capsys,
