@@ -833,13 +833,11 @@ class TestCli:
 
     def test_sweep_at_large_omega1_is_the_sine_form(self, capsys):
         # theta r <= 2 keeps the rounding near eps e^2 |A|; with the radius
-        # at 1/2 the sum at w1 = 1000 was off by 2.4 |A|
-        point = ("1", "1000", "1/100", "1", "2000")
-        argv = ["sweep", *(x for flag, value in zip(
-            ("--omega0", "--omega1", "--c0sq", "--c1sq", "--action"), point)
-            for x in (flag, value))]
-        assert cli.main(argv) == 0
-        s = melnikov.setup(*map(Q, point))
+        # at 1/2 the sum at w1 = 1000 was off by up to 5.7 |A|
+        assert cli.main(["sweep", "--omega0", "1", "--omega1", "1000",
+                         "--c0sq", "1/100", "--c1sq", "1",
+                         "--action", "2000"]) == 0
+        s = melnikov.setup(1, 1000, Q(1, 100), 1, 2000)
         A = melnikov.predicted_amplitude(s)
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 65
