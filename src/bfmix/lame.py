@@ -1,8 +1,8 @@
 """Lame-equation data and the necessary solvability conditions per block.
 
 For each transverse block the coefficient of the normal variational equation
-is ``alpha(t, h) = n(n+1) wp(t) + B_j``.  ``theorem5_check`` sorts a block by
-its index n:
+is ``alpha(t, h) = n(n+1) wp(t) + B_j``.  ``theorem5_check`` sorts the
+point's blocks, which share one index n, by it; n = 0 (g_bf = 0) raises:
 
 * integer n: the block passes, and the variational chain decides;
 * half-odd-integer n = m - 1/2: the exponents -n and n + 1 differ by 2m, and
@@ -11,7 +11,9 @@ its index n:
   in ``alpha`` has weight k in B_j, g2 (weight 2) and g3 (weight 3), and
   only g2 and g3 carry h, linearly; so the log coefficient is a polynomial of
   degree at most floor(m/2) in h, and floor(m/2) + 1 energies decide whether
-  it vanishes for every h.  A nonzero value is an exact witness.  At
+  it vanishes for every h.  A nonzero value is an exact witness.  The
+  energies are walked once for all blocks, and one q0^2 series per energy
+  gives every block's coefficient; each block keeps its first nonzero one.  At
   n = -1/2 (g_bf = -1/8) the two exponents coincide, and the check raises:
   the double exponent is not decided;
 * fractional Baldassarri indices: on this model the four branch residuals of
@@ -22,9 +24,9 @@ its index n:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from . import elliptic, variational
 from .series import rational_sqrt
@@ -58,12 +60,12 @@ def lame_offset(omega0, omega_j, n) -> Fraction:
 # necessary-condition tree
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Theorem5Verdict:
     passed_case: str                                  # case1|case2_1|...|none
-    failed_conditions: List[Tuple[str, Fraction]] = field(default_factory=list)
+    failed_conditions: Tuple[Tuple[str, Fraction], ...] = ()
     conjecture_conditional: bool = False
-    notes: List[str] = field(default_factory=list)
+    notes: Tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -72,69 +74,72 @@ class Theorem5Verdict:
 
 def _is_baldassarri_index(n: Fraction) -> bool:
     """n + 1/2 lies on the lattice 1/3, 1/4 or 1/5 and is not an integer."""
-    return (n + Q(1, 2)).denominator in (2, 3, 4, 5)
+    return (n + Q(1, 2)).denominator in (3, 4, 5)
 
 
-def _curves(p, h, count: int) -> Iterator["elliptic.EllipticData"]:
-    """The curves of the first ``count`` energies h, h + 1, h + 2, ... that
-    are not degenerate (the discriminant is a cubic in h)."""
-    h = Q(h)
+def _curves(p, e: "elliptic.EllipticData",
+            count: int) -> Iterator["elliptic.EllipticData"]:
+    """``e``, then the curves of the energies e.h + 1, e.h + 2, ... that are
+    not degenerate (the discriminant is a cubic in h): ``count`` in all."""
+    yield e
+    h = e.h
+    count -= 1
     while count:
+        h += 1
         try:
             e = elliptic.invariants_from_energy(p.omega0, p.C0_sq, h)
         except elliptic.DegenerateInvariantsError:
-            pass
-        else:
-            yield e
-            count -= 1
-        h += 1
+            continue
+        yield e
+        count -= 1
 
 
-def theorem5_check(p, j: int, h) -> Theorem5Verdict:
-    """Evaluate the solvability necessary conditions for normal block j (from
-    0) of the parameters ``p``, exactly; ``h`` is the first energy a
-    half-integer index is tried at."""
-    n = lame_index(p.g_bf)
-    if n is None:
-        raise ValueError(f"2 g_bf = {2 * Q(p.g_bf)} is not n(n+1) for rational n")
+def theorem5_check(p, e: "elliptic.EllipticData",
+                   n: Fraction) -> Tuple[Theorem5Verdict, ...]:
+    """Evaluate the solvability necessary conditions for every normal block
+    of the parameters ``p``, exactly: one verdict per block, in order.  ``n``
+    is the Lame index ``lame_index(p.g_bf)``, and ``e`` the curve at the first
+    energy a half-integer index is tried at."""
     if n == Q(-1, 2):
         raise ValueError("n = -1/2 (g_bf = -1/8): the exponents -n and n + 1 "
                          "at the pole coincide in the double exponent 1/2; "
                          "not decided")
-    v = Theorem5Verdict(passed_case="none")
+    if n == 0:
+        raise ValueError("n = 0 (g_bf = 0): the blocks decouple; no "
+                         "condition applies")
 
     # condition 1: integer index
-    if n.denominator == 1 and n >= 1:
-        v.passed_case = "case1"
-        return v
+    if n.denominator == 1:
+        return (Theorem5Verdict("case1"),) * p.n_f
 
     # condition 2: m = n + 1/2 a positive integer, log-free VE1 at every h
     m_frac = n + Q(1, 2)
     if m_frac.denominator == 1:
         m = int(m_frac)
-        v.conjecture_conditional = True
-        for e in _curves(p, h, m // 2 + 1):
-            r = variational.resonance_coefficient(p, e, j, n)
-            if r != 0:
-                v.failed_conditions.append(
-                    (f"m={m}, normal_{j + 1}, h = {e.h}: resonance "
-                     "coefficient = 0", r))
-                return v
-        v.passed_case = f"case2_{m}" if m <= 3 else "case2_m"
-        return v
+        failed = [None] * p.n_f
+        for e in _curves(p, e, m // 2 + 1):
+            for j, r in enumerate(variational.resonance_coefficients(p, e, n)):
+                if r and failed[j] is None:
+                    failed[j] = (f"m={m}, normal_{j + 1}, h = {e.h}: "
+                                 "resonance coefficient = 0", r)
+            if all(failed):
+                break
+        passed = Theorem5Verdict(f"case2_{m}" if m <= 3 else "case2_m",
+                                 conjecture_conditional=True)
+        return tuple(Theorem5Verdict("none", (f,), True) if f else passed
+                     for f in failed)
 
     # condition 3: Baldassarri-type fractional indices, in closed form
     if _is_baldassarri_index(n):
         nn, w0 = n * (n + 1), Q(p.omega0)
-        v.failed_conditions += [
+        return (Theorem5Verdict("none", (
             ("case3 branch a: c2 = 0", 4 * nn),
             ("case3 branch a: b1^2 - 3 a1 c1 = 0", 64 * w0 ** 2),
             ("case3 branch b: c2 b1 - 3 a1 d2 = 0", -32 * w0 * nn),
             ("case3 branch b: 2 b1^3 - 9 a1 b1 c1 + 27 a1^2 d1 = 0",
-             -(1728 * Q(p.C0_sq) + 1024 * w0 ** 3))]
-        return v
+             -(1728 * Q(p.C0_sq) + 1024 * w0 ** 3)))),) * p.n_f
 
-    v.notes.append("index outside the integer, half-integer and fractional "
-                   "solvable families")
-    v.failed_conditions.append(("index in a solvable family", n))
-    return v
+    return (Theorem5Verdict(
+        "none", (("index in a solvable family", n),),
+        notes=("index outside the integer, half-integer and fractional "
+               "solvable families",)),) * p.n_f

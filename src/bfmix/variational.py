@@ -167,14 +167,15 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
     return PuiseuxSeries.from_dense(M, R, step, a, a_den, trunc), resonance_rhs
 
 
-def resonance_coefficient(p, e: "elliptic.EllipticData", j: int,
-                          n: Fraction) -> Fraction:
+def resonance_coefficients(p, e: "elliptic.EllipticData",
+                           n: Fraction) -> Tuple[Fraction, ...]:
     """The coefficient ``frobenius`` raises FirstOrderLogError with (0 for
-    none) in normal block j (from 0) of a half-integer Lame index n = m - 1/2,
+    none) in each normal block of a half-integer Lame index n = m - 1/2,
     without VE1: the exponents -n and n + 1 differ by 2m, so N_j exact below
-    t^(2m) decides it."""
-    q = _normal_coefficient(_qbar0_squared(e, 2 * n + 1), p.g_bf, p.omegas[j])
-    return _frobenius_one(q, -n, n + 1)[1]
+    t^(2m) decides it, and one q0^2 serves every block."""
+    qsq = _qbar0_squared(e, 2 * n + 1)
+    return tuple(_frobenius_one(_normal_coefficient(qsq, p.g_bf, wj),
+                                -n, n + 1)[1] for wj in p.omegas)
 
 
 def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import elliptic, heun, lame, melnikov, variational
@@ -134,48 +135,41 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
     (variational.chain_order): the VE1 context is rebuilt only for a pick
     that needs more terms than it holds.  The picks that share a context
     share its cache of the forcing terms that depend on one first-order pick
-    alone, so a survivor's four chains build each such term once."""
+    alone, so a survivor's four chains build each such term once.  The
+    Theorem-5 conditions are checked once for every block, on the curve at
+    ``h`` that the chain reads."""
     snapshot = params_snapshot(p)
     snapshot["h"] = str(Q(h))
+    verdict = partial(IntegrabilityVerdict, "case2", params=snapshot)
     if p.g_bf == 0:
-        return IntegrabilityVerdict(
-            case_id="case2", outcome="Separable", witness=Witness("none"),
-            params=snapshot, details={"reason": "g_bf = 0"})
+        return verdict("Separable", Witness("none"),
+                       details={"reason": "g_bf = 0"})
     e = elliptic.invariants_from_energy(p.omega0, p.C0_sq, Q(h))
     details = {"g2": str(e.g2), "g3": str(e.g3),
                "discriminant": str(e.discriminant)}
 
     n = lame.lame_index(p.g_bf)
     if n is None:
-        return IntegrabilityVerdict(
-            case_id="case2", outcome="NonIntegrable",
-            witness=Witness("lame_monodromy",
-                            {"reason": "2 g_bf = n(n+1) has no rational root; "
-                                       "monodromy of the normal equation is "
-                                       "non-abelian",
-                             "two_g_bf": str(2 * Q(p.g_bf))}),
-            params=snapshot, details=details)
+        return verdict("NonIntegrable", Witness("lame_monodromy", {
+            "reason": "2 g_bf = n(n+1) has no rational root; monodromy of "
+                      "the normal equation is non-abelian",
+            "two_g_bf": str(2 * Q(p.g_bf))}), details=details)
     details["lame_index"] = str(n)
 
     details["B_j"] = [str(lame.lame_offset(p.omega0, wj, n))
                       for wj in p.omegas]
-    checks = [lame.theorem5_check(p, j, h) for j in range(p.n_f)]
+    checks = lame.theorem5_check(p, e, n)
+    rows = [[[cid, str(r)] for cid, r in v.failed_conditions] for v in checks]
     details["theorem5"] = [
-        {"passed_case": v.passed_case,
-         "failed_conditions": [[cid, str(r)] for cid, r in v.failed_conditions],
+        {"passed_case": v.passed_case, "failed_conditions": failed,
          "conjecture_conditional": v.conjecture_conditional,
-         "notes": v.notes}
-        for v in checks]
-    failing = [(j, v) for j, v in enumerate(checks) if not v.passed]
-    if failing:
-        j, v = failing[0]
-        return IntegrabilityVerdict(
-            case_id="case2", outcome="NonIntegrable",
-            witness=Witness("theorem5_failure",
-                            {"block": j + 1,
-                             "failed_conditions": [[cid, str(r)] for cid, r
-                                                   in v.failed_conditions]}),
-            params=snapshot, details=details)
+         "notes": list(v.notes)}
+        for v, failed in zip(checks, rows)]
+    for j, v in enumerate(checks):
+        if not v.passed:
+            return verdict("NonIntegrable", Witness("theorem5_failure", {
+                "block": j + 1, "failed_conditions": rows[j]}),
+                details=details)
 
     first = variational.standard_choice(n)
     picks = [first, *(ch for ch in variational.SCAN_CHOICES if ch != first)]
@@ -184,16 +178,14 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
         order = variational.chain_order(n, ch)
         if order > depth:
             ctx, depth = variational.ve1_context(p, e, order), order
-        verdict = _ve_verdict(variational.higher_ve_residues(ctx, ch), ch,
-                              snapshot, details, scanned=i > 0)
-        if verdict is not None:
-            return verdict
-    return IntegrabilityVerdict(
-        case_id="case2", outcome="NecessaryConditionsSurvived",
-        witness=Witness("none"), params=snapshot,
-        details=dict(details,
-                     reason="no logarithmic obstruction through third order "
-                            "for any basis solution choice"))
+        found = _ve_verdict(variational.higher_ve_residues(ctx, ch), ch,
+                            verdict, details, scanned=i > 0)
+        if found is not None:
+            return found
+    return verdict("NecessaryConditionsSurvived", Witness("none"),
+                   details=dict(details, reason="no logarithmic obstruction "
+                                "through third order for any basis solution "
+                                "choice"))
 
 
 def _choice_record(ch: variational.HigherVEChoice) -> dict:
@@ -201,15 +193,16 @@ def _choice_record(ch: variational.HigherVEChoice) -> dict:
 
 
 def _ve_verdict(result: variational.HigherVEResult,
-                ch: variational.HigherVEChoice, snapshot: dict, details: dict,
+                ch: variational.HigherVEChoice, verdict, details: dict,
                 scanned: bool = False) -> Optional[IntegrabilityVerdict]:
+    """``verdict`` (case id and snapshot bound) of a chain's witness, or
+    None."""
     if result.ve2_has_log:
         logs = [[str(a), str(b)] for a, b in result.rows[0]]
-        return IntegrabilityVerdict(
-            case_id="case2", outcome="NonIntegrable",
-            witness=Witness("ve_log", {"order": 2, "log_coefficients": logs,
-                                       "choice": _choice_record(ch)}),
-            params=snapshot, details=details)
+        return verdict("NonIntegrable",
+                       Witness("ve_log", {"order": 2, "log_coefficients": logs,
+                                          "choice": _choice_record(ch)}),
+                       details=details)
     hit = result.nonzero_witness()
     if hit is not None:
         block, row, value = hit
@@ -221,10 +214,8 @@ def _ve_verdict(result: variational.HigherVEResult,
         labels = variational.block_labels(len(rows))
         det = dict(details, ve3_residues={
             label: [str(a), str(b)] for label, (a, b) in zip(labels, rows)})
-        return IntegrabilityVerdict(
-            case_id="case2", outcome="NonIntegrable",
-            witness=Witness("ve_residue", data),
-            params=snapshot, details=det)
+        return verdict("NonIntegrable", Witness("ve_residue", data),
+                       details=det)
     return None
 
 

@@ -3,7 +3,19 @@ from fractions import Fraction as Q
 
 import pytest
 
+from bfmix import elliptic
 from bfmix.series import PuiseuxSeries
+
+
+def first_curve(w0, c0sq, h):
+    """The curve at the first of the energies h, h + 1, ... that is not
+    degenerate."""
+    h = Q(h)
+    while True:
+        try:
+            return elliptic.invariants_from_energy(w0, c0sq, h)
+        except elliptic.DegenerateInvariantsError:
+            h += 1
 
 
 def random_rational(rng: random.Random, max_num=9, nonzero=False) -> Q:

@@ -26,7 +26,7 @@ import numpy as np
 from bfmix import elliptic, heun, lame, melnikov, model, verdict, variational as V
 from bfmix.model import PhaseState, make_params
 import helpers_theorem5 as t5
-from conftest import random_rational, random_series, ve3_row1
+from conftest import first_curve, random_rational, random_series, ve3_row1
 from helpers_contour import contour_oracle
 from helpers_series import agrees_with
 from helpers_eps import forcing_oracle
@@ -308,7 +308,8 @@ def test_criterion_06_condition_tree():
         h = 0 must pass or fail the same block alike."""
         v = t5.theorem5_check(t5.p_coefficients(w0, wj, c0sq, g), n)
         p = make_params(w0, [wj], c0sq, [0], g)
-        agree.append(lame.theorem5_check(p, 0, 0).passed == v.passed)
+        (got,) = lame.theorem5_check(p, first_curve(w0, c0sq, 0), n)
+        agree.append(got.passed == v.passed)
         return v
 
     v_half = tree(1, Q(1, 4), 1, Q(3, 8), Q(1, 2))

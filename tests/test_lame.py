@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers_theorem5 as oracle
-from bfmix import elliptic, lame, variational
+from bfmix import elliptic, lame, variational, verdict
 from bfmix.model import make_params
-from conftest import random_rational
+from conftest import first_curve, random_rational
 
 
 class TestIndex:
@@ -202,11 +202,11 @@ class TestResonanceRule:
         # log coefficient at h = 0
         n = Q(11, 2)
         p = make_params(1, [Q(143, 12)], 1, [0], n * (n + 1) / 2)
-        v = lame.theorem5_check(p, 0, 0)
+        (v,) = lame.theorem5_check(p, first_curve(1, 1, 0), n)
         assert v.passed_case == "none"
-        assert v.failed_conditions == [
+        assert v.failed_conditions == (
             ("m=6, normal_1, h = 0: resonance coefficient = 0",
-             Q(-8863855, 6718464))]
+             Q(-8863855, 6718464)),)
         assert not v.notes
 
     def test_degenerate_energies_are_skipped(self):
@@ -215,14 +215,80 @@ class TestResonanceRule:
             with pytest.raises(elliptic.DegenerateInvariantsError):
                 elliptic.invariants_from_energy(1, 0, h)
         p = make_params(1, [1], 0, [0], Q(15, 8))      # n = 3/2
-        v = lame.theorem5_check(p, 0, 0)
-        ((cid, value),) = v.failed_conditions
-        assert cid == "m=2, normal_1, h = 2: resonance coefficient = 0"
-        assert value != 0
+        e = elliptic.invariants_from_energy(1, 0, -1)
+        assert [c.h for c in lame._curves(p, e, 3)] == [-1, 2, 3]
+
+    def test_blocks_report_their_own_first_failing_energy(self):
+        # block 2's coefficient, linear in h, vanishes at h = 7/12
+        n = Q(3, 2)
+        p = make_params(1, [1, 2], 1, [0, 0], n * (n + 1) / 2)
+        e = elliptic.invariants_from_energy(1, 1, Q(7, 12))
+        assert variational.resonance_coefficients(p, e, n) == (Q(1, 2), 0)
+        v1, v2 = lame.theorem5_check(p, e, n)
+        assert v1.failed_conditions == (
+            ("m=2, normal_1, h = 7/12: resonance coefficient = 0", Q(1, 2)),)
+        assert v2.failed_conditions == (
+            ("m=2, normal_2, h = 19/12: resonance coefficient = 0",
+             Q(-3, 4)),)
+        v = verdict.analyze_case2(p, Q(7, 12))
+        assert v.witness.data == {"block": 1, "failed_conditions": [
+            ["m=2, normal_1, h = 7/12: resonance coefficient = 0", "1/2"]]}
+        assert [t["failed_conditions"] for t in v.details["theorem5"]] == [
+            [["m=2, normal_1, h = 7/12: resonance coefficient = 0", "1/2"]],
+            [["m=2, normal_2, h = 19/12: resonance coefficient = 0",
+              "-3/4"]]]
+
+    def test_zero_index_is_refused(self):
+        # g_bf = 0 decouples the blocks; n + 1/2 = 1/2 is no Baldassarri index
+        p = make_params(1, [1], 1, [0], 0)
+        with pytest.raises(ValueError, match=r"^n = 0 \(g_bf = 0\)"):
+            lame.theorem5_check(p, first_curve(1, 1, 0), Q(0))
+        assert not any(lame._is_baldassarri_index(Q(k)) for k in range(-3, 4))
 
     def test_integer_index_passes_without_coefficients(self):
-        v = lame.theorem5_check(make_params(1, [7], 9801, [0], 3), 0, 0)
+        (v,) = lame.theorem5_check(make_params(1, [7], 9801, [0], 3),
+                                   first_curve(1, 9801, 0), Q(2))
         assert v.passed_case == "case1" and not v.conjecture_conditional
+
+
+class TestOnePassPerPoint:
+    """analyze_case2 checks Theorem 5 once for all blocks, on the curve it
+    built at the user's h, and builds one q0^2 per energy it tries."""
+
+    @pytest.mark.parametrize("wjs, c0sq, g, h, energies", [
+        ([1], 1, Q(15, 8), Q(7, 12), [Q(7, 12)]),
+        ([1, 2], 1, Q(15, 8), Q(7, 12), [Q(7, 12), Q(19, 12)]),
+        ([Q(55, 28)], Q(72, 343), Q(35, 8), 0, [0, 1]),     # m = 3 triple
+        ([Q(55, 28)] * 2, Q(72, 343), Q(35, 8), 0, [0, 1]),
+        ([7, 2], 1, 3, 0, [])],                              # n = 2
+        ids=["fail-nf1", "fail-nf2", "triple-nf1", "triple-nf2", "integer"])
+    def test_counts(self, monkeypatch, wjs, c0sq, g, h, energies):
+        checks, curves, squares = [], [], []
+        check = lame.theorem5_check
+        curve = elliptic.invariants_from_energy
+        square = variational._qbar0_squared
+
+        def spy_check(*args):
+            out = check(*args)
+            checks.append(len(squares))
+            return out
+
+        def spy_curve(w0, c0sq, h):
+            curves.append(Q(h))
+            return curve(w0, c0sq, h)
+
+        def spy_square(e, order):
+            squares.append(e.h)
+            return square(e, order)
+
+        monkeypatch.setattr(lame, "theorem5_check", spy_check)
+        monkeypatch.setattr(elliptic, "invariants_from_energy", spy_curve)
+        monkeypatch.setattr(variational, "_qbar0_squared", spy_square)
+        verdict.analyze_case2(
+            make_params(1, wjs, c0sq, [0] * len(wjs), g), h)
+        (built,) = checks
+        assert curves == [Q(h), *energies[1:]]
+        assert squares[:built] == energies
 
 
 #: half-integer indices m = n + 1/2 in 1..9 that the tree has clauses for
@@ -258,7 +324,7 @@ def test_resonance_rule_agrees_with_tree(point):
     m = int(n + Q(1, 2))
     want = oracle.theorem5_check(
         oracle.p_coefficients(p.omega0, p.omegas[1], p.C0_sq, p.g_bf), n)
-    got = lame.theorem5_check(p, 1, h)
+    got = lame.theorem5_check(p, first_curve(p.omega0, p.C0_sq, h), n)[1]
     assert got.passed_case == want.passed_case
     assert got.conjecture_conditional and not got.notes
     if not got.passed:
@@ -282,7 +348,7 @@ def test_resonance_coefficient_degree_bound(point, h0, dh):
             e = elliptic.invariants_from_energy(p.omega0, p.C0_sq, h0 + i * dh)
         except elliptic.DegenerateInvariantsError:
             assume(False)
-        values.append(variational.resonance_coefficient(p, e, 1, n))
+        values.append(variational.resonance_coefficients(p, e, n)[1])
     assert sum((-1) ** i * comb(k, i) * v for i, v in enumerate(values)) == 0
 
 
@@ -303,10 +369,11 @@ def test_fractional_rows_equal_tree_rows(n, w0, wj, c0sq, h):
     """The closed-form fractional rows are the tree's rows on P derived from
     the invariants, at any energy."""
     g = n * (n + 1) / 2
-    got = lame.theorem5_check(make_params(w0, [wj], c0sq, [0], g), 0, h)
+    (got,) = lame.theorem5_check(make_params(w0, [wj], c0sq, [0], g),
+                                 first_curve(w0, c0sq, h), n)
     want = oracle.theorem5_check(
         oracle.p_coefficients_from_invariants(w0, wj, c0sq, g), n)
     assert got.passed_case == want.passed_case == "none"
-    assert got.failed_conditions == want.failed_conditions
+    assert list(got.failed_conditions) == want.failed_conditions
     assert len(got.failed_conditions) == 4
     assert not got.notes and not got.conjecture_conditional

@@ -260,8 +260,8 @@ def test_resonance_coefficient_is_the_basis_log_coefficient(g, wjs, c0sq, h):
     p = make_params(1, wjs, c0sq, [0] * len(wjs), g)
     e = elliptic.invariants_from_energy(1, c0sq, h)
     ve1 = V.build_ve1(p, e, 2 * n + 3)
-    for j, q in enumerate(ve1.normal):
-        r = V.resonance_coefficient(p, e, j, n)
+    for q, r in zip(ve1.normal, V.resonance_coefficients(p, e, n),
+                    strict=True):
         try:
             V.frobenius(q)
         except V.FirstOrderLogError as exc:
@@ -726,8 +726,7 @@ def test_ve1_context_raises_iff_a_resonance_coefficient_is_nonzero(point):
     if (n + Q(1, 2)).denominator != 1:
         V.ve1_context(p, e, order)
         return
-    nonzero = [r for r in (V.resonance_coefficient(p, e, j, n)
-                           for j in range(p.n_f)) if r]
+    nonzero = [r for r in V.resonance_coefficients(p, e, n) if r]
     try:
         V.ve1_context(p, e, order)
     except V.FirstOrderLogError as exc:
