@@ -9,9 +9,10 @@ The splitting function is the loop integral of the Poisson bracket
 {H0, H1} = 2 p0 q0 * q1^2(t - t0) around the pole t = 0.  By trig addition
 and one residue it is exactly d(t0) = A sin(theta t0) with
 A = 16 pi i w1 * amplitude, zero exactly when I^2 = 2 w1 C1^2 (decided over
-the rationals); its simple zeros k pi / theta are the non-integrability
-witness.  melnikov_numeric, a trapezoid quadrature on one circle, tabulates
-d(t0) for ``bfmix sweep`` beside the quoted closed form.
+the rationals).  Its simple zeros are exactly k pi / theta, so the two of
+one period, pi / theta and 2 pi / theta, are the non-integrability witness;
+no t0 range is searched.  melnikov_numeric, a trapezoid quadrature on one
+circle, tabulates d(t0) for ``bfmix sweep`` beside the quoted closed form.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from . import model
 Q = Fraction
 
 CONTOUR_POINTS = 512    # trapezoid nodes on |t| = contour_radius
-MAX_ZEROS = 10 ** 4     # find_simple_zeros refuses a range holding more
 
 
 class InvalidActionError(ValueError):
@@ -84,23 +84,26 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
                          contour_radius=radius, contour_points=CONTOUR_POINTS)
 
 
-def q1_squared(s: MelnikovSetup, tau: complex) -> complex:
-    """Transverse factor I/(2 w1) - amplitude * sin(theta tau)."""
-    return s.action_I / (2 * s.omega1) - s.amplitude * cmath.sin(s.theta * tau)
-
-
-def poisson_bracket_H0H1(s: MelnikovSetup, t: complex, t0: float) -> complex:
-    """{H0, H1} restricted to the separatrix: 2 p0 q0 q1^2(t - t0) = u'(t) q1^2."""
-    return model.separatrix_slope(s.a, t) * q1_squared(s, t - t0)
+def poisson_bracket_H0H1(s: MelnikovSetup, t: complex, cos_t0: float,
+                         sin_t0: float) -> complex:
+    """{H0, H1} restricted to the separatrix: 2 p0 q0 q1^2(t - t0) = u'(t) q1^2,
+    with q1^2(t - t0) = I/(2 w1) - amplitude sin(theta (t - t0)) expanded by
+    trig addition; cos_t0, sin_t0 are cos(theta t0), sin(theta t0), so the
+    phase theta t0 is rounded once per t0, not once per node."""
+    phase = s.theta * t
+    sin_shifted = cmath.sin(phase) * cos_t0 - cmath.cos(phase) * sin_t0
+    return model.separatrix_slope(s.a, t) * (
+        s.action_I / (2 * s.omega1) - s.amplitude * sin_shifted)
 
 
 def _contour_integral(s: MelnikovSetup, t0: float, radius: float,
                       points: int) -> complex:
     step = 2 * math.pi / points
+    cos_t0, sin_t0 = math.cos(s.theta * t0), math.sin(s.theta * t0)
     total = 0j
     for k in range(points):
         t = radius * cmath.exp(1j * (k * step))
-        total += poisson_bracket_H0H1(s, t, t0) * 1j * t
+        total += poisson_bracket_H0H1(s, t, cos_t0, sin_t0) * 1j * t
     return total * step
 
 
@@ -118,14 +121,18 @@ def melnikov_numeric(s: MelnikovSetup, t0: float) -> complex:
                      "range")
 
 
-def melnikov_closed_form(s: MelnikovSetup, t0: float) -> complex:
-    """The quoted closed sine form 12 pi i a sqrt(2 w1) * amplitude * sin(theta t0).
+def quoted_amplitude(s: MelnikovSetup) -> float:
+    """The quoted prefactor 12 pi a sqrt(2 w1) * amplitude.
 
     Kept verbatim for comparison; the residue calculus of predicted_amplitude,
-    checked by the numeric contour, gives a different prefactor.
+    checked by the numeric contour, gives a different one.
     """
-    return (12j * math.pi * s.a * math.sqrt(2 * s.omega1) * s.amplitude
-            * math.sin(s.theta * t0))
+    return 12 * math.pi * s.a * math.sqrt(2 * s.omega1) * s.amplitude
+
+
+def melnikov_closed_form(s: MelnikovSetup, t0: float) -> complex:
+    """The quoted closed sine form i quoted_amplitude * sin(theta t0)."""
+    return 1j * quoted_amplitude(s) * math.sin(s.theta * t0)
 
 
 def predicted_amplitude(s: MelnikovSetup) -> complex:
@@ -135,29 +142,15 @@ def predicted_amplitude(s: MelnikovSetup) -> complex:
     return 16j * math.pi * s.omega1 * s.amplitude
 
 
-def find_simple_zeros(s: MelnikovSetup, t0_min: float, t0_max: float
-                      ) -> List[Tuple[float, float]]:
-    """Zeros k pi / theta of d(t0) = A sin(theta t0) in [t0_min, t0_max].
-
-    Returns (zero, |d'(zero)|) pairs, each with |d'| = theta |A|, A from
-    predicted_amplitude; A exactly zero reports nothing.  A range that is not
-    finite, shorter than a period or holding over MAX_ZEROS zeros raises
-    ValueError.
-    """
-    if not (math.isfinite(t0_min) and math.isfinite(t0_max)):
-        raise ValueError(f"t0 range [{t0_min}, {t0_max}] must be finite")
-    period = math.pi / math.sqrt(2 * s.omega1)
-    if t0_max - t0_min < period:
-        raise ValueError(f"range must cover a period {period}")
-    spacing = math.pi / s.theta
-    k_min, k_max = math.ceil(t0_min / spacing), math.floor(t0_max / spacing)
-    if k_max - k_min >= MAX_ZEROS:
-        raise ValueError(f"t0 range [{t0_min}, {t0_max}] holds more than "
-                         f"{MAX_ZEROS} zeros")
+def find_simple_zeros(s: MelnikovSetup) -> List[Tuple[float, float]]:
+    """The zeros pi / theta and 2 pi / theta of one period of
+    d(t0) = A sin(theta t0), as (zero, |d'(zero)|) pairs with
+    |d'| = theta |A|, A from predicted_amplitude; A exactly zero reports
+    nothing."""
     if not s.amplitude:
         return []
     slope = s.theta * abs(predicted_amplitude(s))
-    return [(k * spacing, slope) for k in range(k_min, k_max + 1)]
+    return [(k * (math.pi / s.theta), slope) for k in (1, 2)]
 
 
 def sweep_csv_rows(s: MelnikovSetup, t0_values: Sequence[float]):

@@ -20,6 +20,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from . import elliptic
 from .odeint import integrate
+from .series import as_fraction
 
 
 class InvalidParameterError(ValueError):
@@ -32,10 +33,6 @@ class NoSeparatrixError(ValueError):
 
 class DegenerateAmplitudeWarning(UserWarning):
     pass
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,9 @@ class ModelParams:
 
 
 def make_params(omega0, omegas, C0_sq, Cs, g_bf) -> ModelParams:
-    return ModelParams(_fr(omega0), tuple(_fr(w) for w in omegas),
-                       _fr(C0_sq), tuple(_fr(c) for c in Cs), _fr(g_bf))
+    return ModelParams(as_fraction(omega0), tuple(map(as_fraction, omegas)),
+                       as_fraction(C0_sq), tuple(map(as_fraction, Cs)),
+                       as_fraction(g_bf))
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def _case1_mode(p: ModelParams, h_j: Sequence, j: int
     the amplitude is 0 exactly where its square is."""
     wj = float(p.omegas[j])
     cj = float(p.Cs[j])
-    hj = float(_fr(h_j[j]))
+    hj = float(as_fraction(h_j[j]))
     amp = cmath.sqrt(cj * cj / (2 * wj) - hj * hj / (4 * wj * wj))
     return hj / (2 * wj), amp, 2j * math.sqrt(2 * wj)
 
@@ -262,7 +260,7 @@ def separatrix_energy(omega0, C0_sq) -> float:
     one Newton step on f itself; OverflowError is raised where f leaves the
     float range.
     """
-    w0q, c0q = _fr(omega0), _fr(C0_sq)
+    w0q, c0q = as_fraction(omega0), as_fraction(C0_sq)
     curve = 8 * w0q ** 3 - 27 * c0q
     if curve == 0:
         return float(4 * w0q ** 2 / 3)
@@ -306,7 +304,7 @@ def separatrix_scale(omega0, C0_sq) -> Tuple[float, float]:
     and f'(4 w0^2/3) = (w0/3) (8 w0^3 - 27 C0^2) is positive wherever f has
     three real roots, so elsewhere 4 w0^2/3 lies above h*.  The float test
     stays for points so close to the curve that the rounded h* meets it."""
-    w0q, c0q = _fr(omega0), _fr(C0_sq)
+    w0q, c0q = as_fraction(omega0), as_fraction(C0_sq)
     if 27 * c0q == 8 * w0q ** 3:
         raise NoSeparatrixError(
             f"no separatrix on 27 C0^2 = 8 w0^3: h* = 4 w0^2/3 = "

@@ -55,8 +55,9 @@ class InsufficientOrderError(SeriesError):
     """A requested coefficient lies at or beyond the truncation order."""
 
 
-def _as_exponent(e) -> Exponent:
-    return e if isinstance(e, Fraction) else Fraction(e)
+def as_fraction(x) -> Fraction:
+    """x itself when it is a Fraction, else Fraction(x)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _rational(x):
@@ -166,8 +167,8 @@ class PuiseuxSeries:
         placed on the lattice of step 1/L, and ``_set`` makes the canonical
         form."""
         if trunc != INF:
-            trunc = _as_exponent(trunc)
-        exps = [_as_exponent(e) for e in terms]
+            trunc = as_fraction(trunc)
+        exps = [as_fraction(e) for e in terms]
         cs = [Fraction(c) for c in terms.values()]
         L = math.lcm(*(e.denominator for e in exps),
                      1 if trunc == INF else trunc.denominator)
@@ -279,7 +280,7 @@ class PuiseuxSeries:
 
     def coefficient(self, e) -> Fraction:
         """Exact coefficient of t**e; raises if e is not known at this order."""
-        e = _as_exponent(e)
+        e = as_fraction(e)
         x, d = e.numerator * self._L, e.denominator
         if self._trunc != INF and x >= self._trunc * d:
             raise InsufficientOrderError(
@@ -411,7 +412,7 @@ class PuiseuxSeries:
     def truncate(self, t) -> "PuiseuxSeries":
         if t == INF:
             return self
-        t = _as_exponent(t)
+        t = as_fraction(t)
         L = math.lcm(self._L, t.denominator)
         return self._cut(L, min(t.numerator * (L // t.denominator),
                                 self._on(L)[2]))

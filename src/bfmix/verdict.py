@@ -21,9 +21,6 @@ from .series import rational_sqrt
 
 Q = Fraction
 
-#: left end of the window analyze_case3 reports the zeros on
-CASE3_T0_MIN = 0.01
-
 
 class OutOfScopeError(ValueError):
     """Parameter pattern the analysis does not cover: the variational system
@@ -221,17 +218,14 @@ def _ve_verdict(result: variational.HigherVEResult,
 
 def analyze_case3(omega0, omega1, c0sq, c1sq, action) -> IntegrabilityVerdict:
     """Case-3 verdict from C1^2 itself: C1 enters the splitting only through
-    its square.  The zeros k pi / theta are reported on the window
-    [CASE3_T0_MIN, CASE3_T0_MIN + 1.05 pi / sqrt(2 w1)], 2.1 zero spacings
-    long."""
+    its square.  The witness is the two zeros pi / theta and 2 pi / theta of
+    one period of the closed sine form, whatever w1."""
     s = melnikov.setup(omega0, omega1, c0sq, c1sq, action)
     snapshot = {"omega0": str(Q(omega0)), "omega1": str(Q(omega1)),
                 "C0_sq": str(Q(c0sq)), "C1_sq": str(Q(c1sq)),
                 "action_I": repr(s.action_I)}
     A = melnikov.predicted_amplitude(s)
-    zeros = melnikov.find_simple_zeros(
-        s, CASE3_T0_MIN,
-        CASE3_T0_MIN + 1.05 * math.pi / math.sqrt(2 * s.omega1))
+    zeros = melnikov.find_simple_zeros(s)
     # the fitted_* fields keep their names; the sine form is exact, so the
     # fit residual is 0, or inf (relative to |A|) when A is exactly 0
     details = {
@@ -240,8 +234,7 @@ def analyze_case3(omega0, omega1, c0sq, c1sq, action) -> IntegrabilityVerdict:
         "fitted_amplitude_re": repr(A.real),
         "fit_residual": repr(0.0 if A else math.inf),
         "predicted_amplitude_im": repr(A.imag),
-        "quoted_amplitude_im": repr(12 * math.pi * s.a
-                                    * math.sqrt(2 * s.omega1) * s.amplitude),
+        "quoted_amplitude_im": repr(melnikov.quoted_amplitude(s)),
         "contour_radius": repr(s.contour_radius),
     }
     if zeros:

@@ -405,7 +405,7 @@ def test_criterion_09_splitting_function():
                                     2 * s.contour_points)
     ok = ok and abs(d1 - d2) <= 1e-6 * abs(d1)
     period_half = math.pi / (2 * math.sqrt(2 * s.omega1))
-    zeros = melnikov.find_simple_zeros(s, 0.05, 0.05 + 2.1 * period_half)
+    zeros = melnikov.find_simple_zeros(s)
     ok = ok and bool(zeros)
     for z, dmag in zeros:
         ok = ok and abs(z - round(z / period_half) * period_half) < 1e-8

@@ -65,7 +65,8 @@ class TestSetup:
 class TestBracket:
     def test_sin_zero_leaves_action_term(self, s):
         t = 0.37
-        val = M.poisson_bracket_H0H1(s, t, t)
+        val = M.poisson_bracket_H0H1(s, t, math.cos(s.theta * t),
+                                     math.sin(s.theta * t))
         udot = separatrix_slope(s.a, t)
         assert val == pytest.approx(udot * s.action_I / (2 * s.omega1))
 
@@ -122,6 +123,15 @@ class TestNumericIntegral:
                                             * s.amplitude)
         assert abs(A.imag / quoted.imag - 1) > 0.1
 
+    def test_phase_rounded_once_per_t0(self):
+        # the sum reads sin(fl(theta t0)), as the closed form does; rounding
+        # t - t0 at each node left it 6e-6 |A| off the sine form at w1 = 1e20
+        s = M.setup(1, 10 ** 20, Q(1, 100), 1, 3 * 10 ** 20)
+        A = M.predicted_amplitude(s)
+        for t0 in np.linspace(0.0, 3.2, 33):
+            d = M.melnikov_numeric(s, t0)
+            assert abs(d - A * math.sin(s.theta * t0)) <= 1e-12 * abs(A)
+
     def test_antiperiodicity(self, s):
         half = math.pi / (2 * math.sqrt(2 * s.omega1))
         for t0 in (0.2, 0.45):
@@ -148,9 +158,8 @@ class TestClosedForm:
 
 class TestZeros:
     def test_zero_locations_and_simplicity(self, s):
-        period = math.pi / math.sqrt(2 * s.omega1)
-        zeros = M.find_simple_zeros(s, 0.05, 0.05 + 1.05 * period)
-        assert zeros
+        zeros = M.find_simple_zeros(s)
+        assert [round(z * s.theta / math.pi) for z, _ in zeros] == [1, 2]
         half = math.pi / (2 * math.sqrt(2 * s.omega1))
         for z, dmag in zeros:
             k = round(z / half)
@@ -159,8 +168,8 @@ class TestZeros:
 
     def test_derivative_magnitude_from_fit(self, s):
         # each reported slope against a central difference of the contour
-        zeros = M.find_simple_zeros(s, 0.05,
-                                    0.05 + 1.05 * math.pi / math.sqrt(2))
+        zeros = M.find_simple_zeros(s)
+        assert zeros
         h = 1e-4
         for z, dmag in zeros:
             slope = (contour_oracle(s, z + h)
@@ -168,19 +177,26 @@ class TestZeros:
             assert dmag == pytest.approx(abs(slope), rel=1e-6)
 
     def test_numeric_and_closed_zeros_coincide(self, s):
-        zeros = M.find_simple_zeros(s, 0.05,
-                                    0.05 + 1.05 * math.pi / math.sqrt(2))
+        zeros = M.find_simple_zeros(s)
+        assert zeros
         for z, _ in zeros:
             assert abs(M.melnikov_closed_form(s, z)) < 1e-7
+            assert abs(contour_oracle(s, z)) < 1e-9 * splitting_scale(s)
 
     def test_degenerate_amplitude_reports_nothing(self):
         s0 = M.setup(1, 1, 0.01, 2, 2.0)
-        assert M.find_simple_zeros(s0, 0.05,
-                                   0.05 + 1.1 * math.pi / math.sqrt(2)) == []
+        assert M.find_simple_zeros(s0) == []
 
-    def test_range_must_cover_period(self, s):
-        with pytest.raises(ValueError):
-            M.find_simple_zeros(s, 0.0, 0.1)
+    @pytest.mark.parametrize("omega1", [1, 9000, 10 ** 6, 10 ** 40],
+                             ids=["1", "9000", "1e6", "1e40"])
+    def test_report_lists_one_period(self, omega1):
+        # pi / theta and 2 pi / theta at every w1: no t0 window shifts them
+        # past the first period or refuses a short one
+        v = verdict.analyze_case3(1, omega1, Q(1, 100), 1, 3 * omega1)
+        theta = 2 * math.sqrt(2 * omega1)
+        assert v.outcome == "NonIntegrable"
+        assert [z for z, _ in v.witness.data["zeros"]] == [
+            math.pi / theta, 2 * (math.pi / theta)]
 
 
 class TestDeltaQuadrature:

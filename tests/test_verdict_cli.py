@@ -738,6 +738,17 @@ class TestCli:
         assert report["verdict"]["outcome"] == "NecessaryConditionsSurvived"
         assert report["params"]["action_I"] == "0.1"
 
+    def test_case3_short_period_exits_0(self, capsys):
+        # the period 2.2e-20 at w1 = 1e40 is below a float's spacing at 0.01,
+        # so a window [0.01, 0.01 + 1.05 period] could not hold it
+        assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
+                         "1e40", "--c0sq", "1/100", "--c1sq", "1",
+                         "--action", "3e20"]) == 0
+        witness = json.loads(capsys.readouterr().out)["verdict"]["witness"]
+        theta = 2 * math.sqrt(2e40)
+        assert [z for z, _ in witness["data"]["zeros"]] == [
+            math.pi / theta, 2 * (math.pi / theta)]
+
     @pytest.mark.parametrize("extra", [
         ["--action", "nan"], ["--action", "inf"], ["--action", "1e400"],
         ["--action", "3.0", "--t0-max", "inf"],
@@ -747,8 +758,8 @@ class TestCli:
         ids=["action-nan", "action-inf", "action-1e400", "t0max-inf",
              "t0max-1e300", "t0min-nan", "t0min-minus-inf"])
     def test_unbounded_case3_input_is_usage_error(self, extra, capsys):
-        # argparse rejects a non-rational --action by SystemExit(2); the
-        # zero window is fixed, so any --t0-min/--t0-max is refused as well
+        # argparse rejects a non-rational --action by SystemExit(2); analyze
+        # case3 takes no t0 window, so any --t0-min/--t0-max is refused too
         try:
             code = cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
                              "1", "--c0sq", "1/100", "--c1sq", "1", *extra])
