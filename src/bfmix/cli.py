@@ -67,10 +67,21 @@ def _check_samples(flag: str, count: int):
         raise ValueError(f"{flag} {count} outside 1..{MAX_SAMPLES}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps the action its add_subparsers returns:
+    ``subcommands.dest`` names the field, ``subcommands.choices`` maps each
+    subcommand to its parser.  The subcommands' parsers are _Parsers too."""
+    subcommands = None
+
+    def add_subparsers(self, **kwargs):
+        self.subcommands = super().add_subparsers(**kwargs)
+        return self.subcommands
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The bfmix argument parser, built once per process."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bfmix",
         description="Integrability analysis of the coupled condensate "
                     "oscillator chain: obstruction witnesses from exact "
@@ -297,9 +308,32 @@ def _json_text(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def main(argv=None) -> int:
+def parse_command_line(argv=None) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, or the exit it
+    makes, from one parse_known_args call: walk down from the root parser
+    while the next argument names a subcommand, recording it under the
+    subcommands' dest, and let the parser where the walk stops parse the
+    rest, which is all that its parent parsers would hand it.  Arguments
+    left over are refused by the root parser, as parse_args refuses them."""
     ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, parser, i = argparse.Namespace(), ap, 0
+    while (parser.subcommands is not None and i < len(argv)
+           and argv[i] in parser.subcommands.choices):
+        setattr(args, parser.subcommands.dest, argv[i])
+        parser = parser.subcommands.choices[argv[i]]
+        i += 1
+    args, extras = parser.parse_known_args(argv[i:], args)
+    if extras:
+        ap.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None) -> int:
+    """Run one bfmix command line and return its exit code.  The line is
+    parsed once, by the parser of the subcommand it names
+    (parse_command_line), not by each parser on the way down to it."""
+    args = parse_command_line(argv)
     try:
         if args.command == "analyze":
             _write(_json_text(_run_analyze(args)), args.json)

@@ -19,12 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import model
-
-Q = Fraction
+from .series import as_fraction
 
 CONTOUR_POINTS = 512    # trapezoid nodes on |t| = contour_radius
 
@@ -54,12 +52,12 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
     """The frozen-action problem at one point.  I^2 is compared with
     2 w1 C1^2 exactly, as Fractions of the arguments (a float counts as its
     binary value): below raises InvalidActionError, equal gives amplitude 0."""
-    w0q, w1q, c0q, c1q, action = map(Q, (omega0, omega1, C0_sq, C1_sq,
-                                         action_I))
+    w0q, w1q, c0q, c1q, action = map(as_fraction, (omega0, omega1, C0_sq,
+                                                   C1_sq, action_I))
     if min(w0q, w1q, c0q, c1q) <= 0:
         raise ValueError("frequencies and both centrifugal constants must be "
                          "positive in this case")
-    amp_sq = action ** 2 / (4 * w1q ** 2) - c1q / (2 * w1q)
+    amp_sq = (action ** 2 - 2 * w1q * c1q) / (4 * w1q ** 2)
     try:
         # C0^2 is converted only to refuse one beyond the float range here
         w0, w1, _, c1sq, I = map(float, (w0q, w1q, c0q, c1q, action))
@@ -72,6 +70,8 @@ def setup(omega0, omega1, C0_sq, C1_sq, action_I) -> MelnikovSetup:
             f"{math.sqrt(2 * w1 * c1sq)}")
     if amp_sq and not amplitude:
         raise ValueError(f"amplitude^2 = {float(amp_sq)!r} underflows a float")
+    if not w1:
+        raise ValueError(f"omega1 = {float(w1q)!r} underflows a float")
     try:
         a, h_star = model.separatrix_scale(w0q, c0q)
     except OverflowError as exc:

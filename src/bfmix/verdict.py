@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import elliptic, heun, lame, melnikov, variational
 from .model import ModelParams
-from .series import rational_sqrt
+from .series import as_fraction, rational_sqrt
 
 Q = Fraction
 
@@ -221,8 +221,10 @@ def analyze_case3(omega0, omega1, c0sq, c1sq, action) -> IntegrabilityVerdict:
     its square.  The witness is the two zeros pi / theta and 2 pi / theta of
     one period of the closed sine form, whatever w1."""
     s = melnikov.setup(omega0, omega1, c0sq, c1sq, action)
-    snapshot = {"omega0": str(Q(omega0)), "omega1": str(Q(omega1)),
-                "C0_sq": str(Q(c0sq)), "C1_sq": str(Q(c1sq)),
+    snapshot = {"omega0": str(as_fraction(omega0)),
+                "omega1": str(as_fraction(omega1)),
+                "C0_sq": str(as_fraction(c0sq)),
+                "C1_sq": str(as_fraction(c1sq)),
                 "action_I": repr(s.action_I)}
     A = melnikov.predicted_amplitude(s)
     zeros = melnikov.find_simple_zeros(s)

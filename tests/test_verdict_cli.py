@@ -6,9 +6,12 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
+import argparse
+
 import numpy as np
 import pytest
 
+import helpers_cli
 from bfmix import cli, elliptic, heun, lame, melnikov, variational, verdict
 from bfmix.model import make_params
 from bfmix.series import InsufficientOrderError, PuiseuxSeries
@@ -869,6 +872,22 @@ class TestCli:
         assert calls == [60]
         assert json.loads(capsys.readouterr().out)["pass"]
 
+    @pytest.mark.parametrize("command", [["analyze", "case3"],
+                                         ["sweep", "--t0-samples=2"]],
+                             ids=["analyze", "sweep"])
+    def test_omega1_that_rounds_to_zero_is_usage_error(self, command, capsys):
+        # 1e-400 is a positive rational but 0.0 as a float; setup once
+        # divided by its square root.  A subnormal 1e-320 still runs
+        def point(exponent):
+            return [*command, "--omega0=1", f"--omega1=1e{exponent}",
+                    "--c0sq=1/100", f"--c1sq=1e{exponent - 1}",
+                    f"--action=1e{exponent}"]
+        assert cli.main(point(-400)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: omega1 = 0.0 underflows a float\n"
+        assert not captured.out
+        assert cli.main(point(-320)) == 0
+
     @pytest.mark.parametrize("samples", ["0", "-5", str(cli.MAX_SAMPLES + 1)])
     def test_verify_sample_count_is_checked(self, samples, capsys,
                                             monkeypatch):
@@ -962,6 +981,32 @@ class TestParser:
             cli.main(list(self.ARGVS[1]) + [flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", list(helpers_cli.CORPUS.values()),
+                             ids=list(helpers_cli.CORPUS))
+    def test_parse_equals_nested_parse(self, argv):
+        assert helpers_cli.outcome(cli.parse_command_line, argv) \
+            == helpers_cli.outcome(helpers_cli.nested_parse, argv)
+
+    @pytest.mark.parametrize("argv", [
+        helpers_cli.CORPUS["case1"], helpers_cli.CORPUS["case2"],
+        helpers_cli.CORPUS["case3"], helpers_cli.CORPUS["verify"],
+        ["series", "--what", "wp", "--order", "8"],
+        ["sweep", "--omega0", "1", "--omega1", "1", "--c0sq", "1/100",
+         "--c1sq", "1", "--action", "3", "--t0-samples", "2"]],
+        ids=["case1", "case2", "case3", "verify", "series", "sweep"])
+    def test_one_parse_per_command_line(self, argv, monkeypatch, capsys):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counted)
+        assert cli.main(list(argv)) == 0
+        assert calls == [" ".join(["bfmix", *argv[:2 if argv[0] == "analyze"
+                                                 else 1]])]
 
     @pytest.mark.parametrize("flag", [["--order", "30"], ["--no-scan"]],
                              ids=["order", "no-scan"])
