@@ -5,10 +5,11 @@ Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
 mu2|mu3`` point whose first order already carries a logarithm, a ``verify
 --tol`` that is not positive and finite, a ``verify`` point whose closed
 form leaves the float range or meets a pole of wp, a ``sweep`` contour sum
-that leaves the float range, and a ``--json`` or ``--csv`` path that cannot
-be written), 3 internal verification failure: a ``verify`` residual above
-its tolerance or not a number, or a ``series --what mu3`` dump whose second
-order already carries a logarithm.
+that leaves the float range, a case-3 or ``sweep`` ``--omega1`` that rounds
+to 0.0, and a ``--json`` or ``--csv`` path that cannot be written), 3
+internal verification failure: a ``verify`` residual above its tolerance or
+not a number, or a ``series --what mu3`` dump whose second order already
+carries a logarithm.
 """
 from __future__ import annotations
 

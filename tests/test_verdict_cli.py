@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,8 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
-
-import argparse
 
 import numpy as np
 import pytest
@@ -1005,8 +1004,8 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                             counted)
         assert cli.main(list(argv)) == 0
-        assert calls == [" ".join(["bfmix", *argv[:2 if argv[0] == "analyze"
-                                                 else 1]])]
+        names = argv[:2] if argv[0] == "analyze" else argv[:1]
+        assert calls == [" ".join(["bfmix", *names])]
 
     @pytest.mark.parametrize("flag", [["--order", "30"], ["--no-scan"]],
                              ids=["order", "no-scan"])
