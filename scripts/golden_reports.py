@@ -15,19 +15,20 @@ Each file is the output of one command line of ``bfmix``:
   on its survivor family), half with one transverse mode and half with two,
   each with its exit code, error text and report;
 * ``verify_*.json``: ``bfmix verify`` at each ``--which``'s defaults, at one
-  off-default point each and with a ``--tol`` no residual meets, each with
-  its exit code, error text and report;
+  off-default point each, with a ``--tol`` no residual meets, at a
+  separatrix 10^-9 inside the curve 27 C0^2 = 8 w0^3 and at a point beyond
+  it, which has none, each with its exit code, error text and report;
 * ``splitting_sweep_*.csv``: two ``bfmix sweep`` tables.
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
 to match these files byte for byte, so a change to the series kernel or the
 variational pipeline that moves any digit shows.  The case-3 report holds
-floats: h* is a cubic's root formed with libm's ``acos``, ``cos`` and
-powers, which vary by platform, so the test compares the fields derived
-from it to 1e-12; the amplitudes, zeros and slopes are closed forms in
-floats, compared to 1e-15, and the rest of the report exactly.  The ``verify`` residuals and the ``sweep`` values
-are float sums and contour quadratures, some of them on h*, so the test
-compares them to ``FLOAT_REL_TOL`` relative plus ``FLOAT_ABS_TOL`` absolute,
+floats: a and h* come from a square root and Newton's method in float
+arithmetic, and the amplitudes, zeros and slopes are closed forms in
+floats, so the test compares them to 1e-15, and the rest of the report
+exactly.  The ``verify`` residuals and the ``sweep`` values are float sums
+and contour quadratures, some of them on a, so the test compares them to
+``FLOAT_REL_TOL`` relative plus ``FLOAT_ABS_TOL`` absolute,
 and the rest of each file (sample points, verdicts, tolerances, exit codes,
 the sweep's t0 column) exactly.
 """
@@ -131,6 +132,10 @@ VERIFY_RUNS = {
                                            "--omega0=2", "--c0sq=1/5",
                                            "--samples=15"],
     "verify_prop2_fails.json": ["verify", "--which=prop2", "--tol=1e-30"],
+    "verify_separatrix_near_curve.json": [
+        "verify", "--which=separatrix", "--c0sq=7999999992/27000000000"],
+    "verify_separatrix_none.json": ["verify", "--which=separatrix",
+                                    "--c0sq=1"],
 }
 
 #: file name -> ``bfmix sweep`` command line
@@ -153,7 +158,7 @@ FLOAT_ABS_TOL = 1e-11
 #: files whose content comes from exact arithmetic only
 EXACT_FILES = [name for name in (*REPORTS, *CSVS, *SWEEPS)
                if not name.startswith("case3")]
-#: reports that carry floats (h*, closed forms), not exact values
+#: reports that carry floats (a, h*, closed forms), not exact values
 QUADRATURE_FILES = [name for name in REPORTS if name.startswith("case3")]
 
 

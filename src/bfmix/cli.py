@@ -6,10 +6,11 @@ mu2|mu3`` point whose first order already carries a logarithm, a ``verify
 --tol`` that is not positive and finite, a ``verify`` point whose closed
 form leaves the float range or meets a pole of wp, a ``sweep`` contour sum
 that leaves the float range, a case-3 or ``sweep`` ``--omega1`` that rounds
-to 0.0, and a ``--json`` or ``--csv`` path that cannot be written), 3
-internal verification failure: a ``verify`` residual above its tolerance or
-not a number, or a ``series --what mu3`` dump whose second order already
-carries a logarithm.
+to 0.0, a ``verify --which separatrix`` or ``sweep`` point with no
+separatrix, 27 C0^2 >= 8 w0^3, and a ``--json`` or ``--csv`` path that
+cannot be written), 3 internal verification failure: a ``verify`` residual
+above its tolerance or not a number, or a ``series --what mu3`` dump whose
+second order already carries a logarithm.
 """
 from __future__ import annotations
 
@@ -206,6 +207,14 @@ def _run_analyze(args) -> dict:
     return _verdict_report(v, "analyze", time.perf_counter() - t0)
 
 
+def _refuse_no_separatrix(omega0, c0sq):
+    """Refuse a point where 27 C0^2 > 8 w0^3: its q0 plane has no saddle."""
+    if model.separatrix_constant(omega0, c0sq) < 0:
+        raise model.NoSeparatrixError(
+            f"no separatrix where 27 C0^2 > 8 w0^3: 27 C0^2 = {27 * c0sq}, "
+            f"8 w0^3 = {8 * omega0 ** 3}")
+
+
 def _verify_residual(args):
     """The residual that ``verify --which`` samples, a function of t."""
     c0sq = args.c0sq
@@ -219,6 +228,7 @@ def _verify_residual(args):
         e = elliptic.invariants_from_energy(args.omega0, c0sq, args.h)
         return functools.partial(model.case2_residual, p, e)
     p = model.make_params(args.omega0, [], c0sq, [], 0)
+    _refuse_no_separatrix(args.omega0, c0sq)
     a, _ = model.separatrix_scale(args.omega0, c0sq)
     return functools.partial(model.separatrix_residual, p, a)
 
@@ -300,6 +310,7 @@ def _sweep_rows(args):
     _check_samples("--t0-samples", args.t0_samples)
     s = melnikov.setup(args.omega0, args.omega1, args.c0sq, args.c1sq,
                        args.action)
+    _refuse_no_separatrix(args.omega0, args.c0sq)
     yield "t0,d_num_re,d_num_im,d_closed_re,d_closed_im"
     yield from melnikov.sweep_csv_rows(
         s, _linspace(args.t0_min, args.t0_max, args.t0_samples))

@@ -246,72 +246,62 @@ def solution_case2(p: ModelParams, e: "elliptic.EllipticData", t: complex) -> Ph
     return PhaseState(q0, p0, (0.0,) * p.n_f, (0.0,) * p.n_f, t)
 
 
-def separatrix_energy(omega0, C0_sq) -> float:
-    """Largest real root h* of the discriminant cubic
-
-    f(h) = h^3 - w0^2 h^2 - 9 C0^2 w0 h + 8 C0^2 w0^3 + (27/4) C0^4,
-
-    whose discriminant is C0^2 (8 w0^3 - 27 C0^2)^3 / 16.  The rational sign
-    of 8 w0^3 - 27 C0^2 picks the form: the cosine form of the largest of
-    three real roots where it is positive, Cardano's form of the one real
-    root where it is negative, and the double root 4 w0^2/3 where it is
-    zero.  f is homogeneous when w0, C0^2 and h weigh 1, 3 and 2, so the
-    first two are formed on f scaled to w0 = 1 or C0^2 = 1, and polished by
-    one Newton step on f itself; OverflowError is raised where f leaves the
-    float range.
-    """
-    w0q, c0q = as_fraction(omega0), as_fraction(C0_sq)
-    curve = 8 * w0q ** 3 - 27 * c0q
-    if curve == 0:
-        return float(4 * w0q ** 2 / 3)
-    if curve > 0:
-        w, c, l_sq = 1.0, float(c0q / w0q ** 3), float(w0q ** 2)
-    else:
-        w, c = float(w0q ** 3 / c0q) ** (1 / 3), 1.0
-        l_sq = float(c0q) ** (2 / 3)
-    # h = l^2 (x + w^2/3) reduces the scaled cubic to x^3 + p x + q
-    p = -9 * c * w - w ** 4 / 3
-    q = 5 * c * w ** 3 + 6.75 * c ** 2 - 2 * w ** 6 / 27
-    if curve > 0:
-        m = 2 * math.sqrt(-p / 3)
-        cos3 = max(-1.0, min(1.0, 3 * q / (p * m)))
-        x = m * math.cos(math.acos(cos3) / 3)
-    else:
-        # the cube root of the larger argument, u, then v = -p / (3 u)
-        root = math.sqrt(max(q * q / 4 + p ** 3 / 27, 0.0))
-        arg = -q / 2 - math.copysign(root, q)
-        u = math.copysign(abs(arg) ** (1 / 3), arg)
-        x = u - p / (3 * u)
-    h_star = l_sq * (x + w ** 2 / 3)
-    # one Newton polish in real arithmetic
-    w0, c0sq = float(w0q), float(c0q)
-    const = 8 * c0sq * w0 ** 3 + 6.75 * c0sq ** 2
-    f = lambda x: ((x - w0 ** 2) * x - 9 * c0sq * w0) * x + const
-    df = lambda x: (3 * x - 2 * w0 ** 2) * x - 9 * c0sq * w0
-    if df(h_star) != 0:
-        h_star -= f(h_star) / df(h_star)
-    if not math.isfinite(h_star):
-        raise OverflowError(f"h* = {h_star}: the discriminant cubic leaves "
-                            "the float range")
-    return h_star
+def separatrix_constant(omega0, C0_sq) -> Fraction:
+    """K = (8 w0^3 - 27 C0^2)/54 of ``separatrix_scale``, exactly; on the
+    curve K = 0, where a = 0, raises NoSeparatrixError."""
+    (p, q), (r, t) = (as_fraction(omega0).as_integer_ratio(),
+                      as_fraction(C0_sq).as_integer_ratio())
+    K = Fraction(8 * p ** 3 * t - 27 * r * q ** 3, 54 * q ** 3 * t)
+    if K == 0:
+        raise NoSeparatrixError(
+            f"no separatrix on 27 C0^2 = 8 w0^3: h* = 4 w0^2/3 = "
+            f"{Fraction(4 * p * p, 3 * q * q)} is a double root of the "
+            "discriminant cubic, so a = 0")
+    return K
 
 
 def separatrix_scale(omega0, C0_sq) -> Tuple[float, float]:
-    """(a, h*) of the separatrix, a = sqrt(4 w0^2 - 3 h*)/3; raises
-    NoSeparatrixError when 4 w0^2 - 3 h* <= 0.  That holds only on the curve
-    27 C0^2 = 8 w0^3, decided over the rationals: for the cubic f of
-    ``separatrix_energy``, f(4 w0^2/3) = (27/4) (C0^2 - 8 w0^3/27)^2 >= 0
-    and f'(4 w0^2/3) = (w0/3) (8 w0^3 - 27 C0^2) is positive wherever f has
-    three real roots, so elsewhere 4 w0^2/3 lies above h*.  The float test
-    stays for points so close to the curve that the rounded h* meets it."""
+    """(a, h*) of the separatrix, h* = 4 w0^2/3 - 3 a^2.  Its saddle
+    u = q0^2 = 2 w0/3 + a solves u^2 (w0 - u) = C0^2/2, that is
+    a^2 (a + w0) = K (``separatrix_constant``), rising from 0 for a > 0.
+    As a = w0 s, s^2 (s + 1) = kappa = K/w0^3 <= 4/27: Newton from
+    min(sqrt(kappa), 1/3), an upper bound where the cubic is convex,
+    decreases to the root and stops at the first iterate that does not (a
+    step can stay below half an ulp of s).  Where K < 0 there is no
+    separatrix, but ``analyze case3`` answers (ROADMAP item 2) from the one
+    real root h* of the discriminant cubic and a = sqrt(4 w0^2 - 3 h*)/3.
+    A float h* out of range raises OverflowError."""
     w0q, c0q = as_fraction(omega0), as_fraction(C0_sq)
-    if 27 * c0q == 8 * w0q ** 3:
-        raise NoSeparatrixError(
-            f"no separatrix on 27 C0^2 = 8 w0^3: h* = 4 w0^2/3 = "
-            f"{4 * w0q ** 2 / 3} is a double root of the discriminant cubic, "
-            "so a = 0")
-    w0 = float(w0q)
-    h_star = separatrix_energy(w0q, c0q)
+    K = separatrix_constant(w0q, c0q)
+    if K > 0:
+        n, d = w0q.as_integer_ratio()   # kappa and w0^2 are rounded once
+        kappa = K.numerator * d ** 3 / (K.denominator * n ** 3)
+        if not kappa:
+            raise NoSeparatrixError("K/w0^3 underflows a float: a rounds to 0")
+        s = min(math.sqrt(kappa), 1 / 3)
+        while (nxt := s - (s * s * (s + 1) - kappa) / (s * (3 * s + 2))) < s:
+            s = nxt
+        # at C0 = 0, s = 1/3 and 4/3 - 3 s^2 = 1.0: h* = w0^2 exactly
+        h_star = n * n / (d * d) * (4 / 3 - 3 * s * s)
+        if not math.isfinite(h_star):
+            raise OverflowError(f"h* = {h_star} leaves the float range")
+        return n / d * s, h_star
+    # Cardano: h^3 - w0^2 h^2 - 9 C0^2 w0 h + 8 C0^2 w0^3 + (27/4) C0^4 at
+    # C0^2 = 1 is x^3 + p x + q, h = C0^(4/3) (x + w^2/3), with one Newton step
+    w = float(w0q ** 3 / c0q) ** (1 / 3)
+    p = -9 * w - w ** 4 / 3
+    q = 5 * w ** 3 + 6.75 - 2 * w ** 6 / 27
+    root = math.sqrt(max(q * q / 4 + p ** 3 / 27, 0.0))
+    arg = -q / 2 - math.copysign(root, q)
+    u = math.copysign(abs(arg) ** (1 / 3), arg)
+    h_star = float(c0q) ** (2 / 3) * (u - p / (3 * u) + w ** 2 / 3)
+    w0, c0sq = float(w0q), float(c0q)
+    const = 8 * c0sq * w0 ** 3 + 6.75 * c0sq ** 2
+    f = ((h_star - w0 ** 2) * h_star - 9 * c0sq * w0) * h_star + const
+    df = (3 * h_star - 2 * w0 ** 2) * h_star - 9 * c0sq * w0
+    h_star -= f / df if df else 0.0
+    if not math.isfinite(h_star):
+        raise OverflowError(f"h* = {h_star} leaves the float range")
     disc = 4 * w0 ** 2 - 3 * h_star
     if disc <= 0:
         raise NoSeparatrixError(f"4 w0^2 - 3 h* = {disc} <= 0")
@@ -329,10 +319,7 @@ def separatrix_slope(a: float, t: complex) -> complex:
 def separatrix_state(w0: float, a: float, t: complex
                      ) -> Tuple[complex, complex]:
     """(q0, p0) at time t of the separatrix of the one-degree q0 subsystem,
-
-    q0^2 = (2/3) w0 + a + 3a / sinh^2(sqrt(3a) t),
-
-    given its scale a = sqrt(4 w0^2 - 3 h*)/3 from ``separatrix_scale``."""
+    q0^2 = (2/3) w0 + a + 3a / sinh^2(sqrt(3a) t), a of separatrix_scale."""
     sh = cmath.sinh(math.sqrt(3 * a) * t)
     if sh == 0:
         raise NoSeparatrixError("separatrix pole at t = 0")

@@ -2,13 +2,11 @@
 
 The files are written by ``scripts/golden_reports.py``; regenerate them only
 for a change that is meant to move a report or a series dump.  Exact outputs
-must match byte for byte.  The case-3 report holds floats.  Those derived
-from h* (a cubic's root formed with libm's ``acos``, ``cos`` and powers,
-which vary by platform) are ``h_star``, ``a``, ``contour_radius`` and
-``quoted_amplitude_im``; they must agree to 1e-12 relative.  Every other number is a few float operations on
-exact inputs and must agree to 1e-15 relative, so a zero must stay exactly
-zero; every other string, the verdict and the number of zeros must match
-exactly.  The ``verify`` residuals and the ``sweep`` values must agree to
+must match byte for byte.  The case-3 report holds floats: a few float
+operations on exact inputs, a square root and Newton's method for ``a``.
+They must agree to 1e-15 relative, so a zero must stay exactly zero; every
+other string, the verdict and the number of zeros must match exactly.  The
+``verify`` residuals and the ``sweep`` values must agree to
 ``golden.FLOAT_REL_TOL`` relative plus ``golden.FLOAT_ABS_TOL`` absolute;
 the sample points, verdicts, tolerances, exit codes and the rest of the
 error text and tables must match exactly.
@@ -44,17 +42,12 @@ def _is_float_text(value) -> bool:
     return True
 
 
-#: case-3 fields computed from h*, the one float root of the report
-FROM_H_STAR = ("h_star", "a", "contour_radius", "quoted_amplitude_im")
-
-
 def _assert_close(got, want, path="report", rel_tol=1e-15):
     assert type(got) is type(want), path
     if isinstance(want, dict):
         assert sorted(got) == sorted(want), path
         for key in want:
-            _assert_close(got[key], want[key], f"{path}.{key}",
-                          1e-12 if key in FROM_H_STAR else rel_tol)
+            _assert_close(got[key], want[key], f"{path}.{key}", rel_tol)
     elif isinstance(want, list):
         assert len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
@@ -81,8 +74,10 @@ def _assert_float_close(got: str, want: str, where):
 def test_verify_run_matches_golden_file(name):
     got = json.loads(golden.render(name))
     want = json.loads((golden.OUT / name).read_text())
-    _assert_float_close(got["report"].pop("max_residual"),
-                        want["report"].pop("max_residual"), "max_residual")
+    if "report" in want:    # a run that exits 2 writes none
+        _assert_float_close(got["report"].pop("max_residual"),
+                            want["report"].pop("max_residual"),
+                            "max_residual")
     # "verification failed: <which>: residual <float> above <tol>"
     got_err, want_err = got.pop("stderr").split(), want.pop("stderr").split()
     assert len(got_err) == len(want_err)

@@ -288,10 +288,12 @@ class TestSeparatrix:
 
     def test_cubic_root_certificate(self):
         w0, c0sq = 1.0, 0.01
-        h = model.separatrix_energy(w0, c0sq)
+        a, h = model.separatrix_scale(w0, c0sq)
+        # h* is a root of the discriminant cubic, a of a^2 (a + w0) = K
         val = (h ** 3 - w0 ** 2 * h ** 2 - 9 * c0sq * w0 * h
                + 8 * c0sq * w0 ** 3 + 6.75 * c0sq ** 2)
         assert abs(val) < 1e-12
+        assert abs(a * a * (a + w0) - (8 * w0 ** 3 - 27 * c0sq) / 54) < 1e-16
 
     def test_largest_real_root_against_numpy(self):
         rng = random.Random(27)
@@ -308,27 +310,90 @@ class TestSeparatrix:
                 want = max(roots.real)
             else:                           # one real root
                 want = roots[np.argmin(abs(roots.imag))].real
-            assert model.separatrix_energy(w0, c0sq) == pytest.approx(
-                want, rel=1e-10), (w0, c0sq)
+            a, h_star = model.separatrix_scale(w0, c0sq)
+            assert h_star == pytest.approx(want, rel=1e-10), (w0, c0sq)
+            assert a == pytest.approx(math.sqrt(4 * w * w - 3 * want) / 3,
+                                      rel=1e-9), (w0, c0sq)
 
     @pytest.mark.parametrize("w0", [Q(1), Q(3), Q(1, 3), Q(7, 5), Q(10, 7)])
     def test_exact_roots_at_zero_c0_and_on_the_curve(self, w0):
-        # at C0^2 = 0 the cubic is h^2 (h - w0^2), and w0^2 its float
-        # coefficient; on 27 C0^2 = 8 w0^3 its largest root is the double
-        # root 4 w0^2/3
-        assert model.separatrix_energy(w0, 0) == float(w0) ** 2
-        assert (model.separatrix_energy(w0, Q(8, 27) * w0 ** 3)
-                == float(Q(4, 3) * w0 ** 2))
+        # at C0^2 = 0, a^2 (a + w0) = 4 w0^3/27 has the root a = w0/3, so
+        # s = 1/3 and h* = w0^2, rounded once; on 27 C0^2 = 8 w0^3 its root
+        # a = 0 is a double one, and there is no separatrix
+        a, h_star = model.separatrix_scale(w0, 0)
+        assert h_star == float(w0 ** 2)
+        assert a == pytest.approx(float(w0 / 3), rel=3e-16)
+        with pytest.raises(model.NoSeparatrixError,
+                           match=r"no separatrix on 27 C0\^2 = 8 w0\^3"):
+            model.separatrix_scale(w0, Q(8, 27) * w0 ** 3)
 
     @pytest.mark.parametrize("w0, c0sq", [
         (Q(1), Q(1, 100)), (Q(2), Q(3, 10)), (Q(1, 2), Q(1, 20)), (Q(1), Q(1))])
     def test_root_scales_across_the_float_range(self, w0, c0sq):
-        # the cubic is homogeneous when w0, C0^2 and h weigh 1, 3 and 2
-        h = model.separatrix_energy(w0, c0sq)
+        # a^2 (a + w0) = K and the discriminant cubic are homogeneous when
+        # w0, C0^2, a and h weigh 1, 3, 1 and 2
+        a, h = model.separatrix_scale(w0, c0sq)
         for e in (-100, -30, 30, 100):
             scale = Q(2) ** e
-            assert model.separatrix_energy(scale * w0, scale ** 3 * c0sq) \
-                == pytest.approx(h * 2.0 ** (2 * e), rel=1e-14)
+            a_e, h_e = model.separatrix_scale(scale * w0, scale ** 3 * c0sq)
+            assert a_e == pytest.approx(a * 2.0 ** e, rel=1e-14)
+            assert h_e == pytest.approx(h * 2.0 ** (2 * e), rel=1e-14)
+
+    @pytest.mark.parametrize("w0, rel, error", [
+        (Q(1), Q(1, 10 ** 400), model.NoSeparatrixError),
+        (Q(13 * 10 ** 153), Q(1, 10 ** 6), OverflowError)],
+        ids=["a-underflows", "h-overflows"])
+    def test_float_range_is_refused(self, w0, rel, error):
+        # C0^2 a relative `rel` inside the curve: K/w0^3 rounds to 0.0, or
+        # h* = w0^2 (4/3 - 3 s^2) to inf though w0^2 is finite
+        with pytest.raises(error):
+            model.separatrix_scale(w0, Q(8, 27) * w0 ** 3 * (1 - rel))
+
+    def test_scale_against_exact_root_on_a_seeded_grid(self):
+        rng = random.Random(33)
+        for _ in range(3000):
+            w0 = (Q(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
+                  * Q(2) ** rng.randint(-20, 20))
+            c0sq = Q(8, 27) * w0 ** 3 * Q(rng.randint(0, 10 ** 6 - 1), 10 ** 6)
+            _assert_exact_scale(w0, c0sq)
+
+    @pytest.mark.parametrize("w0", [Q(1), Q(3), Q(7, 5)])
+    def test_scale_near_the_curve(self, w0):
+        # C0^2 a relative 10^-k inside the curve: a ~ w0 sqrt(2 10^-k / 27)
+        for k in range(1, 16):
+            _assert_exact_scale(w0, Q(8, 27) * w0 ** 3 * (1 - Q(10) ** -k))
+
+
+def _exact_root_bracket(w0: Q, c0sq: Q):
+    """Fractions lo <= a < hi, hi - lo <= 2^-60 a, around the positive root
+    a of a^2 (a + w0) = K = (8 w0^3 - 27 C0^2)/54 > 0, by bisection over
+    a = m / D with D = den(w0) 2^E, in integer arithmetic."""
+    K = (8 * w0 ** 3 - 27 * c0sq) / 54
+    # a >= w0 sqrt(3 K / (4 w0^3)), as a <= w0/3; the float only sizes D
+    low = float(w0) * math.sqrt(0.75 * float(K / w0 ** 3))
+    E = max(0, 61 - math.frexp(low)[1])
+    p, D = w0.numerator << E, w0.denominator << E
+    lhs, rhs = K.denominator, K.numerator * D ** 3
+
+    def above(m):       # a^2 (a + w0) > K at a = m / D
+        return m * m * (m + p) * lhs > rhs
+    lo, hi = 0, p // 3 + 1      # a <= w0/3 < hi / D
+    assert above(hi) and not above(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return Q(lo, D), Q(hi, D)
+
+
+def _assert_exact_scale(w0: Q, c0sq: Q):
+    """separatrix_scale's (a, h*) within 1e-15 relative of the exact root
+    a and of h* = 4 w0^2/3 - 3 a^2, which falls as a rises."""
+    a, h_star = model.separatrix_scale(w0, c0sq)
+    lo, hi = _exact_root_bracket(w0, c0sq)
+    for got, ends in ((a, (lo, hi)),
+                      (h_star, [4 * w0 ** 2 / 3 - 3 * x ** 2 for x in (lo, hi)])):
+        err = max(abs(Q(got) - x) for x in ends) / min(map(abs, ends))
+        assert err <= Q(1, 10 ** 15), (w0, c0sq, got, float(err))
 
 
 class TestIntegrator:

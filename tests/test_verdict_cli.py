@@ -682,6 +682,55 @@ class TestCli:
             f"{h_star} is a double root of the discriminant cubic, so a = 0\n")
         assert not captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--which", "separatrix", "--c0sq", "1"],
+        ["verify", "--which", "separatrix", "--omega0", "1/2",
+         "--c0sq", "1/25"],
+        ["verify", "--which", "separatrix", "--omega0", "1/2",
+         "--c0sq", "1/20"],
+        ["sweep", "--omega0", "1", "--omega1", "1", "--c0sq", "1",
+         "--c1sq", "1", "--action", "3"]],
+        ids=["verify", "verify-pool-4", "verify-pool-5", "sweep"])
+    def test_no_separatrix_is_usage_error(self, argv, tmp_path, capsys):
+        # 27 C0^2 > 8 w0^3: the q0 plane has no saddle, so no separatrix to
+        # check or to sweep (verify exited 3 with a residual of 2.72, 0.467
+        # and 0.511; sweep printed its table)
+        path = tmp_path / "out"
+        flag = "--json" if argv[0] == "verify" else "--csv"
+        assert cli.main([*argv, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: no separatrix where 27 C0^2 > 8 w0^3: 27 C0^2 = ")
+        assert not captured.out and not path.exists()
+
+    @pytest.mark.parametrize("omega0, c0sq", [("1", "1"), ("1/2", "1/25"),
+                                              ("1/2", "1/20")])
+    def test_analyze_case3_answers_without_separatrix(self, omega0, c0sq,
+                                                      capsys):
+        # ROADMAP item 2 decides these points; until then case 3 answers
+        assert cli.main(["analyze", "case3", "--omega0", omega0, "--omega1",
+                         "1", "--c0sq", c0sq, "--c1sq", "1",
+                         "--action", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]["outcome"] == "NonIntegrable"
+
+    def test_separatrix_just_inside_the_curve(self, capsys):
+        # 27 C0^2 = 8 w0^3 (1 - 10^-9): a = 1.2e-5, not the 0.577 of a
+        # polished h* = 0.333333332888889 that was no root of the cubic
+        c0sq = "7999999992/27000000000"
+        assert cli.main(["analyze", "case3", "--omega0", "1", "--omega1",
+                         "1", "--c0sq", c0sq, "--c1sq", "1",
+                         "--action", "3"]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert float(details["h_star"]) == pytest.approx(1.3333333328888943,
+                                                         rel=1e-15)
+        assert float(details["a"]) == pytest.approx(1.2171538316056596e-5,
+                                                    rel=1e-15)
+        assert float(details["quoted_amplitude_im"]) < 1e-3
+        assert cli.main(["verify", "--which", "separatrix", "--omega0", "1",
+                         "--c0sq", c0sq]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_no_command_imports_numpy(self):
         argvs = [
             ["analyze", "case1", "--omega0", "1", "--omega", "2", "--gbf", "1",
