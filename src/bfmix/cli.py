@@ -308,9 +308,9 @@ def _sweep_rows(args):
         raise ValueError(f"t0 range [{args.t0_min}, {args.t0_max}] must be "
                          "finite")
     _check_samples("--t0-samples", args.t0_samples)
+    _refuse_no_separatrix(args.omega0, args.c0sq)
     s = melnikov.setup(args.omega0, args.omega1, args.c0sq, args.c1sq,
                        args.action)
-    _refuse_no_separatrix(args.omega0, args.c0sq)
     yield "t0,d_num_re,d_num_im,d_closed_re,d_closed_im"
     yield from melnikov.sweep_csv_rows(
         s, _linspace(args.t0_min, args.t0_max, args.t0_samples))

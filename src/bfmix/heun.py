@@ -8,10 +8,26 @@ sinh-Mathieu variant
 
 which the substitution x = exp(2 i omega t), y = sqrt(x) xi0 turns into the
 normal form y'' = r(x) y with r(x) = -B/x - (A + 1/4)/x^2 + B/x^3,
-A = -A1/(4 omega^2), B = -B1/(8 omega^2).  For B != 0 the symmetry group of
-that normal form is the full SL(2, C), so one nonzero rational B is a
-complete non-integrability witness; B = 0 collapses it to a solvable Euler
-equation.
+A = -A1/(4 omega^2), B = -B1/(8 omega^2).  For B != 0 the differential
+Galois group of that normal form is the full SL(2, C), so one nonzero
+rational B is a complete non-integrability witness; B = 0 collapses it to a
+solvable Euler equation.
+
+The certificate is Kovacic's algorithm (J. Symbolic Comput. 2 (1986)).  As
+one fraction, r(x) = (-B x^2 - (A + 1/4) x + B)/x^3.  With B != 0 its only
+pole in C is x = 0, of order 3, and its order at infinity (the degree of
+the denominator less that of the numerator) is 1.  Kovacic's three
+Liouvillian cases each need a condition that r fails:
+
+* case 1 needs every pole simple or of even order; x = 0 has order 3;
+* case 3 needs every pole of order at most 2; x = 0 has order 3;
+* case 2 admits an odd pole of order above 2, with E_0 = {3}, and the order
+  1 < 2 at infinity gives E_inf = {1}; its only candidate degree is
+  d = (e_inf - e_0)/2 = (1 - 3)/2 = -1, not a nonnegative integer, so no
+  family of exponents survives.
+
+So no Liouvillian solution exists and the group is SL(2, C), whose identity
+component is not abelian.
 """
 from __future__ import annotations
 

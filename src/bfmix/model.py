@@ -264,48 +264,34 @@ def separatrix_scale(omega0, C0_sq) -> Tuple[float, float]:
     """(a, h*) of the separatrix, h* = 4 w0^2/3 - 3 a^2.  Its saddle
     u = q0^2 = 2 w0/3 + a solves u^2 (w0 - u) = C0^2/2, that is
     a^2 (a + w0) = K (``separatrix_constant``), rising from 0 for a > 0.
-    As a = w0 s, s^2 (s + 1) = kappa = K/w0^3 <= 4/27: Newton from
-    min(sqrt(kappa), 1/3), an upper bound where the cubic is convex,
-    decreases to the root and stops at the first iterate that does not (a
-    step can stay below half an ulp of s).  Where K < 0 there is no
-    separatrix, but ``analyze case3`` answers (ROADMAP item 2) from the one
-    real root h* of the discriminant cubic and a = sqrt(4 w0^2 - 3 h*)/3.
-    A float h* out of range raises OverflowError."""
+    As a = w0 s, s^2 (s + 1) = kappa = K/w0^3, rounded once, and Newton
+    runs from a bound on the root chosen by the sign of K.  Where K > 0
+    (kappa <= 4/27), min(sqrt(kappa), 1/3) bounds the positive root from
+    above, where the cubic is convex, so the iterates decrease.  Where
+    K < 0 there is no separatrix, but ``analyze case3`` answers (ROADMAP
+    item 2) from the one real root s < -1: -1 - |kappa|^(1/3) bounds it
+    from below, where the cubic rises and is concave, so the iterates rise.
+    Either way the loop stops at the first iterate that does not move
+    toward the root (a step can stay below half an ulp of s), and
+    a = w0 |s|.  A kappa or h* beyond the float range raises OverflowError."""
     w0q, c0q = as_fraction(omega0), as_fraction(C0_sq)
     K = separatrix_constant(w0q, c0q)
+    n, d = w0q.as_integer_ratio()   # kappa and w0^2 are rounded once
+    kappa = K.numerator * d ** 3 / (K.denominator * n ** 3)
     if K > 0:
-        n, d = w0q.as_integer_ratio()   # kappa and w0^2 are rounded once
-        kappa = K.numerator * d ** 3 / (K.denominator * n ** 3)
         if not kappa:
             raise NoSeparatrixError("K/w0^3 underflows a float: a rounds to 0")
-        s = min(math.sqrt(kappa), 1 / 3)
-        while (nxt := s - (s * s * (s + 1) - kappa) / (s * (3 * s + 2))) < s:
-            s = nxt
-        # at C0 = 0, s = 1/3 and 4/3 - 3 s^2 = 1.0: h* = w0^2 exactly
-        h_star = n * n / (d * d) * (4 / 3 - 3 * s * s)
-        if not math.isfinite(h_star):
-            raise OverflowError(f"h* = {h_star} leaves the float range")
-        return n / d * s, h_star
-    # Cardano: h^3 - w0^2 h^2 - 9 C0^2 w0 h + 8 C0^2 w0^3 + (27/4) C0^4 at
-    # C0^2 = 1 is x^3 + p x + q, h = C0^(4/3) (x + w^2/3), with one Newton step
-    w = float(w0q ** 3 / c0q) ** (1 / 3)
-    p = -9 * w - w ** 4 / 3
-    q = 5 * w ** 3 + 6.75 - 2 * w ** 6 / 27
-    root = math.sqrt(max(q * q / 4 + p ** 3 / 27, 0.0))
-    arg = -q / 2 - math.copysign(root, q)
-    u = math.copysign(abs(arg) ** (1 / 3), arg)
-    h_star = float(c0q) ** (2 / 3) * (u - p / (3 * u) + w ** 2 / 3)
-    w0, c0sq = float(w0q), float(c0q)
-    const = 8 * c0sq * w0 ** 3 + 6.75 * c0sq ** 2
-    f = ((h_star - w0 ** 2) * h_star - 9 * c0sq * w0) * h_star + const
-    df = (3 * h_star - 2 * w0 ** 2) * h_star - 9 * c0sq * w0
-    h_star -= f / df if df else 0.0
+        s, toward = min(math.sqrt(kappa), 1 / 3), -1.0
+    else:
+        s, toward = -1 - (-kappa) ** (1 / 3), 1.0
+    while (toward * (nxt := s - (s * s * (s + 1) - kappa) / (s * (3 * s + 2)))
+           > toward * s):
+        s = nxt
+    # at C0 = 0, s = 1/3 and 4/3 - 3 s^2 = 1.0: h* = w0^2 exactly
+    h_star = n * n / (d * d) * (4 / 3 - 3 * s * s)
     if not math.isfinite(h_star):
         raise OverflowError(f"h* = {h_star} leaves the float range")
-    disc = 4 * w0 ** 2 - 3 * h_star
-    if disc <= 0:
-        raise NoSeparatrixError(f"4 w0^2 - 3 h* = {disc} <= 0")
-    return math.sqrt(disc) / 3, h_star
+    return n / d * abs(s), h_star
 
 
 def separatrix_slope(a: float, t: complex) -> complex:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction as Q
@@ -6,7 +7,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from bfmix import elliptic, model
+from bfmix import cli, elliptic, model
 from bfmix.model import PhaseState, make_params
 from bfmix.odeint import SingularityEncounteredError, integrate
 from conftest import random_rational
@@ -331,13 +332,15 @@ class TestSeparatrix:
         (Q(1), Q(1, 100)), (Q(2), Q(3, 10)), (Q(1, 2), Q(1, 20)), (Q(1), Q(1))])
     def test_root_scales_across_the_float_range(self, w0, c0sq):
         # a^2 (a + w0) = K and the discriminant cubic are homogeneous when
-        # w0, C0^2, a and h weigh 1, 3, 1 and 2
+        # w0, C0^2, a and h weigh 1, 3, 1 and 2; (1/2, 1/20) and (1, 1) have
+        # K < 0
         a, h = model.separatrix_scale(w0, c0sq)
         for e in (-100, -30, 30, 100):
             scale = Q(2) ** e
             a_e, h_e = model.separatrix_scale(scale * w0, scale ** 3 * c0sq)
             assert a_e == pytest.approx(a * 2.0 ** e, rel=1e-14)
             assert h_e == pytest.approx(h * 2.0 ** (2 * e), rel=1e-14)
+            _assert_exact_scale(scale * w0, scale ** 3 * c0sq, a_e, h_e)
 
     @pytest.mark.parametrize("w0, rel, error", [
         (Q(1), Q(1, 10 ** 400), model.NoSeparatrixError),
@@ -355,29 +358,65 @@ class TestSeparatrix:
             w0 = (Q(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
                   * Q(2) ** rng.randint(-20, 20))
             c0sq = Q(8, 27) * w0 ** 3 * Q(rng.randint(0, 10 ** 6 - 1), 10 ** 6)
-            _assert_exact_scale(w0, c0sq)
+            _assert_exact_scale(w0, c0sq, *model.separatrix_scale(w0, c0sq))
 
     @pytest.mark.parametrize("w0", [Q(1), Q(3), Q(7, 5)])
     def test_scale_near_the_curve(self, w0):
         # C0^2 a relative 10^-k inside the curve: a ~ w0 sqrt(2 10^-k / 27)
         for k in range(1, 16):
-            _assert_exact_scale(w0, Q(8, 27) * w0 ** 3 * (1 - Q(10) ** -k))
+            c0sq = Q(8, 27) * w0 ** 3 * (1 - Q(10) ** -k)
+            _assert_exact_scale(w0, c0sq, *model.separatrix_scale(w0, c0sq))
+
+    def test_scale_beyond_the_curve_against_exact_root(self):
+        # K < 0, no separatrix: the real root a < -w0, reported as |a|, with
+        # 27 C0^2 / (8 w0^3) - 1 from 10^-15 to 10^6
+        rng = random.Random(34)
+        for _ in range(1000):
+            w0 = (Q(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
+                  * Q(2) ** rng.randint(-20, 20))
+            excess = (Q(rng.randint(10 ** 5, 10 ** 6 - 1), 10 ** 6)
+                      * Q(10) ** rng.randint(-14, 5))
+            c0sq = Q(8, 27) * w0 ** 3 * (1 + excess)
+            _assert_exact_scale(w0, c0sq, *model.separatrix_scale(w0, c0sq))
+
+    @pytest.mark.parametrize("c0sq", [Q(4, 100), Q(5, 100)],
+                             ids=["pool-4", "pool-5"])
+    def test_pool_draws_beyond_the_curve_through_analyze(self, c0sq, capsys):
+        # the benchmark's case-3 pool draws w0 = 1/2 with these C0^2, where
+        # K < 0; analyze case3 answers there until ROADMAP item 2 is done
+        assert cli.main(["analyze", "case3", "--omega0", "1/2", "--omega1",
+                         "1", "--c0sq", str(c0sq), "--c1sq", "1",
+                         "--action", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]["outcome"] == "NonIntegrable"
+        details = report["details"]
+        _assert_exact_scale(Q(1, 2), c0sq, float(details["a"]),
+                            float(details["h_star"]))
 
 
 def _exact_root_bracket(w0: Q, c0sq: Q):
-    """Fractions lo <= a < hi, hi - lo <= 2^-60 a, around the positive root
-    a of a^2 (a + w0) = K = (8 w0^3 - 27 C0^2)/54 > 0, by bisection over
-    a = m / D with D = den(w0) 2^E, in integer arithmetic."""
+    """Fractions lo <= r < hi, hi - lo <= 2^-60 |r|, around the real root r
+    of r^2 (r + w0) = K = (8 w0^3 - 27 C0^2)/54 where the cubic rises: the
+    positive one where K > 0, the one below -w0 where K < 0.  By bisection
+    over r = m / D with D = den(w0) 2^E, in integer arithmetic."""
     K = (8 * w0 ** 3 - 27 * c0sq) / 54
-    # a >= w0 sqrt(3 K / (4 w0^3)), as a <= w0/3; the float only sizes D
-    low = float(w0) * math.sqrt(0.75 * float(K / w0 ** 3))
+    # |r| >= w0 sqrt(3 K / (4 w0^3)) where K > 0, as r <= w0/3, and |r| > w0
+    # where K < 0; the float only sizes D
+    low = float(w0) * (math.sqrt(0.75 * float(K / w0 ** 3)) if K > 0 else 1)
     E = max(0, 61 - math.frexp(low)[1])
     p, D = w0.numerator << E, w0.denominator << E
     lhs, rhs = K.denominator, K.numerator * D ** 3
 
-    def above(m):       # a^2 (a + w0) > K at a = m / D
+    def above(m):       # r^2 (r + w0) > K at r = m / D
         return m * m * (m + p) * lhs > rhs
-    lo, hi = 0, p // 3 + 1      # a <= w0/3 < hi / D
+    if K > 0:
+        lo, hi = 0, p // 3 + 1      # r <= w0/3 < hi / D
+    else:
+        # the cubic rises on r < -2 w0/3: double the distance below -w0
+        lo, hi, step = -p - 1, -p, 1
+        while above(lo):
+            step *= 2
+            lo = -p - step
     assert above(hi) and not above(lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -385,12 +424,11 @@ def _exact_root_bracket(w0: Q, c0sq: Q):
     return Q(lo, D), Q(hi, D)
 
 
-def _assert_exact_scale(w0: Q, c0sq: Q):
-    """separatrix_scale's (a, h*) within 1e-15 relative of the exact root
-    a and of h* = 4 w0^2/3 - 3 a^2, which falls as a rises."""
-    a, h_star = model.separatrix_scale(w0, c0sq)
+def _assert_exact_scale(w0: Q, c0sq: Q, a: float, h_star: float):
+    """(a, h*) of separatrix_scale within 1e-15 relative of |r|, r the exact
+    root, and of h* = 4 w0^2/3 - 3 r^2, which falls as |r| rises."""
     lo, hi = _exact_root_bracket(w0, c0sq)
-    for got, ends in ((a, (lo, hi)),
+    for got, ends in ((a, (abs(lo), abs(hi))),
                       (h_star, [4 * w0 ** 2 / 3 - 3 * x ** 2 for x in (lo, hi)])):
         err = max(abs(Q(got) - x) for x in ends) / min(map(abs, ends))
         assert err <= Q(1, 10 ** 15), (w0, c0sq, got, float(err))

@@ -689,12 +689,17 @@ class TestCli:
         ["verify", "--which", "separatrix", "--omega0", "1/2",
          "--c0sq", "1/20"],
         ["sweep", "--omega0", "1", "--omega1", "1", "--c0sq", "1",
-         "--c1sq", "1", "--action", "3"]],
-        ids=["verify", "verify-pool-4", "verify-pool-5", "sweep"])
+         "--c1sq", "1", "--action", "3"],
+        ["verify", "--which", "separatrix", "--c0sq=1e400"],
+        ["sweep", "--omega0=1", "--omega1=1", "--c0sq=1e400", "--c1sq=1",
+         "--action=3"]],
+        ids=["verify", "verify-pool-4", "verify-pool-5", "sweep",
+             "verify-c0sq-1e400", "sweep-c0sq-1e400"])
     def test_no_separatrix_is_usage_error(self, argv, tmp_path, capsys):
         # 27 C0^2 > 8 w0^3: the q0 plane has no saddle, so no separatrix to
         # check or to sweep (verify exited 3 with a residual of 2.72, 0.467
-        # and 0.511; sweep printed its table)
+        # and 0.511; sweep printed its table); the exact test comes before
+        # any float, so a C0^2 beyond the float range is refused alike
         path = tmp_path / "out"
         flag = "--json" if argv[0] == "verify" else "--csv"
         assert cli.main([*argv, flag, str(path)]) == 2
@@ -704,10 +709,12 @@ class TestCli:
         assert not captured.out and not path.exists()
 
     @pytest.mark.parametrize("omega0, c0sq", [("1", "1"), ("1/2", "1/25"),
-                                              ("1/2", "1/20")])
+                                              ("1/2", "1/20"), ("1", "1e300")])
     def test_analyze_case3_answers_without_separatrix(self, omega0, c0sq,
                                                       capsys):
-        # ROADMAP item 2 decides these points; until then case 3 answers
+        # ROADMAP item 2 decides these points; until then case 3 answers,
+        # from the root below -w0 of a^2 (a + w0) = K, wherever K/w0^3 is a
+        # float
         assert cli.main(["analyze", "case3", "--omega0", omega0, "--omega1",
                          "1", "--c0sq", c0sq, "--c1sq", "1",
                          "--action", "3"]) == 0
@@ -838,7 +845,7 @@ class TestCli:
         ["analyze", "case3", "--omega0", "1e300", "--omega1", "1",
          "--c0sq", "1/100", "--c1sq", "1", "--action", "3"],
         ["analyze", "case3", "--omega0", "1", "--omega1", "1",
-         "--c0sq", "1e300", "--c1sq", "1", "--action", "3"],
+         "--c0sq", "1e400", "--c1sq", "1", "--action", "3"],
         ["sweep", "--omega0", "1e300", "--omega1", "1", "--c0sq", "1/100",
          "--c1sq", "1", "--action", "3"],
         ["analyze", "case2", "--gbf", "1", "--omega0", "1", "--omegaj", ",",
@@ -869,6 +876,29 @@ class TestCli:
             code = exc.code
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_case3_commands_across_the_float_range(self, capsys):
+        # w0 and C0^2 over 10^-300 ... 10^260 and 1, both signs of K: each
+        # case-3 command answers or refuses with an error, and none raises
+        values = ["1", *(f"1e{k}" for k in range(-300, 261, 35))]
+        commands = [
+            ["analyze", "case3", "--omega1", "1", "--c1sq", "1", "--action",
+             "3"],
+            ["verify", "--which", "separatrix", "--samples", "1"],
+            ["sweep", "--omega1", "1", "--c1sq", "1", "--action", "3",
+             "--t0-samples", "1"]]
+        codes = set()
+        for omega0 in values:
+            for c0sq in values:
+                for argv in commands:
+                    code = cli.main([*argv, "--omega0", omega0,
+                                     "--c0sq", c0sq])
+                    err = capsys.readouterr().err
+                    assert code == 0 or (code == 2 and "error:" in err), (
+                        argv[0], omega0, c0sq, code, err)
+                    codes.add((argv[0], code))
+        assert codes == {(argv[0], code) for argv in commands
+                         for code in (0, 2)}
 
     @pytest.mark.parametrize("argv, code", [
         (["verify", "--which", "prop1", "--omegaj", "1e-300", "--cj", "1",
