@@ -14,9 +14,7 @@ from functools import cached_property
 from operator import mul
 from typing import Tuple
 
-from .series import PuiseuxSeries, append_rational
-
-Q = Fraction
+from .series import PuiseuxSeries, append_rational, as_fraction
 
 
 class DegenerateInvariantsError(ValueError):
@@ -51,17 +49,31 @@ class EllipticData:
 
 
 def invariants_from_energy(omega0, C0_sq, h) -> EllipticData:
-    omega0, C0_sq, h = Q(omega0), Q(C0_sq), Q(h)
+    """The curve at energy h.  With w0 = a/b, C0^2 = c/d and h = p/q,
+
+        g2 = (16 a^2 q - 12 b^2 p) / (3 b^2 q) = N2 / (3 b^2 q),
+        g3 = (108 b^3 c q - 72 a b^2 d p + 64 a^3 d q) / (27 b^3 d q)
+           = N3 / (27 b^3 d q),
+        g2^3 - 27 g3^2 = (d^2 N2^3 - q N3^2) / (27 b^6 d^2 q^3),
+
+    so each is one Fraction of integers."""
+    omega0, C0_sq, h = as_fraction(omega0), as_fraction(C0_sq), as_fraction(h)
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
-    g2 = Q(16, 3) * omega0 ** 2 - 4 * h
-    g3 = 4 * C0_sq - Q(8, 3) * omega0 * h + Q(64, 27) * omega0 ** 3
-    disc = g2 ** 3 - 27 * g3 ** 2
-    if disc == 0:
+    a, b = omega0.numerator, omega0.denominator
+    c, d = C0_sq.numerator, C0_sq.denominator
+    p, q = h.numerator, h.denominator
+    b2q = b * b * q
+    n2 = 16 * a * a * q - 12 * b * p * b
+    n3 = 108 * b * b2q * c - 72 * a * b * b * d * p + 64 * a * a * a * d * q
+    dn = d * d * n2 ** 3 - q * n3 * n3
+    if dn == 0:
         raise DegenerateInvariantsError(
             f"discriminant vanishes for omega0={omega0}, C0_sq={C0_sq}, h={h}")
-    return EllipticData(g2=g2, g3=g3, discriminant=disc, h=h,
-                        omega0=omega0, C0_sq=C0_sq)
+    return EllipticData(g2=Fraction(n2, 3 * b2q),
+                        g3=Fraction(n3, 27 * b * b2q * d),
+                        discriminant=Fraction(dn, 27 * b2q ** 3 * d * d),
+                        h=h, omega0=omega0, C0_sq=C0_sq)
 
 
 def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
@@ -70,14 +82,14 @@ def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
     1/t^2 + (g2/20) t^2 + (g3/28) t^4 + ..., even exponents only; the higher
     coefficients follow from matching wp'' = 6 wp^2 - g2/2 term by term.
     """
-    order = Q(order)
-    if order < 2:
+    order = as_fraction(order)
+    on, od = order.numerator, order.denominator
+    if on < 2 * od:
         raise ValueError("order must be at least 2")
-    # numerators of a_1, a_2, ... over one denominator
+    # numerators of a_1, a_2, ... over one denominator: a_m for 2m < order
     a: list = []
     den = 1
-    m = 1
-    while 2 * m < order:
+    for m in range(1, -(-on // (2 * od))):
         if m == 1:
             p, q = e.g2.numerator, 20 * e.g2.denominator
         elif m == 2:
@@ -86,11 +98,8 @@ def wp_laurent(e: EllipticData, order) -> PuiseuxSeries:
             s = sum(map(mul, a[:m - 2], a[m - 3::-1]))
             p, q = 6 * s, den * den * (4 * m * m - 2 * m - 12)
         den = append_rational(a, den, p, q)
-        m += 1
     # exponents -2, 0, 2, 4, ...: 1/t^2, no constant, then a_1 t^2, ...
-    L = order.denominator
-    return PuiseuxSeries.from_dense(L, -2 * L, 2 * L, [den, 0] + a, den,
-                                    order.numerator)
+    return PuiseuxSeries.from_dense(od, -2 * od, 2 * od, [den, 0] + a, den, on)
 
 
 _POLE_GUARD = 1e8

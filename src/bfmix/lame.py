@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from . import elliptic, variational
-from .series import rational_sqrt
+from .series import as_fraction, rational_sqrt
 
 Q = Fraction
 
@@ -51,9 +51,13 @@ def lame_index(g_bf) -> Optional[Fraction]:
 
 
 def lame_offset(omega0, omega_j, n) -> Fraction:
-    """B_j = (2/3) w0 n(n+1) - 2 w_j."""
-    n = Q(n)
-    return Q(2, 3) * Q(omega0) * n * (n + 1) - 2 * Q(omega_j)
+    """B_j = (2/3) w0 n(n+1) - 2 w_j: with w0 = a/b, w_j = c/d and n = p/q,
+    (2 a d p (p + q) - 6 b c q^2) / (3 b d q^2)."""
+    (a, b), (c, d), (p, q) = (as_fraction(omega0).as_integer_ratio(),
+                              as_fraction(omega_j).as_integer_ratio(),
+                              as_fraction(n).as_integer_ratio())
+    return Fraction(2 * a * d * p * (p + q) - 6 * b * c * q * q,
+                    3 * b * d * q * q)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,13 @@ operands need.  The canonical form is made in one pass over the dense list:
 the cut at the truncation, the zero ends, the coarsest step (scanned only
 when the second coefficient is zero), the common factor of the numerators,
 and a division of the lattice only where ``L``, the base and the step share
-a factor.  ``+`` and ``*`` align operands on one lattice without any
-re-gridding, and a product convolves the two lists in a nested loop with
-each factor's step as its stride.
+a factor.  ``+`` and ``-`` share one body, which folds the sign into the
+factor that rescales the second operand to the common denominator; ``+``,
+``-`` and ``*`` align operands on one lattice without any re-gridding, and a
+product convolves the two lists in a nested loop with each factor's step as
+its stride.  Each result of ``+``, ``-``, ``*``, ``scale`` and
+``antiderivative`` is one ``_set`` call on a fresh instance, and
+``antiderivative`` finds its ``t^-1`` term by one ``divmod``.
 """
 from __future__ import annotations
 
@@ -37,6 +41,11 @@ Exponent = Fraction
 
 #: truncation sentinel for series known to all orders (polynomials in t, 1/t)
 INF = math.inf
+
+#: the coefficient 0, one object for every reader (a Fraction is immutable)
+_ZERO = Fraction(0)
+#: a bare series, which one ``_set`` call fills
+_new = object.__new__
 
 
 class SeriesError(Exception):
@@ -90,13 +99,6 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
 
 
 # -- dense coefficient lists ---------------------------------------------------
-
-def _count_below(n: int, base: int, step: int, trunc) -> int:
-    """How many of the first n lattice points base + k*step lie below trunc."""
-    if trunc == INF:
-        return n
-    return max(0, min(n, -((base - trunc) // step)))
-
 
 def _convolve(out: list, a: list, b: list, ra: int, rb: int) -> None:
     """Add a[i] * b[j] to out[i*ra + j*rb] wherever that index lies below
@@ -188,7 +190,7 @@ class PuiseuxSeries:
         below t**(trunc / L), from positive integers ``L``, ``step`` and
         ``den``, integers ``base`` and ``coeffs``, and an integer ``trunc``
         or INF."""
-        s = cls.__new__(cls)
+        s = _new(cls)
         s._set(L, base, step, coeffs, den, trunc)
         return s
 
@@ -276,7 +278,7 @@ class PuiseuxSeries:
             c = self._coeffs[k]
             if c:
                 return Fraction(c, self._den)
-        return Q(0)
+        return _ZERO
 
     def coefficient(self, e) -> Fraction:
         """Exact coefficient of t**e; raises if e is not known at this order."""
@@ -286,7 +288,7 @@ class PuiseuxSeries:
             raise InsufficientOrderError(
                 f"coefficient of t^{e} unknown (truncation "
                 f"t^{self.truncation_order})")
-        return Q(0) if x % d else self._stored(x // d)
+        return _ZERO if x % d else self._stored(x // d)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -322,6 +324,16 @@ class PuiseuxSeries:
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
+        return self._sum(other, 1)
+
+    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
+        if not isinstance(other, PuiseuxSeries):
+            return NotImplemented
+        return self._sum(other, -1)
+
+    def _sum(self, other: "PuiseuxSeries", sign: int) -> "PuiseuxSeries":
+        """self + sign * other for sign 1 or -1: the sign rides on the
+        factor that rescales other's numerators to the common denominator."""
         L = self._L
         if other._L == L:
             b1, s1, t1 = self._base, self._step, self._trunc
@@ -335,14 +347,17 @@ class PuiseuxSeries:
         if not c:
             return self._cut(L, t)
         if not a:
-            return other._cut(L, t)
-        den = self._den
-        if other._den != den:
-            den = math.lcm(den, other._den)
-            if den != self._den:
-                a = [v * (den // self._den) for v in a]
-            if den != other._den:
-                c = [v * (den // other._den) for v in c]
+            return (other if sign > 0 else -other)._cut(L, t)
+        den = d1 = self._den
+        d2 = other._den
+        if d2 != den:
+            den = math.lcm(den, d2)
+            if den != d1:
+                f = den // d1
+                a = [v * f for v in a]
+        f = sign * (den // d2)
+        if f != 1:
+            c = [v * f for v in c]
         base = b1 if b1 <= b2 else b2
         step = math.gcd(s1, s2, b1 - b2)
         r1, r2 = s1 // step, s2 // step
@@ -351,17 +366,16 @@ class PuiseuxSeries:
         out = [0] * (e1 if e1 >= e2 else e2)
         out[o1:e1:r1] = a
         out[o2:e2:r2] = map(add, out[o2:e2:r2], c)
-        return PuiseuxSeries.from_dense(L, base, step, out, den, t)
+        s = _new(PuiseuxSeries)
+        s._set(L, base, step, out, den, t)
+        return s
 
     def __neg__(self) -> "PuiseuxSeries":
-        s = PuiseuxSeries.__new__(PuiseuxSeries)
+        s = _new(PuiseuxSeries)
         s._L, s._base, s._step, s._den = self._L, self._base, self._step, self._den
         s._coeffs = [-c for c in self._coeffs]
         s._trunc = self._trunc
         return s
-
-    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self + (-other)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
@@ -371,15 +385,22 @@ class PuiseuxSeries:
             L = math.lcm(L, other._L)
         base, sa, sb, t = _product_on(L, self, other)
         a, b = self._coeffs, other._coeffs
+        s = _new(PuiseuxSeries)
         if not (a and b):
-            return PuiseuxSeries.from_dense(L, 0, L, [], 1, t)
+            s._set(L, 0, L, [], 1, t)
+            return s
         step = sa if sa == sb else math.gcd(sa, sb)
         ra, rb = sa // step, sb // step
-        out = [0] * _count_below((len(a) - 1) * ra + (len(b) - 1) * rb + 1,
-                                 base, step, t)
+        n = (len(a) - 1) * ra + (len(b) - 1) * rb + 1
+        if t != INF:
+            # the lattice points base + k*step below t
+            below = -((base - t) // step)
+            if below < n:
+                n = below if below > 0 else 0
+        out = [0] * n
         _convolve(out, a, b, ra, rb)
-        return PuiseuxSeries.from_dense(L, base, step, out,
-                                        self._den * other._den, t)
+        s._set(L, base, step, out, self._den * other._den, t)
+        return s
 
     def product_residue(self, other: "PuiseuxSeries") -> Fraction:
         """``(self * other).residue()``, from the one convolution sum that
@@ -404,10 +425,11 @@ class PuiseuxSeries:
 
     def scale(self, k) -> "PuiseuxSeries":
         k = _rational(k)
-        return PuiseuxSeries.from_dense(
-            self._L, self._base, self._step,
-            [c * k.numerator for c in self._coeffs],
-            self._den * k.denominator, self._trunc)
+        p = k.numerator
+        s = _new(PuiseuxSeries)
+        s._set(self._L, self._base, self._step, [c * p for c in self._coeffs],
+               self._den * k.denominator, self._trunc)
+        return s
 
     def truncate(self, t) -> "PuiseuxSeries":
         if t == INF:
@@ -488,18 +510,20 @@ class PuiseuxSeries:
             raise InsufficientOrderError(
                 f"log coefficient unknowable at truncation "
                 f"t^{self.truncation_order}")
-        logc = Q(0)
-        coeffs = list(self._coeffs)
-        for k, c in enumerate(coeffs):
-            if c and b + k * s == -L:
-                logc = Fraction(c, self._den)
-                coeffs[k] = 0
+        coeffs, logc = self._coeffs, _ZERO
+        k, r = divmod(-L - b, s)
+        if not r and 0 <= k < len(coeffs) and coeffs[k]:
+            logc = Fraction(coeffs[k], self._den)
+            coeffs = coeffs[:]
+            coeffs[k] = 0
         # c_k / (e_k + 1) with e_k + 1 = m_k / L
-        ms = [b + L + k * s for k in range(len(coeffs))]
+        ms = range(b + L, b + L + len(coeffs) * s, s)
         m_lcm = math.lcm(*(m for m, c in zip(ms, coeffs) if c))
-        out = [c * L * (m_lcm // m) if c else 0 for m, c in zip(ms, coeffs)]
-        primitive = PuiseuxSeries.from_dense(L, b + L, s, out,
-                                             self._den * m_lcm, self._trunc + L)
+        lm = L * m_lcm
+        primitive = _new(PuiseuxSeries)
+        primitive._set(L, b + L, s,
+                       [c * (lm // m) if c else 0 for m, c in zip(ms, coeffs)],
+                       self._den * m_lcm, self._trunc + L)
         return primitive, logc
 
     def residue(self) -> Fraction:

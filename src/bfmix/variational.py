@@ -21,7 +21,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import elliptic
 from .series import (INF, FieldExtensionError, InsufficientOrderError,
-                     PuiseuxSeries, append_rational, rational_sqrt)
+                     PuiseuxSeries, append_rational)
 
 Q = Fraction
 
@@ -107,14 +107,20 @@ class FrobeniusBasis:
     exponents: Tuple[Fraction, Fraction]   # (rho1, rho2), rho1 > rho2
 
 
-def _indicial_roots(c2: Fraction) -> Tuple[Fraction, Fraction]:
-    disc = 1 + 4 * c2
-    if disc < 0:
-        raise FieldExtensionError(f"complex indicial exponents (1+4c = {disc})")
-    root = rational_sqrt(disc)
-    if root is None:
-        raise FieldExtensionError(f"irrational indicial exponents (1+4c = {disc})")
-    return (1 + root) / 2, (1 - root) / 2
+def _indicial_roots(c2_num: int, c2_den: int) -> Tuple[Fraction, Fraction]:
+    """(rho1, rho2) = (1 +- sqrt(1 + 4 c2)) / 2 for c2 = c2_num / c2_den,
+    c2_den > 0, with the root taken in integers."""
+    dn, dd = c2_den + 4 * c2_num, c2_den
+    g = math.gcd(dn, dd)
+    dn, dd = dn // g, dd // g
+    if dn < 0:
+        raise FieldExtensionError(
+            f"complex indicial exponents (1+4c = {Fraction(dn, dd)})")
+    rn, rd = math.isqrt(dn), math.isqrt(dd)
+    if rn * rn != dn or rd * rd != dd:
+        raise FieldExtensionError(
+            f"irrational indicial exponents (1+4c = {Fraction(dn, dd)})")
+    return Fraction(rd + rn, 2 * rd), Fraction(rd - rn, 2 * rd)
 
 
 def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
@@ -131,18 +137,21 @@ def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
     it returns is exact; stopping short of a resonance on the lattice leaves
     the log test undecided and raises InsufficientOrderError.
     """
-    c2 = q.coefficient(Q(-2))
     L, b, s, coeffs, q_den, t = q.dense()
     n = t + 2 * L                     # q_j is known for j < n
+    if n <= 0:
+        raise InsufficientOrderError(
+            f"coefficient of t^-2 unknown (truncation t^{q.truncation_order})")
     qs = [0] * n
     lo = b + 2 * L
     qs[lo:lo + (len(coeffs) - 1) * s + 1:s] = coeffs
-    qs[0] = 0
+    # c2 = q_0 / q_den, the t^-2 coefficient, which the bracket carries
     M = math.lcm(L, rho.denominator, other.denominator)
     step = M // L
     R = rho.numerator * (M // rho.denominator)
     OM = other.numerator * (M // other.denominator)
-    c2n, c2d = c2.numerator * M * M, c2.denominator
+    c2n, c2d = qs[0] * M * M, q_den
+    qs[0] = 0
     bracket_den = c2d * M * M
     a = [1]
     a_den = 1
@@ -189,12 +198,14 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
     equation has no xi' term, so it is constant (Abel), and its leading term
     is t^(rho1 + rho2 - 1) (rho1 - rho2)/(rho1 - rho2) = 1, because the
     indicial roots sum to 1."""
-    if q.truncation_order == INF:
+    L, b, _, coeffs, den, t = q.dense()
+    if t == INF:
         raise ValueError("frobenius needs a truncated coefficient series")
-    if q.base_exponent < -2:
+    if (b if coeffs else t) < -2 * L:
         raise IrregularSingularityError(
             f"pole of order {-q.base_exponent} > 2 at t = 0")
-    rho1, rho2 = _indicial_roots(q.coefficient(Q(-2)))
+    # a pole of order at most 2: c2 is the leading coefficient or zero
+    rho1, rho2 = _indicial_roots(coeffs[0] if b == -2 * L else 0, den)
     if rho1 == rho2:
         raise ValueError(f"double indicial exponent {rho1}: the second "
                          "solution carries a logarithm")
@@ -203,7 +214,9 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
         raise FirstOrderLogError(resonance_rhs, rho1)
     # the recursion at rho1 climbs away from rho2, so it meets no resonance
     sol2_monic, _ = _frobenius_one(q, rho1, rho2)
-    sol2 = sol2_monic.scale(Q(1) / (rho1 - rho2))
+    # rho1 - rho2 = 2 rho1 - 1, as rho1 + rho2 = 1
+    sol2 = sol2_monic.scale(Fraction(rho1.denominator,
+                                     2 * rho1.numerator - rho1.denominator))
     return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2))
 
 

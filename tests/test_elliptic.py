@@ -1,4 +1,5 @@
 import cmath
+import random
 import warnings
 from fractions import Fraction as Q
 
@@ -34,6 +35,51 @@ class TestInvariants:
     def test_positive_frequency_required(self):
         with pytest.raises(ValueError):
             elliptic.invariants_from_energy(0, 1, 0)
+
+    def test_integers_equal_the_fraction_formulas(self):
+        """g2, g3 and the discriminant, formed from integer numerators over
+        one denominator each, equal the written-out Fraction expressions:
+        seeded points with numerators and denominators up to 10^30, h of
+        both signs, and C0^2 = 0 on a quarter of them."""
+        rng = random.Random(20261020)
+        signs = set()
+        for i in range(400):
+            top = 10 ** rng.choice((1, 3, 12, 30))
+            w0 = Q(rng.randint(1, top), rng.randint(1, top))
+            c0sq = Q(0) if i % 4 == 0 else Q(rng.randint(1, top),
+                                               rng.randint(1, top))
+            h = Q(rng.randint(-top, top), rng.randint(1, top))
+            g2 = Q(16, 3) * w0 ** 2 - 4 * h
+            g3 = 4 * c0sq - Q(8, 3) * w0 * h + Q(64, 27) * w0 ** 3
+            disc = g2 ** 3 - 27 * g3 ** 2
+            if disc == 0:
+                with pytest.raises(elliptic.DegenerateInvariantsError):
+                    elliptic.invariants_from_energy(w0, c0sq, h)
+                continue
+            e = elliptic.invariants_from_energy(w0, c0sq, h)
+            assert (e.g2, e.g3, e.discriminant) == (g2, g3, disc)
+            assert (e.h, e.omega0, e.C0_sq) == (h, w0, c0sq)
+            assert all(type(v) is Q for v in (e.g2, e.g3, e.discriminant))
+            signs.add((h < 0, c0sq == 0))
+        assert len(signs) == 4
+
+    def test_degenerate_curves_rejected_at_any_size(self):
+        """g2 = 3u^2, g3 = u^3 has g2^3 = 27 g3^2: solve for h and C0^2 at
+        seeded w0 and u, with numerators and denominators up to 10^30, and
+        also at C0^2 = 0, h = 0 and h = w0^2."""
+        rng = random.Random(20261020)
+        points = []
+        for _ in range(100):
+            top = 10 ** rng.choice((1, 3, 12, 30))
+            w0 = Q(rng.randint(1, top), rng.randint(1, top))
+            u = Q(rng.randint(-top, top), rng.randint(1, top))
+            h = (Q(16, 3) * w0 ** 2 - 3 * u * u) / 4
+            c0sq = (u ** 3 + Q(8, 3) * w0 * h - Q(64, 27) * w0 ** 3) / 4
+            points += [(w0, c0sq, h), (w0, Q(0), Q(0)), (w0, Q(0), w0 ** 2)]
+        for w0, c0sq, h in points:
+            with pytest.raises(elliptic.DegenerateInvariantsError,
+                               match="discriminant vanishes"):
+                elliptic.invariants_from_energy(w0, c0sq, h)
 
 
 class TestLaurent:
@@ -75,6 +121,31 @@ class TestLaurent:
             second = (wp.differentiate().differentiate()
                       - (wp * wp).scale(6) + PuiseuxSeries.constant(g2 / 2))
             assert not second
+
+    @pytest.mark.parametrize("order", [2, Q(5, 2), 7, 60, Q(61, 2),
+                                       Q(121, 2)])
+    def test_matches_the_fraction_recursion(self, order):
+        """wp's terms below t^order equal DLMF 23.9.7 run in Fractions:
+        c_2 = g2/20, c_3 = g3/28, c_k = 3 sum_{m=2}^{k-2} c_m c_(k-m) /
+        ((2k + 1)(k - 3)), the coefficient of t^(2k - 2)."""
+        for w0, c0sq, h in ((1, 1, 0), (Q(3, 2), 0, Q(-7, 5)),
+                            (Q(10 ** 30 + 1, 7), Q(2, 10 ** 29 + 3), -5)):
+            e = elliptic.invariants_from_energy(w0, c0sq, h)
+            c = {}
+            k = 2
+            while 2 * k - 2 < order:
+                if k == 2:
+                    c[k] = e.g2 / 20
+                elif k == 3:
+                    c[k] = e.g3 / 28
+                else:
+                    c[k] = Q(3, (2 * k + 1) * (k - 3)) * sum(
+                        c[m] * c[k - m] for m in range(2, k - 1))
+                k += 1
+            want = {Q(-2): 1, **{Q(2 * k - 2): v for k, v in c.items() if v}}
+            wp = elliptic.wp_laurent(e, order)
+            assert dict(wp.terms()) == want
+            assert wp.truncation_order == order
 
     def test_order_validation(self):
         e = elliptic.invariants_from_energy(1, 1, 0)

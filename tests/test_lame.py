@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 from math import comb
 
@@ -31,6 +32,26 @@ class TestIndex:
             n = abs(random_rational(rng))
             g = n * (n + 1) / 2
             assert lame.lame_index(g) == n
+
+
+class TestOffset:
+    def test_integers_equal_the_fraction_formula(self):
+        """B_j from integer numerators over one denominator equals
+        (2/3) w0 n(n+1) - 2 w_j, on seeded points with numerators and
+        denominators up to 10^30 and n >= -1/2 of both signs."""
+        rng = random.Random(20261020)
+        for _ in range(300):
+            top = 10 ** rng.choice((1, 3, 12, 30))
+            w0 = Q(rng.randint(1, top), rng.randint(1, top))
+            wj = Q(rng.randint(1, top), rng.randint(1, top))
+            n = Q(rng.randint(-top, 4 * top), 2 * top)
+            want = Q(2, 3) * w0 * n * (n + 1) - 2 * wj
+            got = lame.lame_offset(w0, wj, n)
+            assert got == want and type(got) is Q
+
+    def test_int_arguments(self):
+        assert lame.lame_offset(1, 2, 2) == 0
+        assert lame.lame_offset(3, 1, Q(1, 2)) == Q(-1, 2)
 
 
 class TestPCoefficients:

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts in ``scripts/``, at their default arguments
 unless a test names others."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -51,3 +52,63 @@ def test_residue_survey_no_lame_index():
     lines = run_script("residue_survey.py", "--gbf", "1/3")
     assert lines[2:] == ["2 g_bf = 2/3 is n(n+1) for no rational n: "
                          "no Lame index"]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(points_per_s, p50_ms):
+    return {"attempted": 100, "correct": True, "failed": 0,
+            "metrics": {"points_per_s": points_per_s,
+                        "point_p50_ms": p50_ms}}
+
+
+def test_bench_pairs_plan_alternates_and_counts_seeds():
+    order = _bench_pairs().plan(["a", "b"], 3, 4001)
+    assert order == [("a", 4001, "parent"), ("a", 4001, "change"),
+                     ("a", 4002, "change"), ("a", 4002, "parent"),
+                     ("a", 4003, "parent"), ("a", 4003, "change"),
+                     ("b", 4004, "parent"), ("b", 4004, "change"),
+                     ("b", 4005, "change"), ("b", 4005, "parent"),
+                     ("b", 4006, "parent"), ("b", 4006, "change")]
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    """Medians, exclusive quartiles, wins, the signed worse fraction and
+    the claim test, on five canned pairs: points_per_s is higher-better,
+    point_p50_ms lower-better."""
+    bp = _bench_pairs()
+    parent = [(100, 10.0), (104, 9.0), (98, 11.0), (102, 10.5), (101, 9.5)]
+    change = [(110, 9.0), (103, 9.5), (111, 9.6), (112, 8.0), (109, 9.4)]
+    runs = {side: {"w": {str(4001 + k): _run(*v) for k, v in enumerate(vals)}}
+            for side, vals in (("parent", parent), ("change", change))}
+    end_to_end = [{"name": "points_per_s", "better": "higher", "bound": 0.24},
+                  {"name": "point_p50_ms", "better": "lower", "bound": 0.24}]
+    summary = bp.summarize(runs, end_to_end)["w"]
+    pps = summary["points_per_s"]
+    assert pps == {"bound": 0.24, "pairs": 5, "change_wins": 4,
+                   "parent_median": 101, "change_median": 110,
+                   "parent_quartiles": [99.0, 101.0, 103.0],
+                   "change_quartiles": [106.0, 110.0, 111.5],
+                   "median_change_pct": 8.91, "worse_frac": -0.0891}
+    p50 = summary["point_p50_ms"]
+    assert (p50["change_wins"], p50["parent_median"], p50["change_median"],
+            p50["worse_frac"]) == (4, 10.0, 9.4, -0.06)
+    c = bp.claim({"w": summary}, "w")
+    # 4 wins in 5 pairs is short of 9 in 10, though the gap of 9 exceeds
+    # the parent's interquartile range of 4
+    assert (c["change_wins"], c["parent_iqr"], c["median_gain"],
+            c["met"]) == (4, 4.0, 9, False)
+    runs["change"]["w"]["4002"] = _run(105, 8.5)
+    c = bp.claim({"w": bp.summarize(runs, end_to_end)["w"]}, "w")
+    assert (c["change_wins"], c["met"]) == (5, True)
+
+
+def test_bench_pairs_help_runs_no_benchmark():
+    lines = run_script("bench_pairs.py", "--help")
+    assert lines[0].startswith("usage: bench_pairs.py")

@@ -234,6 +234,20 @@ def ref_add(a, b):
     return ref_make(d, min(a[1], b[1]))
 
 
+def ref_scale(a, k):
+    return ref_make({e: c * k for e, c in a[0].items()}, a[1])
+
+
+def ref_sub(a, b):
+    return ref_add(a, ref_scale(b, -1))
+
+
+def ref_antiderivative(a):
+    """(primitive, log coefficient) of the termwise primitive."""
+    primitive = {e + 1: c / (e + 1) for e, c in a[0].items() if e != -1}
+    return ref_make(primitive, a[1] + 1), a[0].get(Q(-1), 0)
+
+
 def ref_mul(a, b):
     val_a, val_b = min(a[0], default=a[1]), min(b[0], default=b[1])
     d = {}
@@ -336,6 +350,37 @@ def assert_is_reference(got, want):
     assert got.dense() == built.dense() and hash(got) == hash(built)
 
 
+#: scale factors: an int, a negative int, zero, and Fractions of both signs
+SCALE_FACTORS = (3, -2, 0, Q(5, 4), Q(-2, 9))
+
+
+def assert_linear_operations_are_reference(a, b):
+    """x - y, y - x, x - x and a subtraction with a side holding no term,
+    scale by each of SCALE_FACTORS, and the primitive of x with and
+    without a t^-1 term, all against the reference and canonical."""
+    x, y = PuiseuxSeries(*a), PuiseuxSeries(*b)
+    assert_is_reference(x - y, ref_sub(a, b))
+    assert_is_reference(y - x, ref_sub(b, a))
+    assert_is_reference(x - x, ref_sub(a, a))
+    assert not (x - x)
+    empty = ({}, b[1])
+    assert_is_reference(x - PuiseuxSeries(*empty), ref_sub(a, empty))
+    assert_is_reference(PuiseuxSeries(*empty) - x, ref_sub(empty, a))
+    for k in SCALE_FACTORS:
+        assert_is_reference(x.scale(k), ref_scale(a, k))
+    for r in (a, ref_add(a, ({Q(-1): Q(3, 2)}, INF))):
+        z = PuiseuxSeries(*r)
+        if r[1] <= -1:
+            with pytest.raises(InsufficientOrderError):
+                z.antiderivative()
+            continue
+        primitive, log_coefficient = z.antiderivative()
+        want, want_log = ref_antiderivative(r)
+        assert_is_reference(primitive, want)
+        assert log_coefficient == want_log
+        assert isinstance(log_coefficient, Q)
+
+
 @st.composite
 def shared_lattice_pairs(draw):
     """Two references on one step and one coefficient denominator, so that
@@ -378,6 +423,7 @@ def test_cheap_cases_match_reference(ab, cd):
     assert_is_reference(x * x, ref_mul(a, a))
     got = x * y + PuiseuxSeries(*c) * PuiseuxSeries(*d)
     assert_is_reference(got, ref_sum_of_products(a, b, c, d))
+    assert_linear_operations_are_reference(a, b)
 
 
 @given(series_inputs(square_lead=True))
@@ -466,6 +512,7 @@ def test_equal_series_have_equal_fields_and_hashes(ref, extra, pad, scale,
 def test_sum_of_products_on_mixed_lattices_matches_reference(a, b, c, d):
     x, y, z, w = (PuiseuxSeries(*r) for r in (a, b, c, d))
     assert_is_reference(x * y + z * w, ref_sum_of_products(a, b, c, d))
+    assert_linear_operations_are_reference(a, b)
 
 
 class TestMixedLattices:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction as Q
 from operator import mul
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from bfmix import elliptic, lame, variational as V
 from bfmix.model import make_params
-from bfmix.series import (InsufficientOrderError, PuiseuxSeries,
-                          append_rational)
+from bfmix.series import (FieldExtensionError, InsufficientOrderError,
+                          PuiseuxSeries, append_rational, rational_sqrt)
 from conftest import random_rational, random_series, ve3_row1
 from helpers_eps import forcing_oracle
 from helpers_series import agrees_with
@@ -115,6 +116,40 @@ class TestFrobenius:
         basis = V.frobenius(PuiseuxSeries({-2: 2}, 2))
         assert basis.sol1.truncation_order == 3
         assert basis.sol2.truncation_order == 6
+
+    def test_indicial_roots_equal_the_fraction_formula(self):
+        """(1 +- sqrt(1 + 4 c2)) / 2 from integer square roots: the
+        exponents, and the FieldExtensionError messages for complex and
+        irrational ones, are those of the Fraction formula, for c2 given in
+        lowest terms or not."""
+        rng = random.Random(20261020)
+        kinds = set()
+        for i in range(400):
+            top = 10 ** rng.choice((1, 3, 12, 30))
+            if i % 2:
+                rho = Q(rng.randint(-top, top), rng.randint(1, top))
+                c2 = rho * (rho - 1)
+            else:
+                c2 = Q(rng.randint(-top, top), rng.randint(1, top))
+            disc = 1 + 4 * c2
+            root = rational_sqrt(disc) if disc >= 0 else None
+            for k in (1, rng.randint(2, 10 ** 6)):
+                args = (c2.numerator * k, c2.denominator * k)
+                if disc < 0:
+                    kinds.add("complex")
+                    message = f"complex indicial exponents (1+4c = {disc})"
+                elif root is None:
+                    kinds.add("irrational")
+                    message = f"irrational indicial exponents (1+4c = {disc})"
+                else:
+                    kinds.add("rational")
+                    assert V._indicial_roots(*args) == ((1 + root) / 2,
+                                                        (1 - root) / 2)
+                    continue
+                with pytest.raises(FieldExtensionError) as exc:
+                    V._indicial_roots(*args)
+                assert str(exc.value) == message
+        assert kinds == {"complex", "irrational", "rational"}
 
     def test_resonant_log_flag(self):
         # half-integer index with nonzero offset forces a logarithm at the
