@@ -15,9 +15,9 @@ Each file is the output of one command line of ``bfmix``:
   on its survivor family), half with one transverse mode and half with two,
   each with its exit code, error text and report;
 * ``verify_*.json``: ``bfmix verify`` at each ``--which``'s defaults, at one
-  off-default point each, with a ``--tol`` no residual meets, at a
-  separatrix 10^-9 inside the curve 27 C0^2 = 8 w0^3 and at a point beyond
-  it, which has none, each with its exit code, error text and report;
+  off-default point each, at a separatrix 10^-9 inside the curve
+  27 C0^2 = 8 w0^3 and at a point beyond it, which has none, each with its
+  exit code, error text and report;
 * ``splitting_sweep_*.csv``: two ``bfmix sweep`` tables.
 
 ``tests/test_golden.py`` runs the same command lines and requires the output
@@ -26,11 +26,10 @@ variational pipeline that moves any digit shows.  The case-3 report holds
 floats: a and h* come from a square root and Newton's method in float
 arithmetic, and the amplitudes, zeros and slopes are closed forms in
 floats, so the test compares them to 1e-15, and the rest of the report
-exactly.  The ``verify`` residuals and the ``sweep`` values are float sums
-and contour quadratures, some of them on a, so the test compares them to
-``FLOAT_REL_TOL`` relative plus ``FLOAT_ABS_TOL`` absolute,
-and the rest of each file (sample points, verdicts, tolerances, exit codes,
-the sweep's t0 column) exactly.
+exactly.  The ``verify`` residuals are exact, and compared byte for byte.
+The ``sweep`` values are contour quadratures on a, so the test compares
+them to ``FLOAT_REL_TOL`` relative plus ``FLOAT_ABS_TOL`` absolute, and
+the sweep's t0 column exactly.
 """
 from __future__ import annotations
 
@@ -126,12 +125,9 @@ VERIFY_RUNS = {
                                     "--hj=1/2,0"],
     "verify_prop2_two_modes.json": ["verify", "--which=prop2",
                                     "--omega0=3/2", "--omegaj=1,2",
-                                    "--c0sq=1/2", "--h=1/3", "--gbf=3",
-                                    "--samples=20"],
+                                    "--c0sq=1/2", "--h=1/3"],
     "verify_separatrix_off_default.json": ["verify", "--which=separatrix",
-                                           "--omega0=2", "--c0sq=1/5",
-                                           "--samples=15"],
-    "verify_prop2_fails.json": ["verify", "--which=prop2", "--tol=1e-30"],
+                                           "--omega0=2", "--c0sq=1/5"],
     "verify_separatrix_near_curve.json": [
         "verify", "--which=separatrix", "--c0sq=7999999992/27000000000"],
     "verify_separatrix_none.json": ["verify", "--which=separatrix",
@@ -149,9 +145,8 @@ SPLITTING_SWEEPS = {
                                  "--t0-samples=17"],
 }
 
-#: tolerance on the floats of VERIFY_RUNS and SPLITTING_SWEEPS: residuals
-#: near 1e-14 and sweep values up to about 1e2, whose last bits move with the
-#: platform's libm
+#: tolerance on the floats of SPLITTING_SWEEPS: sweep values up to about
+#: 1e2, whose last bits move with the platform's libm
 FLOAT_REL_TOL = 1e-9
 FLOAT_ABS_TOL = 1e-11
 

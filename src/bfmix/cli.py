@@ -2,14 +2,12 @@
 
 Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
 (a ``series --order`` too low for the dump among them, a ``series --what
-mu2|mu3`` point whose first order already carries a logarithm, a ``verify
---tol`` that is not positive and finite, a ``verify`` point whose closed
-form leaves the float range or meets a pole of wp, a ``sweep`` contour sum
-that leaves the float range, a case-3 or ``sweep`` ``--omega1`` that rounds
-to 0.0, a ``verify --which separatrix`` or ``sweep`` point with no
-separatrix, 27 C0^2 >= 8 w0^3, and a ``--json`` or ``--csv`` path that
-cannot be written), 3 internal verification failure: a ``verify`` residual
-above its tolerance or not a number, or a ``series --what mu3`` dump whose
+mu2|mu3`` point whose first order already carries a logarithm, a ``sweep``
+contour sum that leaves the float range, a case-3 or ``sweep`` ``--omega1``
+that rounds to 0.0, a ``verify --which separatrix`` or ``sweep`` point with
+no separatrix, 27 C0^2 >= 8 w0^3, and a ``--json`` or ``--csv`` path that
+cannot be written), 3 internal verification failure: a ``verify`` identity
+whose residual is not exactly zero, or a ``series --what mu3`` dump whose
 second order already carries a logarithm.
 """
 from __future__ import annotations
@@ -18,7 +16,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 import time
 from fractions import Fraction
@@ -32,18 +29,12 @@ Q = Fraction
 
 SCHEMA_VERSION = 1
 
-#: largest sample count ``verify --samples`` and ``sweep --t0-samples`` take
+#: largest sample count ``sweep --t0-samples`` takes
 MAX_SAMPLES = 10 ** 4
 
 #: ``verify --which separatrix``'s default C0^2.  At w0 = 1 the q0 plane has
 #: a separatrix here; at prop2's default C0^2 = 1 it has none
 SEPARATRIX_C0SQ = Q(1, 100)
-
-#: ``verify --which`` -> the box (re0, re_span, im0, im_span) of its sample
-#: times t = re0 + re_span u + i (im0 + im_span v), u and v drawn from [0, 1)
-VERIFY_BOXES = {"prop1": (0.2, 0.8, -0.2, 0.4),
-                "prop2": (0.25, 0.7, 0.0, 0.3),
-                "separatrix": (0.3, 1.2, 0.0, 0.3)}
 
 
 class VerificationFailure(Exception):
@@ -62,11 +53,6 @@ def parse_rational_list(text: str) -> List[Fraction]:
     if not values:
         raise argparse.ArgumentTypeError(f"no rational in {text!r}")
     return values
-
-
-def _check_samples(flag: str, count: int):
-    if not 1 <= count <= MAX_SAMPLES:
-        raise ValueError(f"{flag} {count} outside 1..{MAX_SAMPLES}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="C0 != 0, C1 != 0, one transverse mode")
 
     ve = sub.add_parser("verify", parents=[json_out],
-                        help="closed-form solution residual checks")
-    ve.add_argument("--which", choices=list(VERIFY_BOXES), required=True)
+                        help="exact closed-form solution identities")
+    ve.add_argument("--which", choices=list(model.CLOSED_FORMS),
+                    required=True)
     ve.add_argument("--omega0", type=parse_rational, default=Q(1))
     ve.add_argument("--omegaj", type=parse_rational_list, default=[Q(2)])
     ve.add_argument("--cj", type=parse_rational_list, default=[Q(1)])
@@ -132,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--c0sq", type=parse_rational, default=None,
                     help=f"default 1, and {SEPARATRIX_C0SQ} for separatrix")
     ve.add_argument("--h", type=parse_rational, default=Q(0))
-    ve.add_argument("--gbf", type=parse_rational, default=Q(1))
-    ve.add_argument("--samples", type=int, default=10)
-    ve.add_argument("--tol", type=float, default=1e-9)
 
     se = sub.add_parser("series", parents=[csv_out],
                         help="dump exact local series as CSV")
@@ -215,44 +199,29 @@ def _refuse_no_separatrix(omega0, c0sq):
             f"8 w0^3 = {8 * omega0 ** 3}")
 
 
-def _verify_residual(args):
-    """The residual that ``verify --which`` samples, a function of t."""
+def _run_verify(args) -> tuple[dict, bool]:
+    """(report, passed) of one ``verify`` run: its closed form's identity
+    (``model.CLOSED_FORMS``), reduced exactly, for each coordinate."""
     c0sq = args.c0sq
     if c0sq is None:
         c0sq = SEPARATRIX_C0SQ if args.which == "separatrix" else Q(1)
     if args.which == "prop1":
-        p = model.make_params(args.omega0, args.omegaj, 0, args.cj, args.gbf)
-        return functools.partial(model.case1_residual, p, args.hj, 0.0)
-    if args.which == "prop2":
-        p = _case2_params(args, c0sq)
-        e = elliptic.invariants_from_energy(args.omega0, c0sq, args.h)
-        return functools.partial(model.case2_residual, p, e)
-    p = model.make_params(args.omega0, [], c0sq, [], 0)
-    _refuse_no_separatrix(args.omega0, c0sq)
-    a, _ = model.separatrix_scale(args.omega0, c0sq)
-    return functools.partial(model.separatrix_residual, p, a)
-
-
-def _run_verify(args) -> tuple[dict, bool]:
-    """(report, passed) of one ``verify`` run."""
-    _check_samples("--samples", args.samples)
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"--tol {args.tol} must be positive and finite")
-    re0, re_span, im0, im_span = VERIFY_BOXES[args.which]
-    rng = random.Random(20240811)
-    ts = [complex(re0 + re_span * rng.random(), im_span * rng.random() + im0)
-          for _ in range(args.samples)]
-    try:
-        worst = model.max_residual(map(_verify_residual(args), ts))
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"verify --which {args.which}: the closed form "
-                         f"leaves the float range: {exc}") from None
-    ok = worst < args.tol
+        p = model.make_params(args.omega0, args.omegaj, 0, args.cj, 0)
+        residual = model.case1_identity(p, args.hj)
+    elif args.which == "prop2":     # refuse what ``analyze case2`` refuses
+        model.make_params(args.omega0, args.omegaj, c0sq,
+                          [Q(0)] * len(args.omegaj), 0)
+        residual = model.case2_identity(
+            elliptic.invariants_from_energy(args.omega0, c0sq, args.h))
+    else:
+        model.make_params(args.omega0, [], c0sq, [], 0)
+        _refuse_no_separatrix(args.omega0, c0sq)
+        residual = model.separatrix_identity(args.omega0, c0sq)
+    ok = all(r == "0" for r in residual.values())
     return _report("verify", {
         "which": args.which,
-        "max_residual": repr(worst),
-        "tolerance": repr(args.tol),
-        "sample_points": [[t.real, t.imag] for t in ts],
+        "identity": model.CLOSED_FORMS[args.which],
+        "residual": residual,
         "pass": ok,
     }), ok
 
@@ -307,7 +276,9 @@ def _sweep_rows(args):
     if not (math.isfinite(args.t0_min) and math.isfinite(args.t0_max)):
         raise ValueError(f"t0 range [{args.t0_min}, {args.t0_max}] must be "
                          "finite")
-    _check_samples("--t0-samples", args.t0_samples)
+    if not 1 <= args.t0_samples <= MAX_SAMPLES:
+        raise ValueError(f"--t0-samples {args.t0_samples} outside "
+                         f"1..{MAX_SAMPLES}")
     _refuse_no_separatrix(args.omega0, args.c0sq)
     s = melnikov.setup(args.omega0, args.omega1, args.c0sq, args.c1sq,
                        args.action)
@@ -354,11 +325,11 @@ def main(argv=None) -> int:
             report, ok = _run_verify(args)
             _write(_json_text(report), args.json)
             if not ok:
-                residual = report["max_residual"]
-                why = ("is not a number" if residual == "nan"
-                       else f"above {args.tol}")
-                print(f"verification failed: {args.which}: residual "
-                      f"{residual} {why}", file=sys.stderr)
+                nonzero = "; ".join(
+                    f"{q} residual {r}"
+                    for q, r in report["residual"].items() if r != "0")
+                print(f"verification failed: {args.which}: {nonzero}, not 0",
+                      file=sys.stderr)
                 return 3
             return 0
         rows = (_series_rows if args.command == "series" else _sweep_rows)

@@ -6,8 +6,9 @@ Everything derives from the single normalized Hamiltonian
         - g q0^2 sum q_j^2 - q0^4/2 + C0^2/(2 q0^2) + sum C_j^2/(2 q_j^2),
 
 so the three particular-solution families and all variational machinery
-share one vector field.  Each closed form's ``*_residual`` compares its
-q'' with dp/dt of the field; q' = p holds by construction of p.
+share one vector field.  Each closed form's ``*_identity`` reduces the first
+integral of its one-degree mode to a polynomial over Q, exactly zero where
+the closed form solves the mode (``CLOSED_FORMS``).
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from . import elliptic
+from . import elliptic, variational
 from .odeint import integrate
 from .series import as_fraction
 
@@ -170,19 +171,8 @@ def hamiltonian(p: ModelParams, s: PhaseState) -> complex:
     return _energy(p)(state_to_vector(s))
 
 
-def eom(p: ModelParams, s: PhaseState) -> PhaseState:
-    """Canonical vector field; derivatives are returned in the state slots."""
-    return vector_to_state(_vector_field(p)(s.t, state_to_vector(s)), s.t)
-
-
 def state_to_vector(s: PhaseState) -> List[complex]:
     return [complex(v) for v in (s.q0, s.p0, *s.qs, *s.ps)]
-
-
-def vector_to_state(v: Sequence[complex], t: complex = 0.0) -> PhaseState:
-    n_f = (len(v) - 2) // 2
-    return PhaseState(complex(v[0]), complex(v[1]),
-                      tuple(v[2:2 + n_f]), tuple(v[2 + n_f:]), t)
 
 
 def _case1_mode(p: ModelParams, h_j: Sequence, j: int
@@ -197,11 +187,8 @@ def _case1_mode(p: ModelParams, h_j: Sequence, j: int
     return hj / (2 * wj), amp, 2j * math.sqrt(2 * wj)
 
 
-def solution_case1(p: ModelParams, h_j: Sequence, t0: complex, t: complex) -> PhaseState:
-    """Invariant-plane solution for C0 = 0: q0 = p0 = 0 and
-
-    q_j^2 = h_j/(2 w_j) + sqrt(C_j^2/(2 w_j) - h_j^2/(4 w_j^2)) sinh(2i sqrt(2 w_j)(t - t0)).
-    """
+def _check_case1(p: ModelParams, h_j: Sequence):
+    """Refuse a point off the oscillator plane, or one energy per mode."""
     if p.C0_sq != 0:
         raise InvalidParameterError("case 1 requires C0 = 0")
     if any(c == 0 for c in p.Cs):
@@ -209,6 +196,14 @@ def solution_case1(p: ModelParams, h_j: Sequence, t0: complex, t: complex) -> Ph
     if len(h_j) != p.n_f:
         raise InvalidParameterError(
             f"{len(h_j)} energies h_j for {p.n_f} transverse modes")
+
+
+def solution_case1(p: ModelParams, h_j: Sequence, t0: complex, t: complex) -> PhaseState:
+    """Invariant-plane solution for C0 = 0: q0 = p0 = 0 and
+
+    q_j^2 = h_j/(2 w_j) + sqrt(C_j^2/(2 w_j) - h_j^2/(4 w_j^2)) sinh(2i sqrt(2 w_j)(t - t0)).
+    """
+    _check_case1(p, h_j)
     qs, ps = [], []
     for j in range(p.n_f):
         centre, amp, mu = _case1_mode(p, h_j, j)
@@ -224,26 +219,6 @@ def solution_case1(p: ModelParams, h_j: Sequence, t0: complex, t: complex) -> Ph
         qs.append(qj)
         ps.append(dqj_sq / (2 * qj))
     return PhaseState(0.0, 0.0, tuple(qs), tuple(ps), t)
-
-
-def solution_case2(p: ModelParams, e: "elliptic.EllipticData", t: complex) -> PhaseState:
-    """Invariant-plane solution for C_j = 0: q0^2 = (2/3) w0 + wp(t), q_j = p_j = 0.
-
-    The square-root branch is fixed by Re(q0 t) >= 0, which matches
-    q0 ~ +1/t at the pole and stays continuous wherever q0^2 keeps a
-    positive real part (evaluation near lattice points is the caller's
-    responsibility).
-    """
-    if any(c != 0 for c in p.Cs):
-        raise InvalidParameterError("case 2 requires every C_j = 0")
-    wp, wp_prime = elliptic.wp_numeric_with_derivative(e, t)
-    q0_sq = 2 * float(p.omega0) / 3 + wp
-    q0 = cmath.sqrt(q0_sq)
-    # branch continuity along the ray from the pole: near 0 require q0 ~ 1/t
-    if (q0 * t).real < 0:
-        q0 = -q0
-    p0 = wp_prime / (2 * q0)
-    return PhaseState(q0, p0, (0.0,) * p.n_f, (0.0,) * p.n_f, t)
 
 
 def separatrix_constant(omega0, C0_sq) -> Fraction:
@@ -302,20 +277,6 @@ def separatrix_slope(a: float, t: complex) -> complex:
     return -6 * a * root3a * cmath.cosh(root3a * t) / sh ** 3
 
 
-def separatrix_state(w0: float, a: float, t: complex
-                     ) -> Tuple[complex, complex]:
-    """(q0, p0) at time t of the separatrix of the one-degree q0 subsystem,
-    q0^2 = (2/3) w0 + a + 3a / sinh^2(sqrt(3a) t), a of separatrix_scale."""
-    sh = cmath.sinh(math.sqrt(3 * a) * t)
-    if sh == 0:
-        raise NoSeparatrixError("separatrix pole at t = 0")
-    q0_sq = 2 * w0 / 3 + a + 3 * a / (sh * sh)
-    q0 = cmath.sqrt(q0_sq)
-    if (q0 * t).real < 0:   # branch with q0 ~ +1/t near the pole
-        q0 = -q0
-    return q0, separatrix_slope(a, t) / (2 * q0)
-
-
 DEFAULT_TOL = 1e-10
 
 
@@ -337,70 +298,99 @@ def integrate_orbit(p: ModelParams, s0: PhaseState, t_end: complex,
     return traj, drift
 
 
-def max_residual(residuals: Iterable[float]) -> float:
-    """The largest of the residuals, 0.0 if there are none, and nan if one
-    is nan: a residual that is not a number meets no tolerance."""
-    worst = 0.0
-    for r in residuals:
-        if math.isnan(r):
-            return r
-        worst = max(worst, r)
-    return worst
 
 
-def _root_second_derivative(q: complex, w_dot_sq: complex,
-                            w_ddot: complex) -> complex:
-    """q'' for q = sqrt(w), from w'^2 and w'': w''/(2q) - w'^2/(4 q^3)."""
-    return w_ddot / (2 * q) - w_dot_sq / (4 * (q * q) * q)
+#: ``verify --which`` -> the identity that its closed form is checked by:
+#: the first integral u'^2 = 8 u (E - V(u)) of one degree q of H at the
+#: value E of its part of H, with u = q^2 and V(u) = w0 u - u^2/2 +
+#: C0^2/(2u) for q0 and w_j u + C_j^2/(2u) for q_j.  The q0 plane's h
+#: (``invariants_from_energy``, h* of ``separatrix_scale``) is 2E
+CLOSED_FORMS = {
+    "prop1": "u'^2 = 8 u (h_j - w_j u) - 4 C_j^2 at u = q_j^2 = "
+             "h_j/(2 w_j) + beta S, S = sinh(mu t), u'^2 = mu^2 beta^2 "
+             "(1 + S^2), mu^2 = -8 w_j, in Q[S, beta] mod "
+             "beta^2 - C_j^2/(2 w_j) + h_j^2/(4 w_j^2)",
+    "prop2": "u'^2 = 4 u^3 - 8 w0 u^2 + 4 h u - 4 C0^2 at u = q0^2 = "
+             "2 w0/3 + wp, u'^2 = 4 wp^3 - g2 wp - g3, in Q[wp]",
+    "separatrix": "u'^2 = 4 u^3 - 8 w0 u^2 + 4 h* u - 4 C0^2 at u = q0^2 = "
+                  "2 w0/3 + a + 3 a v, v = 1/sinh^2(sqrt(3a) t), "
+                  "u'^2 = 108 a^3 (v^3 + v^2), h* = 4 w0^2/3 - 3 a^2, in "
+                  "Q[v, a] mod a^3 + w0 a^2 - K",
+}
+
+#: a polynomial over Q in (x, lam): (power of x, power of lam) -> coefficient
+Poly = Dict[Tuple[int, int], Fraction]
 
 
-def case1_residual(p: ModelParams, h_j: Sequence, t0: complex,
-                   t: complex) -> float:
-    """Residual max_j |q_j'' - dp_j/dt| of the oscillator-plane solution.
-
-    Derivatives of the closed form are taken analytically, so the residual
-    measures only whether the formula solves the equations.  q_j' = p_j
-    holds by construction, which ``TestCase1Solution`` checks by finite
-    differences.
-    """
-    s = solution_case1(p, h_j, t0, t)
-    rhs = eom(p, s)
-    residuals = []
-    for j in range(p.n_f):
-        _, amp, mu = _case1_mode(p, h_j, j)
-        w_dot = amp * mu * cmath.cosh(mu * (t - t0))
-        w_ddot = amp * mu * mu * cmath.sinh(mu * (t - t0))
-        qj_ddot = _root_second_derivative(s.qs[j], w_dot ** 2, w_ddot)
-        residuals.append(abs(qj_ddot - rhs.ps[j]))
-    return max_residual(residuals)
+def _poly_mul(p: Poly, q: Poly) -> Poly:
+    out: Poly = {}
+    for (i, k), c in p.items():
+        for (j, m), d in q.items():
+            out[i + j, k + m] = out.get((i + j, k + m), 0) + c * d
+    return out
 
 
-def case2_residual(p: ModelParams, e, t: complex) -> float:
-    """Residual |q0'' - dp0/dt| of the elliptic invariant-plane solution.
+def _first_integral_residual(u: Poly, u_dot_sq: Poly, E: Poly, w, C_sq,
+                             quartic: int, names: Tuple[str, str],
+                             modulus: Sequence = ()) -> str:
+    """u'^2 - 8 u (E - V(u)), V(u) = w u - quartic u^2/2 + C^2/(2u), for a
+    closed form u and its u'^2 in (x, lam) = ``names``, with each power
+    lam^k, k >= d, brought below lam^d by the monic modulus lam^d +
+    modulus[d-1] lam^(d-1) + ... + modulus[0]; as text, highest powers
+    first, and "0" exactly where the closed form solves the mode (given
+    u' != 0, one differentiation gives the second-order equation)."""
+    uu = _poly_mul(u, u)
+    r: Poly = dict(u_dot_sq)
+    for c, term in ((-8, _poly_mul(E, u)), (8 * w, uu),
+                    (-4 * quartic, _poly_mul(uu, u)), (4 * C_sq, {(0, 0): 1})):
+        for key, x in term.items():
+            r[key] = r.get(key, 0) + c * x
+    d = len(modulus)
+    for k in range(max(k for _, k in r), d - 1, -1) if d else ():
+        for i in [i for i, kk in r if kk == k]:
+            c = r.pop((i, k))
+            for m, mc in enumerate(modulus):
+                r[i, k - d + m] = r.get((i, k - d + m), 0) - c * mc
+    terms = [str(c) + "".join(f"*{n}" + (f"^{e}" if e > 1 else "")
+                              for n, e in zip(names, powers) if e)
+             for powers, c in sorted(r.items(), reverse=True) if c]
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
-    ``q0^2 = (2/3) w0 + wp`` is differentiated twice through the Weierstrass
-    relations ``wp'' = 6 wp^2 - g2/2`` and ``wp'^2 = 4 wp^3 - g2 wp - g3``.
-    q0' = p0 holds by construction, which ``TestCase2Solution`` checks by
-    finite differences.
-    """
-    s = solution_case2(p, e, t)
-    wp = s.q0 * s.q0 - 2 * float(p.omega0) / 3
-    g2, g3 = float(e.g2), float(e.g3)
-    wp_second = 6 * wp * wp - g2 / 2
-    wp_prime_sq = 4 * wp ** 3 - g2 * wp - g3
-    q0_ddot = _root_second_derivative(s.q0, wp_prime_sq, wp_second)
-    return abs(q0_ddot - eom(p, s).p0)
+
+def case1_identity(p: ModelParams, h_j: Sequence) -> Dict[str, str]:
+    """{"q_j": residual} of each mode of ``solution_case1``'s orbit under
+    CLOSED_FORMS["prop1"]; only beta^2 enters, so no root is taken."""
+    _check_case1(p, h_j)
+    out = {}
+    for j, (w, c) in enumerate(zip(p.omegas, p.Cs)):
+        h = as_fraction(h_j[j])
+        beta_sq = c * c / (2 * w) - h * h / (4 * w * w)
+        out[f"q{j + 1}"] = _first_integral_residual(
+            {(0, 0): h / (2 * w), (1, 1): 1},
+            {(0, 2): -8 * w, (2, 2): -8 * w}, {(0, 0): h}, w, c * c, 0,
+            ("S", "beta"), (-beta_sq, 0))
+    return out
 
 
-def separatrix_residual(p: ModelParams, a: float, t: complex) -> float:
-    """Residual |q0'' - dp0/dt| of the separatrix in the one-degree q0
-    equation of ``p`` (no transverse modes), whose scale ``a`` is
-    ``separatrix_scale(p.omega0, p.C0_sq)[0]``.  q0' = p0 holds by
-    construction, which ``TestSeparatrix`` checks by finite differences."""
-    q0, p0 = separatrix_state(float(p.omega0), a, t)
-    root3a = math.sqrt(3 * a)
-    sh = cmath.sinh(root3a * t)
-    ch = cmath.cosh(root3a * t)
-    u_ddot = 18 * a * a * (3 * ch ** 2 - sh ** 2) / sh ** 4
-    q0_ddot = _root_second_derivative(q0, separatrix_slope(a, t) ** 2, u_ddot)
-    return abs(q0_ddot - eom(p, PhaseState(q0, p0, (), (), t)).p0)
+def case2_identity(e: "elliptic.EllipticData") -> Dict[str, str]:
+    """{"q0": residual} of the elliptic orbit under CLOSED_FORMS["prop2"],
+    with the curve ``e`` and the offset of q0^2 - wp that the case-2 chain
+    reads from ``variational.qbar0_series`` (wp has no t^0 term)."""
+    qbar = variational.qbar0_series(e, 2)
+    return {"q0": _first_integral_residual(
+        {(0, 0): (qbar * qbar).coefficient(0), (1, 0): 1},
+        {(3, 0): 4, (1, 0): -e.g2, (0, 0): -e.g3}, {(0, 0): e.h / 2},  # E
+        e.omega0, e.C0_sq, 1, ("wp", "1"))}
+
+
+def separatrix_identity(omega0, C0_sq) -> Dict[str, str]:
+    """{"q0": residual} of the separatrix of ``separatrix_scale`` under
+    CLOSED_FORMS["separatrix"], modulo a^3 + w0 a^2 - K with K of
+    ``separatrix_constant``: whichever root a the float approximates."""
+    w0, c0sq = as_fraction(omega0), as_fraction(C0_sq)
+    K = separatrix_constant(w0, c0sq)
+    return {"q0": _first_integral_residual(
+        {(0, 0): 2 * w0 / 3, (0, 1): 1, (1, 1): 3},
+        {(3, 3): 108, (2, 3): 108},
+        {(0, 0): 2 * w0 * w0 / 3, (0, 2): Fraction(-3, 2)},    # E = h*/2
+        w0, c0sq, 1, ("v", "a"), (-K, 0, w0))}

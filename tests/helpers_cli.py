@@ -33,7 +33,9 @@ CORPUS = {
     "case3-equals-form": ["analyze", "case3", "--omega0=1", "--omega1=1e-400",
                           "--c0sq=1/100", "--c1sq=1e-401",
                           "--action=1e-400"],
-    "verify": ["verify", "--which", "prop2", "--samples", "3"],
+    "verify": ["verify", "--which", "prop1", "--omegaj", "2,1/2", "--cj",
+               "1,3/4", "--hj", "1/2,0"],
+    "verify-removed-flag": ["verify", "--which", "prop2", "--tol", "1e-9"],
     "verify-defaults": ["verify", "--which", "separatrix"],
     "series": ["series", "--what", "wp", "--order", "8", "--csv", "out.csv"],
     "series-picks": ["series", "--what", "mu2", "--gbf", "3",

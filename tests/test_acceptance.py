@@ -25,6 +25,7 @@ import numpy as np
 
 from bfmix import elliptic, heun, lame, melnikov, model, verdict, variational as V
 from bfmix.model import PhaseState, make_params
+import helpers_model
 import helpers_theorem5 as t5
 from conftest import first_curve, random_rational, random_series, ve3_row1
 from helpers_contour import contour_oracle
@@ -367,18 +368,18 @@ def test_criterion_07_oscillator_plane_reduction():
 def test_criterion_08_closed_form_residuals():
     rng = random.Random(8)
     p1 = make_params(1, [2, Q(1, 2)], 0, [1, Q(3, 4)], Q(2, 3))
-    worst1 = max(model.case1_residual(
+    worst1 = max(helpers_model.case1_residual(
         p1, [0, 0], 0, complex(0.2 + 0.7 * rng.random(),
                                0.4 * rng.random() - 0.2))
         for _ in range(10))
     p2 = make_params(1, [1], 1, [0], 1)
     e = elliptic.invariants_from_energy(1, 1, 0)
-    worst2 = max(model.case2_residual(
+    worst2 = max(helpers_model.case2_residual(
         p2, e, complex(0.25 + 0.6 * rng.random(), 0.3 * rng.random()))
         for _ in range(10))
     p3 = make_params(1, [], Q(1, 100), [], 0)
     a3, _ = model.separatrix_scale(1, Q(1, 100))
-    worst3 = max(model.separatrix_residual(
+    worst3 = max(helpers_model.separatrix_residual(
         p3, a3, complex(0.3 + 1.0 * rng.random(), 0.3 * rng.random()))
         for _ in range(10))
     s0 = PhaseState(0.4, 0.1, (0.5,), (-0.2,), 0.0)

@@ -10,6 +10,7 @@ from bfmix import heun, model
 from bfmix.model import PhaseState, make_params
 from bfmix.odeint import integrate
 from conftest import random_rational
+import helpers_model
 from helpers_heun import euler_exponent_check
 
 
@@ -151,8 +152,8 @@ class TestNVEClosure:
         p = make_params(1, [2], 0, [1], Q(3, 5))
         s = model.solution_case1(p, [0], 0, 0.4 + 0.2j)
         h = 1e-6
-        base = model.eom(p, s)
-        bumped = model.eom(p, PhaseState(s.q0, s.p0,
+        base = helpers_model.eom(p, s)
+        bumped = helpers_model.eom(p, PhaseState(s.q0, s.p0,
                                          (s.qs[0] + h,), s.ps, s.t))
         assert abs(bumped.p0 - base.p0) / h < 1e-9
         assert abs(bumped.q0 - base.q0) / h < 1e-9

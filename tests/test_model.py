@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from bfmix import cli, elliptic, model
 from bfmix.model import PhaseState, make_params
 from bfmix.odeint import SingularityEncounteredError, integrate
 from conftest import random_rational
+import helpers_model
 from helpers_model import RawParams, normalize
 
 
@@ -138,7 +140,7 @@ class TestEquationsOfMotion:
                               for _ in range(n_f)),
                         tuple(complex(rng.random(), rng.random())
                               for _ in range(n_f)))
-                    rhs = model.eom(p, s)
+                    rhs = helpers_model.eom(p, s)
                     fd = _fd_gradient(p, s)
                     got = [rhs.q0, rhs.p0, *rhs.qs, *rhs.ps]
                     scale = max(1.0, max(abs(x) for x in fd))
@@ -164,14 +166,14 @@ class TestEquationsOfMotion:
     def test_pj_formula_at_gbf_zero(self):
         p = make_params(1, [Q(3, 2)], 0, [Q(2)], 0)
         s = PhaseState(0.5, 0.1, (0.7,), (0.3,))
-        rhs = model.eom(p, s)
+        rhs = helpers_model.eom(p, s)
         expected = -2 * 1.5 * 0.7 + 4.0 / 0.7 ** 3
         assert rhs.ps[0] == pytest.approx(expected)
 
     def test_transverse_equilibrium(self):
         p = make_params(1, [2], 0, [0], Q(1, 2))
         s = PhaseState(0, 0, (0,), (0,))
-        rhs = model.eom(p, s)
+        rhs = helpers_model.eom(p, s)
         assert rhs.qs[0] == 0 and rhs.ps[0] == 0
 
 
@@ -184,11 +186,11 @@ class TestCase1Solution:
     def test_eom_residual(self):
         p = make_params(1, [2, Q(1, 2)], 0, [1, Q(3, 4)], Q(2, 3))
         for tval in (0.3 + 0.2j, 0.9 - 0.15j):
-            assert model.case1_residual(p, [0, 0], 0, tval) < 1e-9
+            assert helpers_model.case1_residual(p, [0, 0], 0, tval) < 1e-9
 
     def test_nonzero_integration_constants(self):
         p = make_params(1, [2], 0, [3], Q(1, 5))
-        assert model.case1_residual(p, [Q(1, 2)], 0.1, 0.7 + 0.1j) < 1e-9
+        assert helpers_model.case1_residual(p, [Q(1, 2)], 0.1, 0.7 + 0.1j) < 1e-9
 
     def test_momentum_is_coordinate_derivative(self):
         p = make_params(1, [2], 0, [1], 1)
@@ -222,43 +224,90 @@ class TestCase2Solution:
     def test_matches_series_near_origin(self):
         from bfmix.variational import qbar0_series
         qb = qbar0_series(self.e, 24)
-        s = model.solution_case2(self.p, self.e, 0.04)
+        s = helpers_model.solution_case2(self.p, self.e, 0.04)
         assert abs(s.q0 - qb.evaluate(0.04)) < 1e-10 * abs(s.q0)
 
     def test_energy_level(self):
         for tval in (0.4, 0.3 + 0.2j, 1.1):
-            s = model.solution_case2(self.p, self.e, tval)
+            s = helpers_model.solution_case2(self.p, self.e, tval)
             assert abs(model.hamiltonian(self.p, s) - 0.0) < 1e-9
 
     def test_eom_residual(self):
         for tval in (0.4, 0.9 + 0.3j):
-            assert model.case2_residual(self.p, self.e, tval) < 1e-9
+            assert helpers_model.case2_residual(self.p, self.e, tval) < 1e-9
 
     def test_momentum_is_coordinate_derivative(self):
         h = 1e-6
         tval = 0.6 + 0.2j
-        sm = model.solution_case2(self.p, self.e, tval - h)
-        sp = model.solution_case2(self.p, self.e, tval + h)
-        s = model.solution_case2(self.p, self.e, tval)
+        sm = helpers_model.solution_case2(self.p, self.e, tval - h)
+        sp = helpers_model.solution_case2(self.p, self.e, tval + h)
+        s = helpers_model.solution_case2(self.p, self.e, tval)
         fd = (sp.q0 - sm.q0) / (2 * h)
         assert abs(fd - s.p0) < 1e-7
 
     def test_rejects_case1_parameters(self):
         p = make_params(1, [1], 0, [1], 1)
         with pytest.raises(model.InvalidParameterError):
-            model.solution_case2(p, self.e, 0.3)
+            helpers_model.solution_case2(p, self.e, 0.3)
 
 
 class TestMaxResidual:
     @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan],
                                            [0.5, math.nan, 2.0]])
     def test_nan_wins_wherever_it_falls(self, residuals):
-        assert math.isnan(model.max_residual(residuals))
+        assert math.isnan(helpers_model.max_residual(residuals))
 
     def test_largest_of_finite_residuals(self):
-        assert model.max_residual([0.5, 2.0, math.inf, 1.0]) == math.inf
-        assert model.max_residual([0.5, 2.0, 1.0]) == 2.0
-        assert model.max_residual([]) == 0.0
+        assert helpers_model.max_residual([0.5, 2.0, math.inf, 1.0]) == math.inf
+        assert helpers_model.max_residual([0.5, 2.0, 1.0]) == 2.0
+        assert helpers_model.max_residual([]) == 0.0
+
+
+class TestClosedFormIdentities:
+    """Each closed form's first integral reduces to exactly 0 over random
+    rational points, and to a nonzero polynomial when one input is off."""
+
+    def test_oscillator_modes(self, rng):
+        for _ in range(40):
+            n_f = rng.randint(1, 3)
+            p = make_params(1, [abs(random_rational(rng, nonzero=True))
+                                for _ in range(n_f)], 0,
+                            [random_rational(rng, nonzero=True)
+                             for _ in range(n_f)], random_rational(rng))
+            hj = [random_rational(rng) for _ in range(n_f)]
+            assert model.case1_identity(p, hj) == {
+                f"q{j + 1}": "0" for j in range(n_f)}
+
+    def test_elliptic_orbit(self, rng):
+        checked = 0
+        while checked < 40:
+            w0 = abs(random_rational(rng, nonzero=True))
+            c0sq, h = abs(random_rational(rng)), random_rational(rng)
+            try:
+                e = elliptic.invariants_from_energy(w0, c0sq, h)
+            except elliptic.DegenerateInvariantsError:
+                continue
+            assert model.case2_identity(e) == {"q0": "0"}
+            checked += 1
+
+    def test_separatrix(self, rng):
+        checked = 0
+        while checked < 40:
+            w0 = abs(random_rational(rng, nonzero=True))
+            c0sq = abs(random_rational(rng)) * w0 ** 3 / 4
+            if model.separatrix_constant(w0, c0sq) <= 0:
+                continue
+            assert model.separatrix_identity(w0, c0sq) == {"q0": "0"}
+            checked += 1
+
+    def test_an_input_off_by_a_little_is_seen(self, monkeypatch):
+        e = elliptic.invariants_from_energy(Q(3, 2), Q(1, 2), Q(1, 3))
+        off = dataclasses.replace(e, g2=e.g2 + Q(1, 10**12))
+        assert model.case2_identity(off) == {"q0": "-1/1000000000000*wp"}
+        constant = model.separatrix_constant
+        monkeypatch.setattr(model, "separatrix_constant",
+                            lambda *args: constant(*args) + Q(1, 10**12))
+        assert model.separatrix_identity(2, Q(1, 5)) != {"q0": "0"}
 
 
 class TestSeparatrix:
@@ -269,22 +318,22 @@ class TestSeparatrix:
 
     def test_asymptotic_plateau(self):
         a, _ = model.separatrix_scale(1, Q(1, 100))
-        q0, _ = model.separatrix_state(1.0, a, 14.0)
+        q0, _ = helpers_model.separatrix_state(1.0, a, 14.0)
         assert abs(q0 ** 2 - (2 / 3 + a)) < 1e-9
 
     def test_eom_residual(self):
         p = model.make_params(1, [], Q(1, 100), [], 0)
         a, _ = model.separatrix_scale(1, Q(1, 100))
         for tval in (0.7, 0.45 + 0.2j, 1.6):
-            assert model.separatrix_residual(p, a, tval) < 1e-9
+            assert helpers_model.separatrix_residual(p, a, tval) < 1e-9
 
     def test_momentum_is_coordinate_derivative(self):
         h = 1e-6
         a, _ = model.separatrix_scale(1, Q(1, 100))
         for tval in (0.7, 0.45 + 0.2j):
-            qm = model.separatrix_state(1.0, a, tval - h)[0]
-            qp = model.separatrix_state(1.0, a, tval + h)[0]
-            p0 = model.separatrix_state(1.0, a, tval)[1]
+            qm = helpers_model.separatrix_state(1.0, a, tval - h)[0]
+            qp = helpers_model.separatrix_state(1.0, a, tval + h)[0]
+            p0 = helpers_model.separatrix_state(1.0, a, tval)[1]
             assert abs((qp - qm) / (2 * h) - p0) < 1e-7
 
     def test_cubic_root_certificate(self):
@@ -455,10 +504,10 @@ class TestIntegrator:
     def test_reproduces_closed_form(self):
         p = make_params(1, [1], 1, [0], 1)
         e = elliptic.invariants_from_energy(1, 1, 0)
-        s0 = model.solution_case2(p, e, 0.35)
+        s0 = helpers_model.solution_case2(p, e, 0.35)
         s0 = PhaseState(s0.q0, s0.p0, s0.qs, s0.ps, 0.35)
         traj, _ = model.integrate_orbit(p, s0, 1.0, tol=1e-12)
-        target = model.solution_case2(p, e, 1.0)
+        target = helpers_model.solution_case2(p, e, 1.0)
         assert abs(traj.states[-1][0] - target.q0) < 1e-6
         assert abs(traj.states[-1][1] - target.p0) < 1e-6
 
@@ -483,7 +532,7 @@ class TestIntegrator:
             s = PhaseState(c[0], c[1], (c[2], c[3]), (c[4], c[5]), c[6])
             got = np.asarray(f(s.t, model.state_to_vector(s)),
                              dtype=complex)
-            want = model.state_to_vector(model.eom(p, s))
+            want = model.state_to_vector(helpers_model.eom(p, s))
             assert np.array_equal(got, want)
 
     def test_tolerance_validation(self):

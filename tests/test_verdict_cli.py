@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import helpers_cli
-from bfmix import cli, elliptic, heun, lame, melnikov, variational, verdict
+from bfmix import (cli, elliptic, heun, lame, melnikov, model, variational,
+                   verdict)
 from bfmix.model import make_params
 from bfmix.series import InsufficientOrderError, PuiseuxSeries
 
@@ -364,7 +366,7 @@ class TestCli:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["pass"] is True
-        assert float(report["max_residual"]) < 1e-9
+        assert report["residual"] == {"q0": "0"}
 
     def test_verify_separatrix_at_its_defaults(self, capsys):
         # the default C0^2 of separatrix is 1/100, not prop2's 1, at which
@@ -383,29 +385,54 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["pass"] is True
 
-    def test_verify_failure_exit_code(self):
-        proc = run_cli("verify", "--which", "separatrix", "--tol", "1e-30")
-        assert proc.returncode == 3
+    def test_verify_failure_exit_code(self, monkeypatch, capsys):
+        # the program's own inputs to each identity, off by one part in
+        # 10^9: a nonzero residual is what exits 3, with no knob to set
+        invariants = elliptic.invariants_from_energy
+        constant = model.separatrix_constant
+        monkeypatch.setattr(elliptic, "invariants_from_energy",
+                            lambda *args: dataclasses.replace(
+                                invariants(*args),
+                                g3=invariants(*args).g3 * (1 + Q(1, 10**9))))
+        monkeypatch.setattr(model, "separatrix_constant",
+                            lambda *args: constant(*args) * (1 + Q(1, 10**9)))
+        for which, residual in (
+                ("prop2", "-43/6750000000"),
+                ("separatrix", "773/675000000000")):
+            assert cli.main(["verify", "--which", which]) == 3
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert report["pass"] is False
+            assert report["residual"] == {"q0": residual}
+            assert captured.err == (f"verification failed: {which}: q0 "
+                                    f"residual {residual}, not 0\n")
+        assert cli.main(["verify", "--which", "prop1"]) == 0
 
-    def test_verify_residual_that_is_not_a_number_fails(self, capsys):
-        # at h_1 = 1e200 the closed form's q_1 is inf and every residual nan
-        assert cli.main(["verify", "--which", "prop1", "--hj", "1e200"]) == 3
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert report["max_residual"] == "nan"
-        assert report["pass"] is False
-        assert captured.err == ("verification failed: prop1: residual nan "
-                                "is not a number\n")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--which", "prop1", "--omegaj", "1e300"],
+        ["verify", "--which", "separatrix", "--omega0", "1e200"],
+        ["verify", "--which", "prop1", "--omegaj", "1e-300", "--cj", "1",
+         "--hj", "0"],
+        ["verify", "--which", "prop2", "--c0sq", "1e30"],
+        ["verify", "--which", "prop1", "--hj", "1e200"]],
+        ids=["prop1-omegaj-overflow", "separatrix-omega0-overflow",
+             "prop1-omegaj-underflow", "prop2-c0sq-1e30", "prop1-hj-1e200"])
+    def test_verify_across_the_float_range(self, argv, capsys):
+        # each line once exited 2 (a float beyond the range, or a pole of
+        # wp) or 3 (a residual of nan); the identity is exact at any size
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True
+        assert set(report["residual"].values()) == {"0"}
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
-    def test_verify_tol_must_be_positive_and_finite(self, tol, capsys):
-        # nan, 0 and -1 failed every residual (exit 3); inf passed every one
-        assert cli.main(["verify", "--which", "separatrix",
-                         f"--tol={tol}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (f"error: --tol {float(tol)} must be positive "
-                                "and finite\n")
-        assert not captured.out
+    @pytest.mark.parametrize("flag", ["--samples=3", "--tol=1e-9",
+                                      "--gbf=1"])
+    def test_verify_refuses_the_removed_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--which", "prop2", flag])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {flag}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, code", [
         (["series", "--what", "mu3", "--gbf", "15/8", "--omegaj", "1/4"], 3),
@@ -859,15 +886,12 @@ class TestCli:
          "--csum", "3"],
         ["analyze", "case1", "--omega0", "0", "--omega", "2", "--gbf", "0",
          "--csum", "3"],
-        ["verify", "--which", "prop1", "--omegaj", "1e300"],
-        ["verify", "--which", "separatrix", "--omega0", "1e200"],
         ["series", "--what", "mu2", "--gbf=-1/8", "--omegaj", "1"]],
         ids=["mu2-irrational-exponent", "mu3-irrational-exponent",
              "case3-omega0-overflow", "case3-c0sq-overflow",
              "sweep-omega0-overflow", "case2-no-mode", "verify-no-mode",
              "verify-hj-short", "verify-hj-long", "case1-omega0-negative",
-             "case1-omega0-zero", "verify-prop1-omegaj-overflow",
-             "verify-separatrix-omega0-overflow", "mu2-double-exponent"])
+             "case1-omega0-zero", "mu2-double-exponent"])
     def test_domain_error_is_usage_error(self, argv, capsys):
         # an exception escaping main is what prints a traceback
         try:
@@ -879,12 +903,13 @@ class TestCli:
 
     def test_case3_commands_across_the_float_range(self, capsys):
         # w0 and C0^2 over 10^-300 ... 10^260 and 1, both signs of K: each
-        # case-3 command answers or refuses with an error, and none raises
+        # case-3 command answers or refuses with an error, and none raises;
+        # verify, exact, answers exactly where K > 0
         values = ["1", *(f"1e{k}" for k in range(-300, 261, 35))]
         commands = [
             ["analyze", "case3", "--omega1", "1", "--c1sq", "1", "--action",
              "3"],
-            ["verify", "--which", "separatrix", "--samples", "1"],
+            ["verify", "--which", "separatrix"],
             ["sweep", "--omega1", "1", "--c1sq", "1", "--action", "3",
              "--t0-samples", "1"]]
         codes = set()
@@ -896,23 +921,21 @@ class TestCli:
                     err = capsys.readouterr().err
                     assert code == 0 or (code == 2 and "error:" in err), (
                         argv[0], omega0, c0sq, code, err)
+                    if argv[0] == "verify":
+                        K = model.separatrix_constant(Q(omega0), Q(c0sq))
+                        assert code == (0 if K > 0 else 2), (omega0, c0sq)
                     codes.add((argv[0], code))
         assert codes == {(argv[0], code) for argv in commands
                          for code in (0, 2)}
 
     @pytest.mark.parametrize("argv, code", [
-        (["verify", "--which", "prop1", "--omegaj", "1e-300", "--cj", "1",
-          "--hj", "0"], 2),
-        (["verify", "--which", "prop2", "--c0sq", "1e30"], 2),
         (["sweep", "--omega0", "1", "--omega1", "3e5", "--c0sq", "1/100",
           "--c1sq", "1", "--action", "1e6"], 0),
         (["sweep", "--omega0", "1", "--omega1", "1e300", "--c0sq", "1/100",
           "--c1sq", "1", "--action", "1e300"], 2)],
-        ids=["verify-prop1-omegaj-underflow", "verify-prop2-near-pole",
-             "sweep-large-omega1", "sweep-slope-underflow"])
+        ids=["sweep-large-omega1", "sweep-slope-underflow"])
     def test_float_failure_is_usage_error(self, argv, code, capsys):
-        # each line once raised out of main: ZeroDivisionError,
-        # NearPoleError and OverflowError in the contour (twice)
+        # each line once raised out of main: OverflowError in the contour
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         if code == 2:
@@ -946,8 +969,8 @@ class TestCli:
             calls.append(order)
             return laurent(e, order)
         monkeypatch.setattr(elliptic, "wp_laurent", counted)
-        assert cli.main(["verify", "--which", "prop2", "--samples", "20"]) == 0
-        assert calls == [60]
+        assert cli.main(["verify", "--which", "prop2"]) == 0
+        assert calls == [2]
         assert json.loads(capsys.readouterr().out)["pass"]
 
     @pytest.mark.parametrize("command", [["analyze", "case3"],
@@ -965,17 +988,6 @@ class TestCli:
         assert captured.err == "error: omega1 = 0.0 underflows a float\n"
         assert not captured.out
         assert cli.main(point(-320)) == 0
-
-    @pytest.mark.parametrize("samples", ["0", "-5", str(cli.MAX_SAMPLES + 1)])
-    def test_verify_sample_count_is_checked(self, samples, capsys,
-                                            monkeypatch):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("verify started sampling")
-        monkeypatch.setattr("random.Random", no_sampling)
-        assert cli.main(["verify", "--which", "prop1",
-                         "--samples", samples]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: --samples ") and not captured.out
 
 
 class TestOnePathPerCase:
