@@ -265,7 +265,7 @@ class TestMaxResidual:
 
 class TestClosedFormIdentities:
     """Each closed form's first integral reduces to exactly 0 over random
-    rational points, and to a nonzero polynomial when one input is off."""
+    rational points, and to a nonzero polynomial when an input is off."""
 
     def test_oscillator_modes(self, rng):
         for _ in range(40):
@@ -300,14 +300,11 @@ class TestClosedFormIdentities:
             assert model.separatrix_identity(w0, c0sq) == {"q0": "0"}
             checked += 1
 
-    def test_an_input_off_by_a_little_is_seen(self, monkeypatch):
+    def test_g2_off_by_a_little_is_seen(self):
+        # g3 and K off: test_verdict_cli's test_verify_failure_exit_code
         e = elliptic.invariants_from_energy(Q(3, 2), Q(1, 2), Q(1, 3))
         off = dataclasses.replace(e, g2=e.g2 + Q(1, 10**12))
         assert model.case2_identity(off) == {"q0": "-1/1000000000000*wp"}
-        constant = model.separatrix_constant
-        monkeypatch.setattr(model, "separatrix_constant",
-                            lambda *args: constant(*args) + Q(1, 10**12))
-        assert model.separatrix_identity(2, Q(1, 5)) != {"q0": "0"}
 
 
 class TestSeparatrix:
