@@ -425,14 +425,24 @@ class TestCli:
         assert report["pass"] is True
         assert set(report["residual"].values()) == {"0"}
 
-    @pytest.mark.parametrize("flag", ["--samples=3", "--tol=1e-9",
-                                      "--gbf=1"])
+    @pytest.mark.parametrize("flag", ["--gbf=1"])
     def test_verify_refuses_the_removed_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--which", "prop2", flag])
         assert exc.value.code == 2
         assert (f"unrecognized arguments: {flag}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_verify_tol_must_be_positive_and_finite(self, tol, capsys):
+        # the identities are exact, so verify takes no tolerance: a bad
+        # one is a usage error like any other
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--which", "separatrix", f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: --tol={tol}" in captured.err
+        assert not captured.out
 
     @pytest.mark.parametrize("argv, code", [
         (["series", "--what", "mu3", "--gbf", "15/8", "--omegaj", "1/4"], 3),
@@ -988,6 +998,20 @@ class TestCli:
         assert captured.err == "error: omega1 = 0.0 underflows a float\n"
         assert not captured.out
         assert cli.main(point(-320)) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-5", str(cli.MAX_SAMPLES + 1)])
+    def test_verify_sample_count_is_checked(self, samples, capsys,
+                                            monkeypatch):
+        # verify samples nothing now, so it takes no sample count at all
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("verify started sampling")
+        monkeypatch.setattr("random.Random", no_sampling)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--which", "prop1", f"--samples={samples}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: --samples={samples}" in captured.err
+        assert not captured.out
 
 
 class TestOnePathPerCase:
