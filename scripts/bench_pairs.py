@@ -18,10 +18,13 @@ ran in, and a summary per workload and end-to-end metric: both sides'
 medians and quartiles (``statistics.quantiles(n=4)``, exclusive method),
 the pairs the change won, the median change in percent, the fraction by
 which the change is worse (negative when better) and the metric's bound.
-``--claim W`` adds the test of a claimed gain on ``points_per_s``: the
-change wins at least 9 in 10 pairs, and the medians differ by more than
-the parent's interquartile range.  Nothing under ``perfbench/`` is
-changed; its results land in each tree's ``.bench_results/``.
+Each workload's summary also counts, per side, the runs that were not
+correct and the points that failed (``correctness``).  ``--claim W`` adds
+the test of a claimed gain on ``points_per_s``: every run on both sides is
+correct with no failed point, the change wins at least 9 in 10 pairs, and
+the medians differ by more than the parent's interquartile range.  Nothing
+under ``perfbench/`` is changed; its results land in each tree's
+``.bench_results/``.
 """
 import argparse
 import json
@@ -34,8 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CLAIM_RULE = ("change wins >= 9 of 10 pairs and the medians differ by more "
-              "than the parent's interquartile range")
+CLAIM_RULE = ("every run correct with 0 failed, change wins >= 9 of 10 "
+              "pairs and the medians differ by more than the parent's "
+              "interquartile range")
 
 
 def plan(workloads, pairs, seed):
@@ -61,7 +65,9 @@ def quartiles(values):
 def summarize(runs, end_to_end):
     """{workload: {metric: summary}} over the pairs of ``runs``, which maps
     side -> workload -> seed -> run record; ``end_to_end`` is the list of
-    BENCHMARK.json metrics (name, better, bound)."""
+    BENCHMARK.json metrics (name, better, bound).  Each workload's
+    ``correctness`` counts, per side, the paired runs that were not correct
+    and the points that failed in them."""
     out = {}
     for w, parent_runs in runs["parent"].items():
         seeds = [s for s in parent_runs if s in runs["change"].get(w, {})]
@@ -82,6 +88,12 @@ def summarize(runs, end_to_end):
                 "change_quartiles": [round(v, 6) for v in quartiles(c)],
                 "median_change_pct": round(100 * (cm / pm - 1), 2),
                 "worse_frac": round(worse, 4)}
+        summary["correctness"] = {
+            side: {"incorrect_runs": sum(not runs[side][w][s]["correct"]
+                                         for s in seeds),
+                   "failed_points": sum(runs[side][w][s]["failed"]
+                                        for s in seeds)}
+            for side in ("parent", "change")}
         out[w] = summary
     return out
 
@@ -89,6 +101,8 @@ def summarize(runs, end_to_end):
 def claim(summary, workload, metric="points_per_s"):
     """The claimed-gain test on one workload's summary of ``metric``."""
     s = summary[workload][metric]
+    sound = not any(any(c.values())
+                    for c in summary[workload]["correctness"].values())
     q1, _, q3 = s["parent_quartiles"]
     gain = s["change_median"] - s["parent_median"]
     return {"workload": workload, "metric": metric, "rule": CLAIM_RULE,
@@ -96,7 +110,7 @@ def claim(summary, workload, metric="points_per_s"):
             "parent_median": s["parent_median"],
             "change_median": s["change_median"],
             "parent_iqr": round(q3 - q1, 6), "median_gain": round(gain, 6),
-            "met": (s["change_wins"] >= 0.9 * s["pairs"]
+            "met": (sound and s["change_wins"] >= 0.9 * s["pairs"]
                     and abs(gain) > q3 - q1 and s["worse_frac"] < 0)}
 
 

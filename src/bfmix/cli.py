@@ -36,6 +36,14 @@ MAX_SAMPLES = 10 ** 4
 #: a separatrix here; at prop2's default C0^2 = 1 it has none
 SEPARATRIX_C0SQ = Q(1, 100)
 
+#: the flags each ``verify --which`` reads besides --omega0, with their
+#: defaults; it refuses the others
+VERIFY_FLAGS = {
+    "prop1": {"omegaj": [Q(2)], "cj": [Q(1)], "hj": [Q(0)]},
+    "prop2": {"omegaj": [Q(2)], "c0sq": Q(1), "h": Q(0)},
+    "separatrix": {"c0sq": SEPARATRIX_C0SQ},
+}
+
 
 class VerificationFailure(Exception):
     """An internal cross-check (dual-route or tolerance gate) failed."""
@@ -113,12 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--which", choices=list(model.CLOSED_FORMS),
                     required=True)
     ve.add_argument("--omega0", type=parse_rational, default=Q(1))
-    ve.add_argument("--omegaj", type=parse_rational_list, default=[Q(2)])
-    ve.add_argument("--cj", type=parse_rational_list, default=[Q(1)])
-    ve.add_argument("--hj", type=parse_rational_list, default=[Q(0)])
+    ve.add_argument("--omegaj", type=parse_rational_list, default=None,
+                    help="prop1 and prop2; default 2")
+    ve.add_argument("--cj", type=parse_rational_list, default=None,
+                    help="prop1; default 1")
+    ve.add_argument("--hj", type=parse_rational_list, default=None,
+                    help="prop1; default 0")
     ve.add_argument("--c0sq", type=parse_rational, default=None,
-                    help=f"default 1, and {SEPARATRIX_C0SQ} for separatrix")
-    ve.add_argument("--h", type=parse_rational, default=Q(0))
+                    help=f"prop2, default 1, and separatrix, default "
+                         f"{SEPARATRIX_C0SQ}")
+    ve.add_argument("--h", type=parse_rational, default=None,
+                    help="prop2; default 0")
 
     se = sub.add_parser("series", parents=[csv_out],
                         help="dump exact local series as CSV")
@@ -199,24 +212,35 @@ def _refuse_no_separatrix(omega0, c0sq):
             f"8 w0^3 = {8 * omega0 ** 3}")
 
 
+def _verify_flags(args) -> dict:
+    """The flags that ``verify --which`` reads (VERIFY_FLAGS), each given or
+    defaulted; a flag it does not read is refused, not ignored."""
+    reads = VERIFY_FLAGS[args.which]
+    unread = [f"--{name}" for name in ("omegaj", "cj", "hj", "c0sq", "h")
+              if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise ValueError(f"verify --which {args.which} reads no "
+                         f"{', '.join(unread)}")
+    return {name: default if getattr(args, name) is None
+            else getattr(args, name) for name, default in reads.items()}
+
+
 def _run_verify(args) -> tuple[dict, bool]:
     """(report, passed) of one ``verify`` run: its closed form's identity
     (``model.CLOSED_FORMS``), reduced exactly, for each coordinate."""
-    c0sq = args.c0sq
-    if c0sq is None:
-        c0sq = SEPARATRIX_C0SQ if args.which == "separatrix" else Q(1)
+    f = _verify_flags(args)
     if args.which == "prop1":
-        p = model.make_params(args.omega0, args.omegaj, 0, args.cj, 0)
-        residual = model.case1_identity(p, args.hj)
+        p = model.make_params(args.omega0, f["omegaj"], 0, f["cj"], 0)
+        residual = model.case1_identity(p, f["hj"])
     elif args.which == "prop2":     # refuse what ``analyze case2`` refuses
-        model.make_params(args.omega0, args.omegaj, c0sq,
-                          [Q(0)] * len(args.omegaj), 0)
+        model.make_params(args.omega0, f["omegaj"], f["c0sq"],
+                          [Q(0)] * len(f["omegaj"]), 0)
         residual = model.case2_identity(
-            elliptic.invariants_from_energy(args.omega0, c0sq, args.h))
+            elliptic.invariants_from_energy(args.omega0, f["c0sq"], f["h"]))
     else:
-        model.make_params(args.omega0, [], c0sq, [], 0)
-        _refuse_no_separatrix(args.omega0, c0sq)
-        residual = model.separatrix_identity(args.omega0, c0sq)
+        model.make_params(args.omega0, [], f["c0sq"], [], 0)
+        _refuse_no_separatrix(args.omega0, f["c0sq"])
+        residual = model.separatrix_identity(args.omega0, f["c0sq"])
     ok = all(r == "0" for r in residual.values())
     return _report("verify", {
         "which": args.which,

@@ -393,6 +393,18 @@ SCAN_CHOICES = tuple(HigherVEChoice(p0, pj) for p0 in ("first", "second")
                      for pj in ("first", "second"))
 
 
+def run_order(n: Fraction) -> Tuple[HigherVEChoice, ...]:
+    """The SCAN_CHOICES in the order the case-2 chain tries them for Lame
+    index n: the standard pick first, except at n = 2.  There the standard
+    pick takes xi_j = +sol2, so the VE3 rows (8/5) w0 c^3 and -(24/5) w0 c^2
+    d of README acceptance row 3 read c = 0 at B_j = 0, and the pick has
+    read zero on every index-2 point measured; ("first", "first") decides,
+    and both picks need order 7, so running it first skips no pick and
+    needs no deeper context."""
+    first = HigherVEChoice("first", "first") if n == 2 else standard_choice(n)
+    return (first, *(ch for ch in SCAN_CHOICES if ch != first))
+
+
 def block_labels(count: int) -> Tuple[str, ...]:
     """Names of the first ``count`` blocks: tangential, normal_1, ..."""
     return ("tangential", *(f"normal_{j}" for j in range(1, count)))

@@ -126,11 +126,16 @@ def analyze_case1(red: heun.HeunReduction) -> IntegrabilityVerdict:
 def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
     """Case-2 verdict.  Every exact decision of the variational chain is
     certified by the series truncation or raises InsufficientOrderError, so
-    a chain that decides gives the verdict of every higher order.  The
-    standard pick runs first, then the other SCAN_CHOICES picks, each at the
-    order that the Frobenius exponents certify for it
-    (variational.chain_order): the VE1 context is rebuilt only for a pick
-    that needs more terms than it holds.  The picks that share a context
+    a chain that decides gives the verdict of every higher order.  The four
+    SCAN_CHOICES picks run in variational.run_order(n): the standard pick
+    first, except at index 2, which starts at ("first", "first").  The
+    standard index-2 pick has c = 0 in README acceptance row 3, so its VE3
+    rows read zero at B_j = 0, and it has been silent on every index-2 point
+    measured; starting at the deciding pick runs one chain where two ran,
+    and skips none.  A witness from any pick but the first is marked
+    found_by_scan.  Each pick runs at the order that the Frobenius exponents
+    certify for it (variational.chain_order): the VE1 context is rebuilt
+    only for a pick that needs more terms than it holds.  The picks that share a context
     share its cache of the forcing terms that depend on one first-order pick
     alone, so a survivor's four chains build each such term once.  The
     Theorem-5 conditions are checked once for every block, on the curve at
@@ -168,10 +173,8 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
                 "block": j + 1, "failed_conditions": rows[j]}),
                 details=details)
 
-    first = variational.standard_choice(n)
-    picks = [first, *(ch for ch in variational.SCAN_CHOICES if ch != first)]
     depth = 0
-    for i, ch in enumerate(picks):
+    for i, ch in enumerate(variational.run_order(n)):
         order = variational.chain_order(n, ch)
         if order > depth:
             ctx, depth = variational.ve1_context(p, e, order), order

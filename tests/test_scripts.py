@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -107,6 +109,33 @@ def test_bench_pairs_summary_on_canned_runs():
     runs["change"]["w"]["4002"] = _run(105, 8.5)
     c = bp.claim({"w": bp.summarize(runs, end_to_end)["w"]}, "w")
     assert (c["change_wins"], c["met"]) == (5, True)
+    assert summary["correctness"] == {
+        side: {"incorrect_runs": 0, "failed_points": 0}
+        for side in ("parent", "change")}
+
+
+@pytest.mark.parametrize("side, fault", [
+    ("change", {"correct": False}), ("parent", {"correct": False}),
+    ("change", {"failed": 3}), ("parent", {"failed": 1})],
+    ids=["change-incorrect", "parent-incorrect", "change-failed",
+         "parent-failed"])
+def test_bench_pairs_claim_needs_correct_runs(side, fault):
+    """A gain that would be met is not met once one run on either side is
+    incorrect or has failed points; the summary counts both."""
+    bp = _bench_pairs()
+    parent = [(100, 10.0), (104, 9.0), (98, 11.0), (102, 10.5), (101, 9.5)]
+    change = [(110, 9.0), (105, 8.5), (111, 9.6), (112, 8.0), (109, 9.4)]
+    runs = {s: {"w": {str(4001 + k): _run(*v) for k, v in enumerate(vals)}}
+            for s, vals in (("parent", parent), ("change", change))}
+    end_to_end = [{"name": "points_per_s", "better": "higher", "bound": 0.24}]
+    assert bp.claim(bp.summarize(runs, end_to_end), "w")["met"]
+    runs[side]["w"]["4003"].update(fault)
+    summary = bp.summarize(runs, end_to_end)
+    assert summary["w"]["correctness"][side] == {
+        "incorrect_runs": int("correct" in fault),
+        "failed_points": fault.get("failed", 0)}
+    c = bp.claim(summary, "w")
+    assert (c["change_wins"], c["met"]) == (5, False)
 
 
 def test_bench_pairs_help_runs_no_benchmark():

@@ -122,20 +122,42 @@ class TestClassify:
         assert v.witness.kind == "ve_residue"
         assert v.witness.data["value"] == "-128/275"
 
-    def test_case2_index_two_found_by_scan(self):
+    def test_case2_index_two_first_run_pick_decides(self):
+        # index 2 runs ("first", "first") first, and it gives the witness
         p = make_params(1, [2], 1, [0], 3)
         v = verdict.classify(p)
         assert v.outcome == "NonIntegrable"
         assert v.witness.kind == "ve_residue"
         assert v.witness.data["value"] == "8/5"
-        assert v.witness.data.get("found_by_scan")
+        assert v.witness.data["choice"] == {"pick_xi0": "first",
+                                            "pick_xij": "first"}
+        assert "found_by_scan" not in v.witness.data
+
+    def test_case2_index_two_scan_after_a_silent_first_pick(self,
+                                                            monkeypatch):
+        """With the standard pick ("first", "second") run first at index 2,
+        as before the run order had its own name, it is silent; the scan
+        still reaches ("first", "first") on the same order-7 context and
+        marks the witness found_by_scan."""
+        def standard_first(n):
+            first = variational.standard_choice(n)
+            return (first, *(ch for ch in variational.SCAN_CHOICES
+                             if ch != first))
+        monkeypatch.setattr(variational, "run_order", standard_first)
+        orders = _record_contexts(monkeypatch)
+        v = verdict.analyze_case2(make_params(1, [2], 1, [0], 3), Q(0))
+        assert orders == [7]
+        assert v.witness == verdict.Witness("ve_residue", {
+            "order": 3, "value": "8/5", "block": "normal_1", "row": "first",
+            "choice": {"pick_xi0": "first", "pick_xij": "first"},
+            "found_by_scan": True})
 
     # builds and pipelines count the work of the one chain, at the order
-    # the standard pick's exponents certify
+    # the first run pick's exponents certify
     @pytest.mark.parametrize("g, wj, c0sq, builds, pipelines", [
         # survivors: the standard pick, then the 3 scan picks that differ
         (Q(3, 8), Q(1, 4), Q(1), 1, 4),
-        (Q(3), Q(2), Q(1), 1, 2),              # index 2: first pick is a witness
+        (Q(3), Q(2), Q(1), 1, 1),              # index 2: the first run pick decides
         (Q(1), Q(1), Q(1), 1, 1),              # index 1: the standard pick decides
         (Q(35, 8), Q(55, 28), Q(72, 343), 1, 4),
     ])
@@ -158,7 +180,7 @@ class TestClassify:
     # combine them scale nothing
     @pytest.mark.parametrize("g, wj, c0sq, products, scales", [
         (Q(1), Q(1), Q(1), 30, 15),
-        (Q(3), Q(2), Q(1), 50, 16),
+        (Q(3), Q(2), Q(1), 30, 15),
         (Q(3, 8), Q(1, 4), Q(1), 91, 24),
         (Q(35, 8), Q(55, 28), Q(72, 343), 91, 25)],
         ids=["index1", "index2", "half", "five-half"])
@@ -424,6 +446,28 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert set(report["residual"].values()) == {"0"}
+
+    @pytest.mark.parametrize("which, flags", [
+        ("prop1", ["--c0sq", "1"]), ("prop1", ["--h", "0"]),
+        ("prop2", ["--cj", "0,0,0"]), ("prop2", ["--hj", "9"]),
+        ("separatrix", ["--omegaj", "5"]), ("separatrix", ["--cj", "0"]),
+        ("separatrix", ["--hj", "1,2,3"]), ("separatrix", ["--h", "7"]),
+        ("separatrix", ["--omegaj", "5", "--cj", "0", "--hj", "1,2,3",
+                        "--h", "7"]),
+        ("prop2", ["--cj", "0,0,0", "--hj", "9"])],
+        ids=["prop1-c0sq", "prop1-h", "prop2-cj", "prop2-hj",
+             "separatrix-omegaj", "separatrix-cj", "separatrix-hj",
+             "separatrix-h", "separatrix-all", "prop2-both"])
+    def test_verify_refuses_a_flag_it_does_not_read(self, which, flags,
+                                                    capsys):
+        # a flag the identity does not read would be dropped without a
+        # word, so the line is a usage error naming every such flag
+        assert cli.main(["verify", "--which", which, *flags]) == 2
+        captured = capsys.readouterr()
+        unread = ", ".join(f for f in flags if f.startswith("--"))
+        assert captured.err == (f"error: verify --which {which} reads no "
+                                f"{unread}\n")
+        assert not captured.out
 
     @pytest.mark.parametrize("flag", ["--gbf=1"])
     def test_verify_refuses_the_removed_flags(self, flag, capsys):
