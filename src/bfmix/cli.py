@@ -5,10 +5,11 @@ Exit codes: 0 completed analysis (whatever the verdict), 2 usage errors
 mu2|mu3`` point whose first order already carries a logarithm, a ``sweep``
 contour sum that leaves the float range, a case-3 or ``sweep`` ``--omega1``
 that rounds to 0.0, a ``verify --which separatrix`` or ``sweep`` point with
-no separatrix, 27 C0^2 >= 8 w0^3, and a ``--json`` or ``--csv`` path that
-cannot be written), 3 internal verification failure: a ``verify`` identity
-whose residual is not exactly zero, or a ``series --what mu3`` dump whose
-second order already carries a logarithm.
+no separatrix, 27 C0^2 >= 8 w0^3, a ``verify`` flag that its ``--which``
+does not read, and a ``--json`` or ``--csv`` path that cannot be written),
+3 internal verification failure: a ``verify`` identity whose residual is
+not exactly zero, or a ``series --what mu3`` dump whose second order
+already carries a logarithm.
 """
 from __future__ import annotations
 
@@ -121,17 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--which", choices=list(model.CLOSED_FORMS),
                     required=True)
     ve.add_argument("--omega0", type=parse_rational, default=Q(1))
-    ve.add_argument("--omegaj", type=parse_rational_list, default=None,
-                    help="prop1 and prop2; default 2")
-    ve.add_argument("--cj", type=parse_rational_list, default=None,
-                    help="prop1; default 1")
-    ve.add_argument("--hj", type=parse_rational_list, default=None,
-                    help="prop1; default 0")
+    ve.add_argument("--omegaj", type=parse_rational_list, default=None)
+    ve.add_argument("--cj", type=parse_rational_list, default=None)
+    ve.add_argument("--hj", type=parse_rational_list, default=None)
     ve.add_argument("--c0sq", type=parse_rational, default=None,
-                    help=f"prop2, default 1, and separatrix, default "
-                         f"{SEPARATRIX_C0SQ}")
-    ve.add_argument("--h", type=parse_rational, default=None,
-                    help="prop2; default 0")
+                    help=f"default 1, and {SEPARATRIX_C0SQ} for separatrix")
+    ve.add_argument("--h", type=parse_rational, default=None)
 
     se = sub.add_parser("series", parents=[csv_out],
                         help="dump exact local series as CSV")

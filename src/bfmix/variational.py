@@ -395,12 +395,14 @@ SCAN_CHOICES = tuple(HigherVEChoice(p0, pj) for p0 in ("first", "second")
 
 def run_order(n: Fraction) -> Tuple[HigherVEChoice, ...]:
     """The SCAN_CHOICES in the order the case-2 chain tries them for Lame
-    index n: the standard pick first, except at n = 2.  There the standard
-    pick takes xi_j = +sol2, so the VE3 rows (8/5) w0 c^3 and -(24/5) w0 c^2
-    d of README acceptance row 3 read c = 0 at B_j = 0, and the pick has
-    read zero on every index-2 point measured; ("first", "first") decides,
-    and both picks need order 7, so running it first skips no pick and
-    needs no deeper context."""
+    index n: the standard pick first, except at n = 2.  The standard index-2
+    pick ("first", "second") takes xi_j = +sol2, so c = 0 in the VE3 rows
+    (8/5) w0 c^3 and -(24/5) w0 c^2 d of README acceptance row 3 (B_j = 0,
+    N_f = 1), and it has read zero on every index-2 point measured, where
+    ("first", "first") decided.  Both picks need order 7, so one context
+    serves either, and the chain still runs every other pick where the first
+    is silent: no pick is skipped.  STANDARD_CHOICES keeps the picks that
+    the acceptance criteria and ``series --what mu2|mu3`` quote."""
     first = HigherVEChoice("first", "first") if n == 2 else standard_choice(n)
     return (first, *(ch for ch in SCAN_CHOICES if ch != first))
 

@@ -128,18 +128,16 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
     certified by the series truncation or raises InsufficientOrderError, so
     a chain that decides gives the verdict of every higher order.  The four
     SCAN_CHOICES picks run in variational.run_order(n): the standard pick
-    first, except at index 2, which starts at ("first", "first").  The
-    standard index-2 pick has c = 0 in README acceptance row 3, so its VE3
-    rows read zero at B_j = 0, and it has been silent on every index-2 point
-    measured; starting at the deciding pick runs one chain where two ran,
-    and skips none.  A witness from any pick but the first is marked
-    found_by_scan.  Each pick runs at the order that the Frobenius exponents
-    certify for it (variational.chain_order): the VE1 context is rebuilt
-    only for a pick that needs more terms than it holds.  The picks that share a context
-    share its cache of the forcing terms that depend on one first-order pick
-    alone, so a survivor's four chains build each such term once.  The
-    Theorem-5 conditions are checked once for every block, on the curve at
-    ``h`` that the chain reads."""
+    first, except at index 2, which starts at the deciding ("first",
+    "first"), as the standard index-2 pick has c = 0 in README acceptance
+    row 3 and reads zero; no pick is skipped.  A witness from any pick but
+    the first one run is marked found_by_scan.  Each pick runs at the order
+    that the Frobenius exponents certify for it (variational.chain_order):
+    the VE1 context is rebuilt only for a pick that needs more terms than it
+    holds.  The picks that share a context share its cache of the forcing
+    terms that depend on one first-order pick alone, so a survivor's four
+    chains build each such term once.  The Theorem-5 conditions are checked
+    once for every block, on the curve at ``h`` that the chain reads."""
     snapshot = params_snapshot(p)
     snapshot["h"] = str(Q(h))
     verdict = partial(IntegrabilityVerdict, "case2", params=snapshot)

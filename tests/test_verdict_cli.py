@@ -136,9 +136,8 @@ class TestClassify:
     def test_case2_index_two_scan_after_a_silent_first_pick(self,
                                                             monkeypatch):
         """With the standard pick ("first", "second") run first at index 2,
-        as before the run order had its own name, it is silent; the scan
-        still reaches ("first", "first") on the same order-7 context and
-        marks the witness found_by_scan."""
+        the first chain is silent; the scan still reaches ("first", "first")
+        on the same order-7 context and marks the witness found_by_scan."""
         def standard_first(n):
             first = variational.standard_choice(n)
             return (first, *(ch for ch in variational.SCAN_CHOICES
