@@ -75,6 +75,11 @@ class _Parser(argparse.ArgumentParser):
         return self.subcommands
 
 
+#: the help of every ``--h``: the q0 plane's energy, not the Hamiltonian's
+H_HELP = ("energy h of the q0 plane: h = 2E, twice model.hamiltonian on the "
+          "orbit (README, Command line)")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The bfmix argument parser, built once per process."""
@@ -112,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     c2.add_argument("--omegaj", type=parse_rational_list, required=True,
                     metavar="R[,R...]")
     c2.add_argument("--c0sq", type=parse_rational, required=True)
-    c2.add_argument("--h", type=parse_rational, required=True)
+    c2.add_argument("--h", type=parse_rational, required=True, help=H_HELP)
 
     an_sub.add_parser("case3", parents=[json_out, case3_point],
                       help="C0 != 0, C1 != 0, one transverse mode")
@@ -127,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--hj", type=parse_rational_list, default=None)
     ve.add_argument("--c0sq", type=parse_rational, default=None,
                     help=f"default 1, and {SEPARATRIX_C0SQ} for separatrix")
-    ve.add_argument("--h", type=parse_rational, default=None)
+    ve.add_argument("--h", type=parse_rational, default=None, help=H_HELP)
 
     se = sub.add_parser("series", parents=[csv_out],
                         help="dump exact local series as CSV")
@@ -137,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--omega0", type=parse_rational, default=Q(1))
     se.add_argument("--omegaj", type=parse_rational_list, default=[Q(1)])
     se.add_argument("--c0sq", type=parse_rational, default=Q(1))
-    se.add_argument("--h", type=parse_rational, default=Q(0))
+    se.add_argument("--h", type=parse_rational, default=Q(0), help=H_HELP)
     se.add_argument("--order", type=int, default=16)
     se.add_argument("--pick-xi0", choices=["first", "second"], default=None)
     se.add_argument("--pick-xij", choices=["first", "second"], default=None)

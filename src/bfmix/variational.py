@@ -2,8 +2,17 @@
 
 Builds the first variational equation (one tangential block plus one Lame
 block per transverse mode), solves each block by Frobenius series with unit
-Wronskian, assembles the order-2 and order-3 forcings, runs variation of
-constants, and extracts the logarithm-detecting residues exactly.
+Wronskian, assembles the order-2 and order-3 forcings, and extracts the
+logarithm-detecting residues exactly.
+
+One recursion loop (``_recursion``) solves xi'' = q xi + K term by term,
+for the bases (K = 0) and for the VE2 blocks.  A logarithm shows as a
+nonzero right-hand side where the recursion meets a resonance, an indicial
+exponent: at first order the one at rho1 (FirstOrderLogError), at second
+order both, which are the VE2 rows.  The free coefficients of a VE2
+particular at the resonances are fixed by its Wronskian pairings with sol1
+and sol2, whose t^0 terms they clear: the zero-integration-constant
+particular of variation of constants, without its series products.
 
 Sign conventions.  The Lame offset is ``B_j = (2/3) w0 n(n+1) - 2 w_j`` and
 blocks read ``xi'' = [n(n+1) wp + B_j] xi``; the basis is ``sol1`` monic at
@@ -24,6 +33,9 @@ from .series import (INF, FieldExtensionError, InsufficientOrderError,
                      PuiseuxSeries, append_rational)
 
 Q = Fraction
+#: the coefficient 0 of a row or a right-hand side the recursion does not
+#: meet
+_ZERO = Q(0)
 
 
 class IrregularSingularityError(Exception):
@@ -100,11 +112,13 @@ def build_ve1(p, e: "elliptic.EllipticData", order) -> VE1Coefficients:
 class FrobeniusBasis:
     """Two Frobenius solutions of xi'' = q(t) xi with unit Wronskian: sol1
     monic at the smaller exponent rho2, sol2 with leading coefficient
-    1/(rho1 - rho2) at rho1."""
+    1/(rho1 - rho2) at rho1.  ``q`` is the coefficient series they solve,
+    whose recursion ``variation_of_constants`` runs with a forcing."""
 
     sol1: PuiseuxSeries
     sol2: PuiseuxSeries
     exponents: Tuple[Fraction, Fraction]   # (rho1, rho2), rho1 > rho2
+    q: PuiseuxSeries
 
 
 def _indicial_roots(c2_num: int, c2_den: int) -> Tuple[Fraction, Fraction]:
@@ -123,57 +137,125 @@ def _indicial_roots(c2_num: int, c2_den: int) -> Tuple[Fraction, Fraction]:
     return Fraction(rd + rn, 2 * rd), Fraction(rd - rn, 2 * rd)
 
 
+def _clearing_coefficient(s: PuiseuxSeries, ys: Sequence[int], den: int,
+                          S: int, h: int, M: int, E: int) -> Tuple[int, int]:
+    """(p, q) with y_e = p/q the coefficient at e = E/M that clears the t^0
+    term of the pairing s y' - s' y, which is sum_e (2e - 1) y_e s_(1-e),
+    for y = sum_k ys[k]/den t^((S + k h)/M) below e; M is a multiple of
+    s's lattice and s has a term at t^(1-e)."""
+    Ls, bs, ss, cs, _, _ = s.dense()
+    f = M // Ls
+    bs, ss = bs * f, ss * f
+    total = 0
+    for y in ys:
+        if y:
+            i, r = divmod(M - S - bs, ss)
+            if not r and 0 <= i < len(cs):
+                total += (2 * S - M) * y * cs[i]
+        S += h
+    return -total, den * (2 * E - M) * cs[(M - E - bs) // ss]
+
+
+def _recursion(q: PuiseuxSeries, start: Optional[Fraction],
+               forcing: Optional[PuiseuxSeries], free: Sequence[tuple]
+               ) -> Tuple[PuiseuxSeries, list]:
+    """The series y from t^start (t^(v(K) + 2) for None) that solves
+    y'' = q y + K term by term, K = ``forcing`` (0 for None), and the
+    right-hand sides delta_e it meets at the resonances.
+
+    y_e (e(e-1) - c2) = K_(e-2) + sum_(j>0) q_j y_(e-j), where q_j is the
+    coefficient of t^(j-2) and c2 = q_0.  At a root e of the bracket, y_e
+    multiplies zero: the loop records the right-hand side delta_e and sets
+    y_e by the pair (e, v) of ``free`` that names e: y_e = v for a number
+    v, or the y_e that clears the t^0 term of v y' - v' y for a series v.
+    y then solves y'' = q y + K - sum_e delta_e t^(e-2).  The deltas come
+    back as Fractions in the order of ``free``, 0 for a root not met.
+
+    Exponents are integers E = e*M on the lattice 1/M; y lives on
+    start + (h/M) ZZ, the coarsest step that carries q's terms above t^-2
+    and K's terms, and y_k, q_j and K_k are integer numerators over one
+    denominator each.  y_e reads q up to t^(e - start - 2) and K up to
+    t^(e - 2), so y is exact below min(t_K + 2, start + t_q + 2), where it
+    is cut.
+    """
+    L, b, s, coeffs, q_den, t = q.dense()
+    if t + 2 * L <= 0:
+        raise InsufficientOrderError(
+            f"coefficient of t^-2 unknown (truncation t^{q.truncation_order})")
+    if forcing is None:
+        LK, k_den = start.denominator, 1
+    else:
+        LK, bK, sK, k_coeffs, k_den, tK = forcing.dense()
+    M = math.lcm(L, LK, *(e.denominator for e, _ in free))
+    fq = M // L
+    lo = (b + 2 * L) * fq             # q's first term, above t^-2
+    h = math.gcd(s * fq, lo)
+    span = (t + 2 * L) * fq           # y is exact below start + span
+    if forcing is None:
+        S = start.numerator * (M // LK)
+    else:
+        fK = M // LK
+        S = (bK + 2 * LK) * fK
+        h = math.gcd(h, sK * fK)
+        if tK * fK + 2 * M < S + span:
+            span = tK * fK + 2 * M - S
+    n = -(-span // h)                 # lattice points below start + span
+    # q_j (j > 0) and K_k over the denominator D of both
+    D = q_den * k_den
+    qs = [0] * n
+    r, j0 = s * fq // h, lo // h
+    part = coeffs[:len(range(j0, n, r))]
+    qs[j0:j0 + len(part) * r:r] = [x * k_den for x in part]
+    M2 = M * M
+    c2 = qs[0] * M2
+    qs[0] = 0
+    ks = [0] * n
+    if forcing is not None:
+        r = sK * fK // h
+        part = k_coeffs[:len(range(0, n, r))]
+        ks[:len(part) * r:r] = [x * q_den for x in part]
+    roots = [e.numerator * (M // e.denominator) for e, _ in free]
+    deltas = [_ZERO] * len(free)
+    ys, den = [], 1
+    E = S
+    for k in range(n):
+        rhs = ks[k] * den + sum(map(mul, ys, qs[k:0:-1]))
+        bracket = D * E * (E - M) - c2          # D M^2 (e(e-1) - c2)
+        if bracket:
+            den = append_rational(ys, den, rhs * M2, den * bracket)
+        else:
+            i = roots.index(E)
+            if rhs:
+                deltas[i] = Fraction(rhs, den * D)
+            v = free[i][1]
+            if isinstance(v, PuiseuxSeries):
+                den = append_rational(ys, den, *_clearing_coefficient(
+                    v, ys, den, S, h, M, E))
+            else:
+                den = append_rational(ys, den, v, 1)
+        E += h
+    return PuiseuxSeries.from_dense(M, S, h, ys, den, S + span), deltas
+
+
 def _frobenius_one(q: PuiseuxSeries, rho: Fraction,
                    other: Fraction) -> Tuple[PuiseuxSeries, Fraction]:
     """Monic series solution at exponent rho, and the right-hand side its
-    recursion meets at the exponent ``other`` (0 when it meets none).
-
-    a_k (e(e-1) - c2) = sum_{m<k} a_m q_{k-m} at e = rho + k/L, where q_j is
-    the coefficient of t^(j/L - 2) on q's lattice 1/L; a_k and q_j are held
-    as integer numerators over one denominator each.  Exponents are integers
-    E = e*M on the lattice 1/M, M = lcm(L, den rho, den other), so the
-    bracket is (c2.den E(E - M) - c2.num M^2) / (c2.den M^2).  The recursion
-    stops at the first q_k at or beyond q's truncation, so every coefficient
-    it returns is exact; stopping short of a resonance on the lattice leaves
-    the log test undecided and raises InsufficientOrderError.
-    """
-    L, b, s, coeffs, q_den, t = q.dense()
-    n = t + 2 * L                     # q_j is known for j < n
-    if n <= 0:
-        raise InsufficientOrderError(
-            f"coefficient of t^-2 unknown (truncation t^{q.truncation_order})")
-    qs = [0] * n
-    lo = b + 2 * L
-    qs[lo:lo + (len(coeffs) - 1) * s + 1:s] = coeffs
-    # c2 = q_0 / q_den, the t^-2 coefficient, which the bracket carries
+    recursion meets at the exponent ``other`` (0 when it meets none): the
+    recursion without forcing, with y_rho = 1 and y_other = 0.  Every
+    coefficient it returns is exact; stopping short of a resonance on q's
+    lattice leaves the log test undecided and raises
+    InsufficientOrderError."""
+    L, t = q.dense()[::5]
     M = math.lcm(L, rho.denominator, other.denominator)
-    step = M // L
     R = rho.numerator * (M // rho.denominator)
     OM = other.numerator * (M // other.denominator)
-    c2n, c2d = qs[0] * M * M, q_den
-    qs[0] = 0
-    bracket_den = c2d * M * M
-    a = [1]
-    a_den = 1
-    resonance_rhs = Q(0)
-    E = R
-    for k in range(1, n):
-        E += step
-        rhs = sum(map(mul, a, qs[k:0:-1]))
-        if E == OM:
-            # resonance: coefficient multiplies zero; solvable only if rhs = 0
-            if rhs:
-                resonance_rhs = Fraction(rhs, a_den * q_den)
-            a.append(0)
-        else:
-            a_den = append_rational(a, a_den, rhs * bracket_den,
-                                    a_den * q_den * (c2d * E * (E - M) - c2n))
-    trunc = R + n * step
-    if trunc <= OM and (OM - R) % step == 0:
+    trunc = R + (t + 2 * L) * (M // L)
+    if trunc <= OM and (OM - R) % (M // L) == 0:
         raise InsufficientOrderError(
             f"resonance at t^{other} lies beyond the exact terms (below "
             f"t^{Fraction(trunc, M)}) of the solution at t^{rho}")
-    return PuiseuxSeries.from_dense(M, R, step, a, a_den, trunc), resonance_rhs
+    sol, (_, rhs) = _recursion(q, rho, None, ((rho, 1), (other, 0)))
+    return sol, rhs
 
 
 def resonance_coefficients(p, e: "elliptic.EllipticData",
@@ -191,8 +273,9 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
     """Solve xi'' = q(t) xi locally at the regular singular point t = 0.
 
     ``q`` must be truncated: the bases are exact below the order its
-    truncation certifies.  A resonance with a nonzero right-hand side raises
-    FirstOrderLogError, and a double exponent raises ValueError.
+    truncation certifies, t^(rho + t_q + 2) for the solution at rho.  A
+    resonance with a nonzero right-hand side raises FirstOrderLogError, and
+    a double exponent raises ValueError.
 
     The Wronskian sol1*sol2' - sol1'*sol2 is one by construction: the
     equation has no xi' term, so it is constant (Abel), and its leading term
@@ -217,27 +300,57 @@ def frobenius(q: PuiseuxSeries) -> FrobeniusBasis:
     # rho1 - rho2 = 2 rho1 - 1, as rho1 + rho2 = 1
     sol2 = sol2_monic.scale(Fraction(rho1.denominator,
                                      2 * rho1.numerator - rho1.denominator))
-    return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2))
+    return FrobeniusBasis(sol1=sol1, sol2=sol2, exponents=(rho1, rho2), q=q)
 
 
 class VOCResult(NamedTuple):
-    """Variation-of-constants data for one block forced by K.
+    """Variation-of-constants data for one block xi'' = q xi + K.
 
     ``log_coefficients`` are the 1/t coefficients of the rows -sol2*K and
     sol1*K of X^{-1} (0, K)^T; a nonzero one puts log t into the block
-    solution.  ``particular`` is sol1*int(-sol2*K) + sol2*int(sol1*K) with
-    zero integration constants (log-free part).
+    solution.  ``particular`` is the log-free solution whose Wronskian
+    pairings sol1 y' - sol1' y and sol2 y' - sol2' y (the primitives of
+    sol1*K and -sol2*K) have no t^0 term: sol1*int(-sol2*K) +
+    sol2*int(sol1*K) with zero integration constants.  It is None where a
+    row is nonzero, as no log-free solution exists there.
     """
 
     log_coefficients: Tuple[Fraction, Fraction]
-    particular: PuiseuxSeries
+    particular: Optional[PuiseuxSeries]
 
 
 def variation_of_constants(basis: FrobeniusBasis,
                            forcing: PuiseuxSeries) -> VOCResult:
-    c1, log1 = (-(basis.sol2 * forcing)).antiderivative()
-    c2, log2 = (basis.sol1 * forcing).antiderivative()
-    return VOCResult((log1, log2), basis.sol1 * c1 + basis.sol2 * c2)
+    """Solve xi'' = q xi + K, K = ``forcing``, by the basis's recursion run
+    from t^(v(K) + 2) with K added, without forming sol1*K or sol2*K.
+
+    The rows are the right-hand sides delta the recursion meets at the
+    resonances: the recursion solves xi'' = q xi + K - sum delta_e t^(e-2),
+    and (s xi' - s' xi)' = s (K - sum delta_e t^(e-2)) has no 1/t term, so
+    res(s K) = delta_rho2 s_rho1 + delta_rho1 s_rho2, which gives
+    (-res(sol2 K), res(sol1 K)) = (-delta_rho2 / (rho1 - rho2),
+    delta_rho1), as sol1 has no t^rho1 term.  The free coefficients
+    xi_rho2 and xi_rho1 clear the t^0 terms of the pairings
+    sol2 xi' - sol2' xi and sol1 xi' - sol1' xi, one convolution sum over
+    the terms below each: the zero-constant particular, exact below
+    min(t_K + 2, v(K) + t_q + 4).  Where that bound lies at or below
+    t^rho1, the 1/t coefficient of sol1*K is unknown and
+    InsufficientOrderError is raised.
+    """
+    rho1, rho2 = basis.exponents
+    if forcing:
+        y, (d2, d1) = _recursion(basis.q, None, forcing,
+                                 ((rho2, basis.sol2), (rho1, basis.sol1)))
+    else:
+        y, d2, d1 = PuiseuxSeries({}, forcing.truncation_order + 2), 0, 0
+    L, t = y.dense()[::5]
+    if t * rho1.denominator <= rho1.numerator * L:
+        raise InsufficientOrderError(
+            f"log coefficient unknowable: the particular is exact below "
+            f"t^{y.truncation_order}, at or below the resonance t^{rho1}")
+    if d2 or d1:
+        return VOCResult((-d2 / (rho1 - rho2), d1), None)
+    return VOCResult((_ZERO, _ZERO), y)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +662,18 @@ def chain_order(n: Fraction, choice: HigherVEChoice) -> int:
     q0 and its powers below v + P + 1, v the leading exponent.  That needs
     q0^2 = 1/t^2 + ... exact below t^P only, and ``build_ve1`` builds it no
     further (below 2 it builds it to t^2): ``sqrt`` keeps its relative
-    precision P + 2, so q0 = 1/t + ... is exact below t^(P+1).  Products,
-    sums and primitives keep the smaller margin.  So every series of the
-    chain is exact below v + P + 1, where v is its valuation counted without
+    precision P + 2, so q0 = 1/t + ... is exact below t^(P+1).  Products
+    and sums keep the smaller margin.  A VE2 particular y, read off the
+    forced recursion, is exact below min(t_K + 2, v(y) + t_q + 2), t_q = P
+    the truncation of its block's coefficient and v(y) = v(K) + 2, which
+    is the bound of the product form sol1*int(-sol2*K) + sol2*int(sol1*K)
+    too; so it keeps the margin of K.  So every series of the chain is
+    exact below v + P + 1, where v is its valuation counted without
     cancellations, a lower bound.  The chain reads: sol1 of each block
     through its resonance (rho2 + P + 2 > rho1), and the 1/t coefficients of
     sol1*K and sol2*K for the VE2 and VE3 forcings K of each block, exact
-    once rho2 + v(K) + P + 1 > -1 (sol1 binds).  K3 is cubic in the
+    once rho2 + v(K) + P + 1 > -1 (sol1 binds); at VE2 that is the
+    recursion reaching t^rho1.  K3 is cubic in the
     first-order picks, so for n >= 2 a VE3 residue sets the order.
     """
     tang, norm = (Q(3), Q(-2)), (n + 1, -n)

@@ -178,10 +178,10 @@ class TestClassify:
     # build 2 tangential and 2 normal picks' terms, and the forcings that
     # combine them scale nothing
     @pytest.mark.parametrize("g, wj, c0sq, products, scales", [
-        (Q(1), Q(1), Q(1), 30, 15),
-        (Q(3), Q(2), Q(1), 30, 15),
-        (Q(3, 8), Q(1, 4), Q(1), 91, 24),
-        (Q(35, 8), Q(55, 28), Q(72, 343), 91, 25)],
+        (Q(1), Q(1), Q(1), 22, 15),
+        (Q(3), Q(2), Q(1), 22, 15),
+        (Q(3, 8), Q(1, 4), Q(1), 59, 24),
+        (Q(35, 8), Q(55, 28), Q(72, 343), 59, 25)],
         ids=["index1", "index2", "half", "five-half"])
     def test_case2_series_work(self, monkeypatch, g, wj, c0sq, products,
                                scales):
