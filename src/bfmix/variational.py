@@ -142,7 +142,7 @@ def _clearing_coefficient(s: PuiseuxSeries, ys: Sequence[int], den: int,
     """(p, q) with y_e = p/q the coefficient at e = E/M that clears the t^0
     term of the pairing s y' - s' y, which is sum_e (2e - 1) y_e s_(1-e),
     for y = sum_k ys[k]/den t^((S + k h)/M) below e; M is a multiple of
-    s's lattice and s has a term at t^(1-e)."""
+    s's lattice and s starts at t^(1-e)."""
     Ls, bs, ss, cs, _, _ = s.dense()
     f = M // Ls
     bs, ss = bs * f, ss * f
@@ -153,7 +153,7 @@ def _clearing_coefficient(s: PuiseuxSeries, ys: Sequence[int], den: int,
             if not r and 0 <= i < len(cs):
                 total += (2 * S - M) * y * cs[i]
         S += h
-    return -total, den * (2 * E - M) * cs[(M - E - bs) // ss]
+    return -total, den * (2 * E - M) * cs[0]
 
 
 def _recursion(q: PuiseuxSeries, start: Optional[Fraction],
@@ -183,7 +183,7 @@ def _recursion(q: PuiseuxSeries, start: Optional[Fraction],
         raise InsufficientOrderError(
             f"coefficient of t^-2 unknown (truncation t^{q.truncation_order})")
     if forcing is None:
-        LK, k_den = start.denominator, 1
+        LK, k_den = 1, 1
     else:
         LK, bK, sK, k_coeffs, k_den, tK = forcing.dense()
     M = math.lcm(L, LK, *(e.denominator for e, _ in free))
@@ -192,7 +192,7 @@ def _recursion(q: PuiseuxSeries, start: Optional[Fraction],
     h = math.gcd(s * fq, lo)
     span = (t + 2 * L) * fq           # y is exact below start + span
     if forcing is None:
-        S = start.numerator * (M // LK)
+        S = start.numerator * (M // start.denominator)
     else:
         fK = M // LK
         S = (bK + 2 * LK) * fK
@@ -326,10 +326,12 @@ def variation_of_constants(basis: FrobeniusBasis,
 
     The rows are the right-hand sides delta the recursion meets at the
     resonances: the recursion solves xi'' = q xi + K - sum delta_e t^(e-2),
-    and (s xi' - s' xi)' = s (K - sum delta_e t^(e-2)) has no 1/t term, so
+    so for each basis solution s the derivative (s xi' - s' xi)' =
+    s (K - sum delta_e t^(e-2)) has no 1/t term, and
     res(s K) = delta_rho2 s_rho1 + delta_rho1 s_rho2, which gives
     (-res(sol2 K), res(sol1 K)) = (-delta_rho2 / (rho1 - rho2),
-    delta_rho1), as sol1 has no t^rho1 term.  The free coefficients
+    delta_rho1), as sol1 = t^rho2 + ... has no t^rho1 term and
+    sol2 = t^rho1 / (rho1 - rho2) + ....  The free coefficients
     xi_rho2 and xi_rho1 clear the t^0 terms of the pairings
     sol2 xi' - sol2' xi and sol1 xi' - sol1' xi, one convolution sum over
     the terms below each: the zero-constant particular, exact below

@@ -141,3 +141,50 @@ def test_bench_pairs_claim_needs_correct_runs(side, fault):
 def test_bench_pairs_help_runs_no_benchmark():
     lines = run_script("bench_pairs.py", "--help")
     assert lines[0].startswith("usage: bench_pairs.py")
+
+
+def test_bench_pairs_process_plan_and_env(tmp_path):
+    """--process alternates the first tree per setting and line; the
+    compiled setting writes no bytecode, the cached one writes it only
+    under the prefix, and each tree imports its own src."""
+    bp = _bench_pairs()
+    order = bp.process_plan(["a", "b"], 2)
+    assert order == [
+        (s, line, side) for s in ("compiled", "cached") for line in "ab"
+        for side in ("parent", "change", "change", "parent")]
+    compiled = bp.process_env(tmp_path, "compiled", tmp_path / "pyc")
+    cached = bp.process_env(tmp_path, "cached", tmp_path / "pyc")
+    assert compiled["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in compiled
+    assert cached["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pyc")
+    assert "PYTHONDONTWRITEBYTECODE" not in cached
+    assert compiled["PYTHONPATH"] == cached["PYTHONPATH"] == \
+        str(tmp_path / "src")
+    assert set(bp.PROCESS_LINES) == {"case1", "case2", "case3"}
+
+
+def test_bench_pairs_process_summary_on_canned_runs():
+    """Medians, exclusive quartiles and wins of canned wall times, where
+    lower is better."""
+    bp = _bench_pairs()
+    parent = [110.0, 112.0, 108.0, 111.0, 109.0]
+    change = [105.0, 113.0, 104.0, 106.0, 107.0]
+    runs = {"parent": {"cached": {"case3": parent}},
+            "change": {"cached": {"case3": change}}}
+    assert bp.process_summary(runs) == {"cached": {"case3": {
+        "pairs": 5, "change_wins": 4,
+        "parent_median_ms": 110.0, "change_median_ms": 106.0,
+        "parent_quartiles_ms": [108.5, 110.0, 111.5],
+        "change_quartiles_ms": [104.5, 106.0, 110.0],
+        "median_change_pct": -3.64}}}
+
+
+def test_bench_pairs_process_refuses_a_claim():
+    env = dict(os.environ)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--process", "--parent", ".", "--change", ".", "--parent-sha", "a",
+         "--change-sha", "b", "--claim", "case2-survivors"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "--process takes no --claim" in proc.stderr

@@ -175,8 +175,9 @@ class TestClassify:
 
     # series products and scale calls per call: the terms of each
     # first-order pick are built once per context, so a survivor's 4 chains
-    # build 2 tangential and 2 normal picks' terms, and the forcings that
-    # combine them scale nothing
+    # build 2 tangential and 2 normal picks' terms, the forcings that
+    # combine them scale nothing, and each VE2 block runs its Frobenius
+    # recursion with no product
     @pytest.mark.parametrize("g, wj, c0sq, products, scales", [
         (Q(1), Q(1), Q(1), 22, 15),
         (Q(3), Q(2), Q(1), 22, 15),
