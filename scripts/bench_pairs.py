@@ -10,40 +10,35 @@ For each workload in turn, pair k runs ``perfbench/run.py --workload W
 --seed S --seconds R --trace 0`` (the command and ``run_seconds`` of
 ``BENCHMARK.json``) once in each tree, at one seed per pair; the seeds
 are consecutive, from ``--seed`` on, across workloads and pairs, and the
-tree that runs first alternates from pair to pair.  Each run reads the
-last line of the benchmark's standard output, its JSON summary.
+tree that runs first alternates from pair to pair (``plan``).  Each run
+reads the last line of the benchmark's standard output, its JSON summary.
 
 The file holds every run (``runs[side][workload][seed]``), the order they
-ran in, and a summary per workload and end-to-end metric: both sides'
-medians and quartiles (``statistics.quantiles(n=4)``, exclusive method),
-the pairs the change won, the median change in percent, the fraction by
-which the change is worse (negative when better) and the metric's bound.
-Each workload's summary also counts, per side, the runs that were not
-correct and the points that failed (``correctness``).  ``--claim W`` adds
-the test of a claimed gain on ``points_per_s``: every run on both sides is
-correct with no failed point, the change wins at least 9 in 10 pairs, and
-the medians differ by more than the parent's interquartile range.  Nothing
-under ``perfbench/`` is changed; its results land in each tree's
-``.bench_results/``.
+ran in, and a summary per workload and end-to-end metric (``compare``):
+both sides' medians and quartiles (``statistics.quantiles(n=4)``,
+exclusive method), the pairs the change won, the median change in
+percent, the fraction by which the change is worse (negative when better)
+and the metric's bound.  Each workload's summary also counts, per side,
+the runs that were not correct and the points that failed
+(``correctness``).  ``--claim W`` adds the test of a claimed gain on
+``points_per_s``: every run on both sides is correct with no failed
+point, the change wins at least 9 in 10 pairs, and the medians differ by
+more than the parent's interquartile range.  Nothing under ``perfbench/``
+is changed; its results land in each tree's ``.bench_results/``.
 
-``--process`` times whole processes instead (the first metric of the
-north star, the wall time of ``bfmix analyze``):
-
-    python3 scripts/bench_pairs.py --process --parent ../parent \
-        --change . --pairs 10
-
-Pair k runs ``python -m bfmix.cli analyze ...`` once in each tree on each
-of the three reference lines of ``scripts/run_case_studies.py``
-(``PROCESS_LINES``: one line per case), the first tree alternating from
-pair to pair, under two bytecode settings: ``compiled``, with
+``--process`` (``--process --parent ../parent --change . --pairs 10``)
+times whole processes instead, the first metric of the north star.  Pairs
+run ``python -m bfmix.cli analyze ...`` in each tree on each reference
+line of ``scripts/run_case_studies.py`` (``PROCESS_LINES``, one per case)
+under two bytecode settings: ``compiled``, with
 ``PYTHONDONTWRITEBYTECODE=1``, where each process compiles ``src/`` (the
 trees must hold no ``__pycache__`` under ``src/``), and ``cached``, where
-``PYTHONPYCACHEPREFIX`` points into a temporary directory that one untimed
-run per tree and line fills, so no tree is written.  The file
-(``PROCESS_<short-sha>.json`` by default) holds every wall time in ms, the
-``PYTHONDONTWRITEBYTECODE`` the script found, and per setting and line
-both sides' medians and quartiles, the pairs the change won (lower is
-better) and the median change in percent.  It claims nothing.
+``PYTHONPYCACHEPREFIX`` points into a temporary directory that one
+untimed run per tree and line fills, so no tree is written.  The file
+(``PROCESS_<short-sha>.json`` by default) holds every wall time
+(``"unit": "ms"``), the ``PYTHONDONTWRITEBYTECODE`` the script found, and
+per setting and line the summary of a benchmark metric, lower being
+better.  It claims nothing.
 """
 import argparse
 import json
@@ -63,17 +58,12 @@ CLAIM_RULE = ("every run correct with 0 failed, change wins >= 9 of 10 "
               "interquartile range")
 
 
-def plan(workloads, pairs, seed):
-    """[(workload, seed, side), ...]: ``pairs`` pairs per workload, one
-    consecutive seed per pair, the first side alternating from pair to
-    pair."""
-    order = []
-    for w in workloads:
-        for k in range(pairs):
-            sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            order += [(w, seed, side) for side in sides]
-            seed += 1
-    return order
+def plan(keys, pairs):
+    """[(key, k, side), ...]: ``pairs`` pairs per key, numbered k = 0, 1,
+    ... across all keys, the first side alternating from pair to pair."""
+    return [(key, i * pairs + j, side)
+            for i, key in enumerate(keys) for j in range(pairs)
+            for side in (("parent", "change"), ("change", "parent"))[j % 2]]
 
 
 def quartiles(values):
@@ -81,6 +71,22 @@ def quartiles(values):
     if len(values) < 2:
         return [values[0]] * 3
     return statistics.quantiles(values, n=4, method="exclusive")
+
+
+def compare(parent, change, higher):
+    """Both sides' medians and quartiles of paired values, the pairs the
+    change won, the median change in percent and the fraction by which the
+    change is worse (negative when better)."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    return {
+        "pairs": len(parent),
+        "change_wins": sum(1 for a, b in zip(parent, change)
+                           if (b > a if higher else b < a)),
+        "parent_median": round(pm, 6), "change_median": round(cm, 6),
+        "parent_quartiles": [round(v, 6) for v in quartiles(parent)],
+        "change_quartiles": [round(v, 6) for v in quartiles(change)],
+        "median_change_pct": round(100 * (cm / pm - 1), 2),
+        "worse_frac": round((pm - cm) / pm if higher else (cm - pm) / pm, 4)}
 
 
 def summarize(runs, end_to_end):
@@ -94,21 +100,11 @@ def summarize(runs, end_to_end):
         seeds = [s for s in parent_runs if s in runs["change"].get(w, {})]
         pairs = [(parent_runs[s]["metrics"], runs["change"][w][s]["metrics"])
                  for s in seeds]
-        summary = {}
-        for m in end_to_end:
-            name, higher = m["name"], m["better"] == "higher"
-            p = [a[name] for a, _ in pairs]
-            c = [b[name] for _, b in pairs]
-            pm, cm = statistics.median(p), statistics.median(c)
-            wins = sum(1 for a, b in zip(p, c) if (b > a if higher else b < a))
-            worse = (pm - cm) / pm if higher else (cm - pm) / pm
-            summary[name] = {
-                "bound": m["bound"], "pairs": len(pairs), "change_wins": wins,
-                "parent_median": round(pm, 6), "change_median": round(cm, 6),
-                "parent_quartiles": [round(v, 6) for v in quartiles(p)],
-                "change_quartiles": [round(v, 6) for v in quartiles(c)],
-                "median_change_pct": round(100 * (cm / pm - 1), 2),
-                "worse_frac": round(worse, 4)}
+        summary = {
+            m["name"]: {"bound": m["bound"], **compare(
+                [a[m["name"]] for a, _ in pairs],
+                [b[m["name"]] for _, b in pairs], m["better"] == "higher")}
+            for m in end_to_end}
         summary["correctness"] = {
             side: {"incorrect_runs": sum(not runs[side][w][s]["correct"]
                                          for s in seeds),
@@ -156,26 +152,12 @@ BYTECODE = {
 }
 
 
-def process_plan(lines, pairs):
-    """[(setting, line, side), ...]: ``pairs`` pairs per setting and line,
-    the first side alternating from pair to pair."""
-    order = []
-    for setting in BYTECODE:
-        for line in lines:
-            for k in range(pairs):
-                sides = (("parent", "change") if k % 2 == 0
-                         else ("change", "parent"))
-                order += [(setting, line, side) for side in sides]
-    return order
-
-
 def process_env(tree, setting, prefix):
     """The environment of a ``bfmix analyze`` process in ``tree``: its own
     ``src`` first on the path, and the bytecode ``setting``."""
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
     env["PYTHONPATH"] = str(Path(tree) / "src")
-    env.pop("PYTHONPYCACHEPREFIX", None)
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
     if setting == "compiled":
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     else:
@@ -183,9 +165,9 @@ def process_env(tree, setting, prefix):
     return env
 
 
-def time_process(tree, line, env):
-    """Wall time in ms of one ``python -m bfmix.cli analyze`` process."""
-    argv = [sys.executable, "-m", "bfmix.cli", "analyze", *line]
+def run(argv, tree, env=None):
+    """(standard output, wall time in ms) of one process in ``tree``;
+    raises RuntimeError on a nonzero exit."""
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True,
                           text=True)
@@ -193,77 +175,86 @@ def time_process(tree, line, env):
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(argv)} exited "
                            f"{proc.returncode}: {proc.stderr[-500:]}")
-    return ms
+    return proc.stdout, ms
 
 
-def process_summary(runs):
-    """{setting: {line: summary}} of ``runs``, which maps side -> setting ->
-    line -> wall times in ms, pair by pair; lower is better."""
-    out = {}
-    for setting, lines in runs["parent"].items():
-        out[setting] = {}
-        for line, p in lines.items():
-            c = runs["change"][setting][line]
-            pm, cm = statistics.median(p), statistics.median(c)
-            out[setting][line] = {
-                "pairs": len(p),
-                "change_wins": sum(1 for a, b in zip(p, c) if b < a),
-                "parent_median_ms": round(pm, 3),
-                "change_median_ms": round(cm, 3),
-                "parent_quartiles_ms": [round(v, 3) for v in quartiles(p)],
-                "change_quartiles_ms": [round(v, 3) for v in quartiles(c)],
-                "median_change_pct": round(100 * (cm / pm - 1), 2)}
-    return out
-
-
-def run_process(trees, shas, pairs, out):
-    """Time the reference lines in fresh processes; write and return the
-    result file's path."""
+def run_process(trees, pairs):
+    """The fields of a --process result file: every wall time in ms of the
+    reference lines in fresh processes, and their summary."""
     for tree in trees.values():
         if any((tree / "src").rglob("__pycache__")):
             raise SystemExit(f"{tree}/src holds __pycache__: the compiled "
                              "setting would read its bytecode")
-    runs = {side: {s: {line: [] for line in PROCESS_LINES}
-                   for s in BYTECODE} for side in trees}
-    order = process_plan(list(PROCESS_LINES), pairs)
+    argv = [sys.executable, "-m", "bfmix.cli", "analyze"]
+    runs = {"parent": {}, "change": {}}
+    order = plan([(s, line) for s in BYTECODE for line in PROCESS_LINES],
+                 pairs)
     with tempfile.TemporaryDirectory() as prefix:
         envs = {(side, s): process_env(tree, s, prefix)
                 for side, tree in trees.items() for s in BYTECODE}
         for side, tree in trees.items():
             for line in PROCESS_LINES.values():
-                time_process(tree, line, envs[side, "cached"])
-        for setting, line, side in order:
-            runs[side][setting][line].append(round(time_process(
-                trees[side], PROCESS_LINES[line], envs[side, setting]), 3))
-    result = {
-        "parent": shas["parent"], "change": shas["change"],
+                run(argv + line, tree, envs[side, "cached"])
+        for (setting, line), _, side in order:
+            _, ms = run(argv + PROCESS_LINES[line], trees[side],
+                        envs[side, setting])
+            runs[side].setdefault(setting, {}).setdefault(line, []).append(
+                round(ms, 3))
+    return {
         "command": f"{Path(sys.executable).name} -m bfmix.cli analyze LINE",
-        "lines": PROCESS_LINES, "bytecode": BYTECODE,
+        "lines": PROCESS_LINES, "bytecode": BYTECODE, "unit": "ms",
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "host": host(),
         "order": "per setting and line, alternating pairs; the side that "
                  "runs first alternates from pair to pair",
-        "quartiles": "statistics.quantiles(n=4), exclusive method",
-        "run_order": [list(x) for x in order],
-        "runs": runs, "summary": process_summary(runs)}
-    out = out or trees["change"] / f"PROCESS_{shas['change']}.json"
-    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    return out
+        "run_order": [[s, line, side] for (s, line), _, side in order],
+        "runs": runs,
+        "summary": {s: {line: compare(p, runs["change"][s][line], False)
+                        for line, p in lines.items()}
+                    for s, lines in runs["parent"].items()}}
 
 
-def run_once(tree, command, workload, seed, seconds):
-    """The run record of one benchmark run in ``tree``."""
-    argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{tree}: {' '.join(argv)} exited "
-                           f"{proc.returncode}: {proc.stderr[-500:]}")
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"attempted": last["attempted"], "correct": last["correct"],
+def run_bench(trees, bench, workloads, pairs, seed, claimed):
+    """The fields of a benchmark result file: every run of ``workloads``,
+    their summary, and the test of a gain claimed on ``claimed``."""
+    command, seconds = bench["command"], bench["run_seconds"]
+    order = [(w, seed + k, side) for w, k, side in plan(workloads, pairs)]
+    runs = {"parent": {}, "change": {}}
+    for w, s, side in order:
+        stdout, _ = run([*command, "--workload", w, "--seed", str(s),
+                         "--seconds", str(seconds), "--trace", "0"],
+                        trees[side])
+        last = json.loads(stdout.strip().splitlines()[-1])
+        runs[side].setdefault(w, {})[str(s)] = {
+            "attempted": last["attempted"], "correct": last["correct"],
             "failed": last["failed"],
             "metrics": {k: round(v["value"], 6)
                         for k, v in last["metrics"].items()}}
+        print(f"{w} {s} {side} points_per_s "
+              f"{last['metrics']['points_per_s']['value']:.1f} failed "
+              f"{last['failed']}", file=sys.stderr, flush=True)
+    summary = summarize(runs, bench["end_to_end"])
+    return {
+        "command": " ".join(command) + " --workload W --seed N --seconds "
+                   f"{seconds} --trace 0",
+        "order": "alternating pairs, one seed per pair; within each "
+                 "workload the side that runs first alternates from pair "
+                 "to pair",
+        "claim": claim(summary, claimed) if claimed else None,
+        "run_order": [list(x) for x in order],
+        "runs": runs, "summary": summary}
+
+
+def write(out, trees, shas, prefix, fields):
+    """Write the shared header (both shas, the host, the quartile method)
+    and ``fields`` to ``out``, by default ``<prefix>_<change sha>.json`` in
+    the change tree; returns the path."""
+    result = {"parent": shas["parent"], "change": shas["change"],
+              "host": host(),
+              "quartiles": "statistics.quantiles(n=4), exclusive method",
+              **fields}
+    out = out or trees["change"] / f"{prefix}_{shas['change']}.json"
+    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    return out
 
 
 def short_sha(tree):
@@ -315,40 +306,16 @@ def main(argv=None) -> int:
             "change": args.change_sha or short_sha(trees["change"])}
     if not all(shas.values()):
         ap.error("a tree is no git checkout: give --parent-sha/--change-sha")
+    if args.process and (args.claim or args.workload):
+        ap.error("--process takes no --claim and no --workload")
     if args.process:
-        if args.claim or args.workload:
-            ap.error("--process takes no --claim and no --workload")
-        print(run_process(trees, shas, args.pairs, args.out))
-        return 0
-    if args.seed is None:
+        prefix, fields = "PROCESS", run_process(trees, args.pairs)
+    elif args.seed is None:
         ap.error("the benchmark needs --seed")
-    command = bench["command"]
-    seconds = bench["run_seconds"]
-
-    order = plan(workloads, args.pairs, args.seed)
-    runs = {"parent": {}, "change": {}}
-    for w, seed, side in order:
-        record = run_once(trees[side], command, w, seed, seconds)
-        runs[side].setdefault(w, {})[str(seed)] = record
-        print(f"{w} {seed} {side} points_per_s "
-              f"{record['metrics']['points_per_s']:.1f} failed "
-              f"{record['failed']}", file=sys.stderr, flush=True)
-    summary = summarize(runs, bench["end_to_end"])
-    result = {
-        "parent": shas["parent"], "change": shas["change"],
-        "command": " ".join(command) + " --workload W --seed N --seconds "
-                   f"{seconds} --trace 0",
-        "host": host(),
-        "order": "alternating pairs, one seed per pair; within each "
-                 "workload the side that runs first alternates from pair "
-                 "to pair",
-        "quartiles": "statistics.quantiles(n=4), exclusive method",
-        "claim": claim(summary, args.claim) if args.claim else None,
-        "run_order": [list(x) for x in order],
-        "runs": runs, "summary": summary}
-    out = args.out or trees["change"] / f"BENCH_{shas['change']}.json"
-    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(out)
+    else:
+        prefix, fields = "BENCH", run_bench(trees, bench, workloads,
+                                            args.pairs, args.seed, args.claim)
+    print(write(args.out, trees, shas, prefix, fields))
     return 0
 
 

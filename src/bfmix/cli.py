@@ -269,11 +269,20 @@ def _series_rows(args):
             yield f"# normal_{j + 1}"
             yield from nj.to_csv_rows()
         return
-    choice = variational.standard_choice(lame.lame_index(p.g_bf))
+    n = lame.lame_index(p.g_bf)
+    choice = variational.standard_choice(n)
     choice = variational.HigherVEChoice(args.pick_xi0 or choice.pick_xi0,
                                         args.pick_xij or choice.pick_xij)
-    ctx = variational.ve1_context(p, e, order)
-    result = variational.higher_ve_residues(ctx, choice)
+    try:
+        ctx = variational.ve1_context(p, e, order)
+        result = variational.higher_ve_residues(ctx, choice)
+    except InsufficientOrderError as exc:
+        if n is None:
+            raise
+        raise InsufficientOrderError(
+            f"{exc}; Lame index {n} with the pick ({choice.pick_xi0}, "
+            f"{choice.pick_xij}) needs --order "
+            f"{variational.chain_order(n, choice)}") from exc
     if args.what == "mu3" and result.ve2_has_log:
         raise VerificationFailure("second order already carries a logarithm; "
                                   "third-order rows undefined")

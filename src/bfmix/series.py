@@ -11,9 +11,7 @@ integer base ``b``, an integer step ``s`` and an integer truncation ``t``
 integer numerators of the coefficients over one common denominator.  Exponent
 bookkeeping is then integer arithmetic, a product is an integer convolution
 followed by a single reduction, and ``Fraction``s are built only where a
-caller asks for an exponent or a coefficient.  Only
-:meth:`PuiseuxSeries.evaluate` leaves the rationals, for numeric cross-checks
-of the exact pipeline.
+caller asks for an exponent or a coefficient.
 
 The chain's operands hold a handful of terms each, so an operation costs its
 bookkeeping more than its arithmetic, and each one does only what its
@@ -25,9 +23,9 @@ a factor.  ``+`` and ``-`` share one body, which folds the sign into the
 factor that rescales the second operand to the common denominator; ``+``,
 ``-`` and ``*`` align operands on one lattice without any re-gridding, and a
 product convolves the two lists in a nested loop with each factor's step as
-its stride.  Each result of ``+``, ``-``, ``*``, ``scale`` and
-``antiderivative`` is one ``_set`` call on a fresh instance, and
-``antiderivative`` finds its ``t^-1`` term by one ``divmod``.
+its stride.  Each result of ``+``, ``-``, ``*`` and ``scale`` is one
+``_set`` call on a fresh instance, and ``product_residue`` reads the ``t^-1``
+term of a product from the one convolution sum that gives it.
 """
 from __future__ import annotations
 
@@ -271,15 +269,6 @@ class PuiseuxSeries:
         return ((Fraction(b + k * s, L), Fraction(c, den))
                 for k, c in enumerate(self._coeffs) if c)
 
-    def _stored(self, x: int) -> Fraction:
-        """The stored coefficient of t**(x / L)."""
-        k, r = divmod(x - self._base, self._step)
-        if r == 0 and 0 <= k < len(self._coeffs):
-            c = self._coeffs[k]
-            if c:
-                return Fraction(c, self._den)
-        return _ZERO
-
     def coefficient(self, e) -> Fraction:
         """Exact coefficient of t**e; raises if e is not known at this order."""
         e = as_fraction(e)
@@ -288,7 +277,12 @@ class PuiseuxSeries:
             raise InsufficientOrderError(
                 f"coefficient of t^{e} unknown (truncation "
                 f"t^{self.truncation_order})")
-        return _ZERO if x % d else self._stored(x // d)
+        if x % d:
+            return _ZERO
+        k, r = divmod(x // d - self._base, self._step)
+        if r or not 0 <= k < len(self._coeffs) or not self._coeffs[k]:
+            return _ZERO
+        return Fraction(self._coeffs[k], self._den)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -403,8 +397,8 @@ class PuiseuxSeries:
         return s
 
     def product_residue(self, other: "PuiseuxSeries") -> Fraction:
-        """``(self * other).residue()``, from the one convolution sum that
-        gives the 1/t coefficient instead of the whole product."""
+        """``(self * other).coefficient(-1)``, from the one convolution sum
+        that gives the 1/t coefficient instead of the whole product."""
         L = self._L if self._L == other._L else math.lcm(self._L, other._L)
         base, sa, sb, t = _product_on(L, self, other)
         if t != INF and t <= -L:
@@ -493,59 +487,7 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_dense(2 * self._L, v, 2 * self._step, w, den,
                                         2 * rel + v)
 
-    # -- calculus -------------------------------------------------------------
-
-    def differentiate(self) -> "PuiseuxSeries":
-        b, s, L = self._base, self._step, self._L
-        out = [c * (b + k * s) for k, c in enumerate(self._coeffs)]
-        return PuiseuxSeries.from_dense(L, b - L, s, out, self._den * L,
-                                        self._trunc - L)
-
-    def antiderivative(self) -> Tuple["PuiseuxSeries", Fraction]:
-        """``(primitive, log_coefficient)``: the termwise primitive with zero
-        constants, and the 1/t coefficient, which integrates to a multiple of
-        log t instead; so the truncation must lie above t^-1."""
-        b, s, L = self._base, self._step, self._L
-        if self._trunc != INF and self._trunc <= -L:
-            raise InsufficientOrderError(
-                f"log coefficient unknowable at truncation "
-                f"t^{self.truncation_order}")
-        coeffs, logc = self._coeffs, _ZERO
-        k, r = divmod(-L - b, s)
-        if not r and 0 <= k < len(coeffs) and coeffs[k]:
-            logc = Fraction(coeffs[k], self._den)
-            coeffs = coeffs[:]
-            coeffs[k] = 0
-        # c_k / (e_k + 1) with e_k + 1 = m_k / L
-        ms = range(b + L, b + L + len(coeffs) * s, s)
-        m_lcm = math.lcm(*(m for m, c in zip(ms, coeffs) if c))
-        lm = L * m_lcm
-        primitive = _new(PuiseuxSeries)
-        primitive._set(L, b + L, s,
-                       [c * (lm // m) if c else 0 for m, c in zip(ms, coeffs)],
-                       self._den * m_lcm, self._trunc + L)
-        return primitive, logc
-
-    def residue(self) -> Fraction:
-        """Coefficient of 1/t (0 when the lattice misses it); needs trunc > -1."""
-        if self._trunc != INF and self._trunc <= -self._L:
-            raise InsufficientOrderError(
-                f"residue unknowable at truncation t^{self.truncation_order}")
-        return self._stored(-self._L)
-
     # -- conversions ----------------------------------------------------------
-
-    def evaluate(self, t: complex) -> complex:
-        """Floating-point value of the known terms at ``t``, fractional powers
-        on the principal branch."""
-        b, s, L = self._base, self._step, self._L
-        t = complex(t)
-        den = self._den
-        total = 0j
-        for k, c in enumerate(self._coeffs):
-            if c:
-                total += complex(c / den) * t ** ((b + k * s) / L)
-        return total
 
     def to_csv_rows(self) -> Iterable[str]:
         """Rows 'exponent,numerator,denominator', ascending exponents."""

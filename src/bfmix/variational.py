@@ -563,12 +563,12 @@ class VE1Context:
     """First-order data of one parameter point at one truncation order,
     shared by every pick: the only way into the VE2 -> VE3 chain.
 
-    ``orbit`` holds the orbit factors of the forcings and caches the forcing
-    terms of each first-order pick, so a pick's terms are built once per
-    context, however many chains use them.
+    Each basis carries the VE1 coefficient it solves (``basis.q``), and
+    ``orbit`` holds q0 (``orbit.qbar``) with the other orbit factors of the
+    forcings; it caches the forcing terms of each first-order pick, so a
+    pick's terms are built once per context, however many chains use them.
     """
 
-    ve1: VE1Coefficients
     tangential_basis: FrobeniusBasis
     normal_bases: Tuple[FrobeniusBasis, ...]
     orbit: OrbitFactors
@@ -582,7 +582,7 @@ def ve1_context(p, e, order) -> VE1Context:
     if not qbar:
         raise InsufficientOrderError(
             f"q0 = 1/t + ... keeps no term below t^{order}")
-    return VE1Context(ve1=ve1, tangential_basis=frobenius(ve1.tangential),
+    return VE1Context(tangential_basis=frobenius(ve1.tangential),
                       normal_bases=tuple(frobenius(nj) for nj in ve1.normal),
                       orbit=OrbitFactors.of(qbar, p.g_bf, e.C0_sq))
 

@@ -176,7 +176,7 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
         order = variational.chain_order(n, ch)
         if order > depth:
             ctx, depth = variational.ve1_context(p, e, order), order
-        found = _ve_verdict(variational.higher_ve_residues(ctx, ch), ch,
+        found = _ve_verdict(variational.higher_ve_residues(ctx, ch),
                             verdict, details, scanned=i > 0)
         if found is not None:
             return found
@@ -186,35 +186,32 @@ def analyze_case2(p: ModelParams, h) -> IntegrabilityVerdict:
                                 "choice"))
 
 
-def _choice_record(ch: variational.HigherVEChoice) -> dict:
-    return {"pick_xi0": ch.pick_xi0, "pick_xij": ch.pick_xij}
-
-
-def _ve_verdict(result: variational.HigherVEResult,
-                ch: variational.HigherVEChoice, verdict, details: dict,
+def _ve_verdict(result: variational.HigherVEResult, verdict, details: dict,
                 scanned: bool = False) -> Optional[IntegrabilityVerdict]:
     """``verdict`` (case id and snapshot bound) of a chain's witness, or
-    None."""
+    None.  Both orders build one record: the pick (``choice``), then
+    ``found_by_scan`` where the pick was not the first one run, then the
+    fields of the order, the VE2 rows (``log_coefficients``) or the first
+    nonzero VE3 residue (``value``, ``block``, ``row``)."""
+    ch = result.choice
+    data = {"choice": {"pick_xi0": ch.pick_xi0, "pick_xij": ch.pick_xij}}
+    if scanned:
+        data["found_by_scan"] = True
     if result.ve2_has_log:
-        logs = [[str(a), str(b)] for a, b in result.rows[0]]
-        return verdict("NonIntegrable",
-                       Witness("ve_log", {"order": 2, "log_coefficients": logs,
-                                          "choice": _choice_record(ch)}),
+        data.update(order=2, log_coefficients=[[str(a), str(b)]
+                                               for a, b in result.rows[0]])
+        return verdict("NonIntegrable", Witness("ve_log", data),
                        details=details)
     hit = result.nonzero_witness()
-    if hit is not None:
-        block, row, value = hit
-        data = {"order": 3, "value": str(value), "block": block, "row": row,
-                "choice": _choice_record(ch)}
-        if scanned:
-            data["found_by_scan"] = True
-        rows = result.rows[1]
-        labels = variational.block_labels(len(rows))
-        det = dict(details, ve3_residues={
-            label: [str(a), str(b)] for label, (a, b) in zip(labels, rows)})
-        return verdict("NonIntegrable", Witness("ve_residue", data),
-                       details=det)
-    return None
+    if hit is None:
+        return None
+    block, row, value = hit
+    data.update(order=3, value=str(value), block=block, row=row)
+    rows = result.rows[1]
+    labels = variational.block_labels(len(rows))
+    det = dict(details, ve3_residues={
+        label: [str(a), str(b)] for label, (a, b) in zip(labels, rows)})
+    return verdict("NonIntegrable", Witness("ve_residue", data), details=det)
 
 
 def analyze_case3(omega0, omega1, c0sq, c1sq, action) -> IntegrabilityVerdict:

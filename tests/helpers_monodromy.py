@@ -36,6 +36,7 @@ import math
 import numpy as np
 
 from bfmix.odeint import integrate
+from helpers_series import differentiate, evaluate
 
 #: perturbation size; the odd/even Richardson readings keep a relative error
 #: of order eps^4 from the nonlinear terms
@@ -88,8 +89,9 @@ def _vector_field(p):
 def _rows(basis, dq, dp, t):
     """``X(t)^{-1} (dq, dp)`` for a unit-Wronskian basis."""
     s1, s2 = basis.sol1, basis.sol2
-    return np.array([s2.differentiate().evaluate(t) * dq - s2.evaluate(t) * dp,
-                     s1.evaluate(t) * dp - s1.differentiate().evaluate(t) * dq])
+    return np.array(
+        [evaluate(differentiate(s2), t) * dq - evaluate(s2, t) * dp,
+         evaluate(s1, t) * dp - evaluate(differentiate(s1), t) * dq])
 
 
 def monodromy_rows(p, qbar, tb, nbs, xi0, xij):
@@ -105,11 +107,11 @@ def monodromy_rows(p, qbar, tb, nbs, xi0, xij):
     n_f, eps, r = len(nbs), EPS, RADIUS
     etas = (eps, -eps, eps / 2, -eps / 2)
     start = np.zeros((1 + len(etas), 2 + 2 * n_f), dtype=complex)
-    start[0, :2] = qbar.evaluate(r), qbar.differentiate().evaluate(r)
+    start[0, :2] = evaluate(qbar, r), evaluate(differentiate(qbar), r)
     direction = np.array(
-        [xi0.evaluate(r), xi0.differentiate().evaluate(r)]
-        + [x.evaluate(r) for x in xij]
-        + [x.differentiate().evaluate(r) for x in xij])
+        [evaluate(xi0, r), evaluate(differentiate(xi0), r)]
+        + [evaluate(x, r) for x in xij]
+        + [evaluate(differentiate(x), r) for x in xij])
     start[1:] = np.outer(etas, direction)
 
     f = _vector_field(p)

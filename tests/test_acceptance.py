@@ -29,7 +29,7 @@ import helpers_model
 import helpers_theorem5 as t5
 from conftest import first_curve, random_rational, random_series, ve3_row1
 from helpers_contour import contour_oracle
-from helpers_series import agrees_with
+from helpers_series import agrees_with, differentiate
 from helpers_eps import forcing_oracle
 from helpers_monodromy import monodromy_rows
 
@@ -91,7 +91,7 @@ def log_rows(pt, xi0, xij, third=True):
         return ve2, None
     k0, kj = V.forcing_k3(orbit, xi0, xij, vocs[0].particular,
                           [v.particular for v in vocs[1:]])
-    ve3 = [((-(b.sol2 * k)).residue(), (b.sol1 * k).residue())
+    ve3 = [((-(b.sol2 * k)).coefficient(-1), (b.sol1 * k).coefficient(-1))
            for b, k in zip(bases, [k0, *kj])]
     return ve2, ve3
 
@@ -175,9 +175,9 @@ def test_criterion_02_index_two_mu2_expansion():
     ok = ok and got[Q(-1)] == 0
     ok = ok and abs(stated[Q(-1)]) >= SEPARATION
 
-    time_shift = agrees_with(tb.sol1, -ve1.qbar0.differentiate())
-    y = -nb.sol1.differentiate()
-    resid = (y.differentiate().differentiate() - ve1.normal[0] * y
+    time_shift = agrees_with(tb.sol1, -differentiate(ve1.qbar0))
+    y = -differentiate(nb.sol1)
+    resid = (differentiate(differentiate(y)) - ve1.normal[0] * y
              - kj[0])
     solves = not resid and resid.truncation_order > 0
     ok = ok and time_shift and solves
@@ -454,8 +454,8 @@ def test_criterion_10_forcing_oracle_and_ring_axioms():
     ve1 = V.build_ve1(p, e, 20)
     for q in (ve1.tangential,) + ve1.normal:
         basis = V.frobenius(q)
-        w = (basis.sol1 * basis.sol2.differentiate()
-             - basis.sol1.differentiate() * basis.sol2)
+        w = (basis.sol1 * differentiate(basis.sol2)
+             - differentiate(basis.sol1) * basis.sol2)
         if not (w.coefficient(0) == 1
                 and all(c == 0 for ex, c in w.terms() if ex != 0)):
             gate("10", False, "Wronskian not the constant series 1")

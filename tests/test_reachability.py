@@ -1,10 +1,13 @@
-"""Every top-level function, class and constant in ``src/bfmix`` is read by
+"""Every top-level function, class and constant in ``src/bfmix``, and every
+method, property and classmethod defined in a class body there, is read by
 the program: ``src/``, ``scripts/`` or ``perfbench/`` names it, as an
 ``ast.Name`` or an ``ast.Attribute``, outside its own definition or
-assignment.  Tests do not count, so a helper or a constant that only tests
-read fails here.  The one exemption is ``odeint``'s tableau (``C2``,
-``A21``, ``B1``, ``BHH1``, ``ER1``, ...), which ``odeint._row`` reads through
-``globals()``."""
+assignment.  Tests do not count, so a helper, a method or a constant that
+only tests read fails here.  Dunder methods are exempt, as Python calls
+them; so is ``odeint``'s tableau (``C2``, ``A21``, ``B1``, ``BHH1``,
+``ER1``, ...), which ``odeint._row`` reads through ``globals()``.  Class
+fields are out of reach of a name check: names such as ``omega0`` are read
+everywhere."""
 import ast
 import re
 from collections import Counter
@@ -35,15 +38,35 @@ def _defined(node: ast.stmt) -> list:
             if isinstance(n, ast.Name)]
 
 
+def _methods(tree: ast.Module) -> list:
+    """(class name, function) of each function defined in a class body of
+    ``tree``, dunders left out."""
+    return [(cls.name, node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__")
+                     and node.name.endswith("__"))]
+
+
+TREES = {path: ast.parse(path.read_text(), filename=str(path))
+         for part in ("src", "scripts", "perfbench")
+         for path in sorted((ROOT / part).rglob("*.py"))}
+READS = sum((_names(tree) for tree in TREES.values()), Counter())
+
+
 def test_every_top_level_definition_is_read():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for part in ("src", "scripts", "perfbench")
-             for path in sorted((ROOT / part).rglob("*.py"))}
-    reads = sum((_names(tree) for tree in trees.values()), Counter())
     unread = [f"{path.name}:{name}"
               for path in sorted(PACKAGE.glob("*.py"))
-              for node in trees[path].body
+              for node in TREES[path].body
               for name in _defined(node)
-              if reads[name] == _names(node)[name]
+              if READS[name] == _names(node)[name]
               and not (path.name == "odeint.py" and TABLEAU.fullmatch(name))]
+    assert unread == []
+
+
+def test_every_method_is_read():
+    unread = [f"{path.name}:{cls}.{node.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls, node in _methods(TREES[path])
+              if READS[node.name] == _names(node)[node.name]]
     assert unread == []

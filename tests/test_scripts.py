@@ -71,13 +71,16 @@ def _run(points_per_s, p50_ms):
 
 
 def test_bench_pairs_plan_alternates_and_counts_seeds():
-    order = _bench_pairs().plan(["a", "b"], 3, 4001)
-    assert order == [("a", 4001, "parent"), ("a", 4001, "change"),
-                     ("a", 4002, "change"), ("a", 4002, "parent"),
-                     ("a", 4003, "parent"), ("a", 4003, "change"),
-                     ("b", 4004, "parent"), ("b", 4004, "change"),
-                     ("b", 4005, "change"), ("b", 4005, "parent"),
-                     ("b", 4006, "parent"), ("b", 4006, "change")]
+    """The pairs are numbered across keys, so the benchmark's seeds
+    (--seed plus the pair number) are consecutive across workloads; the
+    first side alternates from pair to pair within each key."""
+    order = _bench_pairs().plan(["a", "b"], 3)
+    assert order == [("a", 0, "parent"), ("a", 0, "change"),
+                     ("a", 1, "change"), ("a", 1, "parent"),
+                     ("a", 2, "parent"), ("a", 2, "change"),
+                     ("b", 3, "parent"), ("b", 3, "change"),
+                     ("b", 4, "change"), ("b", 4, "parent"),
+                     ("b", 5, "parent"), ("b", 5, "change")]
 
 
 def test_bench_pairs_summary_on_canned_runs():
@@ -144,13 +147,13 @@ def test_bench_pairs_help_runs_no_benchmark():
 
 
 def test_bench_pairs_process_plan_and_env(tmp_path):
-    """--process alternates the first tree per setting and line; the
+    """--process alternates the first tree per (setting, line) key; the
     compiled setting writes no bytecode, the cached one writes it only
     under the prefix, and each tree imports its own src."""
     bp = _bench_pairs()
-    order = bp.process_plan(["a", "b"], 2)
-    assert order == [
-        (s, line, side) for s in ("compiled", "cached") for line in "ab"
+    keys = [(s, line) for s in bp.BYTECODE for line in "ab"]
+    assert [(key, side) for key, _, side in bp.plan(keys, 2)] == [
+        ((s, line), side) for s in ("compiled", "cached") for line in "ab"
         for side in ("parent", "change", "change", "parent")]
     compiled = bp.process_env(tmp_path, "compiled", tmp_path / "pyc")
     cached = bp.process_env(tmp_path, "cached", tmp_path / "pyc")
@@ -164,19 +167,18 @@ def test_bench_pairs_process_plan_and_env(tmp_path):
 
 
 def test_bench_pairs_process_summary_on_canned_runs():
-    """Medians, exclusive quartiles and wins of canned wall times, where
-    lower is better."""
+    """Medians, exclusive quartiles, wins and the worse fraction of canned
+    wall times, where lower is better: the summary that compare() gives
+    a benchmark metric, without its bound."""
     bp = _bench_pairs()
     parent = [110.0, 112.0, 108.0, 111.0, 109.0]
     change = [105.0, 113.0, 104.0, 106.0, 107.0]
-    runs = {"parent": {"cached": {"case3": parent}},
-            "change": {"cached": {"case3": change}}}
-    assert bp.process_summary(runs) == {"cached": {"case3": {
+    assert bp.compare(parent, change, higher=False) == {
         "pairs": 5, "change_wins": 4,
-        "parent_median_ms": 110.0, "change_median_ms": 106.0,
-        "parent_quartiles_ms": [108.5, 110.0, 111.5],
-        "change_quartiles_ms": [104.5, 106.0, 110.0],
-        "median_change_pct": -3.64}}}
+        "parent_median": 110.0, "change_median": 106.0,
+        "parent_quartiles": [108.5, 110.0, 111.5],
+        "change_quartiles": [104.5, 106.0, 110.0],
+        "median_change_pct": -3.64, "worse_frac": -0.0364}
 
 
 def test_bench_pairs_process_refuses_a_claim():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bfmix.series import (INF, FieldExtensionError, InsufficientOrderError,
                           PuiseuxSeries, ZeroDivisionSeriesError)
 from conftest import random_rational, random_series
-from helpers_series import agrees_with, variable
+from helpers_series import (agrees_with, antiderivative, differentiate,
+                            evaluate, variable)
 
 t = variable()
 one = PuiseuxSeries.constant(1)
@@ -119,39 +120,76 @@ class TestSqrt:
 
 class TestCalculus:
     def test_differentiate(self):
-        assert S({3: Q(1, 5)}).differentiate() == S({2: Q(3, 5)})
-        assert S({-2: 1}).differentiate() == S({-3: -2})
-        assert not one.differentiate()
+        assert differentiate(S({3: Q(1, 5)})) == S({2: Q(3, 5)})
+        assert differentiate(S({-2: 1})) == S({-3: -2})
+        assert not differentiate(one)
 
     def test_residue_read_off(self):
         bj, g2 = Q(2), Q(16, 3)
         mu = S({-7: 12, -5: -4 * bj, -1: bj * (g2 - bj * bj / 3)}, 1)
-        assert mu.residue() == 8
+        assert mu.coefficient(-1) == 8
 
     def test_residue_missing_lattice_point(self):
-        assert S({Q(-3, 2): 1, Q(1, 2): 1}).residue() == 0
+        assert S({Q(-3, 2): 1, Q(1, 2): 1}).coefficient(-1) == 0
 
     def test_residue_needs_order(self):
         with pytest.raises(InsufficientOrderError):
-            S({-3: 1}, -2).residue()
+            S({-3: 1}, -2).coefficient(-1)
 
     def test_antiderivative_log(self):
-        primitive, log_coefficient = t.invert().antiderivative()
+        primitive, log_coefficient = antiderivative(t.invert())
         assert log_coefficient == 1
         assert not primitive
 
     def test_antiderivative_power(self):
-        assert S({2: 3}).antiderivative()[0] == S({3: 1})
+        assert antiderivative(S({2: 3}))[0] == S({3: 1})
 
     def test_antiderivative_needs_order_above_minus_one(self):
         with pytest.raises(InsufficientOrderError):
-            S({-3: 1}, -1).antiderivative()
-        assert S({-3: 1}, Q(-1, 2)).antiderivative()[1] == 0
+            antiderivative(S({-3: 1}, -1))
+        assert antiderivative(S({-3: 1}, Q(-1, 2)))[1] == 0
 
     def test_antiderivative_mixed(self):
-        primitive, log_coefficient = S({-2: 2, -1: 5}).antiderivative()
+        primitive, log_coefficient = antiderivative(S({-2: 2, -1: 5}))
         assert log_coefficient == 5
         assert primitive == S({-1: -2})
+
+
+def lattice_series(rng: random.Random) -> PuiseuxSeries:
+    """0 to 5 terms at (base + step * k) / den, den 1 or 2 and step 1 to 3,
+    cut at INF or at one of t^-3, t^-5/2, ..., t^4."""
+    den, step, base = rng.choice((1, 2)), rng.randint(1, 3), rng.randint(-8, 2)
+    terms = {Q(base + step * k, den): Q(rng.randint(-4, 4), rng.randint(1, 3))
+             for k in range(rng.randint(0, 5))}
+    return PuiseuxSeries(terms, rng.choice((INF, *(Q(k, 2)
+                                                   for k in range(-6, 9)))))
+
+
+def test_product_residue_is_the_residue_of_the_product():
+    """a.product_residue(b) is (a * b).coefficient(-1), and raises
+    InsufficientOrderError on exactly the pairs where that does.  Pairs
+    that raise, have an empty factor, have no two exponents summing to -1,
+    or have some, all occur."""
+    rng = random.Random(3907)
+    seen = {"raised": 0, "empty": 0, "miss": 0, "hit": 0}
+    for _ in range(3000):
+        a, b = lattice_series(rng), lattice_series(rng)
+        try:
+            want = (a * b).coefficient(-1)
+        except InsufficientOrderError:
+            with pytest.raises(InsufficientOrderError):
+                a.product_residue(b)
+            seen["raised"] += 1
+            continue
+        got = a.product_residue(b)
+        assert got == want and isinstance(got, Q), (a, b)
+        if not (a and b):
+            seen["empty"] += 1
+        elif any(x + y == -1 for x, _ in a.terms() for y, _ in b.terms()):
+            seen["hit"] += 1
+        else:
+            seen["miss"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 class TestRingAxioms:
@@ -168,20 +206,20 @@ class TestRingAxioms:
     def test_derivative_kills_residue(self, rng):
         for _ in range(50):
             f = random_series(rng)
-            assert f.differentiate().residue() == 0
+            assert differentiate(f).coefficient(-1) == 0
 
     def test_residue_linearity(self, rng):
         for _ in range(50):
             a, b = random_series(rng), random_series(rng)
             al, be = random_rational(rng), random_rational(rng)
-            assert (a.scale(al) + b.scale(be)).residue() == \
-                al * a.residue() + be * b.residue()
+            assert (a.scale(al) + b.scale(be)).coefficient(-1) == \
+                al * a.coefficient(-1) + be * b.coefficient(-1)
 
     def test_antiderivative_roundtrip(self, rng):
         for _ in range(50):
             a = random_series(rng)
-            primitive, log_coefficient = a.antiderivative()
-            rebuilt = primitive.differentiate() + \
+            primitive, log_coefficient = antiderivative(a)
+            rebuilt = differentiate(primitive) + \
                 PuiseuxSeries({-1: log_coefficient}, INF)
             assert agrees_with(rebuilt, a)
 
@@ -319,7 +357,7 @@ def test_ring_operations_match_reference(a, b, cut):
     t0 = 0.3 + 0.2j
     want = sum(c * t0 ** e for e, c in a[0].items())
     size = sum(abs(c * t0 ** e) for e, c in a[0].items())
-    assert abs(x.evaluate(t0) - want) <= 1e-12 * size
+    assert abs(evaluate(x, t0) - want) <= 1e-12 * size
 
 
 def assert_canonical(x):
@@ -372,9 +410,9 @@ def assert_linear_operations_are_reference(a, b):
         z = PuiseuxSeries(*r)
         if r[1] <= -1:
             with pytest.raises(InsufficientOrderError):
-                z.antiderivative()
+                antiderivative(z)
             continue
-        primitive, log_coefficient = z.antiderivative()
+        primitive, log_coefficient = antiderivative(z)
         want, want_log = ref_antiderivative(r)
         assert_is_reference(primitive, want)
         assert log_coefficient == want_log

@@ -621,6 +621,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: order too low to decide: ")
 
+    def test_series_names_the_order_its_pick_needs(self, capsys):
+        """At Lame index 6 the default order 16 is short of the 23 that
+        chain_order certifies for the standard pick ("second", "first");
+        the error names it, and the dump runs at it."""
+        argv = ["series", "--what", "mu3", "--gbf", "21"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: order too low to decide: ")
+        assert err.rstrip().endswith("needs --order 23")
+        assert cli.main(argv + ["--order", "23"]) == 0
+
     def test_ve1_dump_below_order_2_cuts_the_order_16_dump(self, capsys):
         """VE1 at order P is exact below t^P for every P >= -2, though q0^2
         is built only at max(P, 2); below -2 the dump exits 2."""

@@ -106,7 +106,8 @@ def test_nonzero_ve2_row_gives_the_ve_log_witness():
     the pick ("first", "first") reads a nonzero VE2 row in the tangential
     block (analyze_case2 stops before, at the Theorem-5 check on h = 1).
     The chain stops at VE2, and _ve_verdict reports its rows as a ve_log
-    witness."""
+    witness, marked found_by_scan when the pick was not the first one
+    run."""
     n, ch = Q(3, 2), V.HigherVEChoice("first", "first")
     p = make_params(1, [Q(1, 4)], 1, [0], Q(15, 8))
     ctx = V.ve1_context(p, elliptic.invariants_from_energy(1, 1, 0),
@@ -118,11 +119,14 @@ def test_nonzero_ve2_row_gives_the_ve_log_witness():
                                  for b, k in zip(bases, res.forcings[0])]
     assert res.rows[0] == ((Q(-3, 4), 0), (0, 0))
 
-    found = verdict._ve_verdict(
-        res, ch, partial(verdict.IntegrabilityVerdict, "case2", params={}),
-        {"lame_index": "3/2"})
-    assert (found.outcome, found.witness.kind) == ("NonIntegrable", "ve_log")
-    assert found.witness.data == {
-        "order": 2, "log_coefficients": [["-3/4", "0"], ["0", "0"]],
-        "choice": {"pick_xi0": "first", "pick_xij": "first"}}
-    assert found.details == {"lame_index": "3/2"}
+    want = {"order": 2, "log_coefficients": [["-3/4", "0"], ["0", "0"]],
+            "choice": {"pick_xi0": "first", "pick_xij": "first"}}
+    for scanned in (False, True):
+        found = verdict._ve_verdict(
+            res, partial(verdict.IntegrabilityVerdict, "case2", params={}),
+            {"lame_index": "3/2"}, scanned=scanned)
+        assert (found.outcome, found.witness.kind) == ("NonIntegrable",
+                                                       "ve_log")
+        assert found.witness.data == (dict(want, found_by_scan=True)
+                                      if scanned else want)
+        assert found.details == {"lame_index": "3/2"}
