@@ -310,6 +310,9 @@ def _sweep_rows(args):
     if not (math.isfinite(args.t0_min) and math.isfinite(args.t0_max)):
         raise ValueError(f"t0 range [{args.t0_min}, {args.t0_max}] must be "
                          "finite")
+    if not math.isfinite(args.t0_max - args.t0_min):
+        raise ValueError(f"t0 range [{args.t0_min}, {args.t0_max}] is wider "
+                         "than the float range")
     if not 1 <= args.t0_samples <= MAX_SAMPLES:
         raise ValueError(f"--t0-samples {args.t0_samples} outside "
                          f"1..{MAX_SAMPLES}")

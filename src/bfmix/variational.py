@@ -14,6 +14,14 @@ particular at the resonances are fixed by its Wronskian pairings with sol1
 and sol2, whose t^0 terms they clear: the zero-integration-constant
 particular of variation of constants, without its series products.
 
+The order-k forcing is the k-th Taylor term of the field F along the orbit
+(Morales-Ruiz, Ramis and Simo, Ann. Sci. ENS 40, 2007): K^(2) =
+1/2 D^2F[x, x] and K^(3) = D^2F[x, y] + 1/6 D^3F[x, x, x] for the first-
+and second-order solutions x and y.  The q0-equation's 2 q0^3 + C0^2 q0^-3
+enters through its Taylor coefficients c2 = 6 q0 + 6 C0^2 q0^-5 and
+c3 = 2 - 10 C0^2 q0^-6 (``OrbitFactors``), the couplings 2g q0 sum q_j^2
+and 2g q0^2 q_j through 2g and 4g q0.
+
 Sign conventions.  The Lame offset is ``B_j = (2/3) w0 n(n+1) - 2 w_j`` and
 blocks read ``xi'' = [n(n+1) wp + B_j] xi``; the basis is ``sol1`` monic at
 the singular exponent -n and ``sol2 = t^(n+1)/(2n+1) (1 + ...)``, which makes
@@ -361,108 +369,97 @@ def variation_of_constants(basis: FrobeniusBasis,
 
 @dataclass(frozen=True)
 class OrbitFactors:
-    """The orbit factors of the order-2 and order-3 forcings, with their
-    constants folded in: q0, 4g q0, q0^-5 and C0^2 q0^-6 (None where
-    C0^2 = 0).  The factors and the forcings need only ``*``, ``+``,
-    ``-``, ``scale`` and ``invert``, so chain_order builds the factors and
-    runs the forcings on valuations through the same code.
+    """The orbit coefficients of the forcings: ``c2`` = 6 q0 + 6 C0^2 q0^-5
+    and ``c3`` = -10 C0^2 q0^-6, the C0^2 part of 2 - 10 C0^2 q0^-6 (None
+    where C0^2 = 0), beside ``two_g`` = 2g and ``four_g_qbar`` = 4g q0.  At
+    C0^2 = 0, c2 keeps its zero q0^-5 term, which bounds its truncation as
+    every term of a sum does.  Only ``*``, ``+``, ``-``, ``scale`` and
+    ``invert`` build them and the forcings, so chain_order runs the same
+    code on valuations.
 
-    ``pick_terms`` caches, per first-order pick, the forcing terms that
-    depend on that pick alone (``_tangential_terms``, ``_normal_terms``), so
-    the picks of one context share them.  It lives and dies with this
-    object.
+    ``pick_terms`` caches the forcing terms of each first-order pick
+    (``_tangential_terms``, ``_normal_terms``), so the picks of one context
+    share them.  It lives and dies with this object.
     """
 
-    g: Fraction
-    C0_sq: Fraction
+    two_g: Fraction
     qbar: PuiseuxSeries
     four_g_qbar: PuiseuxSeries
-    qbar_inv5: PuiseuxSeries
-    C0_sq_qbar_inv6: Optional[PuiseuxSeries]
+    c2: PuiseuxSeries
+    c3: Optional[PuiseuxSeries]
     pick_terms: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, qbar: PuiseuxSeries, g, C0_sq) -> "OrbitFactors":
-        """The factors along the orbit series ``qbar``, with a fresh cache."""
+        """The coefficients along the orbit series ``qbar``, with a fresh
+        cache."""
         g, C0_sq = Q(g), Q(C0_sq)
         qbar_inv = qbar.invert()
         qbar_inv2 = qbar_inv * qbar_inv
         qbar_inv5 = qbar_inv * (qbar_inv2 * qbar_inv2)
-        return cls(g, C0_sq, qbar, qbar.scale(4 * g), qbar_inv5,
-                   (qbar_inv5 * qbar_inv).scale(C0_sq) if C0_sq else None)
+        return cls(2 * g, qbar, qbar.scale(4 * g),
+                   qbar.scale(6) + qbar_inv5.scale(6 * C0_sq),
+                   (qbar_inv5 * qbar_inv).scale(-10 * C0_sq) if C0_sq
+                   else None)
 
 
-class _TangentialTerms(NamedTuple):
-    """The forcing terms of one tangential pick x."""
-
-    k0_2: PuiseuxSeries     # 6 q0 x^2 + 6 C0^2 q0^-5 x^2, the x part of K0^(2)
-    qx_4g: PuiseuxSeries    # 4g q0 x
-    qx_12: PuiseuxSeries    # 12 q0 x
-    sq_2g: PuiseuxSeries    # 2g x^2
-    cube_2: PuiseuxSeries   # 2 x^3
-    cube_10: Optional[PuiseuxSeries]   # 10 x^3, None where C0^2 = 0
-
-
-class _NormalTerms(NamedTuple):
-    """The forcing terms of one normal pick (x_j)."""
-
-    k0_2: PuiseuxSeries        # 2g q0 sum x_j^2, the x_j part of K0^(2)
-    sum_sq_2g: PuiseuxSeries   # 2g sum x_j^2
-
-
-def _tangential_terms(orbit: OrbitFactors, x) -> _TangentialTerms:
+def _tangential_terms(orbit: OrbitFactors, x) -> tuple:
+    """(c2 x^2, 2 c2 x, c3 x^3, 2g x^2, 4g q0 x) for the tangential pick x,
+    built once per context; c3 x^3 is 2 x^3 plus ``orbit.c3`` x^3."""
     key = ("xi0", x)
     terms = orbit.pick_terms.get(key)
     if terms is None:
         sq = x * x
         cube = sq * x
-        qx = orbit.qbar * x
-        # the C0^2 term stays in K0^(2) where C0^2 = 0: it bounds the
-        # truncation
-        k0_2 = (orbit.qbar * sq).scale(6) \
-            + (orbit.qbar_inv5 * sq).scale(6 * orbit.C0_sq)
-        terms = orbit.pick_terms[key] = _TangentialTerms(
-            k0_2, qx.scale(4 * orbit.g), qx.scale(12), sq.scale(2 * orbit.g),
-            cube.scale(2), cube.scale(10) if orbit.C0_sq else None)
+        c2x = orbit.c2 * x
+        c3_cube = cube.scale(2)
+        if orbit.c3 is not None:
+            c3_cube = c3_cube + orbit.c3 * cube
+        terms = orbit.pick_terms[key] = (c2x * x, c2x.scale(2), c3_cube,
+                                         sq.scale(orbit.two_g),
+                                         orbit.four_g_qbar * x)
     return terms
 
 
-def _normal_terms(orbit: OrbitFactors, xs: Sequence) -> _NormalTerms:
+def _normal_terms(orbit: OrbitFactors, xs: Sequence) -> tuple:
+    """(2g q0 sum x_j^2, 2g sum x_j^2, [4g q0 x_j]) for the normal pick
+    (x_j), built once per context."""
     key = ("xij", tuple(xs))
     terms = orbit.pick_terms.get(key)
     if terms is None:
         sum_sq = functools.reduce(add, (xj * xj for xj in xs))
-        sum_sq_2g = sum_sq.scale(2 * orbit.g)
-        terms = orbit.pick_terms[key] = _NormalTerms(orbit.qbar * sum_sq_2g,
-                                                     sum_sq_2g)
+        sum_sq_2g = sum_sq.scale(orbit.two_g)
+        terms = orbit.pick_terms[key] = (
+            orbit.qbar * sum_sq_2g, sum_sq_2g,
+            [orbit.four_g_qbar * xj for xj in xs])
     return terms
 
 
 def forcing_k2(orbit: OrbitFactors, xi0_1, xij_1: Sequence):
-    """(K0^(2), [K_j^(2)]) for given first-order solution choices:
+    """(K0^(2), [K_j^(2)]) = 1/2 D^2F[x, x] along the orbit for the
+    first-order solution choices x = (x0, x_j):
 
-        K0^(2) = 2g q0 sum x_j^2 + 6 q0 x0^2 + 6 C0^2 q0^-5 x0^2,
+        K0^(2) = c2 x0^2 + 2g q0 sum x_j^2,
         K_j^(2) = 4g q0 x0 x_j."""
-    t, n = _tangential_terms(orbit, xi0_1), _normal_terms(orbit, xij_1)
-    return n.k0_2 + t.k0_2, [t.qx_4g * xj for xj in xij_1]
+    c2_sq = _tangential_terms(orbit, xi0_1)[0]
+    q_sum_sq, _, q_xj = _normal_terms(orbit, xij_1)
+    return c2_sq + q_sum_sq, [xi0_1 * qx for qx in q_xj]
 
 
 def forcing_k3(orbit: OrbitFactors, xi0_1, xij_1: Sequence, xi0_2,
                xij_2: Sequence):
-    """(K0^(3), [K_j^(3)]) from first- and second-order solution choices
-    (x0, x_j) and (y0, y_j):
+    """(K0^(3), [K_j^(3)]) = D^2F[x, y] + 1/6 D^3F[x, x, x] along the orbit
+    for the first- and second-order solution choices x = (x0, x_j) and
+    y = (y0, y_j):
 
-        K0^(3) = 4g q0 sum x_j y_j + 2g x0 sum x_j^2 + 2 x0^3 + 12 q0 x0 y0
-                 - C0^2 q0^-6 (10 x0^3 - 12 q0 x0 y0),
-        K_j^(3) = 2g x0^2 x_j + 4g q0 (x0 y_j + y0 x_j)."""
-    t, n = _tangential_terms(orbit, xi0_1), _normal_terms(orbit, xij_1)
-    cross = functools.reduce(add, map(mul, xij_1, xij_2))
-    qx_y0 = t.qx_12 * xi0_2
-    k0 = orbit.four_g_qbar * cross + xi0_1 * n.sum_sq_2g + t.cube_2 + qx_y0
-    if orbit.C0_sq:
-        k0 = k0 - orbit.C0_sq_qbar_inv6 * (t.cube_10 - qx_y0)
-    kj = [t.sq_2g * xj1 + orbit.four_g_qbar * (xi0_1 * xj2 + xi0_2 * xj1)
-          for xj1, xj2 in zip(xij_1, xij_2)]
+        K0^(3) = 2 c2 x0 y0 + c3 x0^3 + 4g q0 sum x_j y_j + 2g x0 sum x_j^2,
+        K_j^(3) = 4g q0 (x0 y_j + y0 x_j) + 2g x0^2 x_j."""
+    _, c2x_2, c3_cube, sq_2g, qx0 = _tangential_terms(orbit, xi0_1)
+    _, sum_sq_2g, q_xj = _normal_terms(orbit, xij_1)
+    cross = functools.reduce(add, map(mul, q_xj, xij_2))
+    k0 = c2x_2 * xi0_2 + c3_cube + cross + xi0_1 * sum_sq_2g
+    kj = [qx0 * yj + xi0_2 * qx + sq_2g * xj
+          for xj, yj, qx in zip(xij_1, xij_2, q_xj)]
     return k0, kj
 
 
@@ -564,8 +561,8 @@ class VE1Context:
     shared by every pick: the only way into the VE2 -> VE3 chain.
 
     Each basis carries the VE1 coefficient it solves (``basis.q``), and
-    ``orbit`` holds q0 (``orbit.qbar``) with the other orbit factors of the
-    forcings; it caches the forcing terms of each first-order pick, so a
+    ``orbit`` holds q0 (``orbit.qbar``) with the other orbit coefficients of
+    the forcings; it caches the forcing terms of each first-order pick, so a
     pick's terms are built once per context, however many chains use them.
     """
 

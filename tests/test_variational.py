@@ -365,6 +365,42 @@ class TestForcingOracle:
                 assert agrees_with(a, b)
             draws += 1
 
+    def test_taylor_forcings_equal_expansion(self, rng):
+        """The oracle comparison with one to three transverse modes and
+        every third draw at C0^2 = 0 exactly, where c3 has no q0^-6 part."""
+        draws, modes = [], set()
+        while len(draws) < 30:
+            zero = len(draws) % 3 == 0
+            w0 = abs(random_rational(rng, nonzero=True))
+            wjs = [abs(random_rational(rng, nonzero=True))
+                   for _ in range(rng.choice([1, 2, 3]))]
+            c0sq = Q(0) if zero else abs(random_rational(rng, nonzero=True))
+            g = random_rational(rng, nonzero=True)
+            try:
+                e = elliptic.invariants_from_energy(w0, c0sq,
+                                                    random_rational(rng))
+            except elliptic.DegenerateInvariantsError:
+                continue
+            qbar = V.qbar0_series(e, 14)
+            xi0_1, xi0_2, *xij = [random_series(rng, lo=-2, hi=3, trunc=6)
+                                  for _ in range(2 + 2 * len(wjs))]
+            xij_1, xij_2 = xij[::2], xij[1::2]
+            if not xi0_1 or not all(xij_1):
+                continue
+            orbit = V.OrbitFactors.of(qbar, g, c0sq)
+            assert (orbit.c3 is None) == zero
+            k0_2, kj_2 = V.forcing_k2(orbit, xi0_1, xij_1)
+            k0_3, kj_3 = V.forcing_k3(orbit, xi0_1, xij_1, xi0_2, xij_2)
+            o0_2, oj_2, o0_3, oj_3 = forcing_oracle(
+                qbar, w0, wjs, c0sq, g, xi0_1, xij_1, xi0_2, xij_2)
+            assert len(kj_2) == len(kj_3) == len(wjs)
+            for a, b in zip((k0_2, k0_3, *kj_2, *kj_3),
+                            (o0_2, o0_3, *oj_2, *oj_3)):
+                assert agrees_with(a, b)
+            draws.append(zero)
+            modes.add(len(wjs))
+        assert draws.count(True) == 10 and modes == {1, 2, 3}
+
     def test_gbf_zero_kills_normal_forcing(self):
         qbar = V.qbar0_series(E_REF, 10)
         x = PuiseuxSeries({-1: 1}, 5)
@@ -603,19 +639,21 @@ class TestSharedPickTerms:
                 V.ve1_context(p, e, order), ch), ch
 
     def test_zero_c0sq_term_bounds_k0_truncation(self):
-        """At C0^2 = 0 the term 6 C0^2 q0^-5 x0^2 is zero but still caps
+        """At C0^2 = 0 the term 6 C0^2 q0^-5 of c2 is zero but still caps
         the truncation of K0^(2), as every term of a sum does; a q0^-5 cut
         short makes it the binding one."""
         p, e, order = sharing_context(Q(2), Q(1), [Q(2)], Q(0), Q(-1))
         ctx = V.ve1_context(p, e, order)
         orbit = ctx.orbit
-        short = V.OrbitFactors(orbit.g, orbit.C0_sq, orbit.qbar,
-                               orbit.four_g_qbar, orbit.qbar_inv5.truncate(6),
-                               orbit.C0_sq_qbar_inv6)
+        inv = orbit.qbar.invert()
+        inv5_short = (inv * inv * inv * inv * inv).truncate(6)
+        short = V.OrbitFactors(orbit.two_g, orbit.qbar, orbit.four_g_qbar,
+                               orbit.qbar.scale(6) + inv5_short.scale(0),
+                               orbit.c3)
         binding = 0
         for ch in V.SCAN_CHOICES:
             xi0, xij = first_order_picks(ctx, ch)
-            bound = (short.qbar_inv5 * (xi0 * xi0)).truncation_order
+            bound = (inv5_short * (xi0 * xi0)).truncation_order
             full = V.forcing_k2(orbit, xi0, xij)[0].truncation_order
             k0, _ = V.forcing_k2(short, xi0, xij)
             assert k0.truncation_order == min(bound, full), ch
@@ -724,6 +762,50 @@ def test_chain_order_certifies_every_reading(point):
         # no chain runs: lame.theorem5_check fails such a block first
         assume(False)
     V.higher_ve_residues(ctx, choice)
+
+
+#: chain_order per SCAN_CHOICES pick at the Lame indices n = 1..40 and
+#: n = 1/2..79/2: the orders any rewrite of the forcings must keep
+CHAIN_ORDERS = {
+    ("first", "first"): (
+        [7, 7, 11, 15, 19, 23, 27, 31, 35, 39, 43, 47, 51, 55, 59, 63, 67, 71,
+         75, 79, 83, 87, 91, 95, 99, 103, 107, 111, 115, 119, 123, 127, 131,
+         135, 139, 143, 147, 151, 155, 159],
+        [7, 7, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 49, 53, 57, 61, 65, 69,
+         73, 77, 81, 85, 89, 93, 97, 101, 105, 109, 113, 117, 121, 125, 129,
+         133, 137, 141, 145, 149, 153, 157]),
+    ("first", "second"): (
+        [7, 7, 7, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36,
+         38, 40, 42, 44, 46, 48, 50, 52, 54, 56, 58, 60, 62, 64, 66, 68, 70,
+         72, 74, 76, 78, 80],
+        [7, 7, 7, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 37,
+         39, 41, 43, 45, 47, 49, 51, 53, 55, 57, 59, 61, 63, 65, 67, 69, 71,
+         73, 75, 77, 79]),
+    ("second", "first"): (
+        [4, 7, 11, 15, 19, 23, 27, 31, 35, 39, 43, 47, 51, 55, 59, 63, 67, 71,
+         75, 79, 83, 87, 91, 95, 99, 103, 107, 111, 115, 119, 123, 127, 131,
+         135, 139, 143, 147, 151, 155, 159],
+        [4, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 49, 53, 57, 61, 65, 69,
+         73, 77, 81, 85, 89, 93, 97, 101, 105, 109, 113, 117, 121, 125, 129,
+         133, 137, 141, 145, 149, 153, 157]),
+    ("second", "second"): (
+        [4, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36,
+         38, 40, 42, 44, 46, 48, 50, 52, 54, 56, 58, 60, 62, 64, 66, 68, 70,
+         72, 74, 76, 78, 80],
+        [4, 4, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 37,
+         39, 41, 43, 45, 47, 49, 51, 53, 55, 57, 59, 61, 63, 65, 67, 69, 71,
+         73, 75, 77, 79]),
+}
+
+
+def test_chain_order_table():
+    """chain_order runs the forcings on valuations; a rewrite of the forcing
+    layer must certify the same order for every pick and index."""
+    for (p0, pj), (whole, halves) in CHAIN_ORDERS.items():
+        ch = V.HigherVEChoice(p0, pj)
+        assert [V.chain_order(Q(n), ch) for n in range(1, 41)] == whole, ch
+        assert [V.chain_order(Q(2 * n - 1, 2), ch)
+                for n in range(1, 41)] == halves, ch
 
 
 @st.composite

@@ -179,10 +179,10 @@ class TestClassify:
     # combine them scale nothing, and each VE2 block runs its Frobenius
     # recursion with no product
     @pytest.mark.parametrize("g, wj, c0sq, products, scales", [
-        (Q(1), Q(1), Q(1), 22, 15),
-        (Q(3), Q(2), Q(1), 22, 15),
-        (Q(3, 8), Q(1, 4), Q(1), 59, 24),
-        (Q(35, 8), Q(55, 28), Q(72, 343), 59, 25)],
+        (Q(1), Q(1), Q(1), 21, 13),
+        (Q(3), Q(2), Q(1), 21, 13),
+        (Q(3, 8), Q(1, 4), Q(1), 51, 18),
+        (Q(35, 8), Q(55, 28), Q(72, 343), 51, 19)],
         ids=["index1", "index2", "half", "five-half"])
     def test_case2_series_work(self, monkeypatch, g, wj, c0sq, products,
                                scales):
@@ -735,9 +735,10 @@ class TestCli:
     @pytest.mark.parametrize("extra", [
         ["--t0-min", "nan"], ["--t0-max", "inf"], ["--t0-min=-inf"],
         ["--t0-samples", str(cli.MAX_SAMPLES + 1)],
-        ["--t0-samples", "0"]],
+        ["--t0-samples", "0"],
+        ["--t0-min=-1e308", "--t0-max=1e308", "--t0-samples", "3"]],
         ids=["t0min-nan", "t0max-inf", "t0min-minus-inf", "samples-above-cap",
-             "samples-zero"])
+             "samples-zero", "width-overflows"])
     def test_sweep_range_is_checked(self, extra, capsys, monkeypatch):
         def no_grid(*args, **kwargs):
             raise AssertionError("the range reached melnikov.setup")
